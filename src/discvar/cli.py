@@ -10,7 +10,8 @@ report.json.  Exit codes: 0 success, 1 configuration or usage error,
 2 solve/verification failure (artifacts still written from the best
 iterate).
 
-The environment variable DISCVAR_LOG sets the log level (e.g. DEBUG).
+The environment variable DISCVAR_LOG sets the log level (e.g. DEBUG); unset
+or empty means WARNING.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 import numpy as np
 
 from . import lgoc, lie, mech, systems, tboc
-from .errors import ConfigError, DiscvarError, NoConvergence
+from .errors import ConfigError, DiscvarError, NoConvergence, SingularJacobian
 
 log = logging.getLogger("discvar")
 
@@ -262,7 +263,7 @@ def cmd_solve(args):
                              guess=guess)
         else:
             sol = tboc.solve(problem, tol=tol, max_iter=max_iter, guess=guess)
-    except NoConvergence as exc:
+    except (NoConvergence, SingularJacobian) as exc:
         failed = exc
         # artifacts are still written from the best iterate
         if kind == "lie":
@@ -447,7 +448,7 @@ def make_parser():
 
 def main(argv=None):
     logging.basicConfig(
-        level=os.environ.get("DISCVAR_LOG", "WARNING").upper(),
+        level=(os.environ.get("DISCVAR_LOG") or "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = make_parser()

@@ -34,10 +34,15 @@ class StepSolveFailed(DiscvarError):
 
 
 class SingularJacobian(DiscvarError):
-    """Newton hit a numerically singular Jacobian."""
+    """Newton hit a numerically singular Jacobian.
 
-    def __init__(self, iteration, message=""):
+    Like NoConvergence, carries the best iterate seen and the solver report.
+    """
+
+    def __init__(self, iteration, message="", best_x=None, report=None):
         self.iteration = iteration
+        self.best_x = best_x
+        self.report = report
         super().__init__(message or f"singular Jacobian at iteration {iteration}")
 
 

@@ -39,7 +39,7 @@ from .errors import (
     SingularJacobian,
     StepSolveFailed,
 )
-from .solvers import ResidualSystem, levenberg_marquardt, newton
+from .solvers import JacobianStructure, ResidualSystem, levenberg_marquardt, newton
 
 _FD_STEP = 1e-4
 
@@ -620,8 +620,58 @@ def _unpack(problem, z, eliminate):
     return xis, nus_interior, lambdas
 
 
+def _jacobian_structure(problem, eliminate):
+    """Sparsity of the residual Jacobian, read off the block layout.
+
+    The unknowns of interval k are xi_k, the interior node momenta nu_k and
+    nu_{k+1}, and its multiplier pair.  The velocity and momentum rows at
+    node k touch intervals k-1 and k; with eliminated momenta nu_k is built
+    from xi_{k-1} and xi_k, so node k touches xi_{k-2..k+1}.  Complement
+    rows touch their own interval.  With a potential g_k depends on every
+    earlier xi, and so do the rows at node k.  The n reconstruction rows
+    depend on every xi: they are the dense border, differenced through
+    ``reconstruction_residual`` alone.
+    """
+    sys_ = problem.system
+    N, n, s = problem.N, sys_.n, sys_.n - sys_.m
+    dim = residual_dimension(problem, eliminate)
+    xi = np.arange(N * n).reshape(N, n)
+    pattern = np.zeros((dim, dim), dtype=bool)
+    if eliminate:
+        for k in range(1, N):
+            pattern[(k - 1) * n : k * n, xi[max(k - 2, 0) : k + 2].ravel()] = True
+    else:
+        # nu[j] holds node j's columns; only the interior rows 1..N-1 are used
+        nu = N * n + np.arange(-n, N * n).reshape(N + 1, n)
+        lam = (2 * N - 1) * n + np.arange(2 * N * s).reshape(N, 2 * s)
+
+        def interval(k):
+            nodes = [nu[j] for j in (k, k + 1) if 0 < j < N]
+            return np.concatenate([xi[k], lam[k]] + nodes)
+
+        for k in range(1, N):
+            cols = np.concatenate([interval(k - 1), interval(k)])
+            if sys_.potential is not None:
+                cols = np.concatenate([cols, xi[:k].ravel()])
+            rows = np.r_[(k - 1) * n : k * n, (N + k - 2) * n : (N + k - 1) * n]
+            pattern[np.ix_(rows, cols)] = True
+        for k in range(N):
+            first = 2 * (N - 1) * n + 2 * k * s
+            pattern[first : first + 2 * s, interval(k)] = True
+
+    def border(z):
+        return reconstruction_residual(problem, z[: N * n].reshape(N, n))
+
+    return JacobianStructure(pattern=pattern, border_rows=np.arange(dim - n, dim),
+                             border_cols=xi.ravel(), border=border)
+
+
 def residual_system(problem, eliminate_momenta=None):
-    """Square ResidualSystem for ``solve``; returns (system, eliminate_flag)."""
+    """Square ResidualSystem for ``solve``; returns (system, eliminate_flag).
+
+    The system carries the Jacobian's sparsity, so finite-difference
+    Jacobians take one residual pair per column colour.
+    """
     sys_ = problem.system
     if eliminate_momenta is None:
         eliminate_momenta = (
@@ -638,7 +688,8 @@ def residual_system(problem, eliminate_momenta=None):
         return general_residual(problem, xis, nus_interior, lambdas)
 
     dim = residual_dimension(problem, eliminate_momenta)
-    return ResidualSystem(dim=dim, eval=eval_), eliminate_momenta
+    structure = _jacobian_structure(problem, eliminate_momenta)
+    return ResidualSystem(dim=dim, eval=eval_, structure=structure), eliminate_momenta
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
@@ -647,8 +698,8 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
 
     method: "newton", "lm", or "auto".  Auto uses Newton with an LM fallback
     when fully actuated; for underactuated problems it runs LM first (robust
-    against the cold-start multiplier block) and polishes with Newton from
-    LM's best iterate if LM stalls.
+    against the cold-start multiplier block) and, if LM stalls, restarts
+    damped Newton from the initial guess z0 (not from LM's best iterate).
     """
     sys_ = problem.system
     system, eliminate = residual_system(problem, eliminate_momenta)

@@ -1,4 +1,5 @@
-"""Dense root-finding: finite-difference Jacobians, Newton, Levenberg-Marquardt."""
+"""Root-finding: finite-difference Jacobians (dense or column-coloured),
+Newton, Levenberg-Marquardt."""
 
 from __future__ import annotations
 
@@ -10,22 +11,67 @@ import numpy as np
 from .errors import NoConvergence, SingularJacobian
 
 
+def greedy_colouring(pattern):
+    """Group the columns of a boolean sparsity pattern so that no two columns
+    in a group share a row (Curtis, Powell & Reid 1974).  Columns are taken
+    in order, each joining the first group it does not conflict with."""
+    groups, used = [], []
+    for j in range(pattern.shape[1]):
+        rows = pattern[:, j]
+        for cols, mask in zip(groups, used):
+            if not np.any(mask & rows):
+                cols.append(j)
+                mask |= rows
+                break
+        else:
+            groups.append([j])
+            used.append(rows.copy())
+    return [np.array(cols) for cols in groups]
+
+
+@dataclass
+class JacobianStructure:
+    """What a finite-difference Jacobian may skip.
+
+    ``pattern[i, j]`` is False where F_i does not depend on x_j; the columns
+    are coloured from it, so one residual pair recovers a whole colour.
+    Dense ``border_rows`` stay False in the pattern, so they do not merge
+    every colour into one; they are filled one column of ``border_cols`` at a
+    time by differencing ``border(x)``, which returns F(x)[border_rows] more
+    cheaply than F itself.  A column that is a colour of its own gets every
+    row, border included, from its residual pair.
+    """
+
+    pattern: np.ndarray
+    border_rows: np.ndarray
+    border_cols: np.ndarray
+    border: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        self.colours = greedy_colouring(self.pattern)
+        alone = {int(cols[0]) for cols in self.colours if cols.size == 1}
+        self.border_cols = np.array([j for j in self.border_cols if j not in alone],
+                                    dtype=int)
+
+
 @dataclass
 class ResidualSystem:
     """A square nonlinear system F(x) = 0 of dimension ``dim``.
 
-    ``jacobian`` is optional; when absent a central-difference Jacobian is
-    used with per-column step 1e-6 * (1 + |x_j|).
+    ``jacobian`` is optional; when absent the Jacobian is a central
+    difference with per-column step 1e-6 * (1 + |x_j|), taken column by
+    column, or colour by colour when a ``structure`` is given.
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    structure: Optional[JacobianStructure] = None
 
     def jac(self, x, f0=None):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.eval, x, f0=f0)
+        return fd_jacobian(self.eval, x, f0=f0, structure=self.structure)
 
 
 @dataclass
@@ -46,23 +92,36 @@ class SolveReport:
         }
 
 
-def fd_jacobian(fun, x, f0=None, step=1e-6):
+def fd_jacobian(fun, x, f0=None, step=1e-6, structure=None):
     """Central-difference Jacobian of ``fun`` at ``x``.
 
-    ``f0`` is accepted (and used to size the output) so callers can share a
-    residual evaluation with the step logic.
+    Each residual pair perturbs one colour of columns by +-h_j, with
+    h_j = step * (1 + |x_j|), and column j keeps the rows the pattern gives
+    it.  Without a ``structure`` every column is its own colour.  ``f0`` is
+    accepted (and used to size the output) so callers can share a residual
+    evaluation with the step logic.
     """
     x = np.asarray(x, dtype=float)
     if f0 is None:
         f0 = np.asarray(fun(x), dtype=float)
-    J = np.empty((f0.size, x.size))
-    for j in range(x.size):
-        h = step * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.asarray(fun(xp), dtype=float)
-                   - np.asarray(fun(xm), dtype=float)) / (2.0 * h)
+    if structure is None:
+        passes = [(fun, np.arange(f0.size), np.arange(x.size)[:, None], None)]
+    else:
+        passes = [(fun, np.arange(f0.size), structure.colours, structure.pattern),
+                  (structure.border, structure.border_rows,
+                   structure.border_cols[:, None], None)]
+    J = np.zeros((f0.size, x.size))
+    for g, rows, colours, pattern in passes:
+        for cols in colours:
+            h = step * (1.0 + np.abs(x[cols]))
+            xp, xm = x.copy(), x.copy()
+            xp[cols] += h
+            xm[cols] -= h
+            d = (np.asarray(g(xp), dtype=float)
+                 - np.asarray(g(xm), dtype=float))[:, None] / (2.0 * h)
+            if cols.size > 1:
+                d = np.where(pattern[:, cols], d, 0.0)
+            J[np.ix_(rows, cols)] = d
     return J
 
 
@@ -71,7 +130,7 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
 
     Returns (x, SolveReport).  Raises SingularJacobian on a numerically
     singular Jacobian and NoConvergence when the iteration budget runs out;
-    NoConvergence carries the best iterate seen.
+    both carry the best iterate seen and the report so far.
     """
     x = np.asarray(x0, dtype=float).copy()
     report = SolveReport(method="newton")
@@ -89,9 +148,11 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
         try:
             dx = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            raise SingularJacobian(it)
-        if not np.all(np.isfinite(dx)):
-            raise SingularJacobian(it)
+            dx = None
+        if dx is None or not np.all(np.isfinite(dx)):
+            report.iterations = it
+            report.residual_norm = best_norm
+            raise SingularJacobian(it, best_x=best_x, report=report)
         # backtracking on the euclidean residual norm
         fnorm2 = np.dot(f, f)
         alpha = 1.0

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from discvar import cli
+import discvar
+from discvar import cli, solvers
 
 
 def write_config(path, cfg):
@@ -207,6 +210,39 @@ def test_nonconvergence_still_writes_artifacts(tmp_path):
     assert report["converged"] is False
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "controls.csv"))
+
+
+def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
+    # an all-zero Jacobian stalls LM, then the Newton fallback finds it
+    # singular: the SingularJacobian must not escape before artifacts exist
+    base = rigid_body_cfg(N=4)
+    base["system"]["actuated"] = [0, 1]
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(solvers.ResidualSystem, "jac",
+                        lambda self, x, f0=None: np.zeros((self.dim, self.dim)))
+    assert cli.main(["solve", cfg, "--out", out]) == 2
+    report = read_report(out)
+    assert report["converged"] is False
+    assert report["method"] == "newton"
+    assert os.path.exists(os.path.join(out, "trajectory.csv"))
+    assert os.path.exists(os.path.join(out, "controls.csv"))
+
+
+def test_empty_log_level_means_warning(tmp_path):
+    base = point_mass_cfg(N=4)
+    base["simulate"] = {"steps": 4}
+    cfg = write_config(tmp_path / "c.json", base)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(discvar.__file__)))
+    env = dict(os.environ, DISCVAR_LOG="",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from discvar import cli; sys.exit(cli.main())",
+         "simulate", cfg, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_rotation_matrix_boundary_accepted(tmp_path):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from discvar import lgoc, lie, mech, systems, tboc
+from discvar import lgoc, lie, mech, solvers, systems, tboc
 from discvar.errors import DimensionMismatch, NotInvertible, RankDeficient
 from discvar.lgoc import OcProblemLie, ReducedSystem
-from discvar.systems import L2Cost, make_rigid_body_so3
+from discvar.systems import L2Cost, SmoothedL1Cost, make_rigid_body_so3
 
 
 def rigid_body_problem(actuated=(0, 1, 2), N=6, h=0.1, potential=None,
-                       retraction=lie.CAYLEY, seed=0):
+                       retraction=lie.CAYLEY, seed=0, cost=None):
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=actuated,
                                  retraction=retraction, potential=potential)
     rng = np.random.default_rng(seed)
@@ -23,7 +23,7 @@ def rigid_body_problem(actuated=(0, 1, 2), N=6, h=0.1, potential=None,
         xiT=0.2 * rng.normal(size=3),
         N=N,
         h=h,
-        cost=L2Cost(),
+        cost=L2Cost() if cost is None else cost,
     )
 
 
@@ -161,6 +161,66 @@ def test_residual_dimensions(N):
     assert elim and sys_full.dim == N * 3
     sys_under, elim_u = lgoc.residual_system(under)
     assert not elim_u and sys_under.dim == (2 * N - 1) * 3 + 2 * N
+
+
+def jacobian_regimes():
+    uuv = systems.make_uuv_system()
+    return {
+        "cayley eliminated": rigid_body_problem(N=6),
+        "exp": rigid_body_problem(N=6, retraction=lie.EXPONENTIAL),
+        "heavy top": rigid_body_problem(N=6, potential=systems.HeavyTopPotential(0.8)),
+        "uuv": OcProblemLie(
+            system=uuv, g0=uuv.group.identity(), xi0=np.zeros(6),
+            gT=uuv.group.tau(np.array([0.1, 0.0, 0.2, 0.5, 0.0, 0.1])),
+            xiT=np.zeros(6), N=4, h=0.5, cost=L2Cost(),
+        ),
+        "underactuated": rigid_body_problem(actuated=(0, 1), N=6),
+        "smoothed L1": rigid_body_problem(
+            N=6, cost=SmoothedL1Cost(eps=1e-3, u_min=-1.0, u_max=1.0)),
+    }
+
+
+def _random_point(prob, eliminate, rng):
+    z0 = lgoc._pack(prob, *lgoc.initial_guess(prob), eliminate)
+    return z0 + 0.2 * rng.normal(size=z0.size)
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_coloured_jacobian_matches_dense_fd(regime):
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    assert len(system.structure.colours) < system.dim
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        z = _random_point(prob, eliminate, rng)
+        J = system.jac(z, f0=system.eval(z))
+        J_dense = solvers.fd_jacobian(system.eval, z)
+        assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
+
+
+def test_eliminated_cayley_jacobian_takes_twelve_colours():
+    # xi row k touches xi_{k-2..k+1}: four interval blocks of three columns
+    for N in (6, 32):
+        system, eliminate = lgoc.residual_system(rigid_body_problem(N=N))
+        assert eliminate and len(system.structure.colours) == 12
+
+
+@pytest.mark.parametrize("regime", ["cayley eliminated", "uuv", "underactuated"])
+def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch):
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(12))
+    f0 = system.eval(z)
+    calls = []
+    original = lgoc.general_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "general_residual", counted)
+    system.jac(z, f0=f0)
+    assert len(calls) == 2 * len(system.structure.colours)
 
 
 def directional_action_derivative(prob, xis, nus_interior, lambdas, rng):

@@ -5,8 +5,10 @@ import pytest
 
 from discvar.errors import NoConvergence, SingularJacobian
 from discvar.solvers import (
+    JacobianStructure,
     ResidualSystem,
     fd_jacobian,
+    greedy_colouring,
     levenberg_marquardt,
     newton,
 )
@@ -47,6 +49,63 @@ def test_analytic_jacobian_matches_fd_on_random_points():
         J_fd = fd_jacobian(f, x, f(x))
         scale = 1.0 + np.max(np.abs(jac(x)))
         assert np.max(np.abs(jac(x) - J_fd)) / scale < 1e-5
+
+
+def test_fd_jacobian_without_structure_is_the_column_loop():
+    def f(x):
+        return np.array([np.sin(x[0] * x[1]), x[2] ** 3 - x[0], np.exp(x[1]) * x[2]])
+
+    x = np.array([0.7, -1.3, 2.1])
+    J_ref = np.empty((3, 3))
+    for j in range(3):
+        h = 1e-6 * (1.0 + abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        J_ref[:, j] = (f(xp) - f(xm)) / (2.0 * h)
+    assert np.array_equal(fd_jacobian(f, x), J_ref)
+
+
+def _banded_with_border(x):
+    """Rows 0..n-3 couple x_{i-1}, x_i, x_{i+1} and x_{n-1}; the last two
+    rows are dense."""
+    left = np.concatenate([[0.0], x[:-1]])
+    right = np.concatenate([x[1:], [0.0]])
+    band = x ** 2 * left + np.sin(x) + np.cos(x) * right + np.exp(x[-1]) * x
+    border = [np.sum(x ** 3), np.sum(np.exp(0.1 * x) * np.arange(x.size))]
+    return np.concatenate([band[:-2], border])
+
+
+def test_coloured_fd_jacobian_equals_dense_on_banded_toy():
+    n = 10
+    pattern = np.zeros((n, n), dtype=bool)
+    for i in range(n - 2):
+        pattern[i, max(i - 1, 0) : i + 2] = True
+    pattern[: n - 2, n - 1] = True
+    structure = JacobianStructure(
+        pattern=pattern, border_rows=np.arange(n - 2, n),
+        border_cols=np.arange(n), border=lambda x: _banded_with_border(x)[-2:],
+    )
+    # x_{n-1} touches every band row, so it is a colour of its own and its
+    # residual pair also gives its border entries
+    assert [c.tolist() for c in structure.colours][-1] == [n - 1]
+    assert len(structure.colours) == 4
+    assert structure.border_cols.tolist() == list(range(n - 1))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        J_dense = fd_jacobian(_banded_with_border, x)
+        system = ResidualSystem(n, _banded_with_border, structure=structure)
+        assert np.array_equal(system.jac(x), J_dense)
+
+
+def test_greedy_colouring_groups_share_no_row():
+    rng = np.random.default_rng(4)
+    pattern = rng.random((30, 40)) < 0.1
+    colours = greedy_colouring(pattern)
+    assert sorted(np.concatenate(colours).tolist()) == list(range(40))
+    for cols in colours:
+        assert np.max(pattern[:, cols].sum(axis=1)) <= 1
 
 
 def test_newton_linear_one_step():
@@ -99,6 +158,20 @@ def test_newton_singular_jacobian():
     )
     with pytest.raises(SingularJacobian):
         newton(sys_, np.array([1.0, 2.0]))
+
+
+def test_singular_jacobian_carries_best_iterate():
+    sys_ = ResidualSystem(
+        2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+        jacobian=lambda x: np.ones((2, 2)),
+    )
+    with pytest.raises(SingularJacobian) as info:
+        newton(sys_, np.array([1.0, 2.0]))
+    exc = info.value
+    assert np.array_equal(exc.best_x, [1.0, 2.0])
+    assert exc.report.method == "newton"
+    assert exc.report.residual_norm == 3.0
+    assert not exc.report.converged
 
 
 def test_newton_backtracks_on_overshoot():

@@ -128,15 +128,6 @@ class RnLagrangian:
         return self.mass / self.h - (self.h / 2.0) * self.V_xx(qb)
 
 
-def trapezoidal_ld(lagrangian, qa, qb):
-    """Value of the trapezoidal discrete Lagrangian over [qa, qb]."""
-    return lagrangian.ld(qa, qb)
-
-
-def _zero_drift(qa, qb):
-    return 0.0
-
-
 @dataclass
 class DiscreteForcePairRn:
     """Per-interval discrete force pair, affine in the control:
@@ -208,6 +199,10 @@ def legendre_pair(lagrangian, forces, q_a, q_b, u_minus, u_plus):
     return p_a, p_b
 
 
+# floor of the step tolerance, per unit of |M q| / h: a few rounding units
+_STEP_ROUNDING = 16.0 * np.finfo(float).eps
+
+
 def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
     """March the forced discrete Euler-Lagrange equation forward.
 
@@ -215,6 +210,11 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
     the interval [q_k, q_{k+1}].  Returns positions of shape (steps + 1, n).
     The first interval [q0, q1] is part of the initial data, so ``steps``
     counts the intervals including that one.
+
+    ``tol`` bounds the max-abs DEL residual of each step, but never below a
+    few rounding units of the momentum terms M q / h: the difference
+    quotients lose eps |q| / h each, so far from the origin an absolute 1e-12
+    could not be met.
     """
     n = lagrangian.dim
     q0 = np.asarray(q0, dtype=float)
@@ -226,8 +226,12 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
         raise DimensionMismatch("controls must have shape (steps, 2, m)")
     qs = np.empty((steps + 1, n))
     qs[0], qs[1] = q0, q1
+    # 16 eps |M q_k|_inf / h <= rounding_per_q * |q_k|_inf
+    rounding_per_q = (_STEP_ROUNDING / lagrangian.h
+                      * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
+        step_tol = max(tol, rounding_per_q * np.max(np.abs(q_k)))
         u_prev_plus = controls[k - 1, 1]
         u_k_minus = controls[k, 0]
 
@@ -243,7 +247,7 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
 
         system = ResidualSystem(dim=n, eval=res, jacobian=jac)
         try:
-            q_next, _ = newton(system, 2.0 * q_k - q_prev, tol=tol, max_iter=50)
+            q_next, _ = newton(system, 2.0 * q_k - q_prev, tol=step_tol, max_iter=50)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(k, f"step {k}: {exc}") from exc
         qs[k + 1] = q_next

@@ -34,22 +34,25 @@ class JacobianStructure:
     """What a finite-difference Jacobian may skip.
 
     ``pattern[i, j]`` is False where F_i does not depend on x_j; the columns
-    are coloured from it, so one residual pair recovers a whole colour.
-    Dense ``border_rows`` stay False in the pattern, so they do not merge
-    every colour into one; they are filled one column of ``border_cols`` at a
-    time by differencing ``border(x)``, which returns F(x)[border_rows] more
-    cheaply than F itself.  A column that is a colour of its own gets every
-    row, border included, from its residual pair.
+    are coloured from it, so one residual pair recovers a whole colour.  A
+    block-local system such as ``tboc`` gives only the pattern.
+
+    The border is optional.  Dense ``border_rows`` stay False in the pattern,
+    so they do not merge every colour into one; they are filled one column
+    of ``border_cols`` at a time by differencing ``border(x)``, which returns
+    F(x)[border_rows] more cheaply than F itself.  A column that is a colour
+    of its own gets every row, border included, from its residual pair.
     """
 
     pattern: np.ndarray
-    border_rows: np.ndarray
-    border_cols: np.ndarray
-    border: Callable[[np.ndarray], np.ndarray]
+    border_rows: np.ndarray = ()
+    border_cols: np.ndarray = ()
+    border: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.colours = greedy_colouring(self.pattern)
         alone = {int(cols[0]) for cols in self.colours if cols.size == 1}
+        self.border_rows = np.asarray(self.border_rows, dtype=int)
         self.border_cols = np.array([j for j in self.border_cols if j not in alone],
                                     dtype=int)
 

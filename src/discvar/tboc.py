@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotInvertible, RankDeficient, SingularJacobian
-from .solvers import ResidualSystem, levenberg_marquardt, newton
+from .solvers import JacobianStructure, ResidualSystem, levenberg_marquardt, newton
 
 
 # ---------------------------------------------------------------------------
@@ -52,43 +52,6 @@ class QuadraticControlCost:
 
     def grad_up(self, qa, um, qb, up):
         return (self.h / 2.0) * np.asarray(up, dtype=float)
-
-
-class CallableCost:
-    """Adapter giving central-difference partials to a plain cost callable."""
-
-    def __init__(self, fun, step=1e-6):
-        self.fun = fun
-        self.step = step
-
-    def value(self, qa, um, qb, up):
-        return float(self.fun(qa, um, qb, up))
-
-    def _fd(self, args, slot):
-        args = [np.asarray(a, dtype=float).copy() for a in args]
-        x = args[slot]
-        g = np.empty(x.size)
-        for j in range(x.size):
-            s = self.step * (1.0 + abs(x[j]))
-            x[j] += s
-            fp = self.fun(*args)
-            x[j] -= 2.0 * s
-            fm = self.fun(*args)
-            x[j] += s
-            g[j] = (fp - fm) / (2.0 * s)
-        return g
-
-    def grad_qa(self, qa, um, qb, up):
-        return self._fd([qa, um, qb, up], 0)
-
-    def grad_um(self, qa, um, qb, up):
-        return self._fd([qa, um, qb, up], 1)
-
-    def grad_qb(self, qa, um, qb, up):
-        return self._fd([qa, um, qb, up], 2)
-
-    def grad_up(self, qa, um, qb, up):
-        return self._fd([qa, um, qb, up], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +237,6 @@ class AugmentedLagrangianRn:
         return v
 
 
-def build_augmented(problem):
-    """Momentum-space interval cost with analytic slot derivatives."""
-    return AugmentedLagrangianRn(problem)
-
-
 # ---------------------------------------------------------------------------
 # residual assembly
 # ---------------------------------------------------------------------------
@@ -301,7 +259,7 @@ def optimality_residual(problem, qs, ps, lambdas=None, aug=None):
     """
     qs, ps = _states(problem, qs, ps)
     if aug is None:
-        aug = build_augmented(problem)
+        aug = AugmentedLagrangianRn(problem)
     N, n, m = problem.N, problem.n, problem.m
     under = not problem.fully_actuated
     if under:
@@ -335,7 +293,7 @@ def action_sum(problem, qs, ps, lambdas=None, aug=None):
     """Sum of the momentum-space interval costs (with multiplier terms)."""
     qs, ps = _states(problem, qs, ps)
     if aug is None:
-        aug = build_augmented(problem)
+        aug = AugmentedLagrangianRn(problem)
     total = 0.0
     for k in range(problem.N):
         lm = lambdas[k, 0] if lambdas is not None else None
@@ -384,18 +342,53 @@ def _unpack(problem, z):
     return qs, ps, lambdas
 
 
+def _jacobian_structure(problem):
+    """Sparsity of the residual Jacobian, read off the block layout.
+
+    The unknowns are the interior node blocks (q_k, p_k), k = 1..N-1, then
+    the multiplier pairs of the N intervals.  Interval k touches node blocks
+    k and k+1 (interior ones only) and its own multipliers.  The 2n
+    stationarity rows at node k sum the terms of intervals k-1 and k; the
+    complement rows of interval k touch only its node blocks, since Phi does
+    not depend on the multipliers.  No row is dense, so there is no border.
+    """
+    N, n, s = problem.N, problem.n, problem.n - problem.m
+    nodes = 2 * (N - 1) * n
+    dim = nodes + 2 * N * s
+    # node[j] holds node j's columns; only the interior nodes 1..N-1 are used
+    node = np.arange(-2 * n, 2 * N * n).reshape(N + 1, 2 * n)
+    lam = nodes + np.arange(2 * N * s).reshape(N, 2 * s)
+
+    def interval_nodes(k):
+        return np.concatenate([node[j] for j in (k, k + 1) if 0 < j < N])
+
+    pattern = np.zeros((dim, dim), dtype=bool)
+    for k in range(1, N):
+        cols = np.concatenate([interval_nodes(k - 1), lam[k - 1],
+                               interval_nodes(k), lam[k]])
+        pattern[node[k][:, None], cols] = True
+    for k in range(N):
+        pattern[nodes + 2 * k * s : nodes + 2 * (k + 1) * s, interval_nodes(k)] = True
+    return JacobianStructure(pattern=pattern)
+
+
 def residual_system(problem, aug=None):
-    """The square ResidualSystem solved by ``solve``."""
+    """The square ResidualSystem solved by ``solve``.
+
+    The system carries the block-tridiagonal sparsity of its Jacobian, so a
+    finite-difference Jacobian takes one residual pair per column colour:
+    6n colours for a fully actuated problem at any N >= 4.
+    """
     if aug is None:
-        aug = build_augmented(problem)
-    N, n, m = problem.N, problem.n, problem.m
-    dim = 2 * (N - 1) * n + (0 if problem.fully_actuated else 2 * N * (n - m))
+        aug = AugmentedLagrangianRn(problem)
+    structure = _jacobian_structure(problem)
 
     def eval_(z):
         qs, ps, lambdas = _unpack(problem, z)
         return optimality_residual(problem, qs, ps, lambdas, aug=aug)
 
-    return ResidualSystem(dim=dim, eval=eval_)
+    return ResidualSystem(dim=structure.pattern.shape[0], eval=eval_,
+                          structure=structure)
 
 
 def initial_guess(problem):
@@ -416,7 +409,7 @@ def initial_guess(problem):
 
 def solve(problem, tol=1e-9, max_iter=100, guess=None):
     """Solve the two-point problem; Newton first, Levenberg-Marquardt fallback."""
-    aug = build_augmented(problem)
+    aug = AugmentedLagrangianRn(problem)
     system = residual_system(problem, aug=aug)
     if guess is None:
         guess = initial_guess(problem)
@@ -432,7 +425,7 @@ def assemble_solution(problem, z, report=None, aug=None):
     """Build an OcSolutionRn from a packed unknown vector (e.g. a solver's
     best iterate), recovering controls and cost."""
     if aug is None:
-        aug = build_augmented(problem)
+        aug = AugmentedLagrangianRn(problem)
     qs, ps, lambdas = _unpack(problem, z)
     controls = np.empty((problem.N, 2, problem.m))
     cost = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from discvar import mech
 from discvar.errors import DimensionMismatch
-from discvar.mech import DiscreteForcePairRn, RnLagrangian, trapezoidal_ld
+from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
 def free_particle(n=1, mass=1.0, h=0.1):
@@ -36,17 +36,17 @@ def pendulum(h=0.01):
 
 def test_ld_zero_displacement_no_potential():
     L = free_particle()
-    assert trapezoidal_ld(L, np.array([1.3]), np.array([1.3])) == 0.0
+    assert L.ld(np.array([1.3]), np.array([1.3])) == 0.0
 
 
 def test_ld_unit_displacement_value():
     L = free_particle(h=0.1)
-    assert abs(trapezoidal_ld(L, np.array([0.0]), np.array([1.0])) - 5.0) < 1e-14
+    assert abs(L.ld(np.array([0.0]), np.array([1.0])) - 5.0) < 1e-14
 
 
 def test_ld_pure_potential_at_origin():
     L = harmonic(h=1.0)
-    assert trapezoidal_ld(L, np.array([0.0]), np.array([0.0])) == 0.0
+    assert L.ld(np.array([0.0]), np.array([0.0])) == 0.0
 
 
 def test_ld_matches_hand_formula_random():
@@ -64,7 +64,7 @@ def test_ld_matches_hand_formula_random():
         oracle = d @ M @ d / (2.0 * h) - (h / 2.0) * (
             float(qa @ qa) ** 2 + float(qb @ qb) ** 2
         )
-        assert abs(trapezoidal_ld(L, qa, qb) - oracle) < 1e-12
+        assert abs(L.ld(qa, qb) - oracle) < 1e-12
 
 
 def test_slot_derivatives_match_finite_differences():
@@ -77,9 +77,9 @@ def test_slot_derivatives_match_finite_differences():
         out = np.zeros(1)
         e = np.array([eps])
         if slot_first:
-            out[0] = (trapezoidal_ld(L, qa + e, qb) - trapezoidal_ld(L, qa - e, qb))
+            out[0] = (L.ld(qa + e, qb) - L.ld(qa - e, qb))
         else:
-            out[0] = (trapezoidal_ld(L, qa, qb + e) - trapezoidal_ld(L, qa, qb - e))
+            out[0] = (L.ld(qa, qb + e) - L.ld(qa, qb - e))
         return out / (2.0 * eps)
 
     assert np.max(np.abs(L.d1(qa, qb) - fd(True))) < 1e-8
@@ -264,3 +264,23 @@ def test_forced_integration_matches_residual_with_controls():
             controls[k - 1, 1], controls[k, 0],
         )
         assert np.max(np.abs(r)) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_forced_integration_far_from_origin(scale):
+    # the DEL residual of a step cannot drop below rounding of M q / h, which
+    # passes the absolute 1e-12 once |q| is large; the step tolerance follows it
+    h = 0.01
+    L = free_particle(n=3, h=h)
+    F = DiscreteForcePairRn.trapezoidal(3, h)
+    rng = np.random.default_rng(7)
+    q0 = scale * rng.uniform(0.5, 1.0, size=3)
+    q1 = q0 + h * rng.normal(size=3)
+    controls = rng.normal(size=(50, 2, 3))
+    qs = mech.integrate(L, F, q0, q1, 50, controls=controls)
+    momentum_scale = np.max(np.abs(qs)) / h
+    for k in range(1, 50):
+        r = mech.forced_del_residual(
+            L, F, qs[k - 1], qs[k], qs[k + 1], controls[k - 1, 1], controls[k, 0],
+        )
+        assert np.max(np.abs(r)) < 16.0 * np.finfo(float).eps * momentum_scale

@@ -99,6 +99,26 @@ def test_coloured_fd_jacobian_equals_dense_on_banded_toy():
         assert np.array_equal(system.jac(x), J_dense)
 
 
+def test_structure_without_border_equals_dense_on_banded_toy():
+    def banded(x):
+        left = np.concatenate([[0.0], x[:-1]])
+        right = np.concatenate([x[1:], [0.0]])
+        return x ** 2 * left + np.sin(x) + np.cos(x) * right
+
+    n = 9
+    pattern = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        pattern[i, max(i - 1, 0) : i + 2] = True
+    structure = JacobianStructure(pattern=pattern)
+    assert len(structure.colours) == 3
+    assert structure.border is None and structure.border_cols.size == 0
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = rng.normal(size=n)
+        J = ResidualSystem(n, banded, structure=structure).jac(x)
+        assert np.array_equal(J, fd_jacobian(banded, x))
+
+
 def test_greedy_colouring_groups_share_no_row():
     rng = np.random.default_rng(4)
     pattern = rng.random((30, 40)) < 0.1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from discvar import mech, tboc
+from discvar import mech, solvers, tboc
 from discvar.errors import DimensionMismatch, NotInvertible, RankDeficient
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
@@ -32,7 +32,7 @@ def make_problem(n=1, N=8, T=1.0, mass=None, m=None, boundary=None):
 def test_control_recovery_inverts_forced_legendre():
     rng = np.random.default_rng(0)
     prob = make_problem(n=2, N=4)
-    aug = tboc.build_augmented(prob)
+    aug = tboc.AugmentedLagrangianRn(prob)
     L, F = prob.lagrangian, prob.forces
     for _ in range(10):
         qa, qb = rng.normal(size=(2, 2))
@@ -46,7 +46,7 @@ def test_control_recovery_inverts_forced_legendre():
 def test_augmented_value_matches_two_stage_oracle():
     rng = np.random.default_rng(1)
     prob = make_problem(n=2, N=4)
-    aug = tboc.build_augmented(prob)
+    aug = tboc.AugmentedLagrangianRn(prob)
     L, F, cost = prob.lagrangian, prob.forces, prob.cost
     for _ in range(10):
         qa, qb = rng.normal(size=(2, 2))
@@ -58,7 +58,7 @@ def test_augmented_value_matches_two_stage_oracle():
 def test_grads_match_finite_differences():
     rng = np.random.default_rng(2)
     prob = make_problem(n=2, N=4)
-    aug = tboc.build_augmented(prob)
+    aug = tboc.AugmentedLagrangianRn(prob)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
     g = aug.grads(qa, pa, qb, pb)
     eps = 1e-6
@@ -76,7 +76,7 @@ def test_grads_match_finite_differences():
 def test_underactuated_grads_include_multiplier_terms():
     rng = np.random.default_rng(3)
     prob = make_problem(n=2, N=4, m=1)
-    aug = tboc.build_augmented(prob)
+    aug = tboc.AugmentedLagrangianRn(prob)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
     lam_m, lam_p = rng.normal(size=(2, 1))
     g = aug.grads(qa, pa, qb, pb, lam_m, lam_p)
@@ -99,7 +99,7 @@ def test_phi_is_hand_projection_n2_m1():
     # B spans e1, so the complement conditions read off the second component
     # of the momentum defects
     prob = make_problem(n=2, N=4, m=1)
-    aug = tboc.build_augmented(prob)
+    aug = tboc.AugmentedLagrangianRn(prob)
     rng = np.random.default_rng(4)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
     L, F = prob.lagrangian, prob.forces
@@ -120,7 +120,7 @@ def test_singular_control_matrix_rejected():
         x0=np.zeros(2), p0=np.zeros(2), xT=np.ones(2), pT=np.zeros(2), N=4,
     )
     with pytest.raises(NotInvertible):
-        tboc.build_augmented(prob)
+        tboc.AugmentedLagrangianRn(prob)
 
 
 def test_rank_deficient_tall_control_matrix_rejected():
@@ -133,7 +133,7 @@ def test_rank_deficient_tall_control_matrix_rejected():
         x0=np.zeros(3), p0=np.zeros(3), xT=np.ones(3), pT=np.zeros(3), N=4,
     )
     with pytest.raises(RankDeficient):
-        tboc.build_augmented(prob)
+        tboc.AugmentedLagrangianRn(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,84 @@ def test_momentum_perturbation_cancels_in_own_position_row():
     assert np.max(np.abs(r1[2, 0] - r0[2, 0])) < 1e-14 * scale
     # its momentum row must move
     assert not np.array_equal(r0[2, 1], r1[2, 1])
+
+
+# ---------------------------------------------------------------------------
+# Jacobian structure
+# ---------------------------------------------------------------------------
+
+def _structured_problem(regime):
+    n, N = (1, 12) if regime == "potential" else (3, 8)
+    h = 1.0 / N
+    if regime == "potential":
+        # no potential_grad/potential_hess: V_x and V_xx are finite differences
+        L = RnLagrangian(np.eye(n), h=h, potential=lambda q: float(np.sum(np.cos(q))))
+    else:
+        L = RnLagrangian(np.diag(np.arange(1.0, n + 1)), h=h)
+    m = {"underactuated": 2, "drift": 1}.get(regime, n)
+    B = (h / 2.0) * np.eye(n)[:, :m]
+    drifts = {}
+    if regime == "drift":
+        drifts = dict(a_minus=lambda qa, qb: 0.1 * np.sin(qa) * qb,
+                      a_plus=lambda qa, qb: 0.05 * qa * qb ** 2)
+    F = DiscreteForcePairRn(B, B, **drifts)
+    return tboc.OcProblemRn(
+        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
+    )
+
+
+@pytest.mark.parametrize("regime", ["fully actuated", "potential", "underactuated", "drift"])
+def test_structured_jacobian_equals_dense_fd(regime):
+    prob = _structured_problem(regime)
+    system = tboc.residual_system(prob)
+    assert len(system.structure.colours) < system.dim
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        z = rng.normal(size=system.dim)
+        assert np.array_equal(system.jac(z), solvers.fd_jacobian(system.eval, z))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("N", [4, 32])
+def test_fully_actuated_jacobian_takes_6n_colours(n, N):
+    structure = tboc.residual_system(make_problem(n=n, N=N)).structure
+    assert len(structure.colours) == 6 * n
+    assert structure.border_cols.size == 0
+
+
+def test_jacobian_build_makes_two_residual_calls_per_colour(monkeypatch):
+    prob = _structured_problem("underactuated")
+    system = tboc.residual_system(prob)
+    calls = []
+    residual = tboc.optimality_residual
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(tboc, "optimality_residual", counting)
+    z = np.random.default_rng(9).normal(size=system.dim)
+    f0 = system.eval(z)
+    calls.clear()
+    system.jac(z, f0=f0)
+    assert len(calls) == 2 * len(system.structure.colours)
+
+
+def test_solve_history_unchanged_without_structure(monkeypatch):
+    prob = make_problem(n=2, N=10, m=1,
+                        boundary=(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)))
+    structured = tboc.solve(prob, tol=1e-9)
+    build = tboc.residual_system
+
+    def plain(problem, aug=None):
+        system = build(problem, aug=aug)
+        return solvers.ResidualSystem(dim=system.dim, eval=system.eval)
+
+    monkeypatch.setattr(tboc, "residual_system", plain)
+    dense = tboc.solve(prob, tol=1e-9)
+    assert structured.report.residual_history == dense.report.residual_history
+    assert np.array_equal(structured.qs, dense.qs)
 
 
 # ---------------------------------------------------------------------------

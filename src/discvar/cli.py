@@ -228,16 +228,13 @@ def _write_report(outdir, payload):
 # commands
 # ---------------------------------------------------------------------------
 
-def _perturbed_guess(problem, kind, solver_cfg):
+def _perturbed_guess(problem, mod, solver_cfg):
     """Optional seeded perturbation of the initial guess (study aid)."""
     scale = float(solver_cfg.get("guess_perturbation", 0.0))
     if scale == 0.0:
         return None
     rng = np.random.default_rng(int(solver_cfg.get("seed", 0)))
-    if kind == "lie":
-        first, second, lams = lgoc.initial_guess(problem)
-    else:
-        first, second, lams = tboc.initial_guess(problem)
+    first, second, lams = mod.initial_guess(problem)
     first = first + scale * rng.normal(size=np.shape(first))
     second = second + scale * rng.normal(size=np.shape(second))
     return first, second, lams
@@ -252,29 +249,22 @@ def cmd_solve(args):
         solver_cfg.get("max_iter", 100)
     )
     method = solver_cfg.get("method", "auto")
-    guess = _perturbed_guess(problem, kind, solver_cfg)
+    mod, write = ((lgoc, _write_lie_solution) if kind == "lie"
+                  else (tboc, _write_rn_solution))
+    guess = _perturbed_guess(problem, mod, solver_cfg)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     failed = None
     try:
-        if kind == "lie":
-            sol = lgoc.solve(problem, tol=tol, max_iter=max_iter, method=method,
-                             guess=guess)
-        else:
-            sol = tboc.solve(problem, tol=tol, max_iter=max_iter, guess=guess)
+        sol = mod.solve(problem, tol=tol, max_iter=max_iter, method=method,
+                        guess=guess)
     except (NoConvergence, SingularJacobian) as exc:
         failed = exc
         # artifacts are still written from the best iterate
-        if kind == "lie":
-            sol = lgoc.assemble_solution(problem, exc.best_x, report=exc.report)
-        else:
-            sol = tboc.assemble_solution(problem, exc.best_x, report=exc.report)
+        sol = mod.assemble_solution(problem, exc.best_x, report=exc.report)
     elapsed = time.perf_counter() - t0
-    if kind == "lie":
-        _write_lie_solution(problem, sol, outdir)
-    else:
-        _write_rn_solution(problem, sol, outdir)
+    write(problem, sol, outdir)
     converged = failed is None and bool(sol.report.converged)
     _write_report(outdir, {
         "command": "solve",
@@ -348,22 +338,19 @@ def _verify_lie(problem, args):
         nl = n - m
         lambdas = ctrl[:, 1 + n + 2 * m :].reshape(N, 2, nl)
     res = lgoc.general_residual(problem, xis, nus[1:-1], lambdas)
+    gs = lgoc.reconstruct(sys_.group, problem.g0, problem.h, xis)
     checks = {
         "optimality_residual": float(np.max(np.abs(res))),
         "boundary_nu0": float(np.max(np.abs(nus[0] - problem.nu0))),
         "boundary_nuN": float(np.max(np.abs(nus[-1] - problem.nuN))),
-        "reconstruction_gT": float(np.max(np.abs(
-            lgoc.reconstruct(sys_.group, problem.g0, problem.h, xis)[-1] - problem.gT
-        ))),
+        "reconstruction_gT": float(np.max(np.abs(gs[-1] - problem.gT))),
     }
     if not sys_.fully_actuated:
-        full_nus = np.vstack([problem.nu0[None], nus[1:-1], problem.nuN[None]])
-        z, _, mu, transported, _, _ = lgoc._controls_from_momenta(problem, xis, full_nus)
-        d = sys_.drift_values(z)
+        full_nus = lgoc._full_nus(problem, nus[1:-1])
+        _, _, phim, phip = lgoc._interval_maps(problem, xis, full_nus, gs)
         sigma = list(sys_.unactuated)
-        phim = (mu - full_nus[:-1] - (problem.h / 2.0) * d)[:, sigma]
-        phip = (full_nus[1:] - transported - (problem.h / 2.0) * d)[:, sigma]
-        checks["constraint_phi"] = float(max(np.max(np.abs(phim)), np.max(np.abs(phip))))
+        checks["constraint_phi"] = float(max(np.max(np.abs(phim[:, sigma])),
+                                             np.max(np.abs(phip[:, sigma]))))
     return checks
 
 

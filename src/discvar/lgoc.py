@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import solvers
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -39,7 +40,13 @@ from .errors import (
     SingularJacobian,
     StepSolveFailed,
 )
-from .solvers import JacobianStructure, ResidualSystem, levenberg_marquardt, newton
+from .solvers import (
+    JacobianStructure,
+    ResidualSystem,
+    fd_jacobian,
+    levenberg_marquardt,
+    newton,
+)
 
 _FD_STEP = 1e-4
 
@@ -407,21 +414,11 @@ def _potential_hessians(system, gs_interior, step=1e-6):
     """
     group = system.group
     n = system.n
-    K = gs_interior.shape[0]
-    H = np.empty((K, n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        shift_p = group.tau(e)
-        shift_m = group.tau(-e)
-        Gp = np.asarray(
-            system.potential.left_grad(group.multiply(gs_interior, shift_p)), dtype=float
-        )
-        Gm = np.asarray(
-            system.potential.left_grad(group.multiply(gs_interior, shift_m)), dtype=float
-        )
-        H[:, :, j] = (Gp - Gm) / (2.0 * step)
-    return H
+
+    def shifted_grads(s):
+        return system.potential.left_grad(group.multiply(gs_interior, group.tau(s)))
+
+    return fd_jacobian(shifted_grads, np.zeros(n), step=step).reshape(-1, n, n)
 
 
 def reconstruction_residual(problem, xis):
@@ -503,39 +500,28 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     return np.concatenate(parts)
 
 
-def fully_actuated_residual(problem, xis, nus_interior=None):
-    """Residual for full actuation.
-
-    With interior node momenta supplied this is the general formulation
-    (dimension (2N-1) n).  Without them the quadratic-cost elimination of the
-    node momenta applies and the system is the N n-dimensional one: velocity
-    stationarity at interior nodes plus the reconstruction constraint.
-    """
-    if not problem.system.fully_actuated:
-        raise DimensionMismatch("problem is underactuated")
-    if nus_interior is not None:
-        return general_residual(problem, xis, nus_interior)
-    nus = eliminated_nus(problem, xis)
-    res = general_residual(problem, xis, nus[1:-1])
-    N, n = problem.N, problem.system.n
-    # node-momentum stationarity vanishes identically under the elimination
-    return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
-
-
-def eliminated_nus(problem, xis):
-    """Interior node momenta that satisfy momentum stationarity exactly.
-
-    Valid for quadratic control cost, full actuation, no drift and no
-    potential: each nu_k is the average of the momenta the two adjacent
-    intervals propagate to node k.
-    """
+def _momenta_eliminable(problem):
+    """Whether momentum stationarity can be solved for the node momenta in
+    closed form: quadratic control cost, full actuation, no drift and no
+    potential."""
     sys_ = problem.system
-    if not (
+    return (
         sys_.fully_actuated
         and not sys_.has_drift
         and sys_.potential is None
         and getattr(problem.cost, "is_quadratic", False)
-    ):
+    )
+
+
+def eliminated_nus(problem, xis):
+    """Node momenta (boundary entries included) that satisfy momentum
+    stationarity exactly.
+
+    Valid when ``_momenta_eliminable``: each interior nu_k is the average of
+    the momenta the two adjacent intervals propagate to node k.
+    """
+    sys_ = problem.system
+    if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs the kinetic L2 setup")
     _, _, mu, transported = interval_momenta(sys_, problem.h, np.asarray(xis, dtype=float))
     nus = np.empty((problem.N + 1, sys_.n))
@@ -543,20 +529,6 @@ def eliminated_nus(problem, xis):
     nus[-1] = problem.nuN
     nus[1:-1] = 0.5 * (mu[1:] + transported[:-1])
     return nus
-
-
-def underactuated_residual(problem, xis, nus_interior, lambdas):
-    """General residual including the per-interval underactuation conditions."""
-    if problem.system.fully_actuated:
-        raise DimensionMismatch("problem is fully actuated")
-    return general_residual(problem, xis, nus_interior, lambdas)
-
-
-def config_dependent_residual(problem, xis, nus_interior):
-    """General residual for systems whose Lagrangian includes a potential."""
-    if problem.system.potential is None:
-        raise DimensionMismatch("system has no potential")
-    return general_residual(problem, xis, nus_interior)
 
 
 def residual_dimension(problem, eliminate_momenta=False):
@@ -669,23 +641,23 @@ def _jacobian_structure(problem, eliminate):
 def residual_system(problem, eliminate_momenta=None):
     """Square ResidualSystem for ``solve``; returns (system, eliminate_flag).
 
-    The system carries the Jacobian's sparsity, so finite-difference
-    Jacobians take one residual pair per column colour.
+    With eliminated momenta the unknowns are the interval velocities alone
+    and the residual is the N n-dimensional one: velocity stationarity at
+    the interior nodes plus the reconstruction constraint.  The system
+    carries the Jacobian's sparsity, so finite-difference Jacobians take one
+    residual pair per column colour.
     """
-    sys_ = problem.system
     if eliminate_momenta is None:
-        eliminate_momenta = (
-            sys_.fully_actuated
-            and not sys_.has_drift
-            and sys_.potential is None
-            and getattr(problem.cost, "is_quadratic", False)
-        )
+        eliminate_momenta = _momenta_eliminable(problem)
+    N, n = problem.N, problem.system.n
 
     def eval_(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
-        if eliminate_momenta:
-            return fully_actuated_residual(problem, xis)
-        return general_residual(problem, xis, nus_interior, lambdas)
+        if not eliminate_momenta:
+            return general_residual(problem, xis, nus_interior, lambdas)
+        res = general_residual(problem, xis, eliminated_nus(problem, xis)[1:-1])
+        # node-momentum stationarity vanishes identically under the elimination
+        return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
     dim = residual_dimension(problem, eliminate_momenta)
     structure = _jacobian_structure(problem, eliminate_momenta)
@@ -696,34 +668,22 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
           eliminate_momenta=None):
     """Solve the two-point problem and recover the control trajectory.
 
-    method: "newton", "lm", or "auto".  Auto uses Newton with an LM fallback
-    when fully actuated; for underactuated problems it runs LM first (robust
-    against the cold-start multiplier block) and, if LM stalls, restarts
-    damped Newton from the initial guess z0 (not from LM's best iterate).
+    ``method`` is one of ``solvers.METHODS`` or "auto"; ``solvers.solve``
+    runs its attempts, each from the initial guess z0 with its own budget of
+    ``max_iter`` iterations.  Auto means Newton with an LM fallback when
+    fully actuated; for underactuated problems LM runs first (robust against
+    the cold-start multiplier block) and, if it stalls, damped Newton
+    restarts from z0 (not from LM's best iterate).  Raises NoConvergence or
+    SingularJacobian when every attempt fails, ConfigError for an unknown
+    method.
     """
-    sys_ = problem.system
     system, eliminate = residual_system(problem, eliminate_momenta)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(problem, *guess, eliminate)
-    if method == "auto":
-        method = "newton" if sys_.fully_actuated else "lm_then_newton"
-    if method == "newton":
-        try:
-            z, report = newton(system, z0, tol=tol, max_iter=max_iter)
-        except (NoConvergence, SingularJacobian):
-            z, report = levenberg_marquardt(system, z0, tol=tol,
-                                            max_iter=max(max_iter, 200))
-    elif method == "lm_then_newton":
-        try:
-            z, report = levenberg_marquardt(system, z0, tol=tol,
-                                            max_iter=max_iter)
-        except NoConvergence:
-            # LM stalls in merit-function local minima on some multiplier
-            # problems; damped Newton from the cold start escapes them.
-            z, report = newton(system, z0, tol=tol, max_iter=max_iter)
-    else:
-        z, report = levenberg_marquardt(system, z0, tol=tol, max_iter=max_iter)
+    attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
+    z, report = solvers.solve(system, z0, attempts, method,
+                              problem.system.fully_actuated, tol, max_iter)
     return assemble_solution(problem, z, eliminate, report)
 
 
@@ -732,7 +692,7 @@ def assemble_solution(problem, z, eliminate_momenta=None, report=None):
     best iterate), recovering path, controls and cost."""
     sys_ = problem.system
     if eliminate_momenta is None:
-        _, eliminate_momenta = residual_system(problem)
+        eliminate_momenta = _momenta_eliminable(problem)
     xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
     if eliminate_momenta:
         nus = eliminated_nus(problem, xis)

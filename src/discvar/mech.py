@@ -24,20 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
-from .solvers import ResidualSystem, newton
-
-
-def _fd_grad(fun, x, step=1e-6):
-    """Central finite-difference gradient, step 1e-6 * (1 + |x_j|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for j in range(x.size):
-        h = step * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        g[j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return g
+from .solvers import ResidualSystem, fd_jacobian, newton
 
 
 @dataclass
@@ -80,7 +67,7 @@ class RnLagrangian:
             return np.zeros(self.dim)
         if self.potential_grad is not None:
             return np.asarray(self.potential_grad(q), dtype=float)
-        return _fd_grad(self.V, q)
+        return fd_jacobian(self.V, q)[0]
 
     def V_xx(self, q):
         if self.potential is None:
@@ -88,14 +75,7 @@ class RnLagrangian:
         if self.potential_hess is not None:
             return np.atleast_2d(np.asarray(self.potential_hess(q), dtype=float))
         # symmetrized finite difference of the gradient
-        q = np.asarray(q, dtype=float)
-        H = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            s = 1e-6 * (1.0 + abs(q[j]))
-            qp, qm = q.copy(), q.copy()
-            qp[j] += s
-            qm[j] -= s
-            H[:, j] = (self.V_x(qp) - self.V_x(qm)) / (2.0 * s)
+        H = fd_jacobian(self.V_x, q)
         return 0.5 * (H + H.T)
 
     # -- trapezoidal discrete Lagrangian and its slot derivatives ---------
@@ -136,7 +116,7 @@ class DiscreteForcePairRn:
         f^+(q_a, q_b, u) = a^+(q_a, q_b) + B^+ u
 
     ``b_minus``/``b_plus`` are constant (n, m) matrices; the drift callables
-    return covectors in R^n and default to zero.
+    return covectors in R^n and default to a scalar zero.
     """
 
     b_minus: np.ndarray
@@ -152,9 +132,9 @@ class DiscreteForcePairRn:
         self.zero_drift_minus = self.a_minus is None
         self.zero_drift_plus = self.a_plus is None
         if self.a_minus is None:
-            self.a_minus = lambda qa, qb: np.zeros(self.dim)
+            self.a_minus = lambda qa, qb: 0.0
         if self.a_plus is None:
-            self.a_plus = lambda qa, qb: np.zeros(self.dim)
+            self.a_plus = lambda qa, qb: 0.0
 
     @property
     def dim(self):

@@ -1,14 +1,15 @@
 """Root-finding: finite-difference Jacobians (dense or column-coloured),
-Newton, Levenberg-Marquardt."""
+Newton, Levenberg-Marquardt, and ``solve``, which tries them in turn."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, SingularJacobian
+from .errors import ConfigError, NoConvergence, SingularJacobian
 
 
 def greedy_colouring(pattern):
@@ -71,10 +72,10 @@ class ResidualSystem:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     structure: Optional[JacobianStructure] = None
 
-    def jac(self, x, f0=None):
+    def jac(self, x):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.eval, x, f0=f0, structure=self.structure)
+        return fd_jacobian(self.eval, x, structure=self.structure)
 
 
 @dataclass
@@ -95,37 +96,86 @@ class SolveReport:
         }
 
 
-def fd_jacobian(fun, x, f0=None, step=1e-6, structure=None):
+def fd_jacobian(fun, x, step=1e-6, structure=None):
     """Central-difference Jacobian of ``fun`` at ``x``.
 
     Each residual pair perturbs one colour of columns by +-h_j, with
     h_j = step * (1 + |x_j|), and column j keeps the rows the pattern gives
-    it.  Without a ``structure`` every column is its own colour.  ``f0`` is
-    accepted (and used to size the output) so callers can share a residual
-    evaluation with the step logic.
+    it.  Without a ``structure`` every column is its own colour.  The output
+    of ``fun`` is flattened, so a scalar function gives a gradient row; the
+    rows are counted from the first difference, so ``fun`` is never
+    evaluated at ``x`` itself.
     """
     x = np.asarray(x, dtype=float)
-    if f0 is None:
-        f0 = np.asarray(fun(x), dtype=float)
     if structure is None:
-        passes = [(fun, np.arange(f0.size), np.arange(x.size)[:, None], None)]
+        passes = [(fun, slice(None), np.arange(x.size)[:, None], None)]
     else:
-        passes = [(fun, np.arange(f0.size), structure.colours, structure.pattern),
-                  (structure.border, structure.border_rows,
+        passes = [(fun, slice(None), structure.colours, structure.pattern),
+                  (structure.border, structure.border_rows[:, None],
                    structure.border_cols[:, None], None)]
-    J = np.zeros((f0.size, x.size))
+    J = None
     for g, rows, colours, pattern in passes:
         for cols in colours:
             h = step * (1.0 + np.abs(x[cols]))
             xp, xm = x.copy(), x.copy()
             xp[cols] += h
             xm[cols] -= h
-            d = (np.asarray(g(xp), dtype=float)
-                 - np.asarray(g(xm), dtype=float))[:, None] / (2.0 * h)
+            d = (np.asarray(g(xp), dtype=float).reshape(-1)
+                 - np.asarray(g(xm), dtype=float).reshape(-1))[:, None] / (2.0 * h)
             if cols.size > 1:
                 d = np.where(pattern[:, cols], d, 0.0)
-            J[np.ix_(rows, cols)] = d
-    return J
+            if J is None:
+                J = np.zeros((d.shape[0], x.size))
+            J[rows, cols] = d
+    return J if J is not None else np.zeros((0, 0))
+
+
+class _Singular(Exception):
+    """A step's linear solve failed: the Jacobian is numerically singular."""
+
+
+def _iterate(system, x0, method, step, tol, max_iter):
+    """The loop Newton and LM share.
+
+    ``step(x, f)`` returns the accepted (x, F(x)), None when no trial point
+    lowers the residual, or raises ``_Singular``.  The loop owns the first
+    evaluation, the residual history, the best iterate, the stopping test
+    ``max|F| <= tol`` and the budget of ``max_iter`` accepted steps; every
+    failure carries the best iterate and the report so far.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    report = SolveReport(method=method)
+    f = np.asarray(system.eval(x), dtype=float)
+    norm = np.max(np.abs(f))
+    report.residual_history.append(norm)
+    best_x, best_norm = x.copy(), norm
+
+    def failed(iterations):
+        report.iterations = iterations
+        report.residual_norm = best_norm
+        return NoConvergence(best_norm, iterations, best_x, report)
+
+    for it in itertools.count():
+        if norm <= tol:
+            report.converged = True
+            report.iterations = it
+            report.residual_norm = norm
+            return x, report
+        if it >= max_iter:
+            raise failed(it)
+        try:
+            accepted = step(x, f)
+        except _Singular:
+            report.iterations = it
+            report.residual_norm = best_norm
+            raise SingularJacobian(it, best_x=best_x, report=report) from None
+        if accepted is None:
+            raise failed(it + 1)
+        x, f = accepted
+        norm = np.max(np.abs(f))
+        report.residual_history.append(norm)
+        if norm < best_norm:
+            best_x, best_norm = x.copy(), norm
 
 
 def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
@@ -135,27 +185,15 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     singular Jacobian and NoConvergence when the iteration budget runs out;
     both carry the best iterate seen and the report so far.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    report = SolveReport(method="newton")
-    f = np.asarray(system.eval(x), dtype=float)
-    norm = np.max(np.abs(f))
-    report.residual_history.append(norm)
-    best_x, best_norm = x.copy(), norm
-    for it in range(max_iter):
-        if norm <= tol:
-            report.converged = True
-            report.iterations = it
-            report.residual_norm = norm
-            return x, report
-        J = system.jac(x, f0=f)
+
+    def step(x, f):
+        J = system.jac(x)
         try:
             dx = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.all(np.isfinite(dx)):
-            report.iterations = it
-            report.residual_norm = best_norm
-            raise SingularJacobian(it, best_x=best_x, report=report)
+            raise _Singular from None
+        if not np.all(np.isfinite(dx)):
+            raise _Singular
         # backtracking on the euclidean residual norm
         fnorm2 = np.dot(f, f)
         alpha = 1.0
@@ -163,25 +201,11 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
             x_new = x + alpha * dx
             f_new = np.asarray(system.eval(x_new), dtype=float)
             if np.all(np.isfinite(f_new)) and np.dot(f_new, f_new) < fnorm2:
-                break
+                return x_new, f_new
             alpha *= 0.5
-        else:
-            report.iterations = it + 1
-            report.residual_norm = best_norm
-            raise NoConvergence(best_norm, it + 1, best_x, report)
-        x, f = x_new, f_new
-        norm = np.max(np.abs(f))
-        report.residual_history.append(norm)
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-    if norm <= tol:
-        report.converged = True
-        report.iterations = max_iter
-        report.residual_norm = norm
-        return x, report
-    report.iterations = max_iter
-    report.residual_norm = best_norm
-    raise NoConvergence(best_norm, max_iter, best_x, report)
+        return None
+
+    return _iterate(system, x0, "newton", step, tol, max_iter)
 
 
 def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
@@ -192,27 +216,15 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
     divided by 10 on an accepted one.  The half squared residual never
     increases across accepted steps.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    report = SolveReport(method="levenberg_marquardt")
-    f = np.asarray(system.eval(x), dtype=float)
-    cost = 0.5 * np.dot(f, f)
-    norm = np.max(np.abs(f))
-    report.residual_history.append(norm)
-    best_x, best_norm = x.copy(), norm
     lam = lam0
-    J = None
-    for it in range(max_iter):
-        if norm <= tol:
-            report.converged = True
-            report.iterations = it
-            report.residual_norm = norm
-            return x, report
-        if J is None:
-            J = system.jac(x, f0=f)
-            JtJ = J.T @ J
-            g = J.T @ f
-            scale = np.maximum(np.diag(JtJ), 1e-12)
-        accepted = False
+
+    def step(x, f):
+        nonlocal lam
+        J = system.jac(x)
+        JtJ = J.T @ J
+        g = J.T @ f
+        scale = np.maximum(np.diag(JtJ), 1e-12)
+        cost = 0.5 * np.dot(f, f)
         while lam <= lam_max:
             try:
                 dx = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
@@ -221,28 +233,45 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
                 continue
             x_new = x + dx
             f_new = np.asarray(system.eval(x_new), dtype=float)
-            if np.all(np.isfinite(f_new)):
-                cost_new = 0.5 * np.dot(f_new, f_new)
-                if cost_new < cost:
-                    accepted = True
-                    break
+            if np.all(np.isfinite(f_new)) and 0.5 * np.dot(f_new, f_new) < cost:
+                lam = max(lam / 10.0, 1e-14)
+                return x_new, f_new
             lam *= 10.0
-        if not accepted:
-            report.iterations = it + 1
-            report.residual_norm = best_norm
-            raise NoConvergence(best_norm, it + 1, best_x, report)
-        x, f, cost = x_new, f_new, cost_new
-        lam = max(lam / 10.0, 1e-14)
-        J = None
-        norm = np.max(np.abs(f))
-        report.residual_history.append(norm)
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-    if norm <= tol:
-        report.converged = True
-        report.iterations = max_iter
-        report.residual_norm = norm
-        return x, report
-    report.iterations = max_iter
-    report.residual_norm = best_norm
-    raise NoConvergence(best_norm, max_iter, best_x, report)
+        return None
+
+    return _iterate(system, x0, "levenberg_marquardt", step, tol, max_iter)
+
+
+# the root-finders each method tries in turn; "auto" means "newton" for a
+# fully actuated problem and "lm_then_newton" otherwise
+METHODS = {
+    "newton": ("newton", "levenberg_marquardt"),
+    "lm": ("levenberg_marquardt",),
+    "lm_then_newton": ("levenberg_marquardt", "newton"),
+}
+
+
+def solve(system, z0, attempts, method="auto", fully_actuated=True, tol=1e-9,
+          max_iter=100):
+    """Root-find ``system`` from ``z0``; returns (z, SolveReport).
+
+    Runs the attempts of ``method`` (see ``METHODS``) in order, each from
+    ``z0`` with its own budget of ``max_iter`` iterations, and returns the
+    first that converges.  When every attempt fails the last failure
+    (NoConvergence or SingularJacobian) propagates.  ``attempts`` maps
+    "newton" and "levenberg_marquardt" to the root-finders to call: the
+    formulations pass the ones their own module names when ``solve`` runs.
+    An unknown method raises ConfigError.
+    """
+    if method == "auto":
+        method = "newton" if fully_actuated else "lm_then_newton"
+    if method not in METHODS:
+        raise ConfigError(f"unknown solver method {method!r}; expected auto, "
+                          + ", ".join(METHODS))
+    *fallible, last = METHODS[method]
+    for name in fallible:
+        try:
+            return attempts[name](system, z0, tol=tol, max_iter=max_iter)
+        except (NoConvergence, SingularJacobian):
+            pass
+    return attempts[last](system, z0, tol=tol, max_iter=max_iter)

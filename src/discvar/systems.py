@@ -133,16 +133,6 @@ class UuvParams:
         return B
 
 
-def uuv_control_force(params, W, u, group=None):
-    """Total force covector a(W) + B u with drag drift a(W) = H tau^-1(W)."""
-    if group is None:
-        group = lie.se3()
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != 5:
-        raise DimensionMismatch("the vehicle has five thrusters")
-    return params.drag @ group.tau_inv(W) + params.control_matrix @ u
-
-
 def make_uuv_system(params=None, retraction=lie.CAYLEY, series_order=12):
     """ReducedSystem for the vehicle; heave translation (e6) is unactuated."""
     if params is None:

@@ -24,8 +24,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotInvertible, RankDeficient, SingularJacobian
-from .solvers import JacobianStructure, ResidualSystem, levenberg_marquardt, newton
+from . import solvers
+from .errors import DimensionMismatch, NotInvertible, RankDeficient
+from .solvers import (
+    JacobianStructure,
+    ResidualSystem,
+    fd_jacobian,
+    levenberg_marquardt,
+    newton,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +48,12 @@ class QuadraticControlCost:
     def value(self, qa, um, qb, up):
         return (self.h / 4.0) * (float(um @ um) + float(up @ up))
 
+    # the cost does not depend on the positions; a scalar zero broadcasts
     def grad_qa(self, qa, um, qb, up):
-        return np.zeros_like(np.asarray(qa, dtype=float))
+        return 0.0
 
     def grad_qb(self, qa, um, qb, up):
-        return np.zeros_like(np.asarray(qb, dtype=float))
+        return 0.0
 
     def grad_um(self, qa, um, qb, up):
         return (self.h / 2.0) * np.asarray(um, dtype=float)
@@ -122,29 +130,15 @@ def _complement_basis(B):
     return Q[:, m:]
 
 
-def _drift_jacobians(forces, qa, qb, which, step=1e-6):
-    """d a^{+-} / d(qa, qb), by forward differences; zero for default drifts."""
-    n = forces.dim
-    if which == "-" and forces.zero_drift_minus:
-        return np.zeros((n, n)), np.zeros((n, n))
-    if which == "+" and forces.zero_drift_plus:
-        return np.zeros((n, n)), np.zeros((n, n))
+def _drift_jacobians(forces, qa, qb, which):
+    """d a^{+-} / d(qa, qb), by central differences; a scalar zero for the
+    default (zero) drifts."""
+    zero = forces.zero_drift_minus if which == "-" else forces.zero_drift_plus
+    if zero:
+        return 0.0, 0.0
     fun = forces.a_minus if which == "-" else forces.a_plus
-    f0 = np.asarray(fun(qa, qb), dtype=float)
-    Ja = np.empty((n, n))
-    Jb = np.empty((n, n))
-    qa = np.asarray(qa, dtype=float).copy()
-    qb = np.asarray(qb, dtype=float).copy()
-    for j in range(n):
-        s = step * (1.0 + abs(qa[j]))
-        qa[j] += s
-        Ja[:, j] = (np.asarray(fun(qa, qb), dtype=float) - f0) / s
-        qa[j] -= s
-        s = step * (1.0 + abs(qb[j]))
-        qb[j] += s
-        Jb[:, j] = (np.asarray(fun(qa, qb), dtype=float) - f0) / s
-        qb[j] -= s
-    return Ja, Jb
+    return (fd_jacobian(lambda q: fun(q, qb), qa),
+            fd_jacobian(lambda q: fun(qa, q), qb))
 
 
 class AugmentedLagrangianRn:
@@ -407,17 +401,25 @@ def initial_guess(problem):
     return qs, ps, lambdas
 
 
-def solve(problem, tol=1e-9, max_iter=100, guess=None):
-    """Solve the two-point problem; Newton first, Levenberg-Marquardt fallback."""
+def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
+    """Solve the two-point problem and recover the control trajectory.
+
+    ``method`` is one of ``solvers.METHODS`` or "auto", as in ``lgoc.solve``:
+    ``solvers.solve`` runs its attempts, each from the initial guess z0 with
+    its own budget of ``max_iter`` iterations.  Auto means Newton with an LM
+    fallback when fully actuated, and LM first (then Newton) when
+    underactuated, whose multiplier block makes every Newton Jacobian
+    singular.  Raises NoConvergence or SingularJacobian when every attempt
+    fails, ConfigError for an unknown method.
+    """
     aug = AugmentedLagrangianRn(problem)
     system = residual_system(problem, aug=aug)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(problem, *guess)
-    try:
-        z, report = newton(system, z0, tol=tol, max_iter=max_iter)
-    except (NoConvergence, SingularJacobian):
-        z, report = levenberg_marquardt(system, z0, tol=tol, max_iter=max(max_iter, 200))
+    attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
+    z, report = solvers.solve(system, z0, attempts, method,
+                              problem.fully_actuated, tol, max_iter)
     return assemble_solution(problem, z, report, aug=aug)
 
 

@@ -212,6 +212,30 @@ def test_nonconvergence_still_writes_artifacts(tmp_path):
     assert os.path.exists(os.path.join(out, "controls.csv"))
 
 
+def test_point_mass_honours_solver_method(tmp_path):
+    base = point_mass_cfg(N=8)
+    base["solver"]["method"] = "lm"
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    report = read_report(out)
+    assert report["converged"] is True
+    assert report["method"] == "levenberg_marquardt"
+    assert cli.main(["verify", cfg, out]) == 0
+
+
+@pytest.mark.parametrize("make_cfg", [point_mass_cfg, rigid_body_cfg])
+def test_unknown_solver_method_is_config_error(tmp_path, capsys, make_cfg):
+    base = make_cfg(N=4)
+    base["solver"]["method"] = "gradient_descent"
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "gradient_descent" in err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
     # an all-zero Jacobian stalls LM, then the Newton fallback finds it
     # singular: the SingularJacobian must not escape before artifacts exist
@@ -220,7 +244,7 @@ def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", base)
     out = str(tmp_path / "out")
     monkeypatch.setattr(solvers.ResidualSystem, "jac",
-                        lambda self, x, f0=None: np.zeros((self.dim, self.dim)))
+                        lambda self, x: np.zeros((self.dim, self.dim)))
     assert cli.main(["solve", cfg, "--out", out]) == 2
     report = read_report(out)
     assert report["converged"] is False

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from discvar import lgoc, lie, mech, solvers, systems, tboc
-from discvar.errors import DimensionMismatch, NotInvertible, RankDeficient
+from discvar.errors import (
+    ConfigError,
+    DimensionMismatch,
+    NoConvergence,
+    NotInvertible,
+    RankDeficient,
+    SingularJacobian,
+)
 from discvar.lgoc import OcProblemLie, ReducedSystem
 from discvar.systems import L2Cost, SmoothedL1Cost, make_rigid_body_so3
 
@@ -193,7 +200,7 @@ def test_coloured_jacobian_matches_dense_fd(regime):
     rng = np.random.default_rng(11)
     for _ in range(2):
         z = _random_point(prob, eliminate, rng)
-        J = system.jac(z, f0=system.eval(z))
+        J = system.jac(z)
         J_dense = solvers.fd_jacobian(system.eval, z)
         assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
 
@@ -210,7 +217,6 @@ def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch)
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(12))
-    f0 = system.eval(z)
     calls = []
     original = lgoc.general_residual
 
@@ -219,7 +225,7 @@ def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lgoc, "general_residual", counted)
-    system.jac(z, f0=f0)
+    system.jac(z)
     assert len(calls) == 2 * len(system.structure.colours)
 
 
@@ -291,16 +297,15 @@ def test_residual_is_action_gradient(case):
         assert abs(dS - predicted) < 1e-6 * (1.0 + abs(dS))
 
 
-def test_specialized_residual_wrappers_guard_their_regime():
-    full = rigid_body_problem()
+def test_eliminated_nus_rejects_underactuated_problem():
     under = rigid_body_problem(actuated=(0, 1))
-    xis, nus, lams = lgoc.initial_guess(under)
+    xis, _, _ = lgoc.initial_guess(under)
     with pytest.raises(DimensionMismatch):
-        lgoc.fully_actuated_residual(under, xis)
+        lgoc.eliminated_nus(under, xis)
+    # so does a residual system forced to eliminate the momenta
+    system, _ = lgoc.residual_system(under, eliminate_momenta=True)
     with pytest.raises(DimensionMismatch):
-        lgoc.underactuated_residual(full, *lgoc.initial_guess(full))
-    with pytest.raises(DimensionMismatch):
-        lgoc.config_dependent_residual(full, xis[: full.N], nus[: full.N - 1])
+        system.eval(xis.reshape(-1))
 
 
 def test_eliminated_momenta_zero_the_momentum_block():
@@ -399,6 +404,62 @@ def test_underactuated_rigid_body_solve():
     assert sol.lambdas is not None and sol.lambdas.shape == (8, 2, 1)
     # reconstruction reaches the target exactly
     assert np.max(np.abs(sol.gs[-1] - prob.gT)) < 1e-6
+
+
+def test_solve_runs_the_module_root_finders(root_finder_log):
+    log = root_finder_log(lgoc)
+    prob = rigid_body_problem()
+    assert lgoc.solve(prob, tol=1e-9).report.method == "newton"
+    assert [name for name, _ in log] == ["newton"]
+    log.clear()
+    assert lgoc.solve(prob, tol=1e-9, method="lm").report.method == "levenberg_marquardt"
+    assert [name for name, _ in log] == ["levenberg_marquardt"]
+
+
+def test_max_iter_bounds_each_attempt(root_finder_log):
+    log = root_finder_log(lgoc)
+    # tol below the rounding floor: no attempt can converge
+    for method, order in (("newton", ["newton", "levenberg_marquardt"]),
+                          ("auto", ["levenberg_marquardt", "newton"])):
+        log.clear()
+        actuated = (0, 1, 2) if method == "newton" else (0, 1)
+        prob = rigid_body_problem(actuated=actuated, N=4)
+        with pytest.raises((NoConvergence, SingularJacobian)):
+            lgoc.solve(prob, tol=1e-18, max_iter=3, method=method)
+        assert [name for name, _ in log] == order
+        for _, report in log:
+            assert report.iterations <= 3
+            assert len(report.residual_history) <= 4
+
+
+def test_unknown_method_is_config_error():
+    with pytest.raises(ConfigError):
+        lgoc.solve(rigid_body_problem(), method="gradient_descent")
+
+
+def test_potential_hessians_match_the_column_loop():
+    # the loop lgoc used before it called solvers.fd_jacobian, kept verbatim
+    def column_loop(system, gs_interior, step=1e-6):
+        group, n = system.group, system.n
+        H = np.empty((gs_interior.shape[0], n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = step
+            Gp = np.asarray(system.potential.left_grad(
+                group.multiply(gs_interior, group.tau(e))), dtype=float)
+            Gm = np.asarray(system.potential.left_grad(
+                group.multiply(gs_interior, group.tau(-e))), dtype=float)
+            H[:, :, j] = (Gp - Gm) / (2.0 * step)
+        return H
+
+    rng = np.random.default_rng(21)
+    for retraction in (lie.CAYLEY, lie.EXPONENTIAL):
+        prob = rigid_body_problem(potential=systems.HeavyTopPotential(0.8),
+                                  retraction=retraction)
+        gs = lgoc.reconstruct(prob.system.group, prob.g0, prob.h,
+                              0.5 * rng.normal(size=(prob.N, 3)))[1:-1]
+        assert np.array_equal(lgoc._potential_hessians(prob.system, gs),
+                              column_loop(prob.system, gs))
 
 
 def test_solution_endpoint_and_momenta():

@@ -67,6 +67,45 @@ def test_ld_matches_hand_formula_random():
         assert abs(L.ld(qa, qb) - oracle) < 1e-12
 
 
+def test_potential_differences_match_the_column_loops():
+    # the loops mech used before it called solvers.fd_jacobian, kept verbatim
+    def grad_loop(fun, x, step=1e-6):
+        g = np.empty(x.size)
+        for j in range(x.size):
+            h = step * (1.0 + abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            g[j] = (fun(xp) - fun(xm)) / (2.0 * h)
+        return g
+
+    def hess_loop(V_x, q):
+        H = np.empty((q.size, q.size))
+        for j in range(q.size):
+            s = 1e-6 * (1.0 + abs(q[j]))
+            qp, qm = q.copy(), q.copy()
+            qp[j] += s
+            qm[j] -= s
+            H[:, j] = (V_x(qp) - V_x(qm)) / (2.0 * s)
+        return 0.5 * (H + H.T)
+
+    rng = np.random.default_rng(7)
+    only_value = RnLagrangian(
+        np.diag([1.0, 2.0, 0.5]), h=0.1,
+        potential=lambda q: float(np.sum(np.cos(q)) + q[0] * q[1] ** 2),
+    )
+    with_grad = RnLagrangian(
+        np.eye(2), h=0.1, potential=lambda q: float(np.sum(q ** 4)),
+        potential_grad=lambda q: 4.0 * q ** 3,
+    )
+    for _ in range(5):
+        q = 3.0 * rng.normal(size=3)
+        assert np.array_equal(only_value.V_x(q), grad_loop(only_value.V, q))
+        assert np.array_equal(only_value.V_xx(q), hess_loop(only_value.V_x, q))
+        q = 3.0 * rng.normal(size=2)
+        assert np.array_equal(with_grad.V_xx(q), hess_loop(with_grad.V_x, q))
+
+
 def test_slot_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     L = harmonic(h=0.2)

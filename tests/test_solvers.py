@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from discvar.errors import NoConvergence, SingularJacobian
+from discvar import solvers
+from discvar.errors import ConfigError, NoConvergence, SingularJacobian
 from discvar.solvers import (
     JacobianStructure,
     ResidualSystem,
+    SolveReport,
     fd_jacobian,
     greedy_colouring,
     levenberg_marquardt,
@@ -17,7 +19,7 @@ from discvar.solvers import (
 def test_fd_jacobian_identity():
     sys_ = ResidualSystem(3, lambda x: x.copy())
     x = np.array([0.3, -1.0, 2.0])
-    assert np.max(np.abs(sys_.jac(x, sys_.eval(x)) - np.eye(3))) < 1e-7
+    assert np.max(np.abs(sys_.jac(x) - np.eye(3))) < 1e-7
 
 
 def test_fd_jacobian_linear_map():
@@ -25,13 +27,13 @@ def test_fd_jacobian_linear_map():
     A = rng.normal(size=(4, 4))
     sys_ = ResidualSystem(4, lambda x: A @ x)
     x = rng.normal(size=4)
-    assert np.max(np.abs(sys_.jac(x, sys_.eval(x)) - A)) < 1e-6
+    assert np.max(np.abs(sys_.jac(x) - A)) < 1e-6
 
 
 def test_fd_jacobian_hand_derivative():
     f = lambda x: np.array([x[0] ** 2, x[0] * x[1]])
     x = np.array([1.0, 2.0])
-    J = fd_jacobian(f, x, f(x))
+    J = fd_jacobian(f, x)
     assert np.max(np.abs(J - np.array([[2.0, 0.0], [2.0, 1.0]]))) < 1e-5
 
 
@@ -46,7 +48,7 @@ def test_analytic_jacobian_matches_fd_on_random_points():
 
     for _ in range(100):
         x = rng.normal(size=2)
-        J_fd = fd_jacobian(f, x, f(x))
+        J_fd = fd_jacobian(f, x)
         scale = 1.0 + np.max(np.abs(jac(x)))
         assert np.max(np.abs(jac(x) - J_fd)) / scale < 1e-5
 
@@ -256,3 +258,318 @@ def test_report_as_dict():
     assert payload["iterations"] == report.iterations
     assert payload["residual_norm"] == report.residual_norm
     assert payload["method"] == "newton"
+
+
+# ---------------------------------------------------------------------------
+# the shared iteration loop, against frozen copies of the two loops it
+# replaced (the copies call ``system.jac(x)``: the old ``f0`` argument only
+# sized the finite-difference output)
+# ---------------------------------------------------------------------------
+
+def frozen_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
+    x = np.asarray(x0, dtype=float).copy()
+    report = SolveReport(method="newton")
+    f = np.asarray(system.eval(x), dtype=float)
+    norm = np.max(np.abs(f))
+    report.residual_history.append(norm)
+    best_x, best_norm = x.copy(), norm
+    for it in range(max_iter):
+        if norm <= tol:
+            report.converged = True
+            report.iterations = it
+            report.residual_norm = norm
+            return x, report
+        J = system.jac(x)
+        try:
+            dx = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            dx = None
+        if dx is None or not np.all(np.isfinite(dx)):
+            report.iterations = it
+            report.residual_norm = best_norm
+            raise SingularJacobian(it, best_x=best_x, report=report)
+        fnorm2 = np.dot(f, f)
+        alpha = 1.0
+        for _ in range(max_backtrack + 1):
+            x_new = x + alpha * dx
+            f_new = np.asarray(system.eval(x_new), dtype=float)
+            if np.all(np.isfinite(f_new)) and np.dot(f_new, f_new) < fnorm2:
+                break
+            alpha *= 0.5
+        else:
+            report.iterations = it + 1
+            report.residual_norm = best_norm
+            raise NoConvergence(best_norm, it + 1, best_x, report)
+        x, f = x_new, f_new
+        norm = np.max(np.abs(f))
+        report.residual_history.append(norm)
+        if norm < best_norm:
+            best_x, best_norm = x.copy(), norm
+    if norm <= tol:
+        report.converged = True
+        report.iterations = max_iter
+        report.residual_norm = norm
+        return x, report
+    report.iterations = max_iter
+    report.residual_norm = best_norm
+    raise NoConvergence(best_norm, max_iter, best_x, report)
+
+
+def frozen_lm(system, x0, tol=1e-9, max_iter=200, lam0=1e-3, lam_max=1e14):
+    x = np.asarray(x0, dtype=float).copy()
+    report = SolveReport(method="levenberg_marquardt")
+    f = np.asarray(system.eval(x), dtype=float)
+    cost = 0.5 * np.dot(f, f)
+    norm = np.max(np.abs(f))
+    report.residual_history.append(norm)
+    best_x, best_norm = x.copy(), norm
+    lam = lam0
+    J = None
+    for it in range(max_iter):
+        if norm <= tol:
+            report.converged = True
+            report.iterations = it
+            report.residual_norm = norm
+            return x, report
+        if J is None:
+            J = system.jac(x)
+            JtJ = J.T @ J
+            g = J.T @ f
+            scale = np.maximum(np.diag(JtJ), 1e-12)
+        accepted = False
+        while lam <= lam_max:
+            try:
+                dx = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            x_new = x + dx
+            f_new = np.asarray(system.eval(x_new), dtype=float)
+            if np.all(np.isfinite(f_new)):
+                cost_new = 0.5 * np.dot(f_new, f_new)
+                if cost_new < cost:
+                    accepted = True
+                    break
+            lam *= 10.0
+        if not accepted:
+            report.iterations = it + 1
+            report.residual_norm = best_norm
+            raise NoConvergence(best_norm, it + 1, best_x, report)
+        x, f, cost = x_new, f_new, cost_new
+        lam = max(lam / 10.0, 1e-14)
+        J = None
+        norm = np.max(np.abs(f))
+        report.residual_history.append(norm)
+        if norm < best_norm:
+            best_x, best_norm = x.copy(), norm
+    if norm <= tol:
+        report.converged = True
+        report.iterations = max_iter
+        report.residual_norm = norm
+        return x, report
+    report.iterations = max_iter
+    report.residual_norm = best_norm
+    raise NoConvergence(best_norm, max_iter, best_x, report)
+
+
+def _recorded(dim, fun, jacobian=None):
+    """A system that logs every point it is evaluated at, in order."""
+    points = []
+
+    def eval_(x):
+        points.append(np.array(x, dtype=float))
+        return fun(x)
+
+    return ResidualSystem(dim, eval_, jacobian=jacobian), points
+
+
+def _run(solver, make_system, x0, **kw):
+    system, points = make_system()
+    try:
+        x, report = solver(system, x0, **kw)
+        outcome = ("ok", x)
+    except (NoConvergence, SingularJacobian) as exc:
+        x, report = None, exc.report
+        fields = {k: v for k, v in vars(exc).items() if k != "report"}
+        outcome = (type(exc).__name__, fields, str(exc))
+    return outcome, report, points
+
+
+def _assert_same(a, b):
+    (out_a, rep_a, pts_a), (out_b, rep_b, pts_b) = a, b
+    assert out_a[0] == out_b[0]
+    if out_a[0] == "ok":
+        assert np.array_equal(out_a[1], out_b[1])
+    else:
+        assert out_a[2] == out_b[2]
+        assert out_a[1].keys() == out_b[1].keys()
+        for key in out_a[1]:
+            assert np.array_equal(out_a[1][key], out_b[1][key]), key
+    assert rep_a.as_dict() == rep_b.as_dict()
+    assert len(pts_a) == len(pts_b)
+    assert all(np.array_equal(p, q) for p, q in zip(pts_a, pts_b))
+
+
+def _rosenbrock():
+    return _recorded(2, lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]))
+
+
+def _no_real_root():
+    return _recorded(1, lambda x: x * x + 1.0)
+
+
+def _singular():
+    return _recorded(2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+                     jacobian=lambda x: np.ones((2, 2)))
+
+
+def _flat():
+    # zero Jacobian: LM rejects every damping, Newton finds it singular
+    return _recorded(2, lambda x: np.array([1.0 + x[0] ** 2, 2.0]),
+                     jacobian=lambda x: np.zeros((2, 2)))
+
+
+def _steep():
+    return _recorded(1, lambda x: np.arctan(5.0 * x))
+
+
+NEWTON_CASES = {
+    "converges": (_rosenbrock, np.array([-1.2, 1.0]), {"tol": 1e-12}),
+    "converges after backtracking": (_steep, np.array([2.0]), {"tol": 1e-12}),
+    "stalls in backtracking": (_steep, np.array([2.0]), {"max_backtrack": 0}),
+    "singular": (_singular, np.array([1.0, 2.0]), {}),
+    "out of budget": (_no_real_root, np.array([2.0]), {"max_iter": 10}),
+    "zero budget": (_rosenbrock, np.array([-1.2, 1.0]), {"max_iter": 0}),
+    "converged at start": (_rosenbrock, np.array([1.0, 1.0]), {"max_iter": 0}),
+}
+
+LM_CASES = {
+    "converges": (_rosenbrock, np.array([-1.2, 1.0]), {"tol": 1e-12}),
+    "stalls": (_flat, np.array([0.5, 0.5]), {}),
+    "stalls at the merit minimum": (_no_real_root, np.array([2.0]), {"tol": 0.0}),
+    "out of budget": (_rosenbrock, np.array([-1.2, 1.0]), {"tol": 0.0, "max_iter": 3}),
+    "zero budget": (_rosenbrock, np.array([-1.2, 1.0]), {"max_iter": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(NEWTON_CASES))
+def test_newton_matches_the_frozen_loop(case):
+    make_system, x0, kw = NEWTON_CASES[case]
+    new = _run(newton, make_system, x0, **kw)
+    _assert_same(new, _run(frozen_newton, make_system, x0, **kw))
+    expected = {"converges": "ok", "converges after backtracking": "ok",
+                "stalls in backtracking": "NoConvergence",
+                "singular": "SingularJacobian", "out of budget": "NoConvergence",
+                "zero budget": "NoConvergence", "converged at start": "ok"}
+    assert new[0][0] == expected[case]
+
+
+@pytest.mark.parametrize("case", list(LM_CASES))
+def test_levenberg_marquardt_matches_the_frozen_loop(case):
+    make_system, x0, kw = LM_CASES[case]
+    new = _run(levenberg_marquardt, make_system, x0, **kw)
+    _assert_same(new, _run(frozen_lm, make_system, x0, **kw))
+    assert new[0][0] == ("ok" if case == "converges" else "NoConvergence")
+
+
+def test_linalg_error_in_the_residual_propagates():
+    # only a failed linear solve is a singular Jacobian; a residual that
+    # raises LinAlgError itself is the caller's error
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("inside the residual")
+        return x - 1.0
+
+    for solver in (newton, levenberg_marquardt):
+        calls.clear()
+        system = ResidualSystem(1, fun, jacobian=lambda x: np.eye(1))
+        with pytest.raises(np.linalg.LinAlgError, match="inside the residual"):
+            solver(system, np.array([0.0]))
+
+
+def test_linalg_error_in_the_jacobian_propagates():
+    def jacobian(x):
+        raise np.linalg.LinAlgError("inside the Jacobian")
+
+    for solver in (newton, levenberg_marquardt):
+        system = ResidualSystem(1, lambda x: x - 1.0, jacobian=jacobian)
+        with pytest.raises(np.linalg.LinAlgError, match="inside the Jacobian"):
+            solver(system, np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# solve: the attempts of a method, in turn
+# ---------------------------------------------------------------------------
+
+def _scripted_attempts(outcomes):
+    """Attempts that log (name, max_iter) and succeed or raise as scripted."""
+    log = []
+
+    def make(name):
+        def attempt(system, z0, tol, max_iter):
+            log.append((name, max_iter))
+            outcome = outcomes[name]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return z0, SolveReport(converged=True, method=name)
+        return attempt
+
+    return {name: make(name) for name in ("newton", "levenberg_marquardt")}, log
+
+
+@pytest.mark.parametrize("method, fully_actuated, order", [
+    ("newton", True, ["newton", "levenberg_marquardt"]),
+    ("newton", False, ["newton", "levenberg_marquardt"]),
+    ("lm", True, ["levenberg_marquardt"]),
+    ("lm_then_newton", True, ["levenberg_marquardt", "newton"]),
+    ("auto", True, ["newton", "levenberg_marquardt"]),
+    ("auto", False, ["levenberg_marquardt", "newton"]),
+])
+def test_solve_runs_the_attempts_of_its_method_in_order(method, fully_actuated, order):
+    failure = NoConvergence(1.0, 7)
+    attempts, log = _scripted_attempts({"newton": failure,
+                                        "levenberg_marquardt": failure})
+    with pytest.raises(NoConvergence) as info:
+        solvers.solve(None, np.zeros(1), attempts, method, fully_actuated,
+                      max_iter=7)
+    assert info.value is failure
+    # every attempt gets the whole budget
+    assert log == [(name, 7) for name in order]
+
+
+def test_solve_returns_the_first_attempt_that_converges():
+    attempts, log = _scripted_attempts({"newton": SingularJacobian(0),
+                                        "levenberg_marquardt": None})
+    _, report = solvers.solve(None, np.zeros(1), attempts, "newton", max_iter=5)
+    assert report.method == "levenberg_marquardt"
+    assert log == [("newton", 5), ("levenberg_marquardt", 5)]
+    attempts, log = _scripted_attempts({"newton": None, "levenberg_marquardt": None})
+    _, report = solvers.solve(None, np.zeros(1), attempts, "newton")
+    assert report.method == "newton" and len(log) == 1
+
+
+def test_solve_propagates_the_last_failure():
+    last = SingularJacobian(0)
+    attempts, _ = _scripted_attempts({"newton": last,
+                                      "levenberg_marquardt": NoConvergence(1.0, 3)})
+    with pytest.raises(SingularJacobian) as info:
+        solvers.solve(None, np.zeros(1), attempts, "lm_then_newton")
+    assert info.value is last
+
+
+def test_solve_lets_other_errors_through():
+    attempts, log = _scripted_attempts({"newton": ValueError("not a solver failure"),
+                                        "levenberg_marquardt": None})
+    with pytest.raises(ValueError):
+        solvers.solve(None, np.zeros(1), attempts, "newton")
+    assert log == [("newton", 100)]
+
+
+def test_solve_rejects_an_unknown_method():
+    attempts, log = _scripted_attempts({"newton": None, "levenberg_marquardt": None})
+    with pytest.raises(ConfigError, match="frobnicate"):
+        solvers.solve(None, np.zeros(1), attempts, "frobnicate")
+    assert log == []

@@ -13,7 +13,6 @@ from discvar.systems import (
     make_point_mass,
     make_rigid_body_so3,
     make_uuv_system,
-    uuv_control_force,
 )
 
 
@@ -98,7 +97,9 @@ def test_uuv_control_matrix_frozen_rows():
 def test_uuv_single_thruster_force_example():
     # thruster 4 alone: unit surge-plane force offset by the moment arm d
     p = UuvParams()
-    f = uuv_control_force(p, np.eye(4), np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
+    u = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    # at rest the drag drift vanishes and the force is B u
+    f = p.control_matrix @ u + make_uuv_system(p).drift_values(np.zeros(6))
     assert np.max(np.abs(f - np.array([-0.3, 0.0, 0.0, 0.0, 1.0, 0.0]))) < 1e-15
 
 
@@ -125,9 +126,8 @@ def test_uuv_system_structure():
     assert system.has_drift
 
 
-def test_uuv_control_force_validates_length():
-    with pytest.raises(DimensionMismatch):
-        uuv_control_force(UuvParams(), np.eye(4), np.zeros(4))
+def test_uuv_control_basis_has_five_thrusters():
+    assert make_uuv_system().control_basis.shape == (6, 5)
 
 
 def test_uuv_params_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discvar import mech, solvers, tboc
-from discvar.errors import DimensionMismatch, NotInvertible, RankDeficient
+from discvar.errors import ConfigError, DimensionMismatch, NotInvertible, RankDeficient
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
@@ -253,9 +253,7 @@ def test_jacobian_build_makes_two_residual_calls_per_colour(monkeypatch):
 
     monkeypatch.setattr(tboc, "optimality_residual", counting)
     z = np.random.default_rng(9).normal(size=system.dim)
-    f0 = system.eval(z)
-    calls.clear()
-    system.jac(z, f0=f0)
+    system.jac(z)
     assert len(calls) == 2 * len(system.structure.colours)
 
 
@@ -355,6 +353,42 @@ def test_underactuated_planar_solve():
     # actuated coordinate reproduces the scalar min-effort transfer
     t = np.linspace(0.0, 1.0, N + 1)
     assert np.max(np.abs(sol.qs[:, 0] - (3.0 * t * t - 2.0 * t**3))) < 2e-2
+
+
+def test_underactuated_solve_starts_with_lm(root_finder_log, monkeypatch):
+    # every underactuated Jacobian is singular in the multiplier block, so
+    # auto runs LM first and builds no Jacobian for a Newton attempt
+    log = root_finder_log(tboc)
+    events = []
+    lm, fd = tboc.levenberg_marquardt, solvers.fd_jacobian
+
+    def lm_entry(*args, **kwargs):
+        events.append("lm")
+        return lm(*args, **kwargs)
+
+    def jacobian(*args, **kwargs):
+        events.append("jacobian")
+        return fd(*args, **kwargs)
+
+    monkeypatch.setattr(tboc, "levenberg_marquardt", lm_entry)
+    monkeypatch.setattr(solvers, "fd_jacobian", jacobian)
+    prob = make_problem(n=2, N=10, m=1,
+                        boundary=(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)))
+    sol = tboc.solve(prob, tol=1e-9)
+    assert sol.report.converged and sol.report.method == "levenberg_marquardt"
+    assert events[0] == "lm" and "jacobian" in events
+    assert [name for name, _ in log] == ["levenberg_marquardt"]
+
+
+def test_solve_takes_a_method(root_finder_log):
+    log = root_finder_log(tboc)
+    prob = make_problem(n=2, N=8)
+    assert tboc.solve(prob, tol=1e-9).report.method == "newton"
+    sol = tboc.solve(prob, tol=1e-9, method="lm")
+    assert sol.report.converged and sol.report.method == "levenberg_marquardt"
+    assert [name for name, _ in log] == ["newton", "levenberg_marquardt"]
+    with pytest.raises(ConfigError):
+        tboc.solve(prob, method="gradient_descent")
 
 
 def test_initial_guess_shapes_and_endpoints():

@@ -1,7 +1,7 @@
 """Command line interface.
 
     discvar simulate CONFIG [--out DIR]
-    discvar solve    CONFIG [--out DIR] [--tol T] [--max-iter K] [--retraction R]
+    discvar solve    CONFIG [--out DIR] [--tol T] [--max-iter K]
     discvar verify   CONFIG DIR [--tol T]
 
 CONFIG is a JSON file; see the README for the schema.  Outputs are
@@ -104,12 +104,12 @@ def _build_cost(cfg):
     raise ConfigError(f"unknown cost kind {kind!r}")
 
 
-def build_setup(cfg, retraction_override=None):
+def build_setup(cfg):
     """Returns ("lie", problem) or ("rn", problem) from a config dict."""
     sys_cfg = cfg["system"]
     prob_cfg = cfg.get("problem", {})
     stype = sys_cfg.get("type")
-    retraction = retraction_override or prob_cfg.get("retraction", lie.CAYLEY)
+    retraction = prob_cfg.get("retraction", lie.CAYLEY)
     if retraction not in (lie.CAYLEY, lie.EXPONENTIAL):
         raise ConfigError(f"unknown retraction {retraction!r}")
     try:
@@ -242,7 +242,7 @@ def _perturbed_guess(problem, mod, solver_cfg):
 
 def cmd_solve(args):
     cfg = load_config(args.config)
-    kind, problem = build_setup(cfg, retraction_override=args.retraction)
+    kind, problem = build_setup(cfg)
     solver_cfg = cfg.get("solver", {})
     tol = args.tol if args.tol is not None else float(solver_cfg.get("tol", 1e-6))
     max_iter = args.max_iter if args.max_iter is not None else int(
@@ -267,11 +267,8 @@ def cmd_solve(args):
     write(problem, sol, outdir)
     converged = failed is None and bool(sol.report.converged)
     _write_report(outdir, {
+        **sol.report.as_dict(),
         "command": "solve",
-        "converged": converged,
-        "iterations": int(sol.report.iterations),
-        "residual_norm": float(sol.report.residual_norm),
-        "method": sol.report.method,
         "cost": float(sol.cost),
         "elapsed_s": elapsed,
     })
@@ -285,7 +282,7 @@ def cmd_solve(args):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    kind, problem = build_setup(cfg, retraction_override=args.retraction)
+    kind, problem = build_setup(cfg)
     sim_cfg = cfg.get("simulate", {})
     steps = int(sim_cfg.get("steps", cfg["problem"]["N"]))
     outdir = args.out
@@ -414,8 +411,6 @@ def make_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--retraction", choices=[lie.CAYLEY, lie.EXPONENTIAL],
-                       default=None)
 
     p = sub.add_parser("simulate", help="integrate the forced dynamics forward")
     common(p)

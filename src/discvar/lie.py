@@ -11,11 +11,9 @@ All operations broadcast over leading batch dimensions.
 Two retractions are provided:
 
 * ``cay``: Cayley transform, in closed form for SO(3)/SE(3).
-* ``exp``: matrix exponential, closed form (Rodrigues) for the map itself;
-  its trivialized tangent maps are evaluated by power series in the adjoint
-  operator.  ``series_order`` is the minimum number of series terms; the sum
-  continues past it until the terms fall below round-off so that the tangent
-  maps and their inverses stay mutually consistent to machine precision.
+* ``exp``: matrix exponential, Rodrigues' formula for the map itself and
+  closed forms for its trivialized tangent maps dexp and dexp^-1 (see the
+  exp tangent-map section below).
 
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
@@ -23,7 +21,7 @@ se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -169,6 +167,64 @@ def _so3_dcay_inv(w):
 
 
 # ---------------------------------------------------------------------------
+# exp tangent maps
+# ---------------------------------------------------------------------------
+# With W = hat3(w) and th = |w| (Kobilarov & Marsden 2011):
+#   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
+#   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
+# c, k and the derivatives b', c', k' (in th) lose digits as th shrinks, so
+# below _SMALL_ANGLE each is its Taylor polynomial in th^2 through th^12 or
+# th^14, whose first omitted term is below 2e-17 of it there.
+
+_SMALL_ANGLE = 0.5
+_B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
+_C = tuple((-1) ** n / factorial(2 * n + 3) for n in range(8))
+_K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
+      1/74724249600, 3617/10670622842880000)
+# b'/th, c'/th and k'/th, as f'(th)/th = 2 df/d(th^2)
+_DB, _DC, _DK = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C, _K))
+
+
+def _angle(w):
+    """th^2, the mask th < _SMALL_ANGLE, and th, replaced by 1 under the mask."""
+    th2 = np.einsum("...i,...i->...", w, w)
+    small = th2 < _SMALL_ANGLE**2
+    return th2, small, np.sqrt(np.where(small, 1.0, th2))
+
+
+def _taylor(th2, coeffs):
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * th2 + c
+    return out
+
+
+def _dexp_bc(th2, small, th):
+    # b = (sin(th/2) / (th/2))^2 / 2 keeps its digits at every th
+    b = 0.5 * np.sinc(np.sqrt(th2) / (2.0 * np.pi)) ** 2
+    return b, np.where(small, _taylor(th2, _C), (th - np.sin(th)) / th**3)
+
+
+def _dexp_inv_k(th2, small, th):
+    x = 0.5 * th
+    return np.where(small, _taylor(th2, _K), (1.0 - x * np.cos(x) / np.sin(x)) / th**2)
+
+
+def _so3_dexp(w):
+    w = np.asarray(w, dtype=float)
+    b, c = _dexp_bc(*_angle(w))
+    W = hat3(w)
+    return np.eye(3) + b[..., None, None] * W + c[..., None, None] * (W @ W)
+
+
+def _so3_dexp_inv(w):
+    w = np.asarray(w, dtype=float)
+    k = _dexp_inv_k(*_angle(w))
+    W = hat3(w)
+    return np.eye(3) - 0.5 * W + k[..., None, None] * (W @ W)
+
+
+# ---------------------------------------------------------------------------
 # SE(3) closed forms
 # ---------------------------------------------------------------------------
 
@@ -183,35 +239,15 @@ def _se3_build(R, t):
 def _se3_exp(xi):
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
-    th2 = np.einsum("...i,...i->...", w, w)
-    th = np.sqrt(th2)
-    small = th < 1e-8
-    th_safe = np.where(small, 1.0, th)
-    b = np.where(small, 0.5 - th2 / 24.0, (1.0 - np.cos(th_safe)) / th_safe**2)
-    c = np.where(small, 1.0 / 6.0 - th2 / 120.0,
-                 (th_safe - np.sin(th_safe)) / th_safe**3)
-    W = hat3(w)
-    V = np.eye(3) + b[..., None, None] * W + c[..., None, None] * (W @ W)
-    return _se3_build(_so3_exp(w), _mv(V, v))
+    J = _so3_dexp(w)
+    # exp(W) = I + W dexp(W)
+    return _se3_build(np.eye(3) + hat3(w) @ J, _mv(J, v))
 
 
 def _se3_log(g):
     g = np.asarray(g, dtype=float)
     w = _so3_log(g[..., :3, :3])
-    th2 = np.einsum("...i,...i->...", w, w)
-    th = np.sqrt(th2)
-    small = th < 1e-4
-    th_safe = np.where(small, 1.0, th)
-    # V^-1 = I - hat(w)/2 + k hat(w)^2
-    k = np.where(
-        small,
-        1.0 / 12.0 + th2 / 720.0,
-        (1.0 - 0.5 * th_safe * np.sin(th_safe) / (1.0 - np.cos(th_safe)))
-        / th_safe**2,
-    )
-    W = hat3(w)
-    Vinv = np.eye(3) - 0.5 * W + k[..., None, None] * (W @ W)
-    return np.concatenate([w, _mv(Vinv, g[..., :3, 3])], axis=-1)
+    return np.concatenate([w, _mv(_so3_dexp_inv(w), g[..., :3, 3])], axis=-1)
 
 
 def _se3_cay(xi):
@@ -228,87 +264,64 @@ def _se3_cay_inv(g):
     return np.concatenate([w, v], axis=-1)
 
 
+def _se3_blocks(upper, lower, diag=None):
+    """The 6x6 matrix [[upper, 0], [lower, diag]]; diag defaults to upper."""
+    out = np.zeros(lower.shape[:-2] + (6, 6))
+    out[..., :3, :3] = upper
+    out[..., 3:, :3] = lower
+    out[..., 3:, 3:] = upper if diag is None else diag
+    return out
+
+
 def _se3_dcay(xi):
     """Right-trivialized tangent of the SE(3) Cayley map, 6x6 on coordinates."""
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
     Dr = _so3_dcay(w)
-    P = _inv_i_minus_half_hat(w)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = Dr
-    out[..., 3:, :3] = 0.5 * (hat3(v) @ Dr)
-    out[..., 3:, 3:] = P
-    return out
+    return _se3_blocks(Dr, 0.5 * (hat3(v) @ Dr), _inv_i_minus_half_hat(w))
 
 
 def _se3_dcay_inv(xi):
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
     A = np.eye(3) - 0.5 * hat3(w)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = A + 0.25 * w[..., :, None] * w[..., None, :]
-    out[..., 3:, :3] = -0.5 * (A @ hat3(v))
-    out[..., 3:, 3:] = A
-    return out
+    return _se3_blocks(A + 0.25 * w[..., :, None] * w[..., None, :],
+                       -0.5 * (A @ hat3(v)), A)
 
 
-# ---------------------------------------------------------------------------
-# exponential tangent series
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _bernoulli(n):
-    """Bernoulli numbers B_0..B_n with the B_1 = -1/2 convention."""
-    from math import comb
-
-    b = [1.0]
-    for m in range(1, n + 1):
-        acc = 0.0
-        for j in range(m):
-            acc += comb(m + 1, j) * b[j]
-        b.append(-acc / (m + 1))
-    return tuple(b)
+def _se3_tangent(xi, alpha, beta, dalpha, dbeta):
+    """[[F, 0], [L, F]], a power series in ad(xi) = [[W, 0], [V, W]], V = hat3(v),
+    that is F = I + alpha W + beta W^2 on so(3).  L, the derivative of F along v,
+    is alpha V + beta (W V + V W) + (w.v) (dalpha W + dbeta W^2) with dalpha =
+    alpha'/th, dbeta = beta'/th: Q of Barfoot & Furgale (2014) for dexp, and
+    -J^-1 Q J^-1 for dexp^-1."""
+    w, v = xi[..., :3], xi[..., 3:]
+    W, V = hat3(w), hat3(v)
+    W2, WV = W @ W, W @ V
+    s = np.einsum("...i,...i->...", w, v)
+    alpha, beta, dalpha, dbeta, s = (np.asarray(x)[..., None, None]
+                                     for x in (alpha, beta, dalpha, dbeta, s))
+    lower = alpha * V + beta * (WV + _mt(WV)) + s * (dalpha * W + dbeta * W2)
+    return _se3_blocks(np.eye(3) + alpha * W + beta * W2, lower)
 
 
-def _ad_series(ad, coeffs, min_terms, max_terms=250):
-    """Sum coeffs[j] * ad^j, at least ``min_terms`` terms, then to round-off."""
-    n = ad.shape[-1]
-    power = _eye_like(ad.shape[:-2], n)
-    total = coeffs[0] * power
-    quiet = 0
-    for j in range(1, max_terms):
-        power = power @ ad
-        if j < len(coeffs) and coeffs[j] != 0.0:
-            total = total + coeffs[j] * power
-        term = abs(coeffs[j]) * np.max(np.abs(power)) if j < len(coeffs) else 0.0
-        if j >= min_terms:
-            if term < 1e-17 * (1.0 + np.max(np.abs(total))):
-                quiet += 1
-                if quiet >= 2:
-                    break
-            else:
-                quiet = 0
-    return total
+def _se3_dexp(xi):
+    xi = np.asarray(xi, dtype=float)
+    th2, small, th = _angle(xi[..., :3])
+    b, c = _dexp_bc(th2, small, th)
+    db = np.where(small, _taylor(th2, _DB), (np.sin(th) / th - 2.0 * b) / th**2)
+    dc = np.where(small, _taylor(th2, _DC), (b - 3.0 * c) / th**2)
+    return _se3_tangent(xi, b, c, db, dc)
 
 
-def _dexp_matrix(ad, order):
-    m = min(max(order, 2) + 150, 169)
-    coeffs = [1.0 / _factorial(j + 1) for j in range(m)]
-    return _ad_series(ad, coeffs, min_terms=order, max_terms=m)
-
-
-def _dexp_inv_matrix(ad, order):
-    m = min(max(order, 2) + 150, 169)
-    bern = _bernoulli(m)
-    coeffs = [bern[j] / _factorial(j) for j in range(m)]
-    return _ad_series(ad, coeffs, min_terms=order, max_terms=m)
-
-
-@lru_cache(maxsize=None)
-def _factorial(n):
-    from math import factorial
-
-    return float(factorial(n))
+def _se3_dexp_inv(xi):
+    xi = np.asarray(xi, dtype=float)
+    th2, small, th = _angle(xi[..., :3])
+    k = _dexp_inv_k(th2, small, th)
+    # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
+    dk = np.where(small, _taylor(th2, _DK),
+                  (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
+    return _se3_tangent(xi, -0.5, k, 0.0, dk)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +332,14 @@ def _factorial(n):
 class GroupSpec:
     """A matrix Lie group together with a choice of retraction.
 
-    name          one of "Rn", "SO3", "SE3"
-    dim           algebra dimension (n for R^n, 3 for SO(3), 6 for SE(3))
-    retraction    "cay" or "exp"
-    series_order  minimum series order for the exp tangent maps
+    name        one of "Rn", "SO3", "SE3"
+    dim         algebra dimension (n for R^n, 3 for SO(3), 6 for SE(3))
+    retraction  "cay" or "exp"; both have closed-form tangent maps
     """
 
     name: str
     dim: int
     retraction: str = CAYLEY
-    series_order: int = 12
 
     def __post_init__(self):
         if self.name not in ("Rn", "SO3", "SE3"):
@@ -341,8 +352,6 @@ class GroupSpec:
             raise DimensionMismatch("algebra dimension must be positive")
         if self.retraction not in (CAYLEY, EXPONENTIAL):
             raise DimensionMismatch(f"unknown retraction {self.retraction!r}")
-        if self.retraction == EXPONENTIAL and self.series_order < 1:
-            raise DimensionMismatch("series_order must be >= 1")
 
     # -- basic group structure ------------------------------------------
 
@@ -399,11 +408,7 @@ class GroupSpec:
             return np.zeros(xi.shape[:-1] + (self.dim, self.dim))
         if self.name == "SO3":
             return hat3(xi)
-        out = np.zeros(xi.shape[:-1] + (6, 6))
-        out[..., :3, :3] = hat3(xi[..., :3])
-        out[..., 3:, :3] = hat3(xi[..., 3:])
-        out[..., 3:, 3:] = hat3(xi[..., :3])
-        return out
+        return _se3_blocks(hat3(xi[..., :3]), hat3(xi[..., 3:]))
 
     def Ad_matrix(self, g):
         g = np.asarray(g, dtype=float)
@@ -412,11 +417,7 @@ class GroupSpec:
         if self.name == "SO3":
             return g.copy()
         R = g[..., :3, :3]
-        out = np.zeros(g.shape[:-2] + (6, 6))
-        out[..., :3, :3] = R
-        out[..., 3:, :3] = hat3(g[..., :3, 3]) @ R
-        out[..., 3:, 3:] = R
-        return out
+        return _se3_blocks(R, hat3(g[..., :3, 3]) @ R)
 
     def Ad(self, g, eta):
         return _mv(self.Ad_matrix(g), eta)
@@ -452,7 +453,7 @@ class GroupSpec:
             return _eye_like(xi.shape[:-1], self.dim)
         if self.retraction == CAYLEY:
             return _so3_dcay(xi) if self.name == "SO3" else _se3_dcay(xi)
-        return _dexp_matrix(self.ad_matrix(xi), self.series_order)
+        return _so3_dexp(xi) if self.name == "SO3" else _se3_dexp(xi)
 
     def dtau_inv_matrix(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -460,7 +461,7 @@ class GroupSpec:
             return _eye_like(xi.shape[:-1], self.dim)
         if self.retraction == CAYLEY:
             return _so3_dcay_inv(xi) if self.name == "SO3" else _se3_dcay_inv(xi)
-        return _dexp_inv_matrix(self.ad_matrix(xi), self.series_order)
+        return _so3_dexp_inv(xi) if self.name == "SO3" else _se3_dexp_inv(xi)
 
     def dtau(self, xi, eta):
         return _mv(self.dtau_matrix(xi), eta)
@@ -479,9 +480,9 @@ def real_n(n, retraction=CAYLEY):
     return GroupSpec("Rn", n, retraction)
 
 
-def so3(retraction=CAYLEY, series_order=12):
-    return GroupSpec("SO3", 3, retraction, series_order)
+def so3(retraction=CAYLEY):
+    return GroupSpec("SO3", 3, retraction)
 
 
-def se3(retraction=CAYLEY, series_order=12):
-    return GroupSpec("SE3", 6, retraction, series_order)
+def se3(retraction=CAYLEY):
+    return GroupSpec("SE3", 6, retraction)

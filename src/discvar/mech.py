@@ -63,15 +63,16 @@ class RnLagrangian:
         return 0.0 if self.potential is None else float(self.potential(q))
 
     def V_x(self, q):
+        # a scalar 0.0 leaves d1, d2, d11, d22 bitwise as zero arrays would
         if self.potential is None:
-            return np.zeros(self.dim)
+            return 0.0
         if self.potential_grad is not None:
             return np.asarray(self.potential_grad(q), dtype=float)
         return fd_jacobian(self.V, q)[0]
 
     def V_xx(self, q):
         if self.potential is None:
-            return np.zeros((self.dim, self.dim))
+            return 0.0
         if self.potential_hess is not None:
             return np.atleast_2d(np.asarray(self.potential_hess(q), dtype=float))
         # symmetrized finite difference of the gradient

@@ -133,11 +133,11 @@ class UuvParams:
         return B
 
 
-def make_uuv_system(params=None, retraction=lie.CAYLEY, series_order=12):
+def make_uuv_system(params=None, retraction=lie.CAYLEY):
     """ReducedSystem for the vehicle; heave translation (e6) is unactuated."""
     if params is None:
         params = UuvParams()
-    group = lie.se3(retraction, series_order)
+    group = lie.se3(retraction)
     drag = params.drag.copy()
     return lgoc.ReducedSystem(
         group=group,
@@ -153,7 +153,7 @@ def make_uuv_system(params=None, retraction=lie.CAYLEY, series_order=12):
 # ---------------------------------------------------------------------------
 
 def make_rigid_body_so3(inertia, actuated=(0, 1), retraction=lie.CAYLEY,
-                        series_order=12, potential=None):
+                        potential=None):
     """Rigid body with unit torque authority about the given body axes."""
     inertia = np.asarray(inertia, dtype=float)
     if inertia.ndim == 1:
@@ -164,7 +164,7 @@ def make_rigid_body_so3(inertia, actuated=(0, 1), retraction=lie.CAYLEY,
         B[axis, col] = 1.0
     unactuated = tuple(i for i in range(3) if i not in actuated)
     return lgoc.ReducedSystem(
-        group=lie.so3(retraction, series_order),
+        group=lie.so3(retraction),
         inertia=inertia,
         control_basis=B,
         unactuated=unactuated,

@@ -74,6 +74,8 @@ def test_point_mass_solve_and_verify(tmp_path):
     report = read_report(out)
     assert report["converged"] is True
     assert report["residual_norm"] <= 1e-10
+    assert len(report["residual_history"]) == report["iterations"] + 1
+    assert report["residual_history"][-1] == report["residual_norm"]
     assert abs(report["cost"] - 6.0) < 0.1
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "controls.csv"))
@@ -146,13 +148,29 @@ def test_seeded_guess_perturbation_is_deterministic(tmp_path):
 
 def test_retraction_override(tmp_path):
     cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
+    exp = rigid_body_cfg()
+    exp["problem"]["retraction"] = "exp"
+    cfg_exp = write_config(tmp_path / "e.json", exp)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["solve", cfg, "--out", out1]) == 0
-    assert cli.main(["solve", cfg, "--out", out2, "--retraction", "exp"]) == 0
+    assert cli.main(["solve", cfg_exp, "--out", out2]) == 0
     _, t1 = cli._read_csv(os.path.join(out1, "controls.csv"))
     _, t2 = cli._read_csv(os.path.join(out2, "controls.csv"))
     # both converge but to different discrete solutions
     assert np.max(np.abs(t1 - t2)) > 1e-6
+
+
+def test_exp_solution_passes_verify(tmp_path):
+    # the config is the only place the retraction is chosen, so verify
+    # rebuilds the problem solve solved
+    base = rigid_body_cfg()
+    base["problem"]["retraction"] = "exp"
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out, "--retraction", "exp"]) == 1
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    assert cli.main(["verify", cfg, out]) == 0
+    assert read_report(out)["passed"] is True
 
 
 def test_simulate_writes_trajectory(tmp_path):

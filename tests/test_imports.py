@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and the package
+reads every private module-level name it defines."""
 
 import ast
 import os
@@ -38,3 +39,55 @@ def test_the_check_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def private_definitions(source):
+    """Module-level names with one leading underscore that the module binds."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def referenced_names(source):
+    """Names a module reads, as bare names, attributes or imports."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_private_names(sources):
+    """(module, name) for each private module-level name no module reads."""
+    refs = set().union(*(referenced_names(src) for src in sources.values()))
+    return sorted((module, name) for module, src in sources.items()
+                  for name in private_definitions(src) if name not in refs)
+
+
+def test_the_check_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_K = 2\n_unused = 1\n\ndef _helper():\n    return _K\n\n"
+                "def _dead():\n    pass\n\nclass __Dunder:\n    pass\n",
+        "b.py": "from . import a\n\nprint(a._helper())\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_dead"),
+                                                   ("a.py", "_unused")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                sources[name] = fh.read()
+    assert unreferenced_private_names(sources) == []

@@ -261,6 +261,97 @@ def test_dual_maps_satisfy_pairing(retraction):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+# The power series the closed exp tangent maps replaced, kept verbatim (with
+# the order argument fixed at its old default of 12) as their oracle.
+
+def _bernoulli(n):
+    """Bernoulli numbers B_0..B_n with the B_1 = -1/2 convention."""
+    from math import comb
+
+    b = [1.0]
+    for m in range(1, n + 1):
+        acc = 0.0
+        for j in range(m):
+            acc += comb(m + 1, j) * b[j]
+        b.append(-acc / (m + 1))
+    return tuple(b)
+
+
+def _ad_series(ad, coeffs, min_terms, max_terms=250):
+    """Sum coeffs[j] * ad^j, at least ``min_terms`` terms, then to round-off."""
+    n = ad.shape[-1]
+    power = np.zeros(ad.shape[:-2] + (n, n))
+    power[...] = np.eye(n)
+    total = coeffs[0] * power
+    quiet = 0
+    for j in range(1, max_terms):
+        power = power @ ad
+        if j < len(coeffs) and coeffs[j] != 0.0:
+            total = total + coeffs[j] * power
+        term = abs(coeffs[j]) * np.max(np.abs(power)) if j < len(coeffs) else 0.0
+        if j >= min_terms:
+            if term < 1e-17 * (1.0 + np.max(np.abs(total))):
+                quiet += 1
+                if quiet >= 2:
+                    break
+            else:
+                quiet = 0
+    return total
+
+
+def _dexp_matrix(ad, order=12):
+    m = min(max(order, 2) + 150, 169)
+    coeffs = [1.0 / _factorial(j + 1) for j in range(m)]
+    return _ad_series(ad, coeffs, min_terms=order, max_terms=m)
+
+
+def _dexp_inv_matrix(ad, order=12):
+    m = min(max(order, 2) + 150, 169)
+    bern = _bernoulli(m)
+    coeffs = [bern[j] / _factorial(j) for j in range(m)]
+    return _ad_series(ad, coeffs, min_terms=order, max_terms=m)
+
+
+def _factorial(n):
+    from math import factorial
+
+    return float(factorial(n))
+
+
+def test_exp_tangent_maps_match_the_power_series():
+    edge = lie._SMALL_ANGLE
+    angles = [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0,
+              np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+              edge * (1.0 - 1e-3), edge * (1.0 + 1e-3)]
+    rng = np.random.default_rng(21)
+    for g in (lie.so3(lie.EXPONENTIAL), lie.se3(lie.EXPONENTIAL)):
+        w = rng.normal(size=(len(angles), 20, 3))
+        xi = np.array(angles)[:, None, None] * w / np.linalg.norm(w, axis=-1, keepdims=True)
+        if g.dim == 6:
+            v = random_algebra(rng, 3, len(angles) * 20).reshape(len(angles), 20, 3)
+            xi = np.concatenate([xi, v], axis=-1)
+        # one batch holds every angle, so both sides of the threshold at once
+        D = g.dtau_matrix(xi.reshape(-1, g.dim)).reshape(xi.shape + (g.dim,))
+        Dinv = g.dtau_inv_matrix(xi.reshape(-1, g.dim)).reshape(D.shape)
+        for i, angle in enumerate(angles):
+            ad = g.ad_matrix(xi[i])
+            worst = max(np.max(np.abs(D[i] - _dexp_matrix(ad))),
+                        np.max(np.abs(Dinv[i] - _dexp_inv_matrix(ad))))
+            assert worst <= 1e-14, (g.name, angle, worst)
+
+
+def test_se3_exp_and_log_keep_digits_at_small_angles():
+    scipy = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(22)
+    g = lie.se3(retraction=lie.EXPONENTIAL)
+    for angle in (1e-8, 1e-6, 1e-3, 0.1):
+        for _ in range(10):
+            w, v = rng.normal(size=3), rng.normal(size=3)
+            xi = np.concatenate([angle * w / np.linalg.norm(w), v])
+            assert np.max(np.abs(g.tau(xi) - scipy.expm(lie.hat4(xi)))) < 1e-14
+            assert np.max(np.abs(g.tau_inv(g.tau(xi)) - xi)) < 1e-14
+
+
 def test_dtau_at_zero_is_identity():
     for retraction in (lie.CAYLEY, lie.EXPONENTIAL):
         for g in groups(retraction):

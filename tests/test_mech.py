@@ -106,6 +106,24 @@ def test_potential_differences_match_the_column_loops():
         assert np.array_equal(with_grad.V_xx(q), hess_loop(with_grad.V_x, q))
 
 
+def test_slot_derivatives_without_potential_match_zero_arrays():
+    # V_x/V_xx return a scalar 0.0 without a potential; the slot derivatives
+    # must stay bitwise what zero arrays gave
+    rng = np.random.default_rng(8)
+    M = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.7]])
+    h = 0.13
+    L = RnLagrangian(M, h=h)
+    zero_grad, zero_hess = np.zeros(3), np.zeros((3, 3))
+    for scale in (1e-3, 1.0, 1e3):
+        qa, qb = scale * rng.normal(size=3), scale * rng.normal(size=3)
+        d = qb - qa
+        assert np.array_equal(L.d1(qa, qb), -M @ d / h - (h / 2.0) * zero_grad)
+        assert np.array_equal(L.d2(qa, qb), M @ d / h - (h / 2.0) * zero_grad)
+        assert np.array_equal(L.d11(qa, qb), M / h - (h / 2.0) * zero_hess)
+        assert np.array_equal(L.d22(qa, qb), M / h - (h / 2.0) * zero_hess)
+        assert L.d1(qa, qb).shape == (3,) and L.d11(qa, qb).shape == (3, 3)
+
+
 def test_slot_derivatives_match_finite_differences():
     rng = np.random.default_rng(1)
     L = harmonic(h=0.2)

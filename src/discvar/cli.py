@@ -335,16 +335,18 @@ def _verify_lie(problem, args):
         nl = n - m
         lambdas = ctrl[:, 1 + n + 2 * m :].reshape(N, 2, nl)
     res = lgoc.general_residual(problem, xis, nus[1:-1], lambdas)
-    gs = lgoc.reconstruct(sys_.group, problem.g0, problem.h, xis)
+    path = lgoc.reconstruct(sys_.group, problem.g0, problem.h, xis)
     checks = {
         "optimality_residual": float(np.max(np.abs(res))),
         "boundary_nu0": float(np.max(np.abs(nus[0] - problem.nu0))),
         "boundary_nuN": float(np.max(np.abs(nus[-1] - problem.nuN))),
-        "reconstruction_gT": float(np.max(np.abs(gs[-1] - problem.gT))),
+        "reconstruction_gT": float(np.max(np.abs(path[-1] - problem.gT))),
+        # the written configurations must be the path the velocities generate
+        "trajectory_g": float(np.max(np.abs(gs - path))),
     }
     if not sys_.fully_actuated:
         full_nus = lgoc._full_nus(problem, nus[1:-1])
-        _, _, phim, phip = lgoc._interval_maps(problem, xis, full_nus, gs)
+        _, _, phim, phip = lgoc._interval_maps(problem, xis, full_nus, path)
         sigma = list(sys_.unactuated)
         checks["constraint_phi"] = float(max(np.max(np.abs(phim[:, sigma])),
                                              np.max(np.abs(phip[:, sigma]))))
@@ -409,8 +411,6 @@ def make_parser():
     def common(p):
         p.add_argument("config", help="JSON configuration file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
 
     p = sub.add_parser("simulate", help="integrate the forced dynamics forward")
     common(p)
@@ -418,6 +418,8 @@ def make_parser():
 
     p = sub.add_parser("solve", help="solve the two-point optimal control problem")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--max-iter", type=int, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="re-check residuals of a saved solution")

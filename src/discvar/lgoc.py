@@ -19,6 +19,12 @@ the tau-product of the interval displacements matches g0^-1 gT, yields a
 square root-finding problem.  nu_0 and nu_N are pinned to the boundary
 velocities.
 
+The residual is exact up to the user's callables: the derivatives of the
+interval maps in xi_k come in closed form from the retraction's tangent maps
+and their derivative (``_xi_gradients``), and only the drift and the
+potential gradient are differenced.  The solvers difference the residual for
+its Jacobian.
+
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects have no sigma-component,
 with one multiplier pair per interval adjoined to the interval cost.
@@ -47,9 +53,6 @@ from .solvers import (
     levenberg_marquardt,
     newton,
 )
-
-_FD_STEP = 1e-4
-
 
 def _mt(A):
     return np.swapaxes(A, -1, -2)
@@ -363,47 +366,33 @@ def _interval_maps(problem, xis, nus, gs=None):
     return um, up, phi_m, phi_p
 
 
-def _xi_gradients(problem, xis, nus, lambdas=None, gs=None):
+def _xi_gradients(problem, xis, z, W, mu, c_minus, c_plus):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
-    The control and constraint maps xi -> (u^-, u^+, phi^-, phi^+) are smooth
-    with moderate curvature, so they are differentiated by a fourth-order
-    central stencil; the running cost (which may be stiff, e.g. smoothed L1
-    with small epsilon) enters only through its analytic gradient via the
-    chain rule.
+    The term depends on xi only through mu, its transport coAd(W, mu) and
+    the drift d(h xi).  ``c_minus`` and ``c_plus`` are its derivatives in mu
+    and in the transport; its derivative in d is -(h/2)(c_minus - c_plus).
+    The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
+    contracted with I xi, where D = dtau_inv(z), and the transport moves by
+    coAd(W, dmu) + coAd(W, ad(eta)^* mu) with eta = h dtau(z) dxi (tau is
+    right-trivialized).  Only the user's drift is differenced.
     """
-    xis = np.asarray(xis, dtype=float)
+    sys_ = problem.system
+    group = sys_.group
     h = problem.h
-    n = xis.shape[1]
-    um0, up0, _, _ = _interval_maps(problem, xis, nus, gs)
-    gm = (h / 2.0) * np.asarray(problem.cost.grad_batch(um0), dtype=float)
-    gp = (h / 2.0) * np.asarray(problem.cost.grad_batch(up0), dtype=float)
-    sigma = None
-    if lambdas is not None and lambdas.size:
-        sigma = list(problem.system.unactuated)
-    out = np.empty_like(xis)
-    for j in range(n):
-        s = _FD_STEP * (1.0 + np.abs(xis[:, j]))
-
-        def shifted(mult):
-            x = xis.copy()
-            x[:, j] += mult * s
-            return _interval_maps(problem, x, nus, gs)
-
-        stencil = [shifted(-2.0), shifted(-1.0), shifted(1.0), shifted(2.0)]
-
-        def diff(i):
-            return (
-                stencil[0][i] - 8.0 * stencil[1][i]
-                + 8.0 * stencil[2][i] - stencil[3][i]
-            ) / (12.0 * s[:, None])
-
-        col = np.einsum("ki,ki->k", gm, diff(0))
-        col += np.einsum("ki,ki->k", gp, diff(1))
-        if sigma is not None:
-            col += np.einsum("ks,ks->k", lambdas[:, 0], diff(2)[:, sigma])
-            col += np.einsum("ks,ks->k", lambdas[:, 1], diff(3)[:, sigma])
-        out[:, j] = col
+    e_plus = _mv(group.Ad_matrix(W), c_plus)
+    e = c_minus + e_plus
+    out = _mv(group.dtau_inv_matrix(z), e) @ sys_.inertia
+    out += h * np.einsum("kjil,kj,ki->kl", group.dtau_inv_deriv(z),
+                         xis @ sys_.inertia, e)
+    out -= h * _mv(_mt(group.dtau_matrix(z)), _mv(_mt(group.ad_matrix(e_plus)), mu))
+    if sys_.has_drift:
+        # the drift acts pointwise in z, so shifting coordinate j of every
+        # interval at once gives column j of each interval's Jacobian
+        n = z.shape[-1]
+        J = fd_jacobian(lambda s: sys_.drift_values(z + s), np.zeros(n))
+        out -= (h * h / 2.0) * np.einsum("kij,ki->kj", J.reshape(z.shape + (n,)),
+                                         c_minus - c_plus)
     return out
 
 
@@ -424,10 +413,10 @@ def _potential_hessians(system, gs_interior, step=1e-6):
 def reconstruction_residual(problem, xis):
     """tau^-1 of the mismatch between the path displacement and g0^-1 gT."""
     group = problem.system.group
-    W = group.tau(problem.h * np.asarray(xis, dtype=float))
+    W_inv = group.inverse(group.tau(problem.h * np.asarray(xis, dtype=float)))
     acc = problem.displacement
     for k in range(len(xis)):
-        acc = group.multiply(group.inverse(W[k]), acc)
+        acc = group.multiply(W_inv[k], acc)
     return group.tau_inv(acc)
 
 
@@ -454,7 +443,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     """
     sys_ = problem.system
     group = sys_.group
-    h, N, n = problem.h, problem.N, sys_.n
+    h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
     nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
     gs = None
@@ -464,7 +453,16 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
         lambdas = np.asarray(lambdas, dtype=float)
 
     z, W, mu, transported, um, up = _controls_from_momenta(problem, xis, nus, gs)
-    gxi = _xi_gradients(problem, xis, nus, lambdas, gs)
+    gum = problem.cost.grad_batch(um) @ sys_.control_pinv
+    gup = problem.cost.grad_batch(up) @ sys_.control_pinv
+    # the interval costs' derivatives in mu and in its transport
+    c_minus, c_plus = gum.copy(), -gup
+    underactuated = lambdas is not None and lambdas.size > 0
+    if underactuated:
+        sigma = list(sys_.unactuated)
+        c_minus[:, sigma] += lambdas[:, 0]
+        c_plus[:, sigma] -= lambdas[:, 1]
+    gxi = _xi_gradients(problem, xis, z, W, mu, c_minus, c_plus)
     Dm = group.dtau_inv_matrix(-z)
     Dp = group.dtau_inv_matrix(z)
     pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
@@ -475,24 +473,15 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
         # left-trivialized dependence of the interval costs on interior nodes:
         # d(cost_k)/dG_k = (h/2) P^T gradC(u^-_k); d(cost_{k-1})/dG_k likewise
         Hs = _potential_hessians(sys_, gs[1:N])
-        w = (h / 2.0) * (
-            problem.cost.grad_batch(um)[1:N] + problem.cost.grad_batch(up)[: N - 1]
-        ) @ sys_.control_pinv
+        w = (h / 2.0) * (gum[1:N] + gup[: N - 1])
         xi_blocks = xi_blocks + np.einsum("kij,ki->kj", Hs, w)
 
-    gum = problem.cost.grad_batch(um) @ sys_.control_pinv
-    gup = problem.cost.grad_batch(up) @ sys_.control_pinv
-    nu_blocks = gup[: N - 1] - gum[1:N]
-    if lambdas is not None and lambdas.size:
-        sigma = list(sys_.unactuated)
-        scatter = np.zeros((N - 1, n))
-        scatter[:, sigma] = lambdas[: N - 1, 1] - lambdas[1:N, 0]
-        nu_blocks = nu_blocks + scatter
+    # nu_k enters interval k opposite mu_k, and interval k-1 opposite its transport
+    nu_blocks = -(c_minus[1:N] + c_plus[: N - 1])
 
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
-    if lambdas is not None and lambdas.size:
+    if underactuated:
         d = sys_.drift_values(z)
-        sigma = list(sys_.unactuated)
         phi_m = (mu - nus[:-1] - (h / 2.0) * d)[:, sigma]
         phi_p = (nus[1:] - transported - (h / 2.0) * d)[:, sigma]
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))

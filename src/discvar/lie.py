@@ -15,6 +15,9 @@ Two retractions are provided:
   closed forms for its trivialized tangent maps dexp and dexp^-1 (see the
   exp tangent-map section below).
 
+For both, ``GroupSpec.dtau_inv_deriv`` gives the derivative of dtau^-1 in
+closed form.
+
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
 
@@ -172,9 +175,9 @@ def _so3_dcay_inv(w):
 # With W = hat3(w) and th = |w| (Kobilarov & Marsden 2011):
 #   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
 #   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
-# c, k and the derivatives b', c', k' (in th) lose digits as th shrinks, so
-# below _SMALL_ANGLE each is its Taylor polynomial in th^2 through th^12 or
-# th^14, whose first omitted term is below 2e-17 of it there.
+# c, k and the derivatives b', c', k' (in th) and (k'/th)' lose digits as th
+# shrinks, so below _SMALL_ANGLE each is its Taylor polynomial in th^2 through
+# th^12 to th^16, whose first omitted term is below 2e-17 of it there.
 
 _SMALL_ANGLE = 0.5
 _B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
@@ -183,6 +186,11 @@ _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
       1/74724249600, 3617/10670622842880000)
 # b'/th, c'/th and k'/th, as f'(th)/th = 2 df/d(th^2)
 _DB, _DC, _DK = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C, _K))
+# (k'/th)'/th = 4 d^2k/d(th^2)^2, from k's coefficients K_n = |B_{2n+2}| / (2n+2)!
+# extended by three terms: this series starts two terms later and converges slower
+_DDK = [4 * n * (n - 1) * f for n, f in enumerate(
+    _K + (43867 / (798 * factorial(18)), 174611 / (330 * factorial(20)),
+          854513 / (138 * factorial(22))))][2:]
 
 
 def _angle(w):
@@ -208,6 +216,12 @@ def _dexp_bc(th2, small, th):
 def _dexp_inv_k(th2, small, th):
     x = 0.5 * th
     return np.where(small, _taylor(th2, _K), (1.0 - x * np.cos(x) / np.sin(x)) / th**2)
+
+
+def _dexp_inv_dk(th2, small, th, k):
+    # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
+    return np.where(small, _taylor(th2, _DK),
+                    (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
 
 
 def _so3_dexp(w):
@@ -296,13 +310,20 @@ def _se3_tangent(xi, alpha, beta, dalpha, dbeta):
     alpha'/th, dbeta = beta'/th: Q of Barfoot & Furgale (2014) for dexp, and
     -J^-1 Q J^-1 for dexp^-1."""
     w, v = xi[..., :3], xi[..., 3:]
-    W, V = hat3(w), hat3(v)
-    W2, WV = W @ W, W @ V
+    W = hat3(w)
+    W2 = W @ W
     s = np.einsum("...i,...i->...", w, v)
     alpha, beta, dalpha, dbeta, s = (np.asarray(x)[..., None, None]
                                      for x in (alpha, beta, dalpha, dbeta, s))
-    lower = alpha * V + beta * (WV + _mt(WV)) + s * (dalpha * W + dbeta * W2)
-    return _se3_blocks(np.eye(3) + alpha * W + beta * W2, lower)
+    return _se3_blocks(np.eye(3) + alpha * W + beta * W2,
+                       _tangent_lower(W, W2, hat3(v), s, alpha, beta, dalpha, dbeta))
+
+
+def _tangent_lower(W, W2, V, s, alpha, beta, dalpha, dbeta):
+    """L of ``_se3_tangent``, with W2 = W @ W; every argument broadcasts
+    against the trailing (3, 3)."""
+    WV = W @ V
+    return alpha * V + beta * (WV + _mt(WV)) + s * (dalpha * W + dbeta * W2)
 
 
 def _se3_dexp(xi):
@@ -318,10 +339,75 @@ def _se3_dexp_inv(xi):
     xi = np.asarray(xi, dtype=float)
     th2, small, th = _angle(xi[..., :3])
     k = _dexp_inv_k(th2, small, th)
-    # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
-    dk = np.where(small, _taylor(th2, _DK),
-                  (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
-    return _se3_tangent(xi, -0.5, k, 0.0, dk)
+    return _se3_tangent(xi, -0.5, k, 0.0, _dexp_inv_dk(th2, small, th, k))
+
+
+# ---------------------------------------------------------------------------
+# derivatives of dtau^-1
+# ---------------------------------------------------------------------------
+# Each kernel returns T stacked along the derivative index first, T[..., l, i, j]
+# = d D_ij / d xi_l for D = dtau^-1(xi); GroupSpec moves l last.  _E[l] = hat3(e_l).
+
+_E = hat3(np.eye(3))
+
+
+def _so3_dcay_inv_deriv(w):
+    # D = I - W/2 + w w^T/4
+    ew = np.eye(3)[:, :, None] * w[..., None, None, :]
+    return -0.5 * _E + 0.25 * (ew + _mt(ew))
+
+
+def _se3_dcay_inv_deriv(xi):
+    # D = [[A + w w^T/4, 0], [-A V / 2, A]] with A = I - W/2: along w_l the
+    # lower block moves by E_l V / 4, along v_l by -A E_l / 2
+    w, v = xi[..., :3], xi[..., 3:]
+    out = np.zeros(xi.shape[:-1] + (6, 6, 6))
+    out[..., :3, :, :] = _se3_blocks(_so3_dcay_inv_deriv(w),
+                                     0.25 * (_E @ hat3(v)[..., None, :, :]), -0.5 * _E)
+    A = np.eye(3) - 0.5 * hat3(w)
+    out[..., 3:, 3:, :3] = -0.5 * (A[..., None, :, :] @ _E)
+    return out
+
+
+def _dexp_inv_coeffs(w):
+    """(th^2, mask, th, k, k'/th, W): ``_angle``, the dexp^-1 coefficients and
+    W = hat3(w) with an axis for the derivative index."""
+    th2, small, th = _angle(w)
+    k = _dexp_inv_k(th2, small, th)
+    dk = _dexp_inv_dk(th2, small, th, k)
+    return th2, small, th, k, dk, hat3(w)[..., None, :, :]
+
+
+def _so3_dexp_inv_deriv(w):
+    # d/dw_l of I - W/2 + k W^2 is the L form of _se3_tangent along v = e_l
+    _, _, _, k, dk, W = _dexp_inv_coeffs(w)
+    k, dk = k[..., None, None, None], dk[..., None, None, None]
+    return _tangent_lower(W, W @ W, _E, w[..., :, None, None], -0.5, k, 0.0, dk)
+
+
+def _se3_dexp_inv_deriv(xi):
+    # D = [[F, 0], [L, F]] with F = I - W/2 + k W^2 and L = -V/2 + k (W V + V W)
+    # + s dk W^2, s = w.v.  Along v_l only L moves, by F's derivative along w_l;
+    # along w_l, L moves by M_l = k (E_l V + V E_l) + s ddk w_l W^2
+    # + dk (w_l (W V + V W) + v_l W^2 + s (E_l W + W E_l)), ddk = (k'/th)'/th
+    w, v = xi[..., :3], xi[..., 3:]
+    th2, small, th, k, dk, W = _dexp_inv_coeffs(w)
+    half = 0.5 * th
+    ddk = np.where(small, _taylor(th2, _DDK),
+                   (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
+                    - 3.0 * dk) / th**2)
+    s = np.einsum("...i,...i->...", w, v)[..., None, None, None]
+    k, dk, ddk = (c[..., None, None, None] for c in (k, dk, ddk))
+    wl, vl = w[..., :, None, None], v[..., :, None, None]
+    W2 = W @ W
+    F_l = _tangent_lower(W, W2, _E, wl, -0.5, k, 0.0, dk)
+    WV, EV, EW = W @ hat3(v)[..., None, :, :], _E @ hat3(v)[..., None, :, :], _E @ W
+    M_l = (k * (EV + _mt(EV)) + s * ddk * wl * W2
+           + dk * (wl * (WV + _mt(WV)) + vl * W2 + s * (EW + _mt(EW))))
+    out = np.zeros(xi.shape[:-1] + (6, 6, 6))
+    out[..., :3, :, :] = _se3_blocks(F_l, M_l)
+    out[..., 3:, 3:, :3] = F_l
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +505,6 @@ class GroupSpec:
         R = g[..., :3, :3]
         return _se3_blocks(R, hat3(g[..., :3, 3]) @ R)
 
-    def Ad(self, g, eta):
-        return _mv(self.Ad_matrix(g), eta)
-
     def coAd(self, g, mu):
         """Dual of Ad: <coAd(g, mu), eta> == <mu, Ad(g, eta)>."""
         return _mv(_mt(self.Ad_matrix(g)), mu)
@@ -463,17 +546,16 @@ class GroupSpec:
             return _so3_dcay_inv(xi) if self.name == "SO3" else _se3_dcay_inv(xi)
         return _so3_dexp_inv(xi) if self.name == "SO3" else _se3_dexp_inv(xi)
 
-    def dtau(self, xi, eta):
-        return _mv(self.dtau_matrix(xi), eta)
-
-    def dtau_inv(self, xi, eta):
-        return _mv(self.dtau_inv_matrix(xi), eta)
-
-    def dtau_dual(self, xi, mu):
-        return _mv(_mt(self.dtau_matrix(xi)), mu)
-
-    def dtau_inv_dual(self, xi, mu):
-        return _mv(_mt(self.dtau_inv_matrix(xi)), mu)
+    def dtau_inv_deriv(self, xi):
+        """T with T[..., i, j, l] = d dtau_inv_matrix(xi)[..., i, j] / d xi_l."""
+        xi = np.asarray(xi, dtype=float)
+        if self.name == "Rn":
+            return np.zeros(xi.shape[:-1] + (self.dim,) * 3)
+        if self.retraction == CAYLEY:
+            kernel = _so3_dcay_inv_deriv if self.name == "SO3" else _se3_dcay_inv_deriv
+        else:
+            kernel = _so3_dexp_inv_deriv if self.name == "SO3" else _se3_dexp_inv_deriv
+        return np.moveaxis(kernel(xi), -3, -1)
 
 
 def real_n(n, retraction=CAYLEY):

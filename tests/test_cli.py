@@ -118,6 +118,25 @@ def test_verify_detects_tampering(tmp_path):
     assert read_report(out)["passed"] is False
 
 
+def test_verify_checks_the_written_configurations(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    path = os.path.join(out, "trajectory.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    cells = lines[4].split(",")
+    cells[3] = format(float(cells[3]) + 1e-3, ".17g")  # g01 at node 3
+    lines[4] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert cli.main(["verify", cfg, out]) == 2
+    assert "trajectory_g: 1.000e-03 FAIL" in capsys.readouterr().out
+    checks = read_report(out)["checks"]
+    assert [name for name, value in checks.items() if value > 1e-6] == ["trajectory_g"]
+
+
 def test_solve_byte_determinism(tmp_path):
     cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -215,6 +234,21 @@ def test_unknown_system_type_is_config_error(tmp_path):
 
 def test_bad_usage_is_exit_one():
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_tol_and_max_iter_are_solve_options(tmp_path):
+    base = rigid_body_cfg()
+    base["solver"]["tol"] = 1e-16  # below the attainable residual floor
+    base["solver"]["max_iter"] = 3
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", cfg, "--out", out, "--tol", "1e-3"]) == 1
+    assert cli.main(["simulate", cfg, "--out", out, "--max-iter", "5"]) == 1
+    assert cli.main(["solve", cfg, "--out", out]) == 2
+    assert cli.main(["solve", cfg, "--out", out, "--tol", "1e-8"]) == 0
+    assert read_report(out)["residual_norm"] <= 1e-8
+    assert cli.main(["solve", cfg, "--out", out, "--tol", "1e-8", "--max-iter", "0"]) == 2
+    assert read_report(out)["iterations"] == 0
 
 
 def test_nonconvergence_still_writes_artifacts(tmp_path):

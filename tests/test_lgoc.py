@@ -297,6 +297,103 @@ def test_residual_is_action_gradient(case):
         assert abs(dS - predicted) < 1e-6 * (1.0 + abs(dS))
 
 
+# The 4-point stencil lgoc._xi_gradients ran before its derivatives were
+# exact, kept verbatim as their oracle.
+def _stencil_xi_gradients(problem, xis, nus, lambdas=None, gs=None):
+    xis = np.asarray(xis, dtype=float)
+    h = problem.h
+    n = xis.shape[1]
+    um0, up0, _, _ = lgoc._interval_maps(problem, xis, nus, gs)
+    gm = (h / 2.0) * np.asarray(problem.cost.grad_batch(um0), dtype=float)
+    gp = (h / 2.0) * np.asarray(problem.cost.grad_batch(up0), dtype=float)
+    sigma = None
+    if lambdas is not None and lambdas.size:
+        sigma = list(problem.system.unactuated)
+    out = np.empty_like(xis)
+    for j in range(n):
+        s = 1e-4 * (1.0 + np.abs(xis[:, j]))
+
+        def shifted(mult):
+            x = xis.copy()
+            x[:, j] += mult * s
+            return lgoc._interval_maps(problem, x, nus, gs)
+
+        stencil = [shifted(-2.0), shifted(-1.0), shifted(1.0), shifted(2.0)]
+
+        def diff(i):
+            return (
+                stencil[0][i] - 8.0 * stencil[1][i]
+                + 8.0 * stencil[2][i] - stencil[3][i]
+            ) / (12.0 * s[:, None])
+
+        col = np.einsum("ki,ki->k", gm, diff(0))
+        col += np.einsum("ki,ki->k", gp, diff(1))
+        if sigma is not None:
+            col += np.einsum("ks,ks->k", lambdas[:, 0], diff(2)[:, sigma])
+            col += np.einsum("ks,ks->k", lambdas[:, 1], diff(3)[:, sigma])
+        out[:, j] = col
+    return out
+
+
+def xi_gradient_regimes():
+    uuv = systems.make_uuv_system(retraction=lie.EXPONENTIAL)
+    return {
+        **jacobian_regimes(),
+        "uuv exp": OcProblemLie(
+            system=uuv, g0=uuv.group.identity(), xi0=np.zeros(6),
+            gT=uuv.group.tau(np.array([0.1, 0.0, 0.2, 0.5, 0.0, 0.1])),
+            xiT=np.zeros(6), N=6, h=0.1, cost=L2Cost(),
+        ),
+    }
+
+
+@pytest.mark.parametrize("regime", list(xi_gradient_regimes()))
+def test_exact_xi_gradients_match_the_stencil(regime, monkeypatch):
+    prob = xi_gradient_regimes()[regime]
+    N, n, h = prob.N, prob.system.n, prob.h
+    rng = np.random.default_rng(31)
+    captured = []
+    exact = lgoc._xi_gradients
+    monkeypatch.setattr(lgoc, "_xi_gradients",
+                        lambda *args: captured.append(exact(*args)) or captured[-1])
+    for _ in range(3):
+        # rotation angles h|omega_k| from 0.1 to 1.2: both sides of the
+        # exp maps' small-angle threshold in one path (SO(3) and SE(3), Cayley
+        # and exp, drift, potential, multipliers across the regimes)
+        xis = rng.normal(size=(N, n))
+        xis[:, :3] *= (np.linspace(0.1, 1.2, N) / h)[:, None] / np.linalg.norm(
+            xis[:, :3], axis=1, keepdims=True)
+        assert np.any(h * np.linalg.norm(xis[:, :3], axis=1) < lie._SMALL_ANGLE)
+        assert np.any(h * np.linalg.norm(xis[:, :3], axis=1) > lie._SMALL_ANGLE)
+        nus = rng.normal(size=(N - 1, n))
+        lambdas = None
+        if not prob.system.fully_actuated:
+            lambdas = rng.normal(size=(N, 2, n - prob.system.m))
+        lgoc.general_residual(prob, xis, nus, lambdas)
+        gs = None
+        if prob.system.potential is not None:
+            gs = lgoc.reconstruct(prob.system.group, prob.g0, h, xis)
+        oracle = _stencil_xi_gradients(prob, xis, lgoc._full_nus(prob, nus), lambdas, gs)
+        assert np.max(np.abs(captured[-1] - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
+def test_residual_evaluates_the_interval_maps_once(regime, monkeypatch):
+    prob = xi_gradient_regimes()[regime]
+    assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
+    xis, nus, lambdas = lgoc.initial_guess(prob)
+    calls = []
+    original = lgoc.interval_momenta
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "interval_momenta", counted)
+    lgoc.general_residual(prob, xis, nus, lambdas)
+    assert len(calls) == 1
+
+
 def test_eliminated_nus_rejects_underactuated_problem():
     under = rigid_body_problem(actuated=(0, 1))
     xis, _, _ = lgoc.initial_guess(under)

@@ -23,6 +23,10 @@ def mat_t(a):
     return np.swapaxes(a, -1, -2)
 
 
+def mv(a, x):
+    return np.einsum("...ij,...j->...i", a, x)
+
+
 # ---------------------------------------------------------------------------
 # hat / vee
 # ---------------------------------------------------------------------------
@@ -194,8 +198,8 @@ def test_dtau_left_right_swap_identity(retraction):
     for g in groups(retraction):
         xi = random_algebra(rng, g.dim, 200)
         eta = rng.normal(size=(200, g.dim))
-        lhs = g.dtau(xi, eta)
-        rhs = g.Ad(g.tau(xi), g.dtau(-xi, eta))
+        lhs = mv(g.dtau_matrix(xi), eta)
+        rhs = mv(g.Ad_matrix(g.tau(xi)), mv(g.dtau_matrix(-xi), eta))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -206,8 +210,8 @@ def test_dtau_inv_left_right_swap_identity(retraction):
     for g in groups(retraction):
         xi = random_algebra(rng, g.dim, 200)
         eta = rng.normal(size=(200, g.dim))
-        lhs = g.dtau_inv(xi, eta)
-        rhs = g.dtau_inv(-xi, g.Ad(g.tau(-xi), eta))
+        lhs = mv(g.dtau_inv_matrix(xi), eta)
+        rhs = mv(g.dtau_inv_matrix(-xi), mv(g.Ad_matrix(g.tau(-xi)), eta))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -223,7 +227,7 @@ def test_dtau_finite_difference_consistency(retraction):
         ts = np.array([1e-3, 5e-4, 2.5e-4])
         defects = []
         for t in ts:
-            approx = (np.eye(g.matrix_size) + t * hat(g.dtau(xi, eta))) @ g.tau(xi)
+            approx = (np.eye(g.matrix_size) + t * hat(g.dtau_matrix(xi) @ eta)) @ g.tau(xi)
             defects.append(np.max(np.abs(g.tau(xi + t * eta) - approx)))
         slope = np.polyfit(np.log(ts), np.log(defects), 1)[0]
         assert slope >= 1.9
@@ -253,11 +257,11 @@ def test_dual_maps_satisfy_pairing(retraction):
         xi = random_algebra(rng, g.dim, 100)
         eta = rng.normal(size=(100, g.dim))
         mu = rng.normal(size=(100, g.dim))
-        lhs = np.einsum("ki,ki->k", g.dtau_inv_dual(xi, mu), eta)
-        rhs = np.einsum("ki,ki->k", mu, g.dtau_inv(xi, eta))
+        lhs = np.einsum("ki,ki->k", mv(mat_t(g.dtau_inv_matrix(xi)), mu), eta)
+        rhs = np.einsum("ki,ki->k", mu, mv(g.dtau_inv_matrix(xi), eta))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-        lhs = np.einsum("ki,ki->k", g.dtau_dual(xi, mu), eta)
-        rhs = np.einsum("ki,ki->k", mu, g.dtau(xi, eta))
+        lhs = np.einsum("ki,ki->k", mv(mat_t(g.dtau_matrix(xi)), mu), eta)
+        rhs = np.einsum("ki,ki->k", mu, mv(g.dtau_matrix(xi), eta))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -357,9 +361,27 @@ def test_dtau_at_zero_is_identity():
         for g in groups(retraction):
             zero = np.zeros(g.dim)
             eta = np.arange(1.0, g.dim + 1.0)
-            assert np.allclose(g.dtau(zero, eta), eta)
-            assert np.allclose(g.dtau_inv(zero, eta), eta)
-            assert np.allclose(g.dtau_inv_dual(zero, eta), eta)
+            assert np.allclose(g.dtau_matrix(zero) @ eta, eta)
+            assert np.allclose(g.dtau_inv_matrix(zero) @ eta, eta)
+            assert np.allclose(g.dtau_inv_matrix(zero).T @ eta, eta)
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+def test_dtau_inv_deriv_matches_central_difference(retraction):
+    edge = lie._SMALL_ANGLE
+    angles = np.array([0.0, 1e-9, 1e-4, 0.1, edge * (1.0 - 1e-3), edge,
+                       edge * (1.0 + 1e-3), 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(23)
+    step = 1e-6
+    for g in groups(retraction):
+        # one batch holds every angle, so both sides of the threshold at once
+        xi = rng.normal(size=(len(angles), g.dim))
+        xi[:, :3] *= angles[:, None] / np.linalg.norm(xi[:, :3], axis=1, keepdims=True)
+        fd = np.stack([(g.dtau_inv_matrix(xi + step * e) - g.dtau_inv_matrix(xi - step * e))
+                       / (2.0 * step) for e in np.eye(g.dim)], axis=-1)
+        T = g.dtau_inv_deriv(xi)
+        assert T.shape == (len(angles),) + (g.dim,) * 3
+        assert np.max(np.abs(T - fd)) < 1e-8, (g.name, np.max(np.abs(T - fd)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +405,7 @@ def test_co_adjoint_pairing():
         mu = rng.normal(size=g.dim)
         eta = rng.normal(size=g.dim)
         lhs = g.coAd(elem, mu) @ eta
-        rhs = mu @ g.Ad(elem, eta)
+        rhs = mu @ (g.Ad_matrix(elem) @ eta)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -405,5 +427,5 @@ def test_abelian_group_is_trivial():
     assert np.allclose(g.tau_inv(x), x)
     assert np.allclose(g.multiply(x, eta), x + eta)
     assert np.allclose(g.inverse(x), -x)
-    assert np.allclose(g.dtau(x, eta), eta)
-    assert np.allclose(g.Ad(x, eta), eta)
+    assert np.allclose(g.dtau_matrix(x) @ eta, eta)
+    assert np.allclose(g.Ad_matrix(x) @ eta, eta)

@@ -22,8 +22,12 @@ velocities.
 The residual is exact up to the user's callables: the derivatives of the
 interval maps in xi_k come in closed form from the retraction's tangent maps
 and their derivative (``_xi_gradients``), and only the drift and the
-potential gradient are differenced.  The solvers difference the residual for
-its Jacobian.
+potential gradient are differenced.  The Jacobian (``residual_system``)
+takes everything that flows through the reconstruction from one
+``reconstruct`` and the configuration sensitivities: the reconstruction rows
+in closed form, the potential rows by the chain rule through a difference in
+the node configurations.  Apart from the user's callables, only the
+residual at fixed configurations is differenced, one column colour at a time.
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects have no sigma-component,
@@ -191,20 +195,25 @@ class OcProblemLie:
 # ---------------------------------------------------------------------------
 
 def interval_momenta(system, h, xis):
-    """mu_k and its transport coAd(tau(h xi_k), mu_k), for all intervals."""
+    """mu_k and its transport coAd(tau(h xi_k), mu_k), for all intervals.
+
+    Returns (z, W, mu, transported, D, A) with z = h xi, W = tau(z),
+    D = dtau_inv(z) and A = Ad(W), so callers reuse the kernels.
+    """
     xis = np.asarray(xis, dtype=float)
     z = h * xis
     group = system.group
     W = group.tau(z)
-    Dinv = group.dtau_inv_matrix(z)
-    mu = _mv(_mt(Dinv), xis @ system.inertia.T)
-    transported = _mv(_mt(group.Ad_matrix(W)), mu)
-    return z, W, mu, transported
+    D = group.dtau_inv_matrix(z)
+    A = group.Ad_matrix(W)
+    mu = _mv(_mt(D), xis @ system.inertia.T)
+    transported = _mv(_mt(A), mu)
+    return z, W, mu, transported, D, A
 
 
 def nu_momenta(system, h, xi, u_minus, u_plus):
     """Node momentum pair (nu_k, nu_{k+1}) generated by one interval."""
-    z, _, mu, transported = interval_momenta(system, h, np.asarray(xi, dtype=float))
+    z, _, mu, transported, _, _ = interval_momenta(system, h, np.asarray(xi, dtype=float))
     Bt = system.control_basis.T
     f_m = system.drift_values(z) + np.asarray(u_minus, dtype=float) @ Bt
     f_p = system.drift_values(z) + np.asarray(u_plus, dtype=float) @ Bt
@@ -311,13 +320,15 @@ def reconstruct(group, g0, h, xis):
 def _controls_from_momenta(problem, xis, nus, gs=None):
     """Recover (u^-, u^+) for every interval from the node momenta.
 
-    Returns (z, W, mu, transported, um, up).  ``nus`` has shape (N+1, n) and
-    includes the pinned boundary entries.  For potential-coupled systems the
-    node configurations gs (N+1 elements) must be given.
+    Returns (maps, d, um, up) with maps the tuple of ``interval_momenta``
+    and d the drift.  ``nus`` has shape (N+1, n) and includes the pinned
+    boundary entries.  For potential-coupled systems the node configurations
+    gs (N+1 elements) must be given.
     """
     sys_ = problem.system
     h = problem.h
-    z, W, mu, transported = interval_momenta(sys_, h, xis)
+    maps = interval_momenta(sys_, h, xis)
+    z, _, mu, transported, _, _ = maps
     d = sys_.drift_values(z)
     left = mu.copy()
     right = transported.copy()
@@ -329,18 +340,17 @@ def _controls_from_momenta(problem, xis, nus, gs=None):
     rp = (2.0 / h) * (nus[1:] - right) - d
     um = rm @ sys_.control_pinv.T
     up = rp @ sys_.control_pinv.T
-    return z, W, mu, transported, um, up
+    return maps, d, um, up
 
 
 def _interval_costs(problem, xis, nus, lambdas=None, gs=None):
     """(h/2)(C(u^-) + C(u^+)) per interval, plus multiplier terms if given."""
     sys_ = problem.system
     h = problem.h
-    z, W, mu, transported, um, up = _controls_from_momenta(problem, xis, nus, gs)
+    (_, _, mu, transported, _, _), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
     vals = (h / 2.0) * (problem.cost.value_batch(um) + problem.cost.value_batch(up))
     if lambdas is not None and lambdas.size:
         sigma = list(sys_.unactuated)
-        d = sys_.drift_values(z)
         phi_m = (mu - nus[:-1] - (h / 2.0) * d)[:, sigma]
         phi_p = (nus[1:] - transported - (h / 2.0) * d)[:, sigma]
         vals = vals + np.einsum("ks,ks->k", lambdas[:, 0], phi_m)
@@ -359,18 +369,18 @@ def _interval_maps(problem, xis, nus, gs=None):
     """Per-interval (u^-, u^+, phi^-, phi^+) as functions of the velocities."""
     sys_ = problem.system
     h = problem.h
-    z, W, mu, transported, um, up = _controls_from_momenta(problem, xis, nus, gs)
-    d = sys_.drift_values(z)
+    (_, _, mu, transported, _, _), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
     phi_m = mu - nus[:-1] - (h / 2.0) * d
     phi_p = nus[1:] - transported - (h / 2.0) * d
     return um, up, phi_m, phi_p
 
 
-def _xi_gradients(problem, xis, z, W, mu, c_minus, c_plus):
+def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
-    the drift d(h xi).  ``c_minus`` and ``c_plus`` are its derivatives in mu
+    the drift d(h xi); D = dtau_inv(z) and A = Ad(W) come from
+    ``interval_momenta``.  ``c_minus`` and ``c_plus`` are its derivatives in mu
     and in the transport; its derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
     contracted with I xi, where D = dtau_inv(z), and the transport moves by
@@ -380,9 +390,9 @@ def _xi_gradients(problem, xis, z, W, mu, c_minus, c_plus):
     sys_ = problem.system
     group = sys_.group
     h = problem.h
-    e_plus = _mv(group.Ad_matrix(W), c_plus)
+    e_plus = _mv(A, c_plus)
     e = c_minus + e_plus
-    out = _mv(group.dtau_inv_matrix(z), e) @ sys_.inertia
+    out = _mv(D, e) @ sys_.inertia
     out += h * np.einsum("kjil,kj,ki->kl", group.dtau_inv_deriv(z),
                          xis @ sys_.inertia, e)
     out -= h * _mv(_mt(group.dtau_matrix(z)), _mv(_mt(group.ad_matrix(e_plus)), mu))
@@ -420,6 +430,20 @@ def reconstruction_residual(problem, xis):
     return group.tau_inv(acc)
 
 
+def _sensitivities(group, h, xis, gs):
+    """Factors of the configurations' sensitivities to the velocities.
+
+    Moving xi_k by dxi moves g_j, j > k, to g_j tau(S[j, k] dxi) to first
+    order, with the left-trivialized S[j, k] = Ad(g_j^-1 g_k) h dtau(h xi_k)
+    (tau is right-trivialized).  Returns (Ainv, P) with Ainv[j] = Ad(g_j^-1)
+    for j = 0..N and P[k] = Ad(g_k) h dtau(h xi_k), so S[j, k] = Ainv[j] P[k].
+    """
+    N = len(xis)
+    A = group.Ad_matrix(np.concatenate([gs[:N], group.inverse(gs)]))
+    P = A[:N] @ (h * group.dtau_matrix(h * np.asarray(xis, dtype=float)))
+    return A[N:], P
+
+
 def _full_nus(problem, nus_interior):
     nus = np.empty((problem.N + 1, problem.system.n))
     nus[0] = problem.nu0
@@ -432,7 +456,7 @@ def _full_nus(problem, nus_interior):
 # residuals
 # ---------------------------------------------------------------------------
 
-def general_residual(problem, xis, nus_interior, lambdas=None):
+def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     """Optimality system for the momentum-space formulation.
 
     Blocks, in order:
@@ -440,19 +464,25 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
       * node-momentum stationarity at nodes 1..N-1        ((N-1) n)
       * underactuation conditions per interval, if any    (2 N (n-m))
       * reconstruction constraint                         (n)
+
+    ``gs`` holds the configurations g_0..g_N fixed, in place of the ones
+    the velocities reconstruct: the potential then acts at gs, and the
+    reconstruction rows, which depend on xi only through g_N, are left out.
+    The Jacobian differences the residual this way and adds the
+    configurations' dependence on xi exactly.
     """
     sys_ = problem.system
     group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
     nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
-    gs = None
-    if sys_.potential is not None:
+    frozen = gs is not None
+    if not frozen and sys_.potential is not None:
         gs = reconstruct(group, problem.g0, h, xis)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
 
-    z, W, mu, transported, um, up = _controls_from_momenta(problem, xis, nus, gs)
+    (z, _, mu, transported, Dp, A), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
     gum = problem.cost.grad_batch(um) @ sys_.control_pinv
     gup = problem.cost.grad_batch(up) @ sys_.control_pinv
     # the interval costs' derivatives in mu and in its transport
@@ -462,9 +492,8 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
         sigma = list(sys_.unactuated)
         c_minus[:, sigma] += lambdas[:, 0]
         c_plus[:, sigma] -= lambdas[:, 1]
-    gxi = _xi_gradients(problem, xis, z, W, mu, c_minus, c_plus)
+    gxi = _xi_gradients(problem, xis, z, Dp, A, mu, c_minus, c_plus)
     Dm = group.dtau_inv_matrix(-z)
-    Dp = group.dtau_inv_matrix(z)
     pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
     pulled_here = _mv(_mt(Dp), gxi)   # contribution of interval k at node k
     xi_blocks = (pulled_prev[:-1] - pulled_here[1:]) / h
@@ -481,11 +510,11 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
 
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
     if underactuated:
-        d = sys_.drift_values(z)
         phi_m = (mu - nus[:-1] - (h / 2.0) * d)[:, sigma]
         phi_p = (nus[1:] - transported - (h / 2.0) * d)[:, sigma]
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
-    parts.append(reconstruction_residual(problem, xis))
+    if not frozen:
+        parts.append(reconstruction_residual(problem, xis))
     return np.concatenate(parts)
 
 
@@ -512,7 +541,8 @@ def eliminated_nus(problem, xis):
     sys_ = problem.system
     if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs the kinetic L2 setup")
-    _, _, mu, transported = interval_momenta(sys_, problem.h, np.asarray(xis, dtype=float))
+    _, _, mu, transported, _, _ = interval_momenta(sys_, problem.h,
+                                                   np.asarray(xis, dtype=float))
     nus = np.empty((problem.N + 1, sys_.n))
     nus[0] = problem.nu0
     nus[-1] = problem.nuN
@@ -551,7 +581,7 @@ def initial_guess(problem):
     N, n = problem.N, sys_.n
     xi_bar = sys_.group.tau_inv(problem.displacement) / (N * problem.h)
     xis = np.tile(xi_bar, (N, 1))
-    _, _, mu, transported = interval_momenta(sys_, problem.h, xis)
+    _, _, mu, transported, _, _ = interval_momenta(sys_, problem.h, xis)
     nus_interior = 0.5 * (mu[1:] + transported[:-1])
     lambdas = None
     if not sys_.fully_actuated:
@@ -582,22 +612,22 @@ def _unpack(problem, z, eliminate):
 
 
 def _jacobian_structure(problem, eliminate):
-    """Sparsity of the residual Jacobian, read off the block layout.
+    """Sparsity of the residual Jacobian with the configurations held fixed,
+    read off the block layout.
 
     The unknowns of interval k are xi_k, the interior node momenta nu_k and
     nu_{k+1}, and its multiplier pair.  The velocity and momentum rows at
     node k touch intervals k-1 and k; with eliminated momenta nu_k is built
     from xi_{k-1} and xi_k, so node k touches xi_{k-2..k+1}.  Complement
-    rows touch their own interval.  With a potential g_k depends on every
-    earlier xi, and so do the rows at node k.  The n reconstruction rows
-    depend on every xi: they are the dense border, differenced through
-    ``reconstruction_residual`` alone.
+    rows touch their own interval.  The potential acts only through the
+    configurations, and the n reconstruction rows, which depend on xi only
+    through g_N, are not differenced: ``residual_system`` adds both exactly.
     """
     sys_ = problem.system
     N, n, s = problem.N, sys_.n, sys_.n - sys_.m
     dim = residual_dimension(problem, eliminate)
     xi = np.arange(N * n).reshape(N, n)
-    pattern = np.zeros((dim, dim), dtype=bool)
+    pattern = np.zeros((dim - n, dim), dtype=bool)
     if eliminate:
         for k in range(1, N):
             pattern[(k - 1) * n : k * n, xi[max(k - 2, 0) : k + 2].ravel()] = True
@@ -612,19 +642,29 @@ def _jacobian_structure(problem, eliminate):
 
         for k in range(1, N):
             cols = np.concatenate([interval(k - 1), interval(k)])
-            if sys_.potential is not None:
-                cols = np.concatenate([cols, xi[:k].ravel()])
-            rows = np.r_[(k - 1) * n : k * n, (N + k - 2) * n : (N + k - 1) * n]
-            pattern[np.ix_(rows, cols)] = True
+            pattern[np.ix_(_node_rows(N, n, k), cols)] = True
         for k in range(N):
             first = 2 * (N - 1) * n + 2 * k * s
             pattern[first : first + 2 * s, interval(k)] = True
+    return JacobianStructure(pattern=pattern)
 
-    def border(z):
-        return reconstruction_residual(problem, z[: N * n].reshape(N, n))
 
-    return JacobianStructure(pattern=pattern, border_rows=np.arange(dim - n, dim),
-                             border_cols=xi.ravel(), border=border)
+def _node_rows(N, n, k):
+    """The velocity and momentum stationarity rows at interior node k."""
+    return np.r_[(k - 1) * n : k * n, (N + k - 2) * n : (N + k - 1) * n]
+
+
+def _node_shift_structure(problem):
+    """Sparsity of the residual in the node shifts g_j tau(s_j), j = 1..N.
+
+    The rows at node k see the potential at g_{k-1}, g_k and g_{k+1}; the
+    complement rows do not see it.
+    """
+    N, n = problem.N, problem.system.n
+    pattern = np.zeros((residual_dimension(problem) - n, N * n), dtype=bool)
+    for k in range(1, N):
+        pattern[_node_rows(N, n, k), max(k - 2, 0) * n : (k + 1) * n] = True
+    return JacobianStructure(pattern=pattern)
 
 
 def residual_system(problem, eliminate_momenta=None):
@@ -632,25 +672,62 @@ def residual_system(problem, eliminate_momenta=None):
 
     With eliminated momenta the unknowns are the interval velocities alone
     and the residual is the N n-dimensional one: velocity stationarity at
-    the interior nodes plus the reconstruction constraint.  The system
-    carries the Jacobian's sparsity, so finite-difference Jacobians take one
-    residual pair per column colour.
+    the interior nodes plus the reconstruction constraint.
+
+    The Jacobian takes everything that flows through the reconstruction
+    g_{k+1} = g_k tau(h xi_k) from one ``reconstruct`` and the sensitivities
+    S[j, k] of ``_sensitivities``, and differences only what is local:
+      * a coloured difference of the residual with the configurations held
+        fixed (``_jacobian_structure``);
+      * the reconstruction rows, r = tau^-1(g_N^-1 gT), in closed form:
+        dr/dxi_k = -dtau_inv(r) S[N, k];
+      * with a potential, a coloured difference in the node shifts
+        g_j tau(s_j) (``_node_shift_structure``), chained onto the xi
+        columns through S.
     """
     if eliminate_momenta is None:
         eliminate_momenta = _momenta_eliminable(problem)
+    group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
 
-    def eval_(z):
+    def residual(z, gs=None):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
         if not eliminate_momenta:
-            return general_residual(problem, xis, nus_interior, lambdas)
-        res = general_residual(problem, xis, eliminated_nus(problem, xis)[1:-1])
+            return general_residual(problem, xis, nus_interior, lambdas, gs)
+        res = general_residual(problem, xis, eliminated_nus(problem, xis)[1:-1], gs=gs)
         # node-momentum stationarity vanishes identically under the elimination
         return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
+    local = _jacobian_structure(problem, eliminate_momenta)
+    shifts = None
+    if problem.system.potential is not None:
+        shifts = _node_shift_structure(problem)
+
+    def jacobian(z):
+        xis = _unpack(problem, z, eliminate_momenta)[0]
+        gs = reconstruct(group, problem.g0, h, xis)
+        J = solvers.fd_jacobian(lambda w: residual(w, gs), z, structure=local)
+        Ainv, P = _sensitivities(group, h, xis, gs)
+        if shifts is not None:
+            def shifted(s):
+                moved = gs.copy()
+                moved[1:] = group.multiply(gs[1:], group.tau(s.reshape(N, n)))
+                return residual(z, moved)
+
+            # column block k gains sum_{j > k} dF/ds_j S[j, k]: suffix sums
+            # of dF/ds_j Ainv[j], times P[k]
+            Js = fd_jacobian(shifted, np.zeros(N * n), structure=shifts)
+            Q = np.einsum("rja,jab->jrb", Js.reshape(-1, N, n), Ainv[1:])
+            C = np.cumsum(Q[::-1], axis=0)[::-1]
+            J[:, : N * n] += np.einsum("krb,kbc->rkc", C, P).reshape(-1, N * n)
+        r = group.tau_inv(group.multiply(group.inverse(gs[-1]), problem.gT))
+        left = -group.dtau_inv_matrix(r) @ Ainv[N]
+        border = np.zeros((n, z.size))
+        border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
+        return np.vstack([J, border])
+
     dim = residual_dimension(problem, eliminate_momenta)
-    structure = _jacobian_structure(problem, eliminate_momenta)
-    return ResidualSystem(dim=dim, eval=eval_, structure=structure), eliminate_momenta
+    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminate_momenta
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
@@ -688,7 +765,7 @@ def assemble_solution(problem, z, eliminate_momenta=None, report=None):
     else:
         nus = _full_nus(problem, nus_interior)
     gs = reconstruct(sys_.group, problem.g0, problem.h, xis)
-    _, _, _, _, um, up = _controls_from_momenta(problem, xis, nus, gs)
+    _, _, um, up = _controls_from_momenta(problem, xis, nus, gs)
     controls = np.stack([um, up], axis=1)
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)

@@ -35,27 +35,13 @@ class JacobianStructure:
     """What a finite-difference Jacobian may skip.
 
     ``pattern[i, j]`` is False where F_i does not depend on x_j; the columns
-    are coloured from it, so one residual pair recovers a whole colour.  A
-    block-local system such as ``tboc`` gives only the pattern.
-
-    The border is optional.  Dense ``border_rows`` stay False in the pattern,
-    so they do not merge every colour into one; they are filled one column
-    of ``border_cols`` at a time by differencing ``border(x)``, which returns
-    F(x)[border_rows] more cheaply than F itself.  A column that is a colour
-    of its own gets every row, border included, from its residual pair.
+    are coloured from it, so one residual pair recovers a whole colour.
     """
 
     pattern: np.ndarray
-    border_rows: np.ndarray = ()
-    border_cols: np.ndarray = ()
-    border: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         self.colours = greedy_colouring(self.pattern)
-        alone = {int(cols[0]) for cols in self.colours if cols.size == 1}
-        self.border_rows = np.asarray(self.border_rows, dtype=int)
-        self.border_cols = np.array([j for j in self.border_cols if j not in alone],
-                                    dtype=int)
 
 
 @dataclass
@@ -108,25 +94,22 @@ def fd_jacobian(fun, x, step=1e-6, structure=None):
     """
     x = np.asarray(x, dtype=float)
     if structure is None:
-        passes = [(fun, slice(None), np.arange(x.size)[:, None], None)]
+        colours, pattern = np.arange(x.size)[:, None], None
     else:
-        passes = [(fun, slice(None), structure.colours, structure.pattern),
-                  (structure.border, structure.border_rows[:, None],
-                   structure.border_cols[:, None], None)]
+        colours, pattern = structure.colours, structure.pattern
     J = None
-    for g, rows, colours, pattern in passes:
-        for cols in colours:
-            h = step * (1.0 + np.abs(x[cols]))
-            xp, xm = x.copy(), x.copy()
-            xp[cols] += h
-            xm[cols] -= h
-            d = (np.asarray(g(xp), dtype=float).reshape(-1)
-                 - np.asarray(g(xm), dtype=float).reshape(-1))[:, None] / (2.0 * h)
-            if cols.size > 1:
-                d = np.where(pattern[:, cols], d, 0.0)
-            if J is None:
-                J = np.zeros((d.shape[0], x.size))
-            J[rows, cols] = d
+    for cols in colours:
+        h = step * (1.0 + np.abs(x[cols]))
+        xp, xm = x.copy(), x.copy()
+        xp[cols] += h
+        xm[cols] -= h
+        d = (np.asarray(fun(xp), dtype=float).reshape(-1)
+             - np.asarray(fun(xm), dtype=float).reshape(-1))[:, None] / (2.0 * h)
+        if cols.size > 1:
+            d = np.where(pattern[:, cols], d, 0.0)
+        if J is None:
+            J = np.zeros((d.shape[0], x.size))
+        J[:, cols] = d
     return J if J is not None else np.zeros((0, 0))
 
 

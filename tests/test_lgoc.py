@@ -43,7 +43,7 @@ def test_interval_momenta_flat_group_is_linear_momentum():
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
     system = ReducedSystem(group=lie.real_n(2), inertia=M, control_basis=np.eye(2))
     xis = rng.normal(size=(5, 2))
-    _, _, mu, transported = lgoc.interval_momenta(system, 0.1, xis)
+    _, _, mu, transported, _, _ = lgoc.interval_momenta(system, 0.1, xis)
     assert np.max(np.abs(mu - xis @ M.T)) < 1e-14
     assert np.max(np.abs(transported - mu)) < 1e-14
 
@@ -71,7 +71,7 @@ def test_dep_step_relative_equilibrium():
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
     xi = np.array([0.7, 0.0, 0.0])
     h = 0.05
-    _, _, mu, _ = lgoc.interval_momenta(system, h, xi[None, :])
+    _, _, mu, _, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
     xi1, mu1 = lgoc.dep_step(system, h, xi, mu[0])
     assert np.max(np.abs(xi1 - xi)) < 1e-12
 
@@ -82,7 +82,7 @@ def test_dep_step_exact_momentum_transport():
     h = 0.05
     xi = rng.normal(size=3)
     group = system.group
-    _, W, mu, transported = lgoc.interval_momenta(system, h, xi[None, :])
+    _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
     xi1, mu1 = lgoc.dep_step(system, h, xi, mu[0])
     assert np.max(np.abs(mu1 - transported[0])) < 1e-12
 
@@ -193,23 +193,72 @@ def _random_point(prob, eliminate, rng):
 
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
-def test_coloured_jacobian_matches_dense_fd(regime):
+def test_coloured_jacobian_matches_dense_fd(regime, monkeypatch):
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
-    assert len(system.structure.colours) < system.dim
+    n = prob.system.n
+    assert len(lgoc._jacobian_structure(prob, eliminate).colours) < system.dim
+    rng = np.random.default_rng(11)
+    dense = solvers.fd_jacobian
+    if prob.system.potential is None:
+        # off the reconstruction rows every entry is a coloured difference
+        # of the residual itself
+        for _ in range(2):
+            z = _random_point(prob, eliminate, rng)
+            J = system.jac(z)[:-n]
+            J_dense = dense(system.eval, z)[:-n]
+            assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
+        return
+    # with a potential, each coloured pass (the residual at frozen
+    # configurations, then in the node shifts) is the dense difference of
+    # the same function
+    passes = []
+
+    def record(module):
+        def coloured(fun, x, step=1e-6, structure=None):
+            J = dense(fun, x, step, structure)
+            if structure is not None:
+                passes.append((module, fun, x, J.copy()))
+            return J
+
+        monkeypatch.setattr(module, "fd_jacobian", coloured)
+
+    record(solvers)
+    record(lgoc)
+    for _ in range(2):
+        z = _random_point(prob, eliminate, rng)
+        passes.clear()
+        system.jac(z)
+        assert [p[0] for p in passes] == [solvers, lgoc]
+        for _, fun, x, J in passes:
+            J_dense = dense(fun, x)
+            assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
+
+
+def test_assembled_potential_jacobian_matches_dense_fd():
+    prob = jacobian_regimes()["heavy top"]
+    system, eliminate = lgoc.residual_system(prob)
     rng = np.random.default_rng(11)
     for _ in range(2):
         z = _random_point(prob, eliminate, rng)
-        J = system.jac(z)
         J_dense = solvers.fd_jacobian(system.eval, z)
-        assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
+        assert np.max(np.abs(system.jac(z) - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
 
 
 def test_eliminated_cayley_jacobian_takes_twelve_colours():
     # xi row k touches xi_{k-2..k+1}: four interval blocks of three columns
     for N in (6, 32):
-        system, eliminate = lgoc.residual_system(rigid_body_problem(N=N))
-        assert eliminate and len(system.structure.colours) == 12
+        prob = rigid_body_problem(N=N)
+        system, eliminate = lgoc.residual_system(prob)
+        assert eliminate and len(lgoc._jacobian_structure(prob, eliminate).colours) == 12
+
+
+def test_heavy_top_passes_take_fifteen_and_nine_colours():
+    # with the configurations held fixed node k touches intervals k-1 and k
+    # only; the node shifts g_{k-1..k+1} reach it, 3n colours
+    prob = rigid_body_problem(N=16, potential=systems.HeavyTopPotential(0.8))
+    assert len(lgoc._jacobian_structure(prob, False).colours) <= 15
+    assert len(lgoc._node_shift_structure(prob).colours) == 9
 
 
 @pytest.mark.parametrize("regime", ["cayley eliminated", "uuv", "underactuated"])
@@ -226,7 +275,81 @@ def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch)
 
     monkeypatch.setattr(lgoc, "general_residual", counted)
     system.jac(z)
-    assert len(calls) == 2 * len(system.structure.colours)
+    assert len(calls) == 2 * len(lgoc._jacobian_structure(prob, eliminate).colours)
+
+
+def _four_point(f, x, j, step):
+    def at(mult):
+        xs = x.copy()
+        xs[j] += mult * step
+        return f(xs)
+
+    return (at(-2.0) - 8.0 * at(-1.0) + 8.0 * at(1.0) - at(2.0)) / (12.0 * step)
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()) + ["uuv exp"])
+def test_reconstruction_rows_match_a_four_point_stencil(regime):
+    prob = xi_gradient_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    N, n = prob.N, prob.system.n
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        z = _random_point(prob, eliminate, rng)
+        x = z[: N * n]
+        oracle = np.stack([
+            _four_point(lambda v: lgoc.reconstruction_residual(prob, v.reshape(N, n)),
+                        x, j, 1e-2 * (1.0 + abs(x[j])))
+            for j in range(N * n)], axis=1)
+        border = system.jac(z)[-n:]
+        assert np.max(np.abs(border[:, : N * n] - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        assert not np.any(border[:, N * n :])
+
+
+@pytest.mark.parametrize("regime", ["cayley eliminated", "exp", "uuv", "uuv exp"])
+def test_sensitivities_match_differences_of_reconstruct(regime):
+    prob = xi_gradient_regimes()[regime]
+    group, N, n, h = prob.system.group, prob.N, prob.system.n, prob.h
+    xis = 0.5 * np.random.default_rng(14).normal(size=(N, n)) / h
+    gs = lgoc.reconstruct(group, prob.g0, h, xis)
+    Ainv, P = lgoc._sensitivities(group, h, xis, gs)
+    x = xis.ravel()
+    for j in range(N + 1):
+        g_inv = group.inverse(gs[j])
+
+        def moved(v):
+            return group.tau_inv(group.multiply(
+                g_inv, lgoc.reconstruct(group, prob.g0, h, v.reshape(N, n))[j]))
+
+        S = np.stack([_four_point(moved, x, c, 1e-4) for c in range(N * n)], axis=1)
+        exact = np.zeros((n, N, n))
+        exact[:, :j] = np.einsum("ab,kbc->akc", Ainv[j], P[:j])
+        assert np.max(np.abs(S - exact.reshape(n, N * n))) <= 1e-8 * (1.0 + np.max(np.abs(S)))
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatch):
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(15))
+    depth, outside = [0], []
+    residual, gap = lgoc.general_residual, lgoc.reconstruction_residual
+
+    def counted_residual(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return residual(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_gap(*args, **kwargs):
+        if depth[0] == 0:
+            outside.append(1)
+        return gap(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "general_residual", counted_residual)
+    monkeypatch.setattr(lgoc, "reconstruction_residual", counted_gap)
+    system.jac(z)
+    assert outside == []
 
 
 def directional_action_derivative(prob, xis, nus_interior, lambdas, rng):
@@ -392,6 +515,37 @@ def test_residual_evaluates_the_interval_maps_once(regime, monkeypatch):
     monkeypatch.setattr(lgoc, "interval_momenta", counted)
     lgoc.general_residual(prob, xis, nus, lambdas)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
+def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
+    prob = xi_gradient_regimes()[regime]
+    assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
+    xis, nus, lambdas = lgoc.initial_guess(prob)
+    expected = lgoc.general_residual(prob, xis, nus, lambdas)
+    calls = {"dtau_inv_matrix": [], "Ad_matrix": [], "drift_values": []}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(self, arg):
+            calls[name].append(np.array(arg))
+            return original(self, arg)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lie.GroupSpec, "dtau_inv_matrix")
+    count(lie.GroupSpec, "Ad_matrix")
+    count(ReducedSystem, "drift_values")
+    assert np.array_equal(lgoc.general_residual(prob, xis, nus, lambdas), expected)
+    z = prob.h * xis
+    args = calls["dtau_inv_matrix"]
+    assert len(args) == 2
+    assert np.array_equal(args[0], z) and np.array_equal(args[1], -z)
+    assert len(calls["Ad_matrix"]) == 1
+    if not prob.system.has_drift:
+        # a drift is differenced by n column pairs; without one it is read once
+        assert len(calls["drift_values"]) == 1
 
 
 def test_eliminated_nus_rejects_underactuated_problem():

@@ -68,39 +68,6 @@ def test_fd_jacobian_without_structure_is_the_column_loop():
     assert np.array_equal(fd_jacobian(f, x), J_ref)
 
 
-def _banded_with_border(x):
-    """Rows 0..n-3 couple x_{i-1}, x_i, x_{i+1} and x_{n-1}; the last two
-    rows are dense."""
-    left = np.concatenate([[0.0], x[:-1]])
-    right = np.concatenate([x[1:], [0.0]])
-    band = x ** 2 * left + np.sin(x) + np.cos(x) * right + np.exp(x[-1]) * x
-    border = [np.sum(x ** 3), np.sum(np.exp(0.1 * x) * np.arange(x.size))]
-    return np.concatenate([band[:-2], border])
-
-
-def test_coloured_fd_jacobian_equals_dense_on_banded_toy():
-    n = 10
-    pattern = np.zeros((n, n), dtype=bool)
-    for i in range(n - 2):
-        pattern[i, max(i - 1, 0) : i + 2] = True
-    pattern[: n - 2, n - 1] = True
-    structure = JacobianStructure(
-        pattern=pattern, border_rows=np.arange(n - 2, n),
-        border_cols=np.arange(n), border=lambda x: _banded_with_border(x)[-2:],
-    )
-    # x_{n-1} touches every band row, so it is a colour of its own and its
-    # residual pair also gives its border entries
-    assert [c.tolist() for c in structure.colours][-1] == [n - 1]
-    assert len(structure.colours) == 4
-    assert structure.border_cols.tolist() == list(range(n - 1))
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = rng.normal(size=n)
-        J_dense = fd_jacobian(_banded_with_border, x)
-        system = ResidualSystem(n, _banded_with_border, structure=structure)
-        assert np.array_equal(system.jac(x), J_dense)
-
-
 def test_structure_without_border_equals_dense_on_banded_toy():
     def banded(x):
         left = np.concatenate([[0.0], x[:-1]])
@@ -113,7 +80,6 @@ def test_structure_without_border_equals_dense_on_banded_toy():
         pattern[i, max(i - 1, 0) : i + 2] = True
     structure = JacobianStructure(pattern=pattern)
     assert len(structure.colours) == 3
-    assert structure.border is None and structure.border_cols.size == 0
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = rng.normal(size=n)

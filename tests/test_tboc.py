@@ -238,7 +238,6 @@ def test_structured_jacobian_equals_dense_fd(regime):
 def test_fully_actuated_jacobian_takes_6n_colours(n, N):
     structure = tboc.residual_system(make_problem(n=n, N=N)).structure
     assert len(structure.colours) == 6 * n
-    assert structure.border_cols.size == 0
 
 
 def test_jacobian_build_makes_two_residual_calls_per_colour(monkeypatch):

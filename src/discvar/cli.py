@@ -366,16 +366,11 @@ def _verify_rn(problem, args):
     um = ctrl[:, 1 : 1 + m]
     up = ctrl[:, 1 + m : 1 + 2 * m]
     # dynamics: forced discrete Euler-Lagrange at interior nodes
-    dyn = 0.0
-    for k in range(1, N):
-        r = mech.forced_del_residual(
-            problem.lagrangian, problem.forces,
-            qs[k - 1], qs[k], qs[k + 1], up[k - 1], um[k],
-        )
-        dyn = max(dyn, float(np.max(np.abs(r))))
+    dyn = mech.forced_del_residual(problem.lagrangian, problem.forces,
+                                   qs[:-2], qs[1:-1], qs[2:], up[:-1], um[1:])
     return {
         "optimality_residual": float(np.max(np.abs(res))),
-        "dynamics_residual": dyn,
+        "dynamics_residual": float(np.max(np.abs(dyn))),
         "boundary_x0": float(np.max(np.abs(qs[0] - problem.x0))),
         "boundary_xT": float(np.max(np.abs(qs[-1] - problem.xT))),
         "boundary_p0": float(np.max(np.abs(ps[0] - problem.p0))),

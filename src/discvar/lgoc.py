@@ -123,6 +123,7 @@ class ReducedSystem:
         if np.linalg.matrix_rank(self.control_basis) < m:
             raise RankDeficient("control basis rank is below the control dimension")
         self.control_pinv = np.linalg.pinv(self.control_basis)
+        self.inertia_inv = np.linalg.inv(self.inertia)
 
     @property
     def n(self):
@@ -230,10 +231,8 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
     a potential the configuration g_k at the node must be supplied.
     """
     group = system.group
-    inertia_inv = np.linalg.inv(system.inertia)
     z_prev = h * np.asarray(xi_prev, dtype=float)
-    rhs = group.coAd(group.tau(z_prev), _mv(_mt(group.dtau_inv_matrix(z_prev)),
-                                            system.inertia @ np.asarray(xi_prev, dtype=float)))
+    rhs = group.coAd(group.tau(z_prev), np.asarray(mu_prev, dtype=float))
     if u_prev_plus is not None:
         rhs = rhs + (h / 2.0) * (
             system.drift_values(z_prev) + system.control_basis @ np.asarray(u_prev_plus, dtype=float)
@@ -255,7 +254,7 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
     xi = np.asarray(xi_prev, dtype=float).copy()
     for _ in range(max_fixed_point):
         target = mu_of(xi)
-        xi_new = inertia_inv @ np.linalg.solve(_mt(group.dtau_inv_matrix(h * xi)), target)
+        xi_new = system.inertia_inv @ np.linalg.solve(_mt(group.dtau_inv_matrix(h * xi)), target)
         if np.max(np.abs(xi_new - xi)) < tol * (1.0 + np.max(np.abs(xi_new))):
             xi = xi_new
             break
@@ -317,17 +316,19 @@ def reconstruct(group, g0, h, xis):
 # interval cost evaluation (batched over intervals)
 # ---------------------------------------------------------------------------
 
-def _controls_from_momenta(problem, xis, nus, gs=None):
+def _controls_from_momenta(problem, xis, nus, gs=None, maps=None):
     """Recover (u^-, u^+) for every interval from the node momenta.
 
     Returns (maps, d, um, up) with maps the tuple of ``interval_momenta``
-    and d the drift.  ``nus`` has shape (N+1, n) and includes the pinned
-    boundary entries.  For potential-coupled systems the node configurations
-    gs (N+1 elements) must be given.
+    (evaluated here unless given) and d the drift.  ``nus`` has shape
+    (N+1, n) and includes the pinned boundary entries.  For
+    potential-coupled systems the node configurations gs (N+1 elements)
+    must be given.
     """
     sys_ = problem.system
     h = problem.h
-    maps = interval_momenta(sys_, h, xis)
+    if maps is None:
+        maps = interval_momenta(sys_, h, xis)
     z, _, mu, transported, _, _ = maps
     d = sys_.drift_values(z)
     left = mu.copy()
@@ -465,6 +466,8 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
       * underactuation conditions per interval, if any    (2 N (n-m))
       * reconstruction constraint                         (n)
 
+    ``nus_interior`` None stands for the eliminated momenta of
+    ``eliminated_nus``, taken from the same interval maps as the rest.
     ``gs`` holds the configurations g_0..g_N fixed, in place of the ones
     the velocities reconstruct: the potential then acts at gs, and the
     reconstruction rows, which depend on xi only through g_N, are left out.
@@ -475,14 +478,19 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
-    nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
+    maps = interval_momenta(sys_, h, xis)
+    if nus_interior is None:
+        nus = _eliminated(problem, maps)
+    else:
+        nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
     frozen = gs is not None
     if not frozen and sys_.potential is not None:
         gs = reconstruct(group, problem.g0, h, xis)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
 
-    (z, _, mu, transported, Dp, A), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
+    (z, _, mu, transported, Dp, A), d, um, up = _controls_from_momenta(
+        problem, xis, nus, gs, maps)
     gum = problem.cost.grad_batch(um) @ sys_.control_pinv
     gup = problem.cost.grad_batch(up) @ sys_.control_pinv
     # the interval costs' derivatives in mu and in its transport
@@ -538,16 +546,16 @@ def eliminated_nus(problem, xis):
     Valid when ``_momenta_eliminable``: each interior nu_k is the average of
     the momenta the two adjacent intervals propagate to node k.
     """
-    sys_ = problem.system
+    return _eliminated(problem, interval_momenta(problem.system, problem.h,
+                                                 np.asarray(xis, dtype=float)))
+
+
+def _eliminated(problem, maps):
+    """``eliminated_nus`` from the tuple of ``interval_momenta``."""
     if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs the kinetic L2 setup")
-    _, _, mu, transported, _, _ = interval_momenta(sys_, problem.h,
-                                                   np.asarray(xis, dtype=float))
-    nus = np.empty((problem.N + 1, sys_.n))
-    nus[0] = problem.nu0
-    nus[-1] = problem.nuN
-    nus[1:-1] = 0.5 * (mu[1:] + transported[:-1])
-    return nus
+    _, _, mu, transported, _, _ = maps
+    return _full_nus(problem, 0.5 * (mu[1:] + transported[:-1]))
 
 
 def residual_dimension(problem, eliminate_momenta=False):
@@ -589,7 +597,7 @@ def initial_guess(problem):
     return xis, nus_interior, lambdas
 
 
-def _pack(problem, xis, nus_interior, lambdas, eliminate):
+def _pack(xis, nus_interior, lambdas, eliminate):
     parts = [np.asarray(xis, dtype=float).reshape(-1)]
     if not eliminate:
         parts.append(np.asarray(nus_interior, dtype=float).reshape(-1))
@@ -694,7 +702,7 @@ def residual_system(problem, eliminate_momenta=None):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
         if not eliminate_momenta:
             return general_residual(problem, xis, nus_interior, lambdas, gs)
-        res = general_residual(problem, xis, eliminated_nus(problem, xis)[1:-1], gs=gs)
+        res = general_residual(problem, xis, None, gs=gs)
         # node-momentum stationarity vanishes identically under the elimination
         return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
@@ -746,7 +754,7 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
     system, eliminate = residual_system(problem, eliminate_momenta)
     if guess is None:
         guess = initial_guess(problem)
-    z0 = _pack(problem, *guess, eliminate)
+    z0 = _pack(*guess, eliminate)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     z, report = solvers.solve(system, z0, attempts, method,
                               problem.system.fully_actuated, tol, max_iter)

@@ -18,7 +18,7 @@ and the two discrete Legendre transforms with forces give the momenta
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +27,30 @@ from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolv
 from .solvers import ResidualSystem, fd_jacobian, newton
 
 
+def _per_point(fun, *points):
+    """A user callable with a per-point contract, at every point of a batch.
+
+    The points share their leading axes and hold vectors along the last one;
+    a single point (no leading axis) is passed straight through.
+    """
+    lead = np.shape(points[0])[:-1]
+    if not lead:
+        return np.asarray(fun(*points), dtype=float)
+    rows = zip(*(np.reshape(p, (-1, np.shape(p)[-1])) for p in points))
+    out = np.array([fun(*row) for row in rows], dtype=float)
+    return out.reshape(lead + out.shape[1:])
+
+
 @dataclass
 class RnLagrangian:
     """Mechanical Lagrangian (1/2) v^T M v - V(q) plus a time step h.
 
-    ``potential_grad``/``potential_hess`` may be omitted; finite differences
-    are used as a fallback.
+    The slot derivatives d1..d22 take one interval (q_a, q_b of shape (n,))
+    or a batch of intervals along leading axes.  The user's ``potential``,
+    ``potential_grad`` and ``potential_hess`` take a single point; on a
+    batch they are mapped over its rows.  ``potential_grad``/
+    ``potential_hess`` may be omitted; finite differences are used as a
+    fallback.
     """
 
     mass: np.ndarray
@@ -62,21 +80,23 @@ class RnLagrangian:
     def V(self, q):
         return 0.0 if self.potential is None else float(self.potential(q))
 
+    # a scalar 0.0 leaves d1, d2, d11, d22 bitwise as zero arrays would
     def V_x(self, q):
-        # a scalar 0.0 leaves d1, d2, d11, d22 bitwise as zero arrays would
-        if self.potential is None:
-            return 0.0
-        if self.potential_grad is not None:
-            return np.asarray(self.potential_grad(q), dtype=float)
-        return fd_jacobian(self.V, q)[0]
+        return 0.0 if self.potential is None else _per_point(self._grad, q)
 
     def V_xx(self, q):
-        if self.potential is None:
-            return 0.0
+        return 0.0 if self.potential is None else _per_point(self._hess, q)
+
+    def _grad(self, q):
+        if self.potential_grad is not None:
+            return self.potential_grad(q)
+        return fd_jacobian(self.V, q)[0]
+
+    def _hess(self, q):
         if self.potential_hess is not None:
             return np.atleast_2d(np.asarray(self.potential_hess(q), dtype=float))
         # symmetrized finite difference of the gradient
-        H = fd_jacobian(self.V_x, q)
+        H = fd_jacobian(self._grad, q)
         return 0.5 * (H + H.T)
 
     # -- trapezoidal discrete Lagrangian and its slot derivatives ---------
@@ -88,13 +108,14 @@ class RnLagrangian:
             - (self.h / 2.0) * (self.V(qa) + self.V(qb))
         )
 
+    # d @ M^T is the sum M d takes; M is symmetric only to 1e-12
     def d1(self, qa, qb):
         d = np.asarray(qb, dtype=float) - np.asarray(qa, dtype=float)
-        return -self.mass @ d / self.h - (self.h / 2.0) * self.V_x(qa)
+        return -d @ self.mass.T / self.h - (self.h / 2.0) * self.V_x(qa)
 
     def d2(self, qa, qb):
         d = np.asarray(qb, dtype=float) - np.asarray(qa, dtype=float)
-        return self.mass @ d / self.h - (self.h / 2.0) * self.V_x(qb)
+        return d @ self.mass.T / self.h - (self.h / 2.0) * self.V_x(qb)
 
     def d11(self, qa, qb):
         return self.mass / self.h - (self.h / 2.0) * self.V_xx(qa)
@@ -116,26 +137,21 @@ class DiscreteForcePairRn:
         f^-(q_a, q_b, u) = a^-(q_a, q_b) + B^- u
         f^+(q_a, q_b, u) = a^+(q_a, q_b) + B^+ u
 
-    ``b_minus``/``b_plus`` are constant (n, m) matrices; the drift callables
-    return covectors in R^n and default to a scalar zero.
+    ``b_minus``/``b_plus`` are constant (n, m) matrices.  The optional drift
+    callables take one interval and return a covector in R^n; absent, the
+    drift is a scalar zero.  The methods take one interval or a batch.
     """
 
     b_minus: np.ndarray
     b_plus: np.ndarray
-    a_minus: Callable = field(default=None)
-    a_plus: Callable = field(default=None)
+    a_minus: Optional[Callable] = None
+    a_plus: Optional[Callable] = None
 
     def __post_init__(self):
         self.b_minus = np.atleast_2d(np.asarray(self.b_minus, dtype=float))
         self.b_plus = np.atleast_2d(np.asarray(self.b_plus, dtype=float))
         if self.b_minus.shape != self.b_plus.shape:
             raise DimensionMismatch("B^- and B^+ must have matching shapes")
-        self.zero_drift_minus = self.a_minus is None
-        self.zero_drift_plus = self.a_plus is None
-        if self.a_minus is None:
-            self.a_minus = lambda qa, qb: 0.0
-        if self.a_plus is None:
-            self.a_plus = lambda qa, qb: 0.0
 
     @property
     def dim(self):
@@ -145,11 +161,25 @@ class DiscreteForcePairRn:
     def control_dim(self):
         return self.b_minus.shape[1]
 
+    def drift(self, which, qa, qb):
+        """a^- (``which`` "-") or a^+ at (q_a, q_b)."""
+        a = self.a_minus if which == "-" else self.a_plus
+        return 0.0 if a is None else _per_point(a, qa, qb)
+
+    def drift_jacobians(self, which, qa, qb):
+        """d a / d(q_a, q_b) by central differences; scalar zeros without a
+        drift."""
+        a = self.a_minus if which == "-" else self.a_plus
+        if a is None:
+            return 0.0, 0.0
+        return (_per_point(lambda x, y: fd_jacobian(lambda q: a(q, y), x), qa, qb),
+                _per_point(lambda x, y: fd_jacobian(lambda q: a(x, q), y), qa, qb))
+
     def f_minus(self, qa, qb, u):
-        return np.asarray(self.a_minus(qa, qb), dtype=float) + self.b_minus @ np.asarray(u, dtype=float)
+        return self.drift("-", qa, qb) + np.asarray(u, dtype=float) @ self.b_minus.T
 
     def f_plus(self, qa, qb, u):
-        return np.asarray(self.a_plus(qa, qb), dtype=float) + self.b_plus @ np.asarray(u, dtype=float)
+        return self.drift("+", qa, qb) + np.asarray(u, dtype=float) @ self.b_plus.T
 
     @classmethod
     def identity(cls, n):
@@ -242,15 +272,8 @@ def node_momenta(lagrangian, forces, qs, controls=None):
     interval to the left holds exactly on solutions of the forced equations).
     """
     qs = np.asarray(qs, dtype=float)
-    N = qs.shape[0] - 1
     if controls is None:
-        controls = np.zeros((N, 2, forces.control_dim))
-    ps = np.empty_like(qs)
-    for k in range(N):
-        p_a, p_b = legendre_pair(
-            lagrangian, forces, qs[k], qs[k + 1], controls[k, 0], controls[k, 1]
-        )
-        ps[k] = p_a
-        if k == N - 1:
-            ps[N] = p_b
-    return ps
+        controls = np.zeros((qs.shape[0] - 1, 2, forces.control_dim))
+    p_a, p_b = legendre_pair(lagrangian, forces, qs[:-1], qs[1:],
+                             controls[:, 0], controls[:, 1])
+    return np.concatenate([p_a, p_b[-1:]])

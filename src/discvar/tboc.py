@@ -29,7 +29,6 @@ from .errors import DimensionMismatch, NotInvertible, RankDeficient
 from .solvers import (
     JacobianStructure,
     ResidualSystem,
-    fd_jacobian,
     levenberg_marquardt,
     newton,
 )
@@ -46,7 +45,7 @@ class QuadraticControlCost:
         self.h = float(h)
 
     def value(self, qa, um, qb, up):
-        return (self.h / 4.0) * (float(um @ um) + float(up @ up))
+        return (self.h / 4.0) * (np.sum(um * um, axis=-1) + np.sum(up * up, axis=-1))
 
     # the cost does not depend on the positions; a scalar zero broadcasts
     def grad_qa(self, qa, um, qb, up):
@@ -130,15 +129,9 @@ def _complement_basis(B):
     return Q[:, m:]
 
 
-def _drift_jacobians(forces, qa, qb, which):
-    """d a^{+-} / d(qa, qb), by central differences; a scalar zero for the
-    default (zero) drifts."""
-    zero = forces.zero_drift_minus if which == "-" else forces.zero_drift_plus
-    if zero:
-        return 0.0, 0.0
-    fun = forces.a_minus if which == "-" else forces.a_plus
-    return (fd_jacobian(lambda q: fun(q, qb), qa),
-            fd_jacobian(lambda q: fun(qa, q), qb))
+def _vm(v, A):
+    """v^T A over the batch axes: the transposed Jacobian A^T applied to v."""
+    return np.einsum("...j,...ji->...i", v, A)
 
 
 class AugmentedLagrangianRn:
@@ -146,7 +139,9 @@ class AugmentedLagrangianRn:
 
     Provides the value, the recovered control pair and analytic derivatives
     in all four slots; for underactuated problems also the complement
-    conditions Phi^{+-} and their derivatives.
+    conditions Phi^{+-} and their derivatives.  Every method takes one
+    interval (states of shape (n,), multipliers of shape (n-m,)) or a batch
+    of intervals along leading axes, and evaluates the batch in one pass.
     """
 
     def __init__(self, problem):
@@ -165,13 +160,13 @@ class AugmentedLagrangianRn:
 
     # momentum defects: what the force pair must supply on this interval
     def _defects(self, qk, pk, qk1, pk1):
-        ym = -self.L.d1(qk, qk1) - pk - np.asarray(self.F.a_minus(qk, qk1), dtype=float)
-        yp = pk1 - self.L.d2(qk, qk1) - np.asarray(self.F.a_plus(qk, qk1), dtype=float)
+        ym = -self.L.d1(qk, qk1) - pk - self.F.drift("-", qk, qk1)
+        yp = pk1 - self.L.d2(qk, qk1) - self.F.drift("+", qk, qk1)
         return ym, yp
 
     def controls(self, qk, pk, qk1, pk1):
         ym, yp = self._defects(qk, pk, qk1, pk1)
-        return self.w_minus @ ym, self.w_plus @ yp
+        return ym @ self.w_minus.T, yp @ self.w_plus.T
 
     def value(self, qk, pk, qk1, pk1):
         um, up = self.controls(qk, pk, qk1, pk1)
@@ -180,54 +175,38 @@ class AugmentedLagrangianRn:
     def phi(self, qk, pk, qk1, pk1):
         """Complement conditions (Phi^-, Phi^+), each of length n - m."""
         ym, yp = self._defects(qk, pk, qk1, pk1)
-        return self.c_minus.T @ ym, self.c_plus.T @ yp
+        return ym @ self.c_minus, yp @ self.c_plus
 
     def grads(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
         """Slot gradients (d_qk, d_pk, d_qk1, d_pk1) of the interval term.
 
-        When multipliers are given the term includes lam . Phi.
+        When multipliers are given the term includes lam . Phi.  The term
+        depends on p only through the defects, so its defect covectors vm, vp
+        give the momentum slots directly and, through the defect Jacobians,
+        the position slots.
         """
         um, up = self.controls(qk, pk, qk1, pk1)
-        cum = self.cost.grad_um(qk, um, qk1, up)
-        cup = self.cost.grad_up(qk, um, qk1, up)
-        dam_a, dam_b = _drift_jacobians(self.F, qk, qk1, "-")
-        dap_a, dap_b = _drift_jacobians(self.F, qk, qk1, "+")
-        # defect jacobians in the two position slots
-        dym_qk = -self.L.d11(qk, qk1) - dam_a
-        dym_qk1 = -self.L.d12(qk, qk1) - dam_b
-        dyp_qk = -self.L.d21(qk, qk1) - dap_a
-        dyp_qk1 = -self.L.d22(qk, qk1) - dap_b
-
-        d_qk = (
-            self.cost.grad_qa(qk, um, qk1, up)
-            + dym_qk.T @ (self.w_minus.T @ cum)
-            + dyp_qk.T @ (self.w_plus.T @ cup)
-        )
-        d_qk1 = (
-            self.cost.grad_qb(qk, um, qk1, up)
-            + dym_qk1.T @ (self.w_minus.T @ cum)
-            + dyp_qk1.T @ (self.w_plus.T @ cup)
-        )
-        d_pk = -self.w_minus.T @ cum
-        d_pk1 = self.w_plus.T @ cup
-
-        if lam_minus is not None and lam_minus.size:
-            vm = self.c_minus @ lam_minus
-            d_qk = d_qk + dym_qk.T @ vm
-            d_qk1 = d_qk1 + dym_qk1.T @ vm
-            d_pk = d_pk - self.c_minus @ lam_minus
-        if lam_plus is not None and lam_plus.size:
-            vp = self.c_plus @ lam_plus
-            d_qk = d_qk + dyp_qk.T @ vp
-            d_qk1 = d_qk1 + dyp_qk1.T @ vp
-            d_pk1 = d_pk1 + self.c_plus @ lam_plus
-        return d_qk, d_pk, d_qk1, d_pk1
+        vm = self.cost.grad_um(qk, um, qk1, up) @ self.w_minus
+        vp = self.cost.grad_up(qk, um, qk1, up) @ self.w_plus
+        if lam_minus is not None:
+            vm = vm + lam_minus @ self.c_minus.T
+            vp = vp + lam_plus @ self.c_plus.T
+        dam_a, dam_b = self.F.drift_jacobians("-", qk, qk1)
+        dap_a, dap_b = self.F.drift_jacobians("+", qk, qk1)
+        # the defects' Jacobians in the two position slots
+        d_qk = (self.cost.grad_qa(qk, um, qk1, up)
+                - _vm(vm, self.L.d11(qk, qk1) + dam_a)
+                - _vm(vp, self.L.d21(qk, qk1) + dap_a))
+        d_qk1 = (self.cost.grad_qb(qk, um, qk1, up)
+                 - _vm(vm, self.L.d12(qk, qk1) + dam_b)
+                 - _vm(vp, self.L.d22(qk, qk1) + dap_b))
+        return d_qk, -vm, d_qk1, vp
 
     def multiplier_value(self, qk, pk, qk1, pk1, lam_minus, lam_plus):
         v = self.value(qk, pk, qk1, pk1)
-        if lam_minus is not None and lam_minus.size:
+        if lam_minus is not None:
             pm, pp = self.phi(qk, pk, qk1, pk1)
-            v += float(lam_minus @ pm) + float(lam_plus @ pp)
+            v = v + np.sum(lam_minus * pm, axis=-1) + np.sum(lam_plus * pp, axis=-1)
         return v
 
 
@@ -255,32 +234,23 @@ def optimality_residual(problem, qs, ps, lambdas=None, aug=None):
     if aug is None:
         aug = AugmentedLagrangianRn(problem)
     N, n, m = problem.N, problem.n, problem.m
-    under = not problem.fully_actuated
-    if under:
+    ends = (qs[:-1], ps[:-1], qs[1:], ps[1:])
+    if problem.fully_actuated:
+        d_qk, d_pk, d_qk1, d_pk1 = aug.grads(*ends)
+    else:
         if lambdas is None:
             raise DimensionMismatch("underactuated problems need multipliers")
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.shape != (N, 2, n - m):
             raise DimensionMismatch("multipliers must have shape (N, 2, n-m)")
-
-    def interval_grads(k):
-        lm = lambdas[k, 0] if under else None
-        lp = lambdas[k, 1] if under else None
-        return aug.grads(qs[k], ps[k], qs[k + 1], ps[k + 1], lm, lp)
-
-    grads = [interval_grads(k) for k in range(N)]
-    blocks = []
-    for k in range(1, N):
-        g_prev = grads[k - 1]
-        g_here = grads[k]
-        blocks.append(g_prev[2] + g_here[0])  # position stationarity
-        blocks.append(g_prev[3] + g_here[1])  # momentum stationarity
-    if under:
-        for k in range(N):
-            pm, pp = aug.phi(qs[k], ps[k], qs[k + 1], ps[k + 1])
-            blocks.append(pm)
-            blocks.append(pp)
-    return np.concatenate(blocks)
+        d_qk, d_pk, d_qk1, d_pk1 = aug.grads(*ends, lambdas[:, 0], lambdas[:, 1])
+    # node k sums the right-end slots of interval k-1 and the left-end slots
+    # of interval k: position stationarity, then momentum stationarity
+    nodes = np.stack([d_qk1[:-1] + d_qk[1:], d_pk1[:-1] + d_pk[1:]], axis=1)
+    if problem.fully_actuated:
+        return nodes.reshape(-1)
+    return np.concatenate([nodes.reshape(-1),
+                           np.stack(aug.phi(*ends), axis=1).reshape(-1)])
 
 
 def action_sum(problem, qs, ps, lambdas=None, aug=None):
@@ -288,15 +258,8 @@ def action_sum(problem, qs, ps, lambdas=None, aug=None):
     qs, ps = _states(problem, qs, ps)
     if aug is None:
         aug = AugmentedLagrangianRn(problem)
-    total = 0.0
-    for k in range(problem.N):
-        lm = lambdas[k, 0] if lambdas is not None else None
-        lp = lambdas[k, 1] if lambdas is not None else None
-        if lm is None:
-            total += aug.value(qs[k], ps[k], qs[k + 1], ps[k + 1])
-        else:
-            total += aug.multiplier_value(qs[k], ps[k], qs[k + 1], ps[k + 1], lm, lp)
-    return total
+    lm, lp = (None, None) if lambdas is None else (lambdas[:, 0], lambdas[:, 1])
+    return float(np.sum(aug.multiplier_value(qs[:-1], ps[:-1], qs[1:], ps[1:], lm, lp)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +310,14 @@ def _jacobian_structure(problem):
     not depend on the multipliers.  No row is dense, so there is no border.
     """
     N, n, s = problem.N, problem.n, problem.n - problem.m
-    nodes = 2 * (N - 1) * n
-    dim = nodes + 2 * N * s
-    # node[j] holds node j's columns; only the interior nodes 1..N-1 are used
-    node = np.arange(-2 * n, 2 * N * n).reshape(N + 1, 2 * n)
-    lam = nodes + np.arange(2 * N * s).reshape(N, 2 * s)
-
-    def interval_nodes(k):
-        return np.concatenate([node[j] for j in (k, k + 1) if 0 < j < N])
-
-    pattern = np.zeros((dim, dim), dtype=bool)
-    for k in range(1, N):
-        cols = np.concatenate([interval_nodes(k - 1), lam[k - 1],
-                               interval_nodes(k), lam[k]])
-        pattern[node[k][:, None], cols] = True
-    for k in range(N):
-        pattern[nodes + 2 * k * s : nodes + 2 * (k + 1) * s, interval_nodes(k)] = True
+    # touches[k, j]: interval k touches interior node j + 1
+    lag = np.arange(N)[:, None] - np.arange(N - 1)
+    touches = (lag == 0) | (lag == 1)
+    blocks = np.block([[touches.T @ touches, touches.T],
+                       [touches, np.zeros((N, N), dtype=bool)]])
+    # node blocks hold 2n unknowns (and rows), multiplier blocks 2(n-m)
+    sizes = np.r_[np.full(N - 1, 2 * n), np.full(N, 2 * s)]
+    pattern = np.repeat(np.repeat(blocks, sizes, axis=0), sizes, axis=1)
     return JacobianStructure(pattern=pattern)
 
 
@@ -393,8 +348,7 @@ def initial_guess(problem):
     ps = np.empty_like(qs)
     M, h = problem.lagrangian.mass, problem.h
     ps[0], ps[N] = problem.p0, problem.pT
-    for k in range(1, N):
-        ps[k] = M @ (qs[k + 1] - qs[k - 1]) / (2.0 * h)
+    ps[1:N] = (qs[2:] - qs[:-2]) @ M.T / (2.0 * h)
     lambdas = None
     if not problem.fully_actuated:
         lambdas = np.zeros((N, 2, n - problem.m))
@@ -429,11 +383,7 @@ def assemble_solution(problem, z, report=None, aug=None):
     if aug is None:
         aug = AugmentedLagrangianRn(problem)
     qs, ps, lambdas = _unpack(problem, z)
-    controls = np.empty((problem.N, 2, problem.m))
-    cost = 0.0
-    for k in range(problem.N):
-        um, up = aug.controls(qs[k], ps[k], qs[k + 1], ps[k + 1])
-        controls[k, 0], controls[k, 1] = um, up
-        cost += problem.cost.value(qs[k], um, qs[k + 1], up)
-    return OcSolutionRn(qs=qs, ps=ps, controls=controls, lambdas=lambdas,
-                        cost=cost, report=report)
+    um, up = aug.controls(qs[:-1], ps[:-1], qs[1:], ps[1:])
+    cost = float(np.sum(problem.cost.value(qs[:-1], um, qs[1:], up)))
+    return OcSolutionRn(qs=qs, ps=ps, controls=np.stack([um, up], axis=1),
+                        lambdas=lambdas, cost=cost, report=report)

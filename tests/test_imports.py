@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and the package
-reads every private module-level name it defines."""
+"""Every module of the package uses every name it imports, the package
+reads every private module-level name it defines, and every module-level
+function reads every parameter it takes."""
 
 import ast
 import os
@@ -91,3 +92,32 @@ def test_no_unreferenced_private_names():
             with open(os.path.join(PACKAGE, name)) as fh:
                 sources[name] = fh.read()
     assert unreferenced_private_names(sources) == []
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for each parameter of a module-level
+    function that its body never reads.  Methods are left alone: they
+    implement protocols whose other implementations may read the argument."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [(node.lineno, node.name, p) for p in params if p not in read]
+    return found
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + c + len(kw)\n\n"
+              "def g(x):\n    def inner():\n        return x\n    return inner\n\n"
+              "class K:\n    def method(self, unused):\n        return 0\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "args")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unread_parameters(module):
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert unread_parameters(fh.read()) == []

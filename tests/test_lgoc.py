@@ -87,6 +87,20 @@ def test_dep_step_exact_momentum_transport():
     assert np.max(np.abs(mu1 - transported[0])) < 1e-12
 
 
+def test_dep_step_transports_the_given_momentum():
+    # the free body carries mu_prev over as coAd(tau(h xi_prev), mu_prev):
+    # the step reads the momentum it is given, not one rebuilt from xi_prev
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
+    rng = np.random.default_rng(3)
+    h = 0.05
+    xi = rng.normal(size=3)
+    _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
+    bump = 1e-3 * rng.normal(size=3)
+    _, mu1 = lgoc.dep_step(system, h, xi, mu[0] + bump)
+    oracle = transported[0] + system.group.coAd(W[0], bump)
+    assert np.max(np.abs(mu1 - oracle)) < 1e-12
+
+
 def test_integrate_reduced_second_order_vs_rk4():
     # free rigid body: attitude obeys Rdot = R hat(w), I wdot = (I w) x w;
     # a tightly stepped RK4 integration serves as the reference.  The first
@@ -188,7 +202,7 @@ def jacobian_regimes():
 
 
 def _random_point(prob, eliminate, rng):
-    z0 = lgoc._pack(prob, *lgoc.initial_guess(prob), eliminate)
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     return z0 + 0.2 * rng.normal(size=z0.size)
 
 
@@ -546,6 +560,40 @@ def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
     if not prob.system.has_drift:
         # a drift is differenced by n column pairs; without one it is read once
         assert len(calls["drift_values"]) == 1
+
+
+def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
+    prob = rigid_body_problem()
+    system, eliminate = lgoc.residual_system(prob)
+    assert eliminate
+    N, n = prob.N, prob.system.n
+    xis = lgoc.initial_guess(prob)[0] + 0.1
+    z = xis.reshape(-1)
+    expected = system.eval(z)
+    # bitwise the residual at the eliminated momenta, momentum rows dropped
+    full = lgoc.general_residual(prob, xis, lgoc.eliminated_nus(prob, xis)[1:-1])
+    assert np.array_equal(expected, np.concatenate([full[: (N - 1) * n],
+                                                    full[2 * (N - 1) * n:]]))
+    calls = {"interval_momenta": [], "dtau_inv_matrix": [], "Ad_matrix": []}
+
+    def count(owner, name, nargs):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name].append(np.array(args[nargs - 1]))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(lgoc, "interval_momenta", 3)
+    count(lie.GroupSpec, "dtau_inv_matrix", 2)
+    count(lie.GroupSpec, "Ad_matrix", 2)
+    assert np.array_equal(system.eval(z), expected)
+    assert len(calls["interval_momenta"]) == 1
+    args = calls["dtau_inv_matrix"]
+    assert len(args) == 2
+    assert np.array_equal(args[0], prob.h * xis) and np.array_equal(args[1], -prob.h * xis)
+    assert len(calls["Ad_matrix"]) == 1
 
 
 def test_eliminated_nus_rejects_underactuated_problem():

@@ -143,6 +143,57 @@ def test_slot_derivatives_match_finite_differences():
     assert np.max(np.abs(L.d2(qa, qb) - fd(False))) < 1e-8
 
 
+def test_batched_intervals_equal_single_intervals():
+    # leading axes are batches of intervals; user callables still see points
+    rng = np.random.default_rng(9)
+    n = 3
+
+    def single(fun):
+        def checked(*points):
+            assert all(np.shape(p) == (n,) for p in points)
+            return fun(*points)
+
+        return checked
+
+    M = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.7]])
+    L = RnLagrangian(M, h=0.1, potential=single(lambda q: float(np.sum(q ** 4))),
+                     potential_grad=single(lambda q: 4.0 * q ** 3),
+                     potential_hess=single(lambda q: np.diag(12.0 * q ** 2)))
+    B = rng.normal(size=(n, 2))
+    F = DiscreteForcePairRn(B, 0.5 * B, a_minus=single(lambda qa, qb: np.sin(qa) * qb),
+                            a_plus=single(lambda qa, qb: qa * qb ** 2))
+    qa, qb = rng.normal(size=(2, 4, 5, n))
+    um, up = rng.normal(size=(2, 4, 5, 2))
+    batched = {
+        "d1": L.d1(qa, qb), "d2": L.d2(qa, qb),
+        "d11": L.d11(qa, qb), "d22": L.d22(qa, qb),
+        "f_minus": F.f_minus(qa, qb, um), "f_plus": F.f_plus(qa, qb, up),
+    }
+    for i, j in np.ndindex(4, 5):
+        a, b = qa[i, j], qb[i, j]
+        single_values = {
+            "d1": L.d1(a, b), "d2": L.d2(a, b), "d11": L.d11(a, b), "d22": L.d22(a, b),
+            "f_minus": F.f_minus(a, b, um[i, j]), "f_plus": F.f_plus(a, b, up[i, j]),
+        }
+        for name, x in single_values.items():
+            assert batched[name][i, j].shape == x.shape
+            assert np.all(np.abs(batched[name][i, j] - x) <= 1e-14 * (1.0 + np.abs(x)))
+
+
+def test_node_momenta_use_the_interval_to_the_right():
+    rng = np.random.default_rng(10)
+    L = pendulum(h=0.05)
+    F = DiscreteForcePairRn.trapezoidal(1, 0.05)
+    qs = rng.normal(size=(7, 1))
+    controls = rng.normal(size=(6, 2, 1))
+    ps = mech.node_momenta(L, F, qs, controls)
+    assert ps.shape == qs.shape
+    for k in range(6):
+        pa, pb = mech.legendre_pair(L, F, qs[k], qs[k + 1], *controls[k])
+        assert np.max(np.abs(ps[k] - pa)) < 1e-14
+    assert np.max(np.abs(ps[6] - pb)) < 1e-14
+
+
 def test_mass_matrix_must_be_symmetric():
     with pytest.raises(DimensionMismatch):
         RnLagrangian(np.array([[1.0, 0.5], [0.0, 1.0]]), h=0.1)

@@ -222,6 +222,100 @@ def _structured_problem(regime):
     )
 
 
+def _close(batched, single):
+    batched, single = np.asarray(batched), np.asarray(single)
+    assert batched.shape == single.shape
+    assert np.all(np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single)))
+
+
+@pytest.mark.parametrize("regime", ["fully actuated", "potential", "underactuated", "drift"])
+def test_batched_interval_terms_equal_single_intervals(regime):
+    prob = _structured_problem(regime)
+    aug = tboc.AugmentedLagrangianRn(prob)
+    N, n, s = prob.N, prob.n, prob.n - prob.m
+    rng = np.random.default_rng(10)
+    qs, ps = rng.normal(size=(2, N + 1, n))
+    lambdas = rng.normal(size=(N, 2, s)) if s else np.full((N, 2), None)
+    ends = (qs[:-1], ps[:-1], qs[1:], ps[1:])
+    lam = (lambdas[:, 0], lambdas[:, 1]) if s else (None, None)
+    batched = {
+        "controls": aug.controls(*ends),
+        "value": aug.value(*ends),
+        "phi": aug.phi(*ends),
+        "grads": aug.grads(*ends, *lam),
+        "multiplier_value": aug.multiplier_value(*ends, *lam),
+    }
+    for k in range(N):
+        one = (qs[k], ps[k], qs[k + 1], ps[k + 1])
+        single = {
+            "controls": aug.controls(*one),
+            "value": aug.value(*one),
+            "phi": aug.phi(*one),
+            "grads": aug.grads(*one, *lambdas[k]),
+            "multiplier_value": aug.multiplier_value(*one, *lambdas[k]),
+        }
+        for name, terms in single.items():
+            if isinstance(terms, tuple):
+                for b, x in zip(batched[name], terms):
+                    _close(b[k], x)
+            else:
+                _close(batched[name][k], terms)
+
+
+@pytest.mark.parametrize("regime", ["fully actuated", "potential"])
+def test_residual_evaluates_the_slot_derivatives_once(regime, monkeypatch):
+    prob = _structured_problem(regime)
+    qs, ps, _ = tboc.initial_guess(prob)
+    expected = tboc.optimality_residual(prob, qs, ps)
+    calls = []
+    d1 = RnLagrangian.d1
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return d1(*args)
+
+    monkeypatch.setattr(RnLagrangian, "d1", counted)
+    assert np.array_equal(tboc.optimality_residual(prob, qs, ps), expected)
+    assert calls == [(prob.N, prob.n)]
+
+
+def _single_point(n, fun):
+    """``fun`` that raises unless every argument is one point of R^n."""
+    def checked(*points):
+        if any(np.shape(p) != (n,) for p in points):
+            raise ValueError("user callables take a single point")
+        return fun(*points)
+
+    return checked
+
+
+@pytest.mark.parametrize("derivatives", [True, False])
+def test_user_callables_receive_single_points(derivatives):
+    n, N = 2, 8
+    h = 1.0 / N
+    potential = {"potential": _single_point(n, lambda q: 0.5 * float(np.sum(np.sin(q) ** 2)))}
+    if derivatives:
+        potential["potential_grad"] = _single_point(n, lambda q: np.sin(q) * np.cos(q))
+        potential["potential_hess"] = _single_point(n, lambda q: np.diag(np.cos(2.0 * q)))
+    L = RnLagrangian(np.diag([1.0, 2.0]), h=h, **potential)
+    F = DiscreteForcePairRn(
+        (h / 2.0) * np.eye(n), (h / 2.0) * np.eye(n),
+        a_minus=_single_point(n, lambda qa, qb: 0.1 * np.sin(qa) * qb),
+        a_plus=_single_point(n, lambda qa, qb: 0.05 * qa * qb ** 2),
+    )
+    prob = tboc.OcProblemRn(
+        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
+    )
+    # without derivatives V_xx is a difference of differenced gradients, which
+    # floors the residual near 6e-6
+    sol = tboc.solve(prob, tol=1e-9 if derivatives else 1e-5)
+    assert sol.report.converged
+    r = mech.forced_del_residual(L, F, sol.qs[:-2], sol.qs[1:-1], sol.qs[2:],
+                                 sol.controls[:-1, 1], sol.controls[1:, 0])
+    assert np.max(np.abs(r)) < 1e-7
+
+
 @pytest.mark.parametrize("regime", ["fully actuated", "potential", "underactuated", "drift"])
 def test_structured_jacobian_equals_dense_fd(regime):
     prob = _structured_problem(regime)

@@ -8,12 +8,13 @@ retraction, g_{k+1} = g_k tau(h xi_k).  Each interval carries the momentum
 
 and the node momenta
 
-    nu_k     = mu_k                 - (h/2) f(xi_k, u_k^-)
-    nu_{k+1} = coAd(tau(h xi_k), mu_k) + (h/2) f(xi_k, u_k^+)
+    nu_k     = mu_k + (h/2) dV(g_k)                    - (h/2) f(xi_k, u_k^-)
+    nu_{k+1} = coAd(tau(h xi_k), mu_k) - (h/2) dV(g_{k+1}) + (h/2) f(xi_k, u_k^+)
 
-with the affine force model f(xi, u) = drift(h xi) + B u.  Inverting these
-relations expresses the control pair, hence the running cost, in terms of
-(nu_k, xi_k, nu_{k+1}); zeroing the gradient of the summed cost under
+with the affine force model f(xi, u) = drift(h xi) + B u and the
+left-trivialized potential gradient dV.  Inverting these relations
+(``momentum_defects``) expresses the control pair, hence the running cost, in
+terms of (nu_k, xi_k, nu_{k+1}); zeroing the gradient of the summed cost under
 group-consistent variations, together with the reconstruction condition that
 the tau-product of the interval displacements matches g0^-1 gT, yields a
 square root-finding problem.  nu_0 and nu_N are pinned to the boundary
@@ -30,8 +31,9 @@ the node configurations.  Apart from the user's callables, only the
 residual at fixed configurations is differenced, one column colour at a time.
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
-per-interval conditions that the momentum defects have no sigma-component,
-with one multiplier pair per interval adjoined to the interval cost.
+per-interval conditions that the momentum defects, less the drift, have no
+sigma-component, with one multiplier pair per interval adjoined to the
+interval cost.
 """
 
 from __future__ import annotations
@@ -212,17 +214,38 @@ def interval_momenta(system, h, xis):
     return z, W, mu, transported, D, A
 
 
-def nu_momenta(system, h, xi, u_minus, u_plus):
-    """Node momentum pair (nu_k, nu_{k+1}) generated by one interval."""
+def _legendre_ends(system, h, mu, transported, gs):
+    """l_k = mu_k + (h/2) grad V(g_k) and r_k = coAd(tau(h xi_k), mu_k)
+    - (h/2) grad V(g_{k+1}), from the node configurations gs."""
+    if system.potential is None:
+        return mu, transported
+    if gs is None:
+        raise DimensionMismatch("potential systems need the node configurations gs")
+    G = np.asarray(system.potential.left_grad(gs), dtype=float)
+    return (mu + (h / 2.0) * G[:-1].reshape(mu.shape),
+            transported - (h / 2.0) * G[1:].reshape(mu.shape))
+
+
+def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
+    """Node momenta (nu_k, nu_{k+1}) of one interval xi (n,) or of a batch
+    (N, n).  With a potential, ``gs`` must hold the node configurations:
+    (g_k, g_{k+1}), or g_0..g_N for a batch."""
     z, _, mu, transported, _, _ = interval_momenta(system, h, np.asarray(xi, dtype=float))
+    left, right = _legendre_ends(system, h, mu, transported, gs)
     Bt = system.control_basis.T
-    f_m = system.drift_values(z) + np.asarray(u_minus, dtype=float) @ Bt
-    f_p = system.drift_values(z) + np.asarray(u_plus, dtype=float) @ Bt
-    return mu - (h / 2.0) * f_m, transported + (h / 2.0) * f_p
+    d = system.drift_values(z)
+    f_m = d + np.asarray(u_minus, dtype=float) @ Bt
+    f_p = d + np.asarray(u_plus, dtype=float) @ Bt
+    return left - (h / 2.0) * f_m, right + (h / 2.0) * f_p
+
+
+# convergence test and iteration budget of dep_step's fixed point
+_DEP_TOL = 1e-13
+_DEP_MAX_FIXED_POINT = 200
 
 
 def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
-             g_k=None, step_index=0, tol=1e-13, max_fixed_point=200):
+             g_k=None, step_index=0):
     """Advance the discrete momentum equation by one interval.
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}) and the forcing around
@@ -252,10 +275,10 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
         return out
 
     xi = np.asarray(xi_prev, dtype=float).copy()
-    for _ in range(max_fixed_point):
+    for _ in range(_DEP_MAX_FIXED_POINT):
         target = mu_of(xi)
         xi_new = system.inertia_inv @ np.linalg.solve(_mt(group.dtau_inv_matrix(h * xi)), target)
-        if np.max(np.abs(xi_new - xi)) < tol * (1.0 + np.max(np.abs(xi_new))):
+        if np.max(np.abs(xi_new - xi)) < _DEP_TOL * (1.0 + np.max(np.abs(xi_new))):
             xi = xi_new
             break
         xi = xi_new
@@ -316,14 +339,14 @@ def reconstruct(group, g0, h, xis):
 # interval cost evaluation (batched over intervals)
 # ---------------------------------------------------------------------------
 
-def _controls_from_momenta(problem, xis, nus, gs=None, maps=None):
-    """Recover (u^-, u^+) for every interval from the node momenta.
+def momentum_defects(problem, xis, nus, gs=None, maps=None):
+    """(u^-, u^+, phi^-, phi^+) for every interval from the node momenta.
 
-    Returns (maps, d, um, up) with maps the tuple of ``interval_momenta``
-    (evaluated here unless given) and d the drift.  ``nus`` has shape
-    (N+1, n) and includes the pinned boundary entries.  For
-    potential-coupled systems the node configurations gs (N+1 elements)
-    must be given.
+    The defects delta^- = l_k - nu_k and delta^+ = nu_{k+1} - r_k (l, r of
+    ``_legendre_ends``) give the controls u = B^+((2/h) delta - d) and the
+    complement conditions phi = (delta - (h/2) d)_sigma, d the drift.
+    ``nus`` (N+1, n) includes the boundary entries; ``gs`` (g_0..g_N) is
+    needed with a potential; ``maps`` defaults to ``interval_momenta``.
     """
     sys_ = problem.system
     h = problem.h
@@ -331,49 +354,28 @@ def _controls_from_momenta(problem, xis, nus, gs=None, maps=None):
         maps = interval_momenta(sys_, h, xis)
     z, _, mu, transported, _, _ = maps
     d = sys_.drift_values(z)
-    left = mu.copy()
-    right = transported.copy()
-    if sys_.potential is not None:
-        G = np.asarray(sys_.potential.left_grad(gs), dtype=float)
-        left = left + (h / 2.0) * G[:-1]
-        right = right - (h / 2.0) * G[1:]
-    rm = (2.0 / h) * (left - nus[:-1]) - d
-    rp = (2.0 / h) * (nus[1:] - right) - d
-    um = rm @ sys_.control_pinv.T
-    up = rp @ sys_.control_pinv.T
-    return maps, d, um, up
-
-
-def _interval_costs(problem, xis, nus, lambdas=None, gs=None):
-    """(h/2)(C(u^-) + C(u^+)) per interval, plus multiplier terms if given."""
-    sys_ = problem.system
-    h = problem.h
-    (_, _, mu, transported, _, _), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
-    vals = (h / 2.0) * (problem.cost.value_batch(um) + problem.cost.value_batch(up))
-    if lambdas is not None and lambdas.size:
-        sigma = list(sys_.unactuated)
-        phi_m = (mu - nus[:-1] - (h / 2.0) * d)[:, sigma]
-        phi_p = (nus[1:] - transported - (h / 2.0) * d)[:, sigma]
-        vals = vals + np.einsum("ks,ks->k", lambdas[:, 0], phi_m)
-        vals = vals + np.einsum("ks,ks->k", lambdas[:, 1], phi_p)
-    return vals
+    left, right = _legendre_ends(sys_, h, mu, transported, gs)
+    delta_m = left - nus[:-1]
+    delta_p = nus[1:] - right
+    um = ((2.0 / h) * delta_m - d) @ sys_.control_pinv.T
+    up = ((2.0 / h) * delta_p - d) @ sys_.control_pinv.T
+    sigma = list(sys_.unactuated)
+    phi_m = (delta_m - (h / 2.0) * d)[:, sigma]
+    phi_p = (delta_p - (h / 2.0) * d)[:, sigma]
+    return um, up, phi_m, phi_p
 
 
 def action_sum(problem, xis, nus, lambdas=None, gs=None):
     """Total momentum-space cost (with multiplier terms) over the path."""
-    if gs is None and problem.system.potential is not None:
-        gs = reconstruct(problem.system.group, problem.g0, problem.h, xis)
-    return float(np.sum(_interval_costs(problem, xis, nus, lambdas, gs)))
-
-
-def _interval_maps(problem, xis, nus, gs=None):
-    """Per-interval (u^-, u^+, phi^-, phi^+) as functions of the velocities."""
-    sys_ = problem.system
     h = problem.h
-    (_, _, mu, transported, _, _), d, um, up = _controls_from_momenta(problem, xis, nus, gs)
-    phi_m = mu - nus[:-1] - (h / 2.0) * d
-    phi_p = nus[1:] - transported - (h / 2.0) * d
-    return um, up, phi_m, phi_p
+    if gs is None and problem.system.potential is not None:
+        gs = reconstruct(problem.system.group, problem.g0, h, xis)
+    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, gs)
+    vals = (h / 2.0) * (problem.cost.value_batch(um) + problem.cost.value_batch(up))
+    if lambdas is not None and lambdas.size:
+        vals = vals + np.einsum("ks,ks->k", lambdas[:, 0], phi_m)
+        vals = vals + np.einsum("ks,ks->k", lambdas[:, 1], phi_p)
+    return float(np.sum(vals))
 
 
 def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus):
@@ -463,7 +465,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     Blocks, in order:
       * velocity-slot stationarity at nodes 1..N-1        ((N-1) n)
       * node-momentum stationarity at nodes 1..N-1        ((N-1) n)
-      * underactuation conditions per interval, if any    (2 N (n-m))
+      * complement conditions per interval, if any        (2 N (n-m))
       * reconstruction constraint                         (n)
 
     ``nus_interior`` None stands for the eliminated momenta of
@@ -480,7 +482,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     xis = np.asarray(xis, dtype=float)
     maps = interval_momenta(sys_, h, xis)
     if nus_interior is None:
-        nus = _eliminated(problem, maps)
+        nus = eliminated_nus(problem, xis, maps)
     else:
         nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
     frozen = gs is not None
@@ -489,8 +491,8 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
 
-    (z, _, mu, transported, Dp, A), d, um, up = _controls_from_momenta(
-        problem, xis, nus, gs, maps)
+    z, _, mu, _, Dp, A = maps
+    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, gs, maps)
     gum = problem.cost.grad_batch(um) @ sys_.control_pinv
     gup = problem.cost.grad_batch(up) @ sys_.control_pinv
     # the interval costs' derivatives in mu and in its transport
@@ -508,9 +510,10 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
 
     if sys_.potential is not None:
         # left-trivialized dependence of the interval costs on interior nodes:
-        # d(cost_k)/dG_k = (h/2) P^T gradC(u^-_k); d(cost_{k-1})/dG_k likewise
+        # G_k enters interval k beside mu_k and interval k-1 opposite its
+        # transport, each with weight h/2
         Hs = _potential_hessians(sys_, gs[1:N])
-        w = (h / 2.0) * (gum[1:N] + gup[: N - 1])
+        w = (h / 2.0) * (c_minus[1:N] - c_plus[: N - 1])
         xi_blocks = xi_blocks + np.einsum("kij,ki->kj", Hs, w)
 
     # nu_k enters interval k opposite mu_k, and interval k-1 opposite its transport
@@ -518,8 +521,6 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
 
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
     if underactuated:
-        phi_m = (mu - nus[:-1] - (h / 2.0) * d)[:, sigma]
-        phi_p = (nus[1:] - transported - (h / 2.0) * d)[:, sigma]
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
     if not frozen:
         parts.append(reconstruction_residual(problem, xis))
@@ -539,28 +540,25 @@ def _momenta_eliminable(problem):
     )
 
 
-def eliminated_nus(problem, xis):
+def eliminated_nus(problem, xis, maps=None):
     """Node momenta (boundary entries included) that satisfy momentum
     stationarity exactly.
 
     Valid when ``_momenta_eliminable``: each interior nu_k is the average of
-    the momenta the two adjacent intervals propagate to node k.
+    the momenta the two adjacent intervals propagate to node k.  ``maps``
+    defaults to ``interval_momenta``.
     """
-    return _eliminated(problem, interval_momenta(problem.system, problem.h,
-                                                 np.asarray(xis, dtype=float)))
-
-
-def _eliminated(problem, maps):
-    """``eliminated_nus`` from the tuple of ``interval_momenta``."""
     if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs the kinetic L2 setup")
+    if maps is None:
+        maps = interval_momenta(problem.system, problem.h, np.asarray(xis, dtype=float))
     _, _, mu, transported, _, _ = maps
     return _full_nus(problem, 0.5 * (mu[1:] + transported[:-1]))
 
 
-def residual_dimension(problem, eliminate_momenta=False):
+def residual_dimension(problem):
     N, n, m = problem.N, problem.system.n, problem.system.m
-    if eliminate_momenta:
+    if _momenta_eliminable(problem):
         return N * n
     dim = (2 * N - 1) * n
     if not problem.system.fully_actuated:
@@ -619,7 +617,7 @@ def _unpack(problem, z, eliminate):
     return xis, nus_interior, lambdas
 
 
-def _jacobian_structure(problem, eliminate):
+def _jacobian_structure(problem):
     """Sparsity of the residual Jacobian with the configurations held fixed,
     read off the block layout.
 
@@ -633,10 +631,10 @@ def _jacobian_structure(problem, eliminate):
     """
     sys_ = problem.system
     N, n, s = problem.N, sys_.n, sys_.n - sys_.m
-    dim = residual_dimension(problem, eliminate)
+    dim = residual_dimension(problem)
     xi = np.arange(N * n).reshape(N, n)
     pattern = np.zeros((dim - n, dim), dtype=bool)
-    if eliminate:
+    if _momenta_eliminable(problem):
         for k in range(1, N):
             pattern[(k - 1) * n : k * n, xi[max(k - 2, 0) : k + 2].ravel()] = True
     else:
@@ -666,21 +664,25 @@ def _node_shift_structure(problem):
     """Sparsity of the residual in the node shifts g_j tau(s_j), j = 1..N.
 
     The rows at node k see the potential at g_{k-1}, g_k and g_{k+1}; the
-    complement rows do not see it.
+    complement rows of interval k see it at g_k and g_{k+1}.
     """
-    N, n = problem.N, problem.system.n
+    N, n, s = problem.N, problem.system.n, problem.system.n - problem.system.m
     pattern = np.zeros((residual_dimension(problem) - n, N * n), dtype=bool)
     for k in range(1, N):
         pattern[_node_rows(N, n, k), max(k - 2, 0) * n : (k + 1) * n] = True
+    for k in range(N):
+        first = 2 * (N - 1) * n + 2 * k * s
+        pattern[first : first + 2 * s, max(k - 1, 0) * n : (k + 1) * n] = True
     return JacobianStructure(pattern=pattern)
 
 
-def residual_system(problem, eliminate_momenta=None):
-    """Square ResidualSystem for ``solve``; returns (system, eliminate_flag).
+def residual_system(problem):
+    """Square ResidualSystem for ``solve``; returns (system, eliminated).
 
-    With eliminated momenta the unknowns are the interval velocities alone
-    and the residual is the N n-dimensional one: velocity stationarity at
-    the interior nodes plus the reconstruction constraint.
+    The momenta are eliminated whenever ``_momenta_eliminable``: the
+    unknowns are then the interval velocities alone and the residual is the
+    N n-dimensional one, velocity stationarity at the interior nodes plus
+    the reconstruction constraint.
 
     The Jacobian takes everything that flows through the reconstruction
     g_{k+1} = g_k tau(h xi_k) from one ``reconstruct`` and the sensitivities
@@ -693,26 +695,25 @@ def residual_system(problem, eliminate_momenta=None):
         g_j tau(s_j) (``_node_shift_structure``), chained onto the xi
         columns through S.
     """
-    if eliminate_momenta is None:
-        eliminate_momenta = _momenta_eliminable(problem)
+    eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
 
     def residual(z, gs=None):
-        xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
-        if not eliminate_momenta:
+        xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+        if not eliminated:
             return general_residual(problem, xis, nus_interior, lambdas, gs)
         res = general_residual(problem, xis, None, gs=gs)
         # node-momentum stationarity vanishes identically under the elimination
         return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
-    local = _jacobian_structure(problem, eliminate_momenta)
+    local = _jacobian_structure(problem)
     shifts = None
     if problem.system.potential is not None:
         shifts = _node_shift_structure(problem)
 
     def jacobian(z):
-        xis = _unpack(problem, z, eliminate_momenta)[0]
+        xis = _unpack(problem, z, eliminated)[0]
         gs = reconstruct(group, problem.g0, h, xis)
         J = solvers.fd_jacobian(lambda w: residual(w, gs), z, structure=local)
         Ainv, P = _sensitivities(group, h, xis, gs)
@@ -734,14 +735,15 @@ def residual_system(problem, eliminate_momenta=None):
         border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
         return np.vstack([J, border])
 
-    dim = residual_dimension(problem, eliminate_momenta)
-    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminate_momenta
+    return (ResidualSystem(dim=residual_dimension(problem), eval=residual,
+                           jacobian=jacobian), eliminated)
 
 
-def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
-          eliminate_momenta=None):
+def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     """Solve the two-point problem and recover the control trajectory.
 
+    ``guess`` is (xis, nus_interior, lambdas); with eliminated momenta
+    (``residual_system``) only xis is read.
     ``method`` is one of ``solvers.METHODS`` or "auto"; ``solvers.solve``
     runs its attempts, each from the initial guess z0 with its own budget of
     ``max_iter`` iterations.  Auto means Newton with an LM fallback when
@@ -751,29 +753,29 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None,
     SingularJacobian when every attempt fails, ConfigError for an unknown
     method.
     """
-    system, eliminate = residual_system(problem, eliminate_momenta)
+    system, eliminated = residual_system(problem)
     if guess is None:
         guess = initial_guess(problem)
-    z0 = _pack(*guess, eliminate)
+    z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     z, report = solvers.solve(system, z0, attempts, method,
                               problem.system.fully_actuated, tol, max_iter)
-    return assemble_solution(problem, z, eliminate, report)
+    return assemble_solution(problem, z, report)
 
 
-def assemble_solution(problem, z, eliminate_momenta=None, report=None):
-    """Build a LieOcSolution from a packed unknown vector (e.g. a solver's
-    best iterate), recovering path, controls and cost."""
+def assemble_solution(problem, z, report=None):
+    """Build a LieOcSolution from a packed unknown vector of
+    ``residual_system`` (e.g. a solver's best iterate), recovering path,
+    controls and cost."""
     sys_ = problem.system
-    if eliminate_momenta is None:
-        eliminate_momenta = _momenta_eliminable(problem)
-    xis, nus_interior, lambdas = _unpack(problem, z, eliminate_momenta)
-    if eliminate_momenta:
+    eliminated = _momenta_eliminable(problem)
+    xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+    if eliminated:
         nus = eliminated_nus(problem, xis)
     else:
         nus = _full_nus(problem, nus_interior)
     gs = reconstruct(sys_.group, problem.g0, problem.h, xis)
-    _, _, um, up = _controls_from_momenta(problem, xis, nus, gs)
+    um, up, _, _ = momentum_defects(problem, xis, nus, gs)
     controls = np.stack([um, up], axis=1)
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)

@@ -62,22 +62,6 @@ def vee3(W):
     )
 
 
-def hat4(xi):
-    """4x4 se(3) matrix of xi = (omega, v)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != 6:
-        raise DimensionMismatch("expected vectors of length 6")
-    out = np.zeros(xi.shape[:-1] + (4, 4))
-    out[..., :3, :3] = hat3(xi[..., :3])
-    out[..., :3, 3] = xi[..., 3:]
-    return out
-
-
-def vee4(X):
-    X = np.asarray(X, dtype=float)
-    return np.concatenate([vee3(X[..., :3, :3]), X[..., :3, 3]], axis=-1)
-
-
 def _mt(A):
     """Batched matrix transpose."""
     return np.swapaxes(A, -1, -2)

@@ -210,11 +210,13 @@ def legendre_pair(lagrangian, forces, q_a, q_b, u_minus, u_plus):
     return p_a, p_b
 
 
-# floor of the step tolerance, per unit of |M q| / h: a few rounding units
+# bound on the max-abs DEL residual of each step, and its floor per unit of
+# |M q| / h: a few rounding units
+_STEP_TOL = 1e-12
 _STEP_ROUNDING = 16.0 * np.finfo(float).eps
 
 
-def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
+def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     """March the forced discrete Euler-Lagrange equation forward.
 
     ``controls`` has shape (steps, 2, m): controls[k] = (u_k^-, u_k^+) for
@@ -222,10 +224,10 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
     The first interval [q0, q1] is part of the initial data, so ``steps``
     counts the intervals including that one.
 
-    ``tol`` bounds the max-abs DEL residual of each step, but never below a
-    few rounding units of the momentum terms M q / h: the difference
-    quotients lose eps |q| / h each, so far from the origin an absolute 1e-12
-    could not be met.
+    Each step solves the DEL residual to an absolute 1e-12, but never below
+    a few rounding units of the momentum terms M q / h: the difference
+    quotients lose eps |q| / h each, so far from the origin 1e-12 could not
+    be met.
     """
     n = lagrangian.dim
     q0 = np.asarray(q0, dtype=float)
@@ -242,7 +244,7 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None, tol=1e-12):
                       * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(tol, rounding_per_q * np.max(np.abs(q_k)))
+        step_tol = max(_STEP_TOL, rounding_per_q * np.max(np.abs(q_k)))
         u_prev_plus = controls[k - 1, 1]
         u_k_minus = controls[k, 0]
 

@@ -253,15 +253,6 @@ def optimality_residual(problem, qs, ps, lambdas=None, aug=None):
                            np.stack(aug.phi(*ends), axis=1).reshape(-1)])
 
 
-def action_sum(problem, qs, ps, lambdas=None, aug=None):
-    """Sum of the momentum-space interval costs (with multiplier terms)."""
-    qs, ps = _states(problem, qs, ps)
-    if aug is None:
-        aug = AugmentedLagrangianRn(problem)
-    lm, lp = (None, None) if lambdas is None else (lambdas[:, 0], lambdas[:, 1])
-    return float(np.sum(aug.multiplier_value(qs[:-1], ps[:-1], qs[1:], ps[1:], lm, lp)))
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -347,3 +347,36 @@ def test_invalid_rotation_matrix_rejected(tmp_path):
                                                       [0.0, 0.0, 1.0]]}
     cfg = write_config(tmp_path / "c.json", base)
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_verify_checks_the_written_controls(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    path = os.path.join(out, "controls.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    header = lines[0].strip().split(",")
+    cells = lines[4].split(",")
+    column = header.index("um0")
+    cells[column] = format(float(cells[column]) + 0.5, ".17g")  # u^-_3, axis 0
+    lines[4] = ",".join(cells)
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert cli.main(["verify", cfg, out]) == 2
+    # h/2 times the control change moves the node momentum nu_3
+    assert "dynamics_residual: 2.500e-02 FAIL" in capsys.readouterr().out
+    checks = read_report(out)["checks"]
+    assert [name for name, value in checks.items() if value > 1e-6] == ["dynamics_residual"]
+
+
+@pytest.mark.parametrize("kind", ["smoothed_l1", "nonsense"])
+def test_point_mass_rejects_a_cost_it_ignores(tmp_path, kind):
+    bad = point_mass_cfg()
+    bad["problem"]["cost"] = {"kind": kind}
+    cfg = write_config(tmp_path / "c.json", bad)
+    assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
+    good = point_mass_cfg()
+    good["problem"]["cost"] = {"kind": "l2"}
+    assert cli.build_setup(good)[0] == "rn"

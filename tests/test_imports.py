@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, the package
-reads every private module-level name it defines, and every module-level
-function reads every parameter it takes."""
+reads every private module-level name it defines, no module reads another
+module's private names, and every module-level function reads every
+parameter it takes."""
 
 import ast
 import os
@@ -121,3 +122,41 @@ def test_the_check_finds_an_unread_parameter():
 def test_no_unread_parameters(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unread_parameters(fh.read()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source):
+    """(line, "module.name") for each private name of a sibling module that a
+    module reads, as ``module._name`` after ``from . import module`` or as
+    ``from .module import _name``."""
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found += [(node.lineno, f"{node.module}.{alias.name}")
+                          for alias in node.names if _private(alias.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and _private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_check_finds_a_private_read_across_modules():
+    source = ("import numpy as np\nfrom . import lgoc, lie\n"
+              "from .solvers import newton, _helper\n\n"
+              "print(lgoc._full_nus(1), lie.hat3(2), lgoc.__name__, np._pytesttester,\n"
+              "      newton, _helper)\n")
+    assert private_reads(source) == [(3, "solvers._helper"), (5, "lgoc._full_nus")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_reads_across_modules(module):
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert private_reads(fh.read()) == []

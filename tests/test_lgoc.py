@@ -1,5 +1,7 @@
 """Reduced optimal control on Lie groups: kinematics, residuals, solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,11 @@ def test_reconstruct_consistency():
 @pytest.mark.parametrize("N", [4, 16])
 def test_residual_dimensions(N):
     full = rigid_body_problem(N=N)
+    # fully actuated, but a non-quadratic cost keeps the momenta
+    general = rigid_body_problem(N=N, cost=SmoothedL1Cost(eps=1e-3))
     under = rigid_body_problem(actuated=(0, 1), N=N)
-    assert lgoc.residual_dimension(full, eliminate_momenta=True) == N * 3
-    assert lgoc.residual_dimension(full) == (2 * N - 1) * 3
+    assert lgoc.residual_dimension(full) == N * 3
+    assert lgoc.residual_dimension(general) == (2 * N - 1) * 3
     assert lgoc.residual_dimension(under) == (2 * N - 1) * 3 + 2 * N * 1
     sys_full, elim = lgoc.residual_system(full)
     assert elim and sys_full.dim == N * 3
@@ -190,6 +194,9 @@ def jacobian_regimes():
         "cayley eliminated": rigid_body_problem(N=6),
         "exp": rigid_body_problem(N=6, retraction=lie.EXPONENTIAL),
         "heavy top": rigid_body_problem(N=6, potential=systems.HeavyTopPotential(0.8)),
+        # gravity acts on body axes 0 and 1, so also on the unactuated one
+        "underactuated heavy top": rigid_body_problem(
+            actuated=(1, 2), N=6, potential=systems.HeavyTopPotential(0.8)),
         "uuv": OcProblemLie(
             system=uuv, g0=uuv.group.identity(), xi0=np.zeros(6),
             gT=uuv.group.tau(np.array([0.1, 0.0, 0.2, 0.5, 0.0, 0.1])),
@@ -211,7 +218,7 @@ def test_coloured_jacobian_matches_dense_fd(regime, monkeypatch):
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     n = prob.system.n
-    assert len(lgoc._jacobian_structure(prob, eliminate).colours) < system.dim
+    assert len(lgoc._jacobian_structure(prob).colours) < system.dim
     rng = np.random.default_rng(11)
     dense = solvers.fd_jacobian
     if prob.system.potential is None:
@@ -250,13 +257,15 @@ def test_coloured_jacobian_matches_dense_fd(regime, monkeypatch):
 
 
 def test_assembled_potential_jacobian_matches_dense_fd():
-    prob = jacobian_regimes()["heavy top"]
-    system, eliminate = lgoc.residual_system(prob)
-    rng = np.random.default_rng(11)
-    for _ in range(2):
-        z = _random_point(prob, eliminate, rng)
-        J_dense = solvers.fd_jacobian(system.eval, z)
-        assert np.max(np.abs(system.jac(z) - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
+    under = rigid_body_problem(actuated=(1, 2), N=8,
+                               potential=systems.HeavyTopPotential(0.05))
+    for prob in (jacobian_regimes()["heavy top"], under):
+        system, eliminate = lgoc.residual_system(prob)
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            z = _random_point(prob, eliminate, rng)
+            J_dense = solvers.fd_jacobian(system.eval, z)
+            assert np.max(np.abs(system.jac(z) - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
 
 
 def test_eliminated_cayley_jacobian_takes_twelve_colours():
@@ -264,14 +273,14 @@ def test_eliminated_cayley_jacobian_takes_twelve_colours():
     for N in (6, 32):
         prob = rigid_body_problem(N=N)
         system, eliminate = lgoc.residual_system(prob)
-        assert eliminate and len(lgoc._jacobian_structure(prob, eliminate).colours) == 12
+        assert eliminate and len(lgoc._jacobian_structure(prob).colours) == 12
 
 
 def test_heavy_top_passes_take_fifteen_and_nine_colours():
     # with the configurations held fixed node k touches intervals k-1 and k
     # only; the node shifts g_{k-1..k+1} reach it, 3n colours
     prob = rigid_body_problem(N=16, potential=systems.HeavyTopPotential(0.8))
-    assert len(lgoc._jacobian_structure(prob, False).colours) <= 15
+    assert len(lgoc._jacobian_structure(prob).colours) <= 15
     assert len(lgoc._node_shift_structure(prob).colours) == 9
 
 
@@ -289,7 +298,7 @@ def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch)
 
     monkeypatch.setattr(lgoc, "general_residual", counted)
     system.jac(z)
-    assert len(calls) == 2 * len(lgoc._jacobian_structure(prob, eliminate).colours)
+    assert len(calls) == 2 * len(lgoc._jacobian_structure(prob).colours)
 
 
 def _four_point(f, x, j, step):
@@ -419,17 +428,22 @@ def random_point(prob, rng, with_lambdas):
     return xis, nus, lambdas
 
 
-@pytest.mark.parametrize("case", ["full", "under", "potential"])
+@pytest.mark.parametrize("case", ["full", "under", "potential", "under potential"])
 def test_residual_is_action_gradient(case):
     rng = np.random.default_rng(4)
     if case == "full":
         prob = rigid_body_problem()
     elif case == "under":
         prob = rigid_body_problem(actuated=(0, 1))
-    else:
+    elif case == "potential":
         prob = rigid_body_problem(potential=systems.HeavyTopPotential(0.8))
+    else:
+        # the complement conditions see the potential, so the multipliers
+        # enter the velocity rows through it
+        prob = rigid_body_problem(actuated=(1, 2),
+                                  potential=systems.HeavyTopPotential(0.8))
     for _ in range(5):
-        xis, nus, lambdas = random_point(prob, rng, case == "under")
+        xis, nus, lambdas = random_point(prob, rng, not prob.system.fully_actuated)
         dS, predicted = directional_action_derivative(prob, xis, nus, lambdas, rng)
         assert abs(dS - predicted) < 1e-6 * (1.0 + abs(dS))
 
@@ -440,12 +454,9 @@ def _stencil_xi_gradients(problem, xis, nus, lambdas=None, gs=None):
     xis = np.asarray(xis, dtype=float)
     h = problem.h
     n = xis.shape[1]
-    um0, up0, _, _ = lgoc._interval_maps(problem, xis, nus, gs)
+    um0, up0, _, _ = lgoc.momentum_defects(problem, xis, nus, gs)
     gm = (h / 2.0) * np.asarray(problem.cost.grad_batch(um0), dtype=float)
     gp = (h / 2.0) * np.asarray(problem.cost.grad_batch(up0), dtype=float)
-    sigma = None
-    if lambdas is not None and lambdas.size:
-        sigma = list(problem.system.unactuated)
     out = np.empty_like(xis)
     for j in range(n):
         s = 1e-4 * (1.0 + np.abs(xis[:, j]))
@@ -453,7 +464,7 @@ def _stencil_xi_gradients(problem, xis, nus, lambdas=None, gs=None):
         def shifted(mult):
             x = xis.copy()
             x[:, j] += mult * s
-            return lgoc._interval_maps(problem, x, nus, gs)
+            return lgoc.momentum_defects(problem, x, nus, gs)
 
         stencil = [shifted(-2.0), shifted(-1.0), shifted(1.0), shifted(2.0)]
 
@@ -465,9 +476,9 @@ def _stencil_xi_gradients(problem, xis, nus, lambdas=None, gs=None):
 
         col = np.einsum("ki,ki->k", gm, diff(0))
         col += np.einsum("ki,ki->k", gp, diff(1))
-        if sigma is not None:
-            col += np.einsum("ks,ks->k", lambdas[:, 0], diff(2)[:, sigma])
-            col += np.einsum("ks,ks->k", lambdas[:, 1], diff(3)[:, sigma])
+        if lambdas is not None and lambdas.size:
+            col += np.einsum("ks,ks->k", lambdas[:, 0], diff(2))
+            col += np.einsum("ks,ks->k", lambdas[:, 1], diff(3))
         out[:, j] = col
     return out
 
@@ -601,10 +612,6 @@ def test_eliminated_nus_rejects_underactuated_problem():
     xis, _, _ = lgoc.initial_guess(under)
     with pytest.raises(DimensionMismatch):
         lgoc.eliminated_nus(under, xis)
-    # so does a residual system forced to eliminate the momenta
-    system, _ = lgoc.residual_system(under, eliminate_momenta=True)
-    with pytest.raises(DimensionMismatch):
-        system.eval(xis.reshape(-1))
 
 
 def test_eliminated_momenta_zero_the_momentum_block():
@@ -630,12 +637,56 @@ def test_elimination_requires_quadratic_cost():
 
 def test_eliminated_and_general_solves_agree():
     prob = rigid_body_problem(N=8)
-    s1 = lgoc.solve(prob, tol=1e-10, eliminate_momenta=True)
-    s2 = lgoc.solve(prob, tol=1e-10, eliminate_momenta=False)
+    # a drift that is identically zero changes nothing in the problem but
+    # keeps the momenta among the unknowns
+    general = dataclasses.replace(
+        prob, system=dataclasses.replace(prob.system, drift=lambda z: 0.0 * z))
+    assert lgoc.residual_system(prob)[1] and not lgoc.residual_system(general)[1]
+    s1 = lgoc.solve(prob, tol=1e-10)
+    s2 = lgoc.solve(general, tol=1e-10)
     assert s1.report.converged and s2.report.converged
     assert np.max(np.abs(s1.gs - s2.gs)) < 1e-8
     assert np.max(np.abs(s1.controls - s2.controls)) < 1e-8
     assert abs(s1.cost - s2.cost) < 1e-8
+
+
+def test_underactuated_heavy_top_controls_reproduce_the_path():
+    # gravity acts on the unactuated body axis 0: the complement conditions
+    # must carry the potential's half steps, as the recovered controls do
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(1, 2),
+                                 potential=systems.HeavyTopPotential(0.3))
+    exp = lie.so3(lie.EXPONENTIAL)
+    gT = exp.tau(np.array([0.0, 0.0, 0.5])) @ exp.tau(np.array([0.0, 0.3, 0.0]))
+    prob = OcProblemLie(system=system, g0=np.eye(3), xi0=np.zeros(3), gT=gT,
+                        xiT=np.zeros(3), N=8, h=0.1, cost=L2Cost())
+    sol = lgoc.solve(prob, tol=1e-9, method="newton")
+    assert sol.report.converged
+    gs, _, _ = lgoc.integrate_reduced(system, prob.g0, sol.xis[0], prob.h, prob.N,
+                                      controls=sol.controls)
+    assert np.max(np.abs(gs[-1] - gT)) < 1e-10
+    left, right = lgoc.nu_momenta(system, prob.h, sol.xis, sol.controls[:, 0],
+                                  sol.controls[:, 1], gs=sol.gs)
+    assert np.max(np.abs(left - sol.nus[:-1])) < 1e-10
+    assert np.max(np.abs(right - sol.nus[1:])) < 1e-10
+
+
+def test_nu_momenta_needs_the_configurations_with_a_potential():
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                 potential=systems.HeavyTopPotential(0.8))
+    xis = 0.3 * np.random.default_rng(6).normal(size=(4, 3))
+    u = np.zeros((4, 3))
+    with pytest.raises(DimensionMismatch):
+        lgoc.nu_momenta(system, 0.1, xis, u, u)
+    gs = lgoc.reconstruct(system.group, np.eye(3), 0.1, xis)
+    left, right = lgoc.nu_momenta(system, 0.1, xis, u, u, gs=gs)
+    # an unforced interval: the momenta move by the potential's half steps
+    G = system.potential.left_grad(gs)
+    _, _, mu, transported, _, _ = lgoc.interval_momenta(system, 0.1, xis)
+    assert np.max(np.abs(left - (mu + 0.05 * G[:-1]))) < 1e-15
+    assert np.max(np.abs(right - (transported - 0.05 * G[1:]))) < 1e-15
+    # one interval takes its two node configurations
+    one = lgoc.nu_momenta(system, 0.1, xis[2], u[2], u[2], gs=gs[2:4])
+    assert np.array_equal(one[0], left[2]) and np.array_equal(one[1], right[2])
 
 
 def test_left_invariance_of_the_solution():

@@ -214,14 +214,21 @@ def interval_momenta(system, h, xis):
     return z, W, mu, transported, D, A
 
 
-def _legendre_ends(system, h, mu, transported, gs):
-    """l_k = mu_k + (h/2) grad V(g_k) and r_k = coAd(tau(h xi_k), mu_k)
-    - (h/2) grad V(g_{k+1}), from the node configurations gs."""
+def _node_grads(system, gs):
+    """The potential's left gradients grad V(g) at the node configurations
+    gs; None without a potential."""
     if system.potential is None:
-        return mu, transported
+        return None
     if gs is None:
         raise DimensionMismatch("potential systems need the node configurations gs")
-    G = np.asarray(system.potential.left_grad(gs), dtype=float)
+    return np.asarray(system.potential.left_grad(gs), dtype=float)
+
+
+def _legendre_ends(h, mu, transported, G):
+    """l_k = mu_k + (h/2) grad V(g_k) and r_k = coAd(tau(h xi_k), mu_k)
+    - (h/2) grad V(g_{k+1}), from the node gradients G of ``_node_grads``."""
+    if G is None:
+        return mu, transported
     return (mu + (h / 2.0) * G[:-1].reshape(mu.shape),
             transported - (h / 2.0) * G[1:].reshape(mu.shape))
 
@@ -231,7 +238,7 @@ def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
     (N, n).  With a potential, ``gs`` must hold the node configurations:
     (g_k, g_{k+1}), or g_0..g_N for a batch."""
     z, _, mu, transported, _, _ = interval_momenta(system, h, np.asarray(xi, dtype=float))
-    left, right = _legendre_ends(system, h, mu, transported, gs)
+    left, right = _legendre_ends(h, mu, transported, _node_grads(system, gs))
     Bt = system.control_basis.T
     d = system.drift_values(z)
     f_m = d + np.asarray(u_minus, dtype=float) @ Bt
@@ -339,14 +346,16 @@ def reconstruct(group, g0, h, xis):
 # interval cost evaluation (batched over intervals)
 # ---------------------------------------------------------------------------
 
-def momentum_defects(problem, xis, nus, gs=None, maps=None):
+def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None):
     """(u^-, u^+, phi^-, phi^+) for every interval from the node momenta.
 
     The defects delta^- = l_k - nu_k and delta^+ = nu_{k+1} - r_k (l, r of
     ``_legendre_ends``) give the controls u = B^+((2/h) delta - d) and the
     complement conditions phi = (delta - (h/2) d)_sigma, d the drift.
     ``nus`` (N+1, n) includes the boundary entries; ``gs`` (g_0..g_N) is
-    needed with a potential; ``maps`` defaults to ``interval_momenta``.
+    needed with a potential, unless ``grads`` holds the potential's
+    gradients there (``_node_grads``); ``maps`` defaults to
+    ``interval_momenta``.
     """
     sys_ = problem.system
     h = problem.h
@@ -354,7 +363,9 @@ def momentum_defects(problem, xis, nus, gs=None, maps=None):
         maps = interval_momenta(sys_, h, xis)
     z, _, mu, transported, _, _ = maps
     d = sys_.drift_values(z)
-    left, right = _legendre_ends(sys_, h, mu, transported, gs)
+    if grads is None:
+        grads = _node_grads(sys_, gs)
+    left, right = _legendre_ends(h, mu, transported, grads)
     delta_m = left - nus[:-1]
     delta_p = nus[1:] - right
     um = ((2.0 / h) * delta_m - d) @ sys_.control_pinv.T
@@ -423,6 +434,12 @@ def _potential_hessians(system, gs_interior, step=1e-6):
     return fd_jacobian(shifted_grads, np.zeros(n), step=step).reshape(-1, n, n)
 
 
+def _potential_terms(system, gs):
+    """The potential's left gradients at g_0..g_N and its Hessians
+    (``_potential_hessians``) at the interior nodes."""
+    return _node_grads(system, gs), _potential_hessians(system, gs[1:-1])
+
+
 def reconstruction_residual(problem, xis):
     """tau^-1 of the mismatch between the path displacement and g0^-1 gT."""
     group = problem.system.group
@@ -459,7 +476,8 @@ def _full_nus(problem, nus_interior):
 # residuals
 # ---------------------------------------------------------------------------
 
-def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
+def general_residual(problem, xis, nus_interior, lambdas=None, gs=None,
+                     potential=None):
     """Optimality system for the momentum-space formulation.
 
     Blocks, in order:
@@ -474,7 +492,9 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
     the velocities reconstruct: the potential then acts at gs, and the
     reconstruction rows, which depend on xi only through g_N, are left out.
     The Jacobian differences the residual this way and adds the
-    configurations' dependence on xi exactly.
+    configurations' dependence on xi exactly.  ``potential`` holds the
+    potential's terms at the fixed gs (``_potential_terms``), so a caller
+    that evaluates many residuals at one gs computes them once.
     """
     sys_ = problem.system
     group = sys_.group
@@ -492,7 +512,10 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
         lambdas = np.asarray(lambdas, dtype=float)
 
     z, _, mu, _, Dp, A = maps
-    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, gs, maps)
+    if sys_.potential is not None and potential is None:
+        potential = _potential_terms(sys_, gs)
+    grads, Hs = (None, None) if potential is None else potential
+    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, gs, maps, grads)
     gum = problem.cost.grad_batch(um) @ sys_.control_pinv
     gup = problem.cost.grad_batch(up) @ sys_.control_pinv
     # the interval costs' derivatives in mu and in its transport
@@ -512,7 +535,6 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None):
         # left-trivialized dependence of the interval costs on interior nodes:
         # G_k enters interval k beside mu_k and interval k-1 opposite its
         # transport, each with weight h/2
-        Hs = _potential_hessians(sys_, gs[1:N])
         w = (h / 2.0) * (c_minus[1:N] - c_plus[: N - 1])
         xi_blocks = xi_blocks + np.einsum("kij,ki->kj", Hs, w)
 
@@ -699,11 +721,12 @@ def residual_system(problem):
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
 
-    def residual(z, gs=None):
+    def residual(z, gs=None, potential=None):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
         if not eliminated:
-            return general_residual(problem, xis, nus_interior, lambdas, gs)
-        res = general_residual(problem, xis, None, gs=gs)
+            return general_residual(problem, xis, nus_interior, lambdas, gs,
+                                    potential)
+        res = general_residual(problem, xis, None, gs=gs, potential=potential)
         # node-momentum stationarity vanishes identically under the elimination
         return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
@@ -715,7 +738,12 @@ def residual_system(problem):
     def jacobian(z):
         xis = _unpack(problem, z, eliminated)[0]
         gs = reconstruct(group, problem.g0, h, xis)
-        J = solvers.fd_jacobian(lambda w: residual(w, gs), z, structure=local)
+        # the local pass holds gs fixed, so the potential's terms there are
+        # computed once for all its residuals
+        frozen = None
+        if shifts is not None:
+            frozen = _potential_terms(problem.system, gs)
+        J = solvers.fd_jacobian(lambda w: residual(w, gs, frozen), z, structure=local)
         Ainv, P = _sensitivities(group, h, xis, gs)
         if shifts is not None:
             def shifted(s):

@@ -27,6 +27,13 @@ from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolv
 from .solvers import ResidualSystem, fd_jacobian, newton
 
 
+# relative step of the differenced curvature terms, V_xxx and
+# drift_curvature: each differences a derivative that is itself a central
+# difference (or, for V_xxx, may be), so rounding grows like eps / step^2
+# against a truncation error like step^2
+_CURVATURE_STEP = 1e-4
+
+
 def _per_point(fun, *points):
     """A user callable with a per-point contract, at every point of a batch.
 
@@ -86,6 +93,19 @@ class RnLagrangian:
 
     def V_xx(self, q):
         return 0.0 if self.potential is None else _per_point(self._hess, q)
+
+    def V_xxx(self, q, w):
+        """D^3 V(q)[w] = d/dt V_xx(q + t w) at t = 0, for one point or a
+        batch: the potential's third derivative along w, by a central
+        difference of V_xx.  A scalar zero without a potential."""
+        if self.potential is None:
+            return 0.0
+        q, w = np.asarray(q, dtype=float), np.asarray(w, dtype=float)
+        size = np.max(np.abs(w), axis=-1, keepdims=True)
+        # the shift t w has max norm _CURVATURE_STEP (1 + |q|)
+        t = (_CURVATURE_STEP * (1.0 + np.max(np.abs(q), axis=-1, keepdims=True))
+             / np.where(size > 0.0, size, 1.0))
+        return (self.V_xx(q + t * w) - self.V_xx(q - t * w)) / (2.0 * t[..., None])
 
     def _grad(self, q):
         if self.potential_grad is not None:
@@ -174,6 +194,25 @@ class DiscreteForcePairRn:
             return 0.0, 0.0
         return (_per_point(lambda x, y: fd_jacobian(lambda q: a(q, y), x), qa, qb),
                 _per_point(lambda x, y: fd_jacobian(lambda q: a(x, q), y), qa, qb))
+
+    def drift_curvature(self, which, qa, qb, v):
+        """Hessian of v . a(q_a, q_b) in (q_a, q_b), shape (2n, 2n) per
+        interval, by nested central differences of the drift; a scalar zero
+        without a drift."""
+        a = self.a_minus if which == "-" else self.a_plus
+        if a is None:
+            return 0.0
+        n = self.dim
+
+        def one(qa, qb, v):
+            def grad(x):
+                return fd_jacobian(lambda y: v @ a(y[:n], y[n:]), x,
+                                   step=_CURVATURE_STEP)[0]
+
+            H = fd_jacobian(grad, np.concatenate([qa, qb]), step=_CURVATURE_STEP)
+            return 0.5 * (H + H.T)
+
+        return _per_point(one, qa, qb, v)
 
     def f_minus(self, qa, qb, u):
         return self.drift("-", qa, qb) + np.asarray(u, dtype=float) @ self.b_minus.T

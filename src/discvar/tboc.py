@@ -15,6 +15,12 @@ Underactuated problems (rank B = m < n) add, per interval, the 2(n-m)
 orthogonal-complement conditions Phi^{+-} = 0 stating that the momentum
 defect lies in the range of the control matrix, with one multiplier pair
 per interval adjoined to the interval cost.
+
+The residual is the gradient of this augmented action sum, so its Jacobian
+is the sum's Hessian, assembled exactly from per-interval blocks
+(``residual_system``).  Only the user callables' own derivatives are
+differenced: the potential's third derivative (h/2) D^3V(q_k)[w_k] and the
+drift curvature v . d^2 a.  A linear problem converges in one Newton step.
 """
 
 from __future__ import annotations
@@ -26,12 +32,7 @@ import numpy as np
 
 from . import solvers
 from .errors import DimensionMismatch, NotInvertible, RankDeficient
-from .solvers import (
-    JacobianStructure,
-    ResidualSystem,
-    levenberg_marquardt,
-    newton,
-)
+from .solvers import ResidualSystem, levenberg_marquardt, newton
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +60,11 @@ class QuadraticControlCost:
 
     def grad_up(self, qa, um, qb, up):
         return (self.h / 2.0) * np.asarray(up, dtype=float)
+
+    def control_hessians(self, qa, um, qb, up):
+        """Hessians in u^- and in u^+, (h/2) I each; there is no cross term."""
+        G = (self.h / 2.0) * np.eye(np.shape(um)[-1])
+        return G, G
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +140,11 @@ def _vm(v, A):
     return np.einsum("...j,...ji->...i", v, A)
 
 
+def _mt(A):
+    """The transpose of every matrix in a batch."""
+    return np.swapaxes(A, -1, -2)
+
+
 class AugmentedLagrangianRn:
     """Interval cost as a function of endpoint states (q, p) on both ends.
 
@@ -177,6 +188,25 @@ class AugmentedLagrangianRn:
         ym, yp = self._defects(qk, pk, qk1, pk1)
         return ym @ self.c_minus, yp @ self.c_plus
 
+    def _position_jacobians(self, qk, qk1):
+        """Minus the defects' Jacobians in the position slots:
+        (d11 + da^-/dq_a, d12 + da^-/dq_b, d21 + da^+/dq_a, d22 + da^+/dq_b)."""
+        dam_a, dam_b = self.F.drift_jacobians("-", qk, qk1)
+        dap_a, dap_b = self.F.drift_jacobians("+", qk, qk1)
+        return (self.L.d11(qk, qk1) + dam_a, self.L.d12(qk, qk1) + dam_b,
+                self.L.d21(qk, qk1) + dap_a, self.L.d22(qk, qk1) + dap_b)
+
+    def _covectors(self, qk, pk, qk1, pk1, lam_minus, lam_plus):
+        """The controls and the defect covectors (v^-, v^+): the gradients of
+        the interval term in the defects (y^-, y^+)."""
+        um, up = self.controls(qk, pk, qk1, pk1)
+        vm = self.cost.grad_um(qk, um, qk1, up) @ self.w_minus
+        vp = self.cost.grad_up(qk, um, qk1, up) @ self.w_plus
+        if lam_minus is not None:
+            vm = vm + lam_minus @ self.c_minus.T
+            vp = vp + lam_plus @ self.c_plus.T
+        return um, up, vm, vp
+
     def grads(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
         """Slot gradients (d_qk, d_pk, d_qk1, d_pk1) of the interval term.
 
@@ -185,22 +215,51 @@ class AugmentedLagrangianRn:
         give the momentum slots directly and, through the defect Jacobians,
         the position slots.
         """
-        um, up = self.controls(qk, pk, qk1, pk1)
-        vm = self.cost.grad_um(qk, um, qk1, up) @ self.w_minus
-        vp = self.cost.grad_up(qk, um, qk1, up) @ self.w_plus
-        if lam_minus is not None:
-            vm = vm + lam_minus @ self.c_minus.T
-            vp = vp + lam_plus @ self.c_plus.T
-        dam_a, dam_b = self.F.drift_jacobians("-", qk, qk1)
-        dap_a, dap_b = self.F.drift_jacobians("+", qk, qk1)
-        # the defects' Jacobians in the two position slots
+        um, up, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
+        ym_a, ym_b, yp_a, yp_b = self._position_jacobians(qk, qk1)
         d_qk = (self.cost.grad_qa(qk, um, qk1, up)
-                - _vm(vm, self.L.d11(qk, qk1) + dam_a)
-                - _vm(vp, self.L.d21(qk, qk1) + dap_a))
+                - _vm(vm, ym_a) - _vm(vp, yp_a))
         d_qk1 = (self.cost.grad_qb(qk, um, qk1, up)
-                 - _vm(vm, self.L.d12(qk, qk1) + dam_b)
-                 - _vm(vp, self.L.d22(qk, qk1) + dap_b))
+                 - _vm(vm, ym_b) - _vm(vp, yp_b))
         return d_qk, -vm, d_qk1, vp
+
+    def hessians(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
+        """Second derivatives of the interval term over a batch of intervals.
+
+        Returns (H, E, vm, vp).  H[k] (4n, 4n) is the Hessian in the slots
+        x = (q_k, p_k, q_{k+1}, p_{k+1}): K^T blockdiag(W^-T G^- W^-,
+        W^+T G^+ W^+) K, with K = d(y^-, y^+)/dx the defect Jacobian and G^-,
+        G^+ the cost's control Hessians, minus the drift curvature
+        d^2(v^- . a^- + v^+ . a^+) in the position slots.  E[k] (4n, 2(n-m))
+        = K^T blockdiag(C^-, C^+) couples x to the multipliers.  The
+        potential's curvature (h/2) D^3V[v] is left to the caller, which sums
+        the covectors vm, vp of the two intervals meeting at a node and
+        differences it once per node.  The cost does not depend on the
+        positions, so it contributes through its control Hessians alone.
+        """
+        n = self.problem.n
+        um, up, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
+        ym_a, ym_b, yp_a, yp_b = self._position_jacobians(qk, qk1)
+        K = np.zeros(np.shape(qk)[:-1] + (2 * n, 4 * n))
+        q_a, p_a, q_b, p_b = (slice(i * n, (i + 1) * n) for i in range(4))
+        minus, plus = slice(0, n), slice(n, 2 * n)
+        K[..., minus, q_a] = -ym_a
+        K[..., minus, p_a] = -np.eye(n)
+        K[..., minus, q_b] = -ym_b
+        K[..., plus, q_a] = -yp_a
+        K[..., plus, q_b] = -yp_b
+        K[..., plus, p_b] = np.eye(n)
+        Km, Kp = K[..., minus, :], K[..., plus, :]
+        Gm, Gp = self.cost.control_hessians(qk, um, qk1, up)
+        H = (_mt(Km) @ (self.w_minus.T @ Gm @ self.w_minus) @ Km
+             + _mt(Kp) @ (self.w_plus.T @ Gp @ self.w_plus) @ Kp)
+        curvature = (self.F.drift_curvature("-", qk, qk1, vm)
+                     + self.F.drift_curvature("+", qk, qk1, vp))
+        if np.ndim(curvature):
+            q = np.r_[q_a, q_b]
+            H[..., q[:, None], q] -= curvature
+        E = np.concatenate([_mt(Km) @ self.c_minus, _mt(Kp) @ self.c_plus], axis=-1)
+        return H, E, vm, vp
 
     def multiplier_value(self, qk, pk, qk1, pk1, lam_minus, lam_plus):
         v = self.value(qk, pk, qk1, pk1)
@@ -290,45 +349,54 @@ def _unpack(problem, z):
     return qs, ps, lambdas
 
 
-def _jacobian_structure(problem):
-    """Sparsity of the residual Jacobian, read off the block layout.
-
-    The unknowns are the interior node blocks (q_k, p_k), k = 1..N-1, then
-    the multiplier pairs of the N intervals.  Interval k touches node blocks
-    k and k+1 (interior ones only) and its own multipliers.  The 2n
-    stationarity rows at node k sum the terms of intervals k-1 and k; the
-    complement rows of interval k touch only its node blocks, since Phi does
-    not depend on the multipliers.  No row is dense, so there is no border.
-    """
-    N, n, s = problem.N, problem.n, problem.n - problem.m
-    # touches[k, j]: interval k touches interior node j + 1
-    lag = np.arange(N)[:, None] - np.arange(N - 1)
-    touches = (lag == 0) | (lag == 1)
-    blocks = np.block([[touches.T @ touches, touches.T],
-                       [touches, np.zeros((N, N), dtype=bool)]])
-    # node blocks hold 2n unknowns (and rows), multiplier blocks 2(n-m)
-    sizes = np.r_[np.full(N - 1, 2 * n), np.full(N, 2 * s)]
-    pattern = np.repeat(np.repeat(blocks, sizes, axis=0), sizes, axis=1)
-    return JacobianStructure(pattern=pattern)
-
-
 def residual_system(problem, aug=None):
-    """The square ResidualSystem solved by ``solve``.
+    """The square ResidualSystem solved by ``solve``, with its exact Jacobian.
 
-    The system carries the block-tridiagonal sparsity of its Jacobian, so a
-    finite-difference Jacobian takes one residual pair per column colour:
-    6n colours for a fully actuated problem at any N >= 4.
+    The residual is the gradient of the augmented action sum, so its
+    Jacobian is that sum's Hessian: block tridiagonal in the interior node
+    blocks (q_k, p_k), bordered by the multiplier blocks.  Every interval's
+    blocks come from ``AugmentedLagrangianRn.hessians`` in one batched pass
+    and are summed into the two nodes the interval touches.  Only the user
+    callables' own derivatives are differenced: the potential's third
+    derivative (h/2) D^3V(q_k)[w_k], w_k the summed defect covectors at node
+    k, and the drift curvature v . d^2 a.  A linear problem therefore
+    converges in one Newton step.
     """
     if aug is None:
         aug = AugmentedLagrangianRn(problem)
-    structure = _jacobian_structure(problem)
+    N, n, s = problem.N, problem.n, problem.n - problem.m
+    P = 2 * (N - 1) * n
+    dim = P + 2 * N * s
 
     def eval_(z):
         qs, ps, lambdas = _unpack(problem, z)
         return optimality_residual(problem, qs, ps, lambdas, aug=aug)
 
-    return ResidualSystem(dim=structure.pattern.shape[0], eval=eval_,
-                          structure=structure)
+    def jacobian(z):
+        qs, ps, lambdas = _unpack(problem, z)
+        lam = (None, None) if lambdas is None else (lambdas[:, 0], lambdas[:, 1])
+        H, E, vm, vp = aug.hessians(qs[:-1], ps[:-1], qs[1:], ps[1:], *lam)
+        # interior node j + 1 takes the right-end block of interval j and
+        # the left-end block of interval j + 1
+        diag = H[:-1, 2 * n :, 2 * n :] + H[1:, : 2 * n, : 2 * n]
+        diag[:, :n, :n] += (problem.h / 2.0) * problem.lagrangian.V_xxx(
+            qs[1:N], vm[1:] + vp[:-1])
+        J = np.zeros((dim, dim))
+        # block views of J (splitting an axis never copies)
+        nodes = J[:P, :P].reshape(N - 1, 2 * n, N - 1, 2 * n)
+        j = np.arange(N - 1)
+        nodes[j, :, j, :] = diag
+        nodes[j[:-1], :, j[1:], :] = H[1:-1, : 2 * n, 2 * n :]
+        nodes[j[1:], :, j[:-1], :] = H[1:-1, 2 * n :, : 2 * n]
+        if s:
+            # interval k's multipliers meet interior nodes k and k + 1
+            cross = J[:P, P:].reshape(N - 1, 2 * n, N, 2 * s)
+            cross[j, :, j + 1, :] = E[1:, : 2 * n]
+            cross[j, :, j, :] = E[:-1, 2 * n :]
+            J[P:, :P] = J[:P, P:].T
+        return J
+
+    return ResidualSystem(dim=dim, eval=eval_, jacobian=jacobian)
 
 
 def initial_guess(problem):
@@ -353,9 +421,12 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
     ``solvers.solve`` runs its attempts, each from the initial guess z0 with
     its own budget of ``max_iter`` iterations.  Auto means Newton with an LM
     fallback when fully actuated, and LM first (then Newton) when
-    underactuated, whose multiplier block makes every Newton Jacobian
-    singular.  Raises NoConvergence or SingularJacobian when every attempt
-    fails, ConfigError for an unknown method.
+    underactuated: with constant M and B and no potential the multiplier
+    block makes the Jacobian rank-deficient (the unactuated momentum is
+    conserved, so the complement conditions are redundant given the pinned
+    boundary data); with a coupling potential it has full rank.  Raises
+    NoConvergence or SingularJacobian when every attempt fails, ConfigError
+    for an unknown method.
     """
     aug = AugmentedLagrangianRn(problem)
     system = residual_system(problem, aug=aug)

@@ -261,11 +261,38 @@ def test_assembled_potential_jacobian_matches_dense_fd():
                                potential=systems.HeavyTopPotential(0.05))
     for prob in (jacobian_regimes()["heavy top"], under):
         system, eliminate = lgoc.residual_system(prob)
+        N, n, s = prob.N, prob.system.n, prob.system.n - prob.system.m
+        # the complement rows, checked against their own scale: their
+        # potential entries go like mgl h/2 and would hide under max|J|
+        complement = slice(2 * (N - 1) * n, 2 * (N - 1) * n + 2 * N * s)
         rng = np.random.default_rng(11)
         for _ in range(2):
             z = _random_point(prob, eliminate, rng)
             J_dense = solvers.fd_jacobian(system.eval, z)
-            assert np.max(np.abs(system.jac(z) - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
+            J = system.jac(z)
+            assert np.max(np.abs(J - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
+            if s:
+                assert (np.max(np.abs(J[complement] - J_dense[complement]))
+                        <= 1e-6 * np.max(np.abs(J_dense[complement])))
+
+
+def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
+    # the local pass holds the configurations fixed and shares one set of
+    # potential terms; each node-shift residual moves them and recomputes
+    prob = jacobian_regimes()["heavy top"]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(13))
+    expected = system.jac(z)
+    calls = []
+    hessians = lgoc._potential_hessians
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hessians(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "_potential_hessians", counted)
+    assert np.array_equal(system.jac(z), expected)
+    assert len(calls) == 1 + 2 * len(lgoc._node_shift_structure(prob).colours)
 
 
 def test_eliminated_cayley_jacobian_takes_twelve_colours():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -405,7 +406,10 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser():
+    """The ``discvar`` parser, built once.  Each subcommand's name is
+    dispatched by ``main`` at call time."""
     parser = argparse.ArgumentParser(
         prog="discvar",
         description="discrete variational optimal control on R^n and Lie groups",
@@ -418,19 +422,16 @@ def make_parser():
 
     p = sub.add_parser("simulate", help="integrate the forced dynamics forward")
     common(p)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("solve", help="solve the two-point optimal control problem")
     common(p)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="re-check residuals of a saved solution")
     p.add_argument("config")
     p.add_argument("directory", help="directory holding trajectory.csv etc.")
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
@@ -439,13 +440,13 @@ def main(argv=None):
         level=(os.environ.get("DISCVAR_LOG") or "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    command = {"simulate": cmd_simulate, "solve": cmd_solve, "verify": cmd_verify}
     try:
-        return args.fn(args)
+        return command[args.command](args)
     except ConfigError as exc:
         log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,12 +23,15 @@ velocities.
 The residual is exact up to the user's callables: the derivatives of the
 interval maps in xi_k come in closed form from the retraction's tangent maps
 and their derivative (``_xi_gradients``), and only the drift and the
-potential gradient are differenced.  The Jacobian (``residual_system``)
-takes everything that flows through the reconstruction from one
-``reconstruct`` and the configuration sensitivities: the reconstruction rows
-in closed form, the potential rows by the chain rule through a difference in
-the node configurations.  Apart from the user's callables, only the
-residual at fixed configurations is differenced, one column colour at a time.
+potential gradient are differenced.  The residual is the gradient of the
+summed cost, so its Jacobian (``residual_system``) is assembled exactly from
+the interval terms' Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}), one
+batched pass for all intervals, through the tangent maps' first and second
+derivatives (``_interval_hessians``).  What flows through the
+reconstruction, the potential's dependence on the node configurations and
+the reconstruction rows, is chained through the configuration
+sensitivities of one ``reconstruct``.  Only the user's callables' own
+derivatives are differenced; no residual is.
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects, less the drift, have no
@@ -53,9 +56,9 @@ from .errors import (
     StepSolveFailed,
 )
 from .solvers import (
-    JacobianStructure,
     ResidualSystem,
     fd_jacobian,
+    fd_mixed,
     levenberg_marquardt,
     newton,
 )
@@ -154,7 +157,9 @@ class OcProblemLie:
     """Two-point reduced optimal control problem on a Lie group.
 
     The boundary pins the configurations g0, gT and the velocities xi0, xiT
-    (through the node momenta nu_0 = I xi0, nu_N = I xiT).
+    (through the node momenta nu_0 = I xi0, nu_N = I xiT).  ``cost`` is a
+    running cost with value_batch, grad_batch and hess_batch over stacks of
+    control vectors, such as ``systems.L2Cost``.
     """
 
     system: ReducedSystem
@@ -389,17 +394,18 @@ def action_sum(problem, xis, nus, lambdas=None, gs=None):
     return float(np.sum(vals))
 
 
-def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus):
+def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
     the drift d(h xi); D = dtau_inv(z) and A = Ad(W) come from
-    ``interval_momenta``.  ``c_minus`` and ``c_plus`` are its derivatives in mu
-    and in the transport; its derivative in d is -(h/2)(c_minus - c_plus).
+    ``interval_momenta``, and Jd from ``_drift_jacobians``.  ``c_minus`` and
+    ``c_plus`` are the term's derivatives in mu and in the transport; its
+    derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
     contracted with I xi, where D = dtau_inv(z), and the transport moves by
     coAd(W, dmu) + coAd(W, ad(eta)^* mu) with eta = h dtau(z) dxi (tau is
-    right-trivialized).  Only the user's drift is differenced.
+    right-trivialized).
     """
     sys_ = problem.system
     group = sys_.group
@@ -410,18 +416,35 @@ def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus):
     out += h * np.einsum("kjil,kj,ki->kl", group.dtau_inv_deriv(z),
                          xis @ sys_.inertia, e)
     out -= h * _mv(_mt(group.dtau_matrix(z)), _mv(_mt(group.ad_matrix(e_plus)), mu))
-    if sys_.has_drift:
-        # the drift acts pointwise in z, so shifting coordinate j of every
-        # interval at once gives column j of each interval's Jacobian
-        n = z.shape[-1]
-        J = fd_jacobian(lambda s: sys_.drift_values(z + s), np.zeros(n))
-        out -= (h * h / 2.0) * np.einsum("kij,ki->kj", J.reshape(z.shape + (n,)),
-                                         c_minus - c_plus)
+    if Jd is not None:
+        out -= (h * h / 2.0) * np.einsum("kij,ki->kj", Jd, c_minus - c_plus)
     return out
 
 
-def _potential_hessians(system, gs_interior, step=1e-6):
-    """Left-trivialized directional derivatives of the potential gradient.
+def _drift_jacobians(system, z):
+    """d drift / dz at the interval displacements z (N, n), as (N, n, n);
+    None without a drift.  The drift acts pointwise in z, so shifting
+    coordinate j of every interval at once gives column j of each
+    interval's Jacobian."""
+    if not system.has_drift:
+        return None
+    n = z.shape[-1]
+    return fd_jacobian(lambda s: system.drift_values(z + s), np.zeros(n)).reshape(z.shape + (n,))
+
+
+def _drift_curvature(system, z, w):
+    """The Hessians in z of w_k . drift(z_k), (N, n, n), by one mixed central
+    difference for all intervals."""
+
+    def pairing(S, T):
+        return np.einsum("ki,mki->mk", w, system.drift_values(z + (S + T)[:, None]))
+
+    return np.moveaxis(fd_mixed(pairing, z.shape[-1]), -1, 0)
+
+
+def _potential_hessians(system, gs, step=1e-6):
+    """Left-trivialized directional derivatives of the potential gradient at
+    the configurations gs.
 
     Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0.
     """
@@ -429,15 +452,24 @@ def _potential_hessians(system, gs_interior, step=1e-6):
     n = system.n
 
     def shifted_grads(s):
-        return system.potential.left_grad(group.multiply(gs_interior, group.tau(s)))
+        return system.potential.left_grad(group.multiply(gs, group.tau(s)))
 
     return fd_jacobian(shifted_grads, np.zeros(n), step=step).reshape(-1, n, n)
 
 
-def _potential_terms(system, gs):
-    """The potential's left gradients at g_0..g_N and its Hessians
-    (``_potential_hessians``) at the interior nodes."""
-    return _node_grads(system, gs), _potential_hessians(system, gs[1:-1])
+def _potential_curvature(system, gs, w):
+    """T with T[k, :, l] = d/ds_l of H(g_k tau(s))^T w_k at s = 0, H the
+    potential Hessians of ``_potential_hessians``: the potential's third
+    derivative along w_k, as the mixed second difference of
+    w_k . grad V(g_k tau(s) tau(t)), one batched call for all nodes."""
+    group = system.group
+
+    def pairing(S, T):
+        moved = group.multiply(group.multiply(gs, group.tau(S)[:, None]),
+                               group.tau(T)[:, None])
+        return np.einsum("mki,ki->mk", system.potential.left_grad(moved), w)
+
+    return np.transpose(fd_mixed(pairing, system.n), (2, 1, 0))
 
 
 def reconstruction_residual(problem, xis):
@@ -476,8 +508,29 @@ def _full_nus(problem, nus_interior):
 # residuals
 # ---------------------------------------------------------------------------
 
-def general_residual(problem, xis, nus_interior, lambdas=None, gs=None,
-                     potential=None):
+def _interval_covectors(problem, xis, nus, lambdas, maps, grads):
+    """(u^-, u^+, phi^-, phi^+, c_minus, c_plus): ``momentum_defects`` and
+    the interval cost terms' derivatives in mu and in its transport."""
+    sys_ = problem.system
+    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, maps=maps, grads=grads)
+    c_minus = problem.cost.grad_batch(um) @ sys_.control_pinv
+    c_plus = -(problem.cost.grad_batch(up) @ sys_.control_pinv)
+    if lambdas is not None and lambdas.size:
+        sigma = list(sys_.unactuated)
+        c_minus[:, sigma] += lambdas[:, 0]
+        c_plus[:, sigma] -= lambdas[:, 1]
+    return um, up, phi_m, phi_p, c_minus, c_plus
+
+
+def _nus(problem, xis, nus_interior, maps):
+    """All node momenta: the eliminated ones (``eliminated_nus``) when
+    ``nus_interior`` is None."""
+    if nus_interior is None:
+        return eliminated_nus(problem, xis, maps)
+    return _full_nus(problem, np.asarray(nus_interior, dtype=float))
+
+
+def general_residual(problem, xis, nus_interior, lambdas=None):
     """Optimality system for the momentum-space formulation.
 
     Blocks, in order:
@@ -488,44 +541,24 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None,
 
     ``nus_interior`` None stands for the eliminated momenta of
     ``eliminated_nus``, taken from the same interval maps as the rest.
-    ``gs`` holds the configurations g_0..g_N fixed, in place of the ones
-    the velocities reconstruct: the potential then acts at gs, and the
-    reconstruction rows, which depend on xi only through g_N, are left out.
-    The Jacobian differences the residual this way and adds the
-    configurations' dependence on xi exactly.  ``potential`` holds the
-    potential's terms at the fixed gs (``_potential_terms``), so a caller
-    that evaluates many residuals at one gs computes them once.
     """
     sys_ = problem.system
     group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
     maps = interval_momenta(sys_, h, xis)
-    if nus_interior is None:
-        nus = eliminated_nus(problem, xis, maps)
-    else:
-        nus = _full_nus(problem, np.asarray(nus_interior, dtype=float))
-    frozen = gs is not None
-    if not frozen and sys_.potential is not None:
-        gs = reconstruct(group, problem.g0, h, xis)
+    nus = _nus(problem, xis, nus_interior, maps)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
+    gs = None
+    if sys_.potential is not None:
+        gs = reconstruct(group, problem.g0, h, xis)
 
     z, _, mu, _, Dp, A = maps
-    if sys_.potential is not None and potential is None:
-        potential = _potential_terms(sys_, gs)
-    grads, Hs = (None, None) if potential is None else potential
-    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, gs, maps, grads)
-    gum = problem.cost.grad_batch(um) @ sys_.control_pinv
-    gup = problem.cost.grad_batch(up) @ sys_.control_pinv
-    # the interval costs' derivatives in mu and in its transport
-    c_minus, c_plus = gum.copy(), -gup
-    underactuated = lambdas is not None and lambdas.size > 0
-    if underactuated:
-        sigma = list(sys_.unactuated)
-        c_minus[:, sigma] += lambdas[:, 0]
-        c_plus[:, sigma] -= lambdas[:, 1]
-    gxi = _xi_gradients(problem, xis, z, Dp, A, mu, c_minus, c_plus)
+    _, _, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
+        problem, xis, nus, lambdas, maps, _node_grads(sys_, gs))
+    gxi = _xi_gradients(problem, xis, z, Dp, A, mu, c_minus, c_plus,
+                        _drift_jacobians(sys_, z))
     Dm = group.dtau_inv_matrix(-z)
     pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
     pulled_here = _mv(_mt(Dp), gxi)   # contribution of interval k at node k
@@ -536,16 +569,16 @@ def general_residual(problem, xis, nus_interior, lambdas=None, gs=None,
         # G_k enters interval k beside mu_k and interval k-1 opposite its
         # transport, each with weight h/2
         w = (h / 2.0) * (c_minus[1:N] - c_plus[: N - 1])
-        xi_blocks = xi_blocks + np.einsum("kij,ki->kj", Hs, w)
+        xi_blocks = xi_blocks + np.einsum("kij,ki->kj",
+                                          _potential_hessians(sys_, gs[1:-1]), w)
 
     # nu_k enters interval k opposite mu_k, and interval k-1 opposite its transport
     nu_blocks = -(c_minus[1:N] + c_plus[: N - 1])
 
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
-    if underactuated:
+    if lambdas is not None and lambdas.size:
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
-    if not frozen:
-        parts.append(reconstruction_residual(problem, xis))
+    parts.append(reconstruction_residual(problem, xis))
     return np.concatenate(parts)
 
 
@@ -639,129 +672,212 @@ def _unpack(problem, z, eliminate):
     return xis, nus_interior, lambdas
 
 
-def _jacobian_structure(problem):
-    """Sparsity of the residual Jacobian with the configurations held fixed,
-    read off the block layout.
+def _slots(n, s):
+    """Slices of nu_k, xi_k, lambda_k and nu_{k+1} among an interval's slots."""
+    return (slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + 2 * s),
+            slice(2 * n + 2 * s, 3 * n + 2 * s))
 
-    The unknowns of interval k are xi_k, the interior node momenta nu_k and
-    nu_{k+1}, and its multiplier pair.  The velocity and momentum rows at
-    node k touch intervals k-1 and k; with eliminated momenta nu_k is built
-    from xi_{k-1} and xi_k, so node k touches xi_{k-2..k+1}.  Complement
-    rows touch their own interval.  The potential acts only through the
-    configurations, and the n reconstruction rows, which depend on xi only
-    through g_N, are not differenced: ``residual_system`` adds both exactly.
+
+def _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd):
+    """Hessians of the interval cost terms in (nu_k, xi_k, lambda_k, nu_{k+1}),
+    all intervals at once; returns (H, dmu/dxi, d transport/dxi).
+
+    With the defects y^- = mu + (h/2) G_k - nu_k - (h/2) d and y^+ = nu_{k+1}
+    - transport + (h/2) G_{k+1} - (h/2) d, the term is (h/2)(C(u^-) + C(u^+))
+    + lambda . y_sigma with u = (2/h) B^+ y, so H = (2/h) F^T Q F plus the
+    multiplier blocks F_sigma, F = dy/d(slots) and Q = B^+T C'' B^+, plus the
+    curvature of y in xi_k along the cost derivatives:
+    K = d^2/dxi^2 [c_minus . mu + c_plus . transport - (h/2)(c_minus - c_plus) . d].
+    K takes the closed forms of ``_xi_gradients`` one derivative further,
+    through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
+    the drift's curvature is differenced.  ``T3`` is dtau_inv_deriv(z).
     """
     sys_ = problem.system
-    N, n, s = problem.N, sys_.n, sys_.n - sys_.m
-    dim = residual_dimension(problem)
-    xi = np.arange(N * n).reshape(N, n)
-    pattern = np.zeros((dim - n, dim), dtype=bool)
-    if _momenta_eliminable(problem):
-        for k in range(1, N):
-            pattern[(k - 1) * n : k * n, xi[max(k - 2, 0) : k + 2].ravel()] = True
-    else:
-        # nu[j] holds node j's columns; only the interior rows 1..N-1 are used
-        nu = N * n + np.arange(-n, N * n).reshape(N + 1, n)
-        lam = (2 * N - 1) * n + np.arange(2 * N * s).reshape(N, 2 * s)
+    group, h, n = sys_.group, problem.h, sys_.n
+    sigma = list(sys_.unactuated)
+    z, _, mu, _, D, A = maps
+    I, P = sys_.inertia, sys_.control_pinv
+    p = xis @ I.T
+    T = group.dtau_matrix(z)
+    Mxi = _mt(D) @ I + h * np.einsum("kjil,kj->kil", T3, p)
+    # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
+    Bmu = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mu)
+    Txi = _mt(A) @ (Mxi + h * Bmu @ T)
+    e_plus = _mv(A, c_plus)
+    e = c_minus + e_plus
+    ad_e = group.ad_matrix(e_plus)
+    # the transport's A moves by ad(eta) A, so e_plus by -ad(e_plus) eta;
+    # dtau moves by -dtau (d dtau_inv) dtau
+    IU = I.T @ np.einsum("kabl,kb->kal", T3, e)
+    MadT = _mt(Mxi) @ ad_e @ T
+    u = _mv(_mt(T), _mv(_mt(ad_e), mu))
+    K = (h * h * np.einsum("kjilm,kj,ki->klm", group.dtau_inv_deriv2(z), p, e)
+         + h * (IU + _mt(IU)) - h * (MadT + _mt(MadT))
+         + h * h * _mt(T) @ (np.einsum("kaim,ka->kim", T3, u) + Bmu @ ad_e @ T))
+    if Jd is not None:
+        K -= (h**3 / 2.0) * _drift_curvature(sys_, z, c_minus - c_plus)
 
-        def interval(k):
-            nodes = [nu[j] for j in (k, k + 1) if 0 < j < N]
-            return np.concatenate([xi[k], lam[k]] + nodes)
+    s = len(sigma)
+    nu_a, xi, lam, nu_b = _slots(n, s)
+    F = np.zeros((len(z), 2 * n, 3 * n + 2 * s))
+    F[:, :n, nu_a] = -np.eye(n)
+    F[:, :n, xi] = Mxi
+    F[:, n:, xi] = -Txi
+    F[:, n:, nu_b] = np.eye(n)
+    if Jd is not None:
+        F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=1)
+    Fm, Fp = F[:, :n], F[:, n:]
+    Qm = _mt(P) @ problem.cost.hess_batch(um) @ P
+    Qp = _mt(P) @ problem.cost.hess_batch(up) @ P
+    H = (2.0 / h) * (_mt(Fm) @ Qm @ Fm + _mt(Fp) @ Qp @ Fp)
+    H[:, xi, xi] += K
+    if s:
+        Fs = np.concatenate([Fm[:, sigma], Fp[:, sigma]], axis=1)
+        H[:, lam] += Fs
+        H[:, :, lam] += _mt(Fs)
+    return H, Mxi, Txi
 
-        for k in range(1, N):
-            cols = np.concatenate([interval(k - 1), interval(k)])
-            pattern[np.ix_(_node_rows(N, n, k), cols)] = True
-        for k in range(N):
-            first = 2 * (N - 1) * n + 2 * k * s
-            pattern[first : first + 2 * s, interval(k)] = True
-    return JacobianStructure(pattern=pattern)
 
+def _jacobian_blocks(problem, xis, nus_interior, lambdas):
+    """Every interval's block of the residual Jacobian, from one batched pass.
 
-def _node_rows(N, n, k):
-    """The velocity and momentum stationarity rows at interior node k."""
-    return np.r_[(k - 1) * n : k * n, (N + k - 2) * n : (N + k - 1) * n]
-
-
-def _node_shift_structure(problem):
-    """Sparsity of the residual in the node shifts g_j tau(s_j), j = 1..N.
-
-    The rows at node k see the potential at g_{k-1}, g_k and g_{k+1}; the
-    complement rows of interval k see it at g_k and g_{k+1}.
+    Returns (O, curvature, dmu/dxi, d transport/dxi, gs).  O[k] has the rows
+    (velocity row at node k, momentum row at node k, complement rows of
+    interval k, velocity and momentum rows at node k+1) and the columns
+    (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where s_j moves g_j to
+    g_j tau(s_j).  The velocity rows pull the xi-gradient back through
+    dtau_inv(-+h xi_k) and add the potential's Hessians times the weights
+    (h/2)(c_minus_k - c_plus_{k-1}); G_k enters interval k beside nu_k, so
+    its columns are those of nu_k times -+(h/2) H(g_k).  ``curvature``
+    (None without a potential) holds, per interior node, the derivative of
+    the Hessian term in s_j (``_potential_curvature``).
     """
-    N, n, s = problem.N, problem.system.n, problem.system.n - problem.system.m
-    pattern = np.zeros((residual_dimension(problem) - n, N * n), dtype=bool)
-    for k in range(1, N):
-        pattern[_node_rows(N, n, k), max(k - 2, 0) * n : (k + 1) * n] = True
-    for k in range(N):
-        first = 2 * (N - 1) * n + 2 * k * s
-        pattern[first : first + 2 * s, max(k - 1, 0) * n : (k + 1) * n] = True
-    return JacobianStructure(pattern=pattern)
+    sys_ = problem.system
+    group, h, N, n = sys_.group, problem.h, problem.N, sys_.n
+    s = n - sys_.m
+    maps = interval_momenta(sys_, h, xis)
+    z, _, mu, _, D, A = maps
+    nus = _nus(problem, xis, nus_interior, maps)
+    gs = reconstruct(group, problem.g0, h, xis)
+    grads = _node_grads(sys_, gs)
+    um, up, _, _, c_minus, c_plus = _interval_covectors(problem, xis, nus, lambdas, maps, grads)
+    Jd = _drift_jacobians(sys_, z)
+    gxi = _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd)
+    T3 = group.dtau_inv_deriv(z)
+    H, Mxi, Txi = _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd)
+
+    nu_a, xi, lam, nu_b = _slots(n, s)
+    Hs = np.zeros((N + 1, n, n))
+    curvature = None
+    if grads is not None:
+        Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
+        curvature = _potential_curvature(sys_, gs[1:N],
+                                         (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
+    Ha, Hb = Hs[:-1], Hs[1:]
+    # rows in terms of the slot gradients: the velocity row at node k takes
+    # -D^T gxi / h - Ha^T d/dnu_k, the one at node k+1 D(-z)^T gxi / h + Hb^T
+    # d/dnu_{k+1}; the other rows are slot gradients themselves
+    Oy = np.empty((N, 4 * n + 2 * s, 3 * n + 2 * s))
+    Oy[:, :n] = -(_mt(Ha) @ H[:, nu_a] + _mt(D) @ H[:, xi] / h)
+    Oy[:, :n, xi] -= np.einsum("kail,ka->kil", T3, gxi)
+    Oy[:, n : 2 * n] = H[:, nu_a]
+    Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = (_mt(Hb) @ H[:, nu_b]
+                                            + _mt(group.dtau_inv_matrix(-z)) @ H[:, xi] / h)
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s, xi] -= np.einsum(
+        "kail,ka->kil", group.dtau_inv_deriv(-z), gxi)
+    Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
+    O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
+    O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
+    O[:, :, n : 2 * n] = -Oy[:, :, nu_a] @ Ha
+    O[:, :, 4 * n + 2 * s :] = Oy[:, :, nu_b] @ Hb
+    return O, curvature, Mxi, Txi, gs
 
 
 def residual_system(problem):
-    """Square ResidualSystem for ``solve``; returns (system, eliminated).
+    """Square ResidualSystem for ``solve``, with its exact Jacobian; returns
+    (system, eliminated).
 
     The momenta are eliminated whenever ``_momenta_eliminable``: the
     unknowns are then the interval velocities alone and the residual is the
     N n-dimensional one, velocity stationarity at the interior nodes plus
     the reconstruction constraint.
 
-    The Jacobian takes everything that flows through the reconstruction
-    g_{k+1} = g_k tau(h xi_k) from one ``reconstruct`` and the sensitivities
-    S[j, k] of ``_sensitivities``, and differences only what is local:
-      * a coloured difference of the residual with the configurations held
-        fixed (``_jacobian_structure``);
+    The residual is the gradient of the action sum under group-consistent
+    variations, so its Jacobian is assembled from the interval terms'
+    Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}) (``_jacobian_blocks``),
+    evaluated in one batched pass and scatter-added into a padded layout
+    through block views, with no loop over intervals.  Unit k of the layout
+    holds the rows (velocity, momentum, complement) of node/interval k and
+    the columns (nu_k, s_k, xi_k, lambda_k), s_j a shift of the node
+    configuration g_j.  Then everything that flows through the
+    reconstruction g_{k+1} = g_k tau(h xi_k) is chained through the
+    sensitivities S[j, k] of ``_sensitivities``:
+      * the potential's columns s_j onto the xi columns, dF/dxi_k +=
+        sum_{j > k} dF/ds_j S[j, k];
       * the reconstruction rows, r = tau^-1(g_N^-1 gT), in closed form:
-        dr/dxi_k = -dtau_inv(r) S[N, k];
-      * with a potential, a coloured difference in the node shifts
-        g_j tau(s_j) (``_node_shift_structure``), chained onto the xi
-        columns through S.
+        dr/dxi_k = -dtau_inv(r) S[N, k].
+    Eliminated momenta chain through nu_k = (mu_k + transported_{k-1}) / 2.
+    Only the user's callables are differenced: the drift's Jacobian and
+    curvature, the potential's Hessian and its third derivative along one
+    direction.  No residual is evaluated.
     """
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
+    s = n - problem.system.m
+    a, b = 2 * n + 2 * s, 3 * n + 2 * s
 
-    def residual(z, gs=None, potential=None):
+    def units(first, width, offset, unit):
+        return (np.arange(first, N)[:, None] * unit + offset + np.arange(width)).ravel()
+
+    # the residual's rows and the unknowns, in their order, in the layout
+    rows, cols = [units(1, n, 0, a)], [units(0, n, 2 * n, b)]
+    if not eliminated:
+        rows += [units(1, n, n, a), units(0, 2 * s, 2 * n, a)]
+        cols += [units(1, n, 0, b), units(0, 2 * s, 3 * n, b)]
+    keep = np.ix_(np.concatenate(cols), np.concatenate(rows))
+
+    def residual(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+        res = general_residual(problem, xis, nus_interior, lambdas)
         if not eliminated:
-            return general_residual(problem, xis, nus_interior, lambdas, gs,
-                                    potential)
-        res = general_residual(problem, xis, None, gs=gs, potential=potential)
+            return res
         # node-momentum stationarity vanishes identically under the elimination
         return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
 
-    local = _jacobian_structure(problem)
-    shifts = None
-    if problem.system.potential is not None:
-        shifts = _node_shift_structure(problem)
-
     def jacobian(z):
-        xis = _unpack(problem, z, eliminated)[0]
-        gs = reconstruct(group, problem.g0, h, xis)
-        # the local pass holds gs fixed, so the potential's terms there are
-        # computed once for all its residuals
-        frozen = None
-        if shifts is not None:
-            frozen = _potential_terms(problem.system, gs)
-        J = solvers.fd_jacobian(lambda w: residual(w, gs, frozen), z, structure=local)
+        xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+        O, curvature, Mxi, Txi, gs = _jacobian_blocks(problem, xis, nus_interior, lambdas)
+        # the transpose: the column chains below then run along whole rows
+        Jt = np.zeros(((N + 1) * b, (N + 1) * a))
+        Ot = _mt(O)
+        # interval k spans unit k and the leading (node k+1) part of unit k+1;
+        # splitting the axes of Jt gives views, so the blocks add in place
+        V = Jt.reshape(N + 1, b, N + 1, a)
+        k = np.arange(N)
+        V[k, :, k, :] += Ot[:, :b, :a]
+        V[k, :, k + 1, : 2 * n] += Ot[:, :b, a:]
+        V[k + 1, : 2 * n, k, :] += Ot[:, b:, :a]
+        V[k + 1, : 2 * n, k + 1, : 2 * n] += Ot[:, b:, a:]
+        columns = Jt.reshape(N + 1, b, -1)
         Ainv, P = _sensitivities(group, h, xis, gs)
-        if shifts is not None:
-            def shifted(s):
-                moved = gs.copy()
-                moved[1:] = group.multiply(gs[1:], group.tau(s.reshape(N, n)))
-                return residual(z, moved)
-
+        if curvature is not None:
+            j = k[1:]
+            V[j, n : 2 * n, j, :n] += _mt(curvature)
             # column block k gains sum_{j > k} dF/ds_j S[j, k]: suffix sums
             # of dF/ds_j Ainv[j], times P[k]
-            Js = fd_jacobian(shifted, np.zeros(N * n), structure=shifts)
-            Q = np.einsum("rja,jab->jrb", Js.reshape(-1, N, n), Ainv[1:])
-            C = np.cumsum(Q[::-1], axis=0)[::-1]
-            J[:, : N * n] += np.einsum("krb,kbc->rkc", C, P).reshape(-1, N * n)
+            Q = _mt(Ainv[1:]) @ columns[1:, n : 2 * n]
+            columns[:N, 2 * n : 3 * n] += _mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
+        if eliminated:
+            nu_cols = columns[1:N, :n]
+            columns[1:N, 2 * n : 3 * n] += 0.5 * _mt(Mxi[1:]) @ nu_cols
+            columns[: N - 1, 2 * n : 3 * n] += 0.5 * _mt(Txi[:-1]) @ nu_cols
         r = group.tau_inv(group.multiply(group.inverse(gs[-1]), problem.gT))
         left = -group.dtau_inv_matrix(r) @ Ainv[N]
         border = np.zeros((n, z.size))
         border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
-        return np.vstack([J, border])
+        return np.vstack([Jt[keep].T, border])
 
     return (ResidualSystem(dim=residual_dimension(problem), eval=residual,
                            jacobian=jacobian), eliminated)

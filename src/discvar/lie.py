@@ -15,8 +15,9 @@ Two retractions are provided:
   closed forms for its trivialized tangent maps dexp and dexp^-1 (see the
   exp tangent-map section below).
 
-For both, ``GroupSpec.dtau_inv_deriv`` gives the derivative of dtau^-1 in
-closed form.
+For both, ``GroupSpec.dtau_inv_deriv`` and ``GroupSpec.dtau_inv_deriv2`` give
+the first and second derivatives of dtau^-1 in closed form; the derivative of
+dtau follows from them as -dtau (d dtau^-1) dtau.
 
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
@@ -159,9 +160,10 @@ def _so3_dcay_inv(w):
 # With W = hat3(w) and th = |w| (Kobilarov & Marsden 2011):
 #   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
 #   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
-# c, k and the derivatives b', c', k' (in th) and (k'/th)' lose digits as th
-# shrinks, so below _SMALL_ANGLE each is its Taylor polynomial in th^2 through
-# th^12 to th^16, whose first omitted term is below 2e-17 of it there.
+# c, k and the derivatives b', c', k' (in th), (k'/th)' and ((k'/th)'/th)' lose
+# digits as th shrinks, so below _SMALL_ANGLE each is its Taylor polynomial in
+# th^2 through th^12 to th^18, whose first omitted term is below 2e-17 of it
+# there.
 
 _SMALL_ANGLE = 0.5
 _B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
@@ -170,11 +172,14 @@ _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
       1/74724249600, 3617/10670622842880000)
 # b'/th, c'/th and k'/th, as f'(th)/th = 2 df/d(th^2)
 _DB, _DC, _DK = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C, _K))
-# (k'/th)'/th = 4 d^2k/d(th^2)^2, from k's coefficients K_n = |B_{2n+2}| / (2n+2)!
-# extended by three terms: this series starts two terms later and converges slower
-_DDK = [4 * n * (n - 1) * f for n, f in enumerate(
-    _K + (43867 / (798 * factorial(18)), 174611 / (330 * factorial(20)),
-          854513 / (138 * factorial(22))))][2:]
+# (k'/th)'/th = 4 d^2k/d(th^2)^2 and ((k'/th)'/th)'/th = 8 d^3k/d(th^2)^3, from k's
+# coefficients K_n = |B_{2n+2}| / (2n+2)! extended by three and five terms: these
+# series start two and three terms later and converge slower
+_K_MORE = _K + (43867 / (798 * factorial(18)), 174611 / (330 * factorial(20)),
+                854513 / (138 * factorial(22)), 236364091 / (2730 * factorial(24)),
+                8553103 / (6 * factorial(26)))
+_DDK = [4 * n * (n - 1) * f for n, f in enumerate(_K_MORE[:11])][2:]
+_DDDK = [8 * n * (n - 1) * (n - 2) * f for n, f in enumerate(_K_MORE)][3:]
 
 
 def _angle(w):
@@ -206,6 +211,22 @@ def _dexp_inv_dk(th2, small, th, k):
     # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
     return np.where(small, _taylor(th2, _DK),
                     (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
+
+
+def _dexp_inv_ddk(th2, small, th, dk):
+    # (k'/th)'/th = (r'/th - 3 dk) / th^2, r = 1/(4 sin^2(th/2)) - 1/th^2
+    half = 0.5 * th
+    return np.where(small, _taylor(th2, _DDK),
+                    (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
+                     - 3.0 * dk) / th**2)
+
+
+def _dexp_inv_dddk(th2, small, th, ddk):
+    # ((k'/th)'/th)'/th = (q'/th - 5 ddk) / th^2, q = r'/th of _dexp_inv_ddk
+    sn, cs = np.sin(0.5 * th), np.cos(0.5 * th)
+    dq = (-8.0 / th**6 + cs / (4.0 * th**3 * sn**3)
+          + (1.0 / sn**2 + 3.0 * cs**2 / sn**4) / (8.0 * th**2))
+    return np.where(small, _taylor(th2, _DDDK), (dq - 5.0 * ddk) / th**2)
 
 
 def _so3_dexp(w):
@@ -376,10 +397,7 @@ def _se3_dexp_inv_deriv(xi):
     # + dk (w_l (W V + V W) + v_l W^2 + s (E_l W + W E_l)), ddk = (k'/th)'/th
     w, v = xi[..., :3], xi[..., 3:]
     th2, small, th, k, dk, W = _dexp_inv_coeffs(w)
-    half = 0.5 * th
-    ddk = np.where(small, _taylor(th2, _DDK),
-                   (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
-                    - 3.0 * dk) / th**2)
+    ddk = _dexp_inv_ddk(th2, small, th, dk)
     s = np.einsum("...i,...i->...", w, v)[..., None, None, None]
     k, dk, ddk = (c[..., None, None, None] for c in (k, dk, ddk))
     wl, vl = w[..., :, None, None], v[..., :, None, None]
@@ -391,6 +409,83 @@ def _se3_dexp_inv_deriv(xi):
     out = np.zeros(xi.shape[:-1] + (6, 6, 6))
     out[..., :3, :, :] = _se3_blocks(F_l, M_l)
     out[..., 3:, 3:, :3] = F_l
+    return out
+
+
+# ---------------------------------------------------------------------------
+# second derivatives of dtau^-1
+# ---------------------------------------------------------------------------
+# Each kernel returns T stacked along both derivative indices first,
+# T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m; GroupSpec moves l and m last.
+# The SE(3) lower block L is linear in v, and for exp it is the derivative of
+# the upper block F along v, so d^2 L / dw_l dv_m = d^2 F / dw_l dw_m.
+
+_DELTA = np.eye(3)[:, :, None, None]
+# d^2 (w w^T / 4) / dw_l dw_m = (e_l e_m^T + e_m e_l^T) / 4
+_OUTER2 = 0.25 * (np.einsum("li,mj->lmij", np.eye(3), np.eye(3))
+                  + np.einsum("mi,lj->lmij", np.eye(3), np.eye(3)))
+_EL, _EM = _E[:, None], _E[None, :]
+
+
+def _sym(X):
+    return X + _mt(X)
+
+
+def _so3_dcay_inv_deriv2(w):
+    return np.broadcast_to(_OUTER2, w.shape[:-1] + _OUTER2.shape)
+
+
+def _se3_dcay_inv_deriv2(xi):
+    # the lower block -A V / 2 = -V / 2 + W V / 4 moves by E_l E_m / 4 along
+    # (w_l, v_m) and (v_m, w_l); A is linear
+    out = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
+    out[..., :3, :3, :3, :3] = _OUTER2
+    out[..., :3, 3:, 3:, :3] = 0.25 * (_EL @ _EM)
+    out[..., 3:, :3, 3:, :3] = 0.25 * (_EM @ _EL)
+    return out
+
+
+def _dexp_inv_second(w):
+    """(F2, parts): F2 = d^2 F / dw_l dw_m for F = I - W/2 + k W^2, the
+    derivative along w_m of F_l in ``_so3_dexp_inv_deriv``, axes (..., l, m,
+    3, 3), and the factors ``_se3_dexp_inv_deriv2`` reuses."""
+    th2, small, th = _angle(w)
+    k = _dexp_inv_k(th2, small, th)
+    dk = _dexp_inv_dk(th2, small, th, k)
+    ddk = _dexp_inv_ddk(th2, small, th, dk)
+    dddk = _dexp_inv_dddk(th2, small, th, ddk)
+    k, dk, ddk, dddk = (c[..., None, None, None, None] for c in (k, dk, ddk, dddk))
+    W = hat3(w)[..., None, None, :, :]
+    W2 = W @ W
+    wl, wm = w[..., :, None, None, None], w[..., None, :, None, None]
+    ElW, EmW = _sym(_EL @ W), _sym(_EM @ W)
+    F2 = (k * _sym(_EL @ _EM) + dk * (wm * ElW + wl * EmW + _DELTA * W2)
+          + ddk * wl * wm * W2)
+    return F2, (dk, ddk, dddk, W, W2, wl, wm, ElW, EmW)
+
+
+def _so3_dexp_inv_deriv2(w):
+    return _dexp_inv_second(w)[0]
+
+
+def _se3_dexp_inv_deriv2(xi):
+    # D = [[F, 0], [L, F]], L = -V/2 + k (W V + V W) + s dk W^2: along (w_l, w_m)
+    # L moves by N_lm, the derivative along w_m of M_l in _se3_dexp_inv_deriv,
+    # with dddk = ((k'/th)'/th)'/th
+    w, v = xi[..., :3], xi[..., 3:]
+    F2, (dk, ddk, dddk, W, W2, wl, wm, ElW, EmW) = _dexp_inv_second(w)
+    V = hat3(v)[..., None, None, :, :]
+    s = np.einsum("...i,...i->...", w, v)[..., None, None, None, None]
+    vl, vm = v[..., :, None, None, None], v[..., None, :, None, None]
+    N2 = (dk * (wm * _sym(_EL @ V) + wl * _sym(_EM @ V) + vl * EmW + vm * ElW
+                + s * _sym(_EL @ _EM))
+          + (ddk * wl * wm + dk * _DELTA) * _sym(W @ V)
+          + (ddk * (vm * wl + wm * vl + s * _DELTA) + dddk * s * wl * wm) * W2
+          + ddk * s * (wl * EmW + wm * ElW))
+    out = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
+    out[..., :3, :3, :, :] = _se3_blocks(F2, N2)
+    out[..., :3, 3:, 3:, :3] = F2
+    out[..., 3:, :3, 3:, :3] = F2
     return out
 
 
@@ -540,6 +635,18 @@ class GroupSpec:
         else:
             kernel = _so3_dexp_inv_deriv if self.name == "SO3" else _se3_dexp_inv_deriv
         return np.moveaxis(kernel(xi), -3, -1)
+
+    def dtau_inv_deriv2(self, xi):
+        """T with T[..., i, j, l, m] = d^2 dtau_inv_matrix(xi)[..., i, j]
+        / d xi_l d xi_m, symmetric in (l, m)."""
+        xi = np.asarray(xi, dtype=float)
+        if self.name == "Rn":
+            return np.zeros(xi.shape[:-1] + (self.dim,) * 4)
+        if self.retraction == CAYLEY:
+            kernel = _so3_dcay_inv_deriv2 if self.name == "SO3" else _se3_dcay_inv_deriv2
+        else:
+            kernel = _so3_dexp_inv_deriv2 if self.name == "SO3" else _se3_dexp_inv_deriv2
+        return np.moveaxis(kernel(xi), (-4, -3), (-2, -1))
 
 
 def real_n(n, retraction=CAYLEY):

@@ -24,14 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
-from .solvers import ResidualSystem, fd_jacobian, newton
-
-
-# relative step of the differenced curvature terms, V_xxx and
-# drift_curvature: each differences a derivative that is itself a central
-# difference (or, for V_xxx, may be), so rounding grows like eps / step^2
-# against a truncation error like step^2
-_CURVATURE_STEP = 1e-4
+from .solvers import CURVATURE_STEP, ResidualSystem, fd_jacobian, newton
 
 
 def _per_point(fun, *points):
@@ -102,8 +95,8 @@ class RnLagrangian:
             return 0.0
         q, w = np.asarray(q, dtype=float), np.asarray(w, dtype=float)
         size = np.max(np.abs(w), axis=-1, keepdims=True)
-        # the shift t w has max norm _CURVATURE_STEP (1 + |q|)
-        t = (_CURVATURE_STEP * (1.0 + np.max(np.abs(q), axis=-1, keepdims=True))
+        # the shift t w has max norm CURVATURE_STEP (1 + |q|)
+        t = (CURVATURE_STEP * (1.0 + np.max(np.abs(q), axis=-1, keepdims=True))
              / np.where(size > 0.0, size, 1.0))
         return (self.V_xx(q + t * w) - self.V_xx(q - t * w)) / (2.0 * t[..., None])
 
@@ -207,9 +200,9 @@ class DiscreteForcePairRn:
         def one(qa, qb, v):
             def grad(x):
                 return fd_jacobian(lambda y: v @ a(y[:n], y[n:]), x,
-                                   step=_CURVATURE_STEP)[0]
+                                   step=CURVATURE_STEP)[0]
 
-            H = fd_jacobian(grad, np.concatenate([qa, qb]), step=_CURVATURE_STEP)
+            H = fd_jacobian(grad, np.concatenate([qa, qb]), step=CURVATURE_STEP)
             return 0.5 * (H + H.T)
 
         return _per_point(one, qa, qb, v)

@@ -1,5 +1,9 @@
-"""Root-finding: finite-difference Jacobians (dense or column-coloured),
-Newton, Levenberg-Marquardt, and ``solve``, which tries them in turn."""
+"""Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
+in turn, plus the central differences ``fd_jacobian`` and ``fd_mixed``.
+
+The formulations supply exact Jacobians, so the differences only reach what
+a user gives as a callable (a drift, a potential), and ``fd_jacobian``
+serves the tests as their oracle."""
 
 from __future__ import annotations
 
@@ -12,56 +16,22 @@ import numpy as np
 from .errors import ConfigError, NoConvergence, SingularJacobian
 
 
-def greedy_colouring(pattern):
-    """Group the columns of a boolean sparsity pattern so that no two columns
-    in a group share a row (Curtis, Powell & Reid 1974).  Columns are taken
-    in order, each joining the first group it does not conflict with."""
-    groups, used = [], []
-    for j in range(pattern.shape[1]):
-        rows = pattern[:, j]
-        for cols, mask in zip(groups, used):
-            if not np.any(mask & rows):
-                cols.append(j)
-                mask |= rows
-                break
-        else:
-            groups.append([j])
-            used.append(rows.copy())
-    return [np.array(cols) for cols in groups]
-
-
-@dataclass
-class JacobianStructure:
-    """What a finite-difference Jacobian may skip.
-
-    ``pattern[i, j]`` is False where F_i does not depend on x_j; the columns
-    are coloured from it, so one residual pair recovers a whole colour.
-    """
-
-    pattern: np.ndarray
-
-    def __post_init__(self):
-        self.colours = greedy_colouring(self.pattern)
-
-
 @dataclass
 class ResidualSystem:
     """A square nonlinear system F(x) = 0 of dimension ``dim``.
 
     ``jacobian`` is optional; when absent the Jacobian is a central
-    difference with per-column step 1e-6 * (1 + |x_j|), taken column by
-    column, or colour by colour when a ``structure`` is given.
+    difference with per-column step 1e-6 * (1 + |x_j|), column by column.
     """
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    structure: Optional[JacobianStructure] = None
 
     def jac(self, x):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.eval, x, structure=self.structure)
+        return fd_jacobian(self.eval, x)
 
 
 @dataclass
@@ -82,35 +52,50 @@ class SolveReport:
         }
 
 
-def fd_jacobian(fun, x, step=1e-6, structure=None):
+def fd_jacobian(fun, x, step=1e-6):
     """Central-difference Jacobian of ``fun`` at ``x``.
 
-    Each residual pair perturbs one colour of columns by +-h_j, with
-    h_j = step * (1 + |x_j|), and column j keeps the rows the pattern gives
-    it.  Without a ``structure`` every column is its own colour.  The output
-    of ``fun`` is flattened, so a scalar function gives a gradient row; the
+    Column j perturbs x_j by +-h_j, h_j = step * (1 + |x_j|).  The output of
+    ``fun`` is flattened, so a scalar function gives a gradient row; the
     rows are counted from the first difference, so ``fun`` is never
     evaluated at ``x`` itself.
     """
     x = np.asarray(x, dtype=float)
-    if structure is None:
-        colours, pattern = np.arange(x.size)[:, None], None
-    else:
-        colours, pattern = structure.colours, structure.pattern
     J = None
-    for cols in colours:
-        h = step * (1.0 + np.abs(x[cols]))
+    for j in range(x.size):
+        h = step * (1.0 + abs(x[j]))
         xp, xm = x.copy(), x.copy()
-        xp[cols] += h
-        xm[cols] -= h
+        xp[j] += h
+        xm[j] -= h
         d = (np.asarray(fun(xp), dtype=float).reshape(-1)
-             - np.asarray(fun(xm), dtype=float).reshape(-1))[:, None] / (2.0 * h)
-        if cols.size > 1:
-            d = np.where(pattern[:, cols], d, 0.0)
+             - np.asarray(fun(xm), dtype=float).reshape(-1)) / (2.0 * h)
         if J is None:
             J = np.zeros((d.shape[0], x.size))
-        J[:, cols] = d
+        J[:, j] = d
     return J if J is not None else np.zeros((0, 0))
+
+
+# relative step of the nested differences that give a user callable's
+# curvature: each differences a derivative that is itself a central
+# difference, so rounding grows like eps / step^2 against a truncation error
+# like step^2
+CURVATURE_STEP = 1e-4
+
+
+def fd_mixed(fun, n, step=CURVATURE_STEP):
+    """d^2 f(s, t) / ds_l dt_j at s = t = 0, for s and t in R^n, by central
+    differences in both: the nested ``fd_jacobian`` with every evaluation in
+    one call.
+
+    ``fun(S, T)`` takes stacks S, T of shape (4 n^2, n) and returns its values
+    stacked along a leading axis; the result has shape (n, n) + the value
+    shape, indexed [l, j].
+    """
+    shifts = step * np.concatenate([np.eye(n), -np.eye(n)])
+    f = np.asarray(fun(np.repeat(shifts, 2 * n, axis=0), np.tile(shifts, (2 * n, 1))),
+                   dtype=float)
+    f = f.reshape((2, n, 2, n) + f.shape[1:])
+    return (f[0, :, 0] - f[0, :, 1] - f[1, :, 0] + f[1, :, 1]) / (4.0 * step * step)
 
 
 class _Singular(Exception):

@@ -38,6 +38,11 @@ class L2Cost:
     def grad_batch(self, U):
         return np.asarray(U, dtype=float).copy()
 
+    def hess_batch(self, U):
+        """The identity for every control vector, (..., m, m); read-only."""
+        U = np.asarray(U, dtype=float)
+        return np.broadcast_to(np.eye(U.shape[-1]), U.shape + U.shape[-1:])
+
 
 class SmoothedL1Cost:
     """C(u) = sum_i sqrt(u_i^2 + eps^2), plus a quadratic penalty on bounds.
@@ -73,6 +78,17 @@ class SmoothedL1Cost:
         if self.u_min is not None:
             g = g - 2.0 * self.weight * np.maximum(0.0, self.u_min - U)
         return g
+
+    def hess_batch(self, U):
+        """Diagonal Hessians (..., m, m): eps^2 / (u_i^2 + eps^2)^(3/2), plus
+        2 weight where a soft bound is violated."""
+        U = np.asarray(U, dtype=float)
+        d = self.eps**2 / (U * U + self.eps**2) ** 1.5
+        if self.u_max is not None:
+            d = d + 2.0 * self.weight * (U > self.u_max)
+        if self.u_min is not None:
+            d = d + 2.0 * self.weight * (U < self.u_min)
+        return d[..., None] * np.eye(U.shape[-1])
 
     def value(self, u):
         return float(self.value_batch(np.asarray(u, dtype=float)))

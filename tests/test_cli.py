@@ -1,5 +1,6 @@
 """Command line interface: configs, artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -234,6 +235,25 @@ def test_unknown_system_type_is_config_error(tmp_path):
 
 def test_bad_usage_is_exit_one():
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "pm.json", point_mass_cfg(N=8))
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    built = []
+
+    class Counted(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", Counted)
+    for _ in range(2):
+        assert cli.main(["solve", cfg, "--out", out]) == 0
+        assert cli.main(["verify", cfg, out]) == 0
+        assert cli.main(["frobnicate"]) == 1
+    assert built == []
 
 
 def test_tol_and_max_iter_are_solve_options(tmp_path):

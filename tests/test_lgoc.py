@@ -190,6 +190,7 @@ def test_residual_dimensions(N):
 
 def jacobian_regimes():
     uuv = systems.make_uuv_system()
+    uuv_exp = systems.make_uuv_system(retraction=lie.EXPONENTIAL)
     return {
         "cayley eliminated": rigid_body_problem(N=6),
         "exp": rigid_body_problem(N=6, retraction=lie.EXPONENTIAL),
@@ -205,6 +206,19 @@ def jacobian_regimes():
         "underactuated": rigid_body_problem(actuated=(0, 1), N=6),
         "smoothed L1": rigid_body_problem(
             N=6, cost=SmoothedL1Cost(eps=1e-3, u_min=-1.0, u_max=1.0)),
+        # a drag quadratic in the velocity: the drift's curvature enters
+        "quadratic drag": dataclasses.replace(
+            rigid_body_problem(N=6),
+            system=dataclasses.replace(
+                make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2)),
+                drift=lambda z: -0.5 * z * np.linalg.norm(z, axis=-1, keepdims=True))),
+        # SE(3) with exp: the only regime where the SE(3) exp second
+        # derivative enters
+        "uuv exp": OcProblemLie(
+            system=uuv_exp, g0=uuv_exp.group.identity(), xi0=np.zeros(6),
+            gT=uuv_exp.group.tau(np.array([0.1, 0.0, 0.2, 0.5, 0.0, 0.1])),
+            xiT=np.zeros(6), N=6, h=0.1, cost=L2Cost(),
+        ),
     }
 
 
@@ -213,47 +227,76 @@ def _random_point(prob, eliminate, rng):
     return z0 + 0.2 * rng.normal(size=z0.size)
 
 
+def _row_blocks(prob, eliminate):
+    """Slices of the velocity, momentum, complement and reconstruction rows."""
+    N, n, s = prob.N, prob.system.n, prob.system.n - prob.system.m
+    edges = [0, (N - 1) * n]
+    if not eliminate:
+        edges += [2 * (N - 1) * n, 2 * (N - 1) * n + 2 * N * s]
+    edges.append(edges[-1] + n)
+    return [slice(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+
+
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
-def test_coloured_jacobian_matches_dense_fd(regime, monkeypatch):
+def test_exact_jacobian_matches_dense_fd(regime):
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
-    n = prob.system.n
-    assert len(lgoc._jacobian_structure(prob).colours) < system.dim
     rng = np.random.default_rng(11)
-    dense = solvers.fd_jacobian
-    if prob.system.potential is None:
-        # off the reconstruction rows every entry is a coloured difference
-        # of the residual itself
-        for _ in range(2):
-            z = _random_point(prob, eliminate, rng)
-            J = system.jac(z)[:-n]
-            J_dense = dense(system.eval, z)[:-n]
-            assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
-        return
-    # with a potential, each coloured pass (the residual at frozen
-    # configurations, then in the node shifts) is the dense difference of
-    # the same function
-    passes = []
-
-    def record(module):
-        def coloured(fun, x, step=1e-6, structure=None):
-            J = dense(fun, x, step, structure)
-            if structure is not None:
-                passes.append((module, fun, x, J.copy()))
-            return J
-
-        monkeypatch.setattr(module, "fd_jacobian", coloured)
-
-    record(solvers)
-    record(lgoc)
-    for _ in range(2):
+    for _ in range(3):
         z = _random_point(prob, eliminate, rng)
-        passes.clear()
-        system.jac(z)
-        assert [p[0] for p in passes] == [solvers, lgoc]
-        for _, fun, x, J in passes:
-            J_dense = dense(fun, x)
-            assert np.all(np.abs(J - J_dense) <= 1e-12 * (1.0 + np.abs(J_dense)))
+        J = system.jac(z)
+        J_dense = solvers.fd_jacobian(system.eval, z)
+        # each row block against its own scale: the complement and potential
+        # entries would hide under the velocity rows' max|J|
+        for rows in _row_blocks(prob, eliminate):
+            assert (np.max(np.abs(J[rows] - J_dense[rows]))
+                    <= 1e-6 * np.max(np.abs(J_dense[rows])))
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_coloured_jacobian_matches_dense_fd(regime):
+    # named for the coloured difference the exact blocks replaced; it pins
+    # the Jacobian where Newton evaluates it: at the initial guess (zero
+    # multipliers) and after its first step
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    visited = []
+
+    def recorded(z):
+        visited.append(z.copy())
+        return system.jacobian(z)
+
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+    with pytest.raises((NoConvergence, SingularJacobian)):
+        solvers.newton(dataclasses.replace(system, jacobian=recorded), z0,
+                       tol=1e-14, max_iter=2)
+    assert len(visited) == 2 and np.array_equal(visited[0], z0)
+    assert not np.array_equal(visited[1], z0)
+    for z in visited:
+        J = system.jac(z)
+        J_dense = solvers.fd_jacobian(system.eval, z)
+        for rows in _row_blocks(prob, eliminate):
+            assert (np.max(np.abs(J[rows] - J_dense[rows]))
+                    <= 1e-6 * np.max(np.abs(J_dense[rows])))
+
+
+def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
+    # one batched difference of the potential gradient gives the Hessians at
+    # every node; the chain through the sensitivities reuses them
+    prob = jacobian_regimes()["heavy top"]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(13))
+    expected = system.jac(z)
+    calls = []
+    hessians = lgoc._potential_hessians
+
+    def counted(system_, gs, *args, **kwargs):
+        calls.append(len(gs))
+        return hessians(system_, gs, *args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "_potential_hessians", counted)
+    assert np.array_equal(system.jac(z), expected)
+    assert calls == [prob.N]
 
 
 def test_assembled_potential_jacobian_matches_dense_fd():
@@ -276,56 +319,56 @@ def test_assembled_potential_jacobian_matches_dense_fd():
                         <= 1e-6 * np.max(np.abs(J_dense[complement])))
 
 
-def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
-    # the local pass holds the configurations fixed and shares one set of
-    # potential terms; each node-shift residual moves them and recomputes
-    prob = jacobian_regimes()["heavy top"]
-    system, eliminate = lgoc.residual_system(prob)
-    z = _random_point(prob, eliminate, np.random.default_rng(13))
-    expected = system.jac(z)
-    calls = []
-    hessians = lgoc._potential_hessians
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return hessians(*args, **kwargs)
-
-    monkeypatch.setattr(lgoc, "_potential_hessians", counted)
-    assert np.array_equal(system.jac(z), expected)
-    assert len(calls) == 1 + 2 * len(lgoc._node_shift_structure(prob).colours)
-
-
-def test_eliminated_cayley_jacobian_takes_twelve_colours():
-    # xi row k touches xi_{k-2..k+1}: four interval blocks of three columns
-    for N in (6, 32):
-        prob = rigid_body_problem(N=N)
-        system, eliminate = lgoc.residual_system(prob)
-        assert eliminate and len(lgoc._jacobian_structure(prob).colours) == 12
-
-
-def test_heavy_top_passes_take_fifteen_and_nine_colours():
-    # with the configurations held fixed node k touches intervals k-1 and k
-    # only; the node shifts g_{k-1..k+1} reach it, 3n colours
-    prob = rigid_body_problem(N=16, potential=systems.HeavyTopPotential(0.8))
-    assert len(lgoc._jacobian_structure(prob).colours) <= 15
-    assert len(lgoc._node_shift_structure(prob).colours) == 9
-
-
-@pytest.mark.parametrize("regime", ["cayley eliminated", "uuv", "underactuated"])
-def test_jacobian_build_makes_two_residual_calls_per_colour(regime, monkeypatch):
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
+    # the Jacobian differences only the user's callables: every difference
+    # evaluates the drift or the potential, and the residual is never called
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(12))
-    calls = []
+    residuals, differenced, seen = [], [], set()
     original = lgoc.general_residual
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        residuals.append(1)
         return original(*args, **kwargs)
 
+    def spy(owner, name, label):
+        fn = getattr(owner, name)
+
+        def called(*args, **kwargs):
+            seen.add(label)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, called)
+
+    if prob.system.has_drift:
+        spy(prob.system, "drift", "drift")
+    if prob.system.potential is not None:
+        spy(prob.system.potential, "left_grad", "potential")
+
+    def record(name):
+        fd = getattr(lgoc, name)
+
+        def recorded(*args, **kwargs):
+            seen.clear()
+            out = fd(*args, **kwargs)
+            differenced.append(frozenset(seen))
+            return out
+
+        monkeypatch.setattr(lgoc, name, recorded)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the Jacobian build differenced a residual")
+
     monkeypatch.setattr(lgoc, "general_residual", counted)
+    record("fd_jacobian")
+    record("fd_mixed")
+    monkeypatch.setattr(solvers, "fd_jacobian", refused)
     system.jac(z)
-    assert len(calls) == 2 * len(lgoc._jacobian_structure(prob).colours)
+    assert residuals == []
+    assert bool(differenced) == (prob.system.has_drift or prob.system.potential is not None)
+    assert all(labels and labels <= {"drift", "potential"} for labels in differenced)
 
 
 def _four_point(f, x, j, step):
@@ -337,9 +380,9 @@ def _four_point(f, x, j, step):
     return (at(-2.0) - 8.0 * at(-1.0) + 8.0 * at(1.0) - at(2.0)) / (12.0 * step)
 
 
-@pytest.mark.parametrize("regime", list(jacobian_regimes()) + ["uuv exp"])
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_reconstruction_rows_match_a_four_point_stencil(regime):
-    prob = xi_gradient_regimes()[regime]
+    prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     N, n = prob.N, prob.system.n
     rng = np.random.default_rng(13)
@@ -357,7 +400,7 @@ def test_reconstruction_rows_match_a_four_point_stencil(regime):
 
 @pytest.mark.parametrize("regime", ["cayley eliminated", "exp", "uuv", "uuv exp"])
 def test_sensitivities_match_differences_of_reconstruct(regime):
-    prob = xi_gradient_regimes()[regime]
+    prob = jacobian_regimes()[regime]
     group, N, n, h = prob.system.group, prob.N, prob.system.n, prob.h
     xis = 0.5 * np.random.default_rng(14).normal(size=(N, n)) / h
     gs = lgoc.reconstruct(group, prob.g0, h, xis)
@@ -510,21 +553,9 @@ def _stencil_xi_gradients(problem, xis, nus, lambdas=None, gs=None):
     return out
 
 
-def xi_gradient_regimes():
-    uuv = systems.make_uuv_system(retraction=lie.EXPONENTIAL)
-    return {
-        **jacobian_regimes(),
-        "uuv exp": OcProblemLie(
-            system=uuv, g0=uuv.group.identity(), xi0=np.zeros(6),
-            gT=uuv.group.tau(np.array([0.1, 0.0, 0.2, 0.5, 0.0, 0.1])),
-            xiT=np.zeros(6), N=6, h=0.1, cost=L2Cost(),
-        ),
-    }
-
-
-@pytest.mark.parametrize("regime", list(xi_gradient_regimes()))
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_exact_xi_gradients_match_the_stencil(regime, monkeypatch):
-    prob = xi_gradient_regimes()[regime]
+    prob = jacobian_regimes()[regime]
     N, n, h = prob.N, prob.system.n, prob.h
     rng = np.random.default_rng(31)
     captured = []
@@ -554,7 +585,7 @@ def test_exact_xi_gradients_match_the_stencil(regime, monkeypatch):
 
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
 def test_residual_evaluates_the_interval_maps_once(regime, monkeypatch):
-    prob = xi_gradient_regimes()[regime]
+    prob = jacobian_regimes()[regime]
     assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
     xis, nus, lambdas = lgoc.initial_guess(prob)
     calls = []
@@ -571,7 +602,7 @@ def test_residual_evaluates_the_interval_maps_once(regime, monkeypatch):
 
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
 def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
-    prob = xi_gradient_regimes()[regime]
+    prob = jacobian_regimes()[regime]
     assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
     xis, nus, lambdas = lgoc.initial_guess(prob)
     expected = lgoc.general_residual(prob, xis, nus, lambdas)

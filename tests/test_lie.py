@@ -400,6 +400,49 @@ def test_dtau_inv_deriv_matches_central_difference(retraction):
         assert np.max(np.abs(T - fd)) < 1e-8, (g.name, np.max(np.abs(T - fd)))
 
 
+def _angle_batch(rng, g, angles):
+    xi = rng.normal(size=(len(angles), g.dim))
+    xi[:, :3] *= angles[:, None] / np.linalg.norm(xi[:, :3], axis=1, keepdims=True)
+    return xi
+
+
+_CURVED = [lie.so3(lie.CAYLEY), lie.se3(lie.CAYLEY),
+           lie.so3(lie.EXPONENTIAL), lie.se3(lie.EXPONENTIAL)]
+
+
+@pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_deriv2_matches_central_difference(g):
+    edge = lie._SMALL_ANGLE
+    angles = np.array([0.0, 1e-9, 1e-4, 0.1, edge * (1.0 - 1e-3), edge,
+                       edge * (1.0 + 1e-3), 1.0, 2.0])
+    xi = _angle_batch(np.random.default_rng(24), g, angles)
+    step = 1e-6
+    fd = np.stack([(g.dtau_inv_deriv(xi + step * e) - g.dtau_inv_deriv(xi - step * e))
+                   / (2.0 * step) for e in np.eye(g.dim)], axis=-1)
+    T = g.dtau_inv_deriv2(xi)
+    assert T.shape == (len(angles),) + (g.dim,) * 4
+    assert np.max(np.abs(T - fd)) < 1e-8, np.max(np.abs(T - fd))
+    assert np.max(np.abs(T - np.swapaxes(T, -1, -2))) <= 1e-15
+
+
+@pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_deriv2_batches_equal_single_points(g):
+    rng = np.random.default_rng(25)
+    for size in (1, 32, 1024):
+        # angles on both sides of the small-angle threshold
+        xi = _angle_batch(rng, g, rng.uniform(0.0, 2.0 * lie._SMALL_ANGLE, size=size))
+        batch = g.dtau_inv_deriv2(xi)
+        single = np.stack([g.dtau_inv_deriv2(x) for x in xi[:32]])
+        assert batch.shape == (size,) + (g.dim,) * 4
+        # equal up to the rounding of batched and single matrix products
+        assert np.max(np.abs(batch[:32] - single)) <= 1e-13 * np.max(np.abs(single))
+
+
+def test_dtau_inv_deriv2_vanishes_on_the_abelian_group():
+    g = lie.real_n(4)
+    assert np.array_equal(g.dtau_inv_deriv2(np.ones((5, 4))), np.zeros((5,) + (4,) * 4))
+
+
 # ---------------------------------------------------------------------------
 # adjoints
 # ---------------------------------------------------------------------------

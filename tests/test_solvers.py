@@ -6,11 +6,9 @@ import pytest
 from discvar import solvers
 from discvar.errors import ConfigError, NoConvergence, SingularJacobian
 from discvar.solvers import (
-    JacobianStructure,
     ResidualSystem,
     SolveReport,
     fd_jacobian,
-    greedy_colouring,
     levenberg_marquardt,
     newton,
 )
@@ -68,32 +66,28 @@ def test_fd_jacobian_without_structure_is_the_column_loop():
     assert np.array_equal(fd_jacobian(f, x), J_ref)
 
 
-def test_structure_without_border_equals_dense_on_banded_toy():
-    def banded(x):
-        left = np.concatenate([[0.0], x[:-1]])
-        right = np.concatenate([x[1:], [0.0]])
-        return x ** 2 * left + np.sin(x) + np.cos(x) * right
+def test_fd_mixed_matches_the_nested_fd_jacobian():
+    # a vector-valued f(s, t) that is not a function of s + t
+    def f(s, t):
+        return np.stack([np.sin(s[..., 0] * t[..., 1]) + s[..., 1] ** 2 * t[..., 0],
+                         np.exp(s[..., 0] + 2.0 * t[..., 0]) * t[..., 1]], axis=-1)
 
-    n = 9
-    pattern = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        pattern[i, max(i - 1, 0) : i + 2] = True
-    structure = JacobianStructure(pattern=pattern)
-    assert len(structure.colours) == 3
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        x = rng.normal(size=n)
-        J = ResidualSystem(n, banded, structure=structure).jac(x)
-        assert np.array_equal(J, fd_jacobian(banded, x))
+    calls = []
 
+    def batched(S, T):
+        calls.append(S.shape)
+        return f(S, T)
 
-def test_greedy_colouring_groups_share_no_row():
-    rng = np.random.default_rng(4)
-    pattern = rng.random((30, 40)) < 0.1
-    colours = greedy_colouring(pattern)
-    assert sorted(np.concatenate(colours).tolist()) == list(range(40))
-    for cols in colours:
-        assert np.max(pattern[:, cols].sum(axis=1)) <= 1
+    n = 2
+    mixed = solvers.fd_mixed(batched, n)
+    nested = fd_jacobian(lambda s: fd_jacobian(lambda t: f(s, t), np.zeros(n), step=1e-4),
+                         np.zeros(n), step=1e-4)
+    # nested[(i, j), l] = d^2 f_i / dt_j ds_l against mixed[l, j, i]
+    assert calls == [(4 * n * n, n)]
+    assert mixed.shape == (n, n, 2)
+    assert np.max(np.abs(mixed - nested.reshape(2, n, n).transpose(2, 1, 0))) < 1e-7
+    exact = np.array([[[0.0, 0.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    assert np.max(np.abs(mixed - exact)) < 1e-7
 
 
 def test_newton_linear_one_step():

@@ -56,6 +56,35 @@ def test_smoothed_l1_grad_matches_finite_differences():
         assert abs(g[j] - fd) < 1e-6
 
 
+def _hessian_of_grad_by_differences(cost, U, step=1e-6):
+    cols = []
+    for e in np.eye(U.shape[-1]):
+        cols.append((cost.grad_batch(U + step * e) - cost.grad_batch(U - step * e))
+                    / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def test_l2_cost_hessian_is_the_identity():
+    U = np.random.default_rng(3).normal(size=(7, 4))
+    H = L2Cost().hess_batch(U)
+    assert H.shape == (7, 4, 4)
+    assert np.max(np.abs(H - _hessian_of_grad_by_differences(L2Cost(), U))) < 1e-9
+    assert np.array_equal(H, np.broadcast_to(np.eye(4), (7, 4, 4)))
+
+
+def test_smoothed_l1_hessian_matches_differences_of_the_gradient():
+    cost = SmoothedL1Cost(eps=1e-2, u_min=-1.0, u_max=1.0, weight=100.0)
+    # inside the box, above u_max and below u_min, away from the kinks
+    U = np.array([[0.3, -0.05, 0.7], [1.4, 0.02, -0.4], [-1.6, 0.9, 1.2]])
+    H = cost.hess_batch(U)
+    H_fd = _hessian_of_grad_by_differences(cost, U)
+    assert np.max(np.abs(H - H_fd)) < 1e-6 * np.max(np.abs(H_fd))
+    # the penalty adds 2 weight; the smoothing alone stays below 1/eps
+    active = (U > 1.0) | (U < -1.0)
+    assert np.all(np.diagonal(H, axis1=-2, axis2=-1)[active] > 200.0)
+    assert np.all(np.diagonal(H, axis1=-2, axis2=-1)[~active] <= 100.0)
+
+
 def test_smoothed_l1_bound_penalty():
     cost = SmoothedL1Cost(eps=1e-3, u_min=-1.0, u_max=1.0, weight=100.0)
     inside = cost.value(np.array([0.5]))

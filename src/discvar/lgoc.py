@@ -128,7 +128,6 @@ class ReducedSystem:
         if np.linalg.matrix_rank(self.control_basis) < m:
             raise RankDeficient("control basis rank is below the control dimension")
         self.control_pinv = np.linalg.pinv(self.control_basis)
-        self.inertia_inv = np.linalg.inv(self.inertia)
 
     @property
     def n(self):
@@ -251,23 +250,40 @@ def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
     return left - (h / 2.0) * f_m, right + (h / 2.0) * f_p
 
 
-# convergence test and iteration budget of dep_step's fixed point
+# convergence test and iteration budget of dep_step's simplified Newton
+# iteration
 _DEP_TOL = 1e-13
-_DEP_MAX_FIXED_POINT = 200
+_DEP_MAX_ITER = 200
 
 
 def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
-             g_k=None, step_index=0):
+             g_k=None, step_index=0, tau_prev=None, guess=None):
     """Advance the discrete momentum equation by one interval.
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}) and the forcing around
     node k, solves the implicit relation mu_k = dtau_inv(h xi_k)^* I xi_k for
     the new interval velocity and returns (xi_k, mu_k).  When the system has
     a potential the configuration g_k at the node must be supplied.
+    ``tau_prev`` is tau(h xi_{k-1}) if the caller has it.
+
+    The step solve is a simplified Newton iteration on the residual
+    r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
+    momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
+    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz when forced, is
+    factored once, at ``guess`` (default xi_{k-1}; a march passes the
+    extrapolation 2 xi_{k-1} - xi_{k-2}).  The iteration stops when an
+    update is below _DEP_TOL relative to xi.  If it does not within
+    _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
+    from ``guess``; StepSolveFailed carries ``step_index`` when that fails
+    too.
     """
     group = system.group
-    z_prev = h * np.asarray(xi_prev, dtype=float)
-    rhs = group.coAd(group.tau(z_prev), np.asarray(mu_prev, dtype=float))
+    inertia = system.inertia
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    z_prev = h * xi_prev
+    if tau_prev is None:
+        tau_prev = group.tau(z_prev)
+    rhs = group.coAd(tau_prev, np.asarray(mu_prev, dtype=float))
     if u_prev_plus is not None:
         rhs = rhs + (h / 2.0) * (
             system.drift_values(z_prev) + system.control_basis @ np.asarray(u_prev_plus, dtype=float)
@@ -276,42 +292,58 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
         if g_k is None:
             raise DimensionMismatch("potential systems need g_k in dep_step")
         rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
+    forced = u_minus is not None
+    if forced:
+        pushed = system.control_basis @ np.asarray(u_minus, dtype=float)
 
-    def mu_of(xi):
-        z = h * xi
-        out = rhs.copy()
-        if u_minus is not None:
-            out = out + (h / 2.0) * (
-                system.drift_values(z) + system.control_basis @ np.asarray(u_minus, dtype=float)
-            )
+    def residual(xi, D):
+        out = _mv(_mt(D), inertia @ xi) - rhs
+        if forced:
+            out = out - (h / 2.0) * (system.drift_values(h * xi) + pushed)
         return out
 
-    xi = np.asarray(xi_prev, dtype=float).copy()
-    for _ in range(_DEP_MAX_FIXED_POINT):
-        target = mu_of(xi)
-        xi_new = system.inertia_inv @ np.linalg.solve(_mt(group.dtau_inv_matrix(h * xi)), target)
-        if np.max(np.abs(xi_new - xi)) < _DEP_TOL * (1.0 + np.max(np.abs(xi_new))):
-            xi = xi_new
+    start = xi_prev if guess is None else np.asarray(guess, dtype=float)
+    z = h * start
+    D = group.dtau_inv_matrix(z)
+    J = _mt(D) @ inertia + h * np.einsum("jil,j->il", group.dtau_inv_deriv(z),
+                                         inertia @ start)
+    if forced and system.has_drift:
+        J = J - (h * h / 2.0) * _drift_jacobians(system, z)
+    try:
+        J_inv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        # a NaN update ends the iteration at once and leaves the step to newton
+        J_inv = np.full_like(J, np.nan)
+    xi, converged = start, False
+    for _ in range(_DEP_MAX_ITER):
+        update = J_inv @ residual(xi, D)
+        xi = xi - update
+        size = np.abs(update).max()
+        if not np.isfinite(size):
             break
-        xi = xi_new
-    else:
-        # fall back to Newton on the residual
-        def res(x):
-            return _mv(_mt(group.dtau_inv_matrix(h * x)), system.inertia @ x) - mu_of(x)
-
+        D = group.dtau_inv_matrix(h * xi)
+        if size < _DEP_TOL * (1.0 + np.abs(xi).max()):
+            converged = True
+            break
+    if not converged:
         try:
-            xi, _ = newton(ResidualSystem(dim=system.n, eval=res), xi, tol=1e-12)
+            xi, _ = newton(ResidualSystem(
+                dim=system.n, eval=lambda x: residual(x, group.dtau_inv_matrix(h * x))),
+                start, tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, str(exc)) from exc
-    mu = _mv(_mt(group.dtau_inv_matrix(h * xi)), system.inertia @ xi)
-    return xi, mu
+        D = group.dtau_inv_matrix(h * xi)
+    return xi, _mv(_mt(D), inertia @ xi)
 
 
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     """March the forced discrete momentum equation; returns (gs, xis, mus).
 
     ``controls`` has shape (steps, 2, m) holding (u_k^-, u_k^+); interval 0
-    is determined by the initial velocity, so its u_0^- is unused.
+    is determined by the initial velocity, so its u_0^- is unused.  Each step
+    is one ``dep_step``, started from the extrapolation 2 xi_{k-1} - xi_{k-2}
+    and handed the tau(h xi_{k-1}) that built g_k, so a march makes ``steps``
+    tau calls.
     """
     group = system.group
     n = system.n
@@ -326,15 +358,18 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     mus[0] = _mv(
         _mt(group.dtau_inv_matrix(h * xis[0])), system.inertia @ xis[0]
     )
-    gs.append(group.multiply(gs[0], group.tau(h * xis[0])))
+    W = group.tau(h * xis[0])
+    gs.append(group.multiply(gs[0], W))
     for k in range(1, steps):
         upp = controls[k - 1, 1] if controls is not None else None
         um = controls[k, 0] if controls is not None else None
         xis[k], mus[k] = dep_step(
             system, h, xis[k - 1], mus[k - 1], u_prev_plus=upp, u_minus=um,
-            g_k=gs[k], step_index=k,
+            g_k=gs[k], step_index=k, tau_prev=W,
+            guess=2.0 * xis[k - 1] - xis[k - 2] if k > 1 else None,
         )
-        gs.append(group.multiply(gs[k], group.tau(h * xis[k])))
+        W = group.tau(h * xis[k])
+        gs.append(group.multiply(gs[k], W))
     return np.stack(gs), xis, mus
 
 
@@ -394,14 +429,15 @@ def action_sum(problem, xis, nus, lambdas=None, gs=None):
     return float(np.sum(vals))
 
 
-def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd):
+def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=None, T=None):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
     the drift d(h xi); D = dtau_inv(z) and A = Ad(W) come from
-    ``interval_momenta``, and Jd from ``_drift_jacobians``.  ``c_minus`` and
-    ``c_plus`` are the term's derivatives in mu and in the transport; its
-    derivative in d is -(h/2)(c_minus - c_plus).
+    ``interval_momenta``, and Jd from ``_drift_jacobians``; T3 =
+    dtau_inv_deriv(z) and T = dtau_matrix(z) are computed unless given.
+    ``c_minus`` and ``c_plus`` are the term's derivatives in mu and in the
+    transport; its derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
     contracted with I xi, where D = dtau_inv(z), and the transport moves by
     coAd(W, dmu) + coAd(W, ad(eta)^* mu) with eta = h dtau(z) dxi (tau is
@@ -410,12 +446,15 @@ def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd):
     sys_ = problem.system
     group = sys_.group
     h = problem.h
+    if T3 is None:
+        T3 = group.dtau_inv_deriv(z)
+    if T is None:
+        T = group.dtau_matrix(z)
     e_plus = _mv(A, c_plus)
     e = c_minus + e_plus
     out = _mv(D, e) @ sys_.inertia
-    out += h * np.einsum("kjil,kj,ki->kl", group.dtau_inv_deriv(z),
-                         xis @ sys_.inertia, e)
-    out -= h * _mv(_mt(group.dtau_matrix(z)), _mv(_mt(group.ad_matrix(e_plus)), mu))
+    out += h * np.einsum("kjil,kj,ki->kl", T3, xis @ sys_.inertia, e)
+    out -= h * _mv(_mt(T), _mv(_mt(group.ad_matrix(e_plus)), mu))
     if Jd is not None:
         out -= (h * h / 2.0) * np.einsum("kij,ki->kj", Jd, c_minus - c_plus)
     return out
@@ -446,15 +485,16 @@ def _potential_hessians(system, gs, step=1e-6):
     """Left-trivialized directional derivatives of the potential gradient at
     the configurations gs.
 
-    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0.
+    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0: the
+    central differences of ``fd_jacobian``, with all 2n shifts stacked along
+    a leading axis of one ``left_grad`` call.
     """
     group = system.group
     n = system.n
-
-    def shifted_grads(s):
-        return system.potential.left_grad(group.multiply(gs, group.tau(s)))
-
-    return fd_jacobian(shifted_grads, np.zeros(n), step=step).reshape(-1, n, n)
+    moved = group.tau(step * np.concatenate([np.eye(n), -np.eye(n)]))
+    G = np.asarray(system.potential.left_grad(group.multiply(gs, moved[:, None])),
+                   dtype=float)
+    return np.moveaxis((G[:n] - G[n:]) / (2.0 * step), 0, -1)
 
 
 def _potential_curvature(system, gs, w):
@@ -482,17 +522,20 @@ def reconstruction_residual(problem, xis):
     return group.tau_inv(acc)
 
 
-def _sensitivities(group, h, xis, gs):
+def _sensitivities(group, h, xis, gs, T=None):
     """Factors of the configurations' sensitivities to the velocities.
 
     Moving xi_k by dxi moves g_j, j > k, to g_j tau(S[j, k] dxi) to first
     order, with the left-trivialized S[j, k] = Ad(g_j^-1 g_k) h dtau(h xi_k)
     (tau is right-trivialized).  Returns (Ainv, P) with Ainv[j] = Ad(g_j^-1)
     for j = 0..N and P[k] = Ad(g_k) h dtau(h xi_k), so S[j, k] = Ainv[j] P[k].
+    T = dtau(h xi_k) is computed unless given.
     """
     N = len(xis)
+    if T is None:
+        T = group.dtau_matrix(h * np.asarray(xis, dtype=float))
     A = group.Ad_matrix(np.concatenate([gs[:N], group.inverse(gs)]))
-    P = A[:N] @ (h * group.dtau_matrix(h * np.asarray(xis, dtype=float)))
+    P = A[:N] @ (h * T)
     return A[N:], P
 
 
@@ -678,7 +721,7 @@ def _slots(n, s):
             slice(2 * n + 2 * s, 3 * n + 2 * s))
 
 
-def _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd):
+def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     """Hessians of the interval cost terms in (nu_k, xi_k, lambda_k, nu_{k+1}),
     all intervals at once; returns (H, dmu/dxi, d transport/dxi).
 
@@ -690,7 +733,8 @@ def _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd):
     K = d^2/dxi^2 [c_minus . mu + c_plus . transport - (h/2)(c_minus - c_plus) . d].
     K takes the closed forms of ``_xi_gradients`` one derivative further,
     through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
-    the drift's curvature is differenced.  ``T3`` is dtau_inv_deriv(z).
+    the drift's curvature is differenced.  ``T3`` is dtau_inv_deriv(z) and
+    ``T`` dtau_matrix(z).
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
@@ -698,7 +742,6 @@ def _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd):
     z, _, mu, _, D, A = maps
     I, P = sys_.inertia, sys_.control_pinv
     p = xis @ I.T
-    T = group.dtau_matrix(z)
     Mxi = _mt(D) @ I + h * np.einsum("kjil,kj->kil", T3, p)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
     Bmu = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mu)
@@ -741,9 +784,9 @@ def _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd):
 def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     """Every interval's block of the residual Jacobian, from one batched pass.
 
-    Returns (O, curvature, dmu/dxi, d transport/dxi, gs).  O[k] has the rows
-    (velocity row at node k, momentum row at node k, complement rows of
-    interval k, velocity and momentum rows at node k+1) and the columns
+    Returns (O, curvature, dmu/dxi, d transport/dxi, gs, dtau(z)).  O[k] has
+    the rows (velocity row at node k, momentum row at node k, complement rows
+    of interval k, velocity and momentum rows at node k+1) and the columns
     (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where s_j moves g_j to
     g_j tau(s_j).  The velocity rows pull the xi-gradient back through
     dtau_inv(-+h xi_k) and add the potential's Hessians times the weights
@@ -762,9 +805,10 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     grads = _node_grads(sys_, gs)
     um, up, _, _, c_minus, c_plus = _interval_covectors(problem, xis, nus, lambdas, maps, grads)
     Jd = _drift_jacobians(sys_, z)
-    gxi = _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd)
-    T3 = group.dtau_inv_deriv(z)
-    H, Mxi, Txi = _interval_hessians(problem, xis, maps, T3, um, up, c_minus, c_plus, Jd)
+    T3, T = group.dtau_inv_deriv(z), group.dtau_matrix(z)
+    gxi = _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=T3, T=T)
+    H, Mxi, Txi = _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus,
+                                     c_plus, Jd)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     Hs = np.zeros((N + 1, n, n))
@@ -791,7 +835,7 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
     O[:, :, n : 2 * n] = -Oy[:, :, nu_a] @ Ha
     O[:, :, 4 * n + 2 * s :] = Oy[:, :, nu_b] @ Hb
-    return O, curvature, Mxi, Txi, gs
+    return O, curvature, Mxi, Txi, gs, T
 
 
 def residual_system(problem):
@@ -848,7 +892,7 @@ def residual_system(problem):
 
     def jacobian(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        O, curvature, Mxi, Txi, gs = _jacobian_blocks(problem, xis, nus_interior, lambdas)
+        O, curvature, Mxi, Txi, gs, T = _jacobian_blocks(problem, xis, nus_interior, lambdas)
         # the transpose: the column chains below then run along whole rows
         Jt = np.zeros(((N + 1) * b, (N + 1) * a))
         Ot = _mt(O)
@@ -861,7 +905,7 @@ def residual_system(problem):
         V[k + 1, : 2 * n, k, :] += Ot[:, b:, :a]
         V[k + 1, : 2 * n, k + 1, : 2 * n] += Ot[:, b:, a:]
         columns = Jt.reshape(N + 1, b, -1)
-        Ainv, P = _sensitivities(group, h, xis, gs)
+        Ainv, P = _sensitivities(group, h, xis, gs, T=T)
         if curvature is not None:
             j = k[1:]
             V[j, n : 2 * n, j, :n] += _mt(curvature)

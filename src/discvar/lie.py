@@ -41,19 +41,24 @@ _CHART_ANGLE_TOL = 1e-8
 # hat / vee
 # ---------------------------------------------------------------------------
 
+# the 3x3 identity, shared by the kernels (read-only)
+_I3 = np.eye(3)
+_I3.flags.writeable = False
+
+# hat3(w) = w @ _HAT, flattened: each entry of the skew matrix is +-one
+# coordinate of w, so the product is exact
+_HAT = np.zeros((3, 3, 3))
+_HAT[2, 0, 1], _HAT[1, 0, 2], _HAT[0, 1, 2] = -1.0, 1.0, -1.0
+_HAT[2, 1, 0], _HAT[1, 2, 0], _HAT[0, 2, 1] = 1.0, -1.0, 1.0
+_HAT = _HAT.reshape(3, 9)
+
+
 def hat3(w):
     """Skew-symmetric 3x3 matrix of w, i.e. hat3(w) @ x == cross(w, x)."""
     w = np.asarray(w, dtype=float)
     if w.shape[-1] != 3:
         raise DimensionMismatch("expected vectors of length 3")
-    out = np.zeros(w.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -w[..., 2]
-    out[..., 0, 2] = w[..., 1]
-    out[..., 1, 0] = w[..., 2]
-    out[..., 1, 2] = -w[..., 0]
-    out[..., 2, 0] = -w[..., 1]
-    out[..., 2, 1] = w[..., 0]
-    return out
+    return (w @ _HAT).reshape(w.shape[:-1] + (3, 3))
 
 
 def vee3(W):
@@ -92,7 +97,7 @@ def _so3_exp(w):
     a = np.where(small, 1.0 - th2 / 6.0, np.sin(th_safe) / th_safe)
     b = np.where(small, 0.5 - th2 / 24.0, (1.0 - np.cos(th_safe)) / th_safe**2)
     W = hat3(w)
-    return np.eye(3) + a[..., None, None] * W + b[..., None, None] * (W @ W)
+    return _I3 + a[..., None, None] * W + b[..., None, None] * (W @ W)
 
 
 def _so3_angle(R):
@@ -116,7 +121,7 @@ def _so3_cay(w):
     w = np.asarray(w, dtype=float)
     s = np.einsum("...i,...i->...", w, w)
     W = hat3(w)
-    return np.eye(3) + (4.0 / (4.0 + s))[..., None, None] * (W + 0.5 * (W @ W))
+    return _I3 + (4.0 / (4.0 + s))[..., None, None] * (W + 0.5 * (W @ W))
 
 
 def _so3_cay_inv(R):
@@ -125,7 +130,7 @@ def _so3_cay_inv(R):
     if np.any(th > np.pi - _CHART_ANGLE_TOL):
         raise OutOfChart("rotation angle too close to pi for the Cayley chart")
     # hat(w) = 2 (R - I)(R + I)^-1; solve on the transposed system
-    X = _mt(np.linalg.solve(_mt(R + np.eye(3)), _mt(2.0 * (R - np.eye(3)))))
+    X = _mt(np.linalg.solve(_mt(R + _I3), _mt(2.0 * (R - _I3))))
     return vee3(0.5 * (X - _mt(X)))
 
 
@@ -134,7 +139,7 @@ def _inv_i_minus_half_hat(w):
     w = np.asarray(w, dtype=float)
     s = np.einsum("...i,...i->...", w, w)
     W = hat3(w)
-    num = 4.0 * np.eye(3) + 2.0 * W + w[..., :, None] * w[..., None, :]
+    num = 4.0 * _I3 + 2.0 * W + w[..., :, None] * w[..., None, :]
     return num / (4.0 + s)[..., None, None]
 
 
@@ -142,13 +147,13 @@ def _so3_dcay(w):
     """Right-trivialized tangent of the SO(3) Cayley map, on coordinates."""
     w = np.asarray(w, dtype=float)
     s = np.einsum("...i,...i->...", w, w)
-    return (2.0 / (4.0 + s))[..., None, None] * (2.0 * np.eye(3) + hat3(w))
+    return (2.0 / (4.0 + s))[..., None, None] * (2.0 * _I3 + hat3(w))
 
 
 def _so3_dcay_inv(w):
     w = np.asarray(w, dtype=float)
     return (
-        np.eye(3)
+        _I3
         - 0.5 * hat3(w)
         + 0.25 * w[..., :, None] * w[..., None, :]
     )
@@ -233,14 +238,14 @@ def _so3_dexp(w):
     w = np.asarray(w, dtype=float)
     b, c = _dexp_bc(*_angle(w))
     W = hat3(w)
-    return np.eye(3) + b[..., None, None] * W + c[..., None, None] * (W @ W)
+    return _I3 + b[..., None, None] * W + c[..., None, None] * (W @ W)
 
 
 def _so3_dexp_inv(w):
     w = np.asarray(w, dtype=float)
     k = _dexp_inv_k(*_angle(w))
     W = hat3(w)
-    return np.eye(3) - 0.5 * W + k[..., None, None] * (W @ W)
+    return _I3 - 0.5 * W + k[..., None, None] * (W @ W)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def _se3_exp(xi):
     w, v = xi[..., :3], xi[..., 3:]
     J = _so3_dexp(w)
     # exp(W) = I + W dexp(W)
-    return _se3_build(np.eye(3) + hat3(w) @ J, _mv(J, v))
+    return _se3_build(_I3 + hat3(w) @ J, _mv(J, v))
 
 
 def _se3_log(g):
@@ -303,7 +308,7 @@ def _se3_dcay(xi):
 def _se3_dcay_inv(xi):
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
-    A = np.eye(3) - 0.5 * hat3(w)
+    A = _I3 - 0.5 * hat3(w)
     return _se3_blocks(A + 0.25 * w[..., :, None] * w[..., None, :],
                        -0.5 * (A @ hat3(v)), A)
 
@@ -320,7 +325,7 @@ def _se3_tangent(xi, alpha, beta, dalpha, dbeta):
     s = np.einsum("...i,...i->...", w, v)
     alpha, beta, dalpha, dbeta, s = (np.asarray(x)[..., None, None]
                                      for x in (alpha, beta, dalpha, dbeta, s))
-    return _se3_blocks(np.eye(3) + alpha * W + beta * W2,
+    return _se3_blocks(_I3 + alpha * W + beta * W2,
                        _tangent_lower(W, W2, hat3(v), s, alpha, beta, dalpha, dbeta))
 
 
@@ -353,12 +358,12 @@ def _se3_dexp_inv(xi):
 # Each kernel returns T stacked along the derivative index first, T[..., l, i, j]
 # = d D_ij / d xi_l for D = dtau^-1(xi); GroupSpec moves l last.  _E[l] = hat3(e_l).
 
-_E = hat3(np.eye(3))
+_E = hat3(_I3)
 
 
 def _so3_dcay_inv_deriv(w):
     # D = I - W/2 + w w^T/4
-    ew = np.eye(3)[:, :, None] * w[..., None, None, :]
+    ew = _I3[:, :, None] * w[..., None, None, :]
     return -0.5 * _E + 0.25 * (ew + _mt(ew))
 
 
@@ -369,7 +374,7 @@ def _se3_dcay_inv_deriv(xi):
     out = np.zeros(xi.shape[:-1] + (6, 6, 6))
     out[..., :3, :, :] = _se3_blocks(_so3_dcay_inv_deriv(w),
                                      0.25 * (_E @ hat3(v)[..., None, :, :]), -0.5 * _E)
-    A = np.eye(3) - 0.5 * hat3(w)
+    A = _I3 - 0.5 * hat3(w)
     out[..., 3:, 3:, :3] = -0.5 * (A[..., None, :, :] @ _E)
     return out
 
@@ -420,10 +425,10 @@ def _se3_dexp_inv_deriv(xi):
 # The SE(3) lower block L is linear in v, and for exp it is the derivative of
 # the upper block F along v, so d^2 L / dw_l dv_m = d^2 F / dw_l dw_m.
 
-_DELTA = np.eye(3)[:, :, None, None]
+_DELTA = _I3[:, :, None, None]
 # d^2 (w w^T / 4) / dw_l dw_m = (e_l e_m^T + e_m e_l^T) / 4
-_OUTER2 = 0.25 * (np.einsum("li,mj->lmij", np.eye(3), np.eye(3))
-                  + np.einsum("mi,lj->lmij", np.eye(3), np.eye(3)))
+_OUTER2 = 0.25 * (np.einsum("li,mj->lmij", _I3, _I3)
+                  + np.einsum("mi,lj->lmij", _I3, _I3))
 _EL, _EM = _E[:, None], _E[None, :]
 
 
@@ -556,7 +561,7 @@ class GroupSpec:
         if g.shape[-2:] != (size, size):
             raise DimensionMismatch(f"expected {size}x{size} matrices")
         R = g[..., :3, :3]
-        if np.max(np.abs(_mt(R) @ R - np.eye(3))) > tol:
+        if np.max(np.abs(_mt(R) @ R - _I3)) > tol:
             raise DimensionMismatch("rotation block is not orthonormal")
         if np.max(np.abs(np.linalg.det(R) - 1.0)) > tol:
             raise DimensionMismatch("rotation block must have determinant +1")

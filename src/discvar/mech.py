@@ -246,6 +246,8 @@ def legendre_pair(lagrangian, forces, q_a, q_b, u_minus, u_plus):
 # |M q| / h: a few rounding units
 _STEP_TOL = 1e-12
 _STEP_ROUNDING = 16.0 * np.finfo(float).eps
+# budget of a step's simplified Newton iteration, and of its fallback
+_STEP_MAX_ITER = 50
 
 
 def integrate(lagrangian, forces, q0, q1, steps, controls=None):
@@ -259,7 +261,13 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     Each step solves the DEL residual to an absolute 1e-12, but never below
     a few rounding units of the momentum terms M q / h: the difference
     quotients lose eps |q| / h each, so far from the origin 1e-12 could not
-    be met.
+    be met.  The step solve is a simplified Newton iteration from the
+    extrapolation 2 q_k - q_{k-1} on the Jacobian D1 D2 Ld = -M / h, which
+    is constant, so the march factors it once; without a potential or a
+    drift the residual is affine in q_{k+1} and one update solves it.  A
+    step that does not converge within _STEP_MAX_ITER updates falls back to
+    Newton with a line search (``newton``), and raises StepSolveFailed with
+    the step index when that fails too.
     """
     n = lagrangian.dim
     q0 = np.asarray(q0, dtype=float)
@@ -274,9 +282,13 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     # 16 eps |M q_k|_inf / h <= rounding_per_q * |q_k|_inf
     rounding_per_q = (_STEP_ROUNDING / lagrangian.h
                       * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
+    # d/dq_next of D1 Ld(q_k, q_next); drift terms, if any, are mild enough
+    # that the iteration still contracts
+    J = lagrangian.d12(q0, q1)
+    J_inv = np.linalg.inv(J)
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(_STEP_TOL, rounding_per_q * np.max(np.abs(q_k)))
+        step_tol = max(_STEP_TOL, rounding_per_q * np.abs(q_k).max())
         u_prev_plus = controls[k - 1, 1]
         u_k_minus = controls[k, 0]
 
@@ -285,16 +297,21 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
                 lagrangian, forces, q_prev, q_k, q_next, u_prev_plus, u_k_minus
             )
 
-        def jac(q_next):
-            # d/dq_next of D1 Ld(q_k, q_next); drift terms, if any, are mild
-            # enough that the quasi-Newton iteration still contracts
-            return lagrangian.d12(q_k, q_next)
-
-        system = ResidualSystem(dim=n, eval=res, jacobian=jac)
-        try:
-            q_next, _ = newton(system, 2.0 * q_k - q_prev, tol=step_tol, max_iter=50)
-        except (NoConvergence, SingularJacobian) as exc:
-            raise StepSolveFailed(k, f"step {k}: {exc}") from exc
+        guess = 2.0 * q_k - q_prev
+        q_next, r = guess, res(guess)
+        err = np.abs(r).max()
+        for _ in range(_STEP_MAX_ITER):
+            if err <= step_tol or not np.isfinite(err):
+                break
+            q_next = q_next - J_inv @ r
+            r = res(q_next)
+            err = np.abs(r).max()
+        if not err <= step_tol:
+            system = ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
+            try:
+                q_next, _ = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)
+            except (NoConvergence, SingularJacobian) as exc:
+                raise StepSolveFailed(k, f"step {k}: {exc}") from exc
         qs[k + 1] = q_next
     return qs
 

@@ -13,6 +13,7 @@ from discvar.errors import (
     NotInvertible,
     RankDeficient,
     SingularJacobian,
+    StepSolveFailed,
 )
 from discvar.lgoc import OcProblemLie, ReducedSystem
 from discvar.systems import L2Cost, SmoothedL1Cost, make_rigid_body_so3
@@ -101,6 +102,136 @@ def test_dep_step_transports_the_given_momentum():
     _, mu1 = lgoc.dep_step(system, h, xi, mu[0] + bump)
     oracle = transported[0] + system.group.coAd(W[0], bump)
     assert np.max(np.abs(mu1 - oracle)) < 1e-12
+
+
+def _march_cases():
+    """(system, g0, xi0, h, controls) on SO(3) and SE(3) under both
+    retractions: the free body, the heavy top (a potential) and the vehicle
+    (a drift), the last two with random controls."""
+    rng = np.random.default_rng(40)
+    cases = {}
+    for retraction in (lie.CAYLEY, lie.EXPONENTIAL):
+        body = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                   retraction=retraction)
+        cases[f"free body {retraction}"] = (body, np.eye(3), np.array([0.2, 1.0, -0.5]),
+                                            0.05, None)
+        # h |xi| about 0.6, past the exp maps' small-angle threshold
+        cases[f"fast spin {retraction}"] = (body, np.eye(3), np.array([2.0, 10.0, -5.0]),
+                                            0.05, None)
+        top = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                  retraction=retraction,
+                                  potential=systems.HeavyTopPotential(0.8))
+        cases[f"heavy top {retraction}"] = (top, np.eye(3), np.array([0.3, -0.4, 1.5]),
+                                            0.05, 0.5 * rng.normal(size=(200, 2, 3)))
+        uuv = systems.make_uuv_system(retraction=retraction)
+        cases[f"uuv {retraction}"] = (uuv, np.eye(4), 0.3 * rng.normal(size=6), 0.05,
+                                      0.1 * rng.normal(size=(200, 2, 5)))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_march_cases()))
+def test_integrate_reduced_solves_the_momentum_equation(case, monkeypatch):
+    # every step's simplified Newton iteration converges without the newton
+    # fallback, and the forced discrete momentum equation holds at every
+    # node: the node momenta of consecutive intervals agree
+    system, g0, xi0, h, controls = _march_cases()[case]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step fell back to newton")
+
+    monkeypatch.setattr(lgoc, "newton", refused)
+    steps = 200
+    gs, xis, mus = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
+    _, _, mu, _, _, _ = lgoc.interval_momenta(system, h, xis)
+    assert np.max(np.abs(mus - mu)) <= 1e-14 * np.max(np.abs(mu))
+    if controls is None:
+        controls = np.zeros((steps, 2, system.m))
+    left, right = lgoc.nu_momenta(system, h, xis, controls[:, 0], controls[:, 1], gs=gs)
+    scale = np.max(np.abs(mus))
+    assert np.max(np.abs(right[:-1] - left[1:])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+@pytest.mark.parametrize("damped", [False, True], ids=["free body", "damped"])
+def test_steps_take_few_updates(retraction, damped, monkeypatch):
+    # the simplified Newton iteration from the extrapolated start, on the
+    # exact Jacobian: each step evaluates dtau_inv at the start and after
+    # each update, and stops on the update below _DEP_TOL.  The damped body
+    # has a drag of -20 z under constant torques, so the drift's term in the
+    # Jacobian counts: without it the steps take up to 9 updates
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                 retraction=retraction)
+    h, steps, controls, most = 0.01, 300, None, 4
+    if damped:
+        system = dataclasses.replace(system, drift=lambda z: -20.0 * z)
+        h, controls, most = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1)), 5
+    calls, per_step = [], []
+    dtau_inv = lie.GroupSpec.dtau_inv_matrix
+
+    def counted(self, xi):
+        calls.append(1)
+        return dtau_inv(self, xi)
+
+    original = lgoc.dep_step
+
+    def step(*args, **kwargs):
+        calls.clear()
+        out = original(*args, **kwargs)
+        per_step.append(len(calls) - 1)
+        return out
+
+    monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix", counted)
+    monkeypatch.setattr(lgoc, "dep_step", step)
+    lgoc.integrate_reduced(system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps,
+                           controls=controls)
+    assert len(per_step) == steps - 1 and max(per_step) <= most
+
+
+def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
+    system, g0, xi0, h, controls = _march_cases()["uuv cay"]
+    calls = []
+    tau = lie.GroupSpec.tau
+
+    def counted(self, xi):
+        calls.append(1)
+        return tau(self, xi)
+
+    monkeypatch.setattr(lie.GroupSpec, "tau", counted)
+    lgoc.integrate_reduced(system, g0, xi0, h, 50, controls=controls[:50])
+    assert len(calls) == 50
+
+
+def test_newton_fallback_finds_the_same_step(monkeypatch):
+    # with no budget for the simplified Newton iteration every step goes to
+    # newton, from the same extrapolated start, and lands on the same root
+    system, g0, xi0, h, controls = _march_cases()["uuv exp"]
+    expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    monkeypatch.setattr(lgoc, "_DEP_MAX_ITER", 0)
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_step_failure_names_the_step(monkeypatch):
+    # on R^1 with unit mass and unit force the velocity grows by h per step,
+    # xi_k = 0.55 + 0.1 k; the drift is undefined from xi = 1 on, so step 5
+    # fails in the simplified Newton iteration and in its newton fallback
+    h = 0.1
+    system = ReducedSystem(group=lie.real_n(1), inertia=np.eye(1), control_basis=np.eye(1),
+                           drift=lambda z: np.where(np.abs(z) < h, 0.0, np.nan))
+    fallbacks = []
+    newton = lgoc.newton
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "newton", counted)
+    with pytest.raises(StepSolveFailed) as info:
+        lgoc.integrate_reduced(system, np.zeros(1), np.array([0.55]), h, 12,
+                               controls=np.ones((12, 2, 1)))
+    assert info.value.step == 5
+    assert len(fallbacks) == 1
 
 
 def test_integrate_reduced_second_order_vs_rk4():

@@ -57,6 +57,30 @@ def test_hat3_antisymmetric_and_cross_product():
     assert np.allclose(lie.vee3(W), w)
 
 
+def _hat3_by_slices(w):
+    # the zeros-and-slices construction hat3 used before it became one
+    # product with a constant tensor, kept verbatim as its oracle
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(w.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -w[..., 2]
+    out[..., 0, 2] = w[..., 1]
+    out[..., 1, 0] = w[..., 2]
+    out[..., 1, 2] = -w[..., 0]
+    out[..., 2, 0] = -w[..., 1]
+    out[..., 2, 1] = w[..., 0]
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (32,), (1024,), (4, 8)])
+def test_hat3_equals_the_slice_construction(batch):
+    rng = np.random.default_rng(2)
+    # magnitudes from 1e-300 to 1e300: each entry is one coordinate, exactly
+    w = rng.normal(size=batch + (3,)) * 10.0 ** rng.integers(-300, 300, size=batch + (3,))
+    W = lie.hat3(w)
+    assert W.shape == batch + (3, 3)
+    assert np.array_equal(W, _hat3_by_slices(w))
+
+
 def test_hat4_embedding_and_roundtrip():
     rng = np.random.default_rng(1)
     xi = rng.normal(size=6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discvar import mech
-from discvar.errors import DimensionMismatch
+from discvar.errors import DimensionMismatch, StepSolveFailed
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
@@ -392,3 +392,60 @@ def test_forced_integration_far_from_origin(scale):
             L, F, qs[k - 1], qs[k], qs[k + 1], controls[k - 1, 1], controls[k, 0],
         )
         assert np.max(np.abs(r)) < 16.0 * np.finfo(float).eps * momentum_scale
+
+
+def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
+    # no potential and no drift: the DEL residual is affine in q_{k+1} with
+    # the constant Jacobian -M/h, so one update from the extrapolation meets
+    # the step tolerance: two residuals per step, no newton call
+    h, steps = 0.01, 40
+    L = RnLagrangian(np.array([[2.0, 0.3], [0.3, 1.0]]), h=h)
+    F = DiscreteForcePairRn.trapezoidal(2, h)
+    controls = np.random.default_rng(8).normal(size=(steps, 2, 2))
+    residuals = []
+    original = mech.forced_del_residual
+
+    def counted(*args):
+        residuals.append(1)
+        return original(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the step fell back to newton")
+
+    monkeypatch.setattr(mech, "forced_del_residual", counted)
+    monkeypatch.setattr(mech, "newton", refused)
+    qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
+                        controls=controls)
+    assert len(residuals) == 2 * (steps - 1)
+    for k in range(1, steps):
+        r = original(L, F, qs[k - 1], qs[k], qs[k + 1], controls[k - 1, 1], controls[k, 0])
+        assert np.max(np.abs(r)) <= 1e-12
+
+
+def test_step_failure_names_the_step(monkeypatch):
+    # the drift is undefined once the velocity passes 1: the step that gets
+    # there fails in the simplified Newton iteration and in its newton
+    # fallback, and StepSolveFailed names it
+    h = 0.1
+    fallbacks = []
+    newton = mech.newton
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(mech, "newton", counted)
+
+    def drift(qa, qb):
+        return np.where(np.abs(qb - qa) / h < 1.0, 0.0, np.nan)
+
+    L = free_particle(h=h)
+    F = DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1), a_minus=drift)
+    # unit force: the velocity grows by h per step, from 0.55 on [q0, q1]
+    controls = np.ones((12, 2, 1))
+    with pytest.raises(StepSolveFailed) as info:
+        mech.integrate(L, F, np.zeros(1), np.array([0.055]), 12, controls=controls)
+    # v_k = 0.55 + 0.1 k on [q_k, q_{k+1}]: step k solves for q_{k+1}, and
+    # v_5 = 1.05 is the first velocity past 1
+    assert info.value.step == 5
+    assert len(fallbacks) == 1

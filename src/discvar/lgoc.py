@@ -57,8 +57,7 @@ from .errors import (
 )
 from .solvers import (
     ResidualSystem,
-    fd_jacobian,
-    fd_mixed,
+    central_difference,
     levenberg_marquardt,
     newton,
 )
@@ -262,20 +261,21 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}) and the forcing around
     node k, solves the implicit relation mu_k = dtau_inv(h xi_k)^* I xi_k for
-    the new interval velocity and returns (xi_k, mu_k).  When the system has
-    a potential the configuration g_k at the node must be supplied.
-    ``tau_prev`` is tau(h xi_{k-1}) if the caller has it.
+    the new interval velocity and returns (xi_k, mu_k).  The forcing is the
+    drift, when the system has one, plus B u for each control given.  When
+    the system has a potential the configuration g_k at the node must be
+    supplied.  ``tau_prev`` is tau(h xi_{k-1}) if the caller has it.
 
     The step solve is a simplified Newton iteration on the residual
     r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
     momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
-    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz when forced, is
+    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift, is
     factored once, at ``guess`` (default xi_{k-1}; a march passes the
     extrapolation 2 xi_{k-1} - xi_{k-2}).  The iteration stops when an
     update is below _DEP_TOL relative to xi.  If it does not within
     _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
-    from ``guess``; StepSolveFailed carries ``step_index`` when that fails
-    too.
+    from ``guess``, on the same Jacobian taken at its own iterates;
+    StepSolveFailed carries ``step_index`` when that fails too.
     """
     group = system.group
     inertia = system.inertia
@@ -284,31 +284,30 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
     if tau_prev is None:
         tau_prev = group.tau(z_prev)
     rhs = group.coAd(tau_prev, np.asarray(mu_prev, dtype=float))
-    if u_prev_plus is not None:
-        rhs = rhs + (h / 2.0) * (
-            system.drift_values(z_prev) + system.control_basis @ np.asarray(u_prev_plus, dtype=float)
-        )
+    for u in (u_prev_plus, u_minus):
+        if u is not None:
+            rhs = rhs + (h / 2.0) * (system.control_basis @ np.asarray(u, dtype=float))
+    if system.has_drift:
+        rhs = rhs + (h / 2.0) * system.drift_values(z_prev)
     if system.potential is not None:
         if g_k is None:
             raise DimensionMismatch("potential systems need g_k in dep_step")
         rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
-    forced = u_minus is not None
-    if forced:
-        pushed = system.control_basis @ np.asarray(u_minus, dtype=float)
 
     def residual(xi, D):
         out = _mv(_mt(D), inertia @ xi) - rhs
-        if forced:
-            out = out - (h / 2.0) * (system.drift_values(h * xi) + pushed)
-        return out
+        return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
+
+    def jacobian(xi, D):
+        J = _mt(D) @ inertia + h * np.einsum("jil,j->il", group.dtau_inv_deriv(h * xi),
+                                             inertia @ xi)
+        if system.has_drift:
+            J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
+        return J
 
     start = xi_prev if guess is None else np.asarray(guess, dtype=float)
-    z = h * start
-    D = group.dtau_inv_matrix(z)
-    J = _mt(D) @ inertia + h * np.einsum("jil,j->il", group.dtau_inv_deriv(z),
-                                         inertia @ start)
-    if forced and system.has_drift:
-        J = J - (h * h / 2.0) * _drift_jacobians(system, z)
+    D = group.dtau_inv_matrix(h * start)
+    J = jacobian(start, D)
     try:
         J_inv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
@@ -326,10 +325,12 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
             converged = True
             break
     if not converged:
+        def at(fun):
+            return lambda x: fun(x, group.dtau_inv_matrix(h * x))
+
         try:
-            xi, _ = newton(ResidualSystem(
-                dim=system.n, eval=lambda x: residual(x, group.dtau_inv_matrix(h * x))),
-                start, tol=1e-12)
+            xi, _ = newton(ResidualSystem(system.n, at(residual), at(jacobian)), start,
+                           tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, str(exc)) from exc
         D = group.dtau_inv_matrix(h * xi)
@@ -461,55 +462,52 @@ def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=None, T=Non
 
 
 def _drift_jacobians(system, z):
-    """d drift / dz at the interval displacements z (N, n), as (N, n, n);
-    None without a drift.  The drift acts pointwise in z, so shifting
-    coordinate j of every interval at once gives column j of each
-    interval's Jacobian."""
+    """d drift / dz at the interval displacements z (..., n), as (..., n, n);
+    None without a drift.  The drift acts pointwise in z, so one call on the
+    2n shifts of every interval gives all the Jacobians."""
     if not system.has_drift:
         return None
-    n = z.shape[-1]
-    return fd_jacobian(lambda s: system.drift_values(z + s), np.zeros(n)).reshape(z.shape + (n,))
+    return central_difference(lambda s: system.drift_values(z + s),
+                              np.full(z.shape, solvers.DIFFERENCE_STEP))
 
 
 def _drift_curvature(system, z, w):
-    """The Hessians in z of w_k . drift(z_k), (N, n, n), by one mixed central
-    difference for all intervals."""
+    """The Hessians in z of w_k . drift(z_k), (N, n, n), by one nested
+    central difference for all intervals."""
+    step = np.full(z.shape, solvers.CURVATURE_STEP)
+    return central_difference(lambda s: central_difference(
+        lambda t: np.einsum("ki,...ki->...k", w, system.drift_values(z + s + t)),
+        np.broadcast_to(step, s.shape)), step)
 
-    def pairing(S, T):
-        return np.einsum("ki,mki->mk", w, system.drift_values(z + (S + T)[:, None]))
 
-    return np.moveaxis(fd_mixed(pairing, z.shape[-1]), -1, 0)
-
-
-def _potential_hessians(system, gs, step=1e-6):
+def _potential_hessians(system, gs):
     """Left-trivialized directional derivatives of the potential gradient at
     the configurations gs.
 
-    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0: the
-    central differences of ``fd_jacobian``, with all 2n shifts stacked along
-    a leading axis of one ``left_grad`` call.
+    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0, by
+    one central difference: a single ``left_grad`` call on the 2n shifts.
     """
     group = system.group
-    n = system.n
-    moved = group.tau(step * np.concatenate([np.eye(n), -np.eye(n)]))
-    G = np.asarray(system.potential.left_grad(group.multiply(gs, moved[:, None])),
-                   dtype=float)
-    return np.moveaxis((G[:n] - G[n:]) / (2.0 * step), 0, -1)
+    return central_difference(
+        lambda s: system.potential.left_grad(group.multiply(gs, group.tau(s)[:, None])),
+        np.full(system.n, solvers.DIFFERENCE_STEP))
 
 
 def _potential_curvature(system, gs, w):
     """T with T[k, :, l] = d/ds_l of H(g_k tau(s))^T w_k at s = 0, H the
     potential Hessians of ``_potential_hessians``: the potential's third
-    derivative along w_k, as the mixed second difference of
+    derivative along w_k, as the nested central difference of
     w_k . grad V(g_k tau(s) tau(t)), one batched call for all nodes."""
     group = system.group
+    step = np.full(system.n, solvers.CURVATURE_STEP)
 
-    def pairing(S, T):
-        moved = group.multiply(group.multiply(gs, group.tau(S)[:, None]),
-                               group.tau(T)[:, None])
-        return np.einsum("mki,ki->mk", system.potential.left_grad(moved), w)
+    def pairing(s, t):
+        moved = group.multiply(group.multiply(gs, group.tau(s)[:, None]),
+                               group.tau(t)[:, :, None])
+        return np.einsum("...ki,ki->...k", system.potential.left_grad(moved), w)
 
-    return np.transpose(fd_mixed(pairing, system.n), (2, 1, 0))
+    return central_difference(lambda s: central_difference(
+        lambda t: pairing(s, t), np.broadcast_to(step, s.shape)), step)
 
 
 def reconstruction_residual(problem, xis):

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
-from .solvers import CURVATURE_STEP, ResidualSystem, fd_jacobian, newton
+from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, ResidualSystem, central_difference,
+                      newton)
 
 
 def _per_point(fun, *points):
@@ -41,6 +42,14 @@ def _per_point(fun, *points):
     return out.reshape(lead + out.shape[1:])
 
 
+def _hessian(fun, x, step):
+    """Symmetrized nested central difference of ``fun``, scalar per point, at
+    the points x (..., n): one call of 4 n^2 evaluations."""
+    H = central_difference(lambda s: central_difference(
+        lambda t: fun(x + s + t), np.broadcast_to(step, s.shape)), step)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
 @dataclass
 class RnLagrangian:
     """Mechanical Lagrangian (1/2) v^T M v - V(q) plus a time step h.
@@ -49,8 +58,9 @@ class RnLagrangian:
     or a batch of intervals along leading axes.  The user's ``potential``,
     ``potential_grad`` and ``potential_hess`` take a single point; on a
     batch they are mapped over its rows.  ``potential_grad``/
-    ``potential_hess`` may be omitted; finite differences are used as a
-    fallback.
+    ``potential_hess`` may be omitted; central differences are used as a
+    fallback: of the gradient for the Hessian, and of the value twice, at
+    CURVATURE_STEP, when there is no gradient.
     """
 
     mass: np.ndarray
@@ -82,10 +92,24 @@ class RnLagrangian:
 
     # a scalar 0.0 leaves d1, d2, d11, d22 bitwise as zero arrays would
     def V_x(self, q):
-        return 0.0 if self.potential is None else _per_point(self._grad, q)
+        if self.potential is None:
+            return 0.0
+        if self.potential_grad is not None:
+            return _per_point(self.potential_grad, q)
+        return central_difference(lambda s: _per_point(self.V, q + s),
+                                  DIFFERENCE_STEP * (1.0 + np.abs(q)))
 
     def V_xx(self, q):
-        return 0.0 if self.potential is None else _per_point(self._hess, q)
+        if self.potential is None:
+            return 0.0
+        if self.potential_hess is not None:
+            return _per_point(lambda x: np.atleast_2d(self.potential_hess(x)), q)
+        if self.potential_grad is None:
+            return _hessian(lambda x: _per_point(self.V, x), q,
+                            CURVATURE_STEP * (1.0 + np.abs(q)))
+        H = central_difference(lambda s: self.V_x(q + s),
+                               DIFFERENCE_STEP * (1.0 + np.abs(q)))
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
 
     def V_xxx(self, q, w):
         """D^3 V(q)[w] = d/dt V_xx(q + t w) at t = 0, for one point or a
@@ -98,19 +122,7 @@ class RnLagrangian:
         # the shift t w has max norm CURVATURE_STEP (1 + |q|)
         t = (CURVATURE_STEP * (1.0 + np.max(np.abs(q), axis=-1, keepdims=True))
              / np.where(size > 0.0, size, 1.0))
-        return (self.V_xx(q + t * w) - self.V_xx(q - t * w)) / (2.0 * t[..., None])
-
-    def _grad(self, q):
-        if self.potential_grad is not None:
-            return self.potential_grad(q)
-        return fd_jacobian(self.V, q)[0]
-
-    def _hess(self, q):
-        if self.potential_hess is not None:
-            return np.atleast_2d(np.asarray(self.potential_hess(q), dtype=float))
-        # symmetrized finite difference of the gradient
-        H = fd_jacobian(self._grad, q)
-        return 0.5 * (H + H.T)
+        return central_difference(lambda s: self.V_xx(q + s * w), t)[..., 0]
 
     # -- trapezoidal discrete Lagrangian and its slot derivatives ---------
 
@@ -185,8 +197,10 @@ class DiscreteForcePairRn:
         a = self.a_minus if which == "-" else self.a_plus
         if a is None:
             return 0.0, 0.0
-        return (_per_point(lambda x, y: fd_jacobian(lambda q: a(q, y), x), qa, qb),
-                _per_point(lambda x, y: fd_jacobian(lambda q: a(x, q), y), qa, qb))
+        x = np.concatenate([qa, qb], axis=-1)
+        J = central_difference(lambda s: _per_point(a, *np.split(x + s, 2, axis=-1)),
+                               DIFFERENCE_STEP * (1.0 + np.abs(x)))
+        return tuple(np.split(J, 2, axis=-1))
 
     def drift_curvature(self, which, qa, qb, v):
         """Hessian of v . a(q_a, q_b) in (q_a, q_b), shape (2n, 2n) per
@@ -195,17 +209,12 @@ class DiscreteForcePairRn:
         a = self.a_minus if which == "-" else self.a_plus
         if a is None:
             return 0.0
-        n = self.dim
+        x = np.concatenate([qa, qb], axis=-1)
 
-        def one(qa, qb, v):
-            def grad(x):
-                return fd_jacobian(lambda y: v @ a(y[:n], y[n:]), x,
-                                   step=CURVATURE_STEP)[0]
+        def pairing(y):
+            return np.sum(v * _per_point(a, *np.split(y, 2, axis=-1)), axis=-1)
 
-            H = fd_jacobian(grad, np.concatenate([qa, qb]), step=CURVATURE_STEP)
-            return 0.5 * (H + H.T)
-
-        return _per_point(one, qa, qb, v)
+        return _hessian(pairing, x, CURVATURE_STEP * (1.0 + np.abs(x)))
 
     def f_minus(self, qa, qb, u):
         return self.drift("-", qa, qb) + np.asarray(u, dtype=float) @ self.b_minus.T

@@ -1,9 +1,9 @@
 """Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
-in turn, plus the central differences ``fd_jacobian`` and ``fd_mixed``.
+in turn, plus ``central_difference``, the one central-difference quotient.
 
 The formulations supply exact Jacobians, so the differences only reach what
-a user gives as a callable (a drift, a potential), and ``fd_jacobian``
-serves the tests as their oracle."""
+a user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts
+the quotient to a callable of one point and serves the tests as their oracle."""
 
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from .errors import ConfigError, NoConvergence, SingularJacobian
 class ResidualSystem:
     """A square nonlinear system F(x) = 0 of dimension ``dim``.
 
-    ``jacobian`` is optional; when absent the Jacobian is a central
-    difference with per-column step 1e-6 * (1 + |x_j|), column by column.
+    ``jacobian`` is optional; when absent the Jacobian is ``fd_jacobian``,
+    a central difference with per-column step 1e-6 * (1 + |x_j|).
     """
 
     dim: int
@@ -52,50 +52,46 @@ class SolveReport:
         }
 
 
-def fd_jacobian(fun, x, step=1e-6):
-    """Central-difference Jacobian of ``fun`` at ``x``.
-
-    Column j perturbs x_j by +-h_j, h_j = step * (1 + |x_j|).  The output of
-    ``fun`` is flattened, so a scalar function gives a gradient row; the
-    rows are counted from the first difference, so ``fun`` is never
-    evaluated at ``x`` itself.
-    """
-    x = np.asarray(x, dtype=float)
-    J = None
-    for j in range(x.size):
-        h = step * (1.0 + abs(x[j]))
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        d = (np.asarray(fun(xp), dtype=float).reshape(-1)
-             - np.asarray(fun(xm), dtype=float).reshape(-1)) / (2.0 * h)
-        if J is None:
-            J = np.zeros((d.shape[0], x.size))
-        J[:, j] = d
-    return J if J is not None else np.zeros((0, 0))
-
-
-# relative step of the nested differences that give a user callable's
-# curvature: each differences a derivative that is itself a central
-# difference, so rounding grows like eps / step^2 against a truncation error
-# like step^2
+# relative steps of a central difference, and of the nested ones that give a
+# user callable's curvature: those difference a derivative that is itself a
+# central difference, so rounding grows like eps / step^2 against a
+# truncation error like step^2
+DIFFERENCE_STEP = 1e-6
 CURVATURE_STEP = 1e-4
 
 
-def fd_mixed(fun, n, step=CURVATURE_STEP):
-    """d^2 f(s, t) / ds_l dt_j at s = t = 0, for s and t in R^n, by central
-    differences in both: the nested ``fd_jacobian`` with every evaluation in
-    one call.
+def central_difference(fun, step):
+    """Central differences of ``fun`` in n coordinates, from one call.
 
-    ``fun(S, T)`` takes stacks S, T of shape (4 n^2, n) and returns its values
-    stacked along a leading axis; the result has shape (n, n) + the value
-    shape, indexed [l, j].
+    ``step`` (..., n) holds each coordinate's step at each point of a batch.
+    ``fun`` receives the 2n shifts S, shape (2n,) + step.shape, with
+    S[j] = step_j e_j and S[n + j] = -S[j], and returns its values stacked
+    the same way, batch axes first.  Returns (f(S[j]) - f(S[n + j])) /
+    (2 step_j) with j last: shape batch + value shape + (n,).  Nested, with
+    the inner step ``np.broadcast_to(step, S.shape)``, it gives second
+    derivatives from one call of 4 n^2 evaluations.
     """
-    shifts = step * np.concatenate([np.eye(n), -np.eye(n)])
-    f = np.asarray(fun(np.repeat(shifts, 2 * n, axis=0), np.tile(shifts, (2 * n, 1))),
-                   dtype=float)
-    f = f.reshape((2, n, 2, n) + f.shape[1:])
-    return (f[0, :, 0] - f[0, :, 1] - f[1, :, 0] + f[1, :, 1]) / (4.0 * step * step)
+    step = np.asarray(step, dtype=float)
+    n = step.shape[-1]
+    plus = np.moveaxis(step[..., None, :] * np.eye(n), -2, 0)
+    f = np.asarray(fun(np.concatenate([plus, -plus])), dtype=float)
+    h = np.expand_dims(np.moveaxis(step, -1, 0), tuple(range(step.ndim, f.ndim)))
+    return np.moveaxis((f[:n] - f[n:]) / (2.0 * h), 0, -1)
+
+
+def fd_jacobian(fun, x, step=DIFFERENCE_STEP):
+    """Central-difference Jacobian at ``x`` of ``fun``, a callable of one point.
+
+    Column j perturbs x_j by +-h_j, h_j = step * (1 + |x_j|).  The output of
+    ``fun`` is flattened, so a scalar function gives a gradient row; ``fun``
+    is never evaluated at ``x`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return np.zeros((0, 0))
+    return central_difference(
+        lambda shifts: [np.asarray(fun(x + s), dtype=float).reshape(-1) for s in shifts],
+        step * (1.0 + np.abs(x)))
 
 
 class _Singular(Exception):

@@ -203,13 +203,50 @@ def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
 
 def test_newton_fallback_finds_the_same_step(monkeypatch):
     # with no budget for the simplified Newton iteration every step goes to
-    # newton, from the same extrapolated start, and lands on the same root
+    # newton, from the same extrapolated start, on the closed-form Jacobian
+    # (no residual is differenced), and lands on the same root
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
     expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the fallback differenced the step residual")
+
     monkeypatch.setattr(lgoc, "_DEP_MAX_ITER", 0)
+    monkeypatch.setattr(solvers, "fd_jacobian", refused)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
     for a, b in zip(got, expected):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_march_without_controls_keeps_the_drift():
+    # the drift acts with or without controls: no controls and all-zero
+    # controls are the same march
+    system = systems.make_uuv_system()
+    xi0 = np.array([0.1, 0.2, -0.1, 0.3, 0.0, 0.1])
+    steps = 200
+    free = lgoc.integrate_reduced(system, np.eye(4), xi0, 0.05, steps)
+    zero = lgoc.integrate_reduced(system, np.eye(4), xi0, 0.05, steps,
+                                  controls=np.zeros((steps, 2, system.m)))
+    for a, b in zip(free, zero):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (7,)])
+def test_drift_jacobians_make_one_drift_call(batch):
+    uuv = systems.make_uuv_system()
+    calls = []
+
+    def drift(z):
+        calls.append(np.shape(z))
+        return uuv.drift(z)
+
+    system = dataclasses.replace(uuv, drift=drift)
+    z = 0.1 * np.random.default_rng(5).normal(size=batch + (6,))
+    Jd = lgoc._drift_jacobians(system, z)
+    assert calls == [(12,) + batch + (6,)]
+    assert Jd.shape == batch + (6, 6)
+    # the UUV drift is the linear map z -> drag z
+    assert np.max(np.abs(Jd - systems.UuvParams().drag)) < 1e-9
 
 
 def test_step_failure_names_the_step(monkeypatch):
@@ -493,8 +530,7 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
         raise AssertionError("the Jacobian build differenced a residual")
 
     monkeypatch.setattr(lgoc, "general_residual", counted)
-    record("fd_jacobian")
-    record("fd_mixed")
+    record("central_difference")
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
     system.jac(z)
     assert residuals == []

@@ -69,6 +69,7 @@ def test_ld_matches_hand_formula_random():
 
 def test_potential_differences_match_the_column_loops():
     # the loops mech used before it called solvers.fd_jacobian, kept verbatim
+    # for the gradient and for the Hessian of a given gradient
     def grad_loop(fun, x, step=1e-6):
         g = np.empty(x.size)
         for j in range(x.size):
@@ -89,6 +90,27 @@ def test_potential_differences_match_the_column_loops():
             H[:, j] = (V_x(qp) - V_x(qm)) / (2.0 * s)
         return 0.5 * (H + H.T)
 
+    def value_hess_loop(V, q):
+        # without a gradient: the value differenced twice at step 1e-4
+        s = 1e-4 * (1.0 + np.abs(q))
+        shifts = [s[j] * e for j, e in enumerate(np.eye(q.size))]
+
+        def grad(x):
+            return np.array([(V(x + d) - V(x - d)) / (2.0 * s[j])
+                             for j, d in enumerate(shifts)])
+
+        H = np.empty((q.size, q.size))
+        for j, d in enumerate(shifts):
+            H[:, j] = (grad(q + d) - grad(q - d)) / (2.0 * s[j])
+        return 0.5 * (H + H.T)
+
+    def exact_hess(q):
+        H = -np.diag(np.cos(q))
+        H[0, 1] += 2.0 * q[1]
+        H[1, 0] += 2.0 * q[1]
+        H[1, 1] += 2.0 * q[0]
+        return H
+
     rng = np.random.default_rng(7)
     only_value = RnLagrangian(
         np.diag([1.0, 2.0, 0.5]), h=0.1,
@@ -101,7 +123,8 @@ def test_potential_differences_match_the_column_loops():
     for _ in range(5):
         q = 3.0 * rng.normal(size=3)
         assert np.array_equal(only_value.V_x(q), grad_loop(only_value.V, q))
-        assert np.array_equal(only_value.V_xx(q), hess_loop(only_value.V_x, q))
+        assert np.array_equal(only_value.V_xx(q), value_hess_loop(only_value.V, q))
+        assert np.max(np.abs(only_value.V_xx(q) - exact_hess(q))) < 1e-6
         q = 3.0 * rng.normal(size=2)
         assert np.array_equal(with_grad.V_xx(q), hess_loop(with_grad.V_x, q))
 

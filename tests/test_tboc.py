@@ -315,9 +315,7 @@ def test_user_callables_receive_single_points(derivatives):
         lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
         x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
     )
-    # without derivatives V_xx is a difference of differenced gradients, which
-    # floors the residual near 6e-6
-    sol = tboc.solve(prob, tol=1e-9 if derivatives else 1e-5)
+    sol = tboc.solve(prob, tol=1e-9)
     assert sol.report.converged
     r = mech.forced_del_residual(L, F, sol.qs[:-2], sol.qs[1:-1], sol.qs[2:],
                                  sol.controls[:-1, 1], sol.controls[1:, 0])

@@ -11,7 +11,7 @@ report.json.  Exit codes: 0 success, 1 configuration or usage error,
 iterate).
 
 The environment variable DISCVAR_LOG sets the log level (e.g. DEBUG); unset
-or empty means WARNING.
+or empty means WARNING, and an unknown level is a usage error.
 """
 
 from __future__ import annotations
@@ -93,11 +93,15 @@ def _group_element(group, value):
     return group.check(g, tol=1e-8)
 
 
-def _build_cost(cfg):
+def _build_cost(cfg, m):
+    """The running cost of a ``problem.cost`` section, for m controls."""
     kind = cfg.get("kind", "l2").lower()
     if kind == "l2":
         return systems.L2Cost()
     if kind == "smoothed_l1":
+        for bound in ("u_min", "u_max"):
+            if np.shape(cfg.get(bound)) not in ((), (m,)):
+                raise ConfigError(f"cost {bound} must be a number or a list of {m}")
         return systems.SmoothedL1Cost(
             eps=float(cfg.get("eps", 1e-4)),
             u_min=cfg.get("u_min"),
@@ -121,20 +125,18 @@ def build_setup(cfg):
     except KeyError as exc:
         raise ConfigError(f"problem section is missing {exc}") from exc
     bnd = prob_cfg.get("boundary", {})
+    cost_cfg = prob_cfg.get("cost", {})
 
     if stype == "point_mass":
-        kind = prob_cfg.get("cost", {}).get("kind", "l2")
-        if kind.lower() != "l2":
-            raise ConfigError(f"point_mass takes only the l2 cost, not {kind!r}")
         n = int(sys_cfg.get("n", 1))
         lagrangian, forces = systems.make_point_mass(
             n, mass=sys_cfg.get("mass", 1.0), h=h,
             force_convention=sys_cfg.get("force_convention", "trapezoidal"),
         )
-        cost = tboc.QuadraticControlCost(h)
         try:
             problem = tboc.OcProblemRn(
-                lagrangian=lagrangian, forces=forces, cost=cost,
+                lagrangian=lagrangian, forces=forces,
+                cost=_build_cost(cost_cfg, forces.control_dim),
                 x0=bnd["x0"], p0=bnd["p0"], xT=bnd["xT"], pT=bnd["pT"], N=N,
             )
         except KeyError as exc:
@@ -167,7 +169,7 @@ def build_setup(cfg):
             xi0=np.asarray(bnd.get("xi0", np.zeros(group.dim)), dtype=float),
             gT=_group_element(group, bnd["gT"]),
             xiT=np.asarray(bnd.get("xiT", np.zeros(group.dim)), dtype=float),
-            N=N, h=h, cost=_build_cost(prob_cfg.get("cost", {})),
+            N=N, h=h, cost=_build_cost(cost_cfg, system.m),
         )
     except KeyError as exc:
         raise ConfigError(f"boundary section is missing {exc}") from exc
@@ -436,10 +438,14 @@ def make_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(
-        level=(os.environ.get("DISCVAR_LOG") or "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    try:
+        logging.basicConfig(
+            level=(os.environ.get("DISCVAR_LOG") or "WARNING").upper(),
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+    except ValueError as exc:
+        print(f"config error: DISCVAR_LOG: {exc}", file=sys.stderr)
+        return 1
     try:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:

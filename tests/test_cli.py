@@ -326,19 +326,24 @@ def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
 
 
 def test_empty_log_level_means_warning(tmp_path):
+    # in a subprocess: under pytest the root logger already has handlers, so
+    # logging.basicConfig would not check the level at all
     base = point_mass_cfg(N=4)
     base["simulate"] = {"steps": 4}
     cfg = write_config(tmp_path / "c.json", base)
     src = os.path.dirname(os.path.dirname(os.path.abspath(discvar.__file__)))
-    env = dict(os.environ, DISCVAR_LOG="",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from discvar import cli; sys.exit(cli.main())",
-         "simulate", cfg, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
+    # an unknown level is a usage error, not a traceback
+    for level, code in (("", 0), ("bogus", 1)):
+        env = dict(os.environ, DISCVAR_LOG=level,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from discvar import cli; sys.exit(cli.main())",
+             "simulate", cfg, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr and "BOGUS" in proc.stderr
 
 
 def test_rotation_matrix_boundary_accepted(tmp_path):
@@ -393,10 +398,35 @@ def test_verify_checks_the_written_controls(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["smoothed_l1", "nonsense"])
 def test_point_mass_rejects_a_cost_it_ignores(tmp_path, kind):
-    bad = point_mass_cfg()
-    bad["problem"]["cost"] = {"kind": kind}
-    cfg = write_config(tmp_path / "c.json", bad)
-    assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
+    # point_mass ignores no cost kind: it solves with every kind the other
+    # system types take and rejects only an unknown one.  At the default eps
+    # of 1e-4 the solve stalls above this config's tol of 1e-10 (best
+    # residual 6.5e-9), so the smoothing is widened to 0.1
+    base = point_mass_cfg()
+    base["problem"]["cost"] = {"kind": kind, "eps": 0.1}
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    if kind == "nonsense":
+        assert cli.main(["solve", cfg, "--out", out]) == 1
+    else:
+        assert cli.main(["solve", cfg, "--out", out]) == 0
+        assert cli.main(["verify", cfg, out]) == 0
     good = point_mass_cfg()
     good["problem"]["cost"] = {"kind": "l2"}
     assert cli.build_setup(good)[0] == "rn"
+
+
+@pytest.mark.parametrize("bound", [[-1.0, -1.0], [[-1.0, -1.0, -1.0]]],
+                         ids=["two numbers", "nested list"])
+def test_cost_bound_of_the_wrong_length_is_config_error(tmp_path, capsys, bound):
+    # the rigid body has m = 3 controls: a bound is a number or 3 numbers
+    base = rigid_body_cfg(N=4)
+    base["problem"]["cost"] = {"kind": "smoothed_l1", "u_min": bound}
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
+    for good in (-1.0, [-1.0, -2.0, -3.0]):
+        base["problem"]["cost"]["u_min"] = good
+        assert cli.build_setup(base)[0] == "lie"

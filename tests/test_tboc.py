@@ -6,9 +6,10 @@ import pytest
 from discvar import mech, solvers, tboc
 from discvar.errors import ConfigError, DimensionMismatch, NotInvertible, RankDeficient
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
+from discvar.systems import L2Cost, SmoothedL1Cost
 
 
-def make_problem(n=1, N=8, T=1.0, mass=None, m=None, boundary=None):
+def make_problem(n=1, N=8, T=1.0, mass=None, m=None, boundary=None, cost=None):
     h = T / N
     M = np.eye(n) if mass is None else np.asarray(mass, dtype=float)
     L = RnLagrangian(M, h=h)
@@ -20,9 +21,27 @@ def make_problem(n=1, N=8, T=1.0, mass=None, m=None, boundary=None):
     if boundary is None:
         boundary = (np.zeros(n), np.zeros(n), np.ones(n), np.zeros(n))
     return tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        lagrangian=L, forces=F, cost=L2Cost() if cost is None else cost,
         x0=boundary[0], p0=boundary[1], xT=boundary[2], pT=boundary[3], N=N,
     )
+
+
+def interval_value(aug, qk, pk, qk1, pk1):
+    """Oracle: the interval term (h/2) (C(u^-) + C(u^+)) at the recovered
+    controls, over a batch of intervals."""
+    um, up = aug.controls(qk, pk, qk1, pk1)
+    cost = aug.problem.cost
+    return (aug.problem.h / 2.0) * (cost.value_batch(um) + cost.value_batch(up))
+
+
+def multiplier_value(aug, qk, pk, qk1, pk1, lam_minus, lam_plus):
+    """Oracle: the interval term plus lam . Phi when multipliers are given;
+    ``AugmentedLagrangianRn.grads`` is its gradient."""
+    v = interval_value(aug, qk, pk, qk1, pk1)
+    if lam_minus is not None:
+        pm, pp = aug.phi(qk, pk, qk1, pk1)
+        v = v + np.sum(lam_minus * pm, axis=-1) + np.sum(lam_plus * pp, axis=-1)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -47,30 +66,31 @@ def test_augmented_value_matches_two_stage_oracle():
     rng = np.random.default_rng(1)
     prob = make_problem(n=2, N=4)
     aug = tboc.AugmentedLagrangianRn(prob)
-    L, F, cost = prob.lagrangian, prob.forces, prob.cost
+    L, F = prob.lagrangian, prob.forces
     for _ in range(10):
         qa, qb = rng.normal(size=(2, 2))
         um, up = rng.normal(size=(2, 2))
         pa, pb = mech.legendre_pair(L, F, qa, qb, um, up)
-        assert abs(aug.value(qa, pa, qb, pb) - cost.value(qa, um, qb, up)) < 1e-12
+        effort = (prob.h / 4.0) * (um @ um + up @ up)
+        assert abs(interval_value(aug, qa, pa, qb, pb) - effort) < 1e-12
 
 
 def test_grads_match_finite_differences():
     rng = np.random.default_rng(2)
-    prob = make_problem(n=2, N=4)
-    aug = tboc.AugmentedLagrangianRn(prob)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
-    g = aug.grads(qa, pa, qb, pb)
     eps = 1e-6
     slots = [qa, pa, qb, pb]
-    for s in range(4):
-        for j in range(2):
-            args_p = [x.copy() for x in slots]
-            args_m = [x.copy() for x in slots]
-            args_p[s][j] += eps
-            args_m[s][j] -= eps
-            fd = (aug.value(*args_p) - aug.value(*args_m)) / (2.0 * eps)
-            assert abs(g[s][j] - fd) < 1e-6 * (1.0 + abs(fd))
+    for cost in (L2Cost(), SmoothedL1Cost(eps=0.5, u_min=-3.0, u_max=3.0, weight=100.0)):
+        aug = tboc.AugmentedLagrangianRn(make_problem(n=2, N=4, cost=cost))
+        g = aug.grads(qa, pa, qb, pb)
+        for s in range(4):
+            for j in range(2):
+                args_p = [x.copy() for x in slots]
+                args_m = [x.copy() for x in slots]
+                args_p[s][j] += eps
+                args_m[s][j] -= eps
+                fd = (interval_value(aug, *args_p) - interval_value(aug, *args_m)) / (2.0 * eps)
+                assert abs(g[s][j] - fd) < 1e-6 * (1.0 + abs(fd))
 
 
 def test_underactuated_grads_include_multiplier_terms():
@@ -89,8 +109,8 @@ def test_underactuated_grads_include_multiplier_terms():
             args_p[s][j] += eps
             args_m[s][j] -= eps
             fd = (
-                aug.multiplier_value(*args_p, lam_m, lam_p)
-                - aug.multiplier_value(*args_m, lam_m, lam_p)
+                multiplier_value(aug, *args_p, lam_m, lam_p)
+                - multiplier_value(aug, *args_m, lam_m, lam_p)
             ) / (2.0 * eps)
             assert abs(g[s][j] - fd) < 1e-6 * (1.0 + abs(fd))
 
@@ -116,7 +136,7 @@ def test_singular_control_matrix_rejected():
     B = np.array([[1.0, 1.0], [1.0, 1.0]])
     F = DiscreteForcePairRn(B, B)
     prob = tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        lagrangian=L, forces=F, cost=L2Cost(),
         x0=np.zeros(2), p0=np.zeros(2), xT=np.ones(2), pT=np.zeros(2), N=4,
     )
     with pytest.raises(NotInvertible):
@@ -129,7 +149,7 @@ def test_rank_deficient_tall_control_matrix_rejected():
     B = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     F = DiscreteForcePairRn(B, B)
     prob = tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        lagrangian=L, forces=F, cost=L2Cost(),
         x0=np.zeros(3), p0=np.zeros(3), xT=np.ones(3), pT=np.zeros(3), N=4,
     )
     with pytest.raises(RankDeficient):
@@ -217,15 +237,19 @@ def _structured_problem(regime):
                                       + 2.0 * np.array([[q[1], q[0]], [q[0], 0.0]])))
     else:
         L = RnLagrangian(np.diag(np.arange(1.0, n + 1)), h=h)
-    m = {"underactuated": 2, "drift": 1}.get(regime, n)
+    m = {"underactuated": 2, "smoothed l1": 2, "drift": 1}.get(regime, n)
     B = (h / 2.0) * np.eye(n)[:, :m]
     drifts = {}
     if regime == "drift":
         drifts = dict(a_minus=lambda qa, qb: 0.1 * np.sin(qa) * qb,
                       a_plus=lambda qa, qb: 0.05 * qa * qb ** 2)
     F = DiscreteForcePairRn(B, B, **drifts)
+    cost = L2Cost()
+    if regime == "smoothed l1":
+        # curved where |u| is of order eps, stiff past the soft bounds
+        cost = SmoothedL1Cost(eps=0.5, u_min=-3.0, u_max=3.0, weight=100.0)
     return tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        lagrangian=L, forces=F, cost=cost,
         x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
     )
 
@@ -236,7 +260,8 @@ def _close(batched, single):
     assert np.all(np.abs(batched - single) <= 1e-14 * (1.0 + np.abs(single)))
 
 
-@pytest.mark.parametrize("regime", ["fully actuated", "potential", "underactuated", "drift"])
+@pytest.mark.parametrize(
+    "regime", ["fully actuated", "potential", "underactuated", "drift", "smoothed l1"])
 def test_batched_interval_terms_equal_single_intervals(regime):
     prob = _structured_problem(regime)
     aug = tboc.AugmentedLagrangianRn(prob)
@@ -248,19 +273,19 @@ def test_batched_interval_terms_equal_single_intervals(regime):
     lam = (lambdas[:, 0], lambdas[:, 1]) if s else (None, None)
     batched = {
         "controls": aug.controls(*ends),
-        "value": aug.value(*ends),
+        "value": interval_value(aug, *ends),
         "phi": aug.phi(*ends),
         "grads": aug.grads(*ends, *lam),
-        "multiplier_value": aug.multiplier_value(*ends, *lam),
+        "multiplier_value": multiplier_value(aug, *ends, *lam),
     }
     for k in range(N):
         one = (qs[k], ps[k], qs[k + 1], ps[k + 1])
         single = {
             "controls": aug.controls(*one),
-            "value": aug.value(*one),
+            "value": interval_value(aug, *one),
             "phi": aug.phi(*one),
             "grads": aug.grads(*one, *lambdas[k]),
-            "multiplier_value": aug.multiplier_value(*one, *lambdas[k]),
+            "multiplier_value": multiplier_value(aug, *one, *lambdas[k]),
         }
         for name, terms in single.items():
             if isinstance(terms, tuple):
@@ -312,7 +337,7 @@ def test_user_callables_receive_single_points(derivatives):
         a_plus=_single_point(n, lambda qa, qb: 0.05 * qa * qb ** 2),
     )
     prob = tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=tboc.QuadraticControlCost(h),
+        lagrangian=L, forces=F, cost=L2Cost(),
         x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
     )
     sol = tboc.solve(prob, tol=1e-9)
@@ -329,7 +354,8 @@ def _block_error(J, reference, rows):
 
 
 @pytest.mark.parametrize(
-    "regime", ["fully actuated", "underactuated", "drift", "potential derivatives"])
+    "regime", ["fully actuated", "underactuated", "drift", "potential derivatives",
+               "smoothed l1"])
 def test_exact_jacobian_matches_dense_fd(regime):
     # the stationarity and complement rows are compared separately, so the
     # small complement entries cannot hide under the large M/h ones
@@ -338,8 +364,12 @@ def test_exact_jacobian_matches_dense_fd(regime):
     stationarity = slice(0, 2 * (prob.N - 1) * prob.n)
     complement = slice(stationarity.stop, system.dim)
     rng = np.random.default_rng(8)
-    for _ in range(3):
-        z = rng.normal(size=system.dim)
+    points = [rng.normal(size=system.dim) for _ in range(3)]
+    # random states push every smoothed-L1 control onto its soft bounds;
+    # near the initial guess the controls also take its curved part
+    guess = tboc._pack(prob, *tboc.initial_guess(prob))
+    points.append(guess + 0.01 * rng.normal(size=system.dim))
+    for z in points:
         J = system.jac(z)
         dense = solvers.fd_jacobian(system.eval, z)
         assert _block_error(J, dense, stationarity) < 1e-6
@@ -347,7 +377,7 @@ def test_exact_jacobian_matches_dense_fd(regime):
             assert _block_error(J, dense, complement) < 1e-6
 
 
-@pytest.mark.parametrize("regime", ["fully actuated", "underactuated"])
+@pytest.mark.parametrize("regime", ["fully actuated", "underactuated", "smoothed l1"])
 def test_exact_jacobian_is_symmetric(regime):
     # with no user callable J is the Hessian of the augmented action sum
     prob = _structured_problem(regime)
@@ -421,6 +451,23 @@ def test_rest_to_rest_double_integrator_closed_form():
     assert sol.report.converged
     assert np.max(np.abs(sol.qs[:, 0] - oracle)) < 1e-2
     assert abs(sol.cost - 6.0) < 0.06
+
+
+def test_smoothed_l1_solve_approaches_the_impulsive_optimum():
+    # the least L1 effort int |u| dt of a rest-to-rest unit transfer in unit
+    # time is 2 (an impulse at each end); the L2 solution's is about 3
+    prob = make_problem(n=1, N=32, cost=SmoothedL1Cost(eps=0.1))
+    sol = tboc.solve(prob, tol=1e-9)
+    assert sol.report.converged and sol.report.method == "newton"
+    assert (prob.h / 2.0) * np.sum(np.abs(sol.controls)) < 2.05
+
+
+def test_quadratic_control_cost_is_the_l2_cost():
+    legacy = tboc.solve(make_problem(n=2, N=12, cost=tboc.QuadraticControlCost(1.0 / 12)))
+    shared = tboc.solve(make_problem(n=2, N=12, cost=L2Cost()))
+    for name in ("qs", "ps", "controls"):
+        assert np.array_equal(getattr(legacy, name), getattr(shared, name))
+    assert legacy.cost == shared.cost
 
 
 def test_solution_satisfies_forced_del():

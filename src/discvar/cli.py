@@ -68,19 +68,34 @@ def load_config(path):
     return cfg
 
 
-def _group_element(group, value):
-    """Parse a group element: raw nested list, or axis/angle/translation dict."""
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _number(value, key, kind=float):
+    """``kind(value)``; a value it cannot convert raises ConfigError naming
+    ``key``.  ``kind`` is float, int or ``_floats`` for a list."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be numeric, got {value!r}") from exc
+
+
+def _group_element(group, value, key):
+    """Parse the group element ``key``: raw nested list, or
+    axis/angle/translation dict."""
     if isinstance(value, list):
-        return group.check(np.asarray(value, dtype=float))
+        return group.check(_number(value, key, _floats))
     if not isinstance(value, dict):
         raise ConfigError("group elements must be lists or objects")
     if group.name == "Rn":
-        return np.asarray(value.get("position", np.zeros(group.dim)), dtype=float)
+        return _number(value.get("position", np.zeros(group.dim)), "position", _floats)
     if "rotation" in value:
-        R = np.asarray(value["rotation"], dtype=float)
+        R = _number(value["rotation"], "rotation", _floats)
     else:
-        angle = float(value.get("rotation_angle", 0.0))
-        axis = np.asarray(value.get("rotation_axis", [0.0, 0.0, 1.0]), dtype=float)
+        angle = _number(value.get("rotation_angle", 0.0), "rotation_angle")
+        axis = _number(value.get("rotation_axis", [0.0, 0.0, 1.0]), "rotation_axis",
+                       _floats)
         nrm = np.linalg.norm(axis)
         if nrm == 0.0:
             raise ConfigError("rotation axis must be nonzero")
@@ -89,7 +104,7 @@ def _group_element(group, value):
         return group.check(R, tol=1e-8)
     g = group.identity()
     g[:3, :3] = R
-    g[:3, 3] = np.asarray(value.get("translation", [0.0, 0.0, 0.0]), dtype=float)
+    g[:3, 3] = _number(value.get("translation", [0.0, 0.0, 0.0]), "translation", _floats)
     return group.check(g, tol=1e-8)
 
 
@@ -99,14 +114,16 @@ def _build_cost(cfg, m):
     if kind == "l2":
         return systems.L2Cost()
     if kind == "smoothed_l1":
+        bounds = {}
         for bound in ("u_min", "u_max"):
             if np.shape(cfg.get(bound)) not in ((), (m,)):
                 raise ConfigError(f"cost {bound} must be a number or a list of {m}")
+            if cfg.get(bound) is not None:
+                bounds[bound] = _number(cfg[bound], bound, _floats)
         return systems.SmoothedL1Cost(
-            eps=float(cfg.get("eps", 1e-4)),
-            u_min=cfg.get("u_min"),
-            u_max=cfg.get("u_max"),
-            weight=float(cfg.get("weight", 1e3)),
+            eps=_number(cfg.get("eps", 1e-4), "eps"),
+            weight=_number(cfg.get("weight", 1e3), "weight"),
+            **bounds,
         )
     raise ConfigError(f"unknown cost kind {kind!r}")
 
@@ -120,24 +137,26 @@ def build_setup(cfg):
     if retraction not in (lie.CAYLEY, lie.EXPONENTIAL):
         raise ConfigError(f"unknown retraction {retraction!r}")
     try:
-        N = int(prob_cfg["N"])
-        h = float(prob_cfg["h"])
+        N = _number(prob_cfg["N"], "N", int)
+        h = _number(prob_cfg["h"], "h")
     except KeyError as exc:
         raise ConfigError(f"problem section is missing {exc}") from exc
     bnd = prob_cfg.get("boundary", {})
     cost_cfg = prob_cfg.get("cost", {})
 
     if stype == "point_mass":
-        n = int(sys_cfg.get("n", 1))
+        n = _number(sys_cfg.get("n", 1), "n", int)
         lagrangian, forces = systems.make_point_mass(
-            n, mass=sys_cfg.get("mass", 1.0), h=h,
+            n, mass=_number(sys_cfg.get("mass", 1.0), "mass", _floats), h=h,
             force_convention=sys_cfg.get("force_convention", "trapezoidal"),
         )
         try:
             problem = tboc.OcProblemRn(
                 lagrangian=lagrangian, forces=forces,
                 cost=_build_cost(cost_cfg, forces.control_dim),
-                x0=bnd["x0"], p0=bnd["p0"], xT=bnd["xT"], pT=bnd["pT"], N=N,
+                **{key: _number(bnd[key], key, _floats)
+                   for key in ("x0", "p0", "xT", "pT")},
+                N=N,
             )
         except KeyError as exc:
             raise ConfigError(f"boundary section is missing {exc}") from exc
@@ -145,18 +164,14 @@ def build_setup(cfg):
 
     if stype == "rigid_body_so3":
         system = systems.make_rigid_body_so3(
-            np.asarray(sys_cfg.get("inertia", [1.0, 1.0, 1.0]), dtype=float),
+            _number(sys_cfg.get("inertia", [1.0, 1.0, 1.0]), "inertia", _floats),
             actuated=tuple(sys_cfg.get("actuated", [0, 1, 2])),
             retraction=retraction,
         )
     elif stype == "uuv_se3":
-        params = systems.UuvParams(
-            mass=float(sys_cfg.get("mass", 3.0)),
-            radius=float(sys_cfg.get("radius", 0.1)),
-            length=float(sys_cfg.get("length", 0.6)),
-            c=float(sys_cfg.get("c", 0.3)),
-            d=float(sys_cfg.get("d", 0.3)),
-        )
+        defaults = {"mass": 3.0, "radius": 0.1, "length": 0.6, "c": 0.3, "d": 0.3}
+        params = systems.UuvParams(**{key: _number(sys_cfg.get(key, value), key)
+                                      for key, value in defaults.items()})
         system = systems.make_uuv_system(params, retraction=retraction)
     else:
         raise ConfigError(f"unknown system type {stype!r}")
@@ -165,10 +180,10 @@ def build_setup(cfg):
     try:
         problem = lgoc.OcProblemLie(
             system=system,
-            g0=_group_element(group, bnd.get("g0", group.identity().tolist())),
-            xi0=np.asarray(bnd.get("xi0", np.zeros(group.dim)), dtype=float),
-            gT=_group_element(group, bnd["gT"]),
-            xiT=np.asarray(bnd.get("xiT", np.zeros(group.dim)), dtype=float),
+            g0=_group_element(group, bnd.get("g0", group.identity().tolist()), "g0"),
+            xi0=_number(bnd.get("xi0", np.zeros(group.dim)), "xi0", _floats),
+            gT=_group_element(group, bnd["gT"], "gT"),
+            xiT=_number(bnd.get("xiT", np.zeros(group.dim)), "xiT", _floats),
             N=N, h=h, cost=_build_cost(cost_cfg, system.m),
         )
     except KeyError as exc:
@@ -238,10 +253,10 @@ def _write_report(outdir, payload):
 
 def _perturbed_guess(problem, mod, solver_cfg):
     """Optional seeded perturbation of the initial guess (study aid)."""
-    scale = float(solver_cfg.get("guess_perturbation", 0.0))
+    scale = _number(solver_cfg.get("guess_perturbation", 0.0), "guess_perturbation")
     if scale == 0.0:
         return None
-    rng = np.random.default_rng(int(solver_cfg.get("seed", 0)))
+    rng = np.random.default_rng(_number(solver_cfg.get("seed", 0), "seed", int))
     first, second, lams = mod.initial_guess(problem)
     first = first + scale * rng.normal(size=np.shape(first))
     second = second + scale * rng.normal(size=np.shape(second))
@@ -252,10 +267,9 @@ def cmd_solve(args):
     cfg = load_config(args.config)
     kind, problem = build_setup(cfg)
     solver_cfg = cfg.get("solver", {})
-    tol = args.tol if args.tol is not None else float(solver_cfg.get("tol", 1e-6))
-    max_iter = args.max_iter if args.max_iter is not None else int(
-        solver_cfg.get("max_iter", 100)
-    )
+    tol = args.tol if args.tol is not None else _number(solver_cfg.get("tol", 1e-6), "tol")
+    max_iter = args.max_iter if args.max_iter is not None else _number(
+        solver_cfg.get("max_iter", 100), "max_iter", int)
     method = solver_cfg.get("method", "auto")
     mod, write = ((lgoc, _write_lie_solution) if kind == "lie"
                   else (tboc, _write_rn_solution))
@@ -292,7 +306,7 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     kind, problem = build_setup(cfg)
     sim_cfg = cfg.get("simulate", {})
-    steps = int(sim_cfg.get("steps", cfg["problem"]["N"]))
+    steps = _number(sim_cfg.get("steps", problem.N), "steps", int)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
@@ -313,7 +327,7 @@ def cmd_simulate(args):
         lagrangian, forces = problem.lagrangian, problem.forces
         x0 = problem.x0
         v0 = lagrangian.mass_inv @ problem.p0
-        x1 = np.asarray(sim_cfg.get("x1", x0 + problem.h * v0), dtype=float)
+        x1 = _number(sim_cfg.get("x1", x0 + problem.h * v0), "x1", _floats)
         qs = mech.integrate(lagrangian, forces, x0, x1, steps)
         ps = mech.node_momenta(lagrangian, forces, qs)
         n = problem.n

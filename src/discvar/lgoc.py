@@ -41,6 +41,7 @@ interval cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -256,7 +257,7 @@ _DEP_MAX_ITER = 200
 
 
 def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
-             g_k=None, step_index=0, tau_prev=None, guess=None):
+             g_k=None, step_index=0, tau_prev=None):
     """Advance the discrete momentum equation by one interval.
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}) and the forcing around
@@ -270,42 +271,64 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
     r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
     momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
     D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift, is
-    factored once, at ``guess`` (default xi_{k-1}; a march passes the
-    extrapolation 2 xi_{k-1} - xi_{k-2}).  The iteration stops when an
+    factored once, at the start xi_{k-1}.  The iteration stops when an
     update is below _DEP_TOL relative to xi.  If it does not within
     _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
-    from ``guess``, on the same Jacobian taken at its own iterates;
+    from the start, on the same Jacobian taken at its own iterates;
     StepSolveFailed carries ``step_index`` when that fails too.
     """
+    xi, mu, _ = _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k,
+                          step_index, tau_prev, None)
+    return xi, mu
+
+
+def _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k, step_index,
+              tau_prev, J_inv_prev):
+    """``dep_step``, started from the Newton predictor xi_{k-1} -
+    J_{k-1}^-1 r(xi_{k-1}) when ``J_inv_prev`` holds the previous step's
+    inverse Jacobian (from xi_{k-1} when it is None or the prediction is not
+    finite); returns (xi_k, mu_k, J_k^-1).  r(xi_{k-1}) needs no kernel
+    call: D(h xi_{k-1})^T I xi_{k-1} is mu_{k-1}."""
     group = system.group
     inertia = system.inertia
+    n = system.n
     xi_prev = np.asarray(xi_prev, dtype=float)
+    mu_prev = np.asarray(mu_prev, dtype=float)
     z_prev = h * xi_prev
     if tau_prev is None:
         tau_prev = group.tau(z_prev)
-    rhs = group.coAd(tau_prev, np.asarray(mu_prev, dtype=float))
+    rhs = group.coAd(tau_prev, mu_prev)
     for u in (u_prev_plus, u_minus):
         if u is not None:
             rhs = rhs + (h / 2.0) * (system.control_basis @ np.asarray(u, dtype=float))
     if system.has_drift:
-        rhs = rhs + (h / 2.0) * system.drift_values(z_prev)
+        drift_prev = (h / 2.0) * system.drift_values(z_prev)
+        rhs = rhs + drift_prev
     if system.potential is not None:
         if g_k is None:
             raise DimensionMismatch("potential systems need g_k in dep_step")
         rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
 
     def residual(xi, D):
-        out = _mv(_mt(D), inertia @ xi) - rhs
+        out = (inertia @ xi) @ D - rhs
         return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
 
     def jacobian(xi, D):
-        J = _mt(D) @ inertia + h * np.einsum("jil,j->il", group.dtau_inv_deriv(h * xi),
-                                             inertia @ xi)
+        # (I xi)_j dD_ji/dz_l, the contraction over j as one matmul
+        T = group.dtau_inv_deriv(h * xi).reshape(n, n * n)
+        J = _mt(D) @ inertia + h * ((inertia @ xi) @ T).reshape(n, n)
         if system.has_drift:
             J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
         return J
 
-    start = xi_prev if guess is None else np.asarray(guess, dtype=float)
+    start = xi_prev
+    if J_inv_prev is not None:
+        r_prev = mu_prev - rhs
+        if system.has_drift:
+            r_prev = r_prev - drift_prev
+        predicted = xi_prev - J_inv_prev @ r_prev
+        if np.isfinite(predicted).all():
+            start = predicted
     D = group.dtau_inv_matrix(h * start)
     J = jacobian(start, D)
     try:
@@ -318,7 +341,7 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
         update = J_inv @ residual(xi, D)
         xi = xi - update
         size = np.abs(update).max()
-        if not np.isfinite(size):
+        if not math.isfinite(size):
             break
         D = group.dtau_inv_matrix(h * xi)
         if size < _DEP_TOL * (1.0 + np.abs(xi).max()):
@@ -329,12 +352,12 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
             return lambda x: fun(x, group.dtau_inv_matrix(h * x))
 
         try:
-            xi, _ = newton(ResidualSystem(system.n, at(residual), at(jacobian)), start,
+            xi, _ = newton(ResidualSystem(n, at(residual), at(jacobian)), start,
                            tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, str(exc)) from exc
         D = group.dtau_inv_matrix(h * xi)
-    return xi, _mv(_mt(D), inertia @ xi)
+    return xi, (inertia @ xi) @ D, J_inv
 
 
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
@@ -342,9 +365,11 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
 
     ``controls`` has shape (steps, 2, m) holding (u_k^-, u_k^+); interval 0
     is determined by the initial velocity, so its u_0^- is unused.  Each step
-    is one ``dep_step``, started from the extrapolation 2 xi_{k-1} - xi_{k-2}
-    and handed the tau(h xi_{k-1}) that built g_k, so a march makes ``steps``
-    tau calls.
+    solves ``dep_step``'s equation, handed the tau(h xi_{k-1}) that built
+    g_k, so a march makes ``steps`` tau calls.  Step 1 starts from xi_0;
+    every later step starts from the Newton predictor xi_{k-1} -
+    J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian the step before
+    formed, so the new step's forcing is in its start.
     """
     group = system.group
     n = system.n
@@ -356,19 +381,15 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     xis = np.empty((steps, n))
     mus = np.empty((steps, n))
     xis[0] = np.asarray(xi0, dtype=float)
-    mus[0] = _mv(
-        _mt(group.dtau_inv_matrix(h * xis[0])), system.inertia @ xis[0]
-    )
+    mus[0] = (system.inertia @ xis[0]) @ group.dtau_inv_matrix(h * xis[0])
     W = group.tau(h * xis[0])
     gs.append(group.multiply(gs[0], W))
+    J_inv = None
     for k in range(1, steps):
         upp = controls[k - 1, 1] if controls is not None else None
         um = controls[k, 0] if controls is not None else None
-        xis[k], mus[k] = dep_step(
-            system, h, xis[k - 1], mus[k - 1], u_prev_plus=upp, u_minus=um,
-            g_k=gs[k], step_index=k, tau_prev=W,
-            guess=2.0 * xis[k - 1] - xis[k - 2] if k > 1 else None,
-        )
+        xis[k], mus[k], J_inv = _dep_step(system, h, xis[k - 1], mus[k - 1], upp, um,
+                                          gs[k], k, W, J_inv)
         W = group.tau(h * xis[k])
         gs.append(group.multiply(gs[k], W))
     return np.stack(gs), xis, mus

@@ -18,6 +18,7 @@ and the two discrete Legendre transforms with forces give the momenta
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -270,7 +271,9 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     Each step solves the DEL residual to an absolute 1e-12, but never below
     a few rounding units of the momentum terms M q / h: the difference
     quotients lose eps |q| / h each, so far from the origin 1e-12 could not
-    be met.  The step solve is a simplified Newton iteration from the
+    be met.  The half of the residual that does not depend on q_{k+1},
+    D2 Ld(q_{k-1}, q_k) + f^+(q_{k-1}, q_k, u_{k-1}^+), is formed once per
+    step.  The step solve is a simplified Newton iteration from the
     extrapolation 2 q_k - q_{k-1} on the Jacobian D1 D2 Ld = -M / h, which
     is constant, so the march factors it once; without a potential or a
     drift the residual is affine in q_{k+1} and one update solves it.  A
@@ -298,19 +301,17 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
         step_tol = max(_STEP_TOL, rounding_per_q * np.abs(q_k).max())
-        u_prev_plus = controls[k - 1, 1]
-        u_k_minus = controls[k, 0]
+        u_prev_plus, u_k_minus = controls[k - 1, 1], controls[k, 0]
+        fixed = lagrangian.d2(q_prev, q_k) + forces.f_plus(q_prev, q_k, u_prev_plus)
 
         def res(q_next):
-            return forced_del_residual(
-                lagrangian, forces, q_prev, q_k, q_next, u_prev_plus, u_k_minus
-            )
+            return fixed + lagrangian.d1(q_k, q_next) + forces.f_minus(q_k, q_next, u_k_minus)
 
         guess = 2.0 * q_k - q_prev
         q_next, r = guess, res(guess)
         err = np.abs(r).max()
         for _ in range(_STEP_MAX_ITER):
-            if err <= step_tol or not np.isfinite(err):
+            if err <= step_tol or not math.isfinite(err):
                 break
             q_next = q_next - J_inv @ r
             r = res(q_next)

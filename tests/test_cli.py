@@ -233,6 +233,27 @@ def test_unknown_system_type_is_config_error(tmp_path):
     assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("solve", ("problem", "cost"), "eps", "small"),
+    ("solve", ("problem",), "N", "eight"),
+    ("solve", ("problem", "boundary"), "x0", ["a"]),
+    ("simulate", ("simulate",), "steps", "many"),
+], ids=["eps", "N", "x0", "steps"])
+def test_non_numeric_value_is_config_error(tmp_path, capsys, command, section, key,
+                                           value):
+    base = point_mass_cfg()
+    base["problem"]["cost"] = {"kind": "smoothed_l1", "eps": 0.1}
+    base["simulate"] = {"steps": 8}
+    entry = base
+    for name in section:
+        entry = entry[name]
+    entry[key] = value
+    cfg = write_config(tmp_path / "c.json", base)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be numeric" in err
+
+
 def test_bad_usage_is_exit_one():
     assert cli.main(["frobnicate"]) == 1
 

@@ -151,20 +151,9 @@ def test_integrate_reduced_solves_the_momentum_equation(case, monkeypatch):
     assert np.max(np.abs(right[:-1] - left[1:])) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
-@pytest.mark.parametrize("damped", [False, True], ids=["free body", "damped"])
-def test_steps_take_few_updates(retraction, damped, monkeypatch):
-    # the simplified Newton iteration from the extrapolated start, on the
-    # exact Jacobian: each step evaluates dtau_inv at the start and after
-    # each update, and stops on the update below _DEP_TOL.  The damped body
-    # has a drag of -20 z under constant torques, so the drift's term in the
-    # Jacobian counts: without it the steps take up to 9 updates
-    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
-                                 retraction=retraction)
-    h, steps, controls, most = 0.01, 300, None, 4
-    if damped:
-        system = dataclasses.replace(system, drift=lambda z: -20.0 * z)
-        h, controls, most = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1)), 5
+def _updates_per_step(monkeypatch, march):
+    """The simplified Newton updates of each step of ``march()``: a step
+    evaluates dtau_inv at its start and after each update."""
     calls, per_step = [], []
     dtau_inv = lie.GroupSpec.dtau_inv_matrix
 
@@ -172,19 +161,51 @@ def test_steps_take_few_updates(retraction, damped, monkeypatch):
         calls.append(1)
         return dtau_inv(self, xi)
 
-    original = lgoc.dep_step
+    original = lgoc._dep_step
 
-    def step(*args, **kwargs):
+    def step(*args):
         calls.clear()
-        out = original(*args, **kwargs)
+        out = original(*args)
         per_step.append(len(calls) - 1)
         return out
 
     monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix", counted)
-    monkeypatch.setattr(lgoc, "dep_step", step)
-    lgoc.integrate_reduced(system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps,
-                           controls=controls)
-    assert len(per_step) == steps - 1 and max(per_step) <= most
+    monkeypatch.setattr(lgoc, "_dep_step", step)
+    march()
+    return per_step
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+@pytest.mark.parametrize("damped", [False, True], ids=["free body", "damped"])
+def test_steps_take_few_updates(retraction, damped, monkeypatch):
+    # the simplified Newton iteration on the exact Jacobian, stopped on the
+    # update below _DEP_TOL.  Step 1 starts from xi_0; every later step
+    # from the Newton predictor on the previous step's inverse Jacobian,
+    # which leaves the free body one update to land and one to confirm.
+    # An extrapolated start took up to 3 and 4 updates.  The damped body
+    # has a drag of -20 z under constant torques, so the drift's term in the
+    # Jacobian counts: without it the steps take up to 9 updates
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                 retraction=retraction)
+    h, steps, controls, first, most = 0.01, 300, None, 4, 2
+    if damped:
+        system = dataclasses.replace(system, drift=lambda z: -20.0 * z)
+        h, controls = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1))
+        first, most = 5, 3
+    per_step = _updates_per_step(monkeypatch, lambda: lgoc.integrate_reduced(
+        system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps, controls=controls))
+    assert len(per_step) == steps - 1
+    assert per_step[0] <= first and max(per_step[1:]) <= most
+
+
+@pytest.mark.parametrize("case", ["uuv cay", "uuv exp"])
+def test_forced_vehicle_steps_take_few_updates(case, monkeypatch):
+    # white-noise controls: an extrapolated start misses each step's new
+    # forcing and takes up to 7 updates; the predictor carries it
+    system, g0, xi0, h, controls = _march_cases()[case]
+    per_step = _updates_per_step(monkeypatch, lambda: lgoc.integrate_reduced(
+        system, g0, xi0, h, 200, controls=controls))
+    assert len(per_step) == 199 and max(per_step[1:]) <= 3
 
 
 def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
@@ -203,7 +224,7 @@ def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
 
 def test_newton_fallback_finds_the_same_step(monkeypatch):
     # with no budget for the simplified Newton iteration every step goes to
-    # newton, from the same extrapolated start, on the closed-form Jacobian
+    # newton, from the same predicted start, on the closed-form Jacobian
     # (no residual is differenced), and lands on the same root
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
     expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
@@ -215,6 +236,28 @@ def test_newton_fallback_finds_the_same_step(monkeypatch):
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
     for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_singular_step_factor_keeps_the_march(monkeypatch):
+    # one step's factorisation fails: that step goes to newton, and the next
+    # step, with no finite prediction, starts from the previous velocity
+    system, g0, xi0, h, controls = _march_cases()["uuv exp"]
+    expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    inv = np.linalg.inv
+    calls = []
+
+    def singular_once(a):
+        calls.append(1)
+        if len(calls) == 10:
+            raise np.linalg.LinAlgError("singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    assert len(calls) == 39
+    for a, b in zip(got, expected):
+        assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 

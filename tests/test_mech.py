@@ -420,28 +420,35 @@ def test_forced_integration_far_from_origin(scale):
 def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
     # no potential and no drift: the DEL residual is affine in q_{k+1} with
     # the constant Jacobian -M/h, so one update from the extrapolation meets
-    # the step tolerance: two residuals per step, no newton call
+    # the step tolerance: per step, D2 Ld of the fixed half once and D1 Ld at
+    # the extrapolation and after the update, and no newton call
     h, steps = 0.01, 40
     L = RnLagrangian(np.array([[2.0, 0.3], [0.3, 1.0]]), h=h)
     F = DiscreteForcePairRn.trapezoidal(2, h)
     controls = np.random.default_rng(8).normal(size=(steps, 2, 2))
-    residuals = []
-    original = mech.forced_del_residual
+    calls = {"d1": 0, "d2": 0}
 
-    def counted(*args):
-        residuals.append(1)
-        return original(*args)
+    def counting(name):
+        original = getattr(RnLagrangian, name)
+
+        def counted(self, qa, qb):
+            calls[name] += 1
+            return original(self, qa, qb)
+
+        return counted
 
     def refused(*args, **kwargs):
         raise AssertionError("the step fell back to newton")
 
-    monkeypatch.setattr(mech, "forced_del_residual", counted)
+    for name in calls:
+        monkeypatch.setattr(RnLagrangian, name, counting(name))
     monkeypatch.setattr(mech, "newton", refused)
     qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
                         controls=controls)
-    assert len(residuals) == 2 * (steps - 1)
+    assert calls == {"d1": 2 * (steps - 1), "d2": steps - 1}
     for k in range(1, steps):
-        r = original(L, F, qs[k - 1], qs[k], qs[k + 1], controls[k - 1, 1], controls[k, 0])
+        r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
+                                     controls[k - 1, 1], controls[k, 0])
         assert np.max(np.abs(r)) <= 1e-12
 
 

@@ -74,11 +74,16 @@ def _floats(value):
 
 def _number(value, key, kind=float):
     """``kind(value)``; a value it cannot convert raises ConfigError naming
-    ``key``.  ``kind`` is float, int or ``_floats`` for a list."""
+    ``key``.  ``kind`` is float, int or ``_floats`` for a list.  A count
+    (int) must be a number with an integral value, such as 8 or 8.0: 8.7, a
+    boolean or a string raise ConfigError too."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be numeric, got {value!r}") from exc
+    if kind is int and (isinstance(value, bool) or out != value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return out
 
 
 def _group_element(group, value, key):

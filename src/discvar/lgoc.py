@@ -22,16 +22,17 @@ velocities.
 
 The residual is exact up to the user's callables: the derivatives of the
 interval maps in xi_k come in closed form from the retraction's tangent maps
-and their derivative (``_xi_gradients``), and only the drift and the
-potential gradient are differenced.  The residual is the gradient of the
-summed cost, so its Jacobian (``residual_system``) is assembled exactly from
-the interval terms' Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}), one
+and their derivative (``_xi_gradients``), and only a callable drift and
+the gradient of a potential without ``left_hess`` are differenced.  The
+residual is the gradient of the summed cost, so its Jacobian
+(``residual_system``) is assembled exactly from the interval terms'
+Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}), one
 batched pass for all intervals, through the tangent maps' first and second
 derivatives (``_interval_hessians``).  What flows through the
 reconstruction, the potential's dependence on the node configurations and
 the reconstruction rows, is chained through the configuration
-sensitivities of one ``reconstruct``.  Only the user's callables' own
-derivatives are differenced; no residual is.
+sensitivities of one ``reconstruct``.  Only the derivatives a user's
+callable does not supply are differenced; no residual is.
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects, less the drift, have no
@@ -83,11 +84,19 @@ class ReducedSystem:
     control_basis  (n, m) constant control-to-covector matrix B
     unactuated     coordinate indices with no control authority; the rows of
                    B at these indices must vanish
-    drift          optional callable z -> covector coordinates, evaluated at
-                   the interval displacement z = h xi (batched over leading
-                   dimensions); defaults to zero
+    drift          optional force on the interval displacement z = h xi:
+                   either an (n, n) matrix H, the linear drift z -> z H^T
+                   (H z per interval), whose Jacobian is H and whose
+                   curvature is zero, or a callable z -> covector
+                   coordinates, batched over leading dimensions, whose
+                   derivatives are differenced; defaults to zero
     potential      optional object with value(g) and left_grad(g) -> (n,)
-                   (the left-trivialized gradient), both batched
+                   (the left-trivialized gradient), both batched; it may
+                   also supply its left Hessian left_hess(g) -> (n, n) and
+                   the Hessian's derivative along a covector w,
+                   left_curvature(g, w) -> (n, n) (``_potential_hessians``,
+                   ``_potential_curvature``), which are differenced
+                   otherwise
     """
 
     group: object
@@ -128,6 +137,10 @@ class ReducedSystem:
         if np.linalg.matrix_rank(self.control_basis) < m:
             raise RankDeficient("control basis rank is below the control dimension")
         self.control_pinv = np.linalg.pinv(self.control_basis)
+        if self.drift is not None and not callable(self.drift):
+            self.drift = np.asarray(self.drift, dtype=float)
+            if self.drift.shape != (n, n):
+                raise DimensionMismatch("a linear drift must be an (n, n) matrix")
 
     @property
     def n(self):
@@ -144,11 +157,17 @@ class ReducedSystem:
     def drift_values(self, z):
         if self.drift is None:
             return np.zeros_like(z)
+        if self.drift_is_linear:
+            return np.asarray(z, dtype=float) @ self.drift.T
         return np.asarray(self.drift(z), dtype=float)
 
     @property
     def has_drift(self):
         return self.drift is not None
+
+    @property
+    def drift_is_linear(self):
+        return isinstance(self.drift, np.ndarray)
 
 
 @dataclass
@@ -270,8 +289,9 @@ def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
     The step solve is a simplified Newton iteration on the residual
     r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
     momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
-    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift, is
-    factored once, at the start xi_{k-1}.  The iteration stops when an
+    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift (the
+    matrix itself for a linear drift, ``_drift_jacobians``), is factored
+    once, at the start xi_{k-1}.  The iteration stops when an
     update is below _DEP_TOL relative to xi.  If it does not within
     _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
     from the start, on the same Jacobian taken at its own iterates;
@@ -314,9 +334,8 @@ def _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k, step_index
         return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
 
     def jacobian(xi, D):
-        # (I xi)_j dD_ji/dz_l, the contraction over j as one matmul
-        T = group.dtau_inv_deriv(h * xi).reshape(n, n * n)
-        J = _mt(D) @ inertia + h * ((inertia @ xi) @ T).reshape(n, n)
+        # (I xi)_j dD_ji/dz_l: one matmul over the stack T[l] = dD/dz_l
+        J = _mt(D) @ inertia + h * _mt((inertia @ xi) @ group.dtau_inv_deriv(h * xi))
         if system.has_drift:
             J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
         return J
@@ -369,7 +388,10 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     g_k, so a march makes ``steps`` tau calls.  Step 1 starts from xi_0;
     every later step starts from the Newton predictor xi_{k-1} -
     J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian the step before
-    formed, so the new step's forcing is in its start.
+    formed, so the new step's forcing is in its start.  Of the user's
+    callables, the step Jacobian needs only the drift's derivative: a linear
+    drift gives its matrix, so only a callable drift is differenced, once
+    per step.
     """
     group = system.group
     n = system.n
@@ -475,26 +497,30 @@ def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=None, T=Non
     e_plus = _mv(A, c_plus)
     e = c_minus + e_plus
     out = _mv(D, e) @ sys_.inertia
-    out += h * np.einsum("kjil,kj,ki->kl", T3, xis @ sys_.inertia, e)
+    out += h * np.einsum("klji,kj,ki->kl", T3, xis @ sys_.inertia, e)
     out -= h * _mv(_mt(T), _mv(_mt(group.ad_matrix(e_plus)), mu))
     if Jd is not None:
-        out -= (h * h / 2.0) * np.einsum("kij,ki->kj", Jd, c_minus - c_plus)
+        out -= (h * h / 2.0) * np.einsum("...ij,...i->...j", Jd, c_minus - c_plus)
     return out
 
 
 def _drift_jacobians(system, z):
-    """d drift / dz at the interval displacements z (..., n), as (..., n, n);
-    None without a drift.  The drift acts pointwise in z, so one call on the
-    2n shifts of every interval gives all the Jacobians."""
+    """d drift / dz at the interval displacements z (..., n), as (..., n, n),
+    or for a linear drift its matrix H, (n, n), the same at every z; None
+    without a drift.  A callable drift acts pointwise in z, so one call on
+    the 2n shifts of every interval gives all its Jacobians."""
     if not system.has_drift:
         return None
+    if system.drift_is_linear:
+        return system.drift
     return central_difference(lambda s: system.drift_values(z + s),
                               np.full(z.shape, solvers.DIFFERENCE_STEP))
 
 
 def _drift_curvature(system, z, w):
-    """The Hessians in z of w_k . drift(z_k), (N, n, n), by one nested
-    central difference for all intervals."""
+    """The Hessians in z of w_k . drift(z_k), (N, n, n), for a callable
+    drift, by one nested central difference for all intervals.  A linear
+    drift has none: its callers skip this term."""
     step = np.full(z.shape, solvers.CURVATURE_STEP)
     return central_difference(lambda s: central_difference(
         lambda t: np.einsum("ki,...ki->...k", w, system.drift_values(z + s + t)),
@@ -505,9 +531,12 @@ def _potential_hessians(system, gs):
     """Left-trivialized directional derivatives of the potential gradient at
     the configurations gs.
 
-    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0, by
-    one central difference: a single ``left_grad`` call on the 2n shifts.
+    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0: the
+    potential's ``left_hess`` when it has one, else one central difference,
+    a single ``left_grad`` call on the 2n shifts.
     """
+    if hasattr(system.potential, "left_hess"):
+        return np.asarray(system.potential.left_hess(gs), dtype=float)
     group = system.group
     return central_difference(
         lambda s: system.potential.left_grad(group.multiply(gs, group.tau(s)[:, None])),
@@ -517,8 +546,11 @@ def _potential_hessians(system, gs):
 def _potential_curvature(system, gs, w):
     """T with T[k, :, l] = d/ds_l of H(g_k tau(s))^T w_k at s = 0, H the
     potential Hessians of ``_potential_hessians``: the potential's third
-    derivative along w_k, as the nested central difference of
-    w_k . grad V(g_k tau(s) tau(t)), one batched call for all nodes."""
+    derivative along w_k.  That is its ``left_curvature`` when it has one,
+    else the nested central difference of w_k . grad V(g_k tau(s) tau(t)),
+    one batched call for all nodes."""
+    if hasattr(system.potential, "left_curvature"):
+        return np.asarray(system.potential.left_curvature(gs, w), dtype=float)
     group = system.group
     step = np.full(system.n, solvers.CURVATURE_STEP)
 
@@ -752,8 +784,8 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     K = d^2/dxi^2 [c_minus . mu + c_plus . transport - (h/2)(c_minus - c_plus) . d].
     K takes the closed forms of ``_xi_gradients`` one derivative further,
     through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
-    the drift's curvature is differenced.  ``T3`` is dtau_inv_deriv(z) and
-    ``T`` dtau_matrix(z).
+    a callable drift's curvature is differenced, and a linear drift has
+    none.  ``T3`` is dtau_inv_deriv(z) and ``T`` dtau_matrix(z).
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
@@ -761,7 +793,7 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     z, _, mu, _, D, A = maps
     I, P = sys_.inertia, sys_.control_pinv
     p = xis @ I.T
-    Mxi = _mt(D) @ I + h * np.einsum("kjil,kj->kil", T3, p)
+    Mxi = _mt(D) @ I + h * np.einsum("klji,kj->kil", T3, p)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
     Bmu = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mu)
     Txi = _mt(A) @ (Mxi + h * Bmu @ T)
@@ -770,13 +802,13 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     ad_e = group.ad_matrix(e_plus)
     # the transport's A moves by ad(eta) A, so e_plus by -ad(e_plus) eta;
     # dtau moves by -dtau (d dtau_inv) dtau
-    IU = I.T @ np.einsum("kabl,kb->kal", T3, e)
+    IU = I.T @ np.einsum("klab,kb->kal", T3, e)
     MadT = _mt(Mxi) @ ad_e @ T
     u = _mv(_mt(T), _mv(_mt(ad_e), mu))
-    K = (h * h * np.einsum("kjilm,kj,ki->klm", group.dtau_inv_deriv2(z), p, e)
+    K = (h * h * np.einsum("klmji,kj,ki->klm", group.dtau_inv_deriv2(z), p, e)
          + h * (IU + _mt(IU)) - h * (MadT + _mt(MadT))
-         + h * h * _mt(T) @ (np.einsum("kaim,ka->kim", T3, u) + Bmu @ ad_e @ T))
-    if Jd is not None:
+         + h * h * _mt(T) @ (np.einsum("kmai,ka->kim", T3, u) + Bmu @ ad_e @ T))
+    if Jd is not None and not sys_.drift_is_linear:
         K -= (h**3 / 2.0) * _drift_curvature(sys_, z, c_minus - c_plus)
 
     s = len(sigma)
@@ -787,7 +819,7 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     F[:, n:, xi] = -Txi
     F[:, n:, nu_b] = np.eye(n)
     if Jd is not None:
-        F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=1)
+        F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=-2)
     Fm, Fp = F[:, :n], F[:, n:]
     Qm = _mt(P) @ problem.cost.hess_batch(um) @ P
     Qp = _mt(P) @ problem.cost.hess_batch(up) @ P
@@ -842,13 +874,13 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     # d/dnu_{k+1}; the other rows are slot gradients themselves
     Oy = np.empty((N, 4 * n + 2 * s, 3 * n + 2 * s))
     Oy[:, :n] = -(_mt(Ha) @ H[:, nu_a] + _mt(D) @ H[:, xi] / h)
-    Oy[:, :n, xi] -= np.einsum("kail,ka->kil", T3, gxi)
+    Oy[:, :n, xi] -= np.einsum("klai,ka->kil", T3, gxi)
     Oy[:, n : 2 * n] = H[:, nu_a]
     Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
     Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = (_mt(Hb) @ H[:, nu_b]
                                             + _mt(group.dtau_inv_matrix(-z)) @ H[:, xi] / h)
     Oy[:, 2 * n + 2 * s : 3 * n + 2 * s, xi] -= np.einsum(
-        "kail,ka->kil", group.dtau_inv_deriv(-z), gxi)
+        "klai,ka->kil", group.dtau_inv_deriv(-z), gxi)
     Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
     O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
     O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
@@ -881,9 +913,11 @@ def residual_system(problem):
       * the reconstruction rows, r = tau^-1(g_N^-1 gT), in closed form:
         dr/dxi_k = -dtau_inv(r) S[N, k].
     Eliminated momenta chain through nu_k = (mu_k + transported_{k-1}) / 2.
-    Only the user's callables are differenced: the drift's Jacobian and
-    curvature, the potential's Hessian and its third derivative along one
-    direction.  No residual is evaluated.
+    Only derivatives the user's callables do not supply are differenced: a
+    callable drift's Jacobian and curvature (a linear drift has them in
+    closed form), and the Hessian of a potential without ``left_hess`` and
+    its third derivative along one direction without ``left_curvature``.
+    No residual is evaluated.
     """
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h

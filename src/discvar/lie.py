@@ -165,12 +165,16 @@ def _so3_dcay_inv(w):
 # With W = hat3(w) and th = |w| (Kobilarov & Marsden 2011):
 #   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
 #   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
-# c, k and the derivatives b', c', k' (in th), (k'/th)' and ((k'/th)'/th)' lose
-# digits as th shrinks, so below _SMALL_ANGLE each is its Taylor polynomial in
-# th^2 through th^12 to th^18, whose first omitted term is below 2e-17 of it
-# there.
+# c, k and the derivatives b', c' and k' (in th) lose digits as th shrinks, so
+# below _SMALL_ANGLE each is its Taylor polynomial in th^2 through th^12 to
+# th^14, whose first omitted term is below 2e-17 of it there.  The closed forms
+# of (k'/th)'/th and ((k'/th)'/th)'/th cancel much more (they keep only 10 and
+# 8 digits at th = 0.5, and about 12 from th = 2 on), so below _SERIES_ANGLE
+# each is its Taylor polynomial of 20 terms, through th^38, which holds to
+# 3e-16 of it there.
 
 _SMALL_ANGLE = 0.5
+_SERIES_ANGLE = 2.0
 _B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
 _C = tuple((-1) ** n / factorial(2 * n + 3) for n in range(8))
 _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
@@ -178,12 +182,15 @@ _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
 # b'/th, c'/th and k'/th, as f'(th)/th = 2 df/d(th^2)
 _DB, _DC, _DK = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C, _K))
 # (k'/th)'/th = 4 d^2k/d(th^2)^2 and ((k'/th)'/th)'/th = 8 d^3k/d(th^2)^3, from k's
-# coefficients K_n = |B_{2n+2}| / (2n+2)! extended by three and five terms: these
-# series start two and three terms later and converge slower
-_K_MORE = _K + (43867 / (798 * factorial(18)), 174611 / (330 * factorial(20)),
-                854513 / (138 * factorial(22)), 236364091 / (2730 * factorial(24)),
-                8553103 / (6 * factorial(26)))
-_DDK = [4 * n * (n - 1) * f for n, f in enumerate(_K_MORE[:11])][2:]
+# coefficients K_n = |B_{2n+2}| / (2n+2)! through n = 22, each Bernoulli number
+# |B_{2n+2}| given as p / q
+_K_MORE = _K + tuple(p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
+    (43867, 798), (174611, 330), (854513, 138), (236364091, 2730), (8553103, 6),
+    (23749461029, 870), (8615841276005, 14322), (7709321041217, 510),
+    (2577687858367, 6), (26315271553053477373, 1919190), (2929993913841559, 6),
+    (261082718496449122051, 13530), (1520097643918070802691, 1806),
+    (27833269579301024235023, 690), (596451111593912163277961, 282)), start=8))
+_DDK = [4 * n * (n - 1) * f for n, f in enumerate(_K_MORE[:22])][2:]
 _DDDK = [8 * n * (n - 1) * (n - 2) * f for n, f in enumerate(_K_MORE)][3:]
 
 
@@ -218,20 +225,20 @@ def _dexp_inv_dk(th2, small, th, k):
                     (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
 
 
-def _dexp_inv_ddk(th2, small, th, dk):
+def _dexp_inv_ddk(th2, th, dk):
     # (k'/th)'/th = (r'/th - 3 dk) / th^2, r = 1/(4 sin^2(th/2)) - 1/th^2
     half = 0.5 * th
-    return np.where(small, _taylor(th2, _DDK),
+    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DDK),
                     (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
                      - 3.0 * dk) / th**2)
 
 
-def _dexp_inv_dddk(th2, small, th, ddk):
+def _dexp_inv_dddk(th2, th, ddk):
     # ((k'/th)'/th)'/th = (q'/th - 5 ddk) / th^2, q = r'/th of _dexp_inv_ddk
     sn, cs = np.sin(0.5 * th), np.cos(0.5 * th)
     dq = (-8.0 / th**6 + cs / (4.0 * th**3 * sn**3)
           + (1.0 / sn**2 + 3.0 * cs**2 / sn**4) / (8.0 * th**2))
-    return np.where(small, _taylor(th2, _DDDK), (dq - 5.0 * ddk) / th**2)
+    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DDDK), (dq - 5.0 * ddk) / th**2)
 
 
 def _so3_dexp(w):
@@ -356,7 +363,8 @@ def _se3_dexp_inv(xi):
 # derivatives of dtau^-1
 # ---------------------------------------------------------------------------
 # Each kernel returns T stacked along the derivative index first, T[..., l, i, j]
-# = d D_ij / d xi_l for D = dtau^-1(xi); GroupSpec moves l last.  _E[l] = hat3(e_l).
+# = d D_ij / d xi_l for D = dtau^-1(xi), the layout GroupSpec hands out.
+# _E[l] = hat3(e_l).
 
 _E = hat3(_I3)
 
@@ -402,7 +410,7 @@ def _se3_dexp_inv_deriv(xi):
     # + dk (w_l (W V + V W) + v_l W^2 + s (E_l W + W E_l)), ddk = (k'/th)'/th
     w, v = xi[..., :3], xi[..., 3:]
     th2, small, th, k, dk, W = _dexp_inv_coeffs(w)
-    ddk = _dexp_inv_ddk(th2, small, th, dk)
+    ddk = _dexp_inv_ddk(th2, th, dk)
     s = np.einsum("...i,...i->...", w, v)[..., None, None, None]
     k, dk, ddk = (c[..., None, None, None] for c in (k, dk, ddk))
     wl, vl = w[..., :, None, None], v[..., :, None, None]
@@ -421,7 +429,7 @@ def _se3_dexp_inv_deriv(xi):
 # second derivatives of dtau^-1
 # ---------------------------------------------------------------------------
 # Each kernel returns T stacked along both derivative indices first,
-# T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m; GroupSpec moves l and m last.
+# T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m, as GroupSpec hands it out.
 # The SE(3) lower block L is linear in v, and for exp it is the derivative of
 # the upper block F along v, so d^2 L / dw_l dv_m = d^2 F / dw_l dw_m.
 
@@ -457,8 +465,8 @@ def _dexp_inv_second(w):
     th2, small, th = _angle(w)
     k = _dexp_inv_k(th2, small, th)
     dk = _dexp_inv_dk(th2, small, th, k)
-    ddk = _dexp_inv_ddk(th2, small, th, dk)
-    dddk = _dexp_inv_dddk(th2, small, th, ddk)
+    ddk = _dexp_inv_ddk(th2, th, dk)
+    dddk = _dexp_inv_dddk(th2, th, ddk)
     k, dk, ddk, dddk = (c[..., None, None, None, None] for c in (k, dk, ddk, dddk))
     W = hat3(w)[..., None, None, :, :]
     W2 = W @ W
@@ -631,7 +639,9 @@ class GroupSpec:
         return _so3_dexp_inv(xi) if self.name == "SO3" else _se3_dexp_inv(xi)
 
     def dtau_inv_deriv(self, xi):
-        """T with T[..., i, j, l] = d dtau_inv_matrix(xi)[..., i, j] / d xi_l."""
+        """T with T[..., l, i, j] = d dtau_inv_matrix(xi)[..., i, j] / d xi_l:
+        the derivative index first, so T[..., l, :, :] is the derivative
+        along e_l."""
         xi = np.asarray(xi, dtype=float)
         if self.name == "Rn":
             return np.zeros(xi.shape[:-1] + (self.dim,) * 3)
@@ -639,11 +649,12 @@ class GroupSpec:
             kernel = _so3_dcay_inv_deriv if self.name == "SO3" else _se3_dcay_inv_deriv
         else:
             kernel = _so3_dexp_inv_deriv if self.name == "SO3" else _se3_dexp_inv_deriv
-        return np.moveaxis(kernel(xi), -3, -1)
+        return kernel(xi)
 
     def dtau_inv_deriv2(self, xi):
-        """T with T[..., i, j, l, m] = d^2 dtau_inv_matrix(xi)[..., i, j]
-        / d xi_l d xi_m, symmetric in (l, m)."""
+        """T with T[..., l, m, i, j] = d^2 dtau_inv_matrix(xi)[..., i, j]
+        / d xi_l d xi_m, symmetric in (l, m): the derivative indices first,
+        as in ``dtau_inv_deriv``."""
         xi = np.asarray(xi, dtype=float)
         if self.name == "Rn":
             return np.zeros(xi.shape[:-1] + (self.dim,) * 4)
@@ -651,7 +662,7 @@ class GroupSpec:
             kernel = _so3_dcay_inv_deriv2 if self.name == "SO3" else _se3_dcay_inv_deriv2
         else:
             kernel = _so3_dexp_inv_deriv2 if self.name == "SO3" else _se3_dexp_inv_deriv2
-        return np.moveaxis(kernel(xi), (-4, -3), (-2, -1))
+        return kernel(xi)
 
 
 def real_n(n, retraction=CAYLEY):

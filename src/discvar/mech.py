@@ -271,15 +271,20 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     Each step solves the DEL residual to an absolute 1e-12, but never below
     a few rounding units of the momentum terms M q / h: the difference
     quotients lose eps |q| / h each, so far from the origin 1e-12 could not
-    be met.  The half of the residual that does not depend on q_{k+1},
-    D2 Ld(q_{k-1}, q_k) + f^+(q_{k-1}, q_k, u_{k-1}^+), is formed once per
-    step.  The step solve is a simplified Newton iteration from the
-    extrapolation 2 q_k - q_{k-1} on the Jacobian D1 D2 Ld = -M / h, which
-    is constant, so the march factors it once; without a potential or a
-    drift the residual is affine in q_{k+1} and one update solves it.  A
-    step that does not converge within _STEP_MAX_ITER updates falls back to
-    Newton with a line search (``newton``), and raises StepSolveFailed with
-    the step index when that fails too.
+    be met.  The residual is assembled from the trapezoidal Lagrangian's
+    closed form, not through the slot derivatives: the control forces B^-+ u
+    of the whole march come from one product each, and the potential
+    gradient from one evaluation per node, as it enters D2 Ld(q_{k-1}, q_k)
+    and D1 Ld(q_k, q_{k+1}) at the same q_k.  So per step the part that does
+    not depend on q_{k+1} is formed once, and each update adds only
+    -(q_{k+1} - q_k) M^T / h + a^-(q_k, q_{k+1}).  The step solve is a
+    simplified Newton iteration from the extrapolation 2 q_k - q_{k-1} on
+    the Jacobian D1 D2 Ld = -M / h, which is constant, so the march factors
+    it once; without a drift a^- the residual is affine in q_{k+1} (the
+    potential enters at q_k only) and one update solves it.  A step that
+    does not converge within _STEP_MAX_ITER updates falls back to Newton
+    with a line search (``newton``), and raises StepSolveFailed with the
+    step index when that fails too.
     """
     n = lagrangian.dim
     q0 = np.asarray(q0, dtype=float)
@@ -291,9 +296,13 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
         raise DimensionMismatch("controls must have shape (steps, 2, m)")
     qs = np.empty((steps + 1, n))
     qs[0], qs[1] = q0, q1
+    h = lagrangian.h
+    # a velocity term v M^T / h in one product
+    Mt_h = lagrangian.mass.T / h
     # 16 eps |M q_k|_inf / h <= rounding_per_q * |q_k|_inf
-    rounding_per_q = (_STEP_ROUNDING / lagrangian.h
-                      * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
+    rounding_per_q = _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1))
+    # f^+_{k-1} + f^-_k of every node
+    control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
     # d/dq_next of D1 Ld(q_k, q_next); drift terms, if any, are mild enough
     # that the iteration still contracts
     J = lagrangian.d12(q0, q1)
@@ -301,14 +310,19 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
         step_tol = max(_STEP_TOL, rounding_per_q * np.abs(q_k).max())
-        u_prev_plus, u_k_minus = controls[k - 1, 1], controls[k, 0]
-        fixed = lagrangian.d2(q_prev, q_k) + forces.f_plus(q_prev, q_k, u_prev_plus)
+        # D2 Ld(q_{k-1}, q_k) + f^+_{k-1} + f^-_k, less D1 Ld's q_{k+1} part,
+        # is velocity + forcing
+        velocity = (q_k - q_prev) @ Mt_h
+        forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
+                   + forces.drift("+", q_prev, q_k))
+        fixed = velocity + forcing
 
         def res(q_next):
-            return fixed + lagrangian.d1(q_k, q_next) + forces.f_minus(q_k, q_next, u_k_minus)
+            return fixed - (q_next - q_k) @ Mt_h + forces.drift("-", q_k, q_next)
 
+        # at the extrapolation the velocity terms cancel
         guess = 2.0 * q_k - q_prev
-        q_next, r = guess, res(guess)
+        q_next, r = guess, forcing + forces.drift("-", q_k, guess)
         err = np.abs(r).max()
         for _ in range(_STEP_MAX_ITER):
             if err <= step_tol or not math.isfinite(err):

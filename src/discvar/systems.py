@@ -154,17 +154,16 @@ class UuvParams:
 
 
 def make_uuv_system(params=None, retraction=lie.CAYLEY):
-    """ReducedSystem for the vehicle; heave translation (e6) is unactuated."""
+    """ReducedSystem for the vehicle; heave translation (e6) is unactuated.
+    The drag is its linear drift: the matrix H, acting as H z."""
     if params is None:
         params = UuvParams()
-    group = lie.se3(retraction)
-    drag = params.drag.copy()
     return lgoc.ReducedSystem(
-        group=group,
+        group=lie.se3(retraction),
         inertia=params.inertia,
         control_basis=params.control_matrix,
         unactuated=(5,),
-        drift=lambda z: np.asarray(z, dtype=float) @ drag.T,
+        drift=params.drag.copy(),
     )
 
 
@@ -192,8 +191,18 @@ def make_rigid_body_so3(inertia, actuated=(0, 1), retraction=lie.CAYLEY,
     )
 
 
+# e3, shared by the heavy top's derivatives (read-only)
+_E3 = np.array([0.0, 0.0, 1.0])
+_E3.flags.writeable = False
+
+
 class HeavyTopPotential:
-    """V(R) = m g l <R e3, e3> for a body-fixed center of mass along e3."""
+    """V(R) = m g l <R e3, e3> for a body-fixed center of mass along e3.
+
+    Its left derivatives are in closed form.  They depend on the retraction
+    only through its first-order term, which all retractions share: moving
+    R to R tau(s eta) moves gamma = R^T e3 by s gamma x eta.
+    """
 
     def __init__(self, mgl=1.0):
         self.mgl = float(mgl)
@@ -206,8 +215,23 @@ class HeavyTopPotential:
         # d/ds V(R tau(s eta)) = mgl e3^T R hat(eta) e3 = mgl (e3 x R^T e3).eta
         R = np.asarray(R, dtype=float)
         gamma = R[..., 2, :]  # R^T e3 in body coordinates
-        e3 = np.array([0.0, 0.0, 1.0])
-        return self.mgl * np.cross(np.broadcast_to(e3, gamma.shape), gamma)
+        return self.mgl * np.cross(np.broadcast_to(_E3, gamma.shape), gamma)
+
+    def left_hess(self, R):
+        """H[..., :, l] = d/ds left_grad(R tau(s e_l)) at s = 0, that is
+        mgl hat(e3) hat(gamma)."""
+        gamma = np.asarray(R, dtype=float)[..., 2, :]
+        return self.mgl * (lie.hat3(_E3) @ lie.hat3(gamma))
+
+    def left_curvature(self, R, w):
+        """T[..., m, l] = d/ds_l (left_hess(R tau(s))^T w)_m at s = 0, the
+        third derivative along w: mgl w . (e3 x (e_m x (e_l x gamma))), which
+        is mgl (gamma_m u_l - (u . gamma) delta_ml) with u = w x e3."""
+        gamma = np.asarray(R, dtype=float)[..., 2, :]
+        u = np.cross(np.asarray(w, dtype=float), _E3)
+        ug = np.einsum("...i,...i->...", u, gamma)
+        return self.mgl * (gamma[..., :, None] * u[..., None, :]
+                           - ug[..., None, None] * np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,58 @@ def test_non_numeric_value_is_config_error(tmp_path, capsys, command, section, k
     assert "config error" in err and f"{key} must be numeric" in err
 
 
+# the integer counts of a config: (command, section, key)
+_COUNTS = [
+    ("solve", ("problem",), "N"),
+    ("solve", ("system",), "n"),
+    ("simulate", ("simulate",), "steps"),
+    ("solve", ("solver",), "max_iter"),
+    ("solve", ("solver",), "seed"),
+]
+
+
+def _counts_cfg():
+    base = point_mass_cfg(N=8)
+    base["simulate"] = {"steps": 8}
+    # the seed is read only for a perturbed guess
+    base["solver"].update(max_iter=60, seed=3, guess_perturbation=1e-3)
+    return base
+
+
+@pytest.mark.parametrize("value", [8.7, True], ids=["fraction", "boolean"])
+@pytest.mark.parametrize("command, section, key", _COUNTS, ids=[c[2] for c in _COUNTS])
+def test_non_integral_count_is_config_error(tmp_path, capsys, command, section, key,
+                                            value):
+    # 8.7 used to run as 8 and true as 1
+    base = _counts_cfg()
+    entry = base
+    for name in section:
+        entry = entry[name]
+    entry[key] = value
+    cfg = write_config(tmp_path / "c.json", base)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{key} must be an integer" in err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    base = _counts_cfg()
+    base["problem"]["N"] = 8.0
+    base["system"]["n"] = 1.0
+    base["simulate"]["steps"] = 8.0
+    base["solver"].update(max_iter=60.0, seed=3.0)
+    cfg = write_config(tmp_path / "c.json", base)
+    as_ints = write_config(tmp_path / "d.json", _counts_cfg())
+    for command in ("solve", "simulate"):
+        outs = [str(tmp_path / f"{command}-{i}") for i in range(2)]
+        assert cli.main([command, cfg, "--out", outs[0]]) == 0
+        assert cli.main([command, as_ints, "--out", outs[1]]) == 0
+        name = "controls.csv" if command == "solve" else "trajectory.csv"
+        with open(os.path.join(outs[0], name), "rb") as a, \
+                open(os.path.join(outs[1], name), "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_bad_usage_is_exit_one():
     assert cli.main(["frobnicate"]) == 1
 

@@ -37,6 +37,20 @@ def rigid_body_problem(actuated=(0, 1, 2), N=6, h=0.1, potential=None,
     )
 
 
+class GradientOnly:
+    """A potential with value and left_grad only: lgoc differences its
+    Hessian and third derivative."""
+
+    def __init__(self, potential):
+        self._potential = potential
+
+    def value(self, g):
+        return self._potential.value(g)
+
+    def left_grad(self, g):
+        return self._potential.left_grad(g)
+
+
 # ---------------------------------------------------------------------------
 # interval kinematics
 # ---------------------------------------------------------------------------
@@ -276,20 +290,43 @@ def test_march_without_controls_keeps_the_drift():
 
 @pytest.mark.parametrize("batch", [(), (7,)])
 def test_drift_jacobians_make_one_drift_call(batch):
+    # the UUV drag given as a callable is differenced, in one drift call
     uuv = systems.make_uuv_system()
+    drag = systems.UuvParams().drag
     calls = []
 
     def drift(z):
         calls.append(np.shape(z))
-        return uuv.drift(z)
+        return z @ drag.T
 
     system = dataclasses.replace(uuv, drift=drift)
     z = 0.1 * np.random.default_rng(5).normal(size=batch + (6,))
     Jd = lgoc._drift_jacobians(system, z)
     assert calls == [(12,) + batch + (6,)]
     assert Jd.shape == batch + (6, 6)
-    # the UUV drift is the linear map z -> drag z
-    assert np.max(np.abs(Jd - systems.UuvParams().drag)) < 1e-9
+    assert np.max(np.abs(Jd - drag)) < 1e-9
+
+
+def test_linear_drift_is_its_matrix():
+    # the UUV drag as the matrix: drift values z H^T, Jacobian H at every z
+    uuv = systems.make_uuv_system()
+    drag = systems.UuvParams().drag
+    assert uuv.drift_is_linear and np.array_equal(uuv.drift, drag)
+    z = 0.1 * np.random.default_rng(6).normal(size=(7, 6))
+    assert np.array_equal(uuv.drift_values(z), z @ drag.T)
+    assert np.array_equal(lgoc._drift_jacobians(uuv, z), drag)
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(uuv, drift=np.eye(5))
+
+
+def test_uuv_march_with_a_matrix_drift_equals_the_callable_drift():
+    system, g0, xi0, h, controls = _march_cases()["uuv cay"]
+    drag = systems.UuvParams().drag
+    as_callable = dataclasses.replace(system, drift=lambda z: z @ drag.T)
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 200, controls=controls)
+    expected = lgoc.integrate_reduced(as_callable, g0, xi0, h, 200, controls=controls)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_step_failure_names_the_step(monkeypatch):
@@ -530,13 +567,28 @@ def test_assembled_potential_jacobian_matches_dense_fd():
                         <= 1e-6 * np.max(np.abs(J_dense[complement])))
 
 
-@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def _differencing_regimes():
+    """``jacobian_regimes`` plus the heavy top behind a potential that gives
+    only its gradient."""
+    regimes = jacobian_regimes()
+    regimes["gradient-only heavy top"] = rigid_body_problem(
+        N=6, potential=GradientOnly(systems.HeavyTopPotential(0.8)))
+    return regimes
+
+
+@pytest.mark.parametrize("regime", list(_differencing_regimes()))
 def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
-    # the Jacobian differences only the user's callables: every difference
-    # evaluates the drift or the potential, and the residual is never called
-    prob = jacobian_regimes()[regime]
+    # the Jacobian differences only the derivatives the user's callables do
+    # not supply: a callable drift's, and a potential's without left_hess.
+    # Every difference evaluates the drift or the potential, and the
+    # residual is never called.  The UUV (a linear drift) and the heavy top
+    # (closed-form derivatives) difference nothing
+    prob = _differencing_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(12))
+    differences = (callable(prob.system.drift)
+                   or isinstance(prob.system.potential, GradientOnly))
+    assert differences == (regime in ("quadratic drag", "gradient-only heavy top"))
     residuals, differenced, seen = [], [], set()
     original = lgoc.general_residual
 
@@ -553,7 +605,7 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
 
         monkeypatch.setattr(owner, name, called)
 
-    if prob.system.has_drift:
+    if callable(prob.system.drift):
         spy(prob.system, "drift", "drift")
     if prob.system.potential is not None:
         spy(prob.system.potential, "left_grad", "potential")
@@ -577,8 +629,24 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
     system.jac(z)
     assert residuals == []
-    assert bool(differenced) == (prob.system.has_drift or prob.system.potential is not None)
+    assert bool(differenced) == differences
     assert all(labels and labels <= {"drift", "potential"} for labels in differenced)
+
+
+def test_closed_form_systems_make_no_difference(monkeypatch):
+    # a UUV march and the heavy-top and UUV Jacobian builds use closed forms
+    # only: no central difference anywhere
+    def refused(*args, **kwargs):
+        raise AssertionError("central_difference was called")
+
+    monkeypatch.setattr(lgoc, "central_difference", refused)
+    monkeypatch.setattr(solvers, "central_difference", refused)
+    system, g0, xi0, h, controls = _march_cases()["uuv cay"]
+    lgoc.integrate_reduced(system, g0, xi0, h, 50, controls=controls[:50])
+    for regime in ("heavy top", "underactuated heavy top", "uuv", "uuv exp"):
+        prob = jacobian_regimes()[regime]
+        residual, eliminate = lgoc.residual_system(prob)
+        residual.jac(_random_point(prob, eliminate, np.random.default_rng(15)))
 
 
 def _four_point(f, x, j, step):
@@ -1070,14 +1138,33 @@ def test_potential_hessians_match_the_column_loop():
             H[:, :, j] = (Gp - Gm) / (2.0 * step)
         return H
 
+    # a potential with left_grad only: its Hessians are differenced
     rng = np.random.default_rng(21)
     for retraction in (lie.CAYLEY, lie.EXPONENTIAL):
-        prob = rigid_body_problem(potential=systems.HeavyTopPotential(0.8),
+        prob = rigid_body_problem(potential=GradientOnly(systems.HeavyTopPotential(0.8)),
                                   retraction=retraction)
         gs = lgoc.reconstruct(prob.system.group, prob.g0, prob.h,
                               0.5 * rng.normal(size=(prob.N, 3)))[1:-1]
         assert np.array_equal(lgoc._potential_hessians(prob.system, gs),
                               column_loop(prob.system, gs))
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+def test_heavy_top_closed_forms_match_the_difference(retraction):
+    # left_hess and left_curvature against the differences of left_grad
+    # that stand in for them, under either retraction
+    top = systems.HeavyTopPotential(0.8)
+    exact = make_rigid_body_so3((1.0, 2.0, 3.0), retraction=retraction, potential=top)
+    differenced = dataclasses.replace(exact, potential=GradientOnly(top))
+    rng = np.random.default_rng(22)
+    gs = exact.group.tau(rng.normal(size=(9, 3)))
+    w = rng.normal(size=(9, 3))
+    H = lgoc._potential_hessians(exact, gs)
+    H_fd = lgoc._potential_hessians(differenced, gs)
+    assert np.max(np.abs(H - H_fd)) <= 1e-9 * np.max(np.abs(H))
+    T = lgoc._potential_curvature(exact, gs, w)
+    T_fd = lgoc._potential_curvature(differenced, gs, w)
+    assert np.max(np.abs(T - T_fd)) <= 1e-7 * np.max(np.abs(T))
 
 
 def test_solution_endpoint_and_momenta():

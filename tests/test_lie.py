@@ -417,8 +417,9 @@ def test_dtau_inv_deriv_matches_central_difference(retraction):
         # one batch holds every angle, so both sides of the threshold at once
         xi = rng.normal(size=(len(angles), g.dim))
         xi[:, :3] *= angles[:, None] / np.linalg.norm(xi[:, :3], axis=1, keepdims=True)
+        # the derivative index first: T[..., l, i, j] = d D_ij / d xi_l
         fd = np.stack([(g.dtau_inv_matrix(xi + step * e) - g.dtau_inv_matrix(xi - step * e))
-                       / (2.0 * step) for e in np.eye(g.dim)], axis=-1)
+                       / (2.0 * step) for e in np.eye(g.dim)], axis=-3)
         T = g.dtau_inv_deriv(xi)
         assert T.shape == (len(angles),) + (g.dim,) * 3
         assert np.max(np.abs(T - fd)) < 1e-8, (g.name, np.max(np.abs(T - fd)))
@@ -441,12 +442,13 @@ def test_dtau_inv_deriv2_matches_central_difference(g):
                        edge * (1.0 + 1e-3), 1.0, 2.0])
     xi = _angle_batch(np.random.default_rng(24), g, angles)
     step = 1e-6
+    # both derivative indices first: T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m
     fd = np.stack([(g.dtau_inv_deriv(xi + step * e) - g.dtau_inv_deriv(xi - step * e))
-                   / (2.0 * step) for e in np.eye(g.dim)], axis=-1)
+                   / (2.0 * step) for e in np.eye(g.dim)], axis=-3)
     T = g.dtau_inv_deriv2(xi)
     assert T.shape == (len(angles),) + (g.dim,) * 4
     assert np.max(np.abs(T - fd)) < 1e-8, np.max(np.abs(T - fd))
-    assert np.max(np.abs(T - np.swapaxes(T, -1, -2))) <= 1e-15
+    assert np.max(np.abs(T - np.swapaxes(T, -3, -4))) <= 1e-15
 
 
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
@@ -460,6 +462,45 @@ def test_dtau_inv_deriv2_batches_equal_single_points(g):
         assert batch.shape == (size,) + (g.dim,) * 4
         # equal up to the rounding of batched and single matrix products
         assert np.max(np.abs(batch[:32] - single)) <= 1e-13 * np.max(np.abs(single))
+
+
+def _k_series_derivatives(count=48):
+    """f(th2, order) = 2^order d^order k / d(th^2)^order for k = (1 - (th/2)
+    cot(th/2)) / th^2, from its Taylor series K_n = |B_{2n+2}| / (2n+2)! with
+    exact Bernoulli numbers.  Every term is positive, so the float sum keeps
+    its digits; at th <= 3 the 48 terms leave a tail below 1e-28 of it."""
+    from fractions import Fraction
+    from math import comb, factorial, perm
+
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * count + 2):
+        bernoulli.append(-sum(comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    coeffs = [abs(bernoulli[2 * n + 2]) / factorial(2 * n + 2) for n in range(count)]
+
+    def derivative(th2, order):
+        x = Fraction(float(th2))
+        return float(sum(2**order * perm(n, order) * coeffs[n] * x ** (n - order)
+                         for n in range(order, count)))
+
+    return derivative
+
+
+def test_dexp_inv_k_derivatives_keep_their_digits_above_the_small_angle():
+    # (k'/th)'/th and ((k'/th)'/th)'/th, which the SE(3) exp derivatives of
+    # dexp^-1 use: their closed forms kept only 10 and 8 digits just above
+    # _SMALL_ANGLE.  th^2 in [0.25, 0.5] first, then on to th = 3, past the
+    # end of their series band
+    angles = np.concatenate([np.sqrt(np.linspace(0.25, 0.5, 26)),
+                             np.linspace(0.75, 3.0, 19), [2.0 - 1e-9, 2.0]])
+    series = _k_series_derivatives()
+    for th in angles:
+        th2, small, th_safe = lie._angle(np.array([th, 0.0, 0.0]))
+        k = lie._dexp_inv_k(th2, small, th_safe)
+        ddk = lie._dexp_inv_ddk(th2, th_safe, lie._dexp_inv_dk(th2, small, th_safe, k))
+        dddk = lie._dexp_inv_dddk(th2, th_safe, ddk)
+        for order, value in ((2, ddk), (3, dddk)):
+            exact = series(th2, order)
+            assert abs(value - exact) <= 1e-12 * exact, (th, order, value / exact - 1.0)
 
 
 def test_dtau_inv_deriv2_vanishes_on_the_abelian_group():

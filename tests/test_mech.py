@@ -383,18 +383,27 @@ def test_controls_shape_validation():
 
 
 def test_forced_integration_matches_residual_with_controls():
-    h = 0.1
-    L = free_particle(h=h)
-    F = DiscreteForcePairRn.trapezoidal(1, h)
+    # the march assembles its step residual in closed form; the slot
+    # derivatives' four-term residual checks it, also on a pendulum with
+    # both drifts a^- and a^+
     rng = np.random.default_rng(6)
-    controls = rng.normal(size=(10, 2, 1))
-    qs = mech.integrate(L, F, np.zeros(1), np.array([0.05]), 10, controls=controls)
-    for k in range(1, 10):
-        r = mech.forced_del_residual(
-            L, F, qs[k - 1], qs[k], qs[k + 1],
-            controls[k - 1, 1], controls[k, 0],
-        )
-        assert np.max(np.abs(r)) < 1e-10
+    h = 0.1
+    cases = [(free_particle(h=h), DiscreteForcePairRn.trapezoidal(1, h), 0.0, 0.05)]
+    h = 0.01
+    cases.append((pendulum(h=h),
+                  DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
+                                      a_minus=lambda qa, qb: -0.3 * (qb - qa) / h,
+                                      a_plus=lambda qa, qb: -0.2 * np.sin(qb - qa)),
+                  0.3, 0.31))
+    for L, F, q0, q1 in cases:
+        controls = rng.normal(size=(10, 2, 1))
+        qs = mech.integrate(L, F, np.array([q0]), np.array([q1]), 10, controls=controls)
+        for k in range(1, 10):
+            r = mech.forced_del_residual(
+                L, F, qs[k - 1], qs[k], qs[k + 1],
+                controls[k - 1, 1], controls[k, 0],
+            )
+            assert np.max(np.abs(r)) < 1e-10
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
@@ -418,38 +427,47 @@ def test_forced_integration_far_from_origin(scale):
 
 
 def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
-    # no potential and no drift: the DEL residual is affine in q_{k+1} with
-    # the constant Jacobian -M/h, so one update from the extrapolation meets
-    # the step tolerance: per step, D2 Ld of the fixed half once and D1 Ld at
-    # the extrapolation and after the update, and no newton call
+    # no drift a^-: the DEL residual is affine in q_{k+1} with the constant
+    # Jacobian -M/h (a potential enters at q_k only), so one update from the
+    # extrapolation meets the step tolerance.  Per step the q_{k+1}-free
+    # part is formed once, with a^+ and the potential gradient at q_k; the
+    # q_{k+1} part, with a^-, at the extrapolation and after the update.  No
+    # slot derivative is called, and no newton.  Free, then harmonic
     h, steps = 0.01, 40
-    L = RnLagrangian(np.array([[2.0, 0.3], [0.3, 1.0]]), h=h)
+    mass = np.array([[2.0, 0.3], [0.3, 1.0]])
+    lagrangians = [RnLagrangian(mass, h=h),
+                   RnLagrangian(mass, h=h, potential=lambda q: 0.5 * float(q @ q),
+                                potential_grad=lambda q: q.copy())]
     F = DiscreteForcePairRn.trapezoidal(2, h)
     controls = np.random.default_rng(8).normal(size=(steps, 2, 2))
-    calls = {"d1": 0, "d2": 0}
+    drift, V_x = DiscreteForcePairRn.drift, RnLagrangian.V_x
+    for L in lagrangians:
+        calls = {"-": 0, "+": 0, "V_x": 0}
 
-    def counting(name):
-        original = getattr(RnLagrangian, name)
+        def counted_drift(self, which, qa, qb):
+            calls[which] += 1
+            return drift(self, which, qa, qb)
 
-        def counted(self, qa, qb):
-            calls[name] += 1
-            return original(self, qa, qb)
+        def counted_gradient(self, q):
+            calls["V_x"] += 1
+            return V_x(self, q)
 
-        return counted
+        def refused(*args, **kwargs):
+            raise AssertionError("the march called a slot derivative or newton")
 
-    def refused(*args, **kwargs):
-        raise AssertionError("the step fell back to newton")
-
-    for name in calls:
-        monkeypatch.setattr(RnLagrangian, name, counting(name))
-    monkeypatch.setattr(mech, "newton", refused)
-    qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
-                        controls=controls)
-    assert calls == {"d1": 2 * (steps - 1), "d2": steps - 1}
-    for k in range(1, steps):
-        r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
-                                     controls[k - 1, 1], controls[k, 0])
-        assert np.max(np.abs(r)) <= 1e-12
+        monkeypatch.setattr(DiscreteForcePairRn, "drift", counted_drift)
+        monkeypatch.setattr(RnLagrangian, "V_x", counted_gradient)
+        for name in ("d1", "d2", "d11", "d22"):
+            monkeypatch.setattr(RnLagrangian, name, refused)
+        monkeypatch.setattr(mech, "newton", refused)
+        qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
+                            controls=controls)
+        assert calls == {"-": 2 * (steps - 1), "+": steps - 1, "V_x": steps - 1}
+        monkeypatch.undo()
+        for k in range(1, steps):
+            r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
+                                         controls[k - 1, 1], controls[k, 0])
+            assert np.max(np.abs(r)) <= 1e-12
 
 
 def test_step_failure_names_the_step(monkeypatch):

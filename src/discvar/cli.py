@@ -46,10 +46,15 @@ def _write_csv(path, header, rows):
 
 
 def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
+    """(header, data) of a CSV file of numbers; one that cannot be read or
+    parsed is a ConfigError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            data = np.array([[float(v) for v in row] for row in reader])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return header, data
 
 
@@ -93,8 +98,6 @@ def _group_element(group, value, key):
         return group.check(_number(value, key, _floats))
     if not isinstance(value, dict):
         raise ConfigError("group elements must be lists or objects")
-    if group.name == "Rn":
-        return _number(value.get("position", np.zeros(group.dim)), "position", _floats)
     if "rotation" in value:
         R = _number(value["rotation"], "rotation", _floats)
     else:
@@ -200,50 +203,70 @@ def build_setup(cfg):
 # output writers
 # ---------------------------------------------------------------------------
 
-def _write_lie_solution(problem, sol, outdir):
-    n = problem.system.n
-    m = problem.system.m
-    gsize = problem.system.group.matrix_size
-    header = ["k", "t"]
-    header += [f"g{i}{j}" for i in range(gsize) for j in range(gsize)]
-    header += [f"nu{i}" for i in range(n)]
-    rows = []
-    for k in range(problem.N + 1):
-        rows.append(
-            [k, k * problem.h, *sol.gs[k].reshape(-1), *sol.nus[k]]
-        )
-    _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
+def _control_columns(m, unactuated):
+    return ([f"um{i}" for i in range(m)] + [f"up{i}" for i in range(m)]
+            + [f"lm{i}" for i in range(unactuated)] + [f"lp{i}" for i in range(unactuated)])
 
-    header = ["k"] + [f"xi{i}" for i in range(n)]
-    header += [f"um{i}" for i in range(m)] + [f"up{i}" for i in range(m)]
-    nl = n - m
-    header += [f"lm{i}" for i in range(nl)] + [f"lp{i}" for i in range(nl)]
-    rows = []
-    for k in range(problem.N):
-        row = [k, *sol.xis[k], *sol.controls[k, 0], *sol.controls[k, 1]]
-        if sol.lambdas is not None:
-            row += [*sol.lambdas[k, 0], *sol.lambdas[k, 1]]
-        rows.append(row)
-    _write_csv(os.path.join(outdir, "controls.csv"), header, rows)
+
+def _lie_headers(problem):
+    """The columns of a group solution's trajectory.csv and controls.csv,
+    for its writer and for ``verify``."""
+    n, m = problem.system.n, problem.system.m
+    gsize = problem.system.group.matrix_size
+    trajectory = ["k", "t"] + [f"g{i}{j}" for i in range(gsize) for j in range(gsize)]
+    trajectory += [f"nu{i}" for i in range(n)]
+    return trajectory, ["k"] + [f"xi{i}" for i in range(n)] + _control_columns(m, n - m)
+
+
+def _rn_headers(problem):
+    """The columns of a T*R^n solution's trajectory.csv and controls.csv."""
+    n, m = problem.n, problem.m
+    trajectory = ["k", "t"] + [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+    return trajectory, ["k"] + _control_columns(m, n - m)
+
+
+def _write_solution(problem, sol, outdir, headers, nodes, lead):
+    """trajectory.csv with the row (k, t_k, *nodes[k]) per node, and
+    controls.csv with (k, *lead[k], u^-_k, u^+_k, lambda^-_k, lambda^+_k)
+    per interval, under ``headers``."""
+    trajectory, controls = headers
+    rows = [[k, k * problem.h, *nodes[k]] for k in range(problem.N + 1)]
+    _write_csv(os.path.join(outdir, "trajectory.csv"), trajectory, rows)
+    columns = [lead, sol.controls[:, 0], sol.controls[:, 1]]
+    if sol.lambdas is not None:
+        columns += [sol.lambdas[:, 0], sol.lambdas[:, 1]]
+    rows = [[k, *row] for k, row in enumerate(np.concatenate(columns, axis=1))]
+    _write_csv(os.path.join(outdir, "controls.csv"), controls, rows)
+
+
+def _write_lie_solution(problem, sol, outdir):
+    nodes = np.concatenate([sol.gs.reshape(problem.N + 1, -1), sol.nus], axis=1)
+    _write_solution(problem, sol, outdir, _lie_headers(problem), nodes, sol.xis)
 
 
 def _write_rn_solution(problem, sol, outdir):
-    n, m = problem.n, problem.m
-    header = ["k", "t"] + [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-    rows = [
-        [k, k * problem.h, *sol.qs[k], *sol.ps[k]] for k in range(problem.N + 1)
-    ]
-    _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
-    header = ["k"] + [f"um{i}" for i in range(m)] + [f"up{i}" for i in range(m)]
-    nl = n - m
-    header += [f"lm{i}" for i in range(nl)] + [f"lp{i}" for i in range(nl)]
-    rows = []
-    for k in range(problem.N):
-        row = [k, *sol.controls[k, 0], *sol.controls[k, 1]]
-        if sol.lambdas is not None:
-            row += [*sol.lambdas[k, 0], *sol.lambdas[k, 1]]
-        rows.append(row)
-    _write_csv(os.path.join(outdir, "controls.csv"), header, rows)
+    nodes = np.concatenate([sol.qs, sol.ps], axis=1)
+    _write_solution(problem, sol, outdir, _rn_headers(problem), nodes,
+                    np.zeros((problem.N, 0)))
+
+
+def _read_solution(directory, headers, N):
+    """The data of trajectory.csv (N + 1 rows) and controls.csv (N rows) in
+    ``directory``, whose headers must be ``headers``: other columns or
+    another row count mean the files belong to another problem than the
+    config's, a ConfigError."""
+    out = []
+    for name, header, rows in zip(("trajectory.csv", "controls.csv"), headers,
+                                  (N + 1, N)):
+        got, data = _read_csv(os.path.join(directory, name))
+        if got != header:
+            raise ConfigError(f"{name} has the columns {','.join(got)}, "
+                              f"the config gives {','.join(header)}")
+        if data.shape != (rows, len(header)):
+            raise ConfigError(f"{name} has {len(data)} rows of data, "
+                              f"the config's N = {N} gives {rows}")
+        out.append(data)
+    return out
 
 
 def _write_report(outdir, payload):
@@ -335,10 +358,8 @@ def cmd_simulate(args):
         x1 = _number(sim_cfg.get("x1", x0 + problem.h * v0), "x1", _floats)
         qs = mech.integrate(lagrangian, forces, x0, x1, steps)
         ps = mech.node_momenta(lagrangian, forces, qs)
-        n = problem.n
-        header = ["k", "t"] + [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
         rows = [[k, k * problem.h, *qs[k], *ps[k]] for k in range(steps + 1)]
-        _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
+        _write_csv(os.path.join(outdir, "trajectory.csv"), _rn_headers(problem)[0], rows)
     _write_report(outdir, {
         "command": "simulate", "steps": steps,
         "elapsed_s": time.perf_counter() - t0,
@@ -347,13 +368,10 @@ def cmd_simulate(args):
 
 
 def _verify_lie(problem, args):
-    _, traj = _read_csv(os.path.join(args.directory, "trajectory.csv"))
-    _, ctrl = _read_csv(os.path.join(args.directory, "controls.csv"))
     sys_ = problem.system
     n, m, N = sys_.n, sys_.m, problem.N
     gsize = sys_.group.matrix_size
-    if traj.shape[0] != N + 1 or ctrl.shape[0] != N:
-        raise ConfigError("trajectory/controls row counts do not match N")
+    traj, ctrl = _read_solution(args.directory, _lie_headers(problem), N)
     gs = traj[:, 2 : 2 + gsize * gsize].reshape(N + 1, gsize, gsize)
     nus = traj[:, 2 + gsize * gsize : 2 + gsize * gsize + n]
     xis = ctrl[:, 1 : 1 + n]
@@ -385,9 +403,8 @@ def _verify_lie(problem, args):
 
 
 def _verify_rn(problem, args):
-    _, traj = _read_csv(os.path.join(args.directory, "trajectory.csv"))
-    _, ctrl = _read_csv(os.path.join(args.directory, "controls.csv"))
     n, m, N = problem.n, problem.m, problem.N
+    traj, ctrl = _read_solution(args.directory, _rn_headers(problem), N)
     qs = traj[:, 2 : 2 + n]
     ps = traj[:, 2 + n : 2 + 2 * n]
     lambdas = None

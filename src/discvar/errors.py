@@ -36,13 +36,15 @@ class StepSolveFailed(DiscvarError):
 class SingularJacobian(DiscvarError):
     """Newton hit a numerically singular Jacobian.
 
-    Like NoConvergence, carries the best iterate seen and the solver report.
+    Like NoConvergence, carries the best iterate seen and the solver report,
+    and the report's best residual (infinite without a report).
     """
 
     def __init__(self, iteration, message="", best_x=None, report=None):
         self.iteration = iteration
         self.best_x = best_x
         self.report = report
+        self.best_residual = float("inf") if report is None else report.residual_norm
         super().__init__(message or f"singular Jacobian at iteration {iteration}")
 
 

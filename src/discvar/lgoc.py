@@ -275,52 +275,43 @@ _DEP_TOL = 1e-13
 _DEP_MAX_ITER = 200
 
 
-def dep_step(system, h, xi_prev, mu_prev, u_prev_plus=None, u_minus=None,
-             g_k=None, step_index=0, tau_prev=None):
-    """Advance the discrete momentum equation by one interval.
+def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
+             step_index=0, J_inv_prev=None):
+    """Advance the discrete momentum equation by one interval; returns
+    (xi_k, mu_k, J_k^-1).
 
-    Given the previous interval's (xi_{k-1}, mu_{k-1}) and the forcing around
-    node k, solves the implicit relation mu_k = dtau_inv(h xi_k)^* I xi_k for
-    the new interval velocity and returns (xi_k, mu_k).  The forcing is the
-    drift, when the system has one, plus B u for each control given.  When
+    Given the previous interval's (xi_{k-1}, mu_{k-1}), tau_prev =
+    tau(h xi_{k-1}) and the forcing around node k, solves the implicit
+    relation mu_k = dtau_inv(h xi_k)^* I xi_k for the new interval velocity.
+    The forcing is the drift, when the system has one, plus ``forcing``, the
+    node's control covector (h/2) B (u^+_{k-1} + u^-_k), when given.  When
     the system has a potential the configuration g_k at the node must be
-    supplied.  ``tau_prev`` is tau(h xi_{k-1}) if the caller has it.
+    supplied.
 
     The step solve is a simplified Newton iteration on the residual
     r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
     momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
     D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift (the
-    matrix itself for a linear drift, ``_drift_jacobians``), is factored
-    once, at the start xi_{k-1}.  The iteration stops when an
+    matrix itself for a linear drift, ``_drift_jacobians``), is inverted
+    once, at the start, and handed back as J_k^-1.  The start is the Newton
+    predictor xi_{k-1} - J_{k-1}^-1 r(xi_{k-1}) when ``J_inv_prev`` holds
+    the previous step's inverse, and xi_{k-1} when it is None or the
+    prediction is not finite; r(xi_{k-1}) needs no kernel call, since
+    D(h xi_{k-1})^T I xi_{k-1} is mu_{k-1}.  The iteration stops when an
     update is below _DEP_TOL relative to xi.  If it does not within
     _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
     from the start, on the same Jacobian taken at its own iterates;
-    StepSolveFailed carries ``step_index`` when that fails too.
+    StepSolveFailed names ``step_index`` when that fails too.
     """
-    xi, mu, _ = _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k,
-                          step_index, tau_prev, None)
-    return xi, mu
-
-
-def _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k, step_index,
-              tau_prev, J_inv_prev):
-    """``dep_step``, started from the Newton predictor xi_{k-1} -
-    J_{k-1}^-1 r(xi_{k-1}) when ``J_inv_prev`` holds the previous step's
-    inverse Jacobian (from xi_{k-1} when it is None or the prediction is not
-    finite); returns (xi_k, mu_k, J_k^-1).  r(xi_{k-1}) needs no kernel
-    call: D(h xi_{k-1})^T I xi_{k-1} is mu_{k-1}."""
     group = system.group
     inertia = system.inertia
     n = system.n
     xi_prev = np.asarray(xi_prev, dtype=float)
     mu_prev = np.asarray(mu_prev, dtype=float)
     z_prev = h * xi_prev
-    if tau_prev is None:
-        tau_prev = group.tau(z_prev)
     rhs = group.coAd(tau_prev, mu_prev)
-    for u in (u_prev_plus, u_minus):
-        if u is not None:
-            rhs = rhs + (h / 2.0) * (system.control_basis @ np.asarray(u, dtype=float))
+    if forcing is not None:
+        rhs = rhs + forcing
     if system.has_drift:
         drift_prev = (h / 2.0) * system.drift_values(z_prev)
         rhs = rhs + drift_prev
@@ -374,7 +365,7 @@ def _dep_step(system, h, xi_prev, mu_prev, u_prev_plus, u_minus, g_k, step_index
             xi, _ = newton(ResidualSystem(n, at(residual), at(jacobian)), start,
                            tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
-            raise StepSolveFailed(step_index, str(exc)) from exc
+            raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
         D = group.dtau_inv_matrix(h * xi)
     return xi, (inertia @ xi) @ D, J_inv
 
@@ -383,22 +374,25 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     """March the forced discrete momentum equation; returns (gs, xis, mus).
 
     ``controls`` has shape (steps, 2, m) holding (u_k^-, u_k^+); interval 0
-    is determined by the initial velocity, so its u_0^- is unused.  Each step
-    solves ``dep_step``'s equation, handed the tau(h xi_{k-1}) that built
-    g_k, so a march makes ``steps`` tau calls.  Step 1 starts from xi_0;
-    every later step starts from the Newton predictor xi_{k-1} -
-    J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian the step before
-    formed, so the new step's forcing is in its start.  Of the user's
-    callables, the step Jacobian needs only the drift's derivative: a linear
-    drift gives its matrix, so only a callable drift is differenced, once
-    per step.
+    is determined by the initial velocity, so its u_0^- is unused.  The
+    control covectors (h/2) B (u^+_{k-1} + u^-_k) of every node come from
+    one product.  Each step solves ``dep_step``'s equation, handed the
+    tau(h xi_{k-1}) that built g_k, so a march makes ``steps`` tau calls.
+    Step 1 starts from xi_0; every later step starts from the Newton
+    predictor xi_{k-1} - J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian
+    the step before formed, so the new step's forcing is in its start.  Of
+    the user's callables, the step Jacobian needs only the drift's
+    derivative: a linear drift gives its matrix, so only a callable drift is
+    differenced, once per step.
     """
     group = system.group
     n = system.n
+    forcing = [None] * (steps - 1)
     if controls is not None:
         controls = np.asarray(controls, dtype=float)
         if controls.shape != (steps, 2, system.m):
             raise DimensionMismatch("controls must have shape (steps, 2, m)")
+        forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
     gs = [np.asarray(g0, dtype=float)]
     xis = np.empty((steps, n))
     mus = np.empty((steps, n))
@@ -408,10 +402,8 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     gs.append(group.multiply(gs[0], W))
     J_inv = None
     for k in range(1, steps):
-        upp = controls[k - 1, 1] if controls is not None else None
-        um = controls[k, 0] if controls is not None else None
-        xis[k], mus[k], J_inv = _dep_step(system, h, xis[k - 1], mus[k - 1], upp, um,
-                                          gs[k], k, W, J_inv)
+        xis[k], mus[k], J_inv = dep_step(system, h, xis[k - 1], mus[k - 1], W,
+                                         forcing[k - 1], gs[k], k, J_inv)
         W = group.tau(h * xis[k])
         gs.append(group.multiply(gs[k], W))
     return np.stack(gs), xis, mus
@@ -563,14 +555,11 @@ def _potential_curvature(system, gs, w):
         lambda t: pairing(s, t), np.broadcast_to(step, s.shape)), step)
 
 
-def reconstruction_residual(problem, xis):
-    """tau^-1 of the mismatch between the path displacement and g0^-1 gT."""
+def _reconstruction_gap(problem, g_N):
+    """The reconstruction rows tau^-1(g_N^-1 gT), g_N the end of the path
+    ``reconstruct`` builds from the velocities: zero when it reaches gT."""
     group = problem.system.group
-    W_inv = group.inverse(group.tau(problem.h * np.asarray(xis, dtype=float)))
-    acc = problem.displacement
-    for k in range(len(xis)):
-        acc = group.multiply(W_inv[k], acc)
-    return group.tau_inv(acc)
+    return group.tau_inv(group.multiply(group.inverse(g_N), problem.gT))
 
 
 def _sensitivities(group, h, xis, gs, T=None):
@@ -631,7 +620,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
       * velocity-slot stationarity at nodes 1..N-1        ((N-1) n)
       * node-momentum stationarity at nodes 1..N-1        ((N-1) n)
       * complement conditions per interval, if any        (2 N (n-m))
-      * reconstruction constraint                         (n)
+      * reconstruction constraint tau^-1(g_N^-1 gT)       (n)
 
     ``nus_interior`` None stands for the eliminated momenta of
     ``eliminated_nus``, taken from the same interval maps as the rest.
@@ -644,9 +633,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     nus = _nus(problem, xis, nus_interior, maps)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
-    gs = None
-    if sys_.potential is not None:
-        gs = reconstruct(group, problem.g0, h, xis)
+    gs = reconstruct(group, problem.g0, h, xis)
 
     z, _, mu, _, Dp, A = maps
     _, _, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
@@ -672,7 +659,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
     if lambdas is not None and lambdas.size:
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
-    parts.append(reconstruction_residual(problem, xis))
+    parts.append(_reconstruction_gap(problem, gs[-1]))
     return np.concatenate(parts)
 
 
@@ -703,16 +690,6 @@ def eliminated_nus(problem, xis, maps=None):
         maps = interval_momenta(problem.system, problem.h, np.asarray(xis, dtype=float))
     _, _, mu, transported, _, _ = maps
     return _full_nus(problem, 0.5 * (mu[1:] + transported[:-1]))
-
-
-def residual_dimension(problem):
-    N, n, m = problem.N, problem.system.n, problem.system.m
-    if _momenta_eliminable(problem):
-        return N * n
-    dim = (2 * N - 1) * n
-    if not problem.system.fully_actuated:
-        dim += 2 * N * (n - m)
-    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -970,14 +947,14 @@ def residual_system(problem):
             nu_cols = columns[1:N, :n]
             columns[1:N, 2 * n : 3 * n] += 0.5 * _mt(Mxi[1:]) @ nu_cols
             columns[: N - 1, 2 * n : 3 * n] += 0.5 * _mt(Txi[:-1]) @ nu_cols
-        r = group.tau_inv(group.multiply(group.inverse(gs[-1]), problem.gT))
+        r = _reconstruction_gap(problem, gs[-1])
         left = -group.dtau_inv_matrix(r) @ Ainv[N]
         border = np.zeros((n, z.size))
         border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
         return np.vstack([Jt[keep].T, border])
 
-    return (ResidualSystem(dim=residual_dimension(problem), eval=residual,
-                           jacobian=jacobian), eliminated)
+    dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
+    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminated
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
@@ -990,9 +967,9 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     ``max_iter`` iterations.  Auto means Newton with an LM fallback when
     fully actuated; for underactuated problems LM runs first (robust against
     the cold-start multiplier block) and, if it stalls, damped Newton
-    restarts from z0 (not from LM's best iterate).  Raises NoConvergence or
-    SingularJacobian when every attempt fails, ConfigError for an unknown
-    method.
+    restarts from z0 (not from LM's best iterate).  When every attempt
+    fails, raises the NoConvergence or SingularJacobian with the lowest best
+    residual; ConfigError for an unknown method.
     """
     system, eliminated = residual_system(problem)
     if guess is None:

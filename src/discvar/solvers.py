@@ -1,15 +1,15 @@
 """Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
 in turn, plus ``central_difference``, the one central-difference quotient.
 
-The formulations supply exact Jacobians, so the differences only reach what
-a user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts
-the quotient to a callable of one point and serves the tests as their oracle."""
+Every system supplies its Jacobian, so the differences only reach what a
+user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the
+quotient to a callable of one point and serves the tests as their oracle."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -18,20 +18,15 @@ from .errors import ConfigError, NoConvergence, SingularJacobian
 
 @dataclass
 class ResidualSystem:
-    """A square nonlinear system F(x) = 0 of dimension ``dim``.
-
-    ``jacobian`` is optional; when absent the Jacobian is ``fd_jacobian``,
-    a central difference with per-column step 1e-6 * (1 + |x_j|).
-    """
+    """A square nonlinear system F(x) = 0 of dimension ``dim`` and its
+    Jacobian ``jacobian``."""
 
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
 
     def jac(self, x):
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(x), dtype=float)
-        return fd_jacobian(self.eval, x)
+        return np.asarray(self.jacobian(x), dtype=float)
 
 
 @dataclass
@@ -221,8 +216,10 @@ def solve(system, z0, attempts, method="auto", fully_actuated=True, tol=1e-9,
 
     Runs the attempts of ``method`` (see ``METHODS``) in order, each from
     ``z0`` with its own budget of ``max_iter`` iterations, and returns the
-    first that converges.  When every attempt fails the last failure
-    (NoConvergence or SingularJacobian) propagates.  ``attempts`` maps
+    first that converges.  When every attempt fails, the failure
+    (NoConvergence or SingularJacobian) with the lowest best residual is
+    raised, the later one on a tie, so its best iterate and report are the
+    best the solve found.  ``attempts`` maps
     "newton" and "levenberg_marquardt" to the root-finders to call: the
     formulations pass the ones their own module names when ``solve`` runs.
     An unknown method raises ConfigError.
@@ -232,10 +229,11 @@ def solve(system, z0, attempts, method="auto", fully_actuated=True, tol=1e-9,
     if method not in METHODS:
         raise ConfigError(f"unknown solver method {method!r}; expected auto, "
                           + ", ".join(METHODS))
-    *fallible, last = METHODS[method]
-    for name in fallible:
+    failure = None
+    for name in METHODS[method]:
         try:
             return attempts[name](system, z0, tol=tol, max_iter=max_iter)
-        except (NoConvergence, SingularJacobian):
-            pass
-    return attempts[last](system, z0, tol=tol, max_iter=max_iter)
+        except (NoConvergence, SingularJacobian) as exc:
+            if failure is None or exc.best_residual <= failure.best_residual:
+                failure = exc
+    raise failure

@@ -404,9 +404,9 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
     underactuated: with constant M and B and no potential the multiplier
     block makes the Jacobian rank-deficient (the unactuated momentum is
     conserved, so the complement conditions are redundant given the pinned
-    boundary data); with a coupling potential it has full rank.  Raises
-    NoConvergence or SingularJacobian when every attempt fails, ConfigError
-    for an unknown method.
+    boundary data); with a coupling potential it has full rank.  When every
+    attempt fails, raises the NoConvergence or SingularJacobian with the
+    lowest best residual; ConfigError for an unknown method.
     """
     aug = AugmentedLagrangianRn(problem)
     system = residual_system(problem, aug=aug)

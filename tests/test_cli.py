@@ -138,6 +138,45 @@ def test_verify_checks_the_written_configurations(tmp_path, capsys):
     assert [name for name, value in checks.items() if value > 1e-6] == ["trajectory_g"]
 
 
+def _point_mass_n2():
+    cfg = point_mass_cfg()
+    cfg["system"]["n"] = 2
+    cfg["problem"]["boundary"] = {"x0": [0.0, 0.0], "p0": [0.0, 0.0],
+                                  "xT": [1.0, -1.0], "pT": [0.0, 0.0]}
+    return cfg
+
+
+def _rigid_body_on_two_axes():
+    cfg = rigid_body_cfg()
+    cfg["system"]["actuated"] = [0, 1]
+    return cfg
+
+
+@pytest.mark.parametrize("solved, verified, complaint", [
+    (_point_mass_n2, point_mass_cfg, "columns"),
+    (rigid_body_cfg, _rigid_body_on_two_axes, "columns"),
+    (point_mass_cfg, lambda: point_mass_cfg(N=8), "rows"),
+    (rigid_body_cfg, lambda: rigid_body_cfg(N=4), "rows"),
+], ids=["point mass n", "rigid body actuation", "point mass N", "rigid body N"])
+def test_verify_rejects_the_artifacts_of_another_problem(tmp_path, capsys, solved,
+                                                         verified, complaint):
+    # verify reads the headers the writer wrote: a config for another
+    # problem is a config error (exit 1), not failed checks (exit 2)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", write_config(tmp_path / "s.json", solved()), "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", write_config(tmp_path / "v.json", verified()), out]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and complaint in captured.err
+    assert captured.out == ""
+
+
+def test_verify_without_artifacts_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", point_mass_cfg())
+    assert cli.main(["verify", cfg, str(tmp_path / "nothing")]) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_solve_byte_determinism(tmp_path):
     cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -88,8 +88,8 @@ def test_dep_step_relative_equilibrium():
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
     xi = np.array([0.7, 0.0, 0.0])
     h = 0.05
-    _, _, mu, _, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
-    xi1, mu1 = lgoc.dep_step(system, h, xi, mu[0])
+    _, W, mu, _, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
+    xi1, mu1, _ = lgoc.dep_step(system, h, xi, mu[0], W[0])
     assert np.max(np.abs(xi1 - xi)) < 1e-12
 
 
@@ -100,7 +100,7 @@ def test_dep_step_exact_momentum_transport():
     xi = rng.normal(size=3)
     group = system.group
     _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
-    xi1, mu1 = lgoc.dep_step(system, h, xi, mu[0])
+    xi1, mu1, _ = lgoc.dep_step(system, h, xi, mu[0], W[0])
     assert np.max(np.abs(mu1 - transported[0])) < 1e-12
 
 
@@ -113,7 +113,7 @@ def test_dep_step_transports_the_given_momentum():
     xi = rng.normal(size=3)
     _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
     bump = 1e-3 * rng.normal(size=3)
-    _, mu1 = lgoc.dep_step(system, h, xi, mu[0] + bump)
+    _, mu1, _ = lgoc.dep_step(system, h, xi, mu[0] + bump, W[0])
     oracle = transported[0] + system.group.coAd(W[0], bump)
     assert np.max(np.abs(mu1 - oracle)) < 1e-12
 
@@ -165,6 +165,29 @@ def test_integrate_reduced_solves_the_momentum_equation(case, monkeypatch):
     assert np.max(np.abs(right[:-1] - left[1:])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("case", ["heavy top cay", "uuv exp"])
+def test_integrate_reduced_is_a_loop_of_dep_step(case):
+    # the march hands step k the node's control covector (h/2) B (u^+_{k-1}
+    # + u^-_k), the tau(h xi_{k-1}) that built g_k and the inverse Jacobian
+    # of step k-1; it forms the covectors of all nodes in one product
+    system, g0, xi0, h, controls = _march_cases()[case]
+    steps = 60
+    controls = controls[:steps]
+    gs, xis, mus = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
+    group, B = system.group, system.control_basis
+    covectors = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ B.T
+    g, xi, J_inv = g0, xi0, None
+    mu = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
+    for k in range(1, steps):
+        node = (h / 2.0) * (B @ (controls[k - 1, 1] + controls[k, 0]))
+        assert np.max(np.abs(covectors[k - 1] - node)) <= 1e-15 * np.max(np.abs(node))
+        W = group.tau(h * xi)
+        g = group.multiply(g, W)
+        xi, mu, J_inv = lgoc.dep_step(system, h, xi, mu, W, covectors[k - 1], g, k, J_inv)
+        assert np.array_equal(gs[k], g)
+        assert np.array_equal(xis[k], xi) and np.array_equal(mus[k], mu)
+
+
 def _updates_per_step(monkeypatch, march):
     """The simplified Newton updates of each step of ``march()``: a step
     evaluates dtau_inv at its start and after each update."""
@@ -175,7 +198,7 @@ def _updates_per_step(monkeypatch, march):
         calls.append(1)
         return dtau_inv(self, xi)
 
-    original = lgoc._dep_step
+    original = lgoc.dep_step
 
     def step(*args):
         calls.clear()
@@ -184,7 +207,7 @@ def _updates_per_step(monkeypatch, march):
         return out
 
     monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix", counted)
-    monkeypatch.setattr(lgoc, "_dep_step", step)
+    monkeypatch.setattr(lgoc, "dep_step", step)
     march()
     return per_step
 
@@ -348,6 +371,8 @@ def test_step_failure_names_the_step(monkeypatch):
         lgoc.integrate_reduced(system, np.zeros(1), np.array([0.55]), h, 12,
                                controls=np.ones((12, 2, 1)))
     assert info.value.step == 5
+    # as in mech: "step k: " and the newton failure
+    assert str(info.value) == "step 5: singular Jacobian at iteration 0"
     assert len(fallbacks) == 1
 
 
@@ -414,7 +439,8 @@ def test_reconstruct_consistency():
         system=system, g0=np.eye(3), xi0=np.zeros(3), gT=gs[-1],
         xiT=np.zeros(3), N=6, h=h, cost=L2Cost(),
     )
-    assert np.max(np.abs(lgoc.reconstruction_residual(prob, xis))) < 1e-12
+    # the reconstruction rows of the residual
+    assert np.max(np.abs(lgoc.general_residual(prob, xis, None)[-3:])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +453,12 @@ def test_residual_dimensions(N):
     # fully actuated, but a non-quadratic cost keeps the momenta
     general = rigid_body_problem(N=N, cost=SmoothedL1Cost(eps=1e-3))
     under = rigid_body_problem(actuated=(0, 1), N=N)
-    assert lgoc.residual_dimension(full) == N * 3
-    assert lgoc.residual_dimension(general) == (2 * N - 1) * 3
-    assert lgoc.residual_dimension(under) == (2 * N - 1) * 3 + 2 * N * 1
     sys_full, elim = lgoc.residual_system(full)
     assert elim and sys_full.dim == N * 3
+    sys_general, elim_g = lgoc.residual_system(general)
+    assert not elim_g and sys_general.dim == (2 * N - 1) * 3
     sys_under, elim_u = lgoc.residual_system(under)
-    assert not elim_u and sys_under.dim == (2 * N - 1) * 3 + 2 * N
+    assert not elim_u and sys_under.dim == (2 * N - 1) * 3 + 2 * N * 1
 
 
 def jacobian_regimes():
@@ -667,10 +692,13 @@ def test_reconstruction_rows_match_a_four_point_stencil(regime):
     for _ in range(2):
         z = _random_point(prob, eliminate, rng)
         x = z[: N * n]
-        oracle = np.stack([
-            _four_point(lambda v: lgoc.reconstruction_residual(prob, v.reshape(N, n)),
-                        x, j, 1e-2 * (1.0 + abs(x[j])))
-            for j in range(N * n)], axis=1)
+        _, nus_interior, lambdas = lgoc._unpack(prob, z, eliminate)
+
+        def rows(v):
+            return lgoc.general_residual(prob, v.reshape(N, n), nus_interior, lambdas)[-n:]
+
+        oracle = np.stack([_four_point(rows, x, j, 1e-2 * (1.0 + abs(x[j])))
+                           for j in range(N * n)], axis=1)
         border = system.jac(z)[-n:]
         assert np.max(np.abs(border[:, : N * n] - oracle)) <= 1e-9 * np.max(np.abs(oracle))
         assert not np.any(border[:, N * n :])
@@ -699,28 +727,21 @@ def test_sensitivities_match_differences_of_reconstruct(regime):
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatch):
+    # one build reconstructs the path once: the potential's chain and the
+    # reconstruction rows' border both read that one path
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(15))
-    depth, outside = [0], []
-    residual, gap = lgoc.general_residual, lgoc.reconstruction_residual
+    calls = []
+    reconstruct = lgoc.reconstruct
 
-    def counted_residual(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return residual(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return reconstruct(*args, **kwargs)
 
-    def counted_gap(*args, **kwargs):
-        if depth[0] == 0:
-            outside.append(1)
-        return gap(*args, **kwargs)
-
-    monkeypatch.setattr(lgoc, "general_residual", counted_residual)
-    monkeypatch.setattr(lgoc, "reconstruction_residual", counted_gap)
+    monkeypatch.setattr(lgoc, "reconstruct", counted)
     system.jac(z)
-    assert outside == []
+    assert len(calls) == 1
 
 
 def directional_action_derivative(prob, xis, nus_interior, lambdas, rng):

@@ -496,4 +496,5 @@ def test_step_failure_names_the_step(monkeypatch):
     # v_k = 0.55 + 0.1 k on [q_k, q_{k+1}]: step k solves for q_{k+1}, and
     # v_5 = 1.05 is the first velocity past 1
     assert info.value.step == 5
+    assert str(info.value).startswith("step 5: no convergence")
     assert len(fallbacks) == 1

@@ -14,8 +14,13 @@ from discvar.solvers import (
 )
 
 
+def fd_system(dim, fun):
+    """A system whose Jacobian is the central difference of its residual."""
+    return ResidualSystem(dim, fun, jacobian=lambda x: fd_jacobian(fun, x))
+
+
 def test_fd_jacobian_identity():
-    sys_ = ResidualSystem(3, lambda x: x.copy())
+    sys_ = fd_system(3, lambda x: x.copy())
     x = np.array([0.3, -1.0, 2.0])
     assert np.max(np.abs(sys_.jac(x) - np.eye(3))) < 1e-7
 
@@ -23,7 +28,7 @@ def test_fd_jacobian_identity():
 def test_fd_jacobian_linear_map():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(4, 4))
-    sys_ = ResidualSystem(4, lambda x: A @ x)
+    sys_ = fd_system(4, lambda x: A @ x)
     x = rng.normal(size=4)
     assert np.max(np.abs(sys_.jac(x) - A)) < 1e-6
 
@@ -120,16 +125,16 @@ def test_nested_central_difference_matches_the_nested_fd_jacobian():
 
 
 def test_newton_linear_one_step():
-    sys_ = ResidualSystem(1, lambda x: x - 1.0)
+    sys_ = fd_system(1, lambda x: x - 1.0)
     x, report = newton(sys_, np.array([0.0]))
-    # the default finite-difference Jacobian limits the one-step accuracy
+    # the finite-difference Jacobian limits the one-step accuracy
     assert abs(x[0] - 1.0) < 1e-9
     assert report.iterations == 1
     assert report.converged
 
 
 def test_newton_square_root():
-    sys_ = ResidualSystem(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(1, lambda x: x * x - 4.0)
     x, report = newton(sys_, np.array([3.0]), tol=1e-12)
     assert abs(x[0] - 2.0) < 1e-10
     assert report.iterations <= 8
@@ -152,7 +157,7 @@ def test_newton_quadratic_convergence_rate():
 
 
 def test_newton_double_root_is_flagged():
-    sys_ = ResidualSystem(1, lambda x: x * x)
+    sys_ = fd_system(1, lambda x: x * x)
     try:
         x, report = newton(sys_, np.array([1.0]), tol=1e-14, max_iter=25)
         converged_slowly = report.iterations > 10
@@ -187,14 +192,14 @@ def test_singular_jacobian_carries_best_iterate():
 
 def test_newton_backtracks_on_overshoot():
     # steep arctan makes the raw Newton step overshoot from far away
-    sys_ = ResidualSystem(1, lambda x: np.arctan(5.0 * x))
+    sys_ = fd_system(1, lambda x: np.arctan(5.0 * x))
     x, report = newton(sys_, np.array([2.0]), tol=1e-12)
     assert abs(x[0]) < 1e-12
     assert report.converged
 
 
 def test_no_convergence_carries_best_iterate():
-    sys_ = ResidualSystem(1, lambda x: x * x + 1.0)  # no real root
+    sys_ = fd_system(1, lambda x: x * x + 1.0)  # no real root
     with pytest.raises(NoConvergence) as info:
         newton(sys_, np.array([2.0]), max_iter=10)
     exc = info.value
@@ -205,19 +210,19 @@ def test_no_convergence_carries_best_iterate():
 
 
 def test_lm_agrees_with_newton():
-    sys_ = ResidualSystem(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(1, lambda x: x * x - 4.0)
     x, _ = levenberg_marquardt(sys_, np.array([3.0]), tol=1e-12)
     assert abs(x[0] - 2.0) < 1e-10
 
 
 def test_lm_converges_to_nearest_root():
-    sys_ = ResidualSystem(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(1, lambda x: x * x - 4.0)
     x, _ = levenberg_marquardt(sys_, np.array([-3.0]), tol=1e-12)
     assert abs(x[0] + 2.0) < 1e-10
 
 
 def test_lm_rank_deficient_residual():
-    sys_ = ResidualSystem(2, lambda x: np.array([x[0] - 1.0, 0.0]))
+    sys_ = fd_system(2, lambda x: np.array([x[0] - 1.0, 0.0]))
     x, report = levenberg_marquardt(sys_, np.array([5.0, 3.0]), tol=1e-10)
     assert abs(x[0] - 1.0) < 1e-10
     assert report.converged
@@ -231,7 +236,7 @@ def test_lm_merit_never_increases():
             [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]
         )
 
-    sys_ = ResidualSystem(2, f)
+    sys_ = fd_system(2, f)
     x0 = rng.normal(size=2) * 2.0
     _, report = levenberg_marquardt(sys_, x0, tol=1e-10)
     merits = [0.5 * r ** 2 for r in report.residual_history]
@@ -240,7 +245,7 @@ def test_lm_merit_never_increases():
 
 
 def test_report_as_dict():
-    sys_ = ResidualSystem(1, lambda x: x - 1.0)
+    sys_ = fd_system(1, lambda x: x - 1.0)
     _, report = newton(sys_, np.array([0.5]))
     payload = report.as_dict()
     assert payload["converged"] is True
@@ -362,12 +367,18 @@ def frozen_lm(system, x0, tol=1e-9, max_iter=200, lam0=1e-3, lam_max=1e14):
 
 
 def _recorded(dim, fun, jacobian=None):
-    """A system that logs every point it is evaluated at, in order."""
+    """A system that logs every point it is evaluated at, in order.  Without
+    ``jacobian`` its Jacobian is the central difference of the logged
+    residual."""
     points = []
 
     def eval_(x):
         points.append(np.array(x, dtype=float))
         return fun(x)
+
+    if jacobian is None:
+        def jacobian(x):
+            return fd_jacobian(eval_, x)
 
     return ResidualSystem(dim, eval_, jacobian=jacobian), points
 
@@ -540,13 +551,28 @@ def test_solve_returns_the_first_attempt_that_converges():
     assert report.method == "newton" and len(log) == 1
 
 
-def test_solve_propagates_the_last_failure():
-    last = SingularJacobian(0)
-    attempts, _ = _scripted_attempts({"newton": last,
-                                      "levenberg_marquardt": NoConvergence(1.0, 3)})
-    with pytest.raises(SingularJacobian) as info:
+def _failure(kind, best_residual):
+    report = SolveReport(residual_norm=best_residual)
+    if kind is SingularJacobian:
+        return SingularJacobian(0, report=report)
+    return NoConvergence(best_residual, 3, report=report)
+
+
+@pytest.mark.parametrize("lm, newton_, raised", [
+    ((NoConvergence, 0.386), (NoConvergence, 17.12), "lm"),
+    ((NoConvergence, 17.12), (SingularJacobian, 0.386), "newton"),
+    ((SingularJacobian, 0.386), (NoConvergence, 17.12), "lm"),
+    ((NoConvergence, 2.0), (SingularJacobian, 2.0), "newton"),
+], ids=["lm best", "newton best", "singular lm best", "tie"])
+def test_solve_raises_the_failure_with_the_lowest_best_residual(lm, newton_, raised):
+    # the best iterate and report of the whole solve, not of its last
+    # attempt; on a tie the later attempt's
+    failures = {"levenberg_marquardt": _failure(*lm), "newton": _failure(*newton_)}
+    attempts, log = _scripted_attempts(failures)
+    with pytest.raises((NoConvergence, SingularJacobian)) as info:
         solvers.solve(None, np.zeros(1), attempts, "lm_then_newton")
-    assert info.value is last
+    assert [name for name, _ in log] == ["levenberg_marquardt", "newton"]
+    assert info.value is failures["levenberg_marquardt" if raised == "lm" else "newton"]
 
 
 def test_solve_lets_other_errors_through():

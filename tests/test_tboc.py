@@ -402,7 +402,9 @@ def test_exact_and_dense_jacobian_solves_agree(regime, monkeypatch):
 
     def plain(problem, aug=None):
         system = build(problem, aug=aug)
-        return solvers.ResidualSystem(dim=system.dim, eval=system.eval)
+        return solvers.ResidualSystem(
+            dim=system.dim, eval=system.eval,
+            jacobian=lambda z: solvers.fd_jacobian(system.eval, z))
 
     monkeypatch.setattr(tboc, "residual_system", plain)
     dense = tboc.solve(prob, tol=1e-9)

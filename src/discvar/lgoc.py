@@ -409,13 +409,17 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     return np.stack(gs), xis, mus
 
 
-def reconstruct(group, g0, h, xis):
-    """Configurations g_0..g_N from interval velocities."""
-    gs = [np.asarray(g0, dtype=float)]
-    W = group.tau(h * np.asarray(xis, dtype=float))
-    for k in range(len(xis)):
-        gs.append(group.multiply(gs[-1], W[k]))
-    return np.stack(gs)
+def reconstruct(group, g0, h, xis, W=None):
+    """Configurations g_0..g_N from interval velocities; ``W`` is their
+    tau(h xi_k) when the caller has formed it (``interval_momenta``)."""
+    if W is None:
+        W = group.tau(h * np.asarray(xis, dtype=float))
+    g0 = np.asarray(g0, dtype=float)
+    gs = np.empty((len(W) + 1,) + g0.shape)
+    gs[0] = g0
+    for k in range(len(W)):
+        gs[k + 1] = group.multiply(gs[k], W[k])
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +637,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     nus = _nus(problem, xis, nus_interior, maps)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
-    gs = reconstruct(group, problem.g0, h, xis)
+    gs = reconstruct(group, problem.g0, h, xis, maps[1])
 
     z, _, mu, _, Dp, A = maps
     _, _, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
@@ -829,7 +833,7 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     maps = interval_momenta(sys_, h, xis)
     z, _, mu, _, D, A = maps
     nus = _nus(problem, xis, nus_interior, maps)
-    gs = reconstruct(group, problem.g0, h, xis)
+    gs = reconstruct(group, problem.g0, h, xis, maps[1])
     grads = _node_grads(sys_, gs)
     um, up, _, _, c_minus, c_plus = _interval_covectors(problem, xis, nus, lambdas, maps, grads)
     Jd = _drift_jacobians(sys_, z)
@@ -962,22 +966,19 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
 
     ``guess`` is (xis, nus_interior, lambdas); with eliminated momenta
     (``residual_system``) only xis is read.
-    ``method`` is one of ``solvers.METHODS`` or "auto"; ``solvers.solve``
-    runs its attempts, each from the initial guess z0 with its own budget of
-    ``max_iter`` iterations.  Auto means Newton with an LM fallback when
-    fully actuated; for underactuated problems LM runs first (robust against
-    the cold-start multiplier block) and, if it stalls, damped Newton
-    restarts from z0 (not from LM's best iterate).  When every attempt
-    fails, raises the NoConvergence or SingularJacobian with the lowest best
-    residual; ConfigError for an unknown method.
+    ``method`` is one of ``solvers.METHODS``; ``solvers.solve`` runs its
+    attempts, each from the initial guess z0 with its own budget of
+    ``max_iter`` iterations.  Auto means damped Newton, then, if it fails,
+    LM from z0 (not from Newton's best iterate), fully actuated or not.
+    When every attempt fails, raises the NoConvergence or SingularJacobian
+    with the lowest best residual; ConfigError for an unknown method.
     """
     system, eliminated = residual_system(problem)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
-    z, report = solvers.solve(system, z0, attempts, method,
-                              problem.system.fully_actuated, tol, max_iter)
+    z, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
     return assemble_solution(problem, z, report)
 
 
@@ -988,12 +989,10 @@ def assemble_solution(problem, z, report=None):
     sys_ = problem.system
     eliminated = _momenta_eliminable(problem)
     xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-    if eliminated:
-        nus = eliminated_nus(problem, xis)
-    else:
-        nus = _full_nus(problem, nus_interior)
-    gs = reconstruct(sys_.group, problem.g0, problem.h, xis)
-    um, up, _, _ = momentum_defects(problem, xis, nus, gs)
+    maps = interval_momenta(sys_, problem.h, xis)
+    nus = _nus(problem, xis, nus_interior, maps)
+    gs = reconstruct(sys_.group, problem.g0, problem.h, xis, maps[1])
+    um, up, _, _ = momentum_defects(problem, xis, nus, gs, maps=maps)
     controls = np.stack([um, up], axis=1)
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)

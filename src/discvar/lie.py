@@ -117,10 +117,13 @@ def _so3_log(R):
 
 
 def _so3_cay(w):
-    # cay(w) = (I - hat(w)/2)^-1 (I + hat(w)/2), rational closed form
     w = np.asarray(w, dtype=float)
-    s = np.einsum("...i,...i->...", w, w)
-    W = hat3(w)
+    return _cay_rotation(hat3(w), np.einsum("...i,...i->...", w, w))
+
+
+def _cay_rotation(W, s):
+    # cay(w) = (I - hat(w)/2)^-1 (I + hat(w)/2), rational closed form, from
+    # W = hat(w) and s = |w|^2
     return _I3 + (4.0 / (4.0 + s))[..., None, None] * (W + 0.5 * (W @ W))
 
 
@@ -129,9 +132,10 @@ def _so3_cay_inv(R):
     th = _so3_angle(R)
     if np.any(th > np.pi - _CHART_ANGLE_TOL):
         raise OutOfChart("rotation angle too close to pi for the Cayley chart")
-    # hat(w) = 2 (R - I)(R + I)^-1; solve on the transposed system
-    X = _mt(np.linalg.solve(_mt(R + _I3), _mt(2.0 * (R - _I3))))
-    return vee3(0.5 * (X - _mt(X)))
+    # R = cay(w) has R - R^T = 8 hat(w) / (4 + |w|^2) and
+    # 1 + tr R = 16 / (4 + |w|^2)
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    return (2.0 / (1.0 + tr))[..., None] * vee3(R - _mt(R))
 
 
 def _inv_i_minus_half_hat(w):
@@ -282,9 +286,20 @@ def _se3_log(g):
 
 
 def _se3_cay(xi):
+    # rotation cay(w), translation (I - hat(w)/2)^-1 v
+    # = (4 v + 2 w x v + (w . v) w) / (4 + |w|^2), from one hat(w) and |w|^2
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
-    return _se3_build(_so3_cay(w), _mv(_inv_i_minus_half_hat(w), v))
+    s = np.einsum("...i,...i->...", w, w)
+    W = hat3(w)
+    out = np.empty(xi.shape[:-1] + (4, 4))
+    out[..., :3, :3] = _cay_rotation(W, s)
+    wv = np.einsum("...i,...i->...", w, v)
+    out[..., :3, 3] = (4.0 * v + 2.0 * (W @ v[..., None])[..., 0]
+                       + wv[..., None] * w) / (4.0 + s)[..., None]
+    out[..., 3, :3] = 0.0
+    out[..., 3, 3] = 1.0
+    return out
 
 
 def _se3_cay_inv(g):

@@ -201,17 +201,17 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
     return _iterate(system, x0, "levenberg_marquardt", step, tol, max_iter)
 
 
-# the root-finders each method tries in turn; "auto" means "newton" for a
-# fully actuated problem and "lm_then_newton" otherwise
+# the root-finders each method tries in turn; "auto" is "newton"'s order for
+# every problem, fully actuated or not
 METHODS = {
+    "auto": ("newton", "levenberg_marquardt"),
     "newton": ("newton", "levenberg_marquardt"),
     "lm": ("levenberg_marquardt",),
     "lm_then_newton": ("levenberg_marquardt", "newton"),
 }
 
 
-def solve(system, z0, attempts, method="auto", fully_actuated=True, tol=1e-9,
-          max_iter=100):
+def solve(system, z0, attempts, method="auto", tol=1e-9, max_iter=100):
     """Root-find ``system`` from ``z0``; returns (z, SolveReport).
 
     Runs the attempts of ``method`` (see ``METHODS``) in order, each from
@@ -224,10 +224,8 @@ def solve(system, z0, attempts, method="auto", fully_actuated=True, tol=1e-9,
     formulations pass the ones their own module names when ``solve`` runs.
     An unknown method raises ConfigError.
     """
-    if method == "auto":
-        method = "newton" if fully_actuated else "lm_then_newton"
     if method not in METHODS:
-        raise ConfigError(f"unknown solver method {method!r}; expected auto, "
+        raise ConfigError(f"unknown solver method {method!r}; expected "
                           + ", ".join(METHODS))
     failure = None
     for name in METHODS[method]:

@@ -397,16 +397,17 @@ def initial_guess(problem):
 def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
     """Solve the two-point problem and recover the control trajectory.
 
-    ``method`` is one of ``solvers.METHODS`` or "auto", as in ``lgoc.solve``:
+    ``method`` is one of ``solvers.METHODS``, as in ``lgoc.solve``:
     ``solvers.solve`` runs its attempts, each from the initial guess z0 with
     its own budget of ``max_iter`` iterations.  Auto means Newton with an LM
-    fallback when fully actuated, and LM first (then Newton) when
-    underactuated: with constant M and B and no potential the multiplier
-    block makes the Jacobian rank-deficient (the unactuated momentum is
-    conserved, so the complement conditions are redundant given the pinned
-    boundary data); with a coupling potential it has full rank.  When every
-    attempt fails, raises the NoConvergence or SingularJacobian with the
-    lowest best residual; ConfigError for an unknown method.
+    fallback, fully actuated or not.  Underactuated with constant M and B
+    and no potential, the multiplier block makes the Jacobian
+    rank-deficient (the unactuated momentum is conserved, so the complement
+    conditions are redundant given the pinned boundary data): Newton then
+    stops singular at iteration 0 and LM solves; with a coupling potential
+    the Jacobian has full rank.  When every attempt fails, raises the
+    NoConvergence or SingularJacobian with the lowest best residual;
+    ConfigError for an unknown method.
     """
     aug = AugmentedLagrangianRn(problem)
     system = residual_system(problem, aug=aug)
@@ -414,8 +415,7 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
         guess = initial_guess(problem)
     z0 = _pack(problem, *guess)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
-    z, report = solvers.solve(system, z0, attempts, method,
-                              problem.fully_actuated, tol, max_iter)
+    z, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
     return assemble_solution(problem, z, report, aug=aug)
 
 

@@ -425,6 +425,7 @@ def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
     # singular: the SingularJacobian must not escape before artifacts exist
     base = rigid_body_cfg(N=4)
     base["system"]["actuated"] = [0, 1]
+    base["solver"]["method"] = "lm_then_newton"
     cfg = write_config(tmp_path / "c.json", base)
     out = str(tmp_path / "out")
     monkeypatch.setattr(solvers.ResidualSystem, "jac",

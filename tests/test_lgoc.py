@@ -725,6 +725,27 @@ def test_sensitivities_match_differences_of_reconstruct(regime):
         assert np.max(np.abs(S - exact.reshape(n, N * n))) <= 1e-8 * (1.0 + np.max(np.abs(S)))
 
 
+@pytest.mark.parametrize("actuated", [(0, 1, 2), (0, 1)], ids=["full", "under"])
+def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
+    # the reconstruction reuses the tau(h xi) the interval maps formed
+    prob = rigid_body_problem(actuated=actuated, N=8)
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(16))
+    calls = []
+    tau = lie.GroupSpec.tau
+
+    def counted(self, xi):
+        calls.append(np.shape(xi))
+        return tau(self, xi)
+
+    monkeypatch.setattr(lie.GroupSpec, "tau", counted)
+    system.eval(z)
+    assert calls == [(8, 3)]
+    calls.clear()
+    system.jac(z)
+    assert calls == [(8, 3)]
+
+
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatch):
     # one build reconstructs the path once: the potential's chain and the
@@ -1098,19 +1119,37 @@ def test_solution_seen_by_both_retractions_converges_together():
     assert np.log2(g2 / g3) > 1.8
 
 
-def test_underactuated_rigid_body_solve():
+def under_target_problem():
+    """Torques on body axes 0 and 1 only, rest to rest from I to tau([0.5, 0.2, 0])."""
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1))
-    prob = OcProblemLie(
+    return OcProblemLie(
         system=system, g0=np.eye(3), xi0=np.zeros(3),
         gT=system.group.tau(np.array([0.5, 0.2, 0.0])), xiT=np.zeros(3),
         N=8, h=0.2, cost=L2Cost(),
     )
+
+
+def test_underactuated_rigid_body_solve():
+    prob = under_target_problem()
     sol = lgoc.solve(prob, tol=1e-7)
     assert sol.report.converged
     assert sol.controls.shape == (8, 2, 2)
     assert sol.lambdas is not None and sol.lambdas.shape == (8, 2, 1)
     # reconstruction reaches the target exactly
     assert np.max(np.abs(sol.gs[-1] - prob.gT)) < 1e-6
+
+
+def test_underactuated_auto_solve_is_one_newton_attempt(root_finder_log):
+    # the underactuated benchmark's test target: auto runs Newton first, as
+    # for a fully actuated problem, and Newton converges within the budget
+    log = root_finder_log(lgoc)
+    prob = under_target_problem()
+    auto = lgoc.solve(prob, tol=1e-7, max_iter=12)
+    assert [name for name, _ in log] == ["newton"]
+    newton_ = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
+    assert auto.report.method == newton_.report.method == "newton"
+    assert auto.report.iterations == newton_.report.iterations
+    assert auto.cost == newton_.cost
 
 
 def test_solve_runs_the_module_root_finders(root_finder_log):
@@ -1127,7 +1166,7 @@ def test_max_iter_bounds_each_attempt(root_finder_log):
     log = root_finder_log(lgoc)
     # tol below the rounding floor: no attempt can converge
     for method, order in (("newton", ["newton", "levenberg_marquardt"]),
-                          ("auto", ["levenberg_marquardt", "newton"])):
+                          ("auto", ["newton", "levenberg_marquardt"])):
         log.clear()
         actuated = (0, 1, 2) if method == "newton" else (0, 1)
         prob = rigid_body_problem(actuated=actuated, N=4)

@@ -120,6 +120,20 @@ def test_tau_roundtrip(retraction):
         assert np.max(np.abs(g.tau_inv(g.tau(xi)) - xi)) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(), (8,), (4, 5)], ids=["single", "batch", "grid"])
+def test_cayley_inverse_roundtrips_batches(shape):
+    # the closed form 2 vee(R - R^T) / (1 + tr R) inverts cay to rounding
+    rng = np.random.default_rng(31)
+    for g in (lie.so3(retraction=lie.CAYLEY), lie.se3(retraction=lie.CAYLEY)):
+        count = int(np.prod(shape))
+        xi = random_algebra(rng, g.dim, count).reshape(shape + (g.dim,))
+        G = g.tau(xi)
+        back = g.tau_inv(G)
+        assert back.shape == xi.shape
+        assert np.max(np.abs(back - xi)) < 1e-14
+        assert np.max(np.abs(g.tau(back) - G)) < 1e-14
+
+
 def test_so3_exponential_is_axis_angle_rotation():
     # independent closed-form oracle for rotation about the x axis
     theta = 0.3

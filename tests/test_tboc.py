@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from discvar import mech, solvers, tboc
-from discvar.errors import ConfigError, DimensionMismatch, NotInvertible, RankDeficient
+from discvar.errors import (
+    ConfigError, DimensionMismatch, NotInvertible, RankDeficient, SingularJacobian,
+)
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 from discvar.systems import L2Cost, SmoothedL1Cost
 
@@ -538,30 +540,32 @@ def test_underactuated_planar_solve():
     assert np.max(np.abs(sol.qs[:, 0] - (3.0 * t * t - 2.0 * t**3))) < 2e-2
 
 
-def test_underactuated_solve_starts_with_lm(root_finder_log, monkeypatch):
+def test_underactuated_solve_falls_back_from_singular_newton(root_finder_log, monkeypatch):
     # with constant M and B and no potential the multiplier block makes the
-    # Jacobian rank-deficient, so auto runs LM first and builds no Jacobian
-    # for a Newton attempt
+    # Jacobian rank-deficient: auto's Newton attempt stops singular at its
+    # first Jacobian, and LM from z0 then finds the solution LM alone finds
     log = root_finder_log(tboc)
-    events = []
-    lm, jac = tboc.levenberg_marquardt, solvers.ResidualSystem.jac
+    raised = []
+    newton = tboc.newton
 
-    def lm_entry(*args, **kwargs):
-        events.append("lm")
-        return lm(*args, **kwargs)
+    def newton_entry(*args, **kwargs):
+        try:
+            return newton(*args, **kwargs)
+        except SingularJacobian as exc:
+            raised.append(exc)
+            raise
 
-    def jacobian(self, x):
-        events.append("jacobian")
-        return jac(self, x)
-
-    monkeypatch.setattr(tboc, "levenberg_marquardt", lm_entry)
-    monkeypatch.setattr(solvers.ResidualSystem, "jac", jacobian)
+    monkeypatch.setattr(tboc, "newton", newton_entry)
     prob = make_problem(n=2, N=10, m=1,
                         boundary=(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)))
     sol = tboc.solve(prob, tol=1e-9)
     assert sol.report.converged and sol.report.method == "levenberg_marquardt"
-    assert events[0] == "lm" and "jacobian" in events
-    assert [name for name, _ in log] == ["levenberg_marquardt"]
+    assert [name for name, _ in log] == ["newton", "levenberg_marquardt"]
+    assert len(raised) == 1 and raised[0].iteration == 0
+    lm = tboc.solve(prob, tol=1e-9, method="lm")
+    assert sol.report.iterations == lm.report.iterations
+    assert np.array_equal(sol.qs, lm.qs) and np.array_equal(sol.ps, lm.ps)
+    assert np.array_equal(sol.controls, lm.controls) and sol.cost == lm.cost
 
 
 def test_solve_takes_a_method(root_finder_log):

@@ -228,13 +228,18 @@ def interval_momenta(system, h, xis):
     """
     xis = np.asarray(xis, dtype=float)
     z = h * xis
+    return _interval_maps(system, xis, z, system.group.dtau_inv_matrix(z))
+
+
+def _interval_maps(system, xis, z, D):
+    """``interval_momenta`` from its D = dtau_inv(z).  The residual and the
+    Jacobian, which also need D's derivative, hand in the D of their one
+    ``dtau_inv_deriv`` call."""
     group = system.group
     W = group.tau(z)
-    D = group.dtau_inv_matrix(z)
     A = group.Ad_matrix(W)
     mu = _mv(_mt(D), xis @ system.inertia.T)
-    transported = _mv(_mt(A), mu)
-    return z, W, mu, transported, D, A
+    return z, W, mu, _mv(_mt(A), mu), D, A
 
 
 def _node_grads(system, gs):
@@ -282,26 +287,31 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}), tau_prev =
     tau(h xi_{k-1}) and the forcing around node k, solves the implicit
-    relation mu_k = dtau_inv(h xi_k)^* I xi_k for the new interval velocity.
-    The forcing is the drift, when the system has one, plus ``forcing``, the
-    node's control covector (h/2) B (u^+_{k-1} + u^-_k), when given.  When
-    the system has a potential the configuration g_k at the node must be
-    supplied.
+    relation dtau_inv(h xi_k)^* I xi_k = target(xi_k) for the new interval
+    velocity, where target is the transported momentum coAd(tau_prev,
+    mu_prev) plus the forcing.  The forcing is the drift, when the system
+    has one, plus ``forcing``, the node's control covector (h/2) B
+    (u^+_{k-1} + u^-_k), when given.  When the system has a potential the
+    configuration g_k at the node must be supplied.  mu_k is the momentum
+    the step solved for, target(xi_k): for the free body exactly
+    coAd(tau_prev, mu_prev), so it is not formed again from xi_k.
 
     The step solve is a simplified Newton iteration on the residual
-    r(xi) = dtau_inv(h xi)^T I xi - target(xi), target the transported
-    momentum plus the forcing.  Its Jacobian D^T I + h (dD/dz)[I xi], with
-    D = dtau_inv(z) at z = h xi, less (h^2/2) d drift/dz with a drift (the
-    matrix itself for a linear drift, ``_drift_jacobians``), is inverted
-    once, at the start, and handed back as J_k^-1.  The start is the Newton
-    predictor xi_{k-1} - J_{k-1}^-1 r(xi_{k-1}) when ``J_inv_prev`` holds
-    the previous step's inverse, and xi_{k-1} when it is None or the
-    prediction is not finite; r(xi_{k-1}) needs no kernel call, since
-    D(h xi_{k-1})^T I xi_{k-1} is mu_{k-1}.  The iteration stops when an
-    update is below _DEP_TOL relative to xi.  If it does not within
-    _DEP_MAX_ITER updates, Newton with a line search (``newton``) takes over
-    from the start, on the same Jacobian taken at its own iterates;
-    StepSolveFailed names ``step_index`` when that fails too.
+    r(xi) = dtau_inv(h xi)^T I xi - target(xi).  Its Jacobian D^T I +
+    h (dD/dz)[I xi], with D = dtau_inv(z) at z = h xi, less (h^2/2)
+    d drift/dz with a drift (the matrix itself for a linear drift,
+    ``_drift_jacobians``), is inverted once, at the start, and handed back
+    as J_k^-1; D and dD/dz there come from one ``dtau_inv_deriv`` call.  The
+    start is the Newton predictor xi_{k-1} - J_{k-1}^-1 r(xi_{k-1}) when
+    ``J_inv_prev`` holds the previous step's inverse, and xi_{k-1} when it
+    is None or the prediction is not finite; r(xi_{k-1}) needs no kernel
+    call, since mu_{k-1} stands for D(h xi_{k-1})^T I xi_{k-1}.  Every later
+    point makes one ``dtau_inv_matrix`` call, except the last: the
+    iteration stops when an update is below _DEP_TOL relative to xi.  If it
+    does not within _DEP_MAX_ITER updates, Newton with a line search
+    (``newton``) takes over from the start, on the same Jacobian taken at
+    its own iterates; StepSolveFailed names ``step_index`` when that fails
+    too.
     """
     group = system.group
     inertia = system.inertia
@@ -324,9 +334,9 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
         out = (inertia @ xi) @ D - rhs
         return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
 
-    def jacobian(xi, D):
+    def jacobian(xi, D, T):
         # (I xi)_j dD_ji/dz_l: one matmul over the stack T[l] = dD/dz_l
-        J = _mt(D) @ inertia + h * _mt((inertia @ xi) @ group.dtau_inv_deriv(h * xi))
+        J = _mt(D) @ inertia + h * _mt((inertia @ xi) @ T)
         if system.has_drift:
             J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
         return J
@@ -339,8 +349,8 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
         predicted = xi_prev - J_inv_prev @ r_prev
         if np.isfinite(predicted).all():
             start = predicted
-    D = group.dtau_inv_matrix(h * start)
-    J = jacobian(start, D)
+    D, T = group.dtau_inv_deriv(h * start)
+    J = jacobian(start, D, T)
     try:
         J_inv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
@@ -353,21 +363,19 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
         size = np.abs(update).max()
         if not math.isfinite(size):
             break
-        D = group.dtau_inv_matrix(h * xi)
         if size < _DEP_TOL * (1.0 + np.abs(xi).max()):
             converged = True
             break
+        D = group.dtau_inv_matrix(h * xi)
     if not converged:
-        def at(fun):
-            return lambda x: fun(x, group.dtau_inv_matrix(h * x))
-
         try:
-            xi, _ = newton(ResidualSystem(n, at(residual), at(jacobian)), start,
-                           tol=1e-12)
+            xi, _ = newton(ResidualSystem(
+                n, lambda x: residual(x, group.dtau_inv_matrix(h * x)),
+                lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
-        D = group.dtau_inv_matrix(h * xi)
-    return xi, (inertia @ xi) @ D, J_inv
+    mu = rhs + (h / 2.0) * system.drift_values(h * xi) if system.has_drift else rhs
+    return xi, mu, J_inv
 
 
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
@@ -377,7 +385,12 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     is determined by the initial velocity, so its u_0^- is unused.  The
     control covectors (h/2) B (u^+_{k-1} + u^-_k) of every node come from
     one product.  Each step solves ``dep_step``'s equation, handed the
-    tau(h xi_{k-1}) that built g_k, so a march makes ``steps`` tau calls.
+    tau(h xi_{k-1}) that built g_k, so a march makes ``steps`` tau calls,
+    and keeps the momentum mu_k the step solved for: the transported
+    mu_{k-1} plus the forcing, which the free body carries over exactly as
+    coAd(tau(h xi_{k-1}), mu_{k-1}).  A step evaluates dtau_inv once per
+    point it visits before the converged one, the first point through one
+    ``dtau_inv_deriv`` call for the matrix and its derivative together.
     Step 1 starts from xi_0; every later step starts from the Newton
     predictor xi_{k-1} - J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian
     the step before formed, so the new step's forcing is in its start.  Of
@@ -469,13 +482,13 @@ def action_sum(problem, xis, nus, lambdas=None, gs=None):
     return float(np.sum(vals))
 
 
-def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=None, T=None):
+def _xi_gradients(problem, xis, z, D, T3, A, mu, c_minus, c_plus, Jd, T=None):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
-    the drift d(h xi); D = dtau_inv(z) and A = Ad(W) come from
-    ``interval_momenta``, and Jd from ``_drift_jacobians``; T3 =
-    dtau_inv_deriv(z) and T = dtau_matrix(z) are computed unless given.
+    the drift d(h xi); D = dtau_inv(z) and its derivative T3 come from one
+    ``dtau_inv_deriv`` call, A = Ad(W) from ``_interval_maps``, and Jd
+    from ``_drift_jacobians``; T = dtau_matrix(z) is computed unless given.
     ``c_minus`` and ``c_plus`` are the term's derivatives in mu and in the
     transport; its derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
@@ -486,8 +499,6 @@ def _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=None, T=Non
     sys_ = problem.system
     group = sys_.group
     h = problem.h
-    if T3 is None:
-        T3 = group.dtau_inv_deriv(z)
     if T is None:
         T = group.dtau_matrix(z)
     e_plus = _mv(A, c_plus)
@@ -633,16 +644,18 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
     group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
-    maps = interval_momenta(sys_, h, xis)
+    z = h * xis
+    Dp, T3 = group.dtau_inv_deriv(z)
+    maps = _interval_maps(sys_, xis, z, Dp)
     nus = _nus(problem, xis, nus_interior, maps)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
     gs = reconstruct(group, problem.g0, h, xis, maps[1])
 
-    z, _, mu, _, Dp, A = maps
+    _, _, mu, _, _, A = maps
     _, _, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
         problem, xis, nus, lambdas, maps, _node_grads(sys_, gs))
-    gxi = _xi_gradients(problem, xis, z, Dp, A, mu, c_minus, c_plus,
+    gxi = _xi_gradients(problem, xis, z, Dp, T3, A, mu, c_minus, c_plus,
                         _drift_jacobians(sys_, z))
     Dm = group.dtau_inv_matrix(-z)
     pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
@@ -766,7 +779,8 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     K takes the closed forms of ``_xi_gradients`` one derivative further,
     through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
     a callable drift's curvature is differenced, and a linear drift has
-    none.  ``T3`` is dtau_inv_deriv(z) and ``T`` dtau_matrix(z).
+    none.  ``T3`` is the derivative of D = dtau_inv(z) and ``T``
+    dtau_matrix(z).
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
@@ -830,17 +844,20 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     sys_ = problem.system
     group, h, N, n = sys_.group, problem.h, problem.N, sys_.n
     s = n - sys_.m
-    maps = interval_momenta(sys_, h, xis)
-    z, _, mu, _, D, A = maps
+    z = h * xis
+    D, T3 = group.dtau_inv_deriv(z)
+    maps = _interval_maps(sys_, xis, z, D)
+    _, _, mu, _, _, A = maps
     nus = _nus(problem, xis, nus_interior, maps)
     gs = reconstruct(group, problem.g0, h, xis, maps[1])
     grads = _node_grads(sys_, gs)
     um, up, _, _, c_minus, c_plus = _interval_covectors(problem, xis, nus, lambdas, maps, grads)
     Jd = _drift_jacobians(sys_, z)
-    T3, T = group.dtau_inv_deriv(z), group.dtau_matrix(z)
-    gxi = _xi_gradients(problem, xis, z, D, A, mu, c_minus, c_plus, Jd, T3=T3, T=T)
+    T = group.dtau_matrix(z)
+    gxi = _xi_gradients(problem, xis, z, D, T3, A, mu, c_minus, c_plus, Jd, T=T)
     H, Mxi, Txi = _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus,
                                      c_plus, Jd)
+    Dm, T3m = group.dtau_inv_deriv(-z)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     Hs = np.zeros((N + 1, n, n))
@@ -858,10 +875,8 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     Oy[:, :n, xi] -= np.einsum("klai,ka->kil", T3, gxi)
     Oy[:, n : 2 * n] = H[:, nu_a]
     Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = (_mt(Hb) @ H[:, nu_b]
-                                            + _mt(group.dtau_inv_matrix(-z)) @ H[:, xi] / h)
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s, xi] -= np.einsum(
-        "klai,ka->kil", group.dtau_inv_deriv(-z), gxi)
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = (_mt(Hb) @ H[:, nu_b] + _mt(Dm) @ H[:, xi] / h)
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s, xi] -= np.einsum("klai,ka->kil", T3m, gxi)
     Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
     O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
     O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy

@@ -16,8 +16,9 @@ Two retractions are provided:
   exp tangent-map section below).
 
 For both, ``GroupSpec.dtau_inv_deriv`` and ``GroupSpec.dtau_inv_deriv2`` give
-the first and second derivatives of dtau^-1 in closed form; the derivative of
-dtau follows from them as -dtau (d dtau^-1) dtau.
+the first and second derivatives of dtau^-1 in closed form, the first
+together with dtau^-1 itself from one call; the derivative of dtau follows
+from them as -dtau (d dtau^-1) dtau.
 
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
@@ -75,7 +76,13 @@ def _mt(A):
 
 def _mv(A, x):
     """Batched matrix-vector product."""
-    return np.einsum("...ij,...j->...i", A, x)
+    return (A @ x[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """Batched dot product of the last axes; a scalar, not a 0-d array, for
+    single vectors, so the scalar arithmetic downstream stays cheap."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
 def _eye_like(shape_src, n):
@@ -90,7 +97,7 @@ def _eye_like(shape_src, n):
 
 def _so3_exp(w):
     w = np.asarray(w, dtype=float)
-    th2 = np.einsum("...i,...i->...", w, w)
+    th2 = _dot(w, w)
     th = np.sqrt(th2)
     small = th < 1e-8
     th_safe = np.where(small, 1.0, th)
@@ -103,6 +110,13 @@ def _so3_exp(w):
 def _so3_angle(R):
     tr = np.trace(R, axis1=-2, axis2=-1)
     return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+
+
+# the largest trace whose angle, as _so3_angle takes it, is beyond pi -
+# _CHART_ANGLE_TOL: the angle falls as the trace grows, so the Cayley chart
+# check reads the trace alone.  The next float up, -1 + 2^-52, has the angle
+# pi - 1.5e-8
+_CHART_TRACE = -1.0 + 2.0**-53
 
 
 def _so3_log(R):
@@ -118,7 +132,7 @@ def _so3_log(R):
 
 def _so3_cay(w):
     w = np.asarray(w, dtype=float)
-    return _cay_rotation(hat3(w), np.einsum("...i,...i->...", w, w))
+    return _cay_rotation(hat3(w), _dot(w, w))
 
 
 def _cay_rotation(W, s):
@@ -129,19 +143,18 @@ def _cay_rotation(W, s):
 
 def _so3_cay_inv(R):
     R = np.asarray(R, dtype=float)
-    th = _so3_angle(R)
-    if np.any(th > np.pi - _CHART_ANGLE_TOL):
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    if np.any(tr <= _CHART_TRACE):
         raise OutOfChart("rotation angle too close to pi for the Cayley chart")
     # R = cay(w) has R - R^T = 8 hat(w) / (4 + |w|^2) and
     # 1 + tr R = 16 / (4 + |w|^2)
-    tr = np.trace(R, axis1=-2, axis2=-1)
     return (2.0 / (1.0 + tr))[..., None] * vee3(R - _mt(R))
 
 
 def _inv_i_minus_half_hat(w):
     """(I - hat(w)/2)^-1 = (4 I + 2 hat(w) + w w^T) / (4 + |w|^2)."""
     w = np.asarray(w, dtype=float)
-    s = np.einsum("...i,...i->...", w, w)
+    s = _dot(w, w)
     W = hat3(w)
     num = 4.0 * _I3 + 2.0 * W + w[..., :, None] * w[..., None, :]
     return num / (4.0 + s)[..., None, None]
@@ -150,7 +163,7 @@ def _inv_i_minus_half_hat(w):
 def _so3_dcay(w):
     """Right-trivialized tangent of the SO(3) Cayley map, on coordinates."""
     w = np.asarray(w, dtype=float)
-    s = np.einsum("...i,...i->...", w, w)
+    s = _dot(w, w)
     return (2.0 / (4.0 + s))[..., None, None] * (2.0 * _I3 + hat3(w))
 
 
@@ -169,13 +182,13 @@ def _so3_dcay_inv(w):
 # With W = hat3(w) and th = |w| (Kobilarov & Marsden 2011):
 #   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
 #   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
-# c, k and the derivatives b', c' and k' (in th) lose digits as th shrinks, so
+# c, k and the derivatives b' and c' (in th) lose digits as th shrinks, so
 # below _SMALL_ANGLE each is its Taylor polynomial in th^2 through th^12 to
 # th^14, whose first omitted term is below 2e-17 of it there.  The closed forms
-# of (k'/th)'/th and ((k'/th)'/th)'/th cancel much more (they keep only 10 and
-# 8 digits at th = 0.5, and about 12 from th = 2 on), so below _SERIES_ANGLE
-# each is its Taylor polynomial of 20 terms, through th^38, which holds to
-# 3e-16 of it there.
+# of k'/th, (k'/th)'/th and ((k'/th)'/th)'/th cancel much more (they keep only
+# 12, 10 and 8 digits at th = 0.5, and about 12 from th = 2 on for the last
+# two), so below _SERIES_ANGLE each is its Taylor polynomial of 20 terms,
+# through th^38, which holds to 3e-16 of it there.
 
 _SMALL_ANGLE = 0.5
 _SERIES_ANGLE = 2.0
@@ -183,9 +196,10 @@ _B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
 _C = tuple((-1) ** n / factorial(2 * n + 3) for n in range(8))
 _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
       1/74724249600, 3617/10670622842880000)
-# b'/th, c'/th and k'/th, as f'(th)/th = 2 df/d(th^2)
-_DB, _DC, _DK = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C, _K))
-# (k'/th)'/th = 4 d^2k/d(th^2)^2 and ((k'/th)'/th)'/th = 8 d^3k/d(th^2)^3, from k's
+# b'/th and c'/th, as f'(th)/th = 2 df/d(th^2)
+_DB, _DC = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C))
+# k'/th = 2 dk/d(th^2), (k'/th)'/th = 4 d^2k/d(th^2)^2 and ((k'/th)'/th)'/th
+# = 8 d^3k/d(th^2)^3, from k's
 # coefficients K_n = |B_{2n+2}| / (2n+2)! through n = 22, each Bernoulli number
 # |B_{2n+2}| given as p / q
 _K_MORE = _K + tuple(p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
@@ -194,13 +208,14 @@ _K_MORE = _K + tuple(p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
     (2577687858367, 6), (26315271553053477373, 1919190), (2929993913841559, 6),
     (261082718496449122051, 13530), (1520097643918070802691, 1806),
     (27833269579301024235023, 690), (596451111593912163277961, 282)), start=8))
+_DK = [2 * n * f for n, f in enumerate(_K_MORE[:21])][1:]
 _DDK = [4 * n * (n - 1) * f for n, f in enumerate(_K_MORE[:22])][2:]
 _DDDK = [8 * n * (n - 1) * (n - 2) * f for n, f in enumerate(_K_MORE)][3:]
 
 
 def _angle(w):
     """th^2, the mask th < _SMALL_ANGLE, and th, replaced by 1 under the mask."""
-    th2 = np.einsum("...i,...i->...", w, w)
+    th2 = _dot(w, w)
     small = th2 < _SMALL_ANGLE**2
     return th2, small, np.sqrt(np.where(small, 1.0, th2))
 
@@ -223,9 +238,9 @@ def _dexp_inv_k(th2, small, th):
     return np.where(small, _taylor(th2, _K), (1.0 - x * np.cos(x) / np.sin(x)) / th**2)
 
 
-def _dexp_inv_dk(th2, small, th, k):
+def _dexp_inv_dk(th2, th, k):
     # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
-    return np.where(small, _taylor(th2, _DK),
+    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DK),
                     (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
 
 
@@ -253,10 +268,18 @@ def _so3_dexp(w):
 
 
 def _so3_dexp_inv(w):
+    return _so3_dexp_inv_parts(w)[0]
+
+
+def _so3_dexp_inv_parts(w):
+    """(J^-1, th^2, th, k, W, W^2): dexp^-1(w) and the factors its derivative
+    reuses."""
     w = np.asarray(w, dtype=float)
-    k = _dexp_inv_k(*_angle(w))
+    th2, small, th = _angle(w)
+    k = _dexp_inv_k(th2, small, th)
     W = hat3(w)
-    return _I3 - 0.5 * W + k[..., None, None] * (W @ W)
+    W2 = W @ W
+    return _I3 - 0.5 * W + k[..., None, None] * W2, th2, th, k, W, W2
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +313,11 @@ def _se3_cay(xi):
     # = (4 v + 2 w x v + (w . v) w) / (4 + |w|^2), from one hat(w) and |w|^2
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
-    s = np.einsum("...i,...i->...", w, w)
+    s = _dot(w, w)
     W = hat3(w)
     out = np.empty(xi.shape[:-1] + (4, 4))
     out[..., :3, :3] = _cay_rotation(W, s)
-    wv = np.einsum("...i,...i->...", w, v)
+    wv = _dot(w, v)
     out[..., :3, 3] = (4.0 * v + 2.0 * (W @ v[..., None])[..., 0]
                        + wv[..., None] * w) / (4.0 + s)[..., None]
     out[..., 3, :3] = 0.0
@@ -328,11 +351,18 @@ def _se3_dcay(xi):
 
 
 def _se3_dcay_inv(xi):
+    return _se3_dcay_inv_parts(xi)[0]
+
+
+def _se3_dcay_inv_parts(xi):
+    """(D, A, V): D = [[A + w w^T/4, 0], [-A V / 2, A]] with A = I - W/2 and
+    V = hat3(v)."""
     xi = np.asarray(xi, dtype=float)
     w, v = xi[..., :3], xi[..., 3:]
     A = _I3 - 0.5 * hat3(w)
-    return _se3_blocks(A + 0.25 * w[..., :, None] * w[..., None, :],
-                       -0.5 * (A @ hat3(v)), A)
+    V = hat3(v)
+    D = _se3_blocks(A + 0.25 * w[..., :, None] * w[..., None, :], -0.5 * (A @ V), A)
+    return D, A, V
 
 
 def _se3_tangent(xi, alpha, beta, dalpha, dbeta):
@@ -344,7 +374,7 @@ def _se3_tangent(xi, alpha, beta, dalpha, dbeta):
     w, v = xi[..., :3], xi[..., 3:]
     W = hat3(w)
     W2 = W @ W
-    s = np.einsum("...i,...i->...", w, v)
+    s = _dot(w, v)
     alpha, beta, dalpha, dbeta, s = (np.asarray(x)[..., None, None]
                                      for x in (alpha, beta, dalpha, dbeta, s))
     return _se3_blocks(_I3 + alpha * W + beta * W2,
@@ -368,54 +398,62 @@ def _se3_dexp(xi):
 
 
 def _se3_dexp_inv(xi):
+    return _se3_dexp_inv_parts(xi)[0]
+
+
+def _se3_dexp_inv_parts(xi):
+    """(D, th^2, th, k, k'/th): dexp^-1(xi) and the coefficients its
+    derivative reuses."""
     xi = np.asarray(xi, dtype=float)
     th2, small, th = _angle(xi[..., :3])
     k = _dexp_inv_k(th2, small, th)
-    return _se3_tangent(xi, -0.5, k, 0.0, _dexp_inv_dk(th2, small, th, k))
+    dk = _dexp_inv_dk(th2, th, k)
+    return _se3_tangent(xi, -0.5, k, 0.0, dk), th2, th, k, dk
 
 
 # ---------------------------------------------------------------------------
 # derivatives of dtau^-1
 # ---------------------------------------------------------------------------
-# Each kernel returns T stacked along the derivative index first, T[..., l, i, j]
-# = d D_ij / d xi_l for D = dtau^-1(xi), the layout GroupSpec hands out.
+# Each kernel returns (D, T) for D = dtau^-1(xi), computed as the matching
+# dtau_inv_matrix kernel computes it, and T stacked along the derivative index
+# first, T[..., l, i, j] = d D_ij / d xi_l, the layout GroupSpec hands out.
 # _E[l] = hat3(e_l).
 
 _E = hat3(_I3)
 
 
-def _so3_dcay_inv_deriv(w):
-    # D = I - W/2 + w w^T/4
+def _cay_inv_upper_deriv(w):
+    # the derivative of I - W/2 + w w^T/4 along w_l
     ew = _I3[:, :, None] * w[..., None, None, :]
     return -0.5 * _E + 0.25 * (ew + _mt(ew))
 
 
+def _so3_dcay_inv_deriv(w):
+    return _so3_dcay_inv(w), _cay_inv_upper_deriv(w)
+
+
 def _se3_dcay_inv_deriv(xi):
-    # D = [[A + w w^T/4, 0], [-A V / 2, A]] with A = I - W/2: along w_l the
-    # lower block moves by E_l V / 4, along v_l by -A E_l / 2
-    w, v = xi[..., :3], xi[..., 3:]
-    out = np.zeros(xi.shape[:-1] + (6, 6, 6))
-    out[..., :3, :, :] = _se3_blocks(_so3_dcay_inv_deriv(w),
-                                     0.25 * (_E @ hat3(v)[..., None, :, :]), -0.5 * _E)
-    A = _I3 - 0.5 * hat3(w)
-    out[..., 3:, 3:, :3] = -0.5 * (A[..., None, :, :] @ _E)
-    return out
+    # along w_l the lower block -A V / 2 of D moves by E_l V / 4, along v_l by
+    # -A E_l / 2
+    D, A, V = _se3_dcay_inv_parts(xi)
+    T = np.zeros(xi.shape[:-1] + (6, 6, 6))
+    T[..., :3, :, :] = _se3_blocks(_cay_inv_upper_deriv(xi[..., :3]),
+                                   0.25 * (_E @ V[..., None, :, :]), -0.5 * _E)
+    T[..., 3:, 3:, :3] = -0.5 * (A[..., None, :, :] @ _E)
+    return D, T
 
 
-def _dexp_inv_coeffs(w):
-    """(th^2, mask, th, k, k'/th, W): ``_angle``, the dexp^-1 coefficients and
-    W = hat3(w) with an axis for the derivative index."""
-    th2, small, th = _angle(w)
-    k = _dexp_inv_k(th2, small, th)
-    dk = _dexp_inv_dk(th2, small, th, k)
-    return th2, small, th, k, dk, hat3(w)[..., None, :, :]
+def _dexp_inv_upper_deriv(w, W, W2, k, dk):
+    """F_l, the derivative of F = I - W/2 + k W^2 along w_l, axes (..., l, 3, 3):
+    the L form of ``_se3_tangent`` along v = e_l."""
+    k, dk = k[..., None, None, None], dk[..., None, None, None]
+    return _tangent_lower(W[..., None, :, :], W2[..., None, :, :], _E,
+                          w[..., :, None, None], -0.5, k, 0.0, dk)
 
 
 def _so3_dexp_inv_deriv(w):
-    # d/dw_l of I - W/2 + k W^2 is the L form of _se3_tangent along v = e_l
-    _, _, _, k, dk, W = _dexp_inv_coeffs(w)
-    k, dk = k[..., None, None, None], dk[..., None, None, None]
-    return _tangent_lower(W, W @ W, _E, w[..., :, None, None], -0.5, k, 0.0, dk)
+    D, th2, th, k, W, W2 = _so3_dexp_inv_parts(w)
+    return D, _dexp_inv_upper_deriv(w, W, W2, k, _dexp_inv_dk(th2, th, k))
 
 
 def _se3_dexp_inv_deriv(xi):
@@ -423,21 +461,23 @@ def _se3_dexp_inv_deriv(xi):
     # + s dk W^2, s = w.v.  Along v_l only L moves, by F's derivative along w_l;
     # along w_l, L moves by M_l = k (E_l V + V E_l) + s ddk w_l W^2
     # + dk (w_l (W V + V W) + v_l W^2 + s (E_l W + W E_l)), ddk = (k'/th)'/th
+    D, th2, th, k, dk = _se3_dexp_inv_parts(xi)
     w, v = xi[..., :3], xi[..., 3:]
-    th2, small, th, k, dk, W = _dexp_inv_coeffs(w)
+    W = hat3(w)
+    W2 = W @ W
+    F_l = _dexp_inv_upper_deriv(w, W, W2, k, dk)
     ddk = _dexp_inv_ddk(th2, th, dk)
-    s = np.einsum("...i,...i->...", w, v)[..., None, None, None]
+    s = _dot(w, v)[..., None, None, None]
     k, dk, ddk = (c[..., None, None, None] for c in (k, dk, ddk))
     wl, vl = w[..., :, None, None], v[..., :, None, None]
-    W2 = W @ W
-    F_l = _tangent_lower(W, W2, _E, wl, -0.5, k, 0.0, dk)
-    WV, EV, EW = W @ hat3(v)[..., None, :, :], _E @ hat3(v)[..., None, :, :], _E @ W
+    W, W2, V = W[..., None, :, :], W2[..., None, :, :], hat3(v)[..., None, :, :]
+    WV, EV, EW = W @ V, _E @ V, _E @ W
     M_l = (k * (EV + _mt(EV)) + s * ddk * wl * W2
            + dk * (wl * (WV + _mt(WV)) + vl * W2 + s * (EW + _mt(EW))))
-    out = np.zeros(xi.shape[:-1] + (6, 6, 6))
-    out[..., :3, :, :] = _se3_blocks(F_l, M_l)
-    out[..., 3:, 3:, :3] = F_l
-    return out
+    T = np.zeros(xi.shape[:-1] + (6, 6, 6))
+    T[..., :3, :, :] = _se3_blocks(F_l, M_l)
+    T[..., 3:, 3:, :3] = F_l
+    return D, T
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +519,7 @@ def _dexp_inv_second(w):
     3, 3), and the factors ``_se3_dexp_inv_deriv2`` reuses."""
     th2, small, th = _angle(w)
     k = _dexp_inv_k(th2, small, th)
-    dk = _dexp_inv_dk(th2, small, th, k)
+    dk = _dexp_inv_dk(th2, th, k)
     ddk = _dexp_inv_ddk(th2, th, dk)
     dddk = _dexp_inv_dddk(th2, th, ddk)
     k, dk, ddk, dddk = (c[..., None, None, None, None] for c in (k, dk, ddk, dddk))
@@ -503,7 +543,7 @@ def _se3_dexp_inv_deriv2(xi):
     w, v = xi[..., :3], xi[..., 3:]
     F2, (dk, ddk, dddk, W, W2, wl, wm, ElW, EmW) = _dexp_inv_second(w)
     V = hat3(v)[..., None, None, :, :]
-    s = np.einsum("...i,...i->...", w, v)[..., None, None, None, None]
+    s = _dot(w, v)[..., None, None, None, None]
     vl, vm = v[..., :, None, None, None], v[..., None, :, None, None]
     N2 = (dk * (wm * _sym(_EL @ V) + wl * _sym(_EM @ V) + vl * EmW + vm * ElW
                 + s * _sym(_EL @ _EM))
@@ -613,8 +653,11 @@ class GroupSpec:
         return _se3_blocks(R, hat3(g[..., :3, 3]) @ R)
 
     def coAd(self, g, mu):
-        """Dual of Ad: <coAd(g, mu), eta> == <mu, Ad(g, eta)>."""
-        return _mv(_mt(self.Ad_matrix(g)), mu)
+        """Dual of Ad: <coAd(g, mu), eta> == <mu, Ad(g, eta)>, the row vector
+        mu times Ad(g); on SO(3), Ad(g) is g itself."""
+        mu = np.asarray(mu, dtype=float)
+        A = np.asarray(g, dtype=float) if self.name == "SO3" else self.Ad_matrix(g)
+        return (mu[..., None, :] @ A)[..., 0, :]
 
     # -- retraction -------------------------------------------------------
 
@@ -654,12 +697,14 @@ class GroupSpec:
         return _so3_dexp_inv(xi) if self.name == "SO3" else _se3_dexp_inv(xi)
 
     def dtau_inv_deriv(self, xi):
-        """T with T[..., l, i, j] = d dtau_inv_matrix(xi)[..., i, j] / d xi_l:
-        the derivative index first, so T[..., l, :, :] is the derivative
-        along e_l."""
+        """(D, T): D = dtau_inv_matrix(xi), bitwise, and T with T[..., l, i, j]
+        = d D[..., i, j] / d xi_l, the derivative index first, so
+        T[..., l, :, :] is the derivative along e_l.  One kernel call forms
+        both from the same coefficients."""
         xi = np.asarray(xi, dtype=float)
         if self.name == "Rn":
-            return np.zeros(xi.shape[:-1] + (self.dim,) * 3)
+            return (_eye_like(xi.shape[:-1], self.dim),
+                    np.zeros(xi.shape[:-1] + (self.dim,) * 3))
         if self.retraction == CAYLEY:
             kernel = _so3_dcay_inv_deriv if self.name == "SO3" else _se3_dcay_inv_deriv
         else:
@@ -669,7 +714,7 @@ class GroupSpec:
     def dtau_inv_deriv2(self, xi):
         """T with T[..., l, m, i, j] = d^2 dtau_inv_matrix(xi)[..., i, j]
         / d xi_l d xi_m, symmetric in (l, m): the derivative indices first,
-        as in ``dtau_inv_deriv``."""
+        as in the T of ``dtau_inv_deriv``."""
         xi = np.asarray(xi, dtype=float)
         if self.name == "Rn":
             return np.zeros(xi.shape[:-1] + (self.dim,) * 4)

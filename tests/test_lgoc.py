@@ -165,6 +165,18 @@ def test_integrate_reduced_solves_the_momentum_equation(case, monkeypatch):
     assert np.max(np.abs(right[:-1] - left[1:])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("case", ["free body cay", "fast spin cay", "free body exp",
+                                  "fast spin exp"])
+def test_free_body_march_transports_the_momentum_exactly(case):
+    # mu_k is the momentum the step solved for: the free body carries
+    # mu_{k-1} over as coAd(tau(h xi_{k-1}), mu_{k-1}), to the last bit
+    system, g0, xi0, h, _ = _march_cases()[case]
+    _, xis, mus = lgoc.integrate_reduced(system, g0, xi0, h, 200)
+    group = system.group
+    for k in range(1, 200):
+        assert np.array_equal(mus[k], group.coAd(group.tau(h * xis[k - 1]), mus[k - 1]))
+
+
 @pytest.mark.parametrize("case", ["heavy top cay", "uuv exp"])
 def test_integrate_reduced_is_a_loop_of_dep_step(case):
     # the march hands step k the node's control covector (h/2) B (u^+_{k-1}
@@ -189,24 +201,37 @@ def test_integrate_reduced_is_a_loop_of_dep_step(case):
 
 
 def _updates_per_step(monkeypatch, march):
-    """The simplified Newton updates of each step of ``march()``: a step
-    evaluates dtau_inv at its start and after each update."""
+    """The simplified Newton updates of each step of ``march()``.  A step
+    evaluates dtau_inv at every point it visits except the last, where its
+    update converged: at its start by one dtau_inv_deriv call, after every
+    other update by a dtau_inv_matrix call.  So with no step handed to
+    newton, which is refused here, a step's updates are its kernel calls."""
     calls, per_step = [], []
-    dtau_inv = lie.GroupSpec.dtau_inv_matrix
 
-    def counted(self, xi):
-        calls.append(1)
-        return dtau_inv(self, xi)
+    def count(name):
+        original = getattr(lie.GroupSpec, name)
+
+        def counted(self, xi):
+            calls.append(name)
+            return original(self, xi)
+
+        monkeypatch.setattr(lie.GroupSpec, name, counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step fell back to newton")
 
     original = lgoc.dep_step
 
     def step(*args):
         calls.clear()
         out = original(*args)
-        per_step.append(len(calls) - 1)
+        assert calls[0] == "dtau_inv_deriv" and calls.count("dtau_inv_deriv") == 1
+        per_step.append(len(calls))
         return out
 
-    monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix", counted)
+    count("dtau_inv_matrix")
+    count("dtau_inv_deriv")
+    monkeypatch.setattr(lgoc, "newton", refused)
     monkeypatch.setattr(lgoc, "dep_step", step)
     march()
     return per_step
@@ -746,6 +771,35 @@ def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
     assert calls == [(8, 3)]
 
 
+@pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
+def test_jacobian_takes_dtau_inv_and_its_derivative_from_one_call(regime, monkeypatch):
+    # at z = h xi and at -z the build takes D and its derivative from one
+    # dtau_inv_deriv call each; the reconstruction border's dtau_inv(r) is
+    # its only dtau_inv_matrix call
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(17))
+    expected = system.jac(z)
+    calls = {"dtau_inv_matrix": [], "dtau_inv_deriv": []}
+
+    def count(name):
+        original = getattr(lie.GroupSpec, name)
+
+        def counted(self, xi):
+            calls[name].append(np.array(xi))
+            return original(self, xi)
+
+        monkeypatch.setattr(lie.GroupSpec, name, counted)
+
+    count("dtau_inv_matrix")
+    count("dtau_inv_deriv")
+    assert np.array_equal(system.jac(z), expected)
+    N, n = prob.N, prob.system.n
+    hxi = prob.h * z[: N * n].reshape(N, n)
+    assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [hxi.tolist(), (-hxi).tolist()]
+    assert [a.shape for a in calls["dtau_inv_matrix"]] == [(n,)]
+
+
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatch):
     # one build reconstructs the path once: the potential's chain and the
@@ -909,13 +963,13 @@ def test_residual_evaluates_the_interval_maps_once(regime, monkeypatch):
     assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
     xis, nus, lambdas = lgoc.initial_guess(prob)
     calls = []
-    original = lgoc.interval_momenta
+    original = lgoc._interval_maps
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lgoc, "interval_momenta", counted)
+    monkeypatch.setattr(lgoc, "_interval_maps", counted)
     lgoc.general_residual(prob, xis, nus, lambdas)
     assert len(calls) == 1
 
@@ -926,7 +980,8 @@ def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
     assert prob.system.n == {"underactuated": 3, "uuv exp": 6}[regime]
     xis, nus, lambdas = lgoc.initial_guess(prob)
     expected = lgoc.general_residual(prob, xis, nus, lambdas)
-    calls = {"dtau_inv_matrix": [], "Ad_matrix": [], "drift_values": []}
+    calls = {"dtau_inv_matrix": [], "dtau_inv_deriv": [], "Ad_matrix": [],
+             "drift_values": []}
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -938,13 +993,14 @@ def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(lie.GroupSpec, "dtau_inv_matrix")
+    count(lie.GroupSpec, "dtau_inv_deriv")
     count(lie.GroupSpec, "Ad_matrix")
     count(ReducedSystem, "drift_values")
     assert np.array_equal(lgoc.general_residual(prob, xis, nus, lambdas), expected)
     z = prob.h * xis
-    args = calls["dtau_inv_matrix"]
-    assert len(args) == 2
-    assert np.array_equal(args[0], z) and np.array_equal(args[1], -z)
+    # dtau_inv and its derivative at z from one call, dtau_inv alone at -z
+    assert len(calls["dtau_inv_deriv"]) == 1 and np.array_equal(calls["dtau_inv_deriv"][0], z)
+    assert len(calls["dtau_inv_matrix"]) == 1 and np.array_equal(calls["dtau_inv_matrix"][0], -z)
     assert len(calls["Ad_matrix"]) == 1
     if not prob.system.has_drift:
         # a drift is differenced by n column pairs; without one it is read once
@@ -963,7 +1019,8 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
     full = lgoc.general_residual(prob, xis, lgoc.eliminated_nus(prob, xis)[1:-1])
     assert np.array_equal(expected, np.concatenate([full[: (N - 1) * n],
                                                     full[2 * (N - 1) * n:]]))
-    calls = {"interval_momenta": [], "dtau_inv_matrix": [], "Ad_matrix": []}
+    calls = {"_interval_maps": [], "dtau_inv_matrix": [], "dtau_inv_deriv": [],
+             "Ad_matrix": []}
 
     def count(owner, name, nargs):
         original = getattr(owner, name)
@@ -974,14 +1031,14 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(lgoc, "interval_momenta", 3)
+    count(lgoc, "_interval_maps", 2)
     count(lie.GroupSpec, "dtau_inv_matrix", 2)
+    count(lie.GroupSpec, "dtau_inv_deriv", 2)
     count(lie.GroupSpec, "Ad_matrix", 2)
     assert np.array_equal(system.eval(z), expected)
-    assert len(calls["interval_momenta"]) == 1
-    args = calls["dtau_inv_matrix"]
-    assert len(args) == 2
-    assert np.array_equal(args[0], prob.h * xis) and np.array_equal(args[1], -prob.h * xis)
+    assert len(calls["_interval_maps"]) == 1
+    assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [(prob.h * xis).tolist()]
+    assert [a.tolist() for a in calls["dtau_inv_matrix"]] == [(-prob.h * xis).tolist()]
     assert len(calls["Ad_matrix"]) == 1
 
 

@@ -190,6 +190,38 @@ def test_chart_guard_near_half_turn(retraction):
         g.tau_inv(R)
 
 
+def test_cayley_chart_check_reads_the_trace():
+    # the Cayley chart check compares tr R with a bound instead of taking the
+    # rotation angle: it still raises on exactly the rotations whose angle
+    # arccos((tr R - 1) / 2) is beyond pi - _CHART_ANGLE_TOL.  Angles from
+    # pi - 1e-6 up to pi about eleven axes give traces on both sides of the
+    # bound, the bound itself and the float just above it among them
+    g = lie.so3(retraction=lie.CAYLEY)
+    rng = np.random.default_rng(32)
+    axes = rng.normal(size=(8, 3))
+    axes = np.vstack([np.eye(3), axes / np.linalg.norm(axes, axis=1, keepdims=True)])
+    offsets = np.concatenate([[0.0], np.geomspace(1e-10, 1e-6, 81)])
+    R = lie.so3(retraction=lie.EXPONENTIAL).tau(
+        (np.pi - offsets)[:, None, None] * axes[None, :, :]).reshape(-1, 3, 3)
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    limit = np.pi - lie._CHART_ANGLE_TOL
+    beyond = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)) > limit
+    bound, above = lie._CHART_TRACE, np.nextafter(lie._CHART_TRACE, 0.0)
+    assert np.arccos((bound - 1.0) / 2.0) > limit >= np.arccos((above - 1.0) / 2.0)
+    assert np.any(tr == bound) and np.any(tr == above)
+    assert beyond.any() and not beyond.all()
+    for rotation, out in zip(R, beyond):
+        if out:
+            with pytest.raises(OutOfChart):
+                g.tau_inv(rotation)
+        else:
+            assert np.all(np.isfinite(g.tau_inv(rotation)))
+    # a batch is out of the chart when one of its rotations is
+    with pytest.raises(OutOfChart):
+        g.tau_inv(R)
+    assert np.all(np.isfinite(g.tau_inv(R[~beyond])))
+
+
 def test_se3_chart_guard():
     ge = lie.se3(retraction=lie.EXPONENTIAL)
     near_half_turn = ge.tau(np.array([np.pi - 1e-12, 0.0, 0.0, 0.3, 0.0, 0.0]))
@@ -434,7 +466,7 @@ def test_dtau_inv_deriv_matches_central_difference(retraction):
         # the derivative index first: T[..., l, i, j] = d D_ij / d xi_l
         fd = np.stack([(g.dtau_inv_matrix(xi + step * e) - g.dtau_inv_matrix(xi - step * e))
                        / (2.0 * step) for e in np.eye(g.dim)], axis=-3)
-        T = g.dtau_inv_deriv(xi)
+        _, T = g.dtau_inv_deriv(xi)
         assert T.shape == (len(angles),) + (g.dim,) * 3
         assert np.max(np.abs(T - fd)) < 1e-8, (g.name, np.max(np.abs(T - fd)))
 
@@ -449,6 +481,21 @@ _CURVED = [lie.so3(lie.CAYLEY), lie.se3(lie.CAYLEY),
            lie.so3(lie.EXPONENTIAL), lie.se3(lie.EXPONENTIAL)]
 
 
+@pytest.mark.parametrize("g", [lie.real_n(4)] + _CURVED,
+                         ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_deriv_hands_back_dtau_inv_bitwise(g):
+    # the step start and the residual take D from the one dtau_inv_deriv
+    # call, so it must be the very matrix dtau_inv_matrix forms
+    rng = np.random.default_rng(26)
+    for shape in ((), (1,), (32,), (1024,)):
+        # angles on both sides of _SMALL_ANGLE and _SERIES_ANGLE
+        size = int(np.prod(shape))
+        xi = _angle_batch(rng, g, rng.uniform(0.0, 3.0, size=size)).reshape(shape + (g.dim,))
+        D, T = g.dtau_inv_deriv(xi)
+        assert D.shape == shape + (g.dim,) * 2 and T.shape == shape + (g.dim,) * 3
+        assert np.array_equal(D, g.dtau_inv_matrix(xi))
+
+
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
 def test_dtau_inv_deriv2_matches_central_difference(g):
     edge = lie._SMALL_ANGLE
@@ -457,7 +504,7 @@ def test_dtau_inv_deriv2_matches_central_difference(g):
     xi = _angle_batch(np.random.default_rng(24), g, angles)
     step = 1e-6
     # both derivative indices first: T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m
-    fd = np.stack([(g.dtau_inv_deriv(xi + step * e) - g.dtau_inv_deriv(xi - step * e))
+    fd = np.stack([(g.dtau_inv_deriv(xi + step * e)[1] - g.dtau_inv_deriv(xi - step * e)[1])
                    / (2.0 * step) for e in np.eye(g.dim)], axis=-3)
     T = g.dtau_inv_deriv2(xi)
     assert T.shape == (len(angles),) + (g.dim,) * 4
@@ -510,11 +557,27 @@ def test_dexp_inv_k_derivatives_keep_their_digits_above_the_small_angle():
     for th in angles:
         th2, small, th_safe = lie._angle(np.array([th, 0.0, 0.0]))
         k = lie._dexp_inv_k(th2, small, th_safe)
-        ddk = lie._dexp_inv_ddk(th2, th_safe, lie._dexp_inv_dk(th2, small, th_safe, k))
+        ddk = lie._dexp_inv_ddk(th2, th_safe, lie._dexp_inv_dk(th2, th_safe, k))
         dddk = lie._dexp_inv_dddk(th2, th_safe, ddk)
         for order, value in ((2, ddk), (3, dddk)):
             exact = series(th2, order)
             assert abs(value - exact) <= 1e-12 * exact, (th, order, value / exact - 1.0)
+
+
+def test_dexp_inv_dk_keeps_its_digits():
+    # k'/th, which every exp dtau_inv_deriv and the SE(3) exp dtau_inv_matrix
+    # use: its closed form kept only about 12 digits just above _SMALL_ANGLE
+    # (8.8e-13 relative at th = 0.5).  From 0 to 3, across both thresholds
+    edge, series_edge = lie._SMALL_ANGLE, lie._SERIES_ANGLE
+    angles = np.concatenate([np.linspace(0.0, 3.0, 121), [
+        1e-9, np.nextafter(edge, 0.0), edge, np.nextafter(series_edge, 0.0), series_edge,
+        np.nextafter(series_edge, 3.0)]])
+    series = _k_series_derivatives()
+    for th in angles:
+        th2, small, th_safe = lie._angle(np.array([th, 0.0, 0.0]))
+        dk = lie._dexp_inv_dk(th2, th_safe, lie._dexp_inv_k(th2, small, th_safe))
+        exact = series(th2, 1)
+        assert abs(dk - exact) <= 1e-13 * exact, (th, dk / exact - 1.0)
 
 
 def test_dtau_inv_deriv2_vanishes_on_the_abelian_group():

@@ -325,8 +325,10 @@ def cmd_solve(args):
     if failed is not None:
         log.error("solve failed: %s", failed)
         return 2
-    log.info("solved in %d iterations, residual %.3e, cost %.6f",
-             sol.report.iterations, sol.report.residual_norm, sol.cost)
+    log.info("solved in %d iterations (%d residual and %d Jacobian "
+             "evaluations), residual %.3e, cost %.6f", sol.report.iterations,
+             sol.report.residual_evaluations, sol.report.jacobian_evaluations,
+             sol.report.residual_norm, sol.cost)
     return 0 if converged else 2
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -392,8 +393,26 @@ def test_nonconvergence_still_writes_artifacts(tmp_path):
     assert cli.main(["solve", cfg, "--out", out]) == 2
     report = read_report(out)
     assert report["converged"] is False
+    # the failed attempt's calls: a Jacobian per iteration, and at least one
+    # residual per iteration past the first evaluation
+    assert report["jacobian_evaluations"] == report["iterations"] == 3
+    assert report["residual_evaluations"] >= report["iterations"] + 1
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "controls.csv"))
+
+
+def test_solve_logs_its_residual_and_jacobian_evaluations(tmp_path, caplog):
+    cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
+    out = str(tmp_path / "out")
+    caplog.set_level(logging.INFO, logger="discvar")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    report = read_report(out)
+    assert report["method"] == "newton"
+    assert report["jacobian_evaluations"] == report["iterations"] > 0
+    assert report["residual_evaluations"] >= report["iterations"] + 1
+    assert (f"solved in {report['iterations']} iterations "
+            f"({report['residual_evaluations']} residual and "
+            f"{report['jacobian_evaluations']} Jacobian evaluations)") in caplog.text
 
 
 def test_point_mass_honours_solver_method(tmp_path):
@@ -434,6 +453,8 @@ def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
     report = read_report(out)
     assert report["converged"] is False
     assert report["method"] == "newton"
+    # Newton evaluated z0, then stopped at its first Jacobian
+    assert report["residual_evaluations"] == report["jacobian_evaluations"] == 1
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "controls.csv"))
 

@@ -1209,6 +1209,33 @@ def test_underactuated_auto_solve_is_one_newton_attempt(root_finder_log):
     assert auto.cost == newton_.cost
 
 
+def test_underactuated_newton_takes_the_halving_steps_in_fewer_evaluations(monkeypatch):
+    # the underactuated benchmark's test target: the line search accepts the
+    # steps plain step halving accepts, so the residual history is the
+    # frozen loop's, in 38 residual evaluations (halving makes 64); 10 of
+    # them are one step's, where the model names j = 10 and the first pass
+    # is j = 11, so the search halves from j = 1
+    from test_solvers import frozen_newton
+
+    calls = []
+    general_residual = lgoc.general_residual
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return general_residual(*args, **kwargs)
+
+    monkeypatch.setattr(lgoc, "general_residual", counted)
+    prob = under_target_problem()
+    sol = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
+    assert sol.report.method == "newton" and sol.report.converged
+    assert sol.report.residual_evaluations == len(calls) <= 38
+    assert sol.report.jacobian_evaluations == sol.report.iterations
+    monkeypatch.setattr(lgoc, "newton", frozen_newton)
+    frozen = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
+    assert sol.report.residual_history == frozen.report.residual_history
+    assert np.array_equal(sol.xis, frozen.xis) and sol.cost == frozen.cost
+
+
 def test_solve_runs_the_module_root_finders(root_finder_log):
     log = root_finder_log(lgoc)
     prob = rigid_body_problem()

@@ -369,24 +369,40 @@ def frozen_lm(system, x0, tol=1e-9, max_iter=200, lam0=1e-3, lam_max=1e14):
 
 
 def _recorded(dim, fun, jacobian=None):
-    """A system that logs every point it is evaluated at, in order.  Without
-    ``jacobian`` its Jacobian is the central difference of the logged
-    residual."""
-    points = []
+    """A system that logs its calls, in order.  ``log.points`` holds every
+    point its residual is evaluated at, a central-difference Jacobian's
+    included; ``log.calls`` holds the root-finder's own calls, ("eval", x,
+    F(x)) and ("jac", x, J(x)).  Without ``jacobian`` its Jacobian is the
+    central difference of the logged residual."""
+    log = SimpleNamespace(points=[], calls=[])
+    in_jacobian = []
 
     def eval_(x):
-        points.append(np.array(x, dtype=float))
-        return fun(x)
+        x = np.array(x, dtype=float)
+        f = fun(x)
+        log.points.append(x)
+        if not in_jacobian:
+            log.calls.append(("eval", x, np.array(f, dtype=float)))
+        return f
 
     if jacobian is None:
         def jacobian(x):
             return fd_jacobian(eval_, x)
 
-    return ResidualSystem(dim, eval_, jacobian=jacobian), points
+    def jacobian_(x):
+        in_jacobian.append(True)
+        try:
+            J = jacobian(x)
+        finally:
+            in_jacobian.pop()
+        log.calls.append(("jac", np.array(x, dtype=float), np.array(J, dtype=float)))
+        return J
+
+    return ResidualSystem(dim, eval_, jacobian=jacobian_), log
 
 
 def _run(solver, make_system, x0, **kw):
-    system, points = make_system()
+    system, log = make_system()
     try:
         x, report = solver(system, x0, **kw)
         outcome = ("ok", x)
@@ -394,11 +410,16 @@ def _run(solver, make_system, x0, **kw):
         x, report = None, exc.report
         fields = {k: v for k, v in vars(exc).items() if k != "report"}
         outcome = (type(exc).__name__, fields, str(exc))
-    return outcome, report, points
+    return outcome, report, log
 
 
-def _assert_same(a, b):
-    (out_a, rep_a, pts_a), (out_b, rep_b, pts_b) = a, b
+COUNTERS = ("residual_evaluations", "jacobian_evaluations")
+
+
+def _assert_same_outcome(a, b):
+    """The same outcome and report, but for the call counters, which the
+    frozen loops do not keep."""
+    (out_a, rep_a, _), (out_b, rep_b, _) = a, b
     assert out_a[0] == out_b[0]
     if out_a[0] == "ok":
         assert np.array_equal(out_a[1], out_b[1])
@@ -407,9 +428,51 @@ def _assert_same(a, b):
         assert out_a[1].keys() == out_b[1].keys()
         for key in out_a[1]:
             assert np.array_equal(out_a[1][key], out_b[1][key]), key
-    assert rep_a.as_dict() == rep_b.as_dict()
+    dict_a, dict_b = rep_a.as_dict(), rep_b.as_dict()
+    for key in COUNTERS:
+        del dict_a[key], dict_b[key]
+    assert dict_a == dict_b
+
+
+def _assert_same(a, b):
+    _assert_same_outcome(a, b)
+    pts_a, pts_b = a[2].points, b[2].points
     assert len(pts_a) == len(pts_b)
     assert all(np.array_equal(p, q) for p, q in zip(pts_a, pts_b))
+
+
+def _assert_on_the_frozen_grid(new, frozen, max_backtrack):
+    """``new`` takes its Jacobians where the frozen Newton loop does, and
+    every point it evaluates is x_0 or x_i + 2^-j dx_i, 0 <= j <=
+    ``max_backtrack``, on the frozen loop's iterates x_i and Newton
+    directions dx_i."""
+    def iterations(log):
+        # (x_i, J(x_i), the last evaluation before the Jacobian at x_i, the
+        # evaluations after it)
+        out, last = [], None
+        for kind, x, value in log.calls:
+            if kind == "jac":
+                out.append((x, value, last, []))
+            else:
+                last = (x, value)
+                if out:
+                    out[-1][3].append(x)
+        return out
+
+    assert new.calls[0][0] == frozen.calls[0][0] == "eval"
+    assert np.array_equal(new.calls[0][1], frozen.calls[0][1])
+    new_its, frozen_its = iterations(new), iterations(frozen)
+    assert len(new_its) == len(frozen_its)
+    grid = 0.5 ** np.arange(max_backtrack + 1)
+    for (x, J, _, points), (x_f, J_f, (last, f_f), _) in zip(new_its, frozen_its):
+        # the frozen loop evaluates last the step it accepts
+        assert np.array_equal(last, x_f)
+        assert np.array_equal(x, x_f) and np.array_equal(J, J_f)
+        if not points:  # a singular Jacobian ends the loop at x_f
+            continue
+        dx = np.linalg.solve(J_f, -f_f)
+        for p in points:
+            assert any(np.array_equal(p, x_f + alpha * dx) for alpha in grid)
 
 
 def _rosenbrock():
@@ -458,7 +521,22 @@ LM_CASES = {
 def test_newton_matches_the_frozen_loop(case):
     make_system, x0, kw = NEWTON_CASES[case]
     new = _run(newton, make_system, x0, **kw)
-    _assert_same(new, _run(frozen_newton, make_system, x0, **kw))
+    frozen = _run(frozen_newton, make_system, x0, **kw)
+    _assert_same_outcome(new, frozen)
+    # the line search tries the frozen loop's step lengths in another
+    # order, and skips some of them
+    _assert_on_the_frozen_grid(new[2], frozen[2], kw.get("max_backtrack", 30))
+    n_new, n_frozen = len(new[2].calls), len(frozen[2].calls)
+    assert n_new <= n_frozen
+    if case in ("converges", "out of budget"):
+        assert n_new < n_frozen
+    if case == "converges after backtracking":
+        # arctan overshoots to |F1| near |F0|: the model names j = 1, the
+        # first pass is j = 2 or 3, and the search halves as the frozen loop
+        assert n_new == n_frozen
+    if case == "stalls in backtracking":
+        # max_backtrack=0: the full step alone, as in the frozen loop
+        _assert_same(new, frozen)
     expected = {"converges": "ok", "converges after backtracking": "ok",
                 "stalls in backtracking": "NoConvergence",
                 "singular": "SingularJacobian", "out of budget": "NoConvergence",
@@ -472,6 +550,104 @@ def test_levenberg_marquardt_matches_the_frozen_loop(case):
     new = _run(levenberg_marquardt, make_system, x0, **kw)
     _assert_same(new, _run(frozen_lm, make_system, x0, **kw))
     assert new[0][0] == ("ok" if case == "converges" else "NoConvergence")
+
+
+@pytest.mark.parametrize("solver, case", [(newton, case) for case in NEWTON_CASES]
+                         + [(levenberg_marquardt, case) for case in LM_CASES])
+def test_report_counts_the_calls_of_the_system(solver, case):
+    # the reports NoConvergence and SingularJacobian carry count them too
+    make_system, x0, kw = (NEWTON_CASES if solver is newton else LM_CASES)[case]
+    _, report, log = _run(solver, make_system, x0, **kw)
+    kinds = [kind for kind, _, _ in log.calls]
+    assert report.residual_evaluations == kinds.count("eval")
+    assert report.jacobian_evaluations == kinds.count("jac")
+    payload = report.as_dict()
+    assert {key: payload[key] for key in COUNTERS} == {
+        "residual_evaluations": kinds.count("eval"),
+        "jacobian_evaluations": kinds.count("jac")}
+
+
+def _cubic(seed):
+    """F(x) = A x + (C x)^3 - b, cubed entrywise, with a root at a normal
+    draw r, started at r plus a draw ten times larger: n = 3 for seeds
+    below 20, else 6."""
+    rng = np.random.default_rng(seed)
+    n = 3 if seed < 20 else 6
+    A, C = rng.normal(size=(2, n, n))
+    root = rng.normal(size=n)
+    b = A @ root + (C @ root) ** 3
+
+    def fun(x):
+        return A @ x + (C @ x) ** 3 - b
+
+    def jacobian(x):
+        return A + 3.0 * (C @ x)[:, None] ** 2 * C
+
+    return fun, jacobian, root + 10.0 * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_newton_matches_the_frozen_loop_on_random_cubics(seed):
+    # at seed 15 one step's passing grid points are not an up-set (j = 3
+    # passes, 4 to 6 fail, 7 on pass) and the model names j = 5: the search
+    # halves from j = 1 and takes j = 3, as the frozen loop does
+    fun, jacobian, x0 = _cubic(seed)
+    make_system = lambda: _recorded(len(x0), fun, jacobian)
+    new = _run(newton, make_system, x0, tol=1e-10)
+    frozen = _run(frozen_newton, make_system, x0, tol=1e-10)
+    _assert_same_outcome(new, frozen)
+    _assert_on_the_frozen_grid(new[2], frozen[2], 30)
+
+
+def _first_iteration_points(log):
+    jacs = [i for i, (kind, _, _) in enumerate(log.calls) if kind == "jac"]
+    return [x for _, x, _ in log.calls[jacs[0] + 1:jacs[1]]]
+
+
+def _clipped(big):
+    """F(x) = x on |x| < 10 and ``big`` beyond, with the Jacobian 0.1, so
+    the Newton step is -10 x: from x = 2 the full step lands at -18."""
+    def fun(x):
+        return np.where(np.abs(x) < 10.0, x, big)
+
+    return lambda: _recorded(1, fun, jacobian=lambda x: np.array([[0.1]]))
+
+
+def test_newton_halves_from_the_first_grid_point_after_a_non_finite_full_step():
+    x0 = np.array([2.0])
+    new = _run(newton, _clipped(np.nan), x0)
+    _assert_same_outcome(new, _run(frozen_newton, _clipped(np.nan), x0))
+    assert new[0][0] == "ok"
+    # F(x0 + dx) is nan: no model, so 1, 1/2, 1/4 and 1/8 in turn, and
+    # 1/8, the first that lowers the residual, is taken
+    points = _first_iteration_points(new[2])
+    assert np.array_equal(np.concatenate(points), x0 - 20.0 * 0.5 ** np.arange(4))
+
+
+@pytest.mark.parametrize("exponent", np.arange(0.5, 20.0))
+def test_newton_line_search_costs_log_j_more_than_halving_when_the_model_is_far_off(exponent):
+    # from x = 2 the full step lands at -18, where F = -big, so the model
+    # names j of 2 to 30 (j = 30 at big 3e19), while the first pass is j = 3
+    big = 10.0 ** exponent
+    x0 = np.array([2.0])
+    new = _run(newton, _clipped(-big), x0)
+    frozen = _run(frozen_newton, _clipped(-big), x0)
+    _assert_same_outcome(new, frozen)
+    j = solvers._first_model_decrease(np.array([2.0]), np.array([-big]), 0.5 ** np.arange(31))
+    excess = len(_first_iteration_points(new[2])) - len(_first_iteration_points(frozen[2]))
+    assert excess <= 2.0 * np.log2(j)
+
+
+def test_newton_line_search_warns_of_no_overflow():
+    # ||F(x0 + dx)||^2 = 1e400 overflows; RuntimeWarnings are errors here
+    x0 = np.array([2.0])
+    new = _run(newton, _clipped(1e200), x0)
+    with np.errstate(over="ignore"):
+        frozen = _run(frozen_newton, _clipped(1e200), x0)
+    _assert_same_outcome(new, frozen)
+    _assert_on_the_frozen_grid(new[2], frozen[2], 30)
+    assert new[0][0] == "ok"
+    assert np.array_equal(new[2].calls[2][1], [-18.0])
 
 
 def test_linalg_error_in_the_residual_propagates():

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -482,13 +482,13 @@ def action_sum(problem, xis, nus, lambdas=None, gs=None):
     return float(np.sum(vals))
 
 
-def _xi_gradients(problem, xis, z, D, T3, A, mu, c_minus, c_plus, Jd, T=None):
+def _xi_gradients(problem, xis, D, T3, A, mu, c_minus, c_plus, Jd, T):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
-    the drift d(h xi); D = dtau_inv(z) and its derivative T3 come from one
-    ``dtau_inv_deriv`` call, A = Ad(W) from ``_interval_maps``, and Jd
-    from ``_drift_jacobians``; T = dtau_matrix(z) is computed unless given.
+    the drift d(z), z = h xi; D = dtau_inv(z) and its derivative T3 come from one
+    ``dtau_inv_deriv`` call, A = Ad(W) from ``_interval_maps``, Jd from
+    ``_drift_jacobians`` and T = dtau_matrix(z).
     ``c_minus`` and ``c_plus`` are the term's derivatives in mu and in the
     transport; its derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
@@ -499,8 +499,6 @@ def _xi_gradients(problem, xis, z, D, T3, A, mu, c_minus, c_plus, Jd, T=None):
     sys_ = problem.system
     group = sys_.group
     h = problem.h
-    if T is None:
-        T = group.dtau_matrix(z)
     e_plus = _mv(A, c_plus)
     e = c_minus + e_plus
     out = _mv(D, e) @ sys_.inertia
@@ -628,7 +626,47 @@ def _nus(problem, xis, nus_interior, maps):
     return _full_nus(problem, np.asarray(nus_interior, dtype=float))
 
 
-def general_residual(problem, xis, nus_interior, lambdas=None):
+class _IntervalPass(NamedTuple):
+    """The terms ``general_residual`` and ``_jacobian_blocks`` share at one
+    point (``_interval_pass``)."""
+
+    maps: tuple             # (z, W, mu, transported, D, A) of _interval_maps
+    T3: np.ndarray          # dD/dz, from the dtau_inv_deriv call that gave D
+    T: np.ndarray           # dtau_matrix(z)
+    gs: np.ndarray          # the path g_0..g_N
+    um: np.ndarray
+    up: np.ndarray
+    phi_m: np.ndarray
+    phi_p: np.ndarray
+    c_minus: np.ndarray
+    c_plus: np.ndarray
+    Jd: Optional[np.ndarray]  # _drift_jacobians
+    gxi: np.ndarray         # _xi_gradients
+
+
+def _interval_pass(problem, xis, nus_interior, lambdas):
+    """The interval pass at (xis, nus_interior, lambdas): z = h xi, D and
+    its derivative from one ``dtau_inv_deriv`` call, the interval maps, the
+    node momenta (``_nus``), the path, the potential's node gradients, the
+    interval covectors, the drift Jacobians, dtau(z) and the xi-gradients.
+    No array in it aliases xis, nus_interior or lambdas, so a stored pass
+    outlives later writes to the caller's buffers."""
+    sys_ = problem.system
+    group, h = sys_.group, problem.h
+    z = h * xis
+    D, T3 = group.dtau_inv_deriv(z)
+    maps = _interval_maps(sys_, xis, z, D)
+    nus = _nus(problem, xis, nus_interior, maps)
+    gs = reconstruct(group, problem.g0, h, xis, maps[1])
+    um, up, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
+        problem, xis, nus, lambdas, maps, _node_grads(sys_, gs))
+    Jd = _drift_jacobians(sys_, z)
+    T = group.dtau_matrix(z)
+    gxi = _xi_gradients(problem, xis, D, T3, maps[5], maps[2], c_minus, c_plus, Jd, T)
+    return _IntervalPass(maps, T3, T, gs, um, up, phi_m, phi_p, c_minus, c_plus, Jd, gxi)
+
+
+def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=None):
     """Optimality system for the momentum-space formulation.
 
     Blocks, in order:
@@ -639,24 +677,21 @@ def general_residual(problem, xis, nus_interior, lambdas=None):
 
     ``nus_interior`` None stands for the eliminated momenta of
     ``eliminated_nus``, taken from the same interval maps as the rest.
+    ``interval_pass`` is the ``_interval_pass`` at this point when the
+    caller has formed it (``residual_system``); it is formed here otherwise.
     """
     sys_ = problem.system
     group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
-    z = h * xis
-    Dp, T3 = group.dtau_inv_deriv(z)
-    maps = _interval_maps(sys_, xis, z, Dp)
-    nus = _nus(problem, xis, nus_interior, maps)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
-    gs = reconstruct(group, problem.g0, h, xis, maps[1])
-
-    _, _, mu, _, _, A = maps
-    _, _, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
-        problem, xis, nus, lambdas, maps, _node_grads(sys_, gs))
-    gxi = _xi_gradients(problem, xis, z, Dp, T3, A, mu, c_minus, c_plus,
-                        _drift_jacobians(sys_, z))
+    if interval_pass is None:
+        interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
+    z, _, _, _, Dp, _ = interval_pass.maps
+    gs, gxi = interval_pass.gs, interval_pass.gxi
+    phi_m, phi_p = interval_pass.phi_m, interval_pass.phi_p
+    c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
     Dm = group.dtau_inv_matrix(-z)
     pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
     pulled_here = _mv(_mt(Dp), gxi)   # contribution of interval k at node k
@@ -827,42 +862,36 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     return H, Mxi, Txi
 
 
-def _jacobian_blocks(problem, xis, nus_interior, lambdas):
+def _jacobian_blocks(problem, xis, interval_pass):
     """Every interval's block of the residual Jacobian, from one batched pass.
 
-    Returns (O, curvature, dmu/dxi, d transport/dxi, gs, dtau(z)).  O[k] has
-    the rows (velocity row at node k, momentum row at node k, complement rows
-    of interval k, velocity and momentum rows at node k+1) and the columns
-    (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where s_j moves g_j to
-    g_j tau(s_j).  The velocity rows pull the xi-gradient back through
-    dtau_inv(-+h xi_k) and add the potential's Hessians times the weights
-    (h/2)(c_minus_k - c_plus_{k-1}); G_k enters interval k beside nu_k, so
-    its columns are those of nu_k times -+(h/2) H(g_k).  ``curvature``
-    (None without a potential) holds, per interior node, the derivative of
-    the Hessian term in s_j (``_potential_curvature``).
+    ``interval_pass`` is the ``_interval_pass`` at the point, which the
+    residual there shares.  Returns (O, curvature, dmu/dxi, d transport/dxi).
+    O[k] has the rows (velocity row at node k, momentum row at node k,
+    complement rows of interval k, velocity and momentum rows at node k+1)
+    and the columns (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where
+    s_j moves g_j to g_j tau(s_j).  The velocity rows pull the xi-gradient
+    back through dtau_inv(-+h xi_k), the one at -h xi_k with its derivative
+    from one ``dtau_inv_deriv`` call, and add the potential's Hessians
+    times the weights (h/2)(c_minus_k - c_plus_{k-1}); G_k enters interval
+    k beside nu_k, so its columns are those of nu_k times -+(h/2) H(g_k).
+    ``curvature`` (None without a potential) holds, per interior node, the
+    derivative of the Hessian term in s_j (``_potential_curvature``).
     """
     sys_ = problem.system
     group, h, N, n = sys_.group, problem.h, problem.N, sys_.n
     s = n - sys_.m
-    z = h * xis
-    D, T3 = group.dtau_inv_deriv(z)
-    maps = _interval_maps(sys_, xis, z, D)
-    _, _, mu, _, _, A = maps
-    nus = _nus(problem, xis, nus_interior, maps)
-    gs = reconstruct(group, problem.g0, h, xis, maps[1])
-    grads = _node_grads(sys_, gs)
-    um, up, _, _, c_minus, c_plus = _interval_covectors(problem, xis, nus, lambdas, maps, grads)
-    Jd = _drift_jacobians(sys_, z)
-    T = group.dtau_matrix(z)
-    gxi = _xi_gradients(problem, xis, z, D, T3, A, mu, c_minus, c_plus, Jd, T=T)
-    H, Mxi, Txi = _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus,
-                                     c_plus, Jd)
+    p = interval_pass
+    z, _, _, _, D, _ = p.maps
+    T3, gs, gxi, c_minus, c_plus = p.T3, p.gs, p.gxi, p.c_minus, p.c_plus
+    H, Mxi, Txi = _interval_hessians(problem, xis, p.maps, T3, p.T, p.um, p.up,
+                                     c_minus, c_plus, p.Jd)
     Dm, T3m = group.dtau_inv_deriv(-z)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     Hs = np.zeros((N + 1, n, n))
     curvature = None
-    if grads is not None:
+    if sys_.potential is not None:
         Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
         curvature = _potential_curvature(sys_, gs[1:N],
                                          (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
@@ -882,7 +911,12 @@ def _jacobian_blocks(problem, xis, nus_interior, lambdas):
     O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
     O[:, :, n : 2 * n] = -Oy[:, :, nu_a] @ Ha
     O[:, :, 4 * n + 2 * s :] = Oy[:, :, nu_b] @ Hb
-    return O, curvature, Mxi, Txi, gs, T
+    return O, curvature, Mxi, Txi
+
+
+# the interval passes a residual system keeps for its next Jacobian build: a
+# root-finder builds at the point it accepted, one of its last evaluations
+_KEPT_PASSES = 4
 
 
 def residual_system(problem):
@@ -914,6 +948,16 @@ def residual_system(problem):
     closed form), and the Hessian of a potential without ``left_hess`` and
     its third derivative along one direction without ``left_curvature``.
     No residual is evaluated.
+
+    The residual and the Jacobian at a point share its ``_interval_pass``
+    (the interval maps, the path, the covectors, the xi-gradients and the
+    tangent maps they read).  ``eval`` keeps the passes of the last
+    _KEPT_PASSES points it evaluated, keyed by the bytes of z, and hands
+    each to ``general_residual``; a build takes the pass stored for its z,
+    forms one at a point not stored, and empties the store.  A root-finder
+    builds its Jacobian at the point it last accepted, one of its last few
+    evaluations, and an oracle that evaluates many points holds at most
+    _KEPT_PASSES passes.
     """
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
@@ -931,9 +975,16 @@ def residual_system(problem):
         cols += [units(1, n, 0, b), units(0, 2 * s, 3 * n, b)]
     keep = np.ix_(np.concatenate(cols), np.concatenate(rows))
 
+    # (z.tobytes(), _interval_pass) of the points evaluated since the last
+    # Jacobian build, newest first
+    passes = []
+
     def residual(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        res = general_residual(problem, xis, nus_interior, lambdas)
+        interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
+        passes.insert(0, (z.tobytes(), interval_pass))
+        del passes[_KEPT_PASSES:]
+        res = general_residual(problem, xis, nus_interior, lambdas, interval_pass)
         if not eliminated:
             return res
         # node-momentum stationarity vanishes identically under the elimination
@@ -941,7 +992,13 @@ def residual_system(problem):
 
     def jacobian(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        O, curvature, Mxi, Txi, gs, T = _jacobian_blocks(problem, xis, nus_interior, lambdas)
+        key = z.tobytes()
+        interval_pass = next((p for k, p in passes if k == key), None)
+        passes.clear()
+        if interval_pass is None:
+            interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
+        O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass)
+        gs = interval_pass.gs
         # the transpose: the column chains below then run along whole rows
         Jt = np.zeros(((N + 1) * b, (N + 1) * a))
         Ot = _mt(O)
@@ -954,7 +1011,7 @@ def residual_system(problem):
         V[k + 1, : 2 * n, k, :] += Ot[:, b:, :a]
         V[k + 1, : 2 * n, k + 1, : 2 * n] += Ot[:, b:, a:]
         columns = Jt.reshape(N + 1, b, -1)
-        Ainv, P = _sensitivities(group, h, xis, gs, T=T)
+        Ainv, P = _sensitivities(group, h, xis, gs, T=interval_pass.T)
         if curvature is not None:
             j = k[1:]
             V[j, n : 2 * n, j, :n] += _mt(curvature)

@@ -274,7 +274,7 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
         JtJ = J.T @ J
         g = J.T @ f
         scale = np.maximum(np.diag(JtJ), 1e-12)
-        cost = 0.5 * np.dot(f, f)
+        cost = 0.5 * _sumsq(f)
         while lam <= lam_max:
             try:
                 dx = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
@@ -283,7 +283,7 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
                 continue
             x_new = x + dx
             f_new = _evaluate(system, x_new, report)
-            if np.all(np.isfinite(f_new)) and 0.5 * np.dot(f_new, f_new) < cost:
+            if np.all(np.isfinite(f_new)) and 0.5 * _sumsq(f_new) < cost:
                 lam = max(lam / 10.0, 1e-14)
                 return x_new, f_new
             lam *= 10.0

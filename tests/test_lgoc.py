@@ -752,10 +752,14 @@ def test_sensitivities_match_differences_of_reconstruct(regime):
 
 @pytest.mark.parametrize("actuated", [(0, 1, 2), (0, 1)], ids=["full", "under"])
 def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
-    # the reconstruction reuses the tau(h xi) the interval maps formed
+    # the reconstruction reuses the tau(h xi) the interval maps formed, and
+    # a build at an evaluated point reuses that point's interval pass: no
+    # tau there, one at a point not evaluated
     prob = rigid_body_problem(actuated=actuated, N=8)
     system, eliminate = lgoc.residual_system(prob)
-    z = _random_point(prob, eliminate, np.random.default_rng(16))
+    rng = np.random.default_rng(16)
+    z = _random_point(prob, eliminate, rng)
+    cold = _random_point(prob, eliminate, rng)
     calls = []
     tau = lie.GroupSpec.tau
 
@@ -768,7 +772,92 @@ def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
     assert calls == [(8, 3)]
     calls.clear()
     system.jac(z)
+    assert calls == []
+    system.jac(cold)
     assert calls == [(8, 3)]
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_jacobian_at_an_evaluated_point_is_the_cold_jacobian(regime):
+    # eliminated, potential, callable drift and underactuated alike: the
+    # build that reuses the residual's interval pass gives the same bits
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    rng = np.random.default_rng(18)
+    for _ in range(2):
+        z = _random_point(prob, eliminate, rng)
+        cold = system.jac(z)
+        system.eval(z)
+        assert np.array_equal(system.jac(z), cold)
+
+
+@pytest.mark.parametrize("root_finder", ["newton", "levenberg_marquardt"])
+def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch):
+    # every Jacobian build is at a point the root-finder has evaluated, so
+    # it reuses that point's pass: dtau_inv_deriv runs at h xi once per
+    # residual evaluation, and at -h xi once per build
+    prob = under_target_problem()
+    system, eliminate = lgoc.residual_system(prob)
+    N, n, h = prob.N, prob.system.n, prob.h
+    evaluated, calls = set(), []
+    deriv = lie.GroupSpec.dtau_inv_deriv
+
+    def counted(self, xi):
+        calls.append(np.array(xi).tobytes())
+        return deriv(self, xi)
+
+    def recorded(z):
+        evaluated.add((h * z[: N * n].reshape(N, n)).tobytes())
+        return system.eval(z)
+
+    monkeypatch.setattr(lie.GroupSpec, "dtau_inv_deriv", counted)
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+    try:
+        _, report = getattr(lgoc, root_finder)(
+            dataclasses.replace(system, eval=recorded), z0, tol=1e-7, max_iter=12)
+    except NoConvergence as exc:
+        report = exc.report
+    assert report.jacobian_evaluations >= 10
+    at_h_xi = [arg for arg in calls if arg in evaluated]
+    assert len(at_h_xi) == report.residual_evaluations
+    assert len(calls) == report.residual_evaluations + report.jacobian_evaluations
+
+
+def test_interval_pass_store_is_bounded(monkeypatch):
+    # a build finds the pass of a point among the last _KEPT_PASSES
+    # evaluated, and forms its own once more points have been evaluated
+    # since, so an oracle differencing ``eval`` holds a bounded store; every
+    # build empties the store
+    prob = under_target_problem()
+    system, eliminate = lgoc.residual_system(prob)
+    rng = np.random.default_rng(19)
+    first = _random_point(prob, eliminate, rng)
+    others = [_random_point(prob, eliminate, rng) for _ in range(lgoc._KEPT_PASSES)]
+    expected = system.jac(first)
+    formed = []
+    interval_pass = lgoc._interval_pass
+
+    def counted(*args):
+        formed.append(1)
+        return interval_pass(*args)
+
+    monkeypatch.setattr(lgoc, "_interval_pass", counted)
+
+    def builds_formed(after):
+        system.eval(first)
+        for z in after:
+            system.eval(z)
+        formed.clear()
+        assert np.array_equal(system.jac(first), expected)
+        return len(formed)
+
+    assert builds_formed(others[:-1]) == 0
+    assert builds_formed(others) == 1
+    system.eval(first)
+    system.jac(first)
+    formed.clear()
+    system.jac(first)
+    assert len(formed) == 1
 
 
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])

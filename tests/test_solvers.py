@@ -650,6 +650,19 @@ def test_newton_line_search_warns_of_no_overflow():
     assert np.array_equal(new[2].calls[2][1], [-18.0])
 
 
+def test_levenberg_marquardt_warns_of_no_overflow():
+    # LM's first trial lands near -18, where F = 1e200 squares past the
+    # float range; RuntimeWarnings are errors here.  The trial's half
+    # squared norm reads inf, so LM raises its damping as the frozen loop does
+    x0 = np.array([2.0])
+    new = _run(levenberg_marquardt, _clipped(1e200), x0)
+    with np.errstate(over="ignore"):
+        frozen = _run(frozen_lm, _clipped(1e200), x0)
+    _assert_same(new, frozen)
+    assert new[0][0] == "ok"
+    assert new[2].calls[2][2][0] == 1e200
+
+
 def test_linalg_error_in_the_residual_propagates():
     # only a failed linear solve is a singular Jacobian; a residual that
     # raises LinAlgError itself is the caller's error

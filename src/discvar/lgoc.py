@@ -57,20 +57,13 @@ from .errors import (
     SingularJacobian,
     StepSolveFailed,
 )
+from .lie import mt, mv
 from .solvers import (
     ResidualSystem,
     central_difference,
     levenberg_marquardt,
     newton,
 )
-
-def _mt(A):
-    return np.swapaxes(A, -1, -2)
-
-
-def _mv(A, x):
-    return np.einsum("...ij,...j->...i", A, x)
-
 
 # ---------------------------------------------------------------------------
 # system and problem containers
@@ -238,8 +231,8 @@ def _interval_maps(system, xis, z, D):
     group = system.group
     W = group.tau(z)
     A = group.Ad_matrix(W)
-    mu = _mv(_mt(D), xis @ system.inertia.T)
-    return z, W, mu, _mv(_mt(A), mu), D, A
+    mu = mv(mt(D), xis @ system.inertia.T)
+    return z, W, mu, mv(mt(A), mu), D, A
 
 
 def _node_grads(system, gs):
@@ -336,7 +329,7 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
 
     def jacobian(xi, D, T):
         # (I xi)_j dD_ji/dz_l: one matmul over the stack T[l] = dD/dz_l
-        J = _mt(D) @ inertia + h * _mt((inertia @ xi) @ T)
+        J = mt(D) @ inertia + h * mt((inertia @ xi) @ T)
         if system.has_drift:
             J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
         return J
@@ -424,14 +417,18 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
 
 def reconstruct(group, g0, h, xis, W=None):
     """Configurations g_0..g_N from interval velocities; ``W`` is their
-    tau(h xi_k) when the caller has formed it (``interval_momenta``)."""
+    tau(h xi_k) when the caller has formed it (``interval_momenta``).  Each
+    product g_k W_k is written straight into the preallocated path, as
+    ``GroupSpec.multiply`` would form it."""
     if W is None:
         W = group.tau(h * np.asarray(xis, dtype=float))
     g0 = np.asarray(g0, dtype=float)
     gs = np.empty((len(W) + 1,) + g0.shape)
     gs[0] = g0
+    # R^n composes by addition
+    compose = np.add if group.name == "Rn" else np.matmul
     for k in range(len(W)):
-        gs[k + 1] = group.multiply(gs[k], W[k])
+        compose(gs[k], W[k], out=gs[k + 1])
     return gs
 
 
@@ -499,11 +496,11 @@ def _xi_gradients(problem, xis, D, T3, A, mu, c_minus, c_plus, Jd, T):
     sys_ = problem.system
     group = sys_.group
     h = problem.h
-    e_plus = _mv(A, c_plus)
+    e_plus = mv(A, c_plus)
     e = c_minus + e_plus
-    out = _mv(D, e) @ sys_.inertia
+    out = mv(D, e) @ sys_.inertia
     out += h * np.einsum("klji,kj,ki->kl", T3, xis @ sys_.inertia, e)
-    out -= h * _mv(_mt(T), _mv(_mt(group.ad_matrix(e_plus)), mu))
+    out -= h * mv(mt(T), mv(mt(group.ad_matrix(e_plus)), mu))
     if Jd is not None:
         out -= (h * h / 2.0) * np.einsum("...ij,...i->...j", Jd, c_minus - c_plus)
     return out
@@ -679,22 +676,26 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
     ``eliminated_nus``, taken from the same interval maps as the rest.
     ``interval_pass`` is the ``_interval_pass`` at this point when the
     caller has formed it (``residual_system``); it is formed here otherwise.
+
+    The velocity rows pull each interval's xi-gradient back to its two nodes
+    through dtau_inv(-+z)^T, z = h xi_k.  Since dtau_inv(-z) = dtau_inv(z)
+    Ad(tau(z)) (Bou-Rabee & Marsden 2009), the pull to node k+1 is Ad(tau(z))^T
+    times the pull to node k, both from the pass's D and A: no kernel runs
+    at -z.
     """
     sys_ = problem.system
-    group = sys_.group
     h, N = problem.h, problem.N
     xis = np.asarray(xis, dtype=float)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
     if interval_pass is None:
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
-    z, _, _, _, Dp, _ = interval_pass.maps
+    _, _, _, _, D, A = interval_pass.maps
     gs, gxi = interval_pass.gs, interval_pass.gxi
     phi_m, phi_p = interval_pass.phi_m, interval_pass.phi_p
     c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
-    Dm = group.dtau_inv_matrix(-z)
-    pulled_prev = _mv(_mt(Dm), gxi)   # contribution of interval k-1 at node k
-    pulled_here = _mv(_mt(Dp), gxi)   # contribution of interval k at node k
+    pulled_here = mv(mt(D), gxi)            # contribution of interval k at node k
+    pulled_prev = mv(mt(A), pulled_here)    # of interval k-1 at node k
     xi_blocks = (pulled_prev[:-1] - pulled_here[1:]) / h
 
     if sys_.potential is not None:
@@ -717,31 +718,38 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
 
 def _momenta_eliminable(problem):
     """Whether momentum stationarity can be solved for the node momenta in
-    closed form: quadratic control cost, full actuation, no drift and no
-    potential."""
-    sys_ = problem.system
-    return (
-        sys_.fully_actuated
-        and not sys_.has_drift
-        and sys_.potential is None
-        and getattr(problem.cost, "is_quadratic", False)
-    )
+    closed form (``eliminated_nus``): whenever the system is fully
+    actuated, whatever its drift, potential and cost."""
+    return problem.system.fully_actuated
 
 
 def eliminated_nus(problem, xis, maps=None):
     """Node momenta (boundary entries included) that satisfy momentum
-    stationarity exactly.
+    stationarity exactly, for a fully actuated problem
+    (``_momenta_eliminable``).
 
-    Valid when ``_momenta_eliminable``: each interior nu_k is the average of
-    the momenta the two adjacent intervals propagate to node k.  ``maps``
-    defaults to ``interval_momenta``.
+    Stationarity in nu_k reads grad C(u^-_k) = grad C(u^+_{k-1}).  Equal
+    controls u^-_k = u^+_{k-1} satisfy it for any cost (and are its only
+    solution for a strictly convex one); with B invertible
+    (``momentum_defects``) they give nu_k = (l_k + r_{k-1})/2 - (h/4)(d_k -
+    d_{k-1}), d the drift.  The potential's half steps in l_k and r_{k-1}
+    cancel, so
+
+        nu_k = (mu_k + coAd(tau(h xi_{k-1}), mu_{k-1}))/2 - (h/4)(d_k - d_{k-1}).
+
+    ``maps`` defaults to ``interval_momenta``.
     """
     if not _momenta_eliminable(problem):
-        raise DimensionMismatch("momentum elimination needs the kinetic L2 setup")
+        raise DimensionMismatch("momentum elimination needs a fully actuated system")
+    sys_ = problem.system
     if maps is None:
-        maps = interval_momenta(problem.system, problem.h, np.asarray(xis, dtype=float))
-    _, _, mu, transported, _, _ = maps
-    return _full_nus(problem, 0.5 * (mu[1:] + transported[:-1]))
+        maps = interval_momenta(sys_, problem.h, np.asarray(xis, dtype=float))
+    z, _, mu, transported, _, _ = maps
+    nus = 0.5 * (mu[1:] + transported[:-1])
+    if sys_.has_drift:
+        d = sys_.drift_values(z)
+        nus -= (problem.h / 4.0) * (d[1:] - d[:-1])
+    return _full_nus(problem, nus)
 
 
 # ---------------------------------------------------------------------------
@@ -823,21 +831,21 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     z, _, mu, _, D, A = maps
     I, P = sys_.inertia, sys_.control_pinv
     p = xis @ I.T
-    Mxi = _mt(D) @ I + h * np.einsum("klji,kj->kil", T3, p)
+    Mxi = mt(D) @ I + h * np.einsum("klji,kj->kil", T3, p)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
     Bmu = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mu)
-    Txi = _mt(A) @ (Mxi + h * Bmu @ T)
-    e_plus = _mv(A, c_plus)
+    Txi = mt(A) @ (Mxi + h * Bmu @ T)
+    e_plus = mv(A, c_plus)
     e = c_minus + e_plus
     ad_e = group.ad_matrix(e_plus)
     # the transport's A moves by ad(eta) A, so e_plus by -ad(e_plus) eta;
     # dtau moves by -dtau (d dtau_inv) dtau
     IU = I.T @ np.einsum("klab,kb->kal", T3, e)
-    MadT = _mt(Mxi) @ ad_e @ T
-    u = _mv(_mt(T), _mv(_mt(ad_e), mu))
+    MadT = mt(Mxi) @ ad_e @ T
+    u = mv(mt(T), mv(mt(ad_e), mu))
     K = (h * h * np.einsum("klmji,kj,ki->klm", group.dtau_inv_deriv2(z), p, e)
-         + h * (IU + _mt(IU)) - h * (MadT + _mt(MadT))
-         + h * h * _mt(T) @ (np.einsum("kmai,ka->kim", T3, u) + Bmu @ ad_e @ T))
+         + h * (IU + mt(IU)) - h * (MadT + mt(MadT))
+         + h * h * mt(T) @ (np.einsum("kmai,ka->kim", T3, u) + Bmu @ ad_e @ T))
     if Jd is not None and not sys_.drift_is_linear:
         K -= (h**3 / 2.0) * _drift_curvature(sys_, z, c_minus - c_plus)
 
@@ -851,14 +859,14 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     if Jd is not None:
         F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=-2)
     Fm, Fp = F[:, :n], F[:, n:]
-    Qm = _mt(P) @ problem.cost.hess_batch(um) @ P
-    Qp = _mt(P) @ problem.cost.hess_batch(up) @ P
-    H = (2.0 / h) * (_mt(Fm) @ Qm @ Fm + _mt(Fp) @ Qp @ Fp)
+    Qm = mt(P) @ problem.cost.hess_batch(um) @ P
+    Qp = mt(P) @ problem.cost.hess_batch(up) @ P
+    H = (2.0 / h) * (mt(Fm) @ Qm @ Fm + mt(Fp) @ Qp @ Fp)
     H[:, xi, xi] += K
     if s:
         Fs = np.concatenate([Fm[:, sigma], Fp[:, sigma]], axis=1)
         H[:, lam] += Fs
-        H[:, :, lam] += _mt(Fs)
+        H[:, :, lam] += mt(Fs)
     return H, Mxi, Txi
 
 
@@ -871,10 +879,13 @@ def _jacobian_blocks(problem, xis, interval_pass):
     complement rows of interval k, velocity and momentum rows at node k+1)
     and the columns (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where
     s_j moves g_j to g_j tau(s_j).  The velocity rows pull the xi-gradient
-    back through dtau_inv(-+h xi_k), the one at -h xi_k with its derivative
-    from one ``dtau_inv_deriv`` call, and add the potential's Hessians
+    back through dtau_inv(-+z), z = h xi_k, and add the potential's Hessians
     times the weights (h/2)(c_minus_k - c_plus_{k-1}); G_k enters interval
     k beside nu_k, so its columns are those of nu_k times -+(h/2) H(g_k).
+    Every tangent map comes from the pass, none from a kernel call at -z:
+    dtau_inv(-z) = D A with D = dtau_inv(z) and A = Ad(tau(z)), and A moves
+    along e_l by ad(T e_l) A, T = dtau(z), so the derivative of
+    dtau_inv(-z) along e_l is -(T3_l + D ad(T e_l)) A, T3_l that of D.
     ``curvature`` (None without a potential) holds, per interior node, the
     derivative of the Hessian term in s_j (``_potential_curvature``).
     """
@@ -882,11 +893,10 @@ def _jacobian_blocks(problem, xis, interval_pass):
     group, h, N, n = sys_.group, problem.h, problem.N, sys_.n
     s = n - sys_.m
     p = interval_pass
-    z, _, _, _, D, _ = p.maps
+    _, _, _, _, D, A = p.maps
     T3, gs, gxi, c_minus, c_plus = p.T3, p.gs, p.gxi, p.c_minus, p.c_plus
     H, Mxi, Txi = _interval_hessians(problem, xis, p.maps, T3, p.T, p.um, p.up,
                                      c_minus, c_plus, p.Jd)
-    Dm, T3m = group.dtau_inv_deriv(-z)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     Hs = np.zeros((N + 1, n, n))
@@ -897,15 +907,21 @@ def _jacobian_blocks(problem, xis, interval_pass):
                                          (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
     Ha, Hb = Hs[:-1], Hs[1:]
     # rows in terms of the slot gradients: the velocity row at node k takes
-    # -D^T gxi / h - Ha^T d/dnu_k, the one at node k+1 D(-z)^T gxi / h + Hb^T
-    # d/dnu_{k+1}; the other rows are slot gradients themselves
+    # -D^T gxi / h - Ha^T d/dnu_k, the one at node k+1 A^T D^T gxi / h + Hb^T
+    # d/dnu_{k+1}; the other rows are slot gradients themselves.  Along xi_k
+    # the first moves by -T3_l^T gxi, the second by A^T (T3_l^T gxi +
+    # ad(T e_l)^T D^T gxi), and ad(x)^T q = Bq x
+    DH = mt(D) @ H[:, xi] / h
+    dgxi = np.einsum("klai,ka->kil", T3, gxi)
+    Bq = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mv(mt(D), gxi))
     Oy = np.empty((N, 4 * n + 2 * s, 3 * n + 2 * s))
-    Oy[:, :n] = -(_mt(Ha) @ H[:, nu_a] + _mt(D) @ H[:, xi] / h)
-    Oy[:, :n, xi] -= np.einsum("klai,ka->kil", T3, gxi)
+    Oy[:, :n] = -(mt(Ha) @ H[:, nu_a] + DH)
+    Oy[:, :n, xi] -= dgxi
     Oy[:, n : 2 * n] = H[:, nu_a]
     Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = (_mt(Hb) @ H[:, nu_b] + _mt(Dm) @ H[:, xi] / h)
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s, xi] -= np.einsum("klai,ka->kil", T3m, gxi)
+    # DH becomes the node k+1 row's, before A^T
+    DH[:, :, xi] += dgxi + Bq @ p.T
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = mt(Hb) @ H[:, nu_b] + mt(A) @ DH
     Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
     O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
     O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
@@ -923,10 +939,12 @@ def residual_system(problem):
     """Square ResidualSystem for ``solve``, with its exact Jacobian; returns
     (system, eliminated).
 
-    The momenta are eliminated whenever ``_momenta_eliminable``: the
+    The momenta are eliminated whenever the system is fully actuated
+    (``_momenta_eliminable``), whatever its cost, drift and potential: the
     unknowns are then the interval velocities alone and the residual is the
     N n-dimensional one, velocity stationarity at the interior nodes plus
-    the reconstruction constraint.
+    the reconstruction constraint, at the node momenta of
+    ``eliminated_nus``.
 
     The residual is the gradient of the action sum under group-consistent
     variations, so its Jacobian is assembled from the interval terms'
@@ -942,7 +960,10 @@ def residual_system(problem):
         sum_{j > k} dF/ds_j S[j, k];
       * the reconstruction rows, r = tau^-1(g_N^-1 gT), in closed form:
         dr/dxi_k = -dtau_inv(r) S[N, k].
-    Eliminated momenta chain through nu_k = (mu_k + transported_{k-1}) / 2.
+    Eliminated momenta chain through nu_k = (mu_k + transported_{k-1}) / 2
+    - (h/4)(d_k - d_{k-1}), d_k = drift(h xi_k): onto the xi_k columns with
+    dmu/dxi / 2 - (h^2/4) Jd_k, onto the xi_{k-1} columns with
+    d transport/dxi / 2 + (h^2/4) Jd_{k-1}, Jd the drift Jacobians.
     Only derivatives the user's callables do not supply are differenced: a
     callable drift's Jacobian and curvature (a linear drift has them in
     closed form), and the Hessian of a potential without ``left_hess`` and
@@ -1001,7 +1022,7 @@ def residual_system(problem):
         gs = interval_pass.gs
         # the transpose: the column chains below then run along whole rows
         Jt = np.zeros(((N + 1) * b, (N + 1) * a))
-        Ot = _mt(O)
+        Ot = mt(O)
         # interval k spans unit k and the leading (node k+1) part of unit k+1;
         # splitting the axes of Jt gives views, so the blocks add in place
         V = Jt.reshape(N + 1, b, N + 1, a)
@@ -1014,15 +1035,20 @@ def residual_system(problem):
         Ainv, P = _sensitivities(group, h, xis, gs, T=interval_pass.T)
         if curvature is not None:
             j = k[1:]
-            V[j, n : 2 * n, j, :n] += _mt(curvature)
+            V[j, n : 2 * n, j, :n] += mt(curvature)
             # column block k gains sum_{j > k} dF/ds_j S[j, k]: suffix sums
             # of dF/ds_j Ainv[j], times P[k]
-            Q = _mt(Ainv[1:]) @ columns[1:, n : 2 * n]
-            columns[:N, 2 * n : 3 * n] += _mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
+            Q = mt(Ainv[1:]) @ columns[1:, n : 2 * n]
+            columns[:N, 2 * n : 3 * n] += mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
         if eliminated:
+            # nu_k = (mu_k + transported_{k-1})/2 - (h/4)(d_k - d_{k-1})
             nu_cols = columns[1:N, :n]
-            columns[1:N, 2 * n : 3 * n] += 0.5 * _mt(Mxi[1:]) @ nu_cols
-            columns[: N - 1, 2 * n : 3 * n] += 0.5 * _mt(Txi[:-1]) @ nu_cols
+            here, prev = 0.5 * Mxi[1:], 0.5 * Txi[:-1]
+            if interval_pass.Jd is not None:
+                Jd = (h * h / 4.0) * np.broadcast_to(interval_pass.Jd, Mxi.shape)
+                here, prev = here - Jd[1:], prev + Jd[:-1]
+            columns[1:N, 2 * n : 3 * n] += mt(here) @ nu_cols
+            columns[: N - 1, 2 * n : 3 * n] += mt(prev) @ nu_cols
         r = _reconstruction_gap(problem, gs[-1])
         left = -group.dtau_inv_matrix(r) @ Ainv[N]
         border = np.zeros((n, z.size))

@@ -69,12 +69,12 @@ def vee3(W):
     )
 
 
-def _mt(A):
-    """Batched matrix transpose."""
-    return np.swapaxes(A, -1, -2)
+def mt(A):
+    """Batched matrix transpose of an array (a view)."""
+    return A.swapaxes(-1, -2)
 
 
-def _mv(A, x):
+def mv(A, x):
     """Batched matrix-vector product."""
     return (A @ x[..., None])[..., 0]
 
@@ -127,7 +127,7 @@ def _so3_log(R):
     small = th < 1e-8
     th_safe = np.where(small, 1.0, th)
     f = np.where(small, 0.5 + th**2 / 12.0, th_safe / (2.0 * np.sin(th_safe)))
-    return f[..., None] * vee3(R - _mt(R))
+    return f[..., None] * vee3(R - mt(R))
 
 
 def _so3_cay(w):
@@ -148,7 +148,7 @@ def _so3_cay_inv(R):
         raise OutOfChart("rotation angle too close to pi for the Cayley chart")
     # R = cay(w) has R - R^T = 8 hat(w) / (4 + |w|^2) and
     # 1 + tr R = 16 / (4 + |w|^2)
-    return (2.0 / (1.0 + tr))[..., None] * vee3(R - _mt(R))
+    return (2.0 / (1.0 + tr))[..., None] * vee3(R - mt(R))
 
 
 def _inv_i_minus_half_hat(w):
@@ -299,13 +299,13 @@ def _se3_exp(xi):
     w, v = xi[..., :3], xi[..., 3:]
     J = _so3_dexp(w)
     # exp(W) = I + W dexp(W)
-    return _se3_build(_I3 + hat3(w) @ J, _mv(J, v))
+    return _se3_build(_I3 + hat3(w) @ J, mv(J, v))
 
 
 def _se3_log(g):
     g = np.asarray(g, dtype=float)
     w = _so3_log(g[..., :3, :3])
-    return np.concatenate([w, _mv(_so3_dexp_inv(w), g[..., :3, 3])], axis=-1)
+    return np.concatenate([w, mv(_so3_dexp_inv(w), g[..., :3, 3])], axis=-1)
 
 
 def _se3_cay(xi):
@@ -329,7 +329,7 @@ def _se3_cay_inv(g):
     g = np.asarray(g, dtype=float)
     w = _so3_cay_inv(g[..., :3, :3])
     t = g[..., :3, 3]
-    v = t - 0.5 * _mv(hat3(w), t)
+    v = t - 0.5 * mv(hat3(w), t)
     return np.concatenate([w, v], axis=-1)
 
 
@@ -385,7 +385,7 @@ def _tangent_lower(W, W2, V, s, alpha, beta, dalpha, dbeta):
     """L of ``_se3_tangent``, with W2 = W @ W; every argument broadcasts
     against the trailing (3, 3)."""
     WV = W @ V
-    return alpha * V + beta * (WV + _mt(WV)) + s * (dalpha * W + dbeta * W2)
+    return alpha * V + beta * (WV + mt(WV)) + s * (dalpha * W + dbeta * W2)
 
 
 def _se3_dexp(xi):
@@ -425,7 +425,7 @@ _E = hat3(_I3)
 def _cay_inv_upper_deriv(w):
     # the derivative of I - W/2 + w w^T/4 along w_l
     ew = _I3[:, :, None] * w[..., None, None, :]
-    return -0.5 * _E + 0.25 * (ew + _mt(ew))
+    return -0.5 * _E + 0.25 * (ew + mt(ew))
 
 
 def _so3_dcay_inv_deriv(w):
@@ -472,8 +472,8 @@ def _se3_dexp_inv_deriv(xi):
     wl, vl = w[..., :, None, None], v[..., :, None, None]
     W, W2, V = W[..., None, :, :], W2[..., None, :, :], hat3(v)[..., None, :, :]
     WV, EV, EW = W @ V, _E @ V, _E @ W
-    M_l = (k * (EV + _mt(EV)) + s * ddk * wl * W2
-           + dk * (wl * (WV + _mt(WV)) + vl * W2 + s * (EW + _mt(EW))))
+    M_l = (k * (EV + mt(EV)) + s * ddk * wl * W2
+           + dk * (wl * (WV + mt(WV)) + vl * W2 + s * (EW + mt(EW))))
     T = np.zeros(xi.shape[:-1] + (6, 6, 6))
     T[..., :3, :, :] = _se3_blocks(F_l, M_l)
     T[..., 3:, 3:, :3] = F_l
@@ -496,21 +496,25 @@ _EL, _EM = _E[:, None], _E[None, :]
 
 
 def _sym(X):
-    return X + _mt(X)
+    return X + mt(X)
 
 
 def _so3_dcay_inv_deriv2(w):
     return np.broadcast_to(_OUTER2, w.shape[:-1] + _OUTER2.shape)
 
 
+# the SE(3) Cayley second derivative, the same at every xi (read-only): the
+# lower block -A V / 2 = -V / 2 + W V / 4 moves by E_l E_m / 4 along (w_l, v_m)
+# and (v_m, w_l); A is linear
+_SE3_DCAY_INV_DERIV2 = np.zeros((6, 6, 6, 6))
+_SE3_DCAY_INV_DERIV2[:3, :3, :3, :3] = _OUTER2
+_SE3_DCAY_INV_DERIV2[:3, 3:, 3:, :3] = 0.25 * (_EL @ _EM)
+_SE3_DCAY_INV_DERIV2[3:, :3, 3:, :3] = 0.25 * (_EM @ _EL)
+_SE3_DCAY_INV_DERIV2.flags.writeable = False
+
+
 def _se3_dcay_inv_deriv2(xi):
-    # the lower block -A V / 2 = -V / 2 + W V / 4 moves by E_l E_m / 4 along
-    # (w_l, v_m) and (v_m, w_l); A is linear
-    out = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
-    out[..., :3, :3, :3, :3] = _OUTER2
-    out[..., :3, 3:, 3:, :3] = 0.25 * (_EL @ _EM)
-    out[..., 3:, :3, 3:, :3] = 0.25 * (_EM @ _EL)
-    return out
+    return np.broadcast_to(_SE3_DCAY_INV_DERIV2, xi.shape[:-1] + _SE3_DCAY_INV_DERIV2.shape)
 
 
 def _dexp_inv_second(w):
@@ -609,9 +613,9 @@ class GroupSpec:
         if self.name == "Rn":
             return -g
         if self.name == "SO3":
-            return _mt(g)
-        Rt = _mt(g[..., :3, :3])
-        return _se3_build(Rt, -_mv(Rt, g[..., :3, 3]))
+            return mt(g)
+        Rt = mt(g[..., :3, :3])
+        return _se3_build(Rt, -mv(Rt, g[..., :3, 3]))
 
     def check(self, g, tol=1e-10):
         """Validate that g is a well-formed element; raises DimensionMismatch."""
@@ -624,7 +628,7 @@ class GroupSpec:
         if g.shape[-2:] != (size, size):
             raise DimensionMismatch(f"expected {size}x{size} matrices")
         R = g[..., :3, :3]
-        if np.max(np.abs(_mt(R) @ R - _I3)) > tol:
+        if np.max(np.abs(mt(R) @ R - _I3)) > tol:
             raise DimensionMismatch("rotation block is not orthonormal")
         if np.max(np.abs(np.linalg.det(R) - 1.0)) > tol:
             raise DimensionMismatch("rotation block must have determinant +1")

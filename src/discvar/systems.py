@@ -22,8 +22,6 @@ from .errors import DimensionMismatch
 class L2Cost:
     """C(u) = (1/2) |u|^2."""
 
-    is_quadratic = True
-
     def value(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * float(u @ u)
@@ -54,8 +52,6 @@ class SmoothedL1Cost:
     The penalty term weight * sum_i (max(0, u_i - u_max)^2 +
     max(0, u_min - u_i)^2) keeps box bounds soft but stiff.
     """
-
-    is_quadratic = False
 
     def __init__(self, eps=1e-4, u_min=None, u_max=None, weight=1e3):
         if eps <= 0:

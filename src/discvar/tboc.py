@@ -34,6 +34,7 @@ import numpy as np
 
 from . import solvers
 from .errors import DimensionMismatch, NotInvertible, RankDeficient
+from .lie import mt
 from .solvers import ResidualSystem, levenberg_marquardt, newton
 from .systems import L2Cost
 
@@ -128,11 +129,6 @@ def _complement_basis(B):
 def _vm(v, A):
     """v^T A over the batch axes: the transposed Jacobian A^T applied to v."""
     return np.einsum("...j,...ji->...i", v, A)
-
-
-def _mt(A):
-    """The transpose of every matrix in a batch."""
-    return np.swapaxes(A, -1, -2)
 
 
 class AugmentedLagrangianRn:
@@ -238,14 +234,14 @@ class AugmentedLagrangianRn:
         Km, Kp = K[..., minus, :], K[..., plus, :]
         Gm = (self.problem.h / 2.0) * self.cost.hess_batch(um)
         Gp = (self.problem.h / 2.0) * self.cost.hess_batch(up)
-        H = (_mt(Km) @ (self.w_minus.T @ Gm @ self.w_minus) @ Km
-             + _mt(Kp) @ (self.w_plus.T @ Gp @ self.w_plus) @ Kp)
+        H = (mt(Km) @ (self.w_minus.T @ Gm @ self.w_minus) @ Km
+             + mt(Kp) @ (self.w_plus.T @ Gp @ self.w_plus) @ Kp)
         curvature = (self.F.drift_curvature("-", qk, qk1, vm)
                      + self.F.drift_curvature("+", qk, qk1, vp))
         if np.ndim(curvature):
             q = np.r_[q_a, q_b]
             H[..., q[:, None], q] -= curvature
-        E = np.concatenate([_mt(Km) @ self.c_minus, _mt(Kp) @ self.c_plus], axis=-1)
+        E = np.concatenate([mt(Km) @ self.c_minus, mt(Kp) @ self.c_plus], axis=-1)
         return H, E, vm, vp
 
 

@@ -475,13 +475,9 @@ def test_reconstruct_consistency():
 @pytest.mark.parametrize("N", [4, 16])
 def test_residual_dimensions(N):
     full = rigid_body_problem(N=N)
-    # fully actuated, but a non-quadratic cost keeps the momenta
-    general = rigid_body_problem(N=N, cost=SmoothedL1Cost(eps=1e-3))
     under = rigid_body_problem(actuated=(0, 1), N=N)
     sys_full, elim = lgoc.residual_system(full)
     assert elim and sys_full.dim == N * 3
-    sys_general, elim_g = lgoc.residual_system(general)
-    assert not elim_g and sys_general.dim == (2 * N - 1) * 3
     sys_under, elim_u = lgoc.residual_system(under)
     assert not elim_u and sys_under.dim == (2 * N - 1) * 3 + 2 * N * 1
 
@@ -795,7 +791,7 @@ def test_jacobian_at_an_evaluated_point_is_the_cold_jacobian(regime):
 def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch):
     # every Jacobian build is at a point the root-finder has evaluated, so
     # it reuses that point's pass: dtau_inv_deriv runs at h xi once per
-    # residual evaluation, and at -h xi once per build
+    # residual evaluation, and never at -h xi
     prob = under_target_problem()
     system, eliminate = lgoc.residual_system(prob)
     N, n, h = prob.N, prob.system.n, prob.h
@@ -820,7 +816,7 @@ def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch
     assert report.jacobian_evaluations >= 10
     at_h_xi = [arg for arg in calls if arg in evaluated]
     assert len(at_h_xi) == report.residual_evaluations
-    assert len(calls) == report.residual_evaluations + report.jacobian_evaluations
+    assert len(calls) == report.residual_evaluations
 
 
 def test_interval_pass_store_is_bounded(monkeypatch):
@@ -862,9 +858,11 @@ def test_interval_pass_store_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
 def test_jacobian_takes_dtau_inv_and_its_derivative_from_one_call(regime, monkeypatch):
-    # at z = h xi and at -z the build takes D and its derivative from one
-    # dtau_inv_deriv call each; the reconstruction border's dtau_inv(r) is
-    # its only dtau_inv_matrix call
+    # a build at a point not evaluated takes D and its derivative at z = h xi
+    # from one dtau_inv_deriv call, and those at -z from them, with no kernel
+    # call there; the reconstruction border's dtau_inv(r) is its only
+    # dtau_inv_matrix call.  A build at an evaluated point makes no
+    # dtau_inv_deriv call
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(17))
@@ -885,8 +883,12 @@ def test_jacobian_takes_dtau_inv_and_its_derivative_from_one_call(regime, monkey
     assert np.array_equal(system.jac(z), expected)
     N, n = prob.N, prob.system.n
     hxi = prob.h * z[: N * n].reshape(N, n)
-    assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [hxi.tolist(), (-hxi).tolist()]
+    assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [hxi.tolist()]
     assert [a.shape for a in calls["dtau_inv_matrix"]] == [(n,)]
+    system.eval(z)
+    calls["dtau_inv_deriv"].clear()
+    assert np.array_equal(system.jac(z), expected)
+    assert calls["dtau_inv_deriv"] == []
 
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
@@ -1087,9 +1089,9 @@ def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
     count(ReducedSystem, "drift_values")
     assert np.array_equal(lgoc.general_residual(prob, xis, nus, lambdas), expected)
     z = prob.h * xis
-    # dtau_inv and its derivative at z from one call, dtau_inv alone at -z
+    # dtau_inv and its derivative at z from one call, and nothing at -z
     assert len(calls["dtau_inv_deriv"]) == 1 and np.array_equal(calls["dtau_inv_deriv"][0], z)
-    assert len(calls["dtau_inv_matrix"]) == 1 and np.array_equal(calls["dtau_inv_matrix"][0], -z)
+    assert calls["dtau_inv_matrix"] == []
     assert len(calls["Ad_matrix"]) == 1
     if not prob.system.has_drift:
         # a drift is differenced by n column pairs; without one it is read once
@@ -1127,7 +1129,7 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
     assert np.array_equal(system.eval(z), expected)
     assert len(calls["_interval_maps"]) == 1
     assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [(prob.h * xis).tolist()]
-    assert [a.tolist() for a in calls["dtau_inv_matrix"]] == [(-prob.h * xis).tolist()]
+    assert calls["dtau_inv_matrix"] == []
     assert len(calls["Ad_matrix"]) == 1
 
 
@@ -1148,30 +1150,35 @@ def test_eliminated_momenta_zero_the_momentum_block():
     assert np.max(np.abs(r[(N - 1) * n : 2 * (N - 1) * n])) < 1e-12
 
 
-def test_elimination_requires_quadratic_cost():
-    prob = rigid_body_problem()
-    prob.cost = systems.SmoothedL1Cost(eps=1e-2)
-    with pytest.raises(DimensionMismatch):
-        lgoc.eliminated_nus(prob, np.zeros((prob.N, 3)))
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def test_eliminated_and_general_solves_agree():
-    prob = rigid_body_problem(N=8)
-    # a drift that is identically zero changes nothing in the problem but
-    # keeps the momenta among the unknowns
-    general = dataclasses.replace(
-        prob, system=dataclasses.replace(prob.system, drift=lambda z: 0.0 * z))
-    assert lgoc.residual_system(prob)[1] and not lgoc.residual_system(general)[1]
-    s1 = lgoc.solve(prob, tol=1e-10)
-    s2 = lgoc.solve(general, tol=1e-10)
-    assert s1.report.converged and s2.report.converged
-    assert np.max(np.abs(s1.gs - s2.gs)) < 1e-8
-    assert np.max(np.abs(s1.controls - s2.controls)) < 1e-8
-    assert abs(s1.cost - s2.cost) < 1e-8
+@pytest.mark.parametrize("regime", [name for name, prob in jacobian_regimes().items()
+                                    if prob.system.fully_actuated])
+def test_fully_actuated_solves_eliminate_the_momenta(regime):
+    # whatever the drift, potential and cost: the eliminated solve has N n
+    # unknowns, lands on a root of the explicit-momenta residual, and costs
+    # what a Newton solve of that residual on its difference Jacobian costs
+    prob = jacobian_regimes()[regime]
+    N, n = prob.N, prob.system.n
+    system, eliminate = lgoc.residual_system(prob)
+    assert eliminate and system.dim == N * n
+    sol = lgoc.solve(prob, tol=1e-9)
+    assert sol.report.converged
+    assert np.max(np.abs(lgoc.general_residual(prob, sol.xis, sol.nus[1:-1]))) <= 1e-9
+
+    def explicit(z):
+        return lgoc.general_residual(prob, z[: N * n].reshape(N, n),
+                                     z[N * n :].reshape(N - 1, n))
+
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), False)
+    z, report = solvers.newton(solvers.ResidualSystem(
+        z0.size, explicit, lambda x: solvers.fd_jacobian(explicit, x)), z0, tol=1e-9)
+    assert report.converged
+    cost = lgoc.action_sum(prob, z[: N * n].reshape(N, n),
+                           lgoc._full_nus(prob, z[N * n :].reshape(N - 1, n)))
+    assert abs(sol.cost - cost) <= 1e-9 * abs(cost)
 
 
 def test_underactuated_heavy_top_controls_reproduce_the_path():

@@ -496,6 +496,22 @@ def test_dtau_inv_deriv_hands_back_dtau_inv_bitwise(g):
         assert np.array_equal(D, g.dtau_inv_matrix(xi))
 
 
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_at_minus_xi_follows_from_xi(g, batch):
+    # dtau_inv(-z) = D Ad(tau(z)), D = dtau_inv(z), and A = Ad(tau(z)) moves
+    # along e_l by ad(dtau(z) e_l) A, so the derivative of dtau_inv(-z) along
+    # e_l is -(T_l + D ad(dtau(z) e_l)) A, T_l that of D at z
+    xi = _angle_batch(np.random.default_rng(27), g, np.linspace(0.0, 2.5, batch + 1)[1:])
+    D, T = g.dtau_inv_deriv(xi)
+    A = g.Ad_matrix(g.tau(xi))
+    ad = g.ad_matrix(mat_t(g.dtau_matrix(xi)))
+    Dm, Tm = g.dtau_inv_deriv(-xi)
+    assert np.max(np.abs(D @ A - Dm)) <= 1e-13 * np.max(np.abs(Dm))
+    from_z = -(T + D[:, None] @ ad) @ A[:, None]
+    assert np.max(np.abs(from_z - Tm)) <= 1e-13 * np.max(np.abs(Tm))
+
+
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
 def test_dtau_inv_deriv2_matches_central_difference(g):
     edge = lie._SMALL_ANGLE

@@ -29,7 +29,6 @@ def test_l2_cost_values_and_grads():
     U = rng.normal(size=(7, 4))
     assert np.max(np.abs(cost.value_batch(U) - 0.5 * np.sum(U * U, axis=1))) < 1e-15
     assert np.array_equal(cost.grad_batch(U), U)
-    assert cost.is_quadratic
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4])

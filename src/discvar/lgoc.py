@@ -436,7 +436,7 @@ def reconstruct(group, g0, h, xis, W=None):
 # interval cost evaluation (batched over intervals)
 # ---------------------------------------------------------------------------
 
-def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None):
+def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None, drift=None):
     """(u^-, u^+, phi^-, phi^+) for every interval from the node momenta.
 
     The defects delta^- = l_k - nu_k and delta^+ = nu_{k+1} - r_k (l, r of
@@ -445,14 +445,14 @@ def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None):
     ``nus`` (N+1, n) includes the boundary entries; ``gs`` (g_0..g_N) is
     needed with a potential, unless ``grads`` holds the potential's
     gradients there (``_node_grads``); ``maps`` defaults to
-    ``interval_momenta``.
+    ``interval_momenta``, and ``drift`` to the drift values at its z.
     """
     sys_ = problem.system
     h = problem.h
     if maps is None:
         maps = interval_momenta(sys_, h, xis)
     z, _, mu, transported, _, _ = maps
-    d = sys_.drift_values(z)
+    d = sys_.drift_values(z) if drift is None else drift
     if grads is None:
         grads = _node_grads(sys_, gs)
     left, right = _legendre_ends(h, mu, transported, grads)
@@ -601,11 +601,12 @@ def _full_nus(problem, nus_interior):
 # residuals
 # ---------------------------------------------------------------------------
 
-def _interval_covectors(problem, xis, nus, lambdas, maps, grads):
+def _interval_covectors(problem, xis, nus, lambdas, maps, grads, drift):
     """(u^-, u^+, phi^-, phi^+, c_minus, c_plus): ``momentum_defects`` and
     the interval cost terms' derivatives in mu and in its transport."""
     sys_ = problem.system
-    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, maps=maps, grads=grads)
+    um, up, phi_m, phi_p = momentum_defects(problem, xis, nus, maps=maps, grads=grads,
+                                            drift=drift)
     c_minus = problem.cost.grad_batch(um) @ sys_.control_pinv
     c_plus = -(problem.cost.grad_batch(up) @ sys_.control_pinv)
     if lambdas is not None and lambdas.size:
@@ -615,11 +616,11 @@ def _interval_covectors(problem, xis, nus, lambdas, maps, grads):
     return um, up, phi_m, phi_p, c_minus, c_plus
 
 
-def _nus(problem, xis, nus_interior, maps):
+def _nus(problem, xis, nus_interior, maps, drift=None):
     """All node momenta: the eliminated ones (``eliminated_nus``) when
     ``nus_interior`` is None."""
     if nus_interior is None:
-        return eliminated_nus(problem, xis, maps)
+        return eliminated_nus(problem, xis, maps, drift)
     return _full_nus(problem, np.asarray(nus_interior, dtype=float))
 
 
@@ -631,6 +632,7 @@ class _IntervalPass(NamedTuple):
     T3: np.ndarray          # dD/dz, from the dtau_inv_deriv call that gave D
     T: np.ndarray           # dtau_matrix(z)
     gs: np.ndarray          # the path g_0..g_N
+    gap: np.ndarray         # _reconstruction_gap at g_N
     um: np.ndarray
     up: np.ndarray
     phi_m: np.ndarray
@@ -644,23 +646,27 @@ class _IntervalPass(NamedTuple):
 def _interval_pass(problem, xis, nus_interior, lambdas):
     """The interval pass at (xis, nus_interior, lambdas): z = h xi, D and
     its derivative from one ``dtau_inv_deriv`` call, the interval maps, the
-    node momenta (``_nus``), the path, the potential's node gradients, the
-    interval covectors, the drift Jacobians, dtau(z) and the xi-gradients.
-    No array in it aliases xis, nus_interior or lambdas, so a stored pass
-    outlives later writes to the caller's buffers."""
+    drift values (one evaluation, read by the node momenta and the
+    covectors), the node momenta (``_nus``), the path and its reconstruction
+    gap, the potential's node gradients, the interval covectors, the drift
+    Jacobians, dtau(z) and the xi-gradients.  No array in it aliases xis,
+    nus_interior or lambdas, so a stored pass outlives later writes to the
+    caller's buffers."""
     sys_ = problem.system
     group, h = sys_.group, problem.h
     z = h * xis
     D, T3 = group.dtau_inv_deriv(z)
     maps = _interval_maps(sys_, xis, z, D)
-    nus = _nus(problem, xis, nus_interior, maps)
+    d = sys_.drift_values(z)
+    nus = _nus(problem, xis, nus_interior, maps, d)
     gs = reconstruct(group, problem.g0, h, xis, maps[1])
     um, up, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
-        problem, xis, nus, lambdas, maps, _node_grads(sys_, gs))
+        problem, xis, nus, lambdas, maps, _node_grads(sys_, gs), d)
     Jd = _drift_jacobians(sys_, z)
     T = group.dtau_matrix(z)
     gxi = _xi_gradients(problem, xis, D, T3, maps[5], maps[2], c_minus, c_plus, Jd, T)
-    return _IntervalPass(maps, T3, T, gs, um, up, phi_m, phi_p, c_minus, c_plus, Jd, gxi)
+    return _IntervalPass(maps, T3, T, gs, _reconstruction_gap(problem, gs[-1]),
+                         um, up, phi_m, phi_p, c_minus, c_plus, Jd, gxi)
 
 
 def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=None):
@@ -712,7 +718,7 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
     if lambdas is not None and lambdas.size:
         parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
-    parts.append(_reconstruction_gap(problem, gs[-1]))
+    parts.append(interval_pass.gap)
     return np.concatenate(parts)
 
 
@@ -723,7 +729,7 @@ def _momenta_eliminable(problem):
     return problem.system.fully_actuated
 
 
-def eliminated_nus(problem, xis, maps=None):
+def eliminated_nus(problem, xis, maps=None, drift=None):
     """Node momenta (boundary entries included) that satisfy momentum
     stationarity exactly, for a fully actuated problem
     (``_momenta_eliminable``).
@@ -737,7 +743,8 @@ def eliminated_nus(problem, xis, maps=None):
 
         nu_k = (mu_k + coAd(tau(h xi_{k-1}), mu_{k-1}))/2 - (h/4)(d_k - d_{k-1}).
 
-    ``maps`` defaults to ``interval_momenta``.
+    ``maps`` defaults to ``interval_momenta``, and ``drift`` to the drift
+    values at its z.
     """
     if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs a fully actuated system")
@@ -747,7 +754,7 @@ def eliminated_nus(problem, xis, maps=None):
     z, _, mu, transported, _, _ = maps
     nus = 0.5 * (mu[1:] + transported[:-1])
     if sys_.has_drift:
-        d = sys_.drift_values(z)
+        d = sys_.drift_values(z) if drift is None else drift
         nus -= (problem.h / 4.0) * (d[1:] - d[:-1])
     return _full_nus(problem, nus)
 
@@ -877,11 +884,12 @@ def _jacobian_blocks(problem, xis, interval_pass):
     residual there shares.  Returns (O, curvature, dmu/dxi, d transport/dxi).
     O[k] has the rows (velocity row at node k, momentum row at node k,
     complement rows of interval k, velocity and momentum rows at node k+1)
-    and the columns (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1}), where
-    s_j moves g_j to g_j tau(s_j).  The velocity rows pull the xi-gradient
-    back through dtau_inv(-+z), z = h xi_k, and add the potential's Hessians
-    times the weights (h/2)(c_minus_k - c_plus_{k-1}); G_k enters interval
-    k beside nu_k, so its columns are those of nu_k times -+(h/2) H(g_k).
+    and the columns (nu_k, xi_k, lambda_k, nu_{k+1}), then, with a
+    potential, (s_k, s_{k+1}), where s_j moves g_j to g_j tau(s_j).  The
+    velocity rows pull the xi-gradient back through dtau_inv(-+z), z = h
+    xi_k, and add the potential's Hessians times the weights (h/2)(c_minus_k
+    - c_plus_{k-1}); G_k enters interval k beside nu_k, so its columns are
+    those of nu_k times -+(h/2) H(g_k).
     Every tangent map comes from the pass, none from a kernel call at -z:
     dtau_inv(-z) = D A with D = dtau_inv(z) and A = Ad(tau(z)), and A moves
     along e_l by ad(T e_l) A, T = dtau(z), so the derivative of
@@ -899,13 +907,11 @@ def _jacobian_blocks(problem, xis, interval_pass):
                                      c_minus, c_plus, p.Jd)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
-    Hs = np.zeros((N + 1, n, n))
+    width = 3 * n + 2 * s
+    potential = sys_.potential is not None
+    O = np.empty((N, 4 * n + 2 * s, width + 2 * n if potential else width))
+    Oy = O[:, :, :width]
     curvature = None
-    if sys_.potential is not None:
-        Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
-        curvature = _potential_curvature(sys_, gs[1:N],
-                                         (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
-    Ha, Hb = Hs[:-1], Hs[1:]
     # rows in terms of the slot gradients: the velocity row at node k takes
     # -D^T gxi / h - Ha^T d/dnu_k, the one at node k+1 A^T D^T gxi / h + Hb^T
     # d/dnu_{k+1}; the other rows are slot gradients themselves.  Along xi_k
@@ -914,19 +920,26 @@ def _jacobian_blocks(problem, xis, interval_pass):
     DH = mt(D) @ H[:, xi] / h
     dgxi = np.einsum("klai,ka->kil", T3, gxi)
     Bq = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mv(mt(D), gxi))
-    Oy = np.empty((N, 4 * n + 2 * s, 3 * n + 2 * s))
-    Oy[:, :n] = -(mt(Ha) @ H[:, nu_a] + DH)
+    if potential:
+        Hs = np.zeros((N + 1, n, n))
+        Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
+        curvature = _potential_curvature(sys_, gs[1:N],
+                                         (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
+        Ha, Hb = Hs[:-1], Hs[1:]
+        Oy[:, :n] = -(mt(Ha) @ H[:, nu_a] + DH)
+    else:
+        Oy[:, :n] = -DH
     Oy[:, :n, xi] -= dgxi
     Oy[:, n : 2 * n] = H[:, nu_a]
     Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
     # DH becomes the node k+1 row's, before A^T
     DH[:, :, xi] += dgxi + Bq @ p.T
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = mt(Hb) @ H[:, nu_b] + mt(A) @ DH
+    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = mt(A) @ DH
     Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
-    O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
-    O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = Oy
-    O[:, :, n : 2 * n] = -Oy[:, :, nu_a] @ Ha
-    O[:, :, 4 * n + 2 * s :] = Oy[:, :, nu_b] @ Hb
+    if potential:
+        Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] += mt(Hb) @ H[:, nu_b]
+        O[:, :, width : width + n] = -Oy[:, :, nu_a] @ Ha
+        O[:, :, width + n :] = Oy[:, :, nu_b] @ Hb
     return O, curvature, Mxi, Txi
 
 
@@ -949,20 +962,25 @@ def residual_system(problem):
     The residual is the gradient of the action sum under group-consistent
     variations, so its Jacobian is assembled from the interval terms'
     Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}) (``_jacobian_blocks``),
-    evaluated in one batched pass and scatter-added into a padded layout
-    through block views, with no loop over intervals.  Unit k of the layout
-    holds the rows (velocity, momentum, complement) of node/interval k and
-    the columns (nu_k, s_k, xi_k, lambda_k), s_j a shift of the node
-    configuration g_j.  Then everything that flows through the
-    reconstruction g_{k+1} = g_k tau(h xi_k) is chained through the
-    sensitivities S[j, k] of ``_sensitivities``:
-      * the potential's columns s_j onto the xi columns, dF/dxi_k +=
-        sum_{j > k} dF/ds_j S[j, k];
+    evaluated in one batched pass, with no loop over intervals.  An index
+    map, built once, sends every entry of an interval block to its place in
+    the transposed Jacobian, and a build is one scatter-add (``np.bincount``)
+    of the blocks through it.  The transpose has one row per unknown (xi_k,
+    then nu_k and lambda_k when the momenta are explicit), then auxiliary
+    rows for the eliminated nu_1..nu_{N-1} and, with a potential, for the
+    shifts s_1..s_N of the node configurations; its columns are the
+    residual's rows without the reconstruction rows.  Entries at the
+    boundary nodes, and in the momentum and complement rows when the momenta
+    are eliminated, go to one discard bin.  Then everything that flows
+    through the reconstruction g_{k+1} = g_k tau(h xi_k) is chained through
+    the sensitivities S[j, k] of ``_sensitivities``:
+      * the shift rows onto the xi rows, dF/dxi_k += sum_{j > k} dF/ds_j
+        S[j, k];
       * the reconstruction rows, r = tau^-1(g_N^-1 gT), in closed form:
         dr/dxi_k = -dtau_inv(r) S[N, k].
     Eliminated momenta chain through nu_k = (mu_k + transported_{k-1}) / 2
-    - (h/4)(d_k - d_{k-1}), d_k = drift(h xi_k): onto the xi_k columns with
-    dmu/dxi / 2 - (h^2/4) Jd_k, onto the xi_{k-1} columns with
+    - (h/4)(d_k - d_{k-1}), d_k = drift(h xi_k): onto the xi_k rows with
+    dmu/dxi / 2 - (h^2/4) Jd_k, onto the xi_{k-1} rows with
     d transport/dxi / 2 + (h^2/4) Jd_{k-1}, Jd the drift Jacobians.
     Only derivatives the user's callables do not supply are differenced: a
     callable drift's Jacobian and curvature (a linear drift has them in
@@ -971,30 +989,51 @@ def residual_system(problem):
     No residual is evaluated.
 
     The residual and the Jacobian at a point share its ``_interval_pass``
-    (the interval maps, the path, the covectors, the xi-gradients and the
-    tangent maps they read).  ``eval`` keeps the passes of the last
-    _KEPT_PASSES points it evaluated, keyed by the bytes of z, and hands
-    each to ``general_residual``; a build takes the pass stored for its z,
-    forms one at a point not stored, and empties the store.  A root-finder
-    builds its Jacobian at the point it last accepted, one of its last few
-    evaluations, and an oracle that evaluates many points holds at most
-    _KEPT_PASSES passes.
+    (the interval maps, the path and its reconstruction gap, the covectors,
+    the xi-gradients and the tangent maps they read).  ``eval`` keeps the
+    passes of the last _KEPT_PASSES points it evaluated, keyed by the bytes
+    of z, and hands each to ``general_residual``; a build takes the pass
+    stored for its z, forms one at a point not stored, and empties the
+    store.  A root-finder builds its Jacobian at the point it last
+    accepted, one of its last few evaluations, and an oracle that evaluates
+    many points holds at most _KEPT_PASSES passes.
     """
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
     s = n - problem.system.m
-    a, b = 2 * n + 2 * s, 3 * n + 2 * s
-
-    def units(first, width, offset, unit):
-        return (np.arange(first, N)[:, None] * unit + offset + np.arange(width)).ravel()
-
-    # the residual's rows and the unknowns, in their order, in the layout
-    rows, cols = [units(1, n, 0, a)], [units(0, n, 2 * n, b)]
-    if not eliminated:
-        rows += [units(1, n, n, a), units(0, 2 * s, 2 * n, a)]
-        cols += [units(1, n, 0, b), units(0, 2 * s, 3 * n, b)]
-    keep = np.ix_(np.concatenate(cols), np.concatenate(rows))
+    dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
+    # the transpose's columns: velocity rows at nodes 1..N-1, then, with
+    # explicit momenta, momentum rows there and complement rows
+    width = dim - n
+    # its rows: xi_0..xi_{N-1}, nu_1..nu_{N-1}, lambda_0..lambda_{N-1}, then
+    # the shifts s_1..s_N
+    shifts = (2 * N - 1) * n + 2 * N * s
+    potential = problem.system.potential is not None
+    height = shifts + N * n if potential else shifts
+    # the index map: block row r of interval k lands in the transpose's
+    # column rows[k, r], block column c in its row cols[k, c].  The entries
+    # to drop go to the scatter's last bin, ``discard``: every index past it
+    # clips to it
+    discard = height * width
+    j = np.arange(N + 1)[:, None]
+    node = (j - 1) * n + np.arange(n)
+    # node j's entries in a group held at nodes 1..N-1
+    inner = np.where((j >= 1) & (j < N), node, discard)
+    complement = 2 * s * j[:-1] + np.arange(2 * s)
+    rows = np.concatenate([inner[:-1], inner[:-1] + (N - 1) * n,
+                           2 * (N - 1) * n + complement,
+                           inner[1:], inner[1:] + (N - 1) * n], axis=1)
+    rows[rows >= width] = discard
+    cols = [inner[:-1] + N * n, node[1:], (2 * N - 1) * n + complement, inner[1:] + N * n]
+    if potential:
+        s_rows = np.where(j >= 1, shifts + node, discard)
+        cols += [s_rows[:-1], s_rows[1:]]
+    cols = np.concatenate(cols, axis=1)
+    dest = np.minimum(cols[:, None, :] * width + rows[:, :, None], discard).ravel()
+    # the velocity columns of each interior node, and its shift's rows
+    vel = node[1:N]
+    vel_shift = (shifts + vel)[:, :, None]
 
     # (z.tobytes(), _interval_pass) of the points evaluated since the last
     # Jacobian build, newest first
@@ -1019,43 +1058,32 @@ def residual_system(problem):
         if interval_pass is None:
             interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
         O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass)
-        gs = interval_pass.gs
-        # the transpose: the column chains below then run along whole rows
-        Jt = np.zeros(((N + 1) * b, (N + 1) * a))
-        Ot = mt(O)
-        # interval k spans unit k and the leading (node k+1) part of unit k+1;
-        # splitting the axes of Jt gives views, so the blocks add in place
-        V = Jt.reshape(N + 1, b, N + 1, a)
-        k = np.arange(N)
-        V[k, :, k, :] += Ot[:, :b, :a]
-        V[k, :, k + 1, : 2 * n] += Ot[:, :b, a:]
-        V[k + 1, : 2 * n, k, :] += Ot[:, b:, :a]
-        V[k + 1, : 2 * n, k + 1, : 2 * n] += Ot[:, b:, a:]
-        columns = Jt.reshape(N + 1, b, -1)
-        Ainv, P = _sensitivities(group, h, xis, gs, T=interval_pass.T)
+        # the transpose: the chains below then run along whole rows
+        Jt = np.bincount(dest, O.ravel(), discard + 1)[:-1].reshape(height, width)
+        xi_rows = Jt[: N * n].reshape(N, n, width)
+        Ainv, P = _sensitivities(group, h, xis, interval_pass.gs, T=interval_pass.T)
         if curvature is not None:
-            j = k[1:]
-            V[j, n : 2 * n, j, :n] += mt(curvature)
-            # column block k gains sum_{j > k} dF/ds_j S[j, k]: suffix sums
-            # of dF/ds_j Ainv[j], times P[k]
-            Q = mt(Ainv[1:]) @ columns[1:, n : 2 * n]
-            columns[:N, 2 * n : 3 * n] += mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
+            Jt[vel_shift, vel[:, None, :]] += mt(curvature)
+            # xi_k's rows gain sum_{j > k} dF/ds_j S[j, k]: suffix sums of
+            # dF/ds_j Ainv[j], times P[k]
+            Q = mt(Ainv[1:]) @ Jt[shifts:].reshape(N, n, width)
+            xi_rows += mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
         if eliminated:
             # nu_k = (mu_k + transported_{k-1})/2 - (h/4)(d_k - d_{k-1})
-            nu_cols = columns[1:N, :n]
+            nu_rows = Jt[N * n : (2 * N - 1) * n].reshape(N - 1, n, width)
             here, prev = 0.5 * Mxi[1:], 0.5 * Txi[:-1]
             if interval_pass.Jd is not None:
                 Jd = (h * h / 4.0) * np.broadcast_to(interval_pass.Jd, Mxi.shape)
                 here, prev = here - Jd[1:], prev + Jd[:-1]
-            columns[1:N, 2 * n : 3 * n] += mt(here) @ nu_cols
-            columns[: N - 1, 2 * n : 3 * n] += mt(prev) @ nu_cols
-        r = _reconstruction_gap(problem, gs[-1])
-        left = -group.dtau_inv_matrix(r) @ Ainv[N]
-        border = np.zeros((n, z.size))
-        border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
-        return np.vstack([Jt[keep].T, border])
+            xi_rows[1:] += mt(here) @ nu_rows
+            xi_rows[:-1] += mt(prev) @ nu_rows
+        J = np.empty((dim, dim))
+        J[:width] = Jt[:dim].T
+        left = -group.dtau_inv_matrix(interval_pass.gap) @ Ainv[N]
+        J[width:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
+        J[width:, N * n :] = 0.0
+        return J
 
-    dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
     return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminated
 
 

@@ -910,6 +910,145 @@ def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatc
     assert len(calls) == 1
 
 
+def _padded_jacobian(prob, z):
+    """The assembly the index map replaced, frozen as an oracle: the blocks
+    of ``_jacobian_blocks`` scatter-added into a padded layout of N+1 node
+    units through block views, the column chains run over its full rows,
+    and the kept rows and columns copied out.  Unit k holds the rows
+    (velocity, momentum, complement) of node/interval k and the columns
+    (nu_k, s_k, xi_k, lambda_k)."""
+    eliminated = lgoc._momenta_eliminable(prob)
+    group, h = prob.system.group, prob.h
+    N, n = prob.N, prob.system.n
+    s = n - prob.system.m
+    a, b = 2 * n + 2 * s, 3 * n + 2 * s
+
+    def units(first, width, offset, unit):
+        return (np.arange(first, N)[:, None] * unit + offset + np.arange(width)).ravel()
+
+    rows, cols = [units(1, n, 0, a)], [units(0, n, 2 * n, b)]
+    if not eliminated:
+        rows += [units(1, n, n, a), units(0, 2 * s, 2 * n, a)]
+        cols += [units(1, n, 0, b), units(0, 2 * s, 3 * n, b)]
+    keep = np.ix_(np.concatenate(cols), np.concatenate(rows))
+
+    xis, nus_interior, lambdas = lgoc._unpack(prob, z, eliminated)
+    interval_pass = lgoc._interval_pass(prob, xis, nus_interior, lambdas)
+    blocks, curvature, Mxi, Txi = lgoc._jacobian_blocks(prob, xis, interval_pass)
+    # the blocks' columns (nu_k, xi_k, lambda_k, nu_{k+1}[, s_k, s_{k+1}]) in
+    # the padded order (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1})
+    O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
+    O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = blocks[:, :, :b]
+    if curvature is not None:
+        O[:, :, n : 2 * n] = blocks[:, :, b : b + n]
+        O[:, :, 4 * n + 2 * s :] = blocks[:, :, b + n :]
+    gs = interval_pass.gs
+    Jt = np.zeros(((N + 1) * b, (N + 1) * a))
+    Ot = lie.mt(O)
+    V = Jt.reshape(N + 1, b, N + 1, a)
+    k = np.arange(N)
+    V[k, :, k, :] += Ot[:, :b, :a]
+    V[k, :, k + 1, : 2 * n] += Ot[:, :b, a:]
+    V[k + 1, : 2 * n, k, :] += Ot[:, b:, :a]
+    V[k + 1, : 2 * n, k + 1, : 2 * n] += Ot[:, b:, a:]
+    columns = Jt.reshape(N + 1, b, -1)
+    Ainv, P = lgoc._sensitivities(group, h, xis, gs, T=interval_pass.T)
+    if curvature is not None:
+        j = k[1:]
+        V[j, n : 2 * n, j, :n] += lie.mt(curvature)
+        Q = lie.mt(Ainv[1:]) @ columns[1:, n : 2 * n]
+        columns[:N, 2 * n : 3 * n] += lie.mt(P) @ np.cumsum(Q[::-1], axis=0)[::-1]
+    if eliminated:
+        nu_cols = columns[1:N, :n]
+        here, prev = 0.5 * Mxi[1:], 0.5 * Txi[:-1]
+        if interval_pass.Jd is not None:
+            Jd = (h * h / 4.0) * np.broadcast_to(interval_pass.Jd, Mxi.shape)
+            here, prev = here - Jd[1:], prev + Jd[:-1]
+        columns[1:N, 2 * n : 3 * n] += lie.mt(here) @ nu_cols
+        columns[: N - 1, 2 * n : 3 * n] += lie.mt(prev) @ nu_cols
+    r = lgoc._reconstruction_gap(prob, gs[-1])
+    left = -group.dtau_inv_matrix(r) @ Ainv[N]
+    border = np.zeros((n, z.size))
+    border[:, : N * n] = np.einsum("ab,kbc->akc", left, P).reshape(n, N * n)
+    return np.vstack([Jt[keep].T, border])
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_jacobian_is_the_padded_assembly_bitwise(regime):
+    # the index map's one scatter and the chains on the unknowns' and
+    # auxiliaries' rows give the padded layout's bits, at the initial guess
+    # and at two random points
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    rng = np.random.default_rng(20)
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+    for z in (z0, _random_point(prob, eliminate, rng), _random_point(prob, eliminate, rng)):
+        assert np.array_equal(system.jac(z), _padded_jacobian(prob, z))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_smallest_layouts_match_dense_fd(regime, N):
+    # with two or three intervals the boundary nodes hold most of the
+    # index map's entries
+    prob = dataclasses.replace(jacobian_regimes()[regime], N=N)
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(21))
+    J = system.jac(z)
+    J_dense = solvers.fd_jacobian(system.eval, z)
+    for rows in _row_blocks(prob, eliminate):
+        assert (np.max(np.abs(J[rows] - J_dense[rows]))
+                <= 1e-6 * np.max(np.abs(J_dense[rows])))
+
+
+def test_one_interval_is_refused():
+    with pytest.raises(DimensionMismatch):
+        dataclasses.replace(jacobian_regimes()["cayley eliminated"], N=1)
+
+
+@pytest.mark.parametrize("actuated", [(0, 1, 2), (0, 1)], ids=["full", "under"])
+def test_build_at_an_evaluated_point_makes_no_tau_inv_call(actuated, monkeypatch):
+    # the residual and the Jacobian's border read the reconstruction gap of
+    # one pass: one tau_inv for an evaluation and the build at its point
+    prob = rigid_body_problem(actuated=actuated, N=8)
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(22))
+    expected = system.jac(z)
+    calls = []
+    tau_inv = lie.GroupSpec.tau_inv
+
+    def counted(self, g):
+        calls.append(np.shape(g))
+        return tau_inv(self, g)
+
+    monkeypatch.setattr(lie.GroupSpec, "tau_inv", counted)
+    system.eval(z)
+    assert np.array_equal(system.jac(z), expected)
+    assert calls == [(3, 3)]
+
+
+def test_residual_evaluates_a_callable_drift_once_at_h_xi(monkeypatch):
+    # the node momenta and the covectors read one drift evaluation; the
+    # drift Jacobians add one stacked call on the 2n shifts
+    prob = jacobian_regimes()["quadratic drag"]
+    system, eliminate = lgoc.residual_system(prob)
+    assert eliminate
+    N, n = prob.N, prob.system.n
+    z = _random_point(prob, eliminate, np.random.default_rng(23))
+    expected = system.eval(z)
+    calls = []
+    drift = prob.system.drift
+
+    def counted(x):
+        calls.append(np.array(x))
+        return drift(x)
+
+    monkeypatch.setattr(prob.system, "drift", counted)
+    assert np.array_equal(system.eval(z), expected)
+    assert [c.shape for c in calls] == [(N, n), (2 * n, N, n)]
+    assert np.array_equal(calls[0], prob.h * z.reshape(N, n))
+
+
 def directional_action_derivative(prob, xis, nus_interior, lambdas, rng):
     """Fourth-order finite difference of the summed interval cost along a
     group-consistent variation, paired against the residual blocks."""

@@ -336,7 +336,9 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     kind, problem = build_setup(cfg)
     sim_cfg = cfg.get("simulate", {})
-    steps = _number(sim_cfg.get("steps", problem.N), "steps", int)
+    steps = _number(sim_cfg.get("steps", problem.N), "simulate.steps", int)
+    if steps < 1:
+        raise ConfigError(f"simulate.steps must be at least 1, got {steps}")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()

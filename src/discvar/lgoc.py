@@ -273,6 +273,17 @@ _DEP_TOL = 1e-13
 _DEP_MAX_ITER = 200
 
 
+def _max_abs(v):
+    """np.abs(v).max() of a short vector, the same float, read from its
+    Python floats: max and abs are exact.  Python's max can pass over a NaN,
+    so a vector whose sum is NaN is left to numpy."""
+    values = v.tolist()
+    total = sum(values)
+    if total != total:
+        return float(np.abs(v).max())
+    return max(map(abs, values))
+
+
 def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
              step_index=0, J_inv_prev=None):
     """Advance the discrete momentum equation by one interval; returns
@@ -305,45 +316,53 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
     (``newton``) takes over from the start, on the same Jacobian taken at
     its own iterates; StepSolveFailed names ``step_index`` when that fails
     too.
+
+    Each point's h xi and I xi are formed once, for its kernel call, its
+    residual and, at the start, the Jacobian; the previous interval's
+    displacement and drift only when the system has a drift.  The stopping
+    tests and the finiteness test of the prediction read max |.| from the
+    step's Python floats, the same floats numpy's reduction gives, so every
+    decision, and every returned bit, is numpy's; a NaN or infinite update
+    still ends the iteration and leaves the step to ``newton``.
     """
     group = system.group
     inertia = system.inertia
-    n = system.n
+    drift = system.drift_values if system.has_drift else None
     xi_prev = np.asarray(xi_prev, dtype=float)
     mu_prev = np.asarray(mu_prev, dtype=float)
-    z_prev = h * xi_prev
     rhs = group.coAd(tau_prev, mu_prev)
     if forcing is not None:
         rhs = rhs + forcing
-    if system.has_drift:
-        drift_prev = (h / 2.0) * system.drift_values(z_prev)
+    if drift is not None:
+        drift_prev = (h / 2.0) * drift(h * xi_prev)
         rhs = rhs + drift_prev
     if system.potential is not None:
         if g_k is None:
             raise DimensionMismatch("potential systems need g_k in dep_step")
         rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
 
-    def residual(xi, D):
-        out = (inertia @ xi) @ D - rhs
-        return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
+    # r and its Jacobian at the point xi, from I xi, z = h xi and D = dtau_inv(z)
+    def residual(Ixi, z, D):
+        out = Ixi @ D - rhs
+        return out if drift is None else out - (h / 2.0) * drift(z)
 
-    def jacobian(xi, D, T):
+    def jacobian(Ixi, z, D, T):
         # (I xi)_j dD_ji/dz_l: one matmul over the stack T[l] = dD/dz_l
-        J = mt(D) @ inertia + h * mt((inertia @ xi) @ T)
-        if system.has_drift:
-            J = J - (h * h / 2.0) * _drift_jacobians(system, h * xi)
-        return J
+        J = mt(D) @ inertia + h * mt(Ixi @ T)
+        return J if drift is None else J - (h * h / 2.0) * _drift_jacobians(system, z)
 
     start = xi_prev
     if J_inv_prev is not None:
         r_prev = mu_prev - rhs
-        if system.has_drift:
+        if drift is not None:
             r_prev = r_prev - drift_prev
         predicted = xi_prev - J_inv_prev @ r_prev
-        if np.isfinite(predicted).all():
+        if _max_abs(predicted) < math.inf:
             start = predicted
-    D, T = group.dtau_inv_deriv(h * start)
-    J = jacobian(start, D, T)
+    z = h * start
+    D, T = group.dtau_inv_deriv(z)
+    Ixi = inertia @ start
+    J = jacobian(Ixi, z, D, T)
     try:
         J_inv = np.linalg.inv(J)
     except np.linalg.LinAlgError:
@@ -351,29 +370,41 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
         J_inv = np.full_like(J, np.nan)
     xi, converged = start, False
     for _ in range(_DEP_MAX_ITER):
-        update = J_inv @ residual(xi, D)
+        update = J_inv @ residual(Ixi, z, D)
         xi = xi - update
-        size = np.abs(update).max()
+        size = _max_abs(update)
         if not math.isfinite(size):
             break
-        if size < _DEP_TOL * (1.0 + np.abs(xi).max()):
+        if size < _DEP_TOL * (1.0 + _max_abs(xi)):
             converged = True
             break
-        D = group.dtau_inv_matrix(h * xi)
+        z = h * xi
+        D = group.dtau_inv_matrix(z)
+        Ixi = inertia @ xi
     if not converged:
+        def residual_at(x):
+            z = h * x
+            return residual(inertia @ x, z, group.dtau_inv_matrix(z))
+
+        def jacobian_at(x):
+            z = h * x
+            return jacobian(inertia @ x, z, *group.dtau_inv_deriv(z))
+
         try:
-            xi, _ = newton(ResidualSystem(
-                n, lambda x: residual(x, group.dtau_inv_matrix(h * x)),
-                lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)
+            xi, _ = newton(ResidualSystem(system.n, residual_at, jacobian_at), start,
+                           tol=1e-12)
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
-    mu = rhs + (h / 2.0) * system.drift_values(h * xi) if system.has_drift else rhs
+    mu = rhs if drift is None else rhs + (h / 2.0) * drift(h * xi)
     return xi, mu, J_inv
 
 
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     """March the forced discrete momentum equation; returns (gs, xis, mus).
 
+    ``steps`` >= 1 counts the intervals, the first one included, ``xi0``
+    has length n and ``g0`` the shape of the group's elements; anything else
+    raises DimensionMismatch.
     ``controls`` has shape (steps, 2, m) holding (u_k^-, u_k^+); interval 0
     is determined by the initial velocity, so its u_0^- is unused.  The
     control covectors (h/2) B (u^+_{k-1} + u^-_k) of every node come from
@@ -389,30 +420,51 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     the step before formed, so the new step's forcing is in its start.  Of
     the user's callables, the step Jacobian needs only the drift's
     derivative: a linear drift gives its matrix, so only a callable drift is
-    differenced, once per step.
+    differenced, once per step.  Each g_{k+1} = g_k tau(h xi_k) is written
+    straight into the preallocated path, as ``reconstruct`` writes it, so
+    gs is bitwise ``reconstruct(group, g0, h, xis)``.
     """
     group = system.group
     n = system.n
+    if steps < 1:
+        raise DimensionMismatch(f"steps must be at least 1, got {steps}")
+    xi0 = np.asarray(xi0, dtype=float)
+    if xi0.shape != (n,):
+        raise DimensionMismatch(f"xi0 must have length {n}, got shape {xi0.shape}")
+    g0 = np.asarray(g0, dtype=float)
+    shape = group.identity().shape
+    if g0.shape != shape:
+        raise DimensionMismatch(f"g0 must have the shape {shape}, got {g0.shape}")
     forcing = [None] * (steps - 1)
     if controls is not None:
         controls = np.asarray(controls, dtype=float)
         if controls.shape != (steps, 2, system.m):
             raise DimensionMismatch("controls must have shape (steps, 2, m)")
         forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
-    gs = [np.asarray(g0, dtype=float)]
+    gs = np.empty((steps + 1,) + g0.shape)
+    gs[0] = g0
+    compose = _composition(group)
     xis = np.empty((steps, n))
     mus = np.empty((steps, n))
-    xis[0] = np.asarray(xi0, dtype=float)
-    mus[0] = (system.inertia @ xis[0]) @ group.dtau_inv_matrix(h * xis[0])
-    W = group.tau(h * xis[0])
-    gs.append(group.multiply(gs[0], W))
+    xi = xis[0] = xi0
+    mu = mus[0] = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
+    W = group.tau(h * xi0)
+    compose(g0, W, out=gs[1])
     J_inv = None
     for k in range(1, steps):
-        xis[k], mus[k], J_inv = dep_step(system, h, xis[k - 1], mus[k - 1], W,
-                                         forcing[k - 1], gs[k], k, J_inv)
-        W = group.tau(h * xis[k])
-        gs.append(group.multiply(gs[k], W))
-    return np.stack(gs), xis, mus
+        xi, mu, J_inv = dep_step(system, h, xi, mu, W, forcing[k - 1], gs[k], k, J_inv)
+        xis[k] = xi
+        mus[k] = mu
+        W = group.tau(h * xi)
+        compose(gs[k], W, out=gs[k + 1])
+    return gs, xis, mus
+
+
+def _composition(group):
+    """The group product as a ufunc that writes into ``out``: R^n composes
+    by addition, the matrix groups by the product ``GroupSpec.multiply``
+    forms."""
+    return np.add if group.name == "Rn" else np.matmul
 
 
 def reconstruct(group, g0, h, xis, W=None):
@@ -425,8 +477,7 @@ def reconstruct(group, g0, h, xis, W=None):
     g0 = np.asarray(g0, dtype=float)
     gs = np.empty((len(W) + 1,) + g0.shape)
     gs[0] = g0
-    # R^n composes by addition
-    compose = np.add if group.name == "Rn" else np.matmul
+    compose = _composition(group)
     for k in range(len(W)):
         compose(gs[k], W[k], out=gs[k + 1])
     return gs

@@ -260,13 +260,25 @@ _STEP_ROUNDING = 16.0 * np.finfo(float).eps
 _STEP_MAX_ITER = 50
 
 
+def _max_abs(v):
+    """np.abs(v).max() of a short vector, the same float, read from its
+    Python floats: max and abs are exact.  Python's max can pass over a NaN,
+    so a vector whose sum is NaN is left to numpy."""
+    values = v.tolist()
+    total = sum(values)
+    if total != total:
+        return float(np.abs(v).max())
+    return max(map(abs, values))
+
+
 def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     """March the forced discrete Euler-Lagrange equation forward.
 
     ``controls`` has shape (steps, 2, m): controls[k] = (u_k^-, u_k^+) for
     the interval [q_k, q_{k+1}].  Returns positions of shape (steps + 1, n).
     The first interval [q0, q1] is part of the initial data, so ``steps``
-    counts the intervals including that one.
+    counts the intervals including that one; ``steps`` < 1, or a q0 or q1
+    not of length n, raises DimensionMismatch.
 
     Each step solves the DEL residual to an absolute 1e-12, but never below
     a few rounding units of the momentum terms M q / h: the difference
@@ -277,18 +289,28 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     gradient from one evaluation per node, as it enters D2 Ld(q_{k-1}, q_k)
     and D1 Ld(q_k, q_{k+1}) at the same q_k.  So per step the part that does
     not depend on q_{k+1} is formed once, and each update adds only
-    -(q_{k+1} - q_k) M^T / h + a^-(q_k, q_{k+1}).  The step solve is a
-    simplified Newton iteration from the extrapolation 2 q_k - q_{k-1} on
-    the Jacobian D1 D2 Ld = -M / h, which is constant, so the march factors
-    it once; without a drift a^- the residual is affine in q_{k+1} (the
-    potential enters at q_k only) and one update solves it.  A step that
-    does not converge within _STEP_MAX_ITER updates falls back to Newton
-    with a line search (``newton``), and raises StepSolveFailed with the
-    step index when that fails too.
+    -(q_{k+1} - q_k) M^T / h + a^-(q_k, q_{k+1}); the velocity term of a
+    step's last update is the next step's (q_{k+1} - q_k) M^T / h, so that
+    step does not form it again.  The step solve is a simplified Newton
+    iteration from the extrapolation 2 q_k - q_{k-1} on the Jacobian
+    D1 D2 Ld = -M / h, which is constant, so the march factors it once;
+    without a drift a^- the residual is affine in q_{k+1} (the potential
+    enters at q_k only) and one update solves it.  The tolerance and the
+    stopping test read max |.| from the step's Python floats, the same
+    floats numpy's reduction gives, so every decision is numpy's.  A step
+    that does not converge within _STEP_MAX_ITER updates, or meets a NaN or
+    infinite residual, falls back to Newton with a line search
+    (``newton``), and raises StepSolveFailed with the step index when that
+    fails too.
     """
     n = lagrangian.dim
+    if steps < 1:
+        raise DimensionMismatch(f"steps must be at least 1, got {steps}")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
+    if q0.shape != (n,) or q1.shape != (n,):
+        raise DimensionMismatch(f"q0 and q1 must have length {n}, got shapes "
+                                f"{q0.shape} and {q1.shape}")
     if controls is None:
         controls = np.zeros((steps, 2, forces.control_dim))
     controls = np.asarray(controls, dtype=float)
@@ -300,19 +322,22 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     # a velocity term v M^T / h in one product
     Mt_h = lagrangian.mass.T / h
     # 16 eps |M q_k|_inf / h <= rounding_per_q * |q_k|_inf
-    rounding_per_q = _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1))
+    rounding_per_q = float(
+        _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
     # f^+_{k-1} + f^-_k of every node
     control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
     # d/dq_next of D1 Ld(q_k, q_next); drift terms, if any, are mild enough
     # that the iteration still contracts
     J = lagrangian.d12(q0, q1)
     J_inv = np.linalg.inv(J)
+    velocity = None
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(_STEP_TOL, rounding_per_q * np.abs(q_k).max())
+        step_tol = max(_STEP_TOL, rounding_per_q * _max_abs(q_k))
         # D2 Ld(q_{k-1}, q_k) + f^+_{k-1} + f^-_k, less D1 Ld's q_{k+1} part,
         # is velocity + forcing
-        velocity = (q_k - q_prev) @ Mt_h
+        if velocity is None:
+            velocity = (q_k - q_prev) @ Mt_h
         forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
                    + forces.drift("+", q_prev, q_k))
         fixed = velocity + forcing
@@ -323,19 +348,23 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
         # at the extrapolation the velocity terms cancel
         guess = 2.0 * q_k - q_prev
         q_next, r = guess, forcing + forces.drift("-", q_k, guess)
-        err = np.abs(r).max()
+        err = _max_abs(r)
+        velocity = None
         for _ in range(_STEP_MAX_ITER):
             if err <= step_tol or not math.isfinite(err):
                 break
             q_next = q_next - J_inv @ r
-            r = res(q_next)
-            err = np.abs(r).max()
+            # res(q_next), keeping its velocity term for the next step
+            velocity = (q_next - q_k) @ Mt_h
+            r = fixed - velocity + forces.drift("-", q_k, q_next)
+            err = _max_abs(r)
         if not err <= step_tol:
             system = ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
             try:
                 q_next, _ = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)
             except (NoConvergence, SingularJacobian) as exc:
                 raise StepSolveFailed(k, f"step {k}: {exc}") from exc
+            velocity = None
         qs[k + 1] = q_next
     return qs
 

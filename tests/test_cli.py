@@ -249,6 +249,19 @@ def test_simulate_writes_trajectory(tmp_path):
     assert read_report(out)["command"] == "simulate"
 
 
+@pytest.mark.parametrize("steps", [0, -4])
+@pytest.mark.parametrize("make_cfg", [rigid_body_cfg, point_mass_cfg],
+                         ids=["rigid body", "point mass"])
+def test_simulate_steps_below_one_is_config_error(tmp_path, capsys, make_cfg, steps):
+    # a march needs at least its first interval; 0 used to end in a traceback
+    base = make_cfg()
+    base["simulate"] = {"steps": steps}
+    cfg = write_config(tmp_path / "c.json", base)
+    assert cli.main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "simulate.steps must be at least 1" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

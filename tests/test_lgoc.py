@@ -200,6 +200,188 @@ def test_integrate_reduced_is_a_loop_of_dep_step(case):
         assert np.array_equal(xis[k], xi) and np.array_equal(mus[k], mu)
 
 
+def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
+                       step_index=0, J_inv_prev=None):
+    """``lgoc.dep_step`` as it stood with numpy reductions in its stopping
+    tests (np.abs(.).max(), np.isfinite(.).all()) and h xi, I xi and the
+    drift's presence read again wherever used.  The march must match it
+    bitwise."""
+    group = system.group
+    inertia = system.inertia
+    n = system.n
+    xi_prev = np.asarray(xi_prev, dtype=float)
+    mu_prev = np.asarray(mu_prev, dtype=float)
+    z_prev = h * xi_prev
+    rhs = group.coAd(tau_prev, mu_prev)
+    if forcing is not None:
+        rhs = rhs + forcing
+    if system.has_drift:
+        drift_prev = (h / 2.0) * system.drift_values(z_prev)
+        rhs = rhs + drift_prev
+    if system.potential is not None:
+        rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
+
+    def residual(xi, D):
+        out = (inertia @ xi) @ D - rhs
+        return out - (h / 2.0) * system.drift_values(h * xi) if system.has_drift else out
+
+    def jacobian(xi, D, T):
+        J = lie.mt(D) @ inertia + h * lie.mt((inertia @ xi) @ T)
+        if system.has_drift:
+            J = J - (h * h / 2.0) * lgoc._drift_jacobians(system, h * xi)
+        return J
+
+    start = xi_prev
+    if J_inv_prev is not None:
+        r_prev = mu_prev - rhs
+        if system.has_drift:
+            r_prev = r_prev - drift_prev
+        predicted = xi_prev - J_inv_prev @ r_prev
+        if np.isfinite(predicted).all():
+            start = predicted
+    D, T = group.dtau_inv_deriv(h * start)
+    J = jacobian(start, D, T)
+    try:
+        J_inv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        J_inv = np.full_like(J, np.nan)
+    xi, converged = start, False
+    for _ in range(lgoc._DEP_MAX_ITER):
+        update = J_inv @ residual(xi, D)
+        xi = xi - update
+        size = np.abs(update).max()
+        if not np.isfinite(size):
+            break
+        if size < lgoc._DEP_TOL * (1.0 + np.abs(xi).max()):
+            converged = True
+            break
+        D = group.dtau_inv_matrix(h * xi)
+    if not converged:
+        try:
+            xi, _ = lgoc.newton(solvers.ResidualSystem(
+                n, lambda x: residual(x, group.dtau_inv_matrix(h * x)),
+                lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)
+        except (NoConvergence, SingularJacobian) as exc:
+            raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
+    mu = rhs + (h / 2.0) * system.drift_values(h * xi) if system.has_drift else rhs
+    return xi, mu, J_inv
+
+
+def reference_integrate_reduced(system, g0, xi0, h, steps, controls=None):
+    """``lgoc.integrate_reduced`` as it stood, on ``reference_dep_step``:
+    the path through ``GroupSpec.multiply``, a list and np.stack."""
+    group = system.group
+    forcing = [None] * (steps - 1)
+    if controls is not None:
+        controls = np.asarray(controls, dtype=float)
+        forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
+    gs = [np.asarray(g0, dtype=float)]
+    xis = np.empty((steps, system.n))
+    mus = np.empty((steps, system.n))
+    xis[0] = np.asarray(xi0, dtype=float)
+    mus[0] = (system.inertia @ xis[0]) @ group.dtau_inv_matrix(h * xis[0])
+    W = group.tau(h * xis[0])
+    gs.append(group.multiply(gs[0], W))
+    J_inv = None
+    for k in range(1, steps):
+        xis[k], mus[k], J_inv = reference_dep_step(system, h, xis[k - 1], mus[k - 1], W,
+                                                   forcing[k - 1], gs[k], k, J_inv)
+        W = group.tau(h * xis[k])
+        gs.append(group.multiply(gs[k], W))
+    return np.stack(gs), xis, mus
+
+
+def _reference_cases():
+    """The march cases, the benchmark's free bodies (h = 0.01, 500 steps)
+    and a damped body whose drift is a callable, so differenced."""
+    cases = dict(_march_cases())
+    for retraction in (lie.CAYLEY, lie.EXPONENTIAL):
+        body = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                   retraction=retraction)
+        cases[f"benchmark free body {retraction}"] = (
+            body, body.group.tau(np.array([0.3, -1.2, 2.0])), np.array([0.2, -1.0, 0.5]),
+            0.01, None)
+    damped = dataclasses.replace(cases["free body cay"][0], drift=lambda z: -20.0 * z)
+    cases["damped cay"] = (damped, np.eye(3), np.array([0.2, 1.0, -0.5]), 0.05,
+                           np.tile([0.5, -1.0, 0.8], (200, 2, 1)))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_march_matches_its_reference_bitwise(case):
+    # the stopping tests read max |.| from Python floats and the path is
+    # written in place: the same decisions and the same bytes as the numpy
+    # reductions, the list and np.stack
+    system, g0, xi0, h, controls = _reference_cases()[case]
+    steps = 500 if case.startswith("benchmark") else 200
+    got = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
+    expected = reference_integrate_reduced(system, g0, xi0, h, steps, controls=controls)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["free body cay", "free body exp", "uuv cay", "uuv exp"])
+def test_march_path_is_reconstruct(case):
+    # the march writes g_{k+1} = g_k tau(h xi_k) as reconstruct does, so its
+    # path is bitwise the one reconstruct forms from its velocities, which
+    # verify's trajectory_g check reads
+    system, g0, xi0, h, controls = _march_cases()[case]
+    gs, xis, _ = lgoc.integrate_reduced(system, g0, xi0, h, 200, controls=controls)
+    path = lgoc.reconstruct(system.group, g0, h, xis)
+    assert gs.shape == path.shape and gs.tobytes() == path.tobytes()
+
+
+def test_nan_update_goes_to_newton(monkeypatch):
+    # the drag is undefined past |z_i| = 0.06, and constant torques spin the
+    # body up to it: the step that gets there has a NaN update, which ends
+    # its iteration at once, and newton fails on it, as with numpy's
+    # reductions
+    fallbacks = []
+    newton = lgoc.newton
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    body = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
+    system = dataclasses.replace(
+        body, drift=lambda z: np.where(np.abs(z) < 0.06, -0.1 * z, np.nan))
+    h, steps = 0.05, 40
+    controls = np.tile([0.0, 4.0, 0.0], (steps, 2, 1))
+    monkeypatch.setattr(lgoc, "newton", counted)
+    results = []
+    for march in (lgoc.integrate_reduced, reference_integrate_reduced):
+        fallbacks.clear()
+        with pytest.raises(StepSolveFailed) as info:
+            march(system, np.eye(3), np.array([0.1, 0.5, -0.2]), h, steps, controls=controls)
+        results.append((info.value.step, str(info.value), len(fallbacks)))
+    assert results[0] == results[1]
+    step, message, entered = results[0]
+    assert step == 8 and message.startswith("step 8: ") and entered == 1
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_march_rejects_steps_below_one(steps):
+    system, g0, xi0, h, _ = _march_cases()["free body cay"]
+    with pytest.raises(DimensionMismatch, match="steps"):
+        lgoc.integrate_reduced(system, g0, xi0, h, steps)
+
+
+@pytest.mark.parametrize("xi0", [np.zeros(2), np.zeros(6), np.zeros((1, 3))])
+def test_march_rejects_an_initial_velocity_of_the_wrong_length(xi0):
+    system, g0, _, h, _ = _march_cases()["free body cay"]
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        lgoc.integrate_reduced(system, g0, xi0, h, 10)
+
+
+@pytest.mark.parametrize("case, g0", [("free body cay", np.eye(4)), ("uuv cay", np.eye(3)),
+                                      ("free body exp", np.eye(3)[None])])
+def test_march_rejects_an_initial_configuration_of_the_wrong_shape(case, g0):
+    system, _, xi0, h, _ = _march_cases()[case]
+    with pytest.raises(DimensionMismatch, match="g0"):
+        lgoc.integrate_reduced(system, g0, xi0, h, 10)
+
+
 def _updates_per_step(monkeypatch, march):
     """The simplified Newton updates of each step of ``march()``.  A step
     evaluates dtau_inv at every point it visits except the last, where its

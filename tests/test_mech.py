@@ -1,10 +1,12 @@
 """Discrete mechanics on R^n: trapezoidal rule, forced equations, integrator."""
 
+import math
+
 import numpy as np
 import pytest
 
-from discvar import mech
-from discvar.errors import DimensionMismatch, StepSolveFailed
+from discvar import mech, solvers, systems
+from discvar.errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
@@ -498,3 +500,161 @@ def test_step_failure_names_the_step(monkeypatch):
     assert info.value.step == 5
     assert str(info.value).startswith("step 5: no convergence")
     assert len(fallbacks) == 1
+
+
+# ---------------------------------------------------------------------------
+# the march against its frozen reference
+# ---------------------------------------------------------------------------
+
+def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
+    """``mech.integrate`` as it stood with numpy reductions in its stopping
+    tests (np.abs(.).max()) and the velocity term formed again every step.
+    The march must return its positions bitwise."""
+    n = lagrangian.dim
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    if controls is None:
+        controls = np.zeros((steps, 2, forces.control_dim))
+    controls = np.asarray(controls, dtype=float)
+    qs = np.empty((steps + 1, n))
+    qs[0], qs[1] = q0, q1
+    h = lagrangian.h
+    Mt_h = lagrangian.mass.T / h
+    rounding_per_q = mech._STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1))
+    control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
+    J = lagrangian.d12(q0, q1)
+    J_inv = np.linalg.inv(J)
+    for k in range(1, steps):
+        q_prev, q_k = qs[k - 1], qs[k]
+        step_tol = max(mech._STEP_TOL, rounding_per_q * np.abs(q_k).max())
+        velocity = (q_k - q_prev) @ Mt_h
+        forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
+                   + forces.drift("+", q_prev, q_k))
+        fixed = velocity + forcing
+
+        def res(q_next):
+            return fixed - (q_next - q_k) @ Mt_h + forces.drift("-", q_k, q_next)
+
+        guess = 2.0 * q_k - q_prev
+        q_next, r = guess, forcing + forces.drift("-", q_k, guess)
+        err = np.abs(r).max()
+        for _ in range(mech._STEP_MAX_ITER):
+            if err <= step_tol or not math.isfinite(err):
+                break
+            q_next = q_next - J_inv @ r
+            r = res(q_next)
+            err = np.abs(r).max()
+        if not err <= step_tol:
+            system = solvers.ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
+            try:
+                q_next, _ = mech.newton(system, guess, tol=step_tol,
+                                        max_iter=mech._STEP_MAX_ITER)
+            except (NoConvergence, SingularJacobian) as exc:
+                raise StepSolveFailed(k, f"step {k}: {exc}") from exc
+        qs[k + 1] = q_next
+    return qs
+
+
+def _benchmark_point_mass(steps, seed):
+    """The benchmark's forced point mass: oscillating controls u = A sin(w t
+    + phi) on n = 3, with the initial velocity that cancels their mean."""
+    n, h = 3, 0.01
+    lagrangian, forces = systems.make_point_mass(n, h=h)
+    base = np.random.default_rng(20120303)
+    amp = base.uniform(0.5, 1.5, size=n)
+    omega = base.uniform(1.0, 3.0, size=n)
+    phase = base.uniform(0.0, 2.0 * np.pi, size=n)
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    t = h * (np.arange(steps)[:, None, None] + np.array([0.0, 1.0])[None, :, None])
+    controls = sign * amp * np.sin(omega * t + phase)
+    q0 = rng.uniform(-1.0, 1.0, size=n)
+    q1 = q0 - h * sign * amp * np.cos(phase) / omega
+    return lagrangian, forces, q0, q1, controls
+
+
+def _reference_cases():
+    """(lagrangian, forces, q0, q1, controls) of the marches checked against
+    the frozen reference."""
+    rng = np.random.default_rng(11)
+    cases = {f"benchmark point mass {seed}": _benchmark_point_mass(1000, seed)
+             for seed in (901, 7)}
+    h = 0.05
+    cases["harmonic"] = (harmonic(h=h), DiscreteForcePairRn.trapezoidal(1, h),
+                         np.array([0.4]), np.array([0.42]), rng.normal(size=(300, 2, 1)))
+    h = 0.01
+    cases["drifts"] = (pendulum(h=h),
+                       DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
+                                           a_minus=lambda qa, qb: -0.3 * (qb - qa) / h,
+                                           a_plus=lambda qa, qb: -0.2 * np.sin(qb - qa)),
+                       np.array([0.3]), np.array([0.31]), rng.normal(size=(300, 2, 1)))
+    for scale in (1e3, 1e6):
+        q0 = scale * rng.uniform(0.5, 1.0, size=3)
+        cases[f"far {scale:g}"] = (free_particle(n=3, h=h), DiscreteForcePairRn.trapezoidal(3, h),
+                                   q0, q0 + h * rng.normal(size=3),
+                                   rng.normal(size=(300, 2, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_integrate_matches_its_reference_bitwise(case):
+    # the stopping tests read max |.| from Python floats, and each step
+    # takes its velocity term from the step before: the same decisions and
+    # the same bytes as the numpy reductions
+    L, F, q0, q1, controls = _reference_cases()[case]
+    steps = len(controls)
+    qs = mech.integrate(L, F, q0, q1, steps, controls=controls)
+    expected = reference_integrate(L, F, q0, q1, steps, controls=controls)
+    assert qs.shape == expected.shape and qs.tobytes() == expected.tobytes()
+
+
+def test_nan_residual_entry_goes_to_newton(monkeypatch):
+    # the drift a^- is undefined on the second axis once its velocity passes
+    # 1, so the step that gets there has a residual that is NaN there alone.
+    # Python's max of |r| would pass over it after the first entry and take
+    # the step as converged; the step goes to newton and fails, as with
+    # numpy's reduction
+    h = 0.1
+    fallbacks = []
+    newton = mech.newton
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    def drift(qa, qb):
+        return np.where(np.abs(qb - qa) / h < 1.0, 0.0, np.nan)
+
+    L = free_particle(n=3, h=h)
+    F = DiscreteForcePairRn(h / 2.0 * np.eye(3), h / 2.0 * np.eye(3), a_minus=drift)
+    # a unit force on the second axis alone
+    controls = np.zeros((12, 2, 3))
+    controls[:, :, 1] = 1.0
+    q1 = np.array([0.01, 0.055, -0.02])
+    monkeypatch.setattr(mech, "newton", counted)
+    results = []
+    for march in (mech.integrate, reference_integrate):
+        fallbacks.clear()
+        with pytest.raises(StepSolveFailed) as info:
+            march(L, F, np.zeros(3), q1, 12, controls=controls)
+        results.append((info.value.step, str(info.value), len(fallbacks)))
+    assert results[0] == results[1]
+    step, message, entered = results[0]
+    assert step == 5 and message.startswith("step 5: no convergence") and entered == 1
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_integrate_rejects_steps_below_one(steps):
+    L = free_particle(n=2)
+    F = DiscreteForcePairRn.trapezoidal(2, 0.1)
+    with pytest.raises(DimensionMismatch, match="steps"):
+        mech.integrate(L, F, np.zeros(2), np.zeros(2), steps)
+
+
+@pytest.mark.parametrize("q0, q1", [(np.zeros(3), np.zeros(2)), (np.zeros(2), np.zeros(1)),
+                                    (np.zeros((1, 2)), np.zeros(2))])
+def test_integrate_rejects_positions_of_the_wrong_length(q0, q1):
+    L = free_particle(n=2)
+    F = DiscreteForcePairRn.trapezoidal(2, 0.1)
+    with pytest.raises(DimensionMismatch, match="length 2"):
+        mech.integrate(L, F, q0, q1, 5)

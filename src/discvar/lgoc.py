@@ -496,22 +496,29 @@ def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None, drift=No
     ``nus`` (N+1, n) includes the boundary entries; ``gs`` (g_0..g_N) is
     needed with a potential, unless ``grads`` holds the potential's
     gradients there (``_node_grads``); ``maps`` defaults to
-    ``interval_momenta``, and ``drift`` to the drift values at its z.
+    ``interval_momenta``, and ``drift`` to the drift values at its z.  A
+    system without a drift has no d: no drift is evaluated and no zero is
+    subtracted, and since x - (+0.0) is x bitwise, -0.0 and NaN included,
+    the controls and complement conditions are the bits a zero d gives.
     """
     sys_ = problem.system
     h = problem.h
     if maps is None:
         maps = interval_momenta(sys_, h, xis)
     z, _, mu, transported, _, _ = maps
-    d = sys_.drift_values(z) if drift is None else drift
+    d = sys_.drift_values(z) if drift is None and sys_.has_drift else drift
     if grads is None:
         grads = _node_grads(sys_, gs)
     left, right = _legendre_ends(h, mu, transported, grads)
     delta_m = left - nus[:-1]
     delta_p = nus[1:] - right
-    um = ((2.0 / h) * delta_m - d) @ sys_.control_pinv.T
-    up = ((2.0 / h) * delta_p - d) @ sys_.control_pinv.T
+    Pt = sys_.control_pinv.T
     sigma = list(sys_.unactuated)
+    if d is None:
+        um, up = ((2.0 / h) * delta_m) @ Pt, ((2.0 / h) * delta_p) @ Pt
+        return um, up, delta_m[:, sigma], delta_p[:, sigma]
+    um = ((2.0 / h) * delta_m - d) @ Pt
+    up = ((2.0 / h) * delta_p - d) @ Pt
     phi_m = (delta_m - (h / 2.0) * d)[:, sigma]
     phi_p = (delta_p - (h / 2.0) * d)[:, sigma]
     return um, up, phi_m, phi_p
@@ -648,6 +655,25 @@ def _full_nus(problem, nus_interior):
     return nus
 
 
+class _Plan(NamedTuple):
+    """What every Jacobian build of a problem reads that does not depend on
+    the point, formed once per ``residual_system`` call (``_plan``)."""
+
+    ad_basis: np.ndarray    # ad(e_l), l = 0..n-1, (n, n, n)
+    F: np.ndarray           # dy/d(slots) of ``_interval_hessians``, its -I, +I filled
+
+
+def _plan(problem):
+    sys_ = problem.system
+    n = sys_.n
+    s = n - sys_.m
+    nu_a, _, _, nu_b = _slots(n, s)
+    F = np.zeros((problem.N, 2 * n, 3 * n + 2 * s))
+    F[:, :n, nu_a] = -np.eye(n)
+    F[:, n:, nu_b] = np.eye(n)
+    return _Plan(sys_.group.ad_matrix(np.eye(n)), F)
+
+
 # ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
@@ -682,6 +708,7 @@ class _IntervalPass(NamedTuple):
     maps: tuple             # (z, W, mu, transported, D, A) of _interval_maps
     T3: np.ndarray          # dD/dz, from the dtau_inv_deriv call that gave D
     T: np.ndarray           # dtau_matrix(z)
+    nus: np.ndarray         # nu_0..nu_N
     gs: np.ndarray          # the path g_0..g_N
     gap: np.ndarray         # _reconstruction_gap at g_N
     um: np.ndarray
@@ -698,17 +725,17 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     """The interval pass at (xis, nus_interior, lambdas): z = h xi, D and
     its derivative from one ``dtau_inv_deriv`` call, the interval maps, the
     drift values (one evaluation, read by the node momenta and the
-    covectors), the node momenta (``_nus``), the path and its reconstruction
-    gap, the potential's node gradients, the interval covectors, the drift
-    Jacobians, dtau(z) and the xi-gradients.  No array in it aliases xis,
-    nus_interior or lambdas, so a stored pass outlives later writes to the
-    caller's buffers."""
+    covectors; none without a drift), the node momenta (``_nus``), the path
+    and its reconstruction gap, the potential's node gradients, the interval
+    covectors, the drift Jacobians, dtau(z) and the xi-gradients.  No array
+    in it aliases xis, nus_interior or lambdas, so a stored pass outlives
+    later writes to the caller's buffers."""
     sys_ = problem.system
     group, h = sys_.group, problem.h
     z = h * xis
     D, T3 = group.dtau_inv_deriv(z)
     maps = _interval_maps(sys_, xis, z, D)
-    d = sys_.drift_values(z)
+    d = sys_.drift_values(z) if sys_.has_drift else None
     nus = _nus(problem, xis, nus_interior, maps, d)
     gs = reconstruct(group, problem.g0, h, xis, maps[1])
     um, up, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
@@ -716,7 +743,7 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     Jd = _drift_jacobians(sys_, z)
     T = group.dtau_matrix(z)
     gxi = _xi_gradients(problem, xis, D, T3, maps[5], maps[2], c_minus, c_plus, Jd, T)
-    return _IntervalPass(maps, T3, T, gs, _reconstruction_gap(problem, gs[-1]),
+    return _IntervalPass(maps, T3, T, nus, gs, _reconstruction_gap(problem, gs[-1]),
                          um, up, phi_m, phi_p, c_minus, c_plus, Jd, gxi)
 
 
@@ -749,7 +776,6 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
     _, _, _, _, D, A = interval_pass.maps
     gs, gxi = interval_pass.gs, interval_pass.gxi
-    phi_m, phi_p = interval_pass.phi_m, interval_pass.phi_p
     c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
     pulled_here = mv(mt(D), gxi)            # contribution of interval k at node k
     pulled_prev = mv(mt(A), pulled_here)    # of interval k-1 at node k
@@ -768,7 +794,9 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
 
     parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
     if lambdas is not None and lambdas.size:
-        parts.append(np.stack([phi_m, phi_p], axis=1).reshape(-1))
+        # interval k's phi^- then its phi^+
+        parts.append(np.concatenate([interval_pass.phi_m, interval_pass.phi_p],
+                                    axis=1).reshape(-1))
     parts.append(interval_pass.gap)
     return np.concatenate(parts)
 
@@ -867,7 +895,7 @@ def _slots(n, s):
             slice(2 * n + 2 * s, 3 * n + 2 * s))
 
 
-def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
+def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd, plan):
     """Hessians of the interval cost terms in (nu_k, xi_k, lambda_k, nu_{k+1}),
     all intervals at once; returns (H, dmu/dxi, d transport/dxi).
 
@@ -881,7 +909,8 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
     a callable drift's curvature is differenced, and a linear drift has
     none.  ``T3`` is the derivative of D = dtau_inv(z) and ``T``
-    dtau_matrix(z).
+    dtau_matrix(z).  ``plan`` (``_plan``) holds the ad structure constants
+    and F with its constant -I and +I blocks, which a copy fills.
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
@@ -891,7 +920,7 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     p = xis @ I.T
     Mxi = mt(D) @ I + h * np.einsum("klji,kj->kil", T3, p)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
-    Bmu = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mu)
+    Bmu = np.einsum("lai,ka->kil", plan.ad_basis, mu)
     Txi = mt(A) @ (Mxi + h * Bmu @ T)
     e_plus = mv(A, c_plus)
     e = c_minus + e_plus
@@ -908,12 +937,10 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
         K -= (h**3 / 2.0) * _drift_curvature(sys_, z, c_minus - c_plus)
 
     s = len(sigma)
-    nu_a, xi, lam, nu_b = _slots(n, s)
-    F = np.zeros((len(z), 2 * n, 3 * n + 2 * s))
-    F[:, :n, nu_a] = -np.eye(n)
+    _, xi, lam, _ = _slots(n, s)
+    F = plan.F.copy()
     F[:, :n, xi] = Mxi
     F[:, n:, xi] = -Txi
-    F[:, n:, nu_b] = np.eye(n)
     if Jd is not None:
         F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=-2)
     Fm, Fp = F[:, :n], F[:, n:]
@@ -928,7 +955,7 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd):
     return H, Mxi, Txi
 
 
-def _jacobian_blocks(problem, xis, interval_pass):
+def _jacobian_blocks(problem, xis, interval_pass, plan):
     """Every interval's block of the residual Jacobian, from one batched pass.
 
     ``interval_pass`` is the ``_interval_pass`` at the point, which the
@@ -947,20 +974,28 @@ def _jacobian_blocks(problem, xis, interval_pass):
     dtau_inv(-z) along e_l is -(T3_l + D ad(T e_l)) A, T3_l that of D.
     ``curvature`` (None without a potential) holds, per interior node, the
     derivative of the Hessian term in s_j (``_potential_curvature``).
+    With eliminated momenta (``_momenta_eliminable``: a fully actuated
+    problem, so no complement rows) O[k] holds only the velocity rows at
+    nodes k and k+1: the residual has no momentum rows then, and none is
+    formed.  ``plan`` is the problem's ``_plan``.
     """
+    eliminated = _momenta_eliminable(problem)
     sys_ = problem.system
-    group, h, N, n = sys_.group, problem.h, problem.N, sys_.n
+    h, N, n = problem.h, problem.N, sys_.n
     s = n - sys_.m
     p = interval_pass
     _, _, _, _, D, A = p.maps
     T3, gs, gxi, c_minus, c_plus = p.T3, p.gs, p.gxi, p.c_minus, p.c_plus
     H, Mxi, Txi = _interval_hessians(problem, xis, p.maps, T3, p.T, p.um, p.up,
-                                     c_minus, c_plus, p.Jd)
+                                     c_minus, c_plus, p.Jd, plan)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     width = 3 * n + 2 * s
     potential = sys_.potential is not None
-    O = np.empty((N, 4 * n + 2 * s, width + 2 * n if potential else width))
+    # the first row of the velocity rows at node k+1
+    after = n if eliminated else 2 * n + 2 * s
+    O = np.empty((N, after + (n if eliminated else 2 * n),
+                  width + 2 * n if potential else width))
     Oy = O[:, :, :width]
     curvature = None
     # rows in terms of the slot gradients: the velocity row at node k takes
@@ -970,7 +1005,7 @@ def _jacobian_blocks(problem, xis, interval_pass):
     # ad(T e_l)^T D^T gxi), and ad(x)^T q = Bq x
     DH = mt(D) @ H[:, xi] / h
     dgxi = np.einsum("klai,ka->kil", T3, gxi)
-    Bq = np.einsum("lai,ka->kil", group.ad_matrix(np.eye(n)), mv(mt(D), gxi))
+    Bq = np.einsum("lai,ka->kil", plan.ad_basis, mv(mt(D), gxi))
     if potential:
         Hs = np.zeros((N + 1, n, n))
         Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
@@ -981,14 +1016,15 @@ def _jacobian_blocks(problem, xis, interval_pass):
     else:
         Oy[:, :n] = -DH
     Oy[:, :n, xi] -= dgxi
-    Oy[:, n : 2 * n] = H[:, nu_a]
-    Oy[:, 2 * n : 2 * n + 2 * s] = H[:, lam]
+    if not eliminated:
+        Oy[:, n : 2 * n] = H[:, nu_a]
+        Oy[:, 2 * n : after] = H[:, lam]
+        Oy[:, after + n :] = H[:, nu_b]
     # DH becomes the node k+1 row's, before A^T
     DH[:, :, xi] += dgxi + Bq @ p.T
-    Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] = mt(A) @ DH
-    Oy[:, 3 * n + 2 * s :] = H[:, nu_b]
+    Oy[:, after : after + n] = mt(A) @ DH
     if potential:
-        Oy[:, 2 * n + 2 * s : 3 * n + 2 * s] += mt(Hb) @ H[:, nu_b]
+        Oy[:, after : after + n] += mt(Hb) @ H[:, nu_b]
         O[:, :, width : width + n] = -Oy[:, :, nu_a] @ Ha
         O[:, :, width + n :] = Oy[:, :, nu_b] @ Hb
     return O, curvature, Mxi, Txi
@@ -1021,8 +1057,10 @@ def residual_system(problem):
     rows for the eliminated nu_1..nu_{N-1} and, with a potential, for the
     shifts s_1..s_N of the node configurations; its columns are the
     residual's rows without the reconstruction rows.  Entries at the
-    boundary nodes, and in the momentum and complement rows when the momenta
-    are eliminated, go to one discard bin.  Then everything that flows
+    boundary nodes go to one discard bin; with eliminated momenta the blocks
+    have no momentum rows (and a fully actuated problem no complement rows),
+    so the map holds only entries the residual keeps there and at the
+    interior nodes.  Then everything that flows
     through the reconstruction g_{k+1} = g_k tau(h xi_k) is chained through
     the sensitivities S[j, k] of ``_sensitivities``:
       * the shift rows onto the xi rows, dF/dxi_k += sum_{j > k} dF/ds_j
@@ -1047,12 +1085,25 @@ def residual_system(problem):
     stored for its z, forms one at a point not stored, and empties the
     store.  A root-finder builds its Jacobian at the point it last
     accepted, one of its last few evaluations, and an oracle that evaluates
-    many points holds at most _KEPT_PASSES passes.
+    many points holds at most _KEPT_PASSES passes; ``solve`` reads its
+    solution from the pass stored for the z it returns.
+
+    What no build's point changes, the ad structure constants ad(e_l) and
+    the defect Jacobian F with its constant -I and +I blocks, is formed
+    once per call into a ``_plan`` that every build reads; a system changed
+    between calls is read afresh by the next one.
     """
+    return _residual_system(problem)[:2]
+
+
+def _residual_system(problem):
+    """``residual_system`` plus ``stored``: z -> the ``_interval_pass`` its
+    ``eval`` keeps for z, or None."""
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
     s = n - problem.system.m
+    plan = _plan(problem)
     dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
     # the transpose's columns: velocity rows at nodes 1..N-1, then, with
     # explicit momenta, momentum rows there and complement rows
@@ -1072,9 +1123,13 @@ def residual_system(problem):
     # node j's entries in a group held at nodes 1..N-1
     inner = np.where((j >= 1) & (j < N), node, discard)
     complement = 2 * s * j[:-1] + np.arange(2 * s)
-    rows = np.concatenate([inner[:-1], inner[:-1] + (N - 1) * n,
-                           2 * (N - 1) * n + complement,
-                           inner[1:], inner[1:] + (N - 1) * n], axis=1)
+    if eliminated:
+        # the blocks hold the velocity rows alone (``_jacobian_blocks``)
+        rows = np.concatenate([inner[:-1], inner[1:]], axis=1)
+    else:
+        rows = np.concatenate([inner[:-1], inner[:-1] + (N - 1) * n,
+                               2 * (N - 1) * n + complement,
+                               inner[1:], inner[1:] + (N - 1) * n], axis=1)
     rows[rows >= width] = discard
     cols = [inner[:-1] + N * n, node[1:], (2 * N - 1) * n + complement, inner[1:] + N * n]
     if potential:
@@ -1090,6 +1145,10 @@ def residual_system(problem):
     # Jacobian build, newest first
     passes = []
 
+    def stored(z):
+        key = z.tobytes()
+        return next((p for k, p in passes if k == key), None)
+
     def residual(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
@@ -1103,12 +1162,11 @@ def residual_system(problem):
 
     def jacobian(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        key = z.tobytes()
-        interval_pass = next((p for k, p in passes if k == key), None)
+        interval_pass = stored(z)
         passes.clear()
         if interval_pass is None:
             interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
-        O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass)
+        O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass, plan)
         # the transpose: the chains below then run along whole rows
         Jt = np.bincount(dest, O.ravel(), discard + 1)[:-1].reshape(height, width)
         xi_rows = Jt[: N * n].reshape(N, n, width)
@@ -1135,7 +1193,7 @@ def residual_system(problem):
         J[width:, N * n :] = 0.0
         return J
 
-    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminated
+    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminated, stored
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
@@ -1149,14 +1207,20 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     LM from z0 (not from Newton's best iterate), fully actuated or not.
     When every attempt fails, raises the NoConvergence or SingularJacobian
     with the lowest best residual; ConfigError for an unknown method.
+    The solution is read from the interval pass the residual system stored
+    when it evaluated the returned z, bitwise what ``assemble_solution``
+    forms there, which runs only when no pass is stored.
     """
-    system, eliminated = residual_system(problem)
+    system, eliminated, stored = _residual_system(problem)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     z, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    return assemble_solution(problem, z, report)
+    p = stored(z)
+    if p is None:
+        return assemble_solution(problem, z, report)
+    return _solution(problem, z, eliminated, p.nus, p.gs, p.um, p.up, report)
 
 
 def assemble_solution(problem, z, report=None):
@@ -1165,11 +1229,18 @@ def assemble_solution(problem, z, report=None):
     controls and cost."""
     sys_ = problem.system
     eliminated = _momenta_eliminable(problem)
-    xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+    xis, nus_interior, _ = _unpack(problem, z, eliminated)
     maps = interval_momenta(sys_, problem.h, xis)
     nus = _nus(problem, xis, nus_interior, maps)
     gs = reconstruct(sys_.group, problem.g0, problem.h, xis, maps[1])
     um, up, _, _ = momentum_defects(problem, xis, nus, gs, maps=maps)
+    return _solution(problem, z, eliminated, nus, gs, um, up, report)
+
+
+def _solution(problem, z, eliminated, nus, gs, um, up, report):
+    """The LieOcSolution at the packed z, from its node momenta, path and
+    controls."""
+    xis, _, lambdas = _unpack(problem, z, eliminated)
     controls = np.stack([um, up], axis=1)
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)

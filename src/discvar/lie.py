@@ -62,11 +62,14 @@ def hat3(w):
     return (w @ _HAT).reshape(w.shape[:-1] + (3, 3))
 
 
+# the flat indices of W[2, 1], W[0, 2] and W[1, 0] in a 3x3 matrix
+_VEE = np.array([7, 2, 3])
+
+
 def vee3(W):
+    """(W[2, 1], W[0, 2], W[1, 0]) of each 3x3 matrix W, read in one take."""
     W = np.asarray(W, dtype=float)
-    return np.stack(
-        [W[..., 2, 1], W[..., 0, 2], W[..., 1, 0]], axis=-1
-    )
+    return W.reshape(W.shape[:-2] + (9,)).take(_VEE, axis=-1)
 
 
 def mt(A):
@@ -122,7 +125,7 @@ _CHART_TRACE = -1.0 + 2.0**-53
 def _so3_log(R):
     R = np.asarray(R, dtype=float)
     th = _so3_angle(R)
-    if np.any(th > np.pi - _CHART_ANGLE_TOL):
+    if (th > np.pi - _CHART_ANGLE_TOL).any():
         raise OutOfChart("rotation angle too close to pi for the exp chart")
     small = th < 1e-8
     th_safe = np.where(small, 1.0, th)
@@ -144,7 +147,7 @@ def _cay_rotation(W, s):
 def _so3_cay_inv(R):
     R = np.asarray(R, dtype=float)
     tr = np.trace(R, axis1=-2, axis2=-1)
-    if np.any(tr <= _CHART_TRACE):
+    if (tr <= _CHART_TRACE).any():
         raise OutOfChart("rotation angle too close to pi for the Cayley chart")
     # R = cay(w) has R - R^T = 8 hat(w) / (4 + |w|^2) and
     # 1 + tr R = 16 / (4 + |w|^2)

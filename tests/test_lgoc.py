@@ -1116,14 +1116,19 @@ def _padded_jacobian(prob, z):
 
     xis, nus_interior, lambdas = lgoc._unpack(prob, z, eliminated)
     interval_pass = lgoc._interval_pass(prob, xis, nus_interior, lambdas)
-    blocks, curvature, Mxi, Txi = lgoc._jacobian_blocks(prob, xis, interval_pass)
-    # the blocks' columns (nu_k, xi_k, lambda_k, nu_{k+1}[, s_k, s_{k+1}]) in
+    blocks, curvature, Mxi, Txi = lgoc._jacobian_blocks(prob, xis, interval_pass,
+                                                        lgoc._plan(prob))
+    # the blocks' rows into the padded rows (velocity k, momentum k,
+    # complement k, velocity k+1, momentum k+1); eliminated blocks have the
+    # velocity rows alone, and the momentum rows they lack are not kept.
+    # Their columns (nu_k, xi_k, lambda_k, nu_{k+1}[, s_k, s_{k+1}]) go in
     # the padded order (nu_k, s_k, xi_k, lambda_k, nu_{k+1}, s_{k+1})
+    rows_of = np.r_[0:n, a : a + n] if eliminated else np.arange(4 * n + 2 * s)
     O = np.zeros((N, 4 * n + 2 * s, 5 * n + 2 * s))
-    O[:, :, np.r_[0:n, 2 * n : 4 * n + 2 * s]] = blocks[:, :, :b]
+    O[:, rows_of[:, None], np.r_[0:n, 2 * n : 4 * n + 2 * s]] = blocks[:, :, :b]
     if curvature is not None:
-        O[:, :, n : 2 * n] = blocks[:, :, b : b + n]
-        O[:, :, 4 * n + 2 * s :] = blocks[:, :, b + n :]
+        O[:, rows_of, n : 2 * n] = blocks[:, :, b : b + n]
+        O[:, rows_of, 4 * n + 2 * s :] = blocks[:, :, b + n :]
     gs = interval_pass.gs
     Jt = np.zeros(((N + 1) * b, (N + 1) * a))
     Ot = lie.mt(O)
@@ -1415,8 +1420,8 @@ def test_residual_evaluates_each_kernel_once(regime, monkeypatch):
     assert calls["dtau_inv_matrix"] == []
     assert len(calls["Ad_matrix"]) == 1
     if not prob.system.has_drift:
-        # a drift is differenced by n column pairs; without one it is read once
-        assert len(calls["drift_values"]) == 1
+        # a drift is differenced by n column pairs; without one it is never read
+        assert calls["drift_values"] == []
 
 
 def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
@@ -1778,3 +1783,70 @@ def test_problem_validation():
     with pytest.raises(DimensionMismatch):
         OcProblemLie(system=system, g0=2.0 * np.eye(3), xi0=np.zeros(3),
                      gT=np.eye(3), xiT=np.zeros(3), N=4, h=0.1, cost=L2Cost())
+
+
+def _solution_arrays(sol):
+    return (sol.gs.tobytes(), sol.nus.tobytes(), sol.controls.tobytes(),
+            np.float64(sol.cost).tobytes())
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_solve_reads_the_solution_of_its_last_pass(regime, monkeypatch):
+    # a solve takes path, momenta, controls and cost from the interval pass
+    # its residual stored at the returned z, with no assemble_solution call,
+    # and they are assemble_solution's bits there; on the failure path the
+    # solution is assembled from the best iterate, and the pass a solve
+    # stores at that point gives the same bits
+    prob = jacobian_regimes()[regime]
+    eliminated = lgoc._momenta_eliminable(prob)
+    assemble = lgoc.assemble_solution
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve assembled the solution again")
+
+    monkeypatch.setattr(lgoc, "assemble_solution", refused)
+    # the underactuated regimes' least-squares floor lies near 0.2, so their
+    # solve converges at a loose tolerance, after a few LM iterations
+    tol = 0.5 if regime.startswith("underactuated") else 1e-9
+    sol = lgoc.solve(prob, tol=tol, max_iter=30)
+    assert sol.report.converged and sol.report.iterations >= 1
+    z = lgoc._pack(sol.xis, sol.nus[1:-1], sol.lambdas, eliminated)
+    assert _solution_arrays(sol) == _solution_arrays(assemble(prob, z))
+    with pytest.raises((NoConvergence, SingularJacobian)) as failure:
+        lgoc.solve(prob, tol=1e-30, max_iter=2)
+    best = failure.value.best_x
+    assert best is not None
+    # a solve that stops at once, from the best iterate, reads its pass there
+    at_best = lgoc.solve(prob, tol=np.inf, guess=lgoc._unpack(prob, best, eliminated))
+    assert at_best.report.iterations == 0
+    assert _solution_arrays(at_best) == _solution_arrays(assemble(prob, best))
+
+
+def test_solve_without_a_stored_pass_assembles_the_solution(monkeypatch):
+    # a pass pushed out of the store leaves the solve to assemble_solution
+    monkeypatch.setattr(lgoc, "_KEPT_PASSES", 0)
+    prob = rigid_body_problem()
+    sol = lgoc.solve(prob, tol=1e-9)
+    z = lgoc._pack(sol.xis, None, None, True)
+    assert _solution_arrays(sol) == _solution_arrays(lgoc.assemble_solution(prob, z))
+
+
+@pytest.mark.parametrize("build", [rigid_body_problem, under_target_problem],
+                         ids=["fully actuated", "underactuated"])
+def test_driftless_solve_makes_no_drift_evaluation(build, monkeypatch):
+    # without a drift nothing evaluates one: no zero array is formed and
+    # none is subtracted, in the residual, the Jacobian or the solution
+    expected = lgoc.solve(build(), tol=1e-7)
+
+    def refused(self, z):
+        raise AssertionError("drift_values called on a system without a drift")
+
+    monkeypatch.setattr(ReducedSystem, "drift_values", refused)
+    prob = build()
+    assert not prob.system.has_drift
+    sol = lgoc.solve(prob, tol=1e-7)
+    assert sol.report.converged
+    assert sol.report.residual_history == expected.report.residual_history
+    assert _solution_arrays(sol) == _solution_arrays(expected)
+    z = lgoc._pack(sol.xis, sol.nus[1:-1], sol.lambdas, prob.system.fully_actuated)
+    assert _solution_arrays(lgoc.assemble_solution(prob, z)) == _solution_arrays(sol)

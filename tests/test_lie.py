@@ -646,3 +646,104 @@ def test_abelian_group_is_trivial():
     assert np.allclose(g.inverse(x), -x)
     assert np.allclose(g.dtau_matrix(x) @ eta, eta)
     assert np.allclose(g.Ad_matrix(x) @ eta, eta)
+
+
+# vee3 and the chart inverses as np.stack and np.any formed them, kept as
+# the oracle of their one-take and ndarray-test forms
+def _stacked_vee3(W):
+    W = np.asarray(W, dtype=float)
+    return np.stack([W[..., 2, 1], W[..., 0, 2], W[..., 1, 0]], axis=-1)
+
+
+def _stacked_so3_cay_inv(R):
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    if np.any(tr <= lie._CHART_TRACE):
+        raise OutOfChart("cay")
+    return (2.0 / (1.0 + tr))[..., None] * _stacked_vee3(R - mat_t(R))
+
+
+def _stacked_so3_log(R):
+    th = lie._so3_angle(R)
+    if np.any(th > np.pi - lie._CHART_ANGLE_TOL):
+        raise OutOfChart("exp")
+    small = th < 1e-8
+    th_safe = np.where(small, 1.0, th)
+    f = np.where(small, 0.5 + th**2 / 12.0, th_safe / (2.0 * np.sin(th_safe)))
+    return f[..., None] * _stacked_vee3(R - mat_t(R))
+
+
+def _stacked_se3_cay_inv(g):
+    w = _stacked_so3_cay_inv(g[..., :3, :3])
+    t = g[..., :3, 3]
+    return np.concatenate([w, t - 0.5 * lie.mv(lie.hat3(w), t)], axis=-1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _signed_zero_batches(rng):
+    """Random 3x3 batches and single matrices, with entries of +0.0 and -0.0."""
+    out = []
+    for shape in [(), (1,), (7,), (64,)]:
+        W = rng.normal(size=shape + (3, 3))
+        zeros = rng.random(size=W.shape) < 0.3
+        W[zeros] = np.where(rng.random(size=W.shape) < 0.5, 0.0, -0.0)[zeros]
+        out.append(W)
+    return out
+
+
+def test_vee3_is_the_stacked_form_bitwise():
+    rng = np.random.default_rng(41)
+    for W in _signed_zero_batches(rng):
+        assert _same_bits(lie.vee3(W), _stacked_vee3(W))
+        # a strided view reads the same entries
+        assert _same_bits(lie.vee3(mat_t(W)), _stacked_vee3(mat_t(W)))
+    W = np.zeros((3, 3))
+    W[2, 1], W[0, 2], W[1, 0] = -0.0, 0.0, -0.0
+    assert _same_bits(lie.vee3(W), np.array([-0.0, 0.0, -0.0]))
+
+
+def _rotations(rng):
+    """Rotation batches and single rotations: random ones, the identity and
+    half-angle turns about the axes, whose exact zeros are signed."""
+    so3 = lie.so3(lie.EXPONENTIAL)
+    out = [so3.tau(random_algebra(rng, 3, count, radius=3.0)) for count in (1, 9, 64)]
+    out.append(so3.tau(random_algebra(rng, 3, 1, radius=3.0)[0]))
+    out.append(np.eye(3))
+    for axis in range(3):
+        w = np.zeros(3)
+        w[axis] = 1.3
+        R = so3.tau(w)
+        R[R == 0.0] = -0.0
+        out += [R, np.stack([R, np.eye(3), -0.0 * np.eye(3) + np.eye(3)])]
+    return out
+
+
+@pytest.mark.parametrize("chart, oracle", [
+    (lie._so3_cay_inv, _stacked_so3_cay_inv),
+    (lie._so3_log, _stacked_so3_log),
+])
+def test_so3_chart_inverses_are_the_stacked_forms_bitwise(chart, oracle):
+    rng = np.random.default_rng(43)
+    for R in _rotations(rng):
+        assert _same_bits(chart(R), oracle(R))
+    # beyond the chart both raise, on one matrix and in a batch
+    far = lie.so3(lie.EXPONENTIAL).tau(np.array([0.0, np.pi, 0.0]))
+    for R in (far, np.stack([np.eye(3), far])):
+        with pytest.raises(OutOfChart):
+            chart(R)
+        with pytest.raises(OutOfChart):
+            oracle(R)
+
+
+def test_se3_cayley_inverse_is_the_stacked_form_bitwise():
+    rng = np.random.default_rng(47)
+    se3 = lie.se3(lie.CAYLEY)
+    for count in (None, 1, 9, 64):
+        shape = () if count is None else (count,)
+        g = se3.tau(rng.normal(size=shape + (6,)))
+        g[..., :3, 3][rng.random(size=shape + (3,)) < 0.3] = -0.0
+        assert _same_bits(lie._se3_cay_inv(g), _stacked_se3_cay_inv(g))
+    assert _same_bits(lie._se3_cay_inv(np.eye(4)), _stacked_se3_cay_inv(np.eye(4)))

@@ -271,6 +271,9 @@ def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
 # iteration
 _DEP_TOL = 1e-13
 _DEP_MAX_ITER = 200
+# step j of a window of march steps is solved when max |r_j| is at most
+# _WINDOW_TOL (1 + max |m+(xi_j)|), its momentum's size
+_WINDOW_TOL = 1e-13
 
 
 def _max_abs(v):
@@ -284,10 +287,22 @@ def _max_abs(v):
     return max(map(abs, values))
 
 
+def _momentum_jacobian(inertia, h, Ixi, D, T):
+    """d/dxi of the momenta D^T I xi of a batch of points, where D =
+    dtau_inv(z) at z = h xi and T is its derivative (``dtau_inv_deriv``):
+    D^T I + h (I xi)_i dD_ij/dz_l, the batched form of ``dep_step``'s
+    Jacobian.  With -h, D and T at -z it is the derivative of dtau_inv(-h
+    xi)^T I xi; h holds one step per point, shape (..., 1, 1)."""
+    return mt(D) @ inertia + h * mt((Ixi[:, None, None, :] @ T)[:, :, 0, :])
+
+
 def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
              step_index=0, J_inv_prev=None):
     """Advance the discrete momentum equation by one interval; returns
-    (xi_k, mu_k, J_k^-1).
+    (xi_k, mu_k, J_k^-1).  It is the one-step floor of
+    ``integrate_reduced``'s windows: the march solves a step alone with it
+    where its windows shrink to one step or meet a residual that is not
+    finite, and every step of a system with a potential.
 
     Given the previous interval's (xi_{k-1}, mu_{k-1}), tau_prev =
     tau(h xi_{k-1}) and the forcing around node k, solves the implicit
@@ -307,8 +322,9 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
     ``_drift_jacobians``), is inverted once, at the start, and handed back
     as J_k^-1; D and dD/dz there come from one ``dtau_inv_deriv`` call.  The
     start is the Newton predictor xi_{k-1} - J_{k-1}^-1 r(xi_{k-1}) when
-    ``J_inv_prev`` holds the previous step's inverse, and xi_{k-1} when it
-    is None or the prediction is not finite; r(xi_{k-1}) needs no kernel
+    ``J_inv_prev`` holds the previous step's inverse (after a window, the
+    inverse step Jacobian at xi_{k-1}), and xi_{k-1} when it is None or the
+    prediction is not finite; r(xi_{k-1}) needs no kernel
     call, since mu_{k-1} stands for D(h xi_{k-1})^T I xi_{k-1}.  Every later
     point makes one ``dtau_inv_matrix`` call, except the last: the
     iteration stops when an update is below _DEP_TOL relative to xi.  If it
@@ -407,25 +423,45 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     raises DimensionMismatch.
     ``controls`` has shape (steps, 2, m) holding (u_k^-, u_k^+); interval 0
     is determined by the initial velocity, so its u_0^- is unused.  The
-    control covectors (h/2) B (u^+_{k-1} + u^-_k) of every node come from
-    one product.  Each step solves ``dep_step``'s equation, handed the
-    tau(h xi_{k-1}) that built g_k, so a march makes ``steps`` tau calls,
-    and keeps the momentum mu_k the step solved for: the transported
-    mu_{k-1} plus the forcing, which the free body carries over exactly as
-    coAd(tau(h xi_{k-1}), mu_{k-1}).  A step evaluates dtau_inv once per
-    point it visits before the converged one, the first point through one
-    ``dtau_inv_deriv`` call for the matrix and its derivative together.
-    Step 1 starts from xi_0; every later step starts from the Newton
-    predictor xi_{k-1} - J_{k-1}^-1 r_k(xi_{k-1}), on the inverse Jacobian
-    the step before formed, so the new step's forcing is in its start.  Of
-    the user's callables, the step Jacobian needs only the drift's
-    derivative: a linear drift gives its matrix, so only a callable drift is
-    differenced, once per step.  Each g_{k+1} = g_k tau(h xi_k) is written
-    straight into the preallocated path, as ``reconstruct`` writes it, so
-    gs is bitwise ``reconstruct(group, g0, h, xis)``.
+    control covectors f_k = (h/2) B (u^+_{k-1} + u^-_k) of every node come
+    from one product.
+
+    The march solves its steps in windows (``solvers.march_in_windows``):
+    the velocities xi_k..xi_{k+W-1} of W steps at once, by Newton's method
+    (``solvers.window_newton``) from the constant velocity xi_{k-1}, on
+
+        r_j = m+(xi_j) - m-(xi_{j-1}) - (h/2) (d(h xi_j) + d(h xi_{j-1})) - f_j,
+
+    with m+-(xi) = dtau_inv(+-h xi)^T I xi and d the drift: ``dep_step``'s
+    equations, since coAd(tau(h xi), m+(xi)) = m-(xi).  The first step's
+    m-(xi_{k-1}) is the carried momentum transported, coAd(tau(h xi_{k-1}),
+    mu_{k-1}).  Only the terms the system has are formed.  The Jacobian is
+    block lower bidiagonal, so a Newton update is the affine recurrence
+    delta_j = A_j delta_{j-1} + b_j, which ``solvers.affine_scan`` solves;
+    its blocks come from one batched solve, and D = dtau_inv and dD/dz at
+    +-h xi of the whole window from one ``dtau_inv_deriv`` call on the
+    stacked displacements.  A step of the window is solved when max |r_j|
+    is at most _WINDOW_TOL (1 + max |m+(xi_j)|); the solved steps then take
+    one more update, as ``dep_step`` takes its last one, which lands them
+    within rounding of the root.  Their tau(h xi_j) come from one batched
+    call, and each g_{j+1} = g_j tau(h xi_j) is written straight into the
+    preallocated path, as ``reconstruct`` writes it.  The momentum is
+    carried as the step-by-step march carries it, mu_j = coAd(tau(h
+    xi_{j-1}), mu_{j-1}) + f_j + (h/2) (d_{j-1} + d_j), with the drift
+    values of the window's last evaluation, so the free body transports it
+    exactly.
+
+    A window that does not converge is halved, and one whose residual is
+    not finite is solved step by step.  A step alone is ``dep_step``, from
+    the Newton predictor on the step Jacobian at the last velocity solved;
+    its Newton fallback raises StepSolveFailed with the step's index.  A
+    system with a potential runs ``dep_step`` at every step, as the march
+    did before windows, to the bit: its r_j depends on g_j, so on every
+    earlier velocity of the window.
     """
     group = system.group
     n = system.n
+    inertia = system.inertia
     if steps < 1:
         raise DimensionMismatch(f"steps must be at least 1, got {steps}")
     xi0 = np.asarray(xi0, dtype=float)
@@ -435,28 +471,138 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     shape = group.identity().shape
     if g0.shape != shape:
         raise DimensionMismatch(f"g0 must have the shape {shape}, got {g0.shape}")
-    forcing = [None] * (steps - 1)
+    forcing = None
     if controls is not None:
         controls = np.asarray(controls, dtype=float)
         if controls.shape != (steps, 2, system.m):
             raise DimensionMismatch("controls must have shape (steps, 2, m)")
         forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
-    gs = np.empty((steps + 1,) + g0.shape)
+    drift = system.drift_values if system.has_drift else None
+    gs = np.empty((steps + 1,) + shape)
     gs[0] = g0
     compose = _composition(group)
     xis = np.empty((steps, n))
     mus = np.empty((steps, n))
-    xi = xis[0] = xi0
-    mu = mus[0] = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
-    W = group.tau(h * xi0)
-    compose(g0, W, out=gs[1])
-    J_inv = None
-    for k in range(1, steps):
-        xi, mu, J_inv = dep_step(system, h, xi, mu, W, forcing[k - 1], gs[k], k, J_inv)
+    taus = np.empty((steps,) + shape)
+    xis[0] = xi0
+    mus[0] = (inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
+    taus[0] = group.tau(h * xi0)
+    compose(g0, taus[0], out=gs[1])
+    # carried from the last step solved: dep_step's inverse Jacobian, or
+    # after a window the step Jacobian to invert for it, and after a window
+    # with a drift its (h/2) d(h xi); a step alone resets all three
+    J_inv = last_jacobian = half_drift = None
+
+    def step(k):
+        nonlocal J_inv, last_jacobian, half_drift
+        if last_jacobian is not None:
+            try:
+                J_inv = np.linalg.inv(last_jacobian)
+            except np.linalg.LinAlgError:
+                J_inv = None
+        xi, mus[k], J_inv = dep_step(system, h, xis[k - 1], mus[k - 1], taus[k - 1],
+                                     None if forcing is None else forcing[k - 1],
+                                     gs[k], k, J_inv)
+        last_jacobian = half_drift = None
         xis[k] = xi
-        mus[k] = mu
-        W = group.tau(h * xi)
+        W = taus[k] = group.tau(h * xi)
         compose(gs[k], W, out=gs[k + 1])
+
+    def window(k, size):
+        nonlocal half_drift
+        if drift is not None and half_drift is None:
+            half_drift = (h / 2.0) * drift(h * xis[k - 1])
+        head = group.coAd(taus[k - 1], mus[k - 1])
+        if drift is not None:
+            head = head + half_drift
+        f = None if forcing is None else forcing[k - 1:k - 1 + size]
+        point = blocks = None
+
+        # +h at the steps, -h at the steps but the last: m+ and m- at once
+        signed_h = np.concatenate([np.full(size, h), np.full(size - 1, -h)])[:, None, None]
+
+        def linearize(X):
+            nonlocal point
+            z = h * X
+            Ixi = X @ inertia.T
+            Ixi = np.concatenate([Ixi, Ixi[:-1]])
+            # D and dD/dz at +h xi_j for every step, at -h xi_j for all but the last
+            D, T = group.dtau_inv_deriv(np.concatenate([z, -z[:-1]]))
+            m = (Ixi[:, None, :] @ D)[:, 0]
+            r = m[:size] - np.concatenate([head[None], m[size:]])
+            d = None
+            if drift is not None:
+                d = (h / 2.0) * drift(z)
+                r -= d
+                r[1:] -= d[:-1]
+            if f is not None:
+                r -= f
+
+            def recurrence(count=size):
+                # the first count steps: the update of a solved prefix
+                # depends on no later step
+                nonlocal blocks
+                J = _momentum_jacobian(inertia, signed_h, Ixi, D, T)
+                B, C = J[:count], J[size:size + count - 1]
+                if drift is not None:
+                    Jd = np.broadcast_to((h * h / 2.0) * _drift_jacobians(system, z[:count]),
+                                         (count, n, n))
+                    B = B - Jd
+                    C = C + Jd[:-1]
+                # B_j delta_j = C_j delta_{j-1} - r_j, solved for both at
+                # once; B_j is dep_step's Jacobian at xi_j
+                blocks = B
+                rhs = np.zeros((count, n, n + 1))
+                rhs[1:, :, :n] = C
+                rhs[:, :, n] = -r[:count]
+                out = np.linalg.solve(B, rhs)
+                return out[..., :n], out[..., n]
+
+            point = (d, recurrence)
+            return np.max(np.abs(r), axis=1) / (
+                _WINDOW_TOL * (1.0 + np.max(np.abs(m[:size]), axis=1))), recurrence
+
+        def commit(X, count):
+            nonlocal J_inv, last_jacobian, half_drift
+            d, recurrence = point
+            # one more Newton update, as dep_step takes its last one: from
+            # a solved point it lands within rounding of the root.  The
+            # drift values d stay those of the point before it: the update
+            # moves each xi_j by about the step tolerance, so d differs
+            # from the drift at the stored xi_j by that times the drift's
+            # slope, far below the momentum's rounding checks, and no
+            # drift call is spent on the committed point
+            J_inv = None
+            try:
+                X = X[:count] + solvers.affine_scan(*recurrence(count))
+                last_jacobian = blocks[count - 1]
+            except np.linalg.LinAlgError:
+                X, last_jacobian = X[:count], None
+            xis[k:k + count] = X
+            taus[k:k + count] = group.tau(h * X)
+            Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
+            mu = mus[k - 1]
+            for i in range(count):
+                j = k + i
+                mu = mu @ Ad[i]
+                if f is not None:
+                    mu = mu + f[i]
+                if d is not None:
+                    mu = mu + (half_drift if i == 0 else d[i - 1]) + d[i]
+                mus[j] = mu
+                compose(gs[j], taus[j], out=gs[j + 1])
+            if d is not None:
+                half_drift = d[count - 1]
+
+        return np.repeat(xis[k - 1][None], size, axis=0), linearize, commit
+
+    if system.potential is None:
+        solvers.march_in_windows(1, steps, step, window)
+    else:
+        # r_j depends on g_j, so on every earlier velocity of a window:
+        # every step alone
+        for k in range(1, steps):
+            step(k)
     return gs, xis, mus
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
 from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, ResidualSystem, central_difference,
-                      newton)
+                      march_in_windows, newton)
 
 
 def _per_point(fun, *points):
@@ -280,28 +280,38 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     counts the intervals including that one; ``steps`` < 1, or a q0 or q1
     not of length n, raises DimensionMismatch.
 
-    Each step solves the DEL residual to an absolute 1e-12, but never below
-    a few rounding units of the momentum terms M q / h: the difference
-    quotients lose eps |q| / h each, so far from the origin 1e-12 could not
-    be met.  The residual is assembled from the trapezoidal Lagrangian's
-    closed form, not through the slot derivatives: the control forces B^-+ u
-    of the whole march come from one product each, and the potential
-    gradient from one evaluation per node, as it enters D2 Ld(q_{k-1}, q_k)
-    and D1 Ld(q_k, q_{k+1}) at the same q_k.  So per step the part that does
-    not depend on q_{k+1} is formed once, and each update adds only
-    -(q_{k+1} - q_k) M^T / h + a^-(q_k, q_{k+1}); the velocity term of a
-    step's last update is the next step's (q_{k+1} - q_k) M^T / h, so that
-    step does not form it again.  The step solve is a simplified Newton
-    iteration from the extrapolation 2 q_k - q_{k-1} on the Jacobian
-    D1 D2 Ld = -M / h, which is constant, so the march factors it once;
-    without a drift a^- the residual is affine in q_{k+1} (the potential
-    enters at q_k only) and one update solves it.  The tolerance and the
-    stopping test read max |.| from the step's Python floats, the same
-    floats numpy's reduction gives, so every decision is numpy's.  A step
-    that does not converge within _STEP_MAX_ITER updates, or meets a NaN or
-    infinite residual, falls back to Newton with a line search
-    (``newton``), and raises StepSolveFailed with the step index when that
-    fails too.
+    The DEL at node k is solved to an absolute 1e-12, but never below a few
+    rounding units of the momentum terms M q / h: the difference quotients
+    lose eps |q| / h each, so far from the origin 1e-12 could not be met.
+    The residual is assembled from the trapezoidal Lagrangian's closed form,
+    not through the slot derivatives,
+
+        r_k = (q_k - q_{k-1}) M^T / h - (q_{k+1} - q_k) M^T / h + f^+_{k-1} + f^-_k
+              - h grad V(q_k) + a^+(q_{k-1}, q_k) + a^-(q_k, q_{k+1}),
+
+    with the control forces B^-+ u of the whole march from one product each,
+    and only the terms the system has.
+
+    The march solves its steps in windows (``solvers.march_in_windows``):
+    the positions q_{k+1}..q_{k+W} of W steps at once, by Newton's method
+    (``solvers.window_newton``) from the extrapolation of the last velocity.
+    r_k depends on q_{k+1}, q_k and q_{k-1}, so a Newton update is the
+    affine recurrence on the state (dq_{k+1}, dq_k), 2n wide, that
+    ``solvers.affine_scan`` solves.  Its blocks come from one batched solve
+    on d r_k / d q_{k+1} = -M / h + d a^-/d q_{k+1}; the drifts' Jacobians
+    are differenced, and the potential's Hessian is the Lagrangian's
+    ``V_xx``.  A DEL whose drifts and potential gradient are affine, as the
+    point mass's, is linear: one update solves a window, and a second at
+    most meets the tolerance where the scan's rounding does not.
+
+    A window that does not converge is halved, and one whose residual is
+    not finite is solved step by step.  A step alone is solved as the march
+    solved every step before windows: by a simplified Newton iteration from
+    the extrapolation 2 q_k - q_{k-1} on the constant Jacobian D1 D2 Ld =
+    -M / h, factored once.  A step that does not converge within
+    _STEP_MAX_ITER updates, or meets a NaN or infinite residual, falls back
+    to Newton with a line search (``newton``), and raises StepSolveFailed
+    with the step index when that fails too.
     """
     n = lagrangian.dim
     if steps < 1:
@@ -326,37 +336,34 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
         _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
     # f^+_{k-1} + f^-_k of every node
     control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
-    # d/dq_next of D1 Ld(q_k, q_next); drift terms, if any, are mild enough
-    # that the iteration still contracts
+    potential = lagrangian.potential is not None
+    a_plus, a_minus = forces.a_plus is not None, forces.a_minus is not None
+    # d/dq_next of D1 Ld(q_k, q_next), without a drift
     J = lagrangian.d12(q0, q1)
     J_inv = np.linalg.inv(J)
-    velocity = None
-    for k in range(1, steps):
+
+    def step(k):
         q_prev, q_k = qs[k - 1], qs[k]
         step_tol = max(_STEP_TOL, rounding_per_q * _max_abs(q_k))
         # D2 Ld(q_{k-1}, q_k) + f^+_{k-1} + f^-_k, less D1 Ld's q_{k+1} part,
         # is velocity + forcing
-        if velocity is None:
-            velocity = (q_k - q_prev) @ Mt_h
         forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
                    + forces.drift("+", q_prev, q_k))
-        fixed = velocity + forcing
+        fixed = (q_k - q_prev) @ Mt_h + forcing
 
         def res(q_next):
             return fixed - (q_next - q_k) @ Mt_h + forces.drift("-", q_k, q_next)
 
-        # at the extrapolation the velocity terms cancel
+        # at the extrapolation the velocity terms cancel; drift terms, if
+        # any, are mild enough that the iteration on -M/h still contracts
         guess = 2.0 * q_k - q_prev
         q_next, r = guess, forcing + forces.drift("-", q_k, guess)
         err = _max_abs(r)
-        velocity = None
         for _ in range(_STEP_MAX_ITER):
             if err <= step_tol or not math.isfinite(err):
                 break
             q_next = q_next - J_inv @ r
-            # res(q_next), keeping its velocity term for the next step
-            velocity = (q_next - q_k) @ Mt_h
-            r = fixed - velocity + forces.drift("-", q_k, q_next)
+            r = res(q_next)
             err = _max_abs(r)
         if not err <= step_tol:
             system = ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
@@ -364,8 +371,57 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
                 q_next, _ = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)
             except (NoConvergence, SingularJacobian) as exc:
                 raise StepSolveFailed(k, f"step {k}: {exc}") from exc
-            velocity = None
         qs[k + 1] = q_next
+
+    def window(k, size):
+        # nodes k..k+size-1 and their neighbours q_{k-1}..q_{k+size}
+        u = control_forces[k - 1:k - 1 + size]
+
+        def linearize(X):
+            q = np.concatenate([qs[k - 1:k + 1], X])
+            q_prev, q_mid, q_next = q[:-2], q[1:-1], q[2:]
+            v = (q[1:] - q[:-1]) @ Mt_h
+            r = v[:-1] - v[1:] + u
+            if potential:
+                r -= h * lagrangian.V_x(q_mid)
+            if a_plus:
+                r += forces.drift("+", q_prev, q_mid)
+            if a_minus:
+                r += forces.drift("-", q_mid, q_next)
+            tol = np.maximum(_STEP_TOL, rounding_per_q * np.max(np.abs(q_mid), axis=1))
+            error = np.max(np.abs(r), axis=1) / tol
+
+            def recurrence():
+                # d r_k / d(q_{k+1}, q_k, q_{k-1})
+                d_next, d_mid, d_prev = J, -2.0 * J, J
+                if potential:
+                    d_mid = d_mid - h * lagrangian.V_xx(q_mid)
+                if a_plus:
+                    da, db = forces.drift_jacobians("+", q_prev, q_mid)
+                    d_mid, d_prev = d_mid + db, d_prev + da
+                if a_minus:
+                    da, db = forces.drift_jacobians("-", q_mid, q_next)
+                    d_next, d_mid = d_next + db, d_mid + da
+                # dq_{k+1} = -d_next^-1 (r_k + d_mid dq_k + d_prev dq_{k-1})
+                rhs = np.empty((size, n, 2 * n + 1))
+                rhs[..., :n], rhs[..., n:2 * n], rhs[..., 2 * n] = -d_mid, -d_prev, -r
+                out = np.linalg.solve(d_next, rhs) if a_minus else J_inv @ rhs
+                A = np.zeros((size, 2 * n, 2 * n))
+                A[:, :n] = out[..., :2 * n]
+                A[:, n:, :n] = np.eye(n)
+                b = np.zeros((size, 2 * n))
+                b[:, :n] = out[..., 2 * n]
+                return A, b
+
+            return error, recurrence
+
+        def commit(X, count):
+            qs[k + 1:k + 1 + count] = X[:count]
+
+        start = qs[k] + np.arange(1, size + 1)[:, None] * (qs[k] - qs[k - 1])
+        return start, linearize, commit
+
+    march_in_windows(1, steps, step, window)
     return qs
 
 

@@ -1,5 +1,7 @@
 """Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
-in turn, plus ``central_difference``, the one central-difference quotient.
+in turn, plus ``central_difference``, the one central-difference quotient,
+and the window driver of the marches, ``march_in_windows`` with
+``window_newton`` and ``affine_scan``.
 
 Every system supplies its Jacobian, so the differences only reach what a
 user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the
@@ -326,3 +328,119 @@ def solve(system, z0, attempts, method="auto", tol=1e-9, max_iter=100):
             if failure is None or exc.best_residual <= failure.best_residual:
                 failure = exc
     raise failure
+
+
+# ---------------------------------------------------------------------------
+# marching in windows
+# ---------------------------------------------------------------------------
+
+# the widest window of march steps solved as one system, the Newton
+# iterations a window may take, and the most it may take for the next window
+# to be twice as wide
+WINDOW_CAP = 128
+WINDOW_MAX_ITER = 8
+_WINDOW_QUICK = 6
+
+
+def affine_scan(A, b):
+    """Every state of the affine recurrence x_j = A_j x_{j-1} + b_j, j = 0..W-1,
+    from x_{-1} = 0: shape (W, m), from A (W, m, m) and b (W, m).
+
+    A Hillis-Steele prefix scan of the maps x -> A_j x + b_j: after the round
+    of offset d, element j holds the composition of the maps j - 2d + 1..j,
+    so log2 W rounds of batched products give every state.  A_0 multiplies
+    x_{-1} = 0, so it is never read.
+    """
+    A = np.array(A, dtype=float)
+    x = np.array(b, dtype=float)
+    W, d = len(x), 1
+    while d < W:
+        # the right-hand sides are formed before either slice is written
+        x[d:] = x[d:] + (A[d:] @ x[:-d, :, None])[..., 0]
+        if 2 * d < W:
+            # only the maps that later rounds compose are needed: j >= 2d
+            A[2 * d:] = A[2 * d:] @ A[d:-d]
+        d *= 2
+    return x
+
+
+def window_newton(x, linearize):
+    """Newton's method on the unknowns x (W, n) of a window of W march steps,
+    whose Jacobian is block lower triangular: step j's residual depends on
+    the steps before it only through a short recurrence.
+
+    ``linearize(x)`` returns (error, recurrence): ``error`` (W,) is each
+    step's residual measured against its tolerance, at most 1 where the step
+    is solved, and ``recurrence()`` returns (A, b), the affine recurrence
+    delta_j = A_j delta_{j-1} + b_j of the Newton update, whose first n
+    components are the update of x_j (a second-order march carries
+    (dq_{j+1}, dq_j), 2n wide).  ``affine_scan`` solves it.
+
+    Returns (x, iterations, solved): the last point evaluated, the updates
+    made to reach it, and how many leading steps are solved there.  That is
+    all W when the window converges, and fewer when WINDOW_MAX_ITER updates
+    do not get there or the recurrence's batched solve meets a singular
+    block: a step's residual depends only on the steps up to it, so a
+    solved prefix stays solved whatever the rest does.  ``solved`` is None
+    when a residual is not finite.  The iteration runs under
+    ``np.errstate(all="ignore")``, so a diverging window fails without a
+    warning.
+    """
+    n = x.shape[1]
+    with np.errstate(all="ignore"):
+        for iteration in itertools.count():
+            error, recurrence = linearize(x)
+            solved = error <= 1.0
+            if solved.all():
+                return x, iteration, len(x)
+            if not np.isfinite(error).all():
+                return x, iteration, None
+            if iteration == WINDOW_MAX_ITER:
+                break
+            try:
+                A, b = recurrence()
+            except np.linalg.LinAlgError:
+                break
+            x = x + affine_scan(A, b)[:, :n]
+    return x, iteration, int(np.argmin(solved))
+
+
+def march_in_windows(first, stop, step, window):
+    """Solve the steps first..stop-1 of a march, in order.
+
+    ``step(k)`` solves step k alone, the march's per-step solve.
+    ``window(k, size)`` sets up the steps k..k+size-1 as one system and
+    returns (x, linearize, commit): a start x (size, n), the ``linearize``
+    of ``window_newton`` and commit(x, count), which takes the first
+    ``count`` steps of x as solved.
+
+    The first window is WINDOW_CAP steps wide, or what is left of the march.
+    A window that converges within _WINDOW_QUICK iterations lets the next be
+    twice as wide, up to the cap.  One that does not converge within its
+    budget keeps its solved prefix, and the next window, half as wide,
+    starts where the prefix ends.  One whose residual is not finite keeps
+    nothing: ``step`` solves its steps one at a time, so a step whose
+    equation cannot be evaluated fails as it fails in a march of single
+    steps, and the next window is half as wide.  A width of 1 runs
+    ``step``, and the next window is 2 wide.
+    """
+    k, width = first, WINDOW_CAP
+    while k < stop:
+        size = min(width, stop - k)
+        if size > 1:
+            x, linearize, commit = window(k, size)
+            x, iterations, solved = window_newton(x, linearize)
+            if solved is not None:
+                if solved:
+                    commit(x, solved)
+                k += solved
+                if solved < size:
+                    width = size // 2
+                elif iterations <= _WINDOW_QUICK:
+                    width = min(2 * width, WINDOW_CAP)
+                continue
+            width = size // 2
+        for j in range(k, k + size):
+            step(j)
+        k += size
+        width = max(width, 2)

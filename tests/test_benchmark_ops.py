@@ -1,6 +1,7 @@
-"""The benchmark's lgoc solves keep their outcome: each op that
-perfbench/workloads.py builds at full size, seed 901, ends with the same
-method, iteration count and cost, and drawn-2 still fails."""
+"""The benchmark's ops at full size, seed 901, as perfbench/workloads.py
+builds them: the lgoc solves end with the same method, iteration count and
+cost, and drawn-2 still fails; every simulate op passes the benchmark's
+correctness gate."""
 
 import os
 import sys
@@ -50,3 +51,12 @@ def test_benchmark_lgoc_ops_keep_their_outcome(workload, workloads, tmp_path):
         assert (sol.report.method, sol.report.iterations) == (method, iterations), name
         assert sol.report.converged
         assert sol.cost == pytest.approx(cost, rel=1e-9), name
+
+
+@pytest.mark.parametrize("name", ["rb-cay-free", "rb-exp-free", "uuv-forced", "pm-forced"])
+def test_benchmark_simulate_ops_pass_the_gate(name, workloads, tmp_path):
+    # free-body momentum and energy, forced DEL continuity: an integrator
+    # change fails here before the benchmark calls its outputs incorrect
+    ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
+    op = ops[name]
+    assert sys.modules["gate"].evaluate(op, op.run()) == []

@@ -179,9 +179,13 @@ def test_free_body_march_transports_the_momentum_exactly(case):
 
 @pytest.mark.parametrize("case", ["heavy top cay", "uuv exp"])
 def test_integrate_reduced_is_a_loop_of_dep_step(case):
-    # the march hands step k the node's control covector (h/2) B (u^+_{k-1}
-    # + u^-_k), the tau(h xi_{k-1}) that built g_k and the inverse Jacobian
-    # of step k-1; it forms the covectors of all nodes in one product
+    # the march hands each step the node's control covector (h/2) B
+    # (u^+_{k-1} + u^-_k), formed for all nodes in one product.  A system
+    # with a potential is a loop of dep_step, handed the tau(h xi_{k-1})
+    # that built g_k and the inverse Jacobian of step k-1, to the bit.  The
+    # vehicle is solved in windows: every step solves dep_step's equation,
+    # so dep_step from the march's own (xi_{k-1}, mu_{k-1}) lands on its
+    # (xi_k, mu_k)
     system, g0, xi0, h, controls = _march_cases()[case]
     steps = 60
     controls = controls[:steps]
@@ -193,6 +197,13 @@ def test_integrate_reduced_is_a_loop_of_dep_step(case):
     for k in range(1, steps):
         node = (h / 2.0) * (B @ (controls[k - 1, 1] + controls[k, 0]))
         assert np.max(np.abs(covectors[k - 1] - node)) <= 1e-15 * np.max(np.abs(node))
+        if system.potential is None:
+            W = group.tau(h * xis[k - 1])
+            xi, mu, _ = lgoc.dep_step(system, h, xis[k - 1], mus[k - 1], W, covectors[k - 1],
+                                      gs[k], k)
+            assert np.max(np.abs(xis[k] - xi)) <= 1e-12 * np.max(np.abs(xi))
+            assert np.max(np.abs(mus[k] - mu)) <= 1e-12 * np.max(np.abs(mu))
+            continue
         W = group.tau(h * xi)
         g = group.multiply(g, W)
         xi, mu, J_inv = lgoc.dep_step(system, h, xi, mu, W, covectors[k - 1], g, k, J_inv)
@@ -309,15 +320,22 @@ def _reference_cases():
 
 @pytest.mark.parametrize("case", list(_reference_cases()))
 def test_march_matches_its_reference_bitwise(case):
-    # the stopping tests read max |.| from Python floats and the path is
-    # written in place: the same decisions and the same bytes as the numpy
-    # reductions, the list and np.stack
+    # a system with a potential is marched step by step: its stopping tests
+    # read max |.| from Python floats and the path is written in place, the
+    # same decisions and the same bytes as the numpy reductions, the list
+    # and np.stack.  Every other march solves windows of steps at once, and
+    # agrees with the step-by-step march to 1e-10 relative, the fast spins
+    # (h |xi| about 0.6) included
     system, g0, xi0, h, controls = _reference_cases()[case]
     steps = 500 if case.startswith("benchmark") else 200
     got = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
     expected = reference_integrate_reduced(system, g0, xi0, h, steps, controls=controls)
     for a, b in zip(got, expected):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.shape == b.shape
+        if system.potential is not None:
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("case", ["free body cay", "free body exp", "uuv cay", "uuv exp"])
@@ -382,8 +400,78 @@ def test_march_rejects_an_initial_configuration_of_the_wrong_shape(case, g0):
         lgoc.integrate_reduced(system, g0, xi0, h, 10)
 
 
+def _window_updates(monkeypatch, march):
+    """(size, updates, solved) of each window of ``march()``, which must hand
+    no step to dep_step or to newton.  A window evaluates its residual once
+    per update and once at the point it ends on, each time through one
+    dtau_inv_deriv call for all its steps; after the march's start, which
+    forms mu_0 through one dtau_inv_matrix call, no kernel is called on
+    its own."""
+    calls, windows = [], []
+
+    def count(name):
+        original = getattr(lie.GroupSpec, name)
+
+        def counted(self, xi):
+            calls.append(name)
+            return original(self, xi)
+
+        monkeypatch.setattr(lie.GroupSpec, name, counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step was solved alone")
+
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        calls.clear()
+        out = window_newton(x, linearize)
+        assert calls == ["dtau_inv_deriv"] * (out[1] + 1)
+        windows.append((len(x), out[1], out[2]))
+        return out
+
+    count("dtau_inv_matrix")
+    count("dtau_inv_deriv")
+    monkeypatch.setattr(lgoc, "newton", refused)
+    monkeypatch.setattr(lgoc, "dep_step", refused)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    march()
+    return windows
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+@pytest.mark.parametrize("damped", [False, True], ids=["free body", "damped"])
+def test_steps_take_few_updates(retraction, damped, monkeypatch):
+    # every window of the march converges by Newton's method on the exact
+    # Jacobian, from a constant velocity, in a few updates: the free body's
+    # windows of 128 steps in 4.  The damped body has a drag of -20 z under
+    # constant torques, so the drift's term enters the Jacobian's blocks;
+    # its first window takes 6
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
+                                 retraction=retraction)
+    h, steps, controls, most = 0.01, 300, None, 4
+    if damped:
+        system = dataclasses.replace(system, drift=lambda z: -20.0 * z)
+        h, controls, most = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1)), 6
+    windows = _window_updates(monkeypatch, lambda: lgoc.integrate_reduced(
+        system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps, controls=controls))
+    assert [size for size, _, _ in windows] == [128, 128, 43]
+    assert all(solved == size and updates <= most for size, updates, solved in windows)
+
+
+@pytest.mark.parametrize("case", ["uuv cay", "uuv exp"])
+def test_forced_vehicle_steps_take_few_updates(case, monkeypatch):
+    # white-noise controls and the drag: the vehicle's windows converge in
+    # at most 5 updates each
+    system, g0, xi0, h, controls = _march_cases()[case]
+    windows = _window_updates(monkeypatch, lambda: lgoc.integrate_reduced(
+        system, g0, xi0, h, 200, controls=controls))
+    assert [size for size, _, _ in windows] == [128, 71]
+    assert all(solved == size and updates <= 5 for size, updates, solved in windows)
+
+
 def _updates_per_step(monkeypatch, march):
-    """The simplified Newton updates of each step of ``march()``.  A step
+    """The simplified Newton updates of each dep_step of ``march()``.  A step
     evaluates dtau_inv at every point it visits except the last, where its
     update converged: at its start by one dtau_inv_deriv call, after every
     other update by a dtau_inv_matrix call.  So with no step handed to
@@ -419,55 +507,36 @@ def _updates_per_step(monkeypatch, march):
     return per_step
 
 
-@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
-@pytest.mark.parametrize("damped", [False, True], ids=["free body", "damped"])
-def test_steps_take_few_updates(retraction, damped, monkeypatch):
-    # the simplified Newton iteration on the exact Jacobian, stopped on the
-    # update below _DEP_TOL.  Step 1 starts from xi_0; every later step
-    # from the Newton predictor on the previous step's inverse Jacobian,
-    # which leaves the free body one update to land and one to confirm.
-    # An extrapolated start took up to 3 and 4 updates.  The damped body
-    # has a drag of -20 z under constant torques, so the drift's term in the
-    # Jacobian counts: without it the steps take up to 9 updates
-    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2),
-                                 retraction=retraction)
-    h, steps, controls, first, most = 0.01, 300, None, 4, 2
-    if damped:
-        system = dataclasses.replace(system, drift=lambda z: -20.0 * z)
-        h, controls = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1))
-        first, most = 5, 3
-    per_step = _updates_per_step(monkeypatch, lambda: lgoc.integrate_reduced(
-        system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps, controls=controls))
-    assert len(per_step) == steps - 1
-    assert per_step[0] <= first and max(per_step[1:]) <= most
-
-
-@pytest.mark.parametrize("case", ["uuv cay", "uuv exp"])
-def test_forced_vehicle_steps_take_few_updates(case, monkeypatch):
-    # white-noise controls: an extrapolated start misses each step's new
-    # forcing and takes up to 7 updates; the predictor carries it
+@pytest.mark.parametrize("case", ["heavy top cay", "heavy top exp"])
+def test_potential_steps_take_few_updates(case, monkeypatch):
+    # a system with a potential is marched by dep_step: step 1 starts from
+    # xi_0, every later step from the Newton predictor on the previous
+    # step's inverse Jacobian, which carries the step's new forcing
     system, g0, xi0, h, controls = _march_cases()[case]
     per_step = _updates_per_step(monkeypatch, lambda: lgoc.integrate_reduced(
         system, g0, xi0, h, 200, controls=controls))
-    assert len(per_step) == 199 and max(per_step[1:]) <= 3
+    assert len(per_step) == 199 and per_step[0] <= 5 and max(per_step[1:]) <= 3
 
 
 def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
+    # one tau call for interval 0, then one batched call per window: every
+    # interval's tau(h xi_k) is formed once
     system, g0, xi0, h, controls = _march_cases()["uuv cay"]
     calls = []
     tau = lie.GroupSpec.tau
 
     def counted(self, xi):
-        calls.append(1)
+        calls.append(len(np.reshape(xi, (-1, system.n))))
         return tau(self, xi)
 
     monkeypatch.setattr(lie.GroupSpec, "tau", counted)
     lgoc.integrate_reduced(system, g0, xi0, h, 50, controls=controls[:50])
-    assert len(calls) == 50
+    assert calls == [1, 49]
 
 
 def test_newton_fallback_finds_the_same_step(monkeypatch):
-    # with no budget for the simplified Newton iteration every step goes to
+    # with no budget for a window's Newton iteration or for the simplified
+    # Newton iteration every step goes to dep_step and from there to
     # newton, from the same predicted start, on the closed-form Jacobian
     # (no residual is differenced), and lands on the same root
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
@@ -476,33 +545,144 @@ def test_newton_fallback_finds_the_same_step(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the fallback differenced the step residual")
 
+    fallbacks = []
+    newton = lgoc.newton
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "WINDOW_MAX_ITER", 0)
     monkeypatch.setattr(lgoc, "_DEP_MAX_ITER", 0)
+    monkeypatch.setattr(lgoc, "newton", counted)
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    assert len(fallbacks) == 39
     for a, b in zip(got, expected):
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 def test_singular_step_factor_keeps_the_march(monkeypatch):
-    # one step's factorisation fails: that step goes to newton, and the next
-    # step, with no finite prediction, starts from the previous velocity
+    # one window's batched solve fails: the window keeps its solved prefix
+    # (none), the next window is half as wide and the march goes on to the
+    # same path
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
     expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    inv = np.linalg.inv
+    solve = np.linalg.solve
     calls = []
 
-    def singular_once(a):
-        calls.append(1)
-        if len(calls) == 10:
+    def singular_once(a, b):
+        calls.append(len(a))
+        if len(calls) == 1:
             raise np.linalg.LinAlgError("singular matrix")
-        return inv(a)
+        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "inv", singular_once)
+    windows = []
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[2]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    monkeypatch.setattr(solvers, "window_newton", window)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    assert len(calls) == 39
+    assert windows[:2] == [(39, 0), (19, 19)]
     for a, b in zip(got, expected):
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_exp_fast_spin_shrinks_its_window(monkeypatch):
+    # h |xi| about 0.6 under exp: from a constant velocity the windows of
+    # 128 and 64 steps meet singular blocks and solve nothing, and the
+    # march halves its windows until they converge, with no step left to
+    # dep_step or newton and no RuntimeWarning; it still agrees with the
+    # step-by-step march to 1e-10
+    system, g0, xi0, h, _ = _march_cases()["fast spin exp"]
+    windows = []
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[2]))
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a step was solved alone")
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    monkeypatch.setattr(lgoc, "dep_step", refused)
+    monkeypatch.setattr(lgoc, "newton", refused)
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 200)
+    assert windows[:2] == [(128, 0), (64, 0)]
+    assert max(size for size, solved in windows if solved == size) <= 16
+    monkeypatch.undo()
+    expected = reference_integrate_reduced(system, g0, xi0, h, 200)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_drift_march_returns_to_windows_after_single_steps(monkeypatch):
+    # a dragged exp spin at h |xi| about 1.1: the first window's residual
+    # overflows, so its 128 steps are solved alone by dep_step, and the
+    # windows after them converge again.  They start from the drift at the
+    # last velocity solved, not at one a window evaluated before the single
+    # steps, and agree with the step-by-step march to 1e-10
+    body = _march_cases()["fast spin exp"][0]
+    system = dataclasses.replace(body, drift=lambda z: -z)
+    xi0, h, steps = np.array([4.0, 20.0, -10.0]), 0.05, 300
+    windows, alone = [], []
+    window_newton, dep_step = solvers.window_newton, lgoc.dep_step
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[2]))
+        return out
+
+    def step(*args):
+        alone.append(args[7])
+        return dep_step(*args)
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    monkeypatch.setattr(lgoc, "dep_step", step)
+    got = lgoc.integrate_reduced(system, np.eye(3), xi0, h, steps)
+    assert windows[0] == (128, None) and alone[:128] == list(range(1, 129))
+    assert any(solved == size > 1 for size, solved in windows[1:])
+    monkeypatch.undo()
+    expected = reference_integrate_reduced(system, np.eye(3), xi0, h, steps)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_vehicle_march_evaluates_the_drift_once_per_point(monkeypatch):
+    # the benchmark's uuv-forced march: each residual evaluation forms the
+    # drift once at every step of its window, the momentum carry takes the
+    # values of the window's last evaluation, and the march's start forms
+    # d(h xi_0) once
+    system = systems.make_uuv_system()
+    base = np.random.default_rng(20120303)
+    xi0 = 0.1 * base.normal(size=6)
+    steps = 1000
+    controls = 0.1 * base.normal(size=(steps, 2, system.m))
+    points, windows = [], []
+    drift_values = ReducedSystem.drift_values
+    window_newton = solvers.window_newton
+
+    def counted(self, z):
+        points.append(len(np.reshape(z, (-1, self.n))))
+        return drift_values(self, z)
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[1]))
+        return out
+
+    monkeypatch.setattr(ReducedSystem, "drift_values", counted)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    lgoc.integrate_reduced(system, np.eye(4), xi0, 0.05, steps, controls=controls)
+    assert sum(points) == 1 + sum(size * (updates + 1) for size, updates in windows)
 
 
 def test_march_without_controls_keeps_the_drift():

@@ -1,4 +1,5 @@
-"""Root-finder tests: finite-difference Jacobians, Newton, Levenberg-Marquardt."""
+"""Root-finder tests: finite-difference Jacobians, Newton, Levenberg-Marquardt,
+and the window driver of the marches."""
 
 from types import SimpleNamespace
 
@@ -781,3 +782,114 @@ def test_solve_rejects_an_unknown_method():
     with pytest.raises(ConfigError, match="frobnicate"):
         solvers.solve(None, np.zeros(1), attempts, "frobnicate")
     assert log == []
+
+
+# ---------------------------------------------------------------------------
+# marching in windows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("W", [1, 2, 5, 128])
+@pytest.mark.parametrize("m", [3, 6], ids=["n wide", "2n wide"])
+def test_affine_scan_solves_the_recurrence(W, m):
+    # x_j = A_j x_{j-1} + b_j from x_{-1} = 0, against the sequential loop
+    # and a dense solve of the block bidiagonal system x_j - A_j x_{j-1} =
+    # b_j; A_0 is never read, so a NaN there changes nothing
+    rng = np.random.default_rng(10 * W + m)
+    A = rng.normal(size=(W, m, m)) / (2.0 * np.sqrt(m))
+    b = rng.normal(size=(W, m))
+    A[0] = np.nan
+    A_in, b_in = A.copy(), b.copy()
+    got = solvers.affine_scan(A, b)
+    x, loop = np.zeros(m), []
+    for j in range(W):
+        x = b[j] if j == 0 else A[j] @ x + b[j]
+        loop.append(x)
+    L = np.eye(W * m)
+    for j in range(1, W):
+        L[j * m:(j + 1) * m, (j - 1) * m:j * m] = -A[j]
+    dense = np.linalg.solve(L, b.reshape(-1)).reshape(W, m)
+    scale = np.max(np.abs(dense))
+    assert got.shape == (W, m)
+    assert np.max(np.abs(got - np.array(loop))) <= 1e-12 * scale
+    assert np.max(np.abs(got - dense)) <= 1e-12 * scale
+    assert np.array_equal(A, A_in, equal_nan=True) and np.array_equal(b, b_in)
+
+
+def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
+    """A march whose windows of up to ``solves_at`` steps converge after
+    ``updates`` updates, and wider ones keep a solved prefix of ``prefix``
+    steps; with ``nan_from``, a window that reaches that step has a NaN
+    residual.  Logs (k, size) of each window, ("step", k) of each step and
+    ("commit", k, count) of each commit."""
+    log = []
+
+    def window(k, size):
+        log.append((k, size))
+        calls = []
+
+        def linearize(x):
+            calls.append(1)
+            error = np.full(size, 2.0)
+            if nan_from is not None and k + size > nan_from:
+                error[nan_from - k:] = np.nan
+            elif size <= solves_at:
+                if len(calls) > updates:
+                    error[:] = 0.0
+            else:
+                error[:prefix] = 0.0
+            return error, lambda: (np.zeros((size, 1, 1)), np.zeros((size, 1)))
+
+        def commit(x, count):
+            log.append(("commit", k, count))
+
+        return np.zeros((size, 1)), linearize, commit
+
+    def step(k):
+        log.append(("step", k))
+
+    return window, step, log
+
+
+def test_march_in_windows_halves_a_failed_window_and_doubles_a_quick_one():
+    window, step, log = _scripted_windows(solves_at=8)
+    solvers.march_in_windows(1, 41, step, window)
+    assert log == [
+        (1, 40), ("commit", 1, 5),    # 128 wide, cut to the 40 steps left
+        (6, 20), ("commit", 6, 5),    # halved, from the end of the prefix
+        (11, 10), ("commit", 11, 5),
+        (16, 5), ("commit", 16, 5),   # converged in 2 updates: doubled
+        (21, 10), ("commit", 21, 5),
+        (26, 5), ("commit", 26, 5),
+        (31, 10), ("commit", 31, 5),
+        (36, 5), ("commit", 36, 5),
+    ]
+
+
+def test_march_in_windows_runs_steps_where_a_window_is_one_step():
+    # a window of one step is the march's own step; after it the next
+    # window is two wide
+    window, step, log = _scripted_windows(solves_at=1, prefix=0)
+    solvers.march_in_windows(1, 6, step, window)
+    assert log == [(1, 5), (1, 2), ("step", 1), (2, 2), ("step", 2), (3, 2),
+                   ("step", 3), (4, 2), ("step", 4), ("step", 5)]
+
+
+def test_march_in_windows_steps_through_a_window_with_a_nan_residual():
+    # nothing of the window is kept: its steps are solved one at a time,
+    # so a step whose residual cannot be evaluated fails there, as in a
+    # march of single steps; the next window is half as wide
+    window, step, log = _scripted_windows(solves_at=128, nan_from=5)
+    solvers.march_in_windows(1, 12, step, window)
+    assert log == [(1, 11)] + [("step", k) for k in range(1, 12)]
+
+
+def test_window_newton_fails_a_diverging_window_without_a_warning():
+    # an update that overflows: the next residual is not finite, so the
+    # window fails with nothing solved, and neither the overflow nor the
+    # residual raises a RuntimeWarning (tier-1 turns one into an error)
+    def linearize(x):
+        error = np.abs(np.exp(x[:, 0]) - 1.0) / 1e-12
+        return error, lambda: (np.zeros((len(x), 1, 1)), 1e300 * np.ones((len(x), 1)) * 1e10)
+
+    x, iterations, solved = solvers.window_newton(np.zeros((3, 1)) + 1.0, linearize)
+    assert solved is None and iterations == 1 and not np.all(np.isfinite(x))

@@ -415,6 +415,76 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
     return xi, mu, J_inv
 
 
+def _window_system(system, h, X, head, forcing, constant):
+    """The step residuals of a window of march steps at its velocities X
+    (W, n), and their Newton update (``integrate_reduced``); returns (error,
+    d, recurrence).
+
+    ``head`` is the first step's m-(xi_{k-1}) with its half drift, and
+    ``forcing`` the steps' control covectors f_j or None.  ``error`` (W,) is
+    max |r_j| against _WINDOW_TOL (1 + max |m+(xi_j)|), d the half drifts
+    (h/2) d(h xi_j) or None, and recurrence(count) gives (A, b, B) of the
+    first count steps: the update's recurrence delta_j = A_j delta_{j-1} +
+    b_j and the blocks B_j, dep_step's Jacobian at xi_j.
+
+    ``constant`` says that every row of X is the same velocity, the window's
+    start: D and dD/dz then come from +-h xi at one point each, the blocks
+    from one (B, C) pair, and A = B^-1 C with every b_j = -B^-1 r_j from one
+    n x n solve; A and B repeat that one block, bitwise the blocks of the
+    2W-1 points, and A and b are laid out as the general path lays them out,
+    so the scan's update is the same bytes too.  The drift values stay W
+    wide.
+    """
+    group, inertia, n = system.group, system.inertia, system.n
+    drift = system.drift_values if system.has_drift else None
+    size = len(X)
+    z = h * X
+    Ixi = X @ inertia.T
+    # +h xi_j at every step, -h xi_j at all but the last
+    plus, minus = (1, 1) if constant else (size, size - 1)
+    Ixi = np.concatenate([Ixi[:plus], Ixi[:minus]])
+    D, T = group.dtau_inv_deriv(np.concatenate([z[:plus], -z[:minus]]))
+    m = (Ixi[:, None, :] @ D)[:, 0]
+    r = m[:plus] - np.concatenate([head[None], np.broadcast_to(m[plus:], (size - 1, n))])
+    d = None
+    if drift is not None:
+        d = (h / 2.0) * drift(z)
+        r -= d
+        r[1:] -= d[:-1]
+    if forcing is not None:
+        r -= forcing
+    error = np.max(np.abs(r), axis=1) / (
+        _WINDOW_TOL * (1.0 + np.max(np.abs(m[:plus]), axis=1)))
+
+    def recurrence(count=size):
+        # the first count steps: the update of a solved prefix depends on no
+        # later step
+        J = _momentum_jacobian(inertia, np.repeat([h, -h], [plus, minus])[:, None, None],
+                               Ixi, D, T)
+        B, C = (J[:1], J[1:]) if constant else (J[:count], J[size:size + count - 1])
+        if drift is not None:
+            Jd = np.broadcast_to((h * h / 2.0) * _drift_jacobians(system, z[:len(B)]), B.shape)
+            B = B - Jd
+            C = C + (Jd if constant else Jd[:-1])
+        # B_j delta_j = C_j delta_{j-1} - r_j, solved for both at once
+        if constant:
+            rhs = np.empty((n, n + count))
+            rhs[:, :n] = C[0]
+            rhs[:, n:] = -r[:count].T
+            out = np.linalg.solve(B[0], rhs)
+            # A and b as the general path lays them out: the scan's products
+            # round by the layout of their operands
+            return (np.repeat(out[None, :, :n], count, axis=0), np.ascontiguousarray(out[:, n:].T),
+                    np.broadcast_to(B[0], (count, n, n)))
+        rhs = np.zeros((count, n, n + 1))
+        rhs[1:, :, :n] = C
+        rhs[:, :, n] = -r[:count]
+        out = np.linalg.solve(B, rhs)
+        return out[..., :n], out[..., n], B
+
+    return error, d, recurrence
+
+
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     """March the forced discrete momentum equation; returns (gs, xis, mus).
 
@@ -440,10 +510,14 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     delta_j = A_j delta_{j-1} + b_j, which ``solvers.affine_scan`` solves;
     its blocks come from one batched solve, and D = dtau_inv and dD/dz at
     +-h xi of the whole window from one ``dtau_inv_deriv`` call on the
-    stacked displacements.  A step of the window is solved when max |r_j|
-    is at most _WINDOW_TOL (1 + max |m+(xi_j)|); the solved steps then take
-    one more update, as ``dep_step`` takes its last one, which lands them
-    within rounding of the root.  Their tau(h xi_j) come from one batched
+    stacked displacements (``_window_system``).  The window's first
+    linearization, at its constant start, works from single points: D and
+    dD/dz at +-h xi_{k-1}, one pair of blocks and one n x n solve for A and
+    every b_j, bitwise the blocks and the update of the 2W-1 points.  A step
+    of the window is solved when max |r_j| is at most _WINDOW_TOL (1 + max
+    |m+(xi_j)|); the solved steps then take one more update, as
+    ``dep_step`` takes its last one, which lands them within rounding of
+    the root.  Their tau(h xi_j) come from one batched
     call, and each g_{j+1} = g_j tau(h xi_j) is written straight into the
     preallocated path, as ``reconstruct`` writes it.  The momentum is
     carried as the step-by-step march carries it, mu_j = coAd(tau(h
@@ -516,51 +590,14 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
         if drift is not None:
             head = head + half_drift
         f = None if forcing is None else forcing[k - 1:k - 1 + size]
-        point = blocks = None
-
-        # +h at the steps, -h at the steps but the last: m+ and m- at once
-        signed_h = np.concatenate([np.full(size, h), np.full(size - 1, -h)])[:, None, None]
+        start = np.repeat(xis[k - 1][None], size, axis=0)
+        point = None
 
         def linearize(X):
             nonlocal point
-            z = h * X
-            Ixi = X @ inertia.T
-            Ixi = np.concatenate([Ixi, Ixi[:-1]])
-            # D and dD/dz at +h xi_j for every step, at -h xi_j for all but the last
-            D, T = group.dtau_inv_deriv(np.concatenate([z, -z[:-1]]))
-            m = (Ixi[:, None, :] @ D)[:, 0]
-            r = m[:size] - np.concatenate([head[None], m[size:]])
-            d = None
-            if drift is not None:
-                d = (h / 2.0) * drift(z)
-                r -= d
-                r[1:] -= d[:-1]
-            if f is not None:
-                r -= f
-
-            def recurrence(count=size):
-                # the first count steps: the update of a solved prefix
-                # depends on no later step
-                nonlocal blocks
-                J = _momentum_jacobian(inertia, signed_h, Ixi, D, T)
-                B, C = J[:count], J[size:size + count - 1]
-                if drift is not None:
-                    Jd = np.broadcast_to((h * h / 2.0) * _drift_jacobians(system, z[:count]),
-                                         (count, n, n))
-                    B = B - Jd
-                    C = C + Jd[:-1]
-                # B_j delta_j = C_j delta_{j-1} - r_j, solved for both at
-                # once; B_j is dep_step's Jacobian at xi_j
-                blocks = B
-                rhs = np.zeros((count, n, n + 1))
-                rhs[1:, :, :n] = C
-                rhs[:, :, n] = -r[:count]
-                out = np.linalg.solve(B, rhs)
-                return out[..., :n], out[..., n]
-
+            error, d, recurrence = _window_system(system, h, X, head, f, X is start)
             point = (d, recurrence)
-            return np.max(np.abs(r), axis=1) / (
-                _WINDOW_TOL * (1.0 + np.max(np.abs(m[:size]), axis=1))), recurrence
+            return error, lambda: recurrence()[:2]
 
         def commit(X, count):
             nonlocal J_inv, last_jacobian, half_drift
@@ -574,7 +611,8 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             # drift call is spent on the committed point
             J_inv = None
             try:
-                X = X[:count] + solvers.affine_scan(*recurrence(count))
+                A, b, blocks = recurrence(count)
+                X = X[:count] + solvers.affine_scan(A, b)
                 last_jacobian = blocks[count - 1]
             except np.linalg.LinAlgError:
                 X, last_jacobian = X[:count], None
@@ -594,7 +632,7 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             if d is not None:
                 half_drift = d[count - 1]
 
-        return np.repeat(xis[k - 1][None], size, axis=0), linearize, commit
+        return start, linearize, commit
 
     if system.potential is None:
         solvers.march_in_windows(1, steps, step, window)
@@ -906,45 +944,51 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
     ``eliminated_nus``, taken from the same interval maps as the rest.
     ``interval_pass`` is the ``_interval_pass`` at this point when the
     caller has formed it (``residual_system``); it is formed here otherwise.
-
-    The velocity rows pull each interval's xi-gradient back to its two nodes
-    through dtau_inv(-+z)^T, z = h xi_k.  Since dtau_inv(-z) = dtau_inv(z)
-    Ad(tau(z)) (Bou-Rabee & Marsden 2009), the pull to node k+1 is Ad(tau(z))^T
-    times the pull to node k, both from the pass's D and A: no kernel runs
-    at -z.
+    The velocity rows are ``_velocity_rows``.
     """
-    sys_ = problem.system
-    h, N = problem.h, problem.N
+    N = problem.N
     xis = np.asarray(xis, dtype=float)
     if lambdas is not None:
         lambdas = np.asarray(lambdas, dtype=float)
     if interval_pass is None:
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
-    _, _, _, _, D, A = interval_pass.maps
-    gs, gxi = interval_pass.gs, interval_pass.gxi
     c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
-    pulled_here = mv(mt(D), gxi)            # contribution of interval k at node k
-    pulled_prev = mv(mt(A), pulled_here)    # of interval k-1 at node k
-    xi_blocks = (pulled_prev[:-1] - pulled_here[1:]) / h
-
-    if sys_.potential is not None:
-        # left-trivialized dependence of the interval costs on interior nodes:
-        # G_k enters interval k beside mu_k and interval k-1 opposite its
-        # transport, each with weight h/2
-        w = (h / 2.0) * (c_minus[1:N] - c_plus[: N - 1])
-        xi_blocks = xi_blocks + np.einsum("kij,ki->kj",
-                                          _potential_hessians(sys_, gs[1:-1]), w)
-
     # nu_k enters interval k opposite mu_k, and interval k-1 opposite its transport
     nu_blocks = -(c_minus[1:N] + c_plus[: N - 1])
 
-    parts = [xi_blocks.reshape(-1), nu_blocks.reshape(-1)]
+    parts = [_velocity_rows(problem, interval_pass).reshape(-1), nu_blocks.reshape(-1)]
     if lambdas is not None and lambdas.size:
         # interval k's phi^- then its phi^+
         parts.append(np.concatenate([interval_pass.phi_m, interval_pass.phi_p],
                                     axis=1).reshape(-1))
     parts.append(interval_pass.gap)
     return np.concatenate(parts)
+
+
+def _velocity_rows(problem, interval_pass):
+    """Velocity-slot stationarity at the interior nodes, (N-1, n), from the
+    interval pass: the first block of ``general_residual``, and with the
+    reconstruction gap all of an eliminated residual.
+
+    The rows pull each interval's xi-gradient back to its two nodes through
+    dtau_inv(-+z)^T, z = h xi_k.  Since dtau_inv(-z) = dtau_inv(z) Ad(tau(z))
+    (Bou-Rabee & Marsden 2009), the pull to node k+1 is Ad(tau(z))^T times
+    the pull to node k, both from the pass's D and A: no kernel runs at -z.
+    """
+    sys_ = problem.system
+    h, N = problem.h, problem.N
+    _, _, _, _, D, A = interval_pass.maps
+    pulled_here = mv(mt(D), interval_pass.gxi)   # contribution of interval k at node k
+    pulled_prev = mv(mt(A), pulled_here)         # of interval k-1 at node k
+    xi_blocks = (pulled_prev[:-1] - pulled_here[1:]) / h
+    if sys_.potential is not None:
+        # left-trivialized dependence of the interval costs on interior nodes:
+        # G_k enters interval k beside mu_k and interval k-1 opposite its
+        # transport, each with weight h/2
+        w = (h / 2.0) * (interval_pass.c_minus[1:N] - interval_pass.c_plus[: N - 1])
+        xi_blocks = xi_blocks + np.einsum("kij,ki->kj",
+                                          _potential_hessians(sys_, interval_pass.gs[1:-1]), w)
+    return xi_blocks
 
 
 def _momenta_eliminable(problem):
@@ -1227,7 +1271,9 @@ def residual_system(problem):
     (the interval maps, the path and its reconstruction gap, the covectors,
     the xi-gradients and the tangent maps they read).  ``eval`` keeps the
     passes of the last _KEPT_PASSES points it evaluated, keyed by the bytes
-    of z, and hands each to ``general_residual``; a build takes the pass
+    of z, and hands each to ``general_residual``, or with eliminated momenta
+    to ``_velocity_rows``, which forms only the rows the residual keeps; a
+    build takes the pass
     stored for its z, forms one at a point not stored, and empties the
     store.  A root-finder builds its Jacobian at the point it last
     accepted, one of its last few evaluations, and an oracle that evaluates
@@ -1300,11 +1346,12 @@ def _residual_system(problem):
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
         passes.insert(0, (z.tobytes(), interval_pass))
         del passes[_KEPT_PASSES:]
-        res = general_residual(problem, xis, nus_interior, lambdas, interval_pass)
         if not eliminated:
-            return res
-        # node-momentum stationarity vanishes identically under the elimination
-        return np.concatenate([res[: (N - 1) * n], res[2 * (N - 1) * n :]])
+            return general_residual(problem, xis, nus_interior, lambdas, interval_pass)
+        # node-momentum stationarity vanishes identically under the
+        # elimination, and a fully actuated problem has no complement rows
+        return np.concatenate([_velocity_rows(problem, interval_pass).reshape(-1),
+                               interval_pass.gap])
 
     def jacobian(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)

@@ -437,11 +437,12 @@ def _so3_dcay_inv_deriv(w):
 
 def _se3_dcay_inv_deriv(xi):
     # along w_l the lower block -A V / 2 of D moves by E_l V / 4, along v_l by
-    # -A E_l / 2
+    # -A E_l / 2; the blocks are written straight into T
     D, A, V = _se3_dcay_inv_parts(xi)
     T = np.zeros(xi.shape[:-1] + (6, 6, 6))
-    T[..., :3, :, :] = _se3_blocks(_cay_inv_upper_deriv(xi[..., :3]),
-                                   0.25 * (_E @ V[..., None, :, :]), -0.5 * _E)
+    T[..., :3, :3, :3] = _cay_inv_upper_deriv(xi[..., :3])
+    T[..., :3, 3:, :3] = 0.25 * (_E @ V[..., None, :, :])
+    T[..., :3, 3:, 3:] = -0.5 * _E
     T[..., 3:, 3:, :3] = -0.5 * (A[..., None, :, :] @ _E)
     return D, T
 

@@ -295,14 +295,23 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     The march solves its steps in windows (``solvers.march_in_windows``):
     the positions q_{k+1}..q_{k+W} of W steps at once, by Newton's method
     (``solvers.window_newton``) from the extrapolation of the last velocity.
-    r_k depends on q_{k+1}, q_k and q_{k-1}, so a Newton update is the
-    affine recurrence on the state (dq_{k+1}, dq_k), 2n wide, that
-    ``solvers.affine_scan`` solves.  Its blocks come from one batched solve
-    on d r_k / d q_{k+1} = -M / h + d a^-/d q_{k+1}; the drifts' Jacobians
-    are differenced, and the potential's Hessian is the Lagrangian's
-    ``V_xx``.  A DEL whose drifts and potential gradient are affine, as the
-    point mass's, is linear: one update solves a window, and a second at
-    most meets the tolerance where the scan's rounding does not.
+    r_k depends on q_{k+1}, q_k and q_{k-1}, so a Newton update is an
+    affine recurrence, 2n wide, that ``solvers.affine_scan`` solves.  It
+    runs in velocity coordinates, on the state (dq_{k+1}, e_k) with e_k =
+    dq_{k+1} - dq_k:
+
+        d_next e_k = -r_k - S_k dq_k + d_prev e_{k-1},
+
+    with (d_next, d_mid, d_prev) = d r_k / d(q_{k+1}, q_k, q_{k-1}) and S_k
+    = d_next + d_mid + d_prev.  The M / h terms cancel from S_k and from
+    d_prev - d_next, which hold only the potential's and the drifts' terms,
+    so without either the recurrence's blocks are the exact [[I, I], [0,
+    I]] and the scan sums velocity corrections with no cancellation.  One
+    batched solve on d_next = -M / h + d a^-/d q_{k+1} gives the blocks; the
+    drifts' Jacobians are differenced, and the potential's Hessian is the
+    Lagrangian's ``V_xx``.  A DEL whose drifts and potential gradient are
+    affine, as the point mass's, is linear: one update solves a window, to
+    a few hundredths of the tolerance on the benchmark's point mass.
 
     A window that does not converge is halved, and one whose residual is
     not finite is solved step by step.  A step alone is solved as the march
@@ -392,25 +401,39 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
             error = np.max(np.abs(r), axis=1) / tol
 
             def recurrence():
-                # d r_k / d(q_{k+1}, q_k, q_{k-1})
-                d_next, d_mid, d_prev = J, -2.0 * J, J
+                # d r_k / d(q_{k+1}, q_k, q_{k-1}) = (d_next, d_mid, d_prev)
+                # in the velocity coordinates e_k = dq_{k+1} - dq_k:
+                #   d_next e_k = -r_k - S_k dq_k + (d_next + P_k) e_{k-1},
+                # S_k = d_next + d_mid + d_prev and P_k = d_prev - d_next.  The
+                # -M/h, 2M/h, -M/h of both cancel, so they hold only the
+                # potential's and the drifts' terms, formed when there are any
+                d_next, S, P = J, 0.0, 0.0
                 if potential:
-                    d_mid = d_mid - h * lagrangian.V_xx(q_mid)
+                    S = S - h * lagrangian.V_xx(q_mid)
                 if a_plus:
                     da, db = forces.drift_jacobians("+", q_prev, q_mid)
-                    d_mid, d_prev = d_mid + db, d_prev + da
+                    S, P = S + da + db, P + da
                 if a_minus:
                     da, db = forces.drift_jacobians("-", q_mid, q_next)
-                    d_next, d_mid = d_next + db, d_mid + da
-                # dq_{k+1} = -d_next^-1 (r_k + d_mid dq_k + d_prev dq_{k-1})
-                rhs = np.empty((size, n, 2 * n + 1))
-                rhs[..., :n], rhs[..., n:2 * n], rhs[..., 2 * n] = -d_mid, -d_prev, -r
+                    d_next, S, P = d_next + db, S + da + db, P - db
+                # one solve for G (-r_k, -S_k, P_k), G = d_next^-1
+                parts = [-r[..., None]]
+                if potential or a_plus or a_minus:
+                    parts += [-np.broadcast_to(S, (size, n, n)), np.broadcast_to(P, (size, n, n))]
+                rhs = np.concatenate(parts, axis=-1)
                 out = np.linalg.solve(d_next, rhs) if a_minus else J_inv @ rhs
+                # the state (dq_{k+1}, e_k) = (dq_k + e_k, e_k):
+                # A = [[I - G S, I + G P], [-G S, I + G P]], exact integer
+                # blocks without a potential or a drift
                 A = np.zeros((size, 2 * n, 2 * n))
-                A[:, :n] = out[..., :2 * n]
-                A[:, n:, :n] = np.eye(n)
-                b = np.zeros((size, 2 * n))
-                b[:, :n] = out[..., 2 * n]
+                A[:, :n, :n] = A[:, :n, n:] = A[:, n:, n:] = np.eye(n)
+                if len(parts) > 1:
+                    GS, GP = out[..., 1:n + 1], out[..., n + 1:]
+                    A[:, :n, :n] += GS
+                    A[:, n:, :n] = GS
+                    A[:, :n, n:] += GP
+                    A[:, n:, n:] += GP
+                b = np.concatenate([out[..., 0], out[..., 0]], axis=1)
                 return A, b
 
             return error, recurrence

@@ -7,6 +7,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,15 @@ from .errors import DimensionMismatch
 # ---------------------------------------------------------------------------
 # running costs (control effort per interval endpoint)
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _identities(shape):
+    """A read-only stack of identities of the shape (..., m, m), a broadcast
+    view of one identity, formed once per shape: a solve asks for the same
+    one or two shapes at every Jacobian build.  Read-only, so the callers
+    can share it."""
+    return np.broadcast_to(np.eye(shape[-1]), shape)
+
 
 class L2Cost:
     """C(u) = (1/2) |u|^2."""
@@ -37,13 +47,10 @@ class L2Cost:
         return np.asarray(U, dtype=float).copy()
 
     def hess_batch(self, U):
-        """The identity for every control vector, (..., m, m)."""
-        U = np.asarray(U, dtype=float)
-        # filled, not np.broadcast_to: at these batch sizes the view costs
-        # about twice as much to build and to scale
-        H = np.empty(U.shape + U.shape[-1:])
-        H[...] = np.eye(U.shape[-1])
-        return H
+        """The identity for every control vector, (..., m, m): a read-only
+        view of one identity (``_identities``)."""
+        shape = np.shape(U)
+        return _identities(shape + shape[-1:])
 
 
 class SmoothedL1Cost:

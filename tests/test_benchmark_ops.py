@@ -1,7 +1,8 @@
 """The benchmark's ops at full size, seed 901, as perfbench/workloads.py
 builds them: the lgoc solves end with the same method, iteration count and
 cost, and drawn-2 still fails; every simulate op passes the benchmark's
-correctness gate."""
+correctness gate, the point mass's windows take one update each, and the
+group marches are bitwise those of the general window linearization."""
 
 import os
 import sys
@@ -60,3 +61,58 @@ def test_benchmark_simulate_ops_pass_the_gate(name, workloads, tmp_path):
     ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
     op = ops[name]
     assert sys.modules["gate"].evaluate(op, op.run()) == []
+
+
+def test_benchmark_point_mass_windows_take_one_update(workloads, tmp_path, monkeypatch):
+    # pm-forced's DEL is linear: in the velocity coordinates of the window's
+    # update every window of the op converges in one update
+    from discvar import solvers
+
+    ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
+    windows = []
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[1], out[2]))
+        return out
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    ops["pm-forced"].run()
+    assert len(windows) == 40
+    assert all(updates == 1 and solved == size for size, updates, solved in windows)
+
+
+@pytest.mark.parametrize("seed", [901, 5301])
+@pytest.mark.parametrize("name", ["rb-cay-free", "rb-exp-free", "uuv-forced"])
+def test_benchmark_group_marches_linearize_their_start_bitwise(name, seed, workloads, tmp_path,
+                                                                monkeypatch):
+    # each window's first linearization works from the one velocity it
+    # starts at; handed a copy of that start, every window takes the general
+    # path at its 2W-1 points, and the march's gs, xis and mus are the same
+    # bytes
+    from discvar import lgoc, solvers
+
+    ops = {op.name: op for op in workloads.build("simulate", seed, "full", str(tmp_path)).ops}
+    constant, windows = [], []
+    window_system, window_newton = lgoc._window_system, solvers.window_newton
+
+    def recorded(*args):
+        constant.append(args[-1])
+        return window_system(*args)
+
+    def window(x, linearize):
+        windows.append(len(x))
+        return window_newton(x, linearize)
+
+    monkeypatch.setattr(lgoc, "_window_system", recorded)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    got = ops[name].run()
+    assert constant.count(True) == len(windows) >= 8
+    monkeypatch.setattr(solvers, "window_newton",
+                        lambda x, linearize: window_newton(x.copy(), linearize))
+    constant.clear()
+    expected = ops[name].run()
+    assert constant and not any(constant)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()

@@ -563,9 +563,9 @@ def test_newton_fallback_finds_the_same_step(monkeypatch):
 
 
 def test_singular_step_factor_keeps_the_march(monkeypatch):
-    # one window's batched solve fails: the window keeps its solved prefix
-    # (none), the next window is half as wide and the march goes on to the
-    # same path
+    # the first window's first solve fails (the single-point n x n solve of
+    # its constant start): the window keeps its solved prefix (none), the
+    # next window is half as wide and the march goes on to the same path
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
     expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
     solve = np.linalg.solve
@@ -588,7 +588,7 @@ def test_singular_step_factor_keeps_the_march(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular_once)
     monkeypatch.setattr(solvers, "window_newton", window)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    assert windows[:2] == [(39, 0), (19, 19)]
+    assert windows[:2] == [(39, 0), (19, 19)] and calls[0] == system.n
     for a, b in zip(got, expected):
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
@@ -683,6 +683,70 @@ def test_vehicle_march_evaluates_the_drift_once_per_point(monkeypatch):
     monkeypatch.setattr(solvers, "window_newton", window)
     lgoc.integrate_reduced(system, np.eye(4), xi0, 0.05, steps, controls=controls)
     assert sum(points) == 1 + sum(size * (updates + 1) for size, updates in windows)
+
+
+@pytest.mark.parametrize("case", [name for name, (system, *_) in _march_cases().items()
+                                  if system.potential is None])
+def test_window_start_linearizes_one_point_bitwise(case):
+    # a window starts at the constant velocity xi_{k-1}: its residuals and
+    # its update come from +-h xi_{k-1} alone and one n x n solve, bitwise
+    # what the 2W-1 points of the general path give (A_0 is never read)
+    system, _, xi0, h, controls = _march_cases()[case]
+    group, size = system.group, 128
+    X = np.repeat(xi0[None], size, axis=0)
+    mu = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
+    head = group.coAd(group.tau(h * xi0), mu)
+    forcing = None
+    if system.has_drift:
+        head = head + (h / 2.0) * system.drift_values(h * xi0)
+    if controls is not None:
+        controls = controls[:size + 1]
+        forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
+    one = lgoc._window_system(system, h, X, head, forcing, True)
+    every = lgoc._window_system(system, h, X, head, forcing, False)
+    assert one[0].tobytes() == every[0].tobytes()
+    assert (one[1] is None and every[1] is None) or one[1].tobytes() == every[1].tobytes()
+    for count in (size, 37):
+        (A, b, B), (A_all, b_all, B_all) = one[2](count), every[2](count)
+        assert A.shape == A_all.shape and B.shape == B_all.shape
+        assert np.ascontiguousarray(A[1:]).tobytes() == np.ascontiguousarray(A_all[1:]).tobytes()
+        assert np.ascontiguousarray(b).tobytes() == np.ascontiguousarray(b_all).tobytes()
+        assert np.ascontiguousarray(B).tobytes() == np.ascontiguousarray(B_all).tobytes()
+        assert solvers.affine_scan(A, b).tobytes() == solvers.affine_scan(A_all, b_all).tobytes()
+
+
+@pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
+def test_steady_spin_commits_from_its_start(retraction, monkeypatch):
+    # a spin about a principal axis is a relative equilibrium: every window
+    # converges at its constant-velocity start, and the commit's update comes
+    # from the single-point recurrence, one n x n solve per window
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2), retraction=retraction)
+    xi0 = np.array([0.0, 0.0, 3.0])
+    windows, constant, solved_blocks = [], [], []
+    window_newton, window_system, solve = (solvers.window_newton, lgoc._window_system,
+                                           np.linalg.solve)
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[1], out[2]))
+        return out
+
+    def recorded(*args):
+        constant.append(args[-1])
+        return window_system(*args)
+
+    def recorded_solve(a, b):
+        solved_blocks.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    monkeypatch.setattr(lgoc, "_window_system", recorded)
+    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    gs, xis, mus = lgoc.integrate_reduced(system, np.eye(3), xi0, 0.05, 200)
+    assert windows == [(128, 0, 128), (71, 0, 71)]
+    assert constant == [True, True] and solved_blocks == [(3, 3), (3, 3)]
+    assert np.array_equal(xis, np.broadcast_to(xi0, xis.shape))
+    assert np.array_equal(mus, np.broadcast_to(mus[0], mus.shape))
 
 
 def test_march_without_controls_keeps_the_drift():
@@ -998,11 +1062,15 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
                    or isinstance(prob.system.potential, GradientOnly))
     assert differences == (regime in ("quadratic drag", "gradient-only heavy top"))
     residuals, differenced, seen = [], [], set()
-    original = lgoc.general_residual
 
-    def counted(*args, **kwargs):
-        residuals.append(1)
-        return original(*args, **kwargs)
+    def counted_call(name):
+        original = getattr(lgoc, name)
+
+        def counted(*args, **kwargs):
+            residuals.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lgoc, name, counted)
 
     def spy(owner, name, label):
         fn = getattr(owner, name)
@@ -1032,7 +1100,9 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the Jacobian build differenced a residual")
 
-    monkeypatch.setattr(lgoc, "general_residual", counted)
+    # an eliminated residual assembles its rows through _velocity_rows alone
+    counted_call("general_residual")
+    counted_call("_velocity_rows")
     record("central_difference")
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
     system.jac(z)
@@ -1353,6 +1423,26 @@ def test_jacobian_is_the_padded_assembly_bitwise(regime):
         assert np.array_equal(system.jac(z), _padded_jacobian(prob, z))
 
 
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_jacobian_reads_the_shared_identity_bitwise(regime, monkeypatch):
+    # L2Cost.hess_batch hands out a read-only view of one identity: the
+    # Jacobian is the same bytes as from an identity stack filled per call
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    z = _random_point(prob, eliminate, np.random.default_rng(22))
+    J = system.jac(z)
+
+    def filled(self, U):
+        U = np.asarray(U, dtype=float)
+        H = np.empty(U.shape + U.shape[-1:])
+        H[...] = np.eye(U.shape[-1])
+        return H
+
+    monkeypatch.setattr(L2Cost, "hess_batch", filled)
+    system, _ = lgoc.residual_system(prob)
+    assert system.jac(z).tobytes() == J.tobytes()
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_smallest_layouts_match_dense_fd(regime, N):
@@ -1637,6 +1727,22 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
     assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [(prob.h * xis).tolist()]
     assert calls["dtau_inv_matrix"] == []
     assert len(calls["Ad_matrix"]) == 1
+
+
+@pytest.mark.parametrize("regime", [name for name, prob in jacobian_regimes().items()
+                                    if prob.system.fully_actuated])
+def test_eliminated_residual_is_general_residual_without_the_momentum_rows(regime):
+    # the eliminated eval assembles only the rows it keeps; general_residual
+    # still returns the momentum rows, and the rest of it is the same bytes
+    prob = jacobian_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    assert eliminate
+    N, n = prob.N, prob.system.n
+    z = _random_point(prob, eliminate, np.random.default_rng(21))
+    full = lgoc.general_residual(prob, z.reshape(N, n), None)
+    assert full.shape == ((2 * N - 1) * n,)
+    kept = np.concatenate([full[: (N - 1) * n], full[2 * (N - 1) * n:]])
+    assert system.eval(z).tobytes() == kept.tobytes()
 
 
 def test_eliminated_nus_rejects_underactuated_problem():

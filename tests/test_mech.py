@@ -620,6 +620,47 @@ def test_integrate_matches_its_reference_bitwise(case):
     assert np.max(np.abs(qs - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("case", ["benchmark point mass 901", "harmonic", "drifts"])
+def test_window_update_is_the_dense_newton_step(case, monkeypatch):
+    # the first window's update, solved by the scan in the velocity
+    # coordinates e_k = dq_{k+1} - dq_k, is the Newton step of the window's
+    # block-tridiagonal system assembled densely from the slot derivatives
+    # and the drifts' Jacobians: free, with a potential, with both drifts
+    L, F, q0, q1, controls = _reference_cases()[case]
+    n, steps = L.dim, len(controls)
+    window_newton = solvers.window_newton
+    updates = []
+
+    def window(x, linearize):
+        if not updates:
+            _, recurrence = linearize(x)
+            updates.append((x, solvers.affine_scan(*recurrence())[:, :n]))
+        return window_newton(x, linearize)
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    mech.integrate(L, F, q0, q1, steps, controls=controls)
+    X, update = updates[0]
+    size = len(X)
+    q = np.concatenate([[q0, q1], X])
+    q_prev, q_mid, q_next = q[:-2], q[1:-1], q[2:]
+    r = mech.forced_del_residual(L, F, q_prev, q_mid, q_next,
+                                 controls[:size, 1], controls[1:size + 1, 0])
+    da_plus, db_plus = F.drift_jacobians("+", q_prev, q_mid)
+    da_minus, db_minus = F.drift_jacobians("-", q_mid, q_next)
+    d_next = np.broadcast_to(L.d12(q_mid, q_next) + db_minus, (size, n, n))
+    d_mid = np.broadcast_to(L.d22(q_prev, q_mid) + L.d11(q_mid, q_next) + db_plus + da_minus,
+                            (size, n, n))
+    d_prev = np.broadcast_to(L.d21(q_prev, q_mid) + da_plus, (size, n, n))
+    # row block j is node k + j; its unknowns are q_{k+j+1}, q_{k+j}, q_{k+j-1}
+    J = np.zeros((size * n, size * n))
+    for j in range(size):
+        for offset, block in ((0, d_next), (1, d_mid), (2, d_prev)):
+            if j >= offset:
+                J[j * n:(j + 1) * n, (j - offset) * n:(j - offset + 1) * n] = block[j]
+    dense = np.linalg.solve(J, -r.reshape(-1)).reshape(size, n)
+    assert np.max(np.abs(update - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_nan_residual_entry_goes_to_newton(monkeypatch):
     # the drift a^- is undefined on the second axis once its velocity passes
     # 1, so the step that gets there has a residual that is NaN there alone.

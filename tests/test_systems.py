@@ -69,6 +69,8 @@ def test_l2_cost_hessian_is_the_identity():
     assert H.shape == (7, 4, 4)
     assert np.max(np.abs(H - _hessian_of_grad_by_differences(L2Cost(), U))) < 1e-9
     assert np.array_equal(H, np.broadcast_to(np.eye(4), (7, 4, 4)))
+    # a read-only view of one identity, the same at every call of a shape
+    assert not H.flags.writeable and L2Cost().hess_batch(U) is H
 
 
 def test_smoothed_l1_hessian_matches_differences_of_the_gradient():

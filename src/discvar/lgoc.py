@@ -59,10 +59,13 @@ from .errors import (
 )
 from .lie import mt, mv
 from .solvers import (
+    Point,
     ResidualSystem,
     central_difference,
     levenberg_marquardt,
+    max_abs,
     newton,
+    plain_system,
 )
 
 # ---------------------------------------------------------------------------
@@ -276,17 +279,6 @@ _DEP_MAX_ITER = 200
 _WINDOW_TOL = 1e-13
 
 
-def _max_abs(v):
-    """np.abs(v).max() of a short vector, the same float, read from its
-    Python floats: max and abs are exact.  Python's max can pass over a NaN,
-    so a vector whose sum is NaN is left to numpy."""
-    values = v.tolist()
-    total = sum(values)
-    if total != total:
-        return float(np.abs(v).max())
-    return max(map(abs, values))
-
-
 def _momentum_jacobian(inertia, h, Ixi, D, T):
     """d/dxi of the momenta D^T I xi of a batch of points, where D =
     dtau_inv(z) at z = h xi and T is its derivative (``dtau_inv_deriv``):
@@ -373,7 +365,7 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
         if drift is not None:
             r_prev = r_prev - drift_prev
         predicted = xi_prev - J_inv_prev @ r_prev
-        if _max_abs(predicted) < math.inf:
+        if max_abs(predicted) < math.inf:
             start = predicted
     z = h * start
     D, T = group.dtau_inv_deriv(z)
@@ -388,10 +380,10 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
     for _ in range(_DEP_MAX_ITER):
         update = J_inv @ residual(Ixi, z, D)
         xi = xi - update
-        size = _max_abs(update)
+        size = max_abs(update)
         if not math.isfinite(size):
             break
-        if size < _DEP_TOL * (1.0 + _max_abs(xi)):
+        if size < _DEP_TOL * (1.0 + max_abs(xi)):
             converged = True
             break
         z = h * xi
@@ -407,8 +399,8 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
             return jacobian(inertia @ x, z, *group.dtau_inv_deriv(z))
 
         try:
-            xi, _ = newton(ResidualSystem(system.n, residual_at, jacobian_at), start,
-                           tol=1e-12)
+            xi = newton(plain_system(system.n, residual_at, jacobian_at), start,
+                        tol=1e-12)[0].x
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
     mu = rhs if drift is None else rhs + (h / 2.0) * drift(h * xi)
@@ -430,10 +422,10 @@ def _window_system(system, h, X, head, forcing, constant):
     ``constant`` says that every row of X is the same velocity, the window's
     start: D and dD/dz then come from +-h xi at one point each, the blocks
     from one (B, C) pair, and A = B^-1 C with every b_j = -B^-1 r_j from one
-    n x n solve; A and B repeat that one block, bitwise the blocks of the
-    2W-1 points, and A and b are laid out as the general path lays them out,
-    so the scan's update is the same bytes too.  The drift values stay W
-    wide.
+    n x n solve; A and B broadcast that one block, bitwise the blocks of the
+    2W-1 points, and b is the solve's columns transposed, so the scan, which
+    rounds the same whatever their layout, gives the same update bytes too.
+    The drift values stay W wide.
     """
     group, inertia, n = system.group, system.inertia, system.n
     drift = system.drift_values if system.has_drift else None
@@ -472,9 +464,7 @@ def _window_system(system, h, X, head, forcing, constant):
             rhs[:, :n] = C[0]
             rhs[:, n:] = -r[:count].T
             out = np.linalg.solve(B[0], rhs)
-            # A and b as the general path lays them out: the scan's products
-            # round by the layout of their operands
-            return (np.repeat(out[None, :, :n], count, axis=0), np.ascontiguousarray(out[:, n:].T),
+            return (np.broadcast_to(out[:, :n], (count, n, n)), out[:, n:].T,
                     np.broadcast_to(B[0], (count, n, n)))
         rhs = np.zeros((count, n, n + 1))
         rhs[1:, :, :n] = C
@@ -606,7 +596,7 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             # a solved point it lands within rounding of the root.  The
             # drift values d stay those of the point before it: the update
             # moves each xi_j by about the step tolerance, so d differs
-            # from the drift at the stored xi_j by that times the drift's
+            # from the drift at the committed xi_j by that times the drift's
             # slope, far below the momentum's rounding checks, and no
             # drift call is spent on the committed point
             J_inv = None
@@ -912,7 +902,7 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     covectors; none without a drift), the node momenta (``_nus``), the path
     and its reconstruction gap, the potential's node gradients, the interval
     covectors, the drift Jacobians, dtau(z) and the xi-gradients.  No array
-    in it aliases xis, nus_interior or lambdas, so a stored pass outlives
+    in it aliases xis, nus_interior or lambdas, so a point's pass outlives
     later writes to the caller's buffers."""
     sys_ = problem.system
     group, h = sys_.group, problem.h
@@ -1220,11 +1210,6 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     return O, curvature, Mxi, Txi
 
 
-# the interval passes a residual system keeps for its next Jacobian build: a
-# root-finder builds at the point it accepted, one of its last evaluations
-_KEPT_PASSES = 4
-
-
 def residual_system(problem):
     """Square ResidualSystem for ``solve``, with its exact Jacobian; returns
     (system, eliminated).
@@ -1235,6 +1220,15 @@ def residual_system(problem):
     N n-dimensional one, velocity stationarity at the interior nodes plus
     the reconstruction constraint, at the node momenta of
     ``eliminated_nus``.
+
+    ``at(z)`` forms the ``_interval_pass`` at z (the interval maps, the path
+    and its reconstruction gap, the covectors, the xi-gradients and the
+    tangent maps they read) and returns the ``solvers.Point`` that keeps
+    it.  The residual is read from the pass by ``general_residual``, or with
+    eliminated momenta by ``_velocity_rows``, which forms only the rows the
+    residual keeps; the point's ``jacobian()`` builds from the same pass, so
+    a root-finder that linearizes the point it accepted forms one pass per
+    evaluation and none per build.
 
     The residual is the gradient of the action sum under group-consistent
     variations, so its Jacobian is assembled from the interval terms'
@@ -1267,30 +1261,11 @@ def residual_system(problem):
     its third derivative along one direction without ``left_curvature``.
     No residual is evaluated.
 
-    The residual and the Jacobian at a point share its ``_interval_pass``
-    (the interval maps, the path and its reconstruction gap, the covectors,
-    the xi-gradients and the tangent maps they read).  ``eval`` keeps the
-    passes of the last _KEPT_PASSES points it evaluated, keyed by the bytes
-    of z, and hands each to ``general_residual``, or with eliminated momenta
-    to ``_velocity_rows``, which forms only the rows the residual keeps; a
-    build takes the pass
-    stored for its z, forms one at a point not stored, and empties the
-    store.  A root-finder builds its Jacobian at the point it last
-    accepted, one of its last few evaluations, and an oracle that evaluates
-    many points holds at most _KEPT_PASSES passes; ``solve`` reads its
-    solution from the pass stored for the z it returns.
-
     What no build's point changes, the ad structure constants ad(e_l) and
     the defect Jacobian F with its constant -I and +I blocks, is formed
     once per call into a ``_plan`` that every build reads; a system changed
     between calls is read afresh by the next one.
     """
-    return _residual_system(problem)[:2]
-
-
-def _residual_system(problem):
-    """``residual_system`` plus ``stored``: z -> the ``_interval_pass`` its
-    ``eval`` keeps for z, or None."""
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
@@ -1333,32 +1308,7 @@ def _residual_system(problem):
     vel = node[1:N]
     vel_shift = (shifts + vel)[:, :, None]
 
-    # (z.tobytes(), _interval_pass) of the points evaluated since the last
-    # Jacobian build, newest first
-    passes = []
-
-    def stored(z):
-        key = z.tobytes()
-        return next((p for k, p in passes if k == key), None)
-
-    def residual(z):
-        xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
-        passes.insert(0, (z.tobytes(), interval_pass))
-        del passes[_KEPT_PASSES:]
-        if not eliminated:
-            return general_residual(problem, xis, nus_interior, lambdas, interval_pass)
-        # node-momentum stationarity vanishes identically under the
-        # elimination, and a fully actuated problem has no complement rows
-        return np.concatenate([_velocity_rows(problem, interval_pass).reshape(-1),
-                               interval_pass.gap])
-
-    def jacobian(z):
-        xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
-        interval_pass = stored(z)
-        passes.clear()
-        if interval_pass is None:
-            interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
+    def jacobian(xis, interval_pass):
         O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass, plan)
         # the transpose: the chains below then run along whole rows
         Jt = np.bincount(dest, O.ravel(), discard + 1)[:-1].reshape(height, width)
@@ -1386,7 +1336,19 @@ def _residual_system(problem):
         J[width:, N * n :] = 0.0
         return J
 
-    return ResidualSystem(dim=dim, eval=residual, jacobian=jacobian), eliminated, stored
+    def at(z):
+        xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
+        interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
+        if eliminated:
+            # node-momentum stationarity vanishes identically under the
+            # elimination, and a fully actuated problem has no complement rows
+            f = np.concatenate([_velocity_rows(problem, interval_pass).reshape(-1),
+                                interval_pass.gap])
+        else:
+            f = general_residual(problem, xis, nus_interior, lambdas, interval_pass)
+        return Point(z, f, lambda: jacobian(xis, interval_pass), interval_pass)
+
+    return ResidualSystem(dim, at), eliminated
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
@@ -1400,20 +1362,17 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     LM from z0 (not from Newton's best iterate), fully actuated or not.
     When every attempt fails, raises the NoConvergence or SingularJacobian
     with the lowest best residual; ConfigError for an unknown method.
-    The solution is read from the interval pass the residual system stored
-    when it evaluated the returned z, bitwise what ``assemble_solution``
-    forms there, which runs only when no pass is stored.
+    The solution is read from the interval pass of the point the solve
+    returns, bitwise what ``assemble_solution`` forms there.
     """
-    system, eliminated, stored = _residual_system(problem)
+    system, eliminated = residual_system(problem)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
-    z, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    p = stored(z)
-    if p is None:
-        return assemble_solution(problem, z, report)
-    return _solution(problem, z, eliminated, p.nus, p.gs, p.um, p.up, report)
+    point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
+    p = point.kept
+    return _solution(problem, point.x, eliminated, p.nus, p.gs, p.um, p.up, report)
 
 
 def assemble_solution(problem, z, report=None):

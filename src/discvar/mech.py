@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
-from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, ResidualSystem, central_difference,
-                      march_in_windows, newton)
+from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, central_difference,
+                      march_in_windows, max_abs, newton, plain_system)
 
 
 def _per_point(fun, *points):
@@ -260,17 +260,6 @@ _STEP_ROUNDING = 16.0 * np.finfo(float).eps
 _STEP_MAX_ITER = 50
 
 
-def _max_abs(v):
-    """np.abs(v).max() of a short vector, the same float, read from its
-    Python floats: max and abs are exact.  Python's max can pass over a NaN,
-    so a vector whose sum is NaN is left to numpy."""
-    values = v.tolist()
-    total = sum(values)
-    if total != total:
-        return float(np.abs(v).max())
-    return max(map(abs, values))
-
-
 def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     """March the forced discrete Euler-Lagrange equation forward.
 
@@ -353,7 +342,7 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
 
     def step(k):
         q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(_STEP_TOL, rounding_per_q * _max_abs(q_k))
+        step_tol = max(_STEP_TOL, rounding_per_q * max_abs(q_k))
         # D2 Ld(q_{k-1}, q_k) + f^+_{k-1} + f^-_k, less D1 Ld's q_{k+1} part,
         # is velocity + forcing
         forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
@@ -367,17 +356,17 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
         # any, are mild enough that the iteration on -M/h still contracts
         guess = 2.0 * q_k - q_prev
         q_next, r = guess, forcing + forces.drift("-", q_k, guess)
-        err = _max_abs(r)
+        err = max_abs(r)
         for _ in range(_STEP_MAX_ITER):
             if err <= step_tol or not math.isfinite(err):
                 break
             q_next = q_next - J_inv @ r
             r = res(q_next)
-            err = _max_abs(r)
+            err = max_abs(r)
         if not err <= step_tol:
-            system = ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
+            system = plain_system(n, res, lambda _: J)
             try:
-                q_next, _ = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)
+                q_next = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)[0].x
             except (NoConvergence, SingularJacobian) as exc:
                 raise StepSolveFailed(k, f"step {k}: {exc}") from exc
         qs[k + 1] = q_next

@@ -3,6 +3,13 @@ in turn, plus ``central_difference``, the one central-difference quotient,
 and the window driver of the marches, ``march_in_windows`` with
 ``window_newton`` and ``affine_scan``.
 
+A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
+``Point`` x with its residual F(x) and ``jacobian()``, which builds F'(x)
+from what that evaluation kept.  A root-finder linearizes the point it
+accepted and returns it, so a formulation whose residual and Jacobian share
+work (``lgoc``'s interval pass) does that work once per point, and reads
+its solution from the returned point.
+
 Every system supplies its Jacobian, so the differences only reach what a
 user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the
 quotient to a callable of one point and serves the tests as their oracle."""
@@ -11,30 +18,45 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NoConvergence, SingularJacobian
 
 
+class Point(NamedTuple):
+    """A point x of a system and its residual F(x).  ``jacobian()`` builds
+    F'(x) from what the evaluation kept; ``kept`` is that, for a caller that
+    reads more of the point than F (None where the evaluation keeps only
+    x)."""
+
+    x: np.ndarray
+    f: np.ndarray
+    jacobian: Callable[[], np.ndarray]
+    kept: object = None
+
+
 @dataclass
 class ResidualSystem:
-    """A square nonlinear system F(x) = 0 of dimension ``dim`` and its
-    Jacobian ``jacobian``."""
+    """A square nonlinear system F(x) = 0 of dimension ``dim``: ``at(x)``
+    evaluates it at x and returns the ``Point``."""
 
     dim: int
-    eval: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    at: Callable[[np.ndarray], Point]
 
-    def jac(self, x):
-        return np.asarray(self.jacobian(x), dtype=float)
+
+def plain_system(dim, residual, jacobian):
+    """The ResidualSystem of a residual and a Jacobian callable of x: a point
+    keeps only x, and its ``jacobian()`` is jacobian(x)."""
+    return ResidualSystem(dim, lambda x: Point(x, np.asarray(residual(x), dtype=float),
+                                               lambda: jacobian(x)))
 
 
 @dataclass
 class SolveReport:
-    """One root-finder attempt: its outcome, its residual history, and the
-    calls it made of the system's ``eval`` and ``jacobian``."""
+    """One root-finder attempt: its outcome, its residual history, and how
+    many points it evaluated and linearized."""
 
     converged: bool = False
     iterations: int = 0
@@ -104,12 +126,23 @@ class _Singular(Exception):
 
 def _evaluate(system, x, report):
     report.residual_evaluations += 1
-    return np.asarray(system.eval(x), dtype=float)
+    return system.at(x)
 
 
-def _jacobian(system, x, report):
+def _jacobian(point, report):
     report.jacobian_evaluations += 1
-    return system.jac(x)
+    return np.asarray(point.jacobian(), dtype=float)
+
+
+def max_abs(v):
+    """np.abs(v).max() of a short vector, the same float, read from its
+    Python floats: max and abs are exact.  Python's max can pass over a NaN,
+    so a vector whose sum is NaN is left to numpy."""
+    values = v.tolist()
+    total = sum(values)
+    if total != total:
+        return float(np.abs(v).max())
+    return max(map(abs, values))
 
 
 def _sumsq(f):
@@ -122,20 +155,20 @@ def _sumsq(f):
 def _iterate(system, x0, method, step, tol, max_iter):
     """The loop Newton and LM share.
 
-    ``step(x, f, report)`` returns the accepted (x, F(x)), None when no trial
-    point lowers the residual, or raises ``_Singular``; it makes its calls
-    of the system through ``_evaluate`` and ``_jacobian``, which count them
-    in ``report``.  The loop owns the first evaluation, the residual
-    history, the best iterate, the stopping test ``max|F| <= tol`` and the
-    budget of ``max_iter`` accepted steps; every failure carries the best
-    iterate and the report so far.
+    ``step(point, report)`` linearizes the accepted ``point`` and returns
+    the next accepted point, None when no trial point lowers the residual,
+    or raises ``_Singular``; it makes its calls through ``_evaluate`` and
+    ``_jacobian``, which count them in ``report``.  The loop owns the first
+    evaluation, the residual history, the best iterate, the stopping test
+    ``max|F| <= tol`` and the budget of ``max_iter`` accepted steps; it
+    returns (point, report) at the point that passes the test, and every
+    failure carries the best iterate and the report so far.
     """
-    x = np.asarray(x0, dtype=float).copy()
     report = SolveReport(method=method)
-    f = _evaluate(system, x, report)
-    norm = np.max(np.abs(f))
+    point = _evaluate(system, np.asarray(x0, dtype=float).copy(), report)
+    norm = np.max(np.abs(point.f))
     report.residual_history.append(norm)
-    best_x, best_norm = x.copy(), norm
+    best_x, best_norm = point.x.copy(), norm
 
     def failed(iterations):
         report.iterations = iterations
@@ -147,22 +180,22 @@ def _iterate(system, x0, method, step, tol, max_iter):
             report.converged = True
             report.iterations = it
             report.residual_norm = norm
-            return x, report
+            return point, report
         if it >= max_iter:
             raise failed(it)
         try:
-            accepted = step(x, f, report)
+            accepted = step(point, report)
         except _Singular:
             report.iterations = it
             report.residual_norm = best_norm
             raise SingularJacobian(it, best_x=best_x, report=report) from None
         if accepted is None:
             raise failed(it + 1)
-        x, f = accepted
-        norm = np.max(np.abs(f))
+        point = accepted
+        norm = np.max(np.abs(point.f))
         report.residual_history.append(norm)
         if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
+            best_x, best_norm = point.x.copy(), norm
 
 
 def _first_model_decrease(f0, f1, alphas):
@@ -203,15 +236,17 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     model is right; elsewhere a passing model point may lead to another
     passing step.
 
-    Returns (x, SolveReport).  Raises SingularJacobian on a numerically
-    singular Jacobian and NoConvergence when the iteration budget runs out,
-    or when no grid point lowers the residual; both carry the best iterate
-    seen and the report so far.
+    Each step linearizes the point it accepted last, whichever trial that
+    was.  Returns (point, SolveReport), the ``Point`` it stopped at.  Raises
+    SingularJacobian on a numerically singular Jacobian and NoConvergence
+    when the iteration budget runs out, or when no grid point lowers the
+    residual; both carry the best iterate seen and the report so far.
     """
     alphas = 0.5 ** np.arange(max_backtrack + 1)
 
-    def step(x, f, report):
-        J = _jacobian(system, x, report)
+    def step(point, report):
+        J = _jacobian(point, report)
+        x, f = point.x, point.f
         try:
             dx = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
@@ -221,24 +256,23 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
         fnorm2 = _sumsq(f)
 
         def trial(j):
-            x_new = x + alphas[j] * dx
-            f_new = _evaluate(system, x_new, report)
-            return x_new, f_new, np.all(np.isfinite(f_new)) and _sumsq(f_new) < fnorm2
+            new = _evaluate(system, x + alphas[j] * dx, report)
+            return new, np.all(np.isfinite(new.f)) and _sumsq(new.f) < fnorm2
 
-        x_new, f_new, passed = trial(0)
+        new, passed = trial(0)
         if passed:
-            return x_new, f_new
+            return new
         if max_backtrack == 0:
             return None
-        j = _first_model_decrease(f, f_new, alphas)
-        x_new, f_new, passed = trial(j)
+        j = _first_model_decrease(f, new.f, alphas)
+        new, passed = trial(j)
         if not passed:
             # plain halving, past the model's point
             for i in range(1, max_backtrack + 1):
                 if i != j:
-                    x_new, f_new, passed = trial(i)
+                    new, passed = trial(i)
                     if passed:
-                        return x_new, f_new
+                        return new
             return None
         # Longer steps, between the full step (lo, failing) and hi (passing):
         # the three grid points next to the model's one at a time, then in
@@ -250,12 +284,12 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
                 k = (lo + hi) // 2
             else:
                 k = max(hi - max(1, j - hi - 1), 1)
-            x_k, f_k, passed = trial(k)
+            tried, passed = trial(k)
             if passed:
-                hi, x_new, f_new = k, x_k, f_k
+                hi, new = k, tried
             else:
                 lo, bracketed = k, True
-        return x_new, f_new
+        return new
 
     return _iterate(system, x0, "newton", step, tol, max_iter)
 
@@ -266,13 +300,15 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
 
     Damping starts at ``lam0``, is multiplied by 10 on a rejected step and
     divided by 10 on an accepted one.  The half squared residual never
-    increases across accepted steps.
+    increases across accepted steps.  Each step linearizes the point it
+    accepted last; returns (point, SolveReport) as ``newton`` does.
     """
     lam = lam0
 
-    def step(x, f, report):
+    def step(point, report):
         nonlocal lam
-        J = _jacobian(system, x, report)
+        J = _jacobian(point, report)
+        x, f = point.x, point.f
         JtJ = J.T @ J
         g = J.T @ f
         scale = np.maximum(np.diag(JtJ), 1e-12)
@@ -283,11 +319,10 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = x + dx
-            f_new = _evaluate(system, x_new, report)
-            if np.all(np.isfinite(f_new)) and 0.5 * _sumsq(f_new) < cost:
+            new = _evaluate(system, x + dx, report)
+            if np.all(np.isfinite(new.f)) and 0.5 * _sumsq(new.f) < cost:
                 lam = max(lam / 10.0, 1e-14)
-                return x_new, f_new
+                return new
             lam *= 10.0
         return None
 
@@ -305,7 +340,8 @@ METHODS = {
 
 
 def solve(system, z0, attempts, method="auto", tol=1e-9, max_iter=100):
-    """Root-find ``system`` from ``z0``; returns (z, SolveReport).
+    """Root-find ``system`` from ``z0``; returns (point, SolveReport), the
+    ``Point`` the converged attempt stopped at.
 
     Runs the attempts of ``method`` (see ``METHODS``) in order, each from
     ``z0`` with its own budget of ``max_iter`` iterations, and returns the
@@ -349,10 +385,13 @@ def affine_scan(A, b):
     A Hillis-Steele prefix scan of the maps x -> A_j x + b_j: after the round
     of offset d, element j holds the composition of the maps j - 2d + 1..j,
     so log2 W rounds of batched products give every state.  A_0 multiplies
-    x_{-1} = 0, so it is never read.
+    x_{-1} = 0, so it is never read.  A and b are copied C-contiguous: the
+    batched products round by the layout of their operands, so equal values
+    give the same bytes whatever layout the caller hands in (a broadcast A,
+    a transposed b).
     """
-    A = np.array(A, dtype=float)
-    x = np.array(b, dtype=float)
+    A = np.array(A, dtype=float, order="C")
+    x = np.array(b, dtype=float, order="C")
     W, d = len(x), 1
     while d < W:
         # the right-hand sides are formed before either slice is written

@@ -35,7 +35,7 @@ import numpy as np
 from . import solvers
 from .errors import DimensionMismatch, NotInvertible, RankDeficient
 from .lie import mt
-from .solvers import ResidualSystem, levenberg_marquardt, newton
+from .solvers import levenberg_marquardt, newton, plain_system
 from .systems import L2Cost
 
 
@@ -372,7 +372,7 @@ def residual_system(problem, aug=None):
             J[P:, :P] = J[:P, P:].T
         return J
 
-    return ResidualSystem(dim=dim, eval=eval_, jacobian=jacobian)
+    return plain_system(dim, eval_, jacobian)
 
 
 def initial_guess(problem):
@@ -411,8 +411,8 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
         guess = initial_guess(problem)
     z0 = _pack(problem, *guess)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
-    z, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    return assemble_solution(problem, z, report, aug=aug)
+    point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
+    return assemble_solution(problem, point.x, report, aug=aug)
 
 
 def assemble_solution(problem, z, report=None, aug=None):

@@ -20,12 +20,12 @@ def root_finder_log(monkeypatch):
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 try:
-                    x, report = _original(*args, **kwargs)
+                    point, report = _original(*args, **kwargs)
                 except (NoConvergence, SingularJacobian) as exc:
                     log.append((_name, exc.report))
                     raise
                 log.append((_name, report))
-                return x, report
+                return point, report
 
             monkeypatch.setattr(module, name, counted)
         return log

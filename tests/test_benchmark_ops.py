@@ -1,8 +1,9 @@
-"""The benchmark's ops at full size, seed 901, as perfbench/workloads.py
-builds them: the lgoc solves end with the same method, iteration count and
-cost, and drawn-2 still fails; every simulate op passes the benchmark's
-correctness gate, the point mass's windows take one update each, and the
-group marches are bitwise those of the general window linearization."""
+"""The benchmark's ops at full size, as perfbench/workloads.py builds them:
+the lgoc and tboc solves end with the same method, iteration count and cost
+at seeds 901 and 5301, and drawn-2 still fails; every simulate op passes the
+benchmark's correctness gate, the point mass's windows take one update each,
+and the group marches are bitwise those of the general window
+linearization."""
 
 import os
 import sys
@@ -14,7 +15,9 @@ from discvar.errors import NoConvergence
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
 
-# op -> (method, iterations, cost); None where the solve ends in NoConvergence
+# op -> (method, iterations, cost); None where the solve ends in NoConvergence.
+# Each seed's image of a problem is the same problem up to rounding, so both
+# seeds give these outcomes
 OUTCOMES = {
     "ocp-group": {
         "rb-cay": ("newton", 4, 4.652989632553596),
@@ -25,6 +28,10 @@ OUTCOMES = {
         "test-target": ("newton", 10, 4.469772128591645),
         "drawn-1": ("newton", 12, 16.387065821021427),
         "drawn-2": None,
+    },
+    "ocp-flat": {
+        "pm1-N64": ("newton", 1, 5.997071742313324),
+        "pm3-N16": ("newton", 1, 17.86046511627907),
     },
 }
 
@@ -39,9 +46,10 @@ def workloads(monkeypatch):
         sys.modules.pop(name, None)
 
 
+@pytest.mark.parametrize("seed", [901, 5301])
 @pytest.mark.parametrize("workload", list(OUTCOMES))
-def test_benchmark_lgoc_ops_keep_their_outcome(workload, workloads, tmp_path):
-    ops = {op.name: op for op in workloads.build(workload, 901, "full", str(tmp_path)).ops}
+def test_benchmark_solve_ops_keep_their_outcome(workload, seed, workloads, tmp_path):
+    ops = {op.name: op for op in workloads.build(workload, seed, "full", str(tmp_path)).ops}
     for name, outcome in OUTCOMES[workload].items():
         if outcome is None:
             with pytest.raises(NoConvergence):

@@ -460,8 +460,9 @@ def test_singular_jacobian_still_writes_artifacts(tmp_path, monkeypatch):
     base["solver"]["method"] = "lm_then_newton"
     cfg = write_config(tmp_path / "c.json", base)
     out = str(tmp_path / "out")
-    monkeypatch.setattr(solvers.ResidualSystem, "jac",
-                        lambda self, x: np.zeros((self.dim, self.dim)))
+    jacobian = solvers._jacobian
+    monkeypatch.setattr(solvers, "_jacobian",
+                        lambda point, report: np.zeros_like(jacobian(point, report)))
     assert cli.main(["solve", cfg, "--out", out]) == 2
     report = read_report(out)
     assert report["converged"] is False

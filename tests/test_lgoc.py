@@ -1,6 +1,7 @@
 """Reduced optimal control on Lie groups: kinematics, residuals, solve."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,9 +270,9 @@ def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=
         D = group.dtau_inv_matrix(h * xi)
     if not converged:
         try:
-            xi, _ = lgoc.newton(solvers.ResidualSystem(
+            xi = lgoc.newton(solvers.plain_system(
                 n, lambda x: residual(x, group.dtau_inv_matrix(h * x)),
-                lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)
+                lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)[0].x
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
     mu = rhs + (h / 2.0) * system.drift_values(h * xi) if system.has_drift else rhs
@@ -964,8 +965,8 @@ def test_exact_jacobian_matches_dense_fd(regime):
     rng = np.random.default_rng(11)
     for _ in range(3):
         z = _random_point(prob, eliminate, rng)
-        J = system.jac(z)
-        J_dense = solvers.fd_jacobian(system.eval, z)
+        J = system.at(z).jacobian()
+        J_dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
         # each row block against its own scale: the complement and potential
         # entries would hide under the velocity rows' max|J|
         for rows in _row_blocks(prob, eliminate):
@@ -983,18 +984,23 @@ def test_coloured_jacobian_matches_dense_fd(regime):
     visited = []
 
     def recorded(z):
-        visited.append(z.copy())
-        return system.jacobian(z)
+        point = system.at(z)
+
+        def jacobian():
+            visited.append(z.copy())
+            return point.jacobian()
+
+        return point._replace(jacobian=jacobian)
 
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     with pytest.raises((NoConvergence, SingularJacobian)):
-        solvers.newton(dataclasses.replace(system, jacobian=recorded), z0,
+        solvers.newton(dataclasses.replace(system, at=recorded), z0,
                        tol=1e-14, max_iter=2)
     assert len(visited) == 2 and np.array_equal(visited[0], z0)
     assert not np.array_equal(visited[1], z0)
     for z in visited:
-        J = system.jac(z)
-        J_dense = solvers.fd_jacobian(system.eval, z)
+        J = system.at(z).jacobian()
+        J_dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
         for rows in _row_blocks(prob, eliminate):
             assert (np.max(np.abs(J[rows] - J_dense[rows]))
                     <= 1e-6 * np.max(np.abs(J_dense[rows])))
@@ -1006,7 +1012,8 @@ def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
     prob = jacobian_regimes()["heavy top"]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(13))
-    expected = system.jac(z)
+    expected = system.at(z).jacobian()
+    point = system.at(z)
     calls = []
     hessians = lgoc._potential_hessians
 
@@ -1015,7 +1022,7 @@ def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
         return hessians(system_, gs, *args, **kwargs)
 
     monkeypatch.setattr(lgoc, "_potential_hessians", counted)
-    assert np.array_equal(system.jac(z), expected)
+    assert np.array_equal(point.jacobian(), expected)
     assert calls == [prob.N]
 
 
@@ -1031,8 +1038,8 @@ def test_assembled_potential_jacobian_matches_dense_fd():
         rng = np.random.default_rng(11)
         for _ in range(2):
             z = _random_point(prob, eliminate, rng)
-            J_dense = solvers.fd_jacobian(system.eval, z)
-            J = system.jac(z)
+            J_dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
+            J = system.at(z).jacobian()
             assert np.max(np.abs(J - J_dense)) <= 1e-6 * np.max(np.abs(J_dense))
             if s:
                 assert (np.max(np.abs(J[complement] - J_dense[complement]))
@@ -1058,6 +1065,7 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
     prob = _differencing_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(12))
+    point = system.at(z)
     differences = (callable(prob.system.drift)
                    or isinstance(prob.system.potential, GradientOnly))
     assert differences == (regime in ("quadratic drag", "gradient-only heavy top"))
@@ -1105,7 +1113,7 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
     counted_call("_velocity_rows")
     record("central_difference")
     monkeypatch.setattr(solvers, "fd_jacobian", refused)
-    system.jac(z)
+    point.jacobian()
     assert residuals == []
     assert bool(differenced) == differences
     assert all(labels and labels <= {"drift", "potential"} for labels in differenced)
@@ -1124,7 +1132,7 @@ def test_closed_form_systems_make_no_difference(monkeypatch):
     for regime in ("heavy top", "underactuated heavy top", "uuv", "uuv exp"):
         prob = jacobian_regimes()[regime]
         residual, eliminate = lgoc.residual_system(prob)
-        residual.jac(_random_point(prob, eliminate, np.random.default_rng(15)))
+        residual.at(_random_point(prob, eliminate, np.random.default_rng(15))).jacobian()
 
 
 def _four_point(f, x, j, step):
@@ -1152,7 +1160,7 @@ def test_reconstruction_rows_match_a_four_point_stencil(regime):
 
         oracle = np.stack([_four_point(rows, x, j, 1e-2 * (1.0 + abs(x[j])))
                            for j in range(N * n)], axis=1)
-        border = system.jac(z)[-n:]
+        border = system.at(z).jacobian()[-n:]
         assert np.max(np.abs(border[:, : N * n] - oracle)) <= 1e-9 * np.max(np.abs(oracle))
         assert not np.any(border[:, N * n :])
 
@@ -1181,13 +1189,11 @@ def test_sensitivities_match_differences_of_reconstruct(regime):
 @pytest.mark.parametrize("actuated", [(0, 1, 2), (0, 1)], ids=["full", "under"])
 def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
     # the reconstruction reuses the tau(h xi) the interval maps formed, and
-    # a build at an evaluated point reuses that point's interval pass: no
-    # tau there, one at a point not evaluated
+    # a point's build reuses the point's interval pass: no tau there
     prob = rigid_body_problem(actuated=actuated, N=8)
     system, eliminate = lgoc.residual_system(prob)
     rng = np.random.default_rng(16)
     z = _random_point(prob, eliminate, rng)
-    cold = _random_point(prob, eliminate, rng)
     calls = []
     tau = lie.GroupSpec.tau
 
@@ -1196,32 +1202,32 @@ def test_residual_and_jacobian_form_tau_once(actuated, monkeypatch):
         return tau(self, xi)
 
     monkeypatch.setattr(lie.GroupSpec, "tau", counted)
-    system.eval(z)
+    point = system.at(z)
     assert calls == [(8, 3)]
     calls.clear()
-    system.jac(z)
+    point.jacobian()
     assert calls == []
-    system.jac(cold)
-    assert calls == [(8, 3)]
 
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_jacobian_at_an_evaluated_point_is_the_cold_jacobian(regime):
-    # eliminated, potential, callable drift and underactuated alike: the
-    # build that reuses the residual's interval pass gives the same bits
+    # eliminated, potential, callable drift and underactuated alike: a
+    # point's build reads its own interval pass alone, so it gives the bits
+    # of a build made at once, whatever the system evaluated in between
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     rng = np.random.default_rng(18)
     for _ in range(2):
         z = _random_point(prob, eliminate, rng)
-        cold = system.jac(z)
-        system.eval(z)
-        assert np.array_equal(system.jac(z), cold)
+        cold = system.at(z).jacobian()
+        point = system.at(z)
+        system.at(_random_point(prob, eliminate, rng))
+        assert np.array_equal(point.jacobian(), cold)
 
 
 @pytest.mark.parametrize("root_finder", ["newton", "levenberg_marquardt"])
 def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch):
-    # every Jacobian build is at a point the root-finder has evaluated, so
+    # every Jacobian build is of a point the root-finder has evaluated, so
     # it reuses that point's pass: dtau_inv_deriv runs at h xi once per
     # residual evaluation, and never at -h xi
     prob = under_target_problem()
@@ -1236,13 +1242,13 @@ def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch
 
     def recorded(z):
         evaluated.add((h * z[: N * n].reshape(N, n)).tobytes())
-        return system.eval(z)
+        return system.at(z)
 
     monkeypatch.setattr(lie.GroupSpec, "dtau_inv_deriv", counted)
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     try:
         _, report = getattr(lgoc, root_finder)(
-            dataclasses.replace(system, eval=recorded), z0, tol=1e-7, max_iter=12)
+            dataclasses.replace(system, at=recorded), z0, tol=1e-7, max_iter=12)
     except NoConvergence as exc:
         report = exc.report
     assert report.jacobian_evaluations >= 10
@@ -1251,54 +1257,16 @@ def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch
     assert len(calls) == report.residual_evaluations
 
 
-def test_interval_pass_store_is_bounded(monkeypatch):
-    # a build finds the pass of a point among the last _KEPT_PASSES
-    # evaluated, and forms its own once more points have been evaluated
-    # since, so an oracle differencing ``eval`` holds a bounded store; every
-    # build empties the store
-    prob = under_target_problem()
-    system, eliminate = lgoc.residual_system(prob)
-    rng = np.random.default_rng(19)
-    first = _random_point(prob, eliminate, rng)
-    others = [_random_point(prob, eliminate, rng) for _ in range(lgoc._KEPT_PASSES)]
-    expected = system.jac(first)
-    formed = []
-    interval_pass = lgoc._interval_pass
-
-    def counted(*args):
-        formed.append(1)
-        return interval_pass(*args)
-
-    monkeypatch.setattr(lgoc, "_interval_pass", counted)
-
-    def builds_formed(after):
-        system.eval(first)
-        for z in after:
-            system.eval(z)
-        formed.clear()
-        assert np.array_equal(system.jac(first), expected)
-        return len(formed)
-
-    assert builds_formed(others[:-1]) == 0
-    assert builds_formed(others) == 1
-    system.eval(first)
-    system.jac(first)
-    formed.clear()
-    system.jac(first)
-    assert len(formed) == 1
-
-
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
 def test_jacobian_takes_dtau_inv_and_its_derivative_from_one_call(regime, monkeypatch):
-    # a build at a point not evaluated takes D and its derivative at z = h xi
-    # from one dtau_inv_deriv call, and those at -z from them, with no kernel
-    # call there; the reconstruction border's dtau_inv(r) is its only
-    # dtau_inv_matrix call.  A build at an evaluated point makes no
-    # dtau_inv_deriv call
+    # an evaluation and the build of its point take D and its derivative at
+    # z = h xi from one dtau_inv_deriv call, and those at -z from them, with
+    # no kernel call there; the reconstruction border's dtau_inv(r) is their
+    # only dtau_inv_matrix call.  The build makes no dtau_inv_deriv call
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(17))
-    expected = system.jac(z)
+    expected = system.at(z).jacobian()
     calls = {"dtau_inv_matrix": [], "dtau_inv_deriv": []}
 
     def count(name):
@@ -1312,15 +1280,14 @@ def test_jacobian_takes_dtau_inv_and_its_derivative_from_one_call(regime, monkey
 
     count("dtau_inv_matrix")
     count("dtau_inv_deriv")
-    assert np.array_equal(system.jac(z), expected)
+    point = system.at(z)
+    evaluated = len(calls["dtau_inv_deriv"])
+    assert np.array_equal(point.jacobian(), expected)
     N, n = prob.N, prob.system.n
     hxi = prob.h * z[: N * n].reshape(N, n)
     assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [hxi.tolist()]
     assert [a.shape for a in calls["dtau_inv_matrix"]] == [(n,)]
-    system.eval(z)
-    calls["dtau_inv_deriv"].clear()
-    assert np.array_equal(system.jac(z), expected)
-    assert calls["dtau_inv_deriv"] == []
+    assert evaluated == 1
 
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
@@ -1338,7 +1305,7 @@ def test_jacobian_build_reconstructs_only_inside_the_residual(regime, monkeypatc
         return reconstruct(*args, **kwargs)
 
     monkeypatch.setattr(lgoc, "reconstruct", counted)
-    system.jac(z)
+    system.at(z).jacobian()
     assert len(calls) == 1
 
 
@@ -1420,7 +1387,7 @@ def test_jacobian_is_the_padded_assembly_bitwise(regime):
     rng = np.random.default_rng(20)
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     for z in (z0, _random_point(prob, eliminate, rng), _random_point(prob, eliminate, rng)):
-        assert np.array_equal(system.jac(z), _padded_jacobian(prob, z))
+        assert np.array_equal(system.at(z).jacobian(), _padded_jacobian(prob, z))
 
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
@@ -1430,7 +1397,7 @@ def test_jacobian_reads_the_shared_identity_bitwise(regime, monkeypatch):
     prob = jacobian_regimes()[regime]
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(22))
-    J = system.jac(z)
+    J = system.at(z).jacobian()
 
     def filled(self, U):
         U = np.asarray(U, dtype=float)
@@ -1440,7 +1407,7 @@ def test_jacobian_reads_the_shared_identity_bitwise(regime, monkeypatch):
 
     monkeypatch.setattr(L2Cost, "hess_batch", filled)
     system, _ = lgoc.residual_system(prob)
-    assert system.jac(z).tobytes() == J.tobytes()
+    assert system.at(z).jacobian().tobytes() == J.tobytes()
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -1451,8 +1418,8 @@ def test_smallest_layouts_match_dense_fd(regime, N):
     prob = dataclasses.replace(jacobian_regimes()[regime], N=N)
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(21))
-    J = system.jac(z)
-    J_dense = solvers.fd_jacobian(system.eval, z)
+    J = system.at(z).jacobian()
+    J_dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
     for rows in _row_blocks(prob, eliminate):
         assert (np.max(np.abs(J[rows] - J_dense[rows]))
                 <= 1e-6 * np.max(np.abs(J_dense[rows])))
@@ -1470,7 +1437,7 @@ def test_build_at_an_evaluated_point_makes_no_tau_inv_call(actuated, monkeypatch
     prob = rigid_body_problem(actuated=actuated, N=8)
     system, eliminate = lgoc.residual_system(prob)
     z = _random_point(prob, eliminate, np.random.default_rng(22))
-    expected = system.jac(z)
+    expected = system.at(z).jacobian()
     calls = []
     tau_inv = lie.GroupSpec.tau_inv
 
@@ -1479,8 +1446,8 @@ def test_build_at_an_evaluated_point_makes_no_tau_inv_call(actuated, monkeypatch
         return tau_inv(self, g)
 
     monkeypatch.setattr(lie.GroupSpec, "tau_inv", counted)
-    system.eval(z)
-    assert np.array_equal(system.jac(z), expected)
+    point = system.at(z)
+    assert np.array_equal(point.jacobian(), expected)
     assert calls == [(3, 3)]
 
 
@@ -1492,7 +1459,7 @@ def test_residual_evaluates_a_callable_drift_once_at_h_xi(monkeypatch):
     assert eliminate
     N, n = prob.N, prob.system.n
     z = _random_point(prob, eliminate, np.random.default_rng(23))
-    expected = system.eval(z)
+    expected = system.at(z).f
     calls = []
     drift = prob.system.drift
 
@@ -1501,7 +1468,7 @@ def test_residual_evaluates_a_callable_drift_once_at_h_xi(monkeypatch):
         return drift(x)
 
     monkeypatch.setattr(prob.system, "drift", counted)
-    assert np.array_equal(system.eval(z), expected)
+    assert np.array_equal(system.at(z).f, expected)
     assert [c.shape for c in calls] == [(N, n), (2 * n, N, n)]
     assert np.array_equal(calls[0], prob.h * z.reshape(N, n))
 
@@ -1701,7 +1668,7 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
     N, n = prob.N, prob.system.n
     xis = lgoc.initial_guess(prob)[0] + 0.1
     z = xis.reshape(-1)
-    expected = system.eval(z)
+    expected = system.at(z).f
     # bitwise the residual at the eliminated momenta, momentum rows dropped
     full = lgoc.general_residual(prob, xis, lgoc.eliminated_nus(prob, xis)[1:-1])
     assert np.array_equal(expected, np.concatenate([full[: (N - 1) * n],
@@ -1722,7 +1689,7 @@ def test_eliminated_residual_evaluates_the_interval_maps_once(monkeypatch):
     count(lie.GroupSpec, "dtau_inv_matrix", 2)
     count(lie.GroupSpec, "dtau_inv_deriv", 2)
     count(lie.GroupSpec, "Ad_matrix", 2)
-    assert np.array_equal(system.eval(z), expected)
+    assert np.array_equal(system.at(z).f, expected)
     assert len(calls["_interval_maps"]) == 1
     assert [a.tolist() for a in calls["dtau_inv_deriv"]] == [(prob.h * xis).tolist()]
     assert calls["dtau_inv_matrix"] == []
@@ -1742,7 +1709,7 @@ def test_eliminated_residual_is_general_residual_without_the_momentum_rows(regim
     full = lgoc.general_residual(prob, z.reshape(N, n), None)
     assert full.shape == ((2 * N - 1) * n,)
     kept = np.concatenate([full[: (N - 1) * n], full[2 * (N - 1) * n:]])
-    assert system.eval(z).tobytes() == kept.tobytes()
+    assert system.at(z).f.tobytes() == kept.tobytes()
 
 
 def test_eliminated_nus_rejects_underactuated_problem():
@@ -1785,9 +1752,10 @@ def test_fully_actuated_solves_eliminate_the_momenta(regime):
                                      z[N * n :].reshape(N - 1, n))
 
     z0 = lgoc._pack(*lgoc.initial_guess(prob), False)
-    z, report = solvers.newton(solvers.ResidualSystem(
+    point, report = solvers.newton(solvers.plain_system(
         z0.size, explicit, lambda x: solvers.fd_jacobian(explicit, x)), z0, tol=1e-9)
     assert report.converged
+    z = point.x
     cost = lgoc.action_sum(prob, z[: N * n].reshape(N, n),
                            lgoc._full_nus(prob, z[N * n :].reshape(N - 1, n)))
     assert abs(sol.cost - cost) <= 1e-9 * abs(cost)
@@ -1925,6 +1893,14 @@ def test_underactuated_newton_takes_the_halving_steps_in_fewer_evaluations(monke
     # is j = 11, so the search halves from j = 1
     from test_solvers import frozen_newton
 
+    def frozen(system, z0, **kwargs):
+        # the frozen loop calls a system's eval and jac; its point is read
+        # back for the solution
+        calls_of = SimpleNamespace(eval=lambda z: system.at(z).f,
+                                   jac=lambda z: system.at(z).jacobian())
+        z, report = frozen_newton(calls_of, z0, **kwargs)
+        return system.at(z), report
+
     calls = []
     general_residual = lgoc.general_residual
 
@@ -1938,7 +1914,7 @@ def test_underactuated_newton_takes_the_halving_steps_in_fewer_evaluations(monke
     assert sol.report.method == "newton" and sol.report.converged
     assert sol.report.residual_evaluations == len(calls) <= 38
     assert sol.report.jacobian_evaluations == sol.report.iterations
-    monkeypatch.setattr(lgoc, "newton", frozen_newton)
+    monkeypatch.setattr(lgoc, "newton", frozen)
     frozen = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
     assert sol.report.residual_history == frozen.report.residual_history
     assert np.array_equal(sol.xis, frozen.xis) and sol.cost == frozen.cost
@@ -2079,10 +2055,10 @@ def _solution_arrays(sol):
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_solve_reads_the_solution_of_its_last_pass(regime, monkeypatch):
     # a solve takes path, momenta, controls and cost from the interval pass
-    # its residual stored at the returned z, with no assemble_solution call,
-    # and they are assemble_solution's bits there; on the failure path the
-    # solution is assembled from the best iterate, and the pass a solve
-    # stores at that point gives the same bits
+    # of the point it returns, with no assemble_solution call, and they are
+    # assemble_solution's bits there; on the failure path the solution is
+    # assembled from the best iterate, and the pass of a solve's point there
+    # gives the same bits
     prob = jacobian_regimes()[regime]
     eliminated = lgoc._momenta_eliminable(prob)
     assemble = lgoc.assemble_solution
@@ -2108,13 +2084,70 @@ def test_solve_reads_the_solution_of_its_last_pass(regime, monkeypatch):
     assert _solution_arrays(at_best) == _solution_arrays(assemble(prob, best))
 
 
-def test_solve_without_a_stored_pass_assembles_the_solution(monkeypatch):
-    # a pass pushed out of the store leaves the solve to assemble_solution
-    monkeypatch.setattr(lgoc, "_KEPT_PASSES", 0)
-    prob = rigid_body_problem()
-    sol = lgoc.solve(prob, tol=1e-9)
-    z = lgoc._pack(sol.xis, None, None, True)
-    assert _solution_arrays(sol) == _solution_arrays(lgoc.assemble_solution(prob, z))
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_solve_forms_one_interval_pass_per_residual(regime, root_finder_log, monkeypatch):
+    # every evaluation forms its point's pass, every build and the solution
+    # read a point's pass: one _interval_pass per residual evaluation of
+    # every attempt, and no assemble_solution call
+    prob = jacobian_regimes()[regime]
+    log = root_finder_log(lgoc)
+    formed = []
+    interval_pass = lgoc._interval_pass
+
+    def counted(*args):
+        formed.append(1)
+        return interval_pass(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("solve assembled the solution again")
+
+    monkeypatch.setattr(lgoc, "_interval_pass", counted)
+    monkeypatch.setattr(lgoc, "assemble_solution", refused)
+    tol = 0.5 if regime.startswith("underactuated") else 1e-9
+    sol = lgoc.solve(prob, tol=tol, max_iter=30)
+    assert sol.report.converged and sol.report.jacobian_evaluations >= 1
+    assert len(formed) == sum(report.residual_evaluations for _, report in log)
+
+
+def test_newton_linearizes_the_point_it_accepted_after_a_failed_trial(monkeypatch):
+    # on the underactuated benchmark's test target some steps' search for a
+    # longer step ends on a failed trial, so the point Newton accepted is not
+    # the last it evaluated.  Every build, those included, reads its point's
+    # own pass: none forms an _interval_pass, and each gives the bits of a
+    # build at its point alone
+    prob = under_target_problem()
+    system, eliminate = lgoc.residual_system(prob)
+    points, builds, formed = [], [], []
+    interval_pass = lgoc._interval_pass
+
+    def counted(*args):
+        formed.append(1)
+        return interval_pass(*args)
+
+    def recorded(z):
+        point = system.at(z)
+        points.append(point)
+        newest = len(points)
+
+        def jacobian():
+            before = len(formed)
+            J = point.jacobian()
+            builds.append((point, newest == len(points), len(formed) - before, J))
+            return J
+
+        return point._replace(jacobian=jacobian)
+
+    monkeypatch.setattr(lgoc, "_interval_pass", counted)
+    z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+    _, report = lgoc.newton(dataclasses.replace(system, at=recorded), z0, tol=1e-7,
+                            max_iter=12)
+    assert report.converged and len(builds) == report.jacobian_evaluations
+    assert len(formed) == len(points) == report.residual_evaluations
+    assert all(passes == 0 for _, _, passes, _ in builds)
+    late = [(point, J) for point, newest, _, J in builds if not newest]
+    assert late
+    for point, J in late:
+        assert np.array_equal(J, system.at(point.x).jacobian())
 
 
 @pytest.mark.parametrize("build", [rigid_body_problem, under_target_problem],

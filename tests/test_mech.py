@@ -556,10 +556,10 @@ def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
             r = res(q_next)
             err = np.abs(r).max()
         if not err <= step_tol:
-            system = solvers.ResidualSystem(dim=n, eval=res, jacobian=lambda _: J)
+            system = solvers.plain_system(n, res, lambda _: J)
             try:
-                q_next, _ = mech.newton(system, guess, tol=step_tol,
-                                        max_iter=mech._STEP_MAX_ITER)
+                q_next = mech.newton(system, guess, tol=step_tol,
+                                     max_iter=mech._STEP_MAX_ITER)[0].x
             except (NoConvergence, SingularJacobian) as exc:
                 raise StepSolveFailed(k, f"step {k}: {exc}") from exc
         qs[k + 1] = q_next

@@ -9,23 +9,23 @@ import pytest
 from discvar import solvers
 from discvar.errors import ConfigError, NoConvergence, SingularJacobian
 from discvar.solvers import (
-    ResidualSystem,
     SolveReport,
     fd_jacobian,
     levenberg_marquardt,
     newton,
+    plain_system,
 )
 
 
 def fd_system(dim, fun):
     """A system whose Jacobian is the central difference of its residual."""
-    return ResidualSystem(dim, fun, jacobian=lambda x: fd_jacobian(fun, x))
+    return plain_system(dim, fun, lambda x: fd_jacobian(fun, x))
 
 
 def test_fd_jacobian_identity():
     sys_ = fd_system(3, lambda x: x.copy())
     x = np.array([0.3, -1.0, 2.0])
-    assert np.max(np.abs(sys_.jac(x) - np.eye(3))) < 1e-7
+    assert np.max(np.abs(sys_.at(x).jacobian() - np.eye(3))) < 1e-7
 
 
 def test_fd_jacobian_linear_map():
@@ -33,7 +33,7 @@ def test_fd_jacobian_linear_map():
     A = rng.normal(size=(4, 4))
     sys_ = fd_system(4, lambda x: A @ x)
     x = rng.normal(size=4)
-    assert np.max(np.abs(sys_.jac(x) - A)) < 1e-6
+    assert np.max(np.abs(sys_.at(x).jacobian() - A)) < 1e-6
 
 
 def test_fd_jacobian_hand_derivative():
@@ -129,29 +129,27 @@ def test_nested_central_difference_matches_the_nested_fd_jacobian():
 
 def test_newton_linear_one_step():
     sys_ = fd_system(1, lambda x: x - 1.0)
-    x, report = newton(sys_, np.array([0.0]))
+    point, report = newton(sys_, np.array([0.0]))
     # the finite-difference Jacobian limits the one-step accuracy
-    assert abs(x[0] - 1.0) < 1e-9
+    assert abs(point.x[0] - 1.0) < 1e-9
     assert report.iterations == 1
     assert report.converged
 
 
 def test_newton_square_root():
     sys_ = fd_system(1, lambda x: x * x - 4.0)
-    x, report = newton(sys_, np.array([3.0]), tol=1e-12)
-    assert abs(x[0] - 2.0) < 1e-10
+    point, report = newton(sys_, np.array([3.0]), tol=1e-12)
+    assert abs(point.x[0] - 2.0) < 1e-10
     assert report.iterations <= 8
 
 
 def test_newton_quadratic_convergence_rate():
-    sys_ = ResidualSystem(
-        1, lambda x: x * x - 4.0, jacobian=lambda x: np.array([[2.0 * x[0]]])
-    )
+    sys_ = plain_system(1, lambda x: x * x - 4.0, lambda x: np.array([[2.0 * x[0]]]))
     errs = []
     x = np.array([3.0])
     for _ in range(4):
         try:
-            x, _ = newton(sys_, x, tol=0.0, max_iter=1)
+            x = newton(sys_, x, tol=0.0, max_iter=1)[0].x
         except NoConvergence as exc:
             x = exc.best_x
         errs.append(abs(x[0] - 2.0))
@@ -162,7 +160,7 @@ def test_newton_quadratic_convergence_rate():
 def test_newton_double_root_is_flagged():
     sys_ = fd_system(1, lambda x: x * x)
     try:
-        x, report = newton(sys_, np.array([1.0]), tol=1e-14, max_iter=25)
+        _, report = newton(sys_, np.array([1.0]), tol=1e-14, max_iter=25)
         converged_slowly = report.iterations > 10
     except NoConvergence as exc:
         converged_slowly = True
@@ -171,18 +169,18 @@ def test_newton_double_root_is_flagged():
 
 
 def test_newton_singular_jacobian():
-    sys_ = ResidualSystem(
+    sys_ = plain_system(
         2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
-        jacobian=lambda x: np.ones((2, 2)),
+        lambda x: np.ones((2, 2)),
     )
     with pytest.raises(SingularJacobian):
         newton(sys_, np.array([1.0, 2.0]))
 
 
 def test_singular_jacobian_carries_best_iterate():
-    sys_ = ResidualSystem(
+    sys_ = plain_system(
         2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
-        jacobian=lambda x: np.ones((2, 2)),
+        lambda x: np.ones((2, 2)),
     )
     with pytest.raises(SingularJacobian) as info:
         newton(sys_, np.array([1.0, 2.0]))
@@ -196,8 +194,8 @@ def test_singular_jacobian_carries_best_iterate():
 def test_newton_backtracks_on_overshoot():
     # steep arctan makes the raw Newton step overshoot from far away
     sys_ = fd_system(1, lambda x: np.arctan(5.0 * x))
-    x, report = newton(sys_, np.array([2.0]), tol=1e-12)
-    assert abs(x[0]) < 1e-12
+    point, report = newton(sys_, np.array([2.0]), tol=1e-12)
+    assert abs(point.x[0]) < 1e-12
     assert report.converged
 
 
@@ -214,20 +212,20 @@ def test_no_convergence_carries_best_iterate():
 
 def test_lm_agrees_with_newton():
     sys_ = fd_system(1, lambda x: x * x - 4.0)
-    x, _ = levenberg_marquardt(sys_, np.array([3.0]), tol=1e-12)
-    assert abs(x[0] - 2.0) < 1e-10
+    point, _ = levenberg_marquardt(sys_, np.array([3.0]), tol=1e-12)
+    assert abs(point.x[0] - 2.0) < 1e-10
 
 
 def test_lm_converges_to_nearest_root():
     sys_ = fd_system(1, lambda x: x * x - 4.0)
-    x, _ = levenberg_marquardt(sys_, np.array([-3.0]), tol=1e-12)
-    assert abs(x[0] + 2.0) < 1e-10
+    point, _ = levenberg_marquardt(sys_, np.array([-3.0]), tol=1e-12)
+    assert abs(point.x[0] + 2.0) < 1e-10
 
 
 def test_lm_rank_deficient_residual():
     sys_ = fd_system(2, lambda x: np.array([x[0] - 1.0, 0.0]))
-    x, report = levenberg_marquardt(sys_, np.array([5.0, 3.0]), tol=1e-10)
-    assert abs(x[0] - 1.0) < 1e-10
+    point, report = levenberg_marquardt(sys_, np.array([5.0, 3.0]), tol=1e-10)
+    assert abs(point.x[0] - 1.0) < 1e-10
     assert report.converged
 
 
@@ -259,8 +257,9 @@ def test_report_as_dict():
 
 # ---------------------------------------------------------------------------
 # the shared iteration loop, against frozen copies of the two loops it
-# replaced (the copies call ``system.jac(x)``: the old ``f0`` argument only
-# sized the finite-difference output)
+# replaced (the copies call ``system.eval(x)`` and ``system.jac(x)``, the
+# calls of a system before its points: the old ``f0`` argument only sized
+# the finite-difference output)
 # ---------------------------------------------------------------------------
 
 def frozen_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
@@ -374,7 +373,8 @@ def _recorded(dim, fun, jacobian=None):
     point its residual is evaluated at, a central-difference Jacobian's
     included; ``log.calls`` holds the root-finder's own calls, ("eval", x,
     F(x)) and ("jac", x, J(x)).  Without ``jacobian`` its Jacobian is the
-    central difference of the logged residual."""
+    central difference of the logged residual.  The root-finders evaluate
+    its points (``at``), the frozen loops call ``eval`` and ``jac``."""
     log = SimpleNamespace(points=[], calls=[])
     in_jacobian = []
 
@@ -399,14 +399,16 @@ def _recorded(dim, fun, jacobian=None):
         log.calls.append(("jac", np.array(x, dtype=float), np.array(J, dtype=float)))
         return J
 
-    return ResidualSystem(dim, eval_, jacobian=jacobian_), log
+    system = plain_system(dim, eval_, jacobian_)
+    return SimpleNamespace(dim=dim, at=system.at, eval=eval_, jac=jacobian_), log
 
 
 def _run(solver, make_system, x0, **kw):
     system, log = make_system()
     try:
         x, report = solver(system, x0, **kw)
-        outcome = ("ok", x)
+        # the root-finders return a point, the frozen loops x
+        outcome = ("ok", getattr(x, "x", x))
     except (NoConvergence, SingularJacobian) as exc:
         x, report = None, exc.report
         fields = {k: v for k, v in vars(exc).items() if k != "report"}
@@ -677,7 +679,7 @@ def test_linalg_error_in_the_residual_propagates():
 
     for solver in (newton, levenberg_marquardt):
         calls.clear()
-        system = ResidualSystem(1, fun, jacobian=lambda x: np.eye(1))
+        system = plain_system(1, fun, lambda x: np.eye(1))
         with pytest.raises(np.linalg.LinAlgError, match="inside the residual"):
             solver(system, np.array([0.0]))
 
@@ -687,7 +689,7 @@ def test_linalg_error_in_the_jacobian_propagates():
         raise np.linalg.LinAlgError("inside the Jacobian")
 
     for solver in (newton, levenberg_marquardt):
-        system = ResidualSystem(1, lambda x: x - 1.0, jacobian=jacobian)
+        system = plain_system(1, lambda x: x - 1.0, jacobian)
         with pytest.raises(np.linalg.LinAlgError, match="inside the Jacobian"):
             solver(system, np.array([0.0]))
 
@@ -813,6 +815,19 @@ def test_affine_scan_solves_the_recurrence(W, m):
     assert np.max(np.abs(got - np.array(loop))) <= 1e-12 * scale
     assert np.max(np.abs(got - dense)) <= 1e-12 * scale
     assert np.array_equal(A, A_in, equal_nan=True) and np.array_equal(b, b_in)
+
+
+@pytest.mark.parametrize("W", [5, 37, 128])
+@pytest.mark.parametrize("m", [3, 6], ids=["n wide", "2n wide"])
+def test_affine_scan_rounds_the_same_whatever_the_layout(W, m):
+    # a broadcast A and a Fortran-ordered b, as a window's constant start
+    # hands them in, give the bytes of their C-contiguous copies
+    rng = np.random.default_rng(1000 * m + W)
+    A = np.broadcast_to(rng.normal(size=(m, m)) / (2.0 * np.sqrt(m)), (W, m, m))
+    b = rng.normal(size=(m, W)).T
+    assert b.flags.f_contiguous and not b.flags.c_contiguous
+    expected = solvers.affine_scan(np.ascontiguousarray(A), np.ascontiguousarray(b))
+    assert solvers.affine_scan(A, b).tobytes() == expected.tobytes()
 
 
 def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):

@@ -372,8 +372,8 @@ def test_exact_jacobian_matches_dense_fd(regime):
     guess = tboc._pack(prob, *tboc.initial_guess(prob))
     points.append(guess + 0.01 * rng.normal(size=system.dim))
     for z in points:
-        J = system.jac(z)
-        dense = solvers.fd_jacobian(system.eval, z)
+        J = system.at(z).jacobian()
+        dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
         assert _block_error(J, dense, stationarity) < 1e-6
         if complement.stop > complement.start:
             assert _block_error(J, dense, complement) < 1e-6
@@ -386,7 +386,7 @@ def test_exact_jacobian_is_symmetric(regime):
     system = tboc.residual_system(prob)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        J = system.jac(rng.normal(size=system.dim))
+        J = system.at(rng.normal(size=system.dim)).jacobian()
         assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))
 
 
@@ -404,9 +404,12 @@ def test_exact_and_dense_jacobian_solves_agree(regime, monkeypatch):
 
     def plain(problem, aug=None):
         system = build(problem, aug=aug)
-        return solvers.ResidualSystem(
-            dim=system.dim, eval=system.eval,
-            jacobian=lambda z: solvers.fd_jacobian(system.eval, z))
+
+        def residual(z):
+            return system.at(z).f
+
+        return solvers.plain_system(system.dim, residual,
+                                    lambda z: solvers.fd_jacobian(residual, z))
 
     monkeypatch.setattr(tboc, "residual_system", plain)
     dense = tboc.solve(prob, tol=1e-9)
@@ -423,17 +426,17 @@ def test_linear_problem_converges_in_one_newton_step(N, monkeypatch):
     x0 = rng.uniform(-1.0, 1.0, size=n)
     prob = make_problem(n=n, N=N, boundary=(x0, np.zeros(n), x0 + 1.0, np.zeros(n)))
     events = []
-    jac, fd = solvers.ResidualSystem.jac, solvers.fd_jacobian
+    jac, fd = solvers._jacobian, solvers.fd_jacobian
 
-    def counted_jac(self, x):
+    def counted_jac(point, report):
         events.append("jac")
-        return jac(self, x)
+        return jac(point, report)
 
     def counted_fd(*args, **kwargs):
         events.append("fd_jacobian")
         return fd(*args, **kwargs)
 
-    monkeypatch.setattr(solvers.ResidualSystem, "jac", counted_jac)
+    monkeypatch.setattr(solvers, "_jacobian", counted_jac)
     monkeypatch.setattr(solvers, "fd_jacobian", counted_fd)
     sol = tboc.solve(prob, tol=1e-9)
     assert sol.report.converged

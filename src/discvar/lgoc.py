@@ -279,15 +279,6 @@ _DEP_MAX_ITER = 200
 _WINDOW_TOL = 1e-13
 
 
-def _momentum_jacobian(inertia, h, Ixi, D, T):
-    """d/dxi of the momenta D^T I xi of a batch of points, where D =
-    dtau_inv(z) at z = h xi and T is its derivative (``dtau_inv_deriv``):
-    D^T I + h (I xi)_i dD_ij/dz_l, the batched form of ``dep_step``'s
-    Jacobian.  With -h, D and T at -z it is the derivative of dtau_inv(-h
-    xi)^T I xi; h holds one step per point, shape (..., 1, 1)."""
-    return mt(D) @ inertia + h * mt((Ixi[:, None, None, :] @ T)[:, :, 0, :])
-
-
 def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
              step_index=0, J_inv_prev=None):
     """Advance the discrete momentum equation by one interval; returns
@@ -409,23 +400,30 @@ def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
 
 def _window_system(system, h, X, head, forcing, constant):
     """The step residuals of a window of march steps at its velocities X
-    (W, n), and their Newton update (``integrate_reduced``); returns (error,
-    d, recurrence).
+    (W, n), and the factoring of their Newton step (``integrate_reduced``);
+    returns (error, d, r, factor).
 
     ``head`` is the first step's m-(xi_{k-1}) with its half drift, and
-    ``forcing`` the steps' control covectors f_j or None.  ``error`` (W,) is
-    max |r_j| against _WINDOW_TOL (1 + max |m+(xi_j)|), d the half drifts
-    (h/2) d(h xi_j) or None, and recurrence(count) gives (A, b, B) of the
-    first count steps: the update's recurrence delta_j = A_j delta_{j-1} +
-    b_j and the blocks B_j, dep_step's Jacobian at xi_j.
+    ``forcing`` the steps' control covectors f_j or None.  r (W, n) holds
+    the residuals r_j, formed from one ``dtau_inv_matrix`` call at +-h xi;
+    ``error`` (W,) is max |r_j| against _WINDOW_TOL (1 + max |m+(xi_j)|),
+    and d the half drifts (h/2) d(h xi_j) or None.  factor() returns
+    (operator, inverse) for the step B_j delta_j = C_j delta_{j-1} - r_j,
+    whose blocks B_j are ``dep_step``'s Jacobian at xi_j: d/dxi of
+    dtau_inv(+-h xi)^T I xi is D^T I +- h K, with K from one
+    ``dtau_inv_deriv_along`` call at the points of the evaluation, less the
+    drift's (h^2/2) d drift/dz.  It inverts the blocks B_j in one batched
+    call (``inverse``, (W, n, n)), and keeps A_j = B_j^-1 C_j in the scan's
+    maps (``solvers.scan_maps``); operator(res) maps the residuals of the
+    first V steps to b_j = -B_j^-1 r_j and scans them, so it solves the
+    update of any residual, or of any leading steps'.  It raises
+    LinAlgError on a singular block.
 
     ``constant`` says that every row of X is the same velocity, the window's
-    start: D and dD/dz then come from +-h xi at one point each, the blocks
-    from one (B, C) pair, and A = B^-1 C with every b_j = -B^-1 r_j from one
-    n x n solve; A and B broadcast that one block, bitwise the blocks of the
-    2W-1 points, and b is the solve's columns transposed, so the scan, which
-    rounds the same whatever their layout, gives the same update bytes too.
-    The drift values stay W wide.
+    start: D comes from +-h xi at one point each, and the build forms one
+    (B, C) pair, a (1, n, n) stack, through the same batched calls, which
+    then broadcasts over the window, bitwise the blocks, maps and updates of
+    the 2W-1 points.  The drift values stay W wide.
     """
     group, inertia, n = system.group, system.inertia, system.n
     drift = system.drift_values if system.has_drift else None
@@ -435,7 +433,8 @@ def _window_system(system, h, X, head, forcing, constant):
     # +h xi_j at every step, -h xi_j at all but the last
     plus, minus = (1, 1) if constant else (size, size - 1)
     Ixi = np.concatenate([Ixi[:plus], Ixi[:minus]])
-    D, T = group.dtau_inv_deriv(np.concatenate([z[:plus], -z[:minus]]))
+    points = np.concatenate([z[:plus], -z[:minus]])
+    D = group.dtau_inv_matrix(points)
     m = (Ixi[:, None, :] @ D)[:, 0]
     r = m[:plus] - np.concatenate([head[None], np.broadcast_to(m[plus:], (size - 1, n))])
     d = None
@@ -448,31 +447,21 @@ def _window_system(system, h, X, head, forcing, constant):
     error = np.max(np.abs(r), axis=1) / (
         _WINDOW_TOL * (1.0 + np.max(np.abs(m[:plus]), axis=1)))
 
-    def recurrence(count=size):
-        # the first count steps: the update of a solved prefix depends on no
-        # later step
-        J = _momentum_jacobian(inertia, np.repeat([h, -h], [plus, minus])[:, None, None],
-                               Ixi, D, T)
-        B, C = (J[:1], J[1:]) if constant else (J[:count], J[size:size + count - 1])
+    def factor():
+        signed = np.repeat([h, -h], [plus, minus])[:, None, None]
+        J = mt(D) @ inertia + signed * group.dtau_inv_deriv_along(points, Ixi)
+        B, C = J[:plus], J[plus:]
         if drift is not None:
-            Jd = np.broadcast_to((h * h / 2.0) * _drift_jacobians(system, z[:len(B)]), B.shape)
+            Jd = np.broadcast_to((h * h / 2.0) * _drift_jacobians(system, z[:plus]), B.shape)
             B = B - Jd
             C = C + (Jd if constant else Jd[:-1])
-        # B_j delta_j = C_j delta_{j-1} - r_j, solved for both at once
-        if constant:
-            rhs = np.empty((n, n + count))
-            rhs[:, :n] = C[0]
-            rhs[:, n:] = -r[:count].T
-            out = np.linalg.solve(B[0], rhs)
-            return (np.broadcast_to(out[:, :n], (count, n, n)), out[:, n:].T,
-                    np.broadcast_to(B[0], (count, n, n)))
-        rhs = np.zeros((count, n, n + 1))
-        rhs[1:, :, :n] = C
-        rhs[:, :, n] = -r[:count]
-        out = np.linalg.solve(B, rhs)
-        return out[..., :n], out[..., n], B
+        inverse = np.linalg.inv(B)
+        A = inverse @ C if constant else inverse[1:] @ C
+        maps = solvers.scan_maps(np.broadcast_to(A, (size - 1, n, n)))
+        return (lambda res: solvers.scan_apply(maps, -mv(inverse[:len(res)], res)),
+                np.broadcast_to(inverse, (size, n, n)))
 
-    return error, d, recurrence
+    return error, d, r, factor
 
 
 def integrate_reduced(system, g0, xi0, h, steps, controls=None):
@@ -495,30 +484,38 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     with m+-(xi) = dtau_inv(+-h xi)^T I xi and d the drift: ``dep_step``'s
     equations, since coAd(tau(h xi), m+(xi)) = m-(xi).  The first step's
     m-(xi_{k-1}) is the carried momentum transported, coAd(tau(h xi_{k-1}),
-    mu_{k-1}).  Only the terms the system has are formed.  The Jacobian is
-    block lower bidiagonal, so a Newton update is the affine recurrence
-    delta_j = A_j delta_{j-1} + b_j, which ``solvers.affine_scan`` solves;
-    its blocks come from one batched solve, and D = dtau_inv and dD/dz at
-    +-h xi of the whole window from one ``dtau_inv_deriv`` call on the
-    stacked displacements (``_window_system``).  The window's first
-    linearization, at its constant start, works from single points: D and
-    dD/dz at +-h xi_{k-1}, one pair of blocks and one n x n solve for A and
-    every b_j, bitwise the blocks and the update of the 2W-1 points.  A step
-    of the window is solved when max |r_j| is at most _WINDOW_TOL (1 + max
-    |m+(xi_j)|); the solved steps then take one more update, as
-    ``dep_step`` takes its last one, which lands them within rounding of
-    the root.  Their tau(h xi_j) come from one batched
-    call, and each g_{j+1} = g_j tau(h xi_j) is written straight into the
-    preallocated path, as ``reconstruct`` writes it.  The momentum is
-    carried as the step-by-step march carries it, mu_j = coAd(tau(h
-    xi_{j-1}), mu_{j-1}) + f_j + (h/2) (d_{j-1} + d_j), with the drift
-    values of the window's last evaluation, so the free body transports it
-    exactly.
+    mu_{k-1}).  Only the terms the system has are formed.  An evaluation
+    forms every r_j from one ``dtau_inv_matrix`` call on the stacked
+    displacements +-h xi (``_window_system``).  The Jacobian is block lower
+    bidiagonal, so a Newton update is the affine recurrence delta_j = A_j
+    delta_{j-1} + b_j, which a prefix scan solves: the window's operator
+    (``_window_system``'s factor) inverts its blocks in one batched call,
+    takes their derivative part from one ``dtau_inv_deriv_along`` call, and
+    keeps the scan's maps, so it solves the update of any residual.  It is
+    built only when ``window_newton`` needs a new one, and reused while the
+    chord step is predicted to converge.  The window's first evaluation,
+    at its constant start, works from single points: D at +-h xi_{k-1},
+    and for its operator one pair of blocks, a (1, n, n) stack broadcast
+    over the window, bitwise the blocks, maps and updates of the 2W-1
+    points.  A step of the window is solved when max |r_j| is at most
+    _WINDOW_TOL (1 + max |m+(xi_j)|); the solved steps then take one more
+    update, by the window's last operator (built at the start when the
+    window converged there; the one built before a build that met a
+    singular block, none when the first build met one), as ``dep_step``
+    takes its last one, which lands them within rounding of the root.
+    Their tau(h xi_j) come from one batched call, and each g_{j+1} = g_j
+    tau(h xi_j) is written straight into the preallocated path, as
+    ``reconstruct`` writes it.
+    The momentum is carried as the step-by-step march carries it, mu_j =
+    coAd(tau(h xi_{j-1}), mu_{j-1}) + f_j + (h/2) (d_{j-1} + d_j), with the
+    drift values of the window's last evaluation, so the free body
+    transports it exactly.
 
     A window that does not converge is halved, and one whose residual is
     not finite is solved step by step.  A step alone is ``dep_step``, from
-    the Newton predictor on the step Jacobian at the last velocity solved;
-    its Newton fallback raises StepSolveFailed with the step's index.  A
+    the Newton predictor on the inverse step Jacobian of the last step
+    solved (after a window, its last operator's inverse block); its Newton
+    fallback raises StepSolveFailed with the step's index.  A
     system with a potential runs ``dep_step`` at every step, as the march
     did before windows, to the bit: its r_j depends on g_j, so on every
     earlier velocity of the window.
@@ -553,21 +550,17 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     taus[0] = group.tau(h * xi0)
     compose(g0, taus[0], out=gs[1])
     # carried from the last step solved: dep_step's inverse Jacobian, or
-    # after a window the step Jacobian to invert for it, and after a window
-    # with a drift its (h/2) d(h xi); a step alone resets all three
-    J_inv = last_jacobian = half_drift = None
+    # after a window the inverse block of its operator's last step, and
+    # after a window with a drift its (h/2) d(h xi); a step alone resets the
+    # drift
+    J_inv = half_drift = None
 
     def step(k):
-        nonlocal J_inv, last_jacobian, half_drift
-        if last_jacobian is not None:
-            try:
-                J_inv = np.linalg.inv(last_jacobian)
-            except np.linalg.LinAlgError:
-                J_inv = None
+        nonlocal J_inv, half_drift
         xi, mus[k], J_inv = dep_step(system, h, xis[k - 1], mus[k - 1], taus[k - 1],
                                      None if forcing is None else forcing[k - 1],
                                      gs[k], k, J_inv)
-        last_jacobian = half_drift = None
+        half_drift = None
         xis[k] = xi
         W = taus[k] = group.tau(h * xi)
         compose(gs[k], W, out=gs[k + 1])
@@ -581,31 +574,40 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             head = head + half_drift
         f = None if forcing is None else forcing[k - 1:k - 1 + size]
         start = np.repeat(xis[k - 1][None], size, axis=0)
-        point = None
+        point = inverse = None
 
         def linearize(X):
             nonlocal point
-            error, d, recurrence = _window_system(system, h, X, head, f, X is start)
-            point = (d, recurrence)
-            return error, lambda: recurrence()[:2]
+            error, d, r, factor = _window_system(system, h, X, head, f, X is start)
+            point = (d, r)
 
-        def commit(X, count):
-            nonlocal J_inv, last_jacobian, half_drift
-            d, recurrence = point
-            # one more Newton update, as dep_step takes its last one: from
-            # a solved point it lands within rounding of the root.  The
-            # drift values d stay those of the point before it: the update
-            # moves each xi_j by about the step tolerance, so d differs
-            # from the drift at the committed xi_j by that times the drift's
-            # slope, far below the momentum's rounding checks, and no
-            # drift call is spent on the committed point
+            def build():
+                # the inverse blocks of the last operator built, which the
+                # commit updates by
+                nonlocal inverse
+                op, inverse = factor()
+                return op
+
+            return error, r, build
+
+        def commit(X, count, operator):
+            nonlocal J_inv, half_drift
+            d, r = point
+            # one more update, by the window's last operator, as dep_step
+            # takes its last one: from a solved point it lands within
+            # rounding of the root.  The drift values d stay those of the
+            # point before it: the update moves each xi_j by about the step
+            # tolerance, so d differs from the drift at the committed xi_j
+            # by that times the drift's slope, far below the momentum's
+            # rounding checks, and no drift call is spent on the committed
+            # point
             J_inv = None
             try:
-                A, b, blocks = recurrence(count)
-                X = X[:count] + solvers.affine_scan(A, b)
-                last_jacobian = blocks[count - 1]
+                op = operator()
+                X = X[:count] + op(r[:count])
+                J_inv = inverse[count - 1]
             except np.linalg.LinAlgError:
-                X, last_jacobian = X[:count], None
+                X = X[:count]
             xis[k:k + count] = X
             taus[k:k + count] = group.tau(h * X)
             Ad = group.Ad_matrix(taus[k - 1:k + count - 1])

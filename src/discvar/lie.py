@@ -18,7 +18,9 @@ Two retractions are provided:
 For both, ``GroupSpec.dtau_inv_deriv`` and ``GroupSpec.dtau_inv_deriv2`` give
 the first and second derivatives of dtau^-1 in closed form, the first
 together with dtau^-1 itself from one call; the derivative of dtau follows
-from them as -dtau (d dtau^-1) dtau.
+from them as -dtau (d dtau^-1) dtau.  ``GroupSpec.dtau_inv_deriv_along``
+gives the first derivative of dtau^-1(xi)^T mu alone, the one contraction
+of it a momentum needs, without forming the derivative tensor.
 
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
@@ -485,6 +487,83 @@ def _se3_dexp_inv_deriv(xi):
 
 
 # ---------------------------------------------------------------------------
+# derivatives of dtau^-1(xi)^T mu along xi
+# ---------------------------------------------------------------------------
+# Each kernel returns K[..., i, l] = d (dtau^-1(xi)^T mu)_i / d xi_l, that is
+# mu_j T[..., l, j, i] with T of the dtau_inv_deriv kernels, in closed form
+# and without forming T.  With W = hat3(w), W^T = -W and W^2 mu = w (w.mu) -
+# th^2 mu.
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _scaled_eye(c):
+    return np.asarray(c)[..., None, None] * _I3
+
+
+def _cay_inv_upper_along(w, mu):
+    # (I - W/2 + w w^T/4)^T mu = mu + w x mu / 2 + w (w.mu) / 4
+    return -0.5 * hat3(mu) + 0.25 * (_scaled_eye(_dot(w, mu)) + _outer(w, mu))
+
+
+def _se3_dcay_inv_along(xi, mu):
+    # D^T mu = ((A + w w^T/4)^T mu_w + V A^T mu_v / 2, A^T mu_v), A = I - W/2,
+    # A^T mu_v = mu_v + w x mu_v / 2
+    w, v = xi[..., :3], xi[..., 3:]
+    mu_w, mu_v = mu[..., :3], mu[..., 3:]
+    M = hat3(mu_v)
+    out = np.zeros(np.broadcast_shapes(xi.shape, mu.shape)[:-1] + (6, 6))
+    out[..., :3, :3] = _cay_inv_upper_along(w, mu_w) - 0.25 * (hat3(v) @ M)
+    out[..., :3, 3:] = -0.5 * hat3(mu_v + 0.5 * mv(M, -w))
+    out[..., 3:, :3] = -0.5 * M
+    return out
+
+
+def _dexp_inv_upper_along(w, mu, k, dk):
+    # F^T mu = mu + w x mu / 2 + k W^2 mu, F = I - W/2 + k W^2, with
+    # dk = k'/th the derivative of k along w over w
+    a = _dot(w, mu)
+    W2mu = np.asarray(a)[..., None] * w - np.asarray(_dot(w, w))[..., None] * mu
+    k, dk = np.asarray(k)[..., None, None], np.asarray(dk)[..., None, None]
+    return (-0.5 * hat3(mu) + k * (_scaled_eye(a) + _outer(w, mu) - 2.0 * _outer(mu, w))
+            + dk * _outer(W2mu, w)), W2mu
+
+
+def _so3_dexp_inv_along(w, mu):
+    th2, small, th = _angle(w)
+    k = _dexp_inv_k(th2, small, th)
+    return _dexp_inv_upper_along(w, mu, k, _dexp_inv_dk(th2, th, k))[0]
+
+
+def _se3_dexp_inv_along(xi, mu):
+    # D = [[F, 0], [L, F]], and L = v_l dF/dw_l is F's derivative along v, so
+    # L^T mu_v = U v with U = d(F^T mu_v)/dw: d/dv of it is U, and d/dw of it
+    # is U's derivative along v, M below, from F^T mu_v's terms with a =
+    # w.mu_v, s = w.v, c = mu_v.v and ddk = (k'/th)'/th
+    w, v = xi[..., :3], xi[..., 3:]
+    mu_w, mu_v = mu[..., :3], mu[..., 3:]
+    th2, small, th = _angle(w)
+    k = _dexp_inv_k(th2, small, th)
+    dk = _dexp_inv_dk(th2, th, k)
+    ddk = _dexp_inv_ddk(th2, th, dk)
+    upper = _dexp_inv_upper_along(w, mu_w, k, dk)[0]
+    U, W2mu = _dexp_inv_upper_along(w, mu_v, k, dk)
+    a, s, c = _dot(w, mu_v), _dot(w, v), _dot(mu_v, v)
+    av, sv, cv = (np.asarray(x)[..., None] for x in (a, s, c))
+    k, dk, ddk, sm = (np.asarray(x)[..., None, None] for x in (k, dk, ddk, s))
+    M = (dk * (_outer(av * v + cv * w - 2.0 * sv * mu_v, w) + _outer(W2mu, v))
+         + k * (_outer(v, mu_v) + _scaled_eye(c) - 2.0 * _outer(mu_v, v))
+         + sm * (ddk * _outer(W2mu, w)
+                 + dk * (_scaled_eye(a) + _outer(w, mu_v) - 2.0 * _outer(mu_v, w))))
+    out = np.zeros(U.shape[:-2] + (6, 6))
+    out[..., :3, :3] = upper + M
+    out[..., :3, 3:] = U
+    out[..., 3:, :3] = U
+    return out
+
+
+# ---------------------------------------------------------------------------
 # second derivatives of dtau^-1
 # ---------------------------------------------------------------------------
 # Each kernel returns T stacked along both derivative indices first,
@@ -718,6 +797,21 @@ class GroupSpec:
         else:
             kernel = _so3_dexp_inv_deriv if self.name == "SO3" else _se3_dexp_inv_deriv
         return kernel(xi)
+
+    def dtau_inv_deriv_along(self, xi, mu):
+        """K with K[..., i, l] = d (dtau_inv_matrix(xi)^T mu)_i / d xi_l: the
+        T of ``dtau_inv_deriv`` contracted with mu, mu_j T[..., l, j, i], in
+        closed form, without forming T.  xi and mu broadcast against each
+        other; zero on R^n."""
+        xi = np.asarray(xi, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        if self.name == "Rn":
+            return np.zeros(np.broadcast_shapes(xi.shape, mu.shape) + (self.dim,))
+        if self.retraction == CAYLEY:
+            kernel = _cay_inv_upper_along if self.name == "SO3" else _se3_dcay_inv_along
+        else:
+            kernel = _so3_dexp_inv_along if self.name == "SO3" else _se3_dexp_inv_along
+        return kernel(xi, mu)
 
     def dtau_inv_deriv2(self, xi):
         """T with T[..., l, m, i, j] = d^2 dtau_inv_matrix(xi)[..., i, j]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
 from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, central_difference,
-                      march_in_windows, max_abs, newton, plain_system)
+                      march_in_windows, max_abs, newton, plain_system, scan_apply, scan_maps)
 
 
 def _per_point(fun, *points):
@@ -285,9 +285,10 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     the positions q_{k+1}..q_{k+W} of W steps at once, by Newton's method
     (``solvers.window_newton``) from the extrapolation of the last velocity.
     r_k depends on q_{k+1}, q_k and q_{k-1}, so a Newton update is an
-    affine recurrence, 2n wide, that ``solvers.affine_scan`` solves.  It
-    runs in velocity coordinates, on the state (dq_{k+1}, e_k) with e_k =
-    dq_{k+1} - dq_k:
+    affine recurrence, 2n wide, that a prefix scan solves: the window's
+    operator keeps the scan's maps (``solvers.scan_maps``) and is built
+    only when ``window_newton`` needs a new one.  It runs in velocity
+    coordinates, on the state (dq_{k+1}, e_k) with e_k = dq_{k+1} - dq_k:
 
         d_next e_k = -r_k - S_k dq_k + d_prev e_{k-1},
 
@@ -295,10 +296,11 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     = d_next + d_mid + d_prev.  The M / h terms cancel from S_k and from
     d_prev - d_next, which hold only the potential's and the drifts' terms,
     so without either the recurrence's blocks are the exact [[I, I], [0,
-    I]] and the scan sums velocity corrections with no cancellation.  One
-    batched solve on d_next = -M / h + d a^-/d q_{k+1} gives the blocks; the
-    drifts' Jacobians are differenced, and the potential's Hessian is the
-    Lagrangian's ``V_xx``.  A DEL whose drifts and potential gradient are
+    I]] and the scan sums velocity corrections with no cancellation.  The
+    blocks take d_next^-1: the factored -M / h, or with a drift a^- one
+    batched inverse of d_next = -M / h + d a^-/d q_{k+1}.  The drifts'
+    Jacobians are differenced, only when an operator is built, and the
+    potential's Hessian is the Lagrangian's ``V_xx``.  A DEL whose drifts and potential gradient are
     affine, as the point mass's, is linear: one update solves a window, to
     a few hundredths of the tolerance on the benchmark's point mass.
 
@@ -389,14 +391,14 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
             tol = np.maximum(_STEP_TOL, rounding_per_q * np.max(np.abs(q_mid), axis=1))
             error = np.max(np.abs(r), axis=1) / tol
 
-            def recurrence():
+            def build():
                 # d r_k / d(q_{k+1}, q_k, q_{k-1}) = (d_next, d_mid, d_prev)
                 # in the velocity coordinates e_k = dq_{k+1} - dq_k:
                 #   d_next e_k = -r_k - S_k dq_k + (d_next + P_k) e_{k-1},
                 # S_k = d_next + d_mid + d_prev and P_k = d_prev - d_next.  The
                 # -M/h, 2M/h, -M/h of both cancel, so they hold only the
                 # potential's and the drifts' terms, formed when there are any
-                d_next, S, P = J, 0.0, 0.0
+                G, S, P = J_inv[None], 0.0, 0.0
                 if potential:
                     S = S - h * lagrangian.V_xx(q_mid)
                 if a_plus:
@@ -404,30 +406,34 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
                     S, P = S + da + db, P + da
                 if a_minus:
                     da, db = forces.drift_jacobians("-", q_mid, q_next)
-                    d_next, S, P = d_next + db, S + da + db, P - db
-                # one solve for G (-r_k, -S_k, P_k), G = d_next^-1
-                parts = [-r[..., None]]
-                if potential or a_plus or a_minus:
-                    parts += [-np.broadcast_to(S, (size, n, n)), np.broadcast_to(P, (size, n, n))]
-                rhs = np.concatenate(parts, axis=-1)
-                out = np.linalg.solve(d_next, rhs) if a_minus else J_inv @ rhs
-                # the state (dq_{k+1}, e_k) = (dq_k + e_k, e_k):
-                # A = [[I - G S, I + G P], [-G S, I + G P]], exact integer
-                # blocks without a potential or a drift
+                    S, P = S + da + db, P - db
+                    G = np.linalg.inv(J + db)
+                # the state (dq_{k+1}, e_k) = (dq_k + e_k, e_k), with G =
+                # d_next^-1: A = [[I - G S, I + G P], [-G S, I + G P]], exact
+                # integer blocks without a potential or a drift
                 A = np.zeros((size, 2 * n, 2 * n))
                 A[:, :n, :n] = A[:, :n, n:] = A[:, n:, n:] = np.eye(n)
-                if len(parts) > 1:
-                    GS, GP = out[..., 1:n + 1], out[..., n + 1:]
+                if potential or a_plus or a_minus:
+                    GS = G @ -np.broadcast_to(S, (size, n, n))
+                    GP = G @ np.broadcast_to(P, (size, n, n))
                     A[:, :n, :n] += GS
                     A[:, n:, :n] = GS
                     A[:, :n, n:] += GP
                     A[:, n:, n:] += GP
-                b = np.concatenate([out[..., 0], out[..., 0]], axis=1)
-                return A, b
 
-            return error, recurrence
+                maps = scan_maps(A[1:])
 
-        def commit(X, count):
+                def solve(res):
+                    # b_k = (G_k (-r_k), G_k (-r_k)); the update of q_{k+1}
+                    # is dq_{k+1}
+                    out = (G[:len(res)] @ -res[..., None])[..., 0]
+                    return scan_apply(maps, np.concatenate([out, out], axis=1))[:, :n]
+
+                return solve
+
+            return error, r, build
+
+        def commit(X, count, operator):
             qs[k + 1:k + 1 + count] = X[:count]
 
         start = qs[k] + np.arange(1, size + 1)[:, None] * (qs[k] - qs[k - 1])

@@ -1,7 +1,8 @@
 """Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
 in turn, plus ``central_difference``, the one central-difference quotient,
 and the window driver of the marches, ``march_in_windows`` with
-``window_newton`` and ``affine_scan``.
+``window_newton``, whose updates a window's operator solves by a prefix scan
+(``scan_maps``, ``scan_apply``).
 
 A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
 ``Point`` x with its residual F(x) and ``jacobian()``, which builds F'(x)
@@ -378,27 +379,43 @@ WINDOW_MAX_ITER = 8
 _WINDOW_QUICK = 6
 
 
-def affine_scan(A, b):
-    """Every state of the affine recurrence x_j = A_j x_{j-1} + b_j, j = 0..W-1,
-    from x_{-1} = 0: shape (W, m), from A (W, m, m) and b (W, m).
-
-    A Hillis-Steele prefix scan of the maps x -> A_j x + b_j: after the round
-    of offset d, element j holds the composition of the maps j - 2d + 1..j,
-    so log2 W rounds of batched products give every state.  A_0 multiplies
-    x_{-1} = 0, so it is never read.  A and b are copied C-contiguous: the
-    batched products round by the layout of their operands, so equal values
-    give the same bytes whatever layout the caller hands in (a broadcast A,
-    a transposed b).
-    """
-    A = np.array(A, dtype=float, order="C")
-    x = np.array(b, dtype=float, order="C")
-    W, d = len(x), 1
+def scan_maps(A):
+    """The maps of a Hillis-Steele prefix scan of the affine recurrence x_j =
+    A_j x_{j-1} + b_j, j = 0..W-1, from x_{-1} = 0, given A (W-1, m, m), the
+    maps of steps 1..W-1 (A_0 multiplies x_{-1} = 0, so it is never read).
+    Returns one entry per round: the round of offset d holds, for j =
+    d..W-1, the composition A_j A_{j-1} ... A_{j-d+1}, shape (W-d, m, m).
+    They depend on A alone, so they are built once and applied
+    (``scan_apply``) to as many b as a caller has.  A is copied
+    C-contiguous: the batched products round by the layout of their
+    operands, so equal values give the same bytes whatever layout the
+    caller hands in (a broadcast A)."""
+    T = np.array(A, dtype=float, order="C")
+    maps, W, d = [], len(T) + 1, 1
     while d < W:
-        # the right-hand sides are formed before either slice is written
-        x[d:] = x[d:] + (A[d:] @ x[:-d, :, None])[..., 0]
+        maps.append(T)
         if 2 * d < W:
-            # only the maps that later rounds compose are needed: j >= 2d
-            A[2 * d:] = A[2 * d:] @ A[d:-d]
+            # round 2d's maps j >= 2d: round d's map j after its map j - d
+            T = T[d:] @ T[:-d]
+        d *= 2
+    return maps
+
+
+def scan_apply(maps, b):
+    """Every state x_j, j = 0..V-1, of the recurrence whose ``scan_maps`` are
+    ``maps``, given b (V, m) for its first V <= W steps: shape (V, m).
+    After the round of offset d, element j holds the composition of the
+    maps j - 2d + 1..j applied to the b before it, so log2 V rounds of
+    batched products give every state; a state reads no later step, so a
+    prefix of b gives the prefix of the states, bitwise.  b is copied
+    C-contiguous, as ``scan_maps`` copies A."""
+    x = np.array(b, dtype=float, order="C")
+    V, d = len(x), 1
+    for T in maps:
+        if d >= V:
+            break
+        # the right-hand side is formed before the slice is written
+        x[d:] = x[d:] + (T[:V - d] @ x[:-d, :, None])[..., 0]
         d *= 2
     return x
 
@@ -408,40 +425,71 @@ def window_newton(x, linearize):
     whose Jacobian is block lower triangular: step j's residual depends on
     the steps before it only through a short recurrence.
 
-    ``linearize(x)`` returns (error, recurrence): ``error`` (W,) is each
+    ``linearize(x)`` returns (error, residual, build): ``error`` (W,) is each
     step's residual measured against its tolerance, at most 1 where the step
-    is solved, and ``recurrence()`` returns (A, b), the affine recurrence
-    delta_j = A_j delta_{j-1} + b_j of the Newton update, whose first n
-    components are the update of x_j (a second-order march carries
-    (dq_{j+1}, dq_j), 2n wide).  ``affine_scan`` solves it.
+    is solved, ``residual`` the residual itself, and ``build()`` returns the
+    operator of the Newton step at x, a callable that gives the update of x
+    for any residual, or for the residual of any leading steps (their
+    update reads no later step); it raises LinAlgError on a singular block.
 
-    Returns (x, iterations, solved): the last point evaluated, the updates
-    made to reach it, and how many leading steps are solved there.  That is
-    all W when the window converges, and fewer when WINDOW_MAX_ITER updates
-    do not get there or the recurrence's batched solve meets a singular
-    block: a step's residual depends only on the steps up to it, so a
-    solved prefix stays solved whatever the rest does.  ``solved`` is None
-    when a residual is not finite.  The iteration runs under
-    ``np.errstate(all="ignore")``, so a diverging window fails without a
-    warning.
+    An update is x <- x + op(residual), by the last operator built: a new
+    one is built at the first update, and at each later one while the
+    chord error that the last contraction predicts, e_k^2 / e_{k-1} with e
+    the window's largest error, is above 1, the tolerance; once it is at
+    most 1 the factored operator is reused (the chord method), and an
+    update that then contracts too little to keep the prediction below 1
+    has the next one rebuilt.
+
+    Returns (x, iterations, solved, operator): the last point evaluated, the
+    updates made to reach it, how many leading steps are solved there, and
+    operator(), which gives the last operator built.  Where none was built
+    it builds one at x when the window converged at its start, and raises
+    LinAlgError when the window's first build met a singular block, with
+    no second try.  ``solved`` is all W when the window converges, and
+    fewer when WINDOW_MAX_ITER updates do not get there or a build meets a
+    singular block: a step's residual depends only on the steps up to it,
+    so a solved prefix stays solved whatever the rest does, and a singular
+    block of the diverging tail leaves the operator built before it to the
+    prefix.  ``solved`` is None when a residual is not finite.  The
+    iteration runs under ``np.errstate(all="ignore")``, so a diverging
+    window fails without a warning.
     """
-    n = x.shape[1]
+    op = last = None
+    tried = False
+
+    def renew():
+        # on a singular block op stays the last operator built
+        nonlocal op, tried
+        tried = True
+        op = build()
+
+    def operator():
+        if op is None and not tried:
+            with np.errstate(all="ignore"):
+                renew()
+        if op is None:
+            raise np.linalg.LinAlgError("the window's build met a singular block")
+        return op
+
     with np.errstate(all="ignore"):
         for iteration in itertools.count():
-            error, recurrence = linearize(x)
+            error, residual, build = linearize(x)
             solved = error <= 1.0
             if solved.all():
-                return x, iteration, len(x)
+                return x, iteration, len(x), operator
             if not np.isfinite(error).all():
-                return x, iteration, None
+                return x, iteration, None, None
             if iteration == WINDOW_MAX_ITER:
                 break
-            try:
-                A, b = recurrence()
-            except np.linalg.LinAlgError:
-                break
-            x = x + affine_scan(A, b)[:, :n]
-    return x, iteration, int(np.argmin(solved))
+            largest = float(np.max(error))
+            if op is None or largest * largest > last:
+                try:
+                    renew()
+                except np.linalg.LinAlgError:
+                    break
+            last = largest
+            x = x + op(residual)
+    return x, iteration, int(np.argmin(solved)), operator
 
 
 def march_in_windows(first, stop, step, window):
@@ -450,8 +498,9 @@ def march_in_windows(first, stop, step, window):
     ``step(k)`` solves step k alone, the march's per-step solve.
     ``window(k, size)`` sets up the steps k..k+size-1 as one system and
     returns (x, linearize, commit): a start x (size, n), the ``linearize``
-    of ``window_newton`` and commit(x, count), which takes the first
-    ``count`` steps of x as solved.
+    of ``window_newton`` and commit(x, count, operator), which takes the
+    first ``count`` steps of x as solved; ``operator`` is
+    ``window_newton``'s, for a commit that makes one more update.
 
     The first window is WINDOW_CAP steps wide, or what is left of the march.
     A window that converges within _WINDOW_QUICK iterations lets the next be
@@ -468,10 +517,10 @@ def march_in_windows(first, stop, step, window):
         size = min(width, stop - k)
         if size > 1:
             x, linearize, commit = window(k, size)
-            x, iterations, solved = window_newton(x, linearize)
+            x, iterations, solved, operator = window_newton(x, linearize)
             if solved is not None:
                 if solved:
-                    commit(x, solved)
+                    commit(x, solved, operator)
                 k += solved
                 if solved < size:
                     width = size // 2

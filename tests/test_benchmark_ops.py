@@ -2,8 +2,9 @@
 the lgoc and tboc solves end with the same method, iteration count and cost
 at seeds 901 and 5301, and drawn-2 still fails; every simulate op passes the
 benchmark's correctness gate, the point mass's windows take one update each,
-and the group marches are bitwise those of the general window
-linearization."""
+the group marches keep their windows and evaluations and build an operator
+only when Newton needs a new one, and they are bitwise those of the general
+window linearization."""
 
 import os
 import sys
@@ -89,6 +90,55 @@ def test_benchmark_point_mass_windows_take_one_update(workloads, tmp_path, monke
     ops["pm-forced"].run()
     assert len(windows) == 40
     assert all(updates == 1 and solved == size for size, updates, solved in windows)
+
+
+# op -> (windows, evaluations, most builds) at seed 901: the windows and the
+# residual evaluations of Newton's method on them, and the operators the
+# marches may build, the commits' included; a build for every evaluation
+# would make 79, 39 and 46
+WINDOW_WORK = {
+    "rb-cay-free": (16, 79, 48),
+    "rb-exp-free": (8, 39, 24),
+    "uuv-forced": (8, 46, 36),
+}
+
+
+@pytest.mark.parametrize("name", list(WINDOW_WORK))
+def test_benchmark_group_marches_build_operators_only_when_needed(name, workloads, tmp_path,
+                                                                   monkeypatch):
+    # one dtau_inv_matrix call per evaluation and one dtau_inv_deriv_along
+    # call per operator built; nothing forms dtau_inv's derivative tensor
+    from discvar import lie, solvers
+
+    ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
+    calls, windows = [], []
+
+    def count(name):
+        original = getattr(lie.GroupSpec, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return original(self, *args)
+
+        monkeypatch.setattr(lie.GroupSpec, name, counted)
+
+    for kernel in ("dtau_inv_matrix", "dtau_inv_deriv_along", "dtau_inv_deriv"):
+        count(kernel)
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append(out[1] + 1)
+        return out
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    ops[name].run()
+    count_windows, evaluations, most = WINDOW_WORK[name]
+    assert (len(windows), sum(windows)) == (count_windows, evaluations)
+    # the march's start forms mu_0 through one more dtau_inv_matrix call
+    assert calls.count("dtau_inv_matrix") == evaluations + 1
+    assert 0 < calls.count("dtau_inv_deriv_along") <= most
+    assert "dtau_inv_deriv" not in calls
 
 
 @pytest.mark.parametrize("seed", [901, 5301])

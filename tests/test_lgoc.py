@@ -402,20 +402,24 @@ def test_march_rejects_an_initial_configuration_of_the_wrong_shape(case, g0):
 
 
 def _window_updates(monkeypatch, march):
-    """(size, updates, solved) of each window of ``march()``, which must hand
-    no step to dep_step or to newton.  A window evaluates its residual once
-    per update and once at the point it ends on, each time through one
-    dtau_inv_deriv call for all its steps; after the march's start, which
-    forms mu_0 through one dtau_inv_matrix call, no kernel is called on
-    its own."""
+    """(size, updates, solved, builds) of each window of ``march()``, which
+    must hand no step to dep_step or to newton.  A window evaluates its
+    residual once per update and once at the point it ends on, each time
+    through one dtau_inv_matrix call for all its steps, and builds its
+    operator through one dtau_inv_deriv_along call right after the
+    evaluation it linearizes: at the first update, and at most once per
+    update; no dtau_inv_deriv call is made, and after the march's start,
+    which forms mu_0 through one dtau_inv_matrix call, no kernel is called
+    on its own."""
     calls, windows = [], []
+    matrix, along = "dtau_inv_matrix", "dtau_inv_deriv_along"
 
     def count(name):
         original = getattr(lie.GroupSpec, name)
 
-        def counted(self, xi):
+        def counted(self, *args):
             calls.append(name)
-            return original(self, xi)
+            return original(self, *args)
 
         monkeypatch.setattr(lie.GroupSpec, name, counted)
 
@@ -427,12 +431,16 @@ def _window_updates(monkeypatch, march):
     def window(x, linearize):
         calls.clear()
         out = window_newton(x, linearize)
-        assert calls == ["dtau_inv_deriv"] * (out[1] + 1)
-        windows.append((len(x), out[1], out[2]))
+        updates, builds = out[1], calls.count(along)
+        assert calls.count(matrix) == updates + 1 and len(calls) == updates + 1 + builds
+        assert all(calls[i - 1] == matrix for i, name in enumerate(calls) if name == along)
+        assert calls[-1] == matrix and (updates == 0 or calls[:2] == [matrix, along])
+        assert builds <= updates
+        windows.append((len(x), updates, out[2], builds))
         return out
 
-    count("dtau_inv_matrix")
-    count("dtau_inv_deriv")
+    for name in (matrix, along, "dtau_inv_deriv"):
+        count(name)
     monkeypatch.setattr(lgoc, "newton", refused)
     monkeypatch.setattr(lgoc, "dep_step", refused)
     monkeypatch.setattr(solvers, "window_newton", window)
@@ -456,8 +464,8 @@ def test_steps_take_few_updates(retraction, damped, monkeypatch):
         h, controls, most = 0.05, np.tile([0.5, -1.0, 0.8], (steps, 2, 1)), 6
     windows = _window_updates(monkeypatch, lambda: lgoc.integrate_reduced(
         system, np.eye(3), np.array([0.2, 1.0, -0.5]), h, steps, controls=controls))
-    assert [size for size, _, _ in windows] == [128, 128, 43]
-    assert all(solved == size and updates <= most for size, updates, solved in windows)
+    assert [size for size, *_ in windows] == [128, 128, 43]
+    assert all(solved == size and updates <= most for size, updates, solved, _ in windows)
 
 
 @pytest.mark.parametrize("case", ["uuv cay", "uuv exp"])
@@ -467,8 +475,8 @@ def test_forced_vehicle_steps_take_few_updates(case, monkeypatch):
     system, g0, xi0, h, controls = _march_cases()[case]
     windows = _window_updates(monkeypatch, lambda: lgoc.integrate_reduced(
         system, g0, xi0, h, 200, controls=controls))
-    assert [size for size, _, _ in windows] == [128, 71]
-    assert all(solved == size and updates <= 5 for size, updates, solved in windows)
+    assert [size for size, *_ in windows] == [128, 71]
+    assert all(solved == size and updates <= 5 for size, updates, solved, _ in windows)
 
 
 def _updates_per_step(monkeypatch, march):
@@ -564,19 +572,20 @@ def test_newton_fallback_finds_the_same_step(monkeypatch):
 
 
 def test_singular_step_factor_keeps_the_march(monkeypatch):
-    # the first window's first solve fails (the single-point n x n solve of
-    # its constant start): the window keeps its solved prefix (none), the
-    # next window is half as wide and the march goes on to the same path
+    # the first window's first factorization fails (the batched inverse of
+    # its constant start's single block, a (1, n, n) stack): the window
+    # keeps its solved prefix (none), the next window is half as wide and
+    # the march goes on to the same path
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
     expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    solve = np.linalg.solve
+    inv = np.linalg.inv
     calls = []
 
-    def singular_once(a, b):
-        calls.append(len(a))
+    def singular_once(a):
+        calls.append(np.shape(a))
         if len(calls) == 1:
             raise np.linalg.LinAlgError("singular matrix")
-        return solve(a, b)
+        return inv(a)
 
     windows = []
     window_newton = solvers.window_newton
@@ -586,10 +595,10 @@ def test_singular_step_factor_keeps_the_march(monkeypatch):
         windows.append((len(x), out[2]))
         return out
 
-    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    monkeypatch.setattr(np.linalg, "inv", singular_once)
     monkeypatch.setattr(solvers, "window_newton", window)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    assert windows[:2] == [(39, 0), (19, 19)] and calls[0] == system.n
+    assert windows[:2] == [(39, 0), (19, 19)] and calls[0] == (1, system.n, system.n)
     for a, b in zip(got, expected):
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
@@ -619,6 +628,59 @@ def test_exp_fast_spin_shrinks_its_window(monkeypatch):
     got = lgoc.integrate_reduced(system, g0, xi0, h, 200)
     assert windows[:2] == [(128, 0), (64, 0)]
     assert max(size for size, solved in windows if solved == size) <= 16
+    monkeypatch.undo()
+    expected = reference_integrate_reduced(system, g0, xi0, h, 200)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_singular_tail_leaves_the_solved_prefix_its_extra_update(monkeypatch):
+    # the fast exp spin: a window's rebuild meets a singular block in its
+    # diverging tail after some leading steps are solved; the commit keeps
+    # them and gives them their extra update by the operator built before,
+    # with no build after the failed one, and the march agrees with the
+    # step-by-step march to 1e-10
+    system, g0, xi0, h, _ = _march_cases()["fast spin exp"]
+    events, windows = [], []
+    window_system, window_newton = lgoc._window_system, solvers.window_newton
+
+    def recorded(*args):
+        *out, factor = window_system(*args)
+
+        def logged_factor():
+            try:
+                op, inverse = factor()
+            except np.linalg.LinAlgError:
+                events.append("singular")
+                raise
+            events.append("build")
+
+            def logged(residual):
+                events.append(("update", len(residual)))
+                return op(residual)
+
+            return logged, inverse
+
+        return (*out, logged_factor)
+
+    def window(x, linearize):
+        first = len(events)
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[2], first, len(events)))
+        return out
+
+    monkeypatch.setattr(lgoc, "_window_system", recorded)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 200)
+    # the commit runs after window_newton returns, before the next window
+    ends = [first for _, _, first, _ in windows[1:]] + [len(events)]
+    tails = [(size, solved, events[first:last], events[last:end])
+             for (size, solved, first, last), end in zip(windows, ends)
+             if events[last - 1] == "singular" and solved]
+    assert tails
+    for size, solved, newton, commit in tails:
+        assert 0 < solved < size and "build" in newton
+        assert commit == [("update", solved)]
     monkeypatch.undo()
     expected = reference_integrate_reduced(system, g0, xi0, h, 200)
     for a, b in zip(got, expected):
@@ -688,10 +750,13 @@ def test_vehicle_march_evaluates_the_drift_once_per_point(monkeypatch):
 
 @pytest.mark.parametrize("case", [name for name, (system, *_) in _march_cases().items()
                                   if system.potential is None])
-def test_window_start_linearizes_one_point_bitwise(case):
-    # a window starts at the constant velocity xi_{k-1}: its residuals and
-    # its update come from +-h xi_{k-1} alone and one n x n solve, bitwise
-    # what the 2W-1 points of the general path give (A_0 is never read)
+def test_window_start_linearizes_one_point_bitwise(case, monkeypatch):
+    # a window starts at the constant velocity xi_{k-1}: its residuals come
+    # from +-h xi_{k-1} alone, and its operator from one (1, n, n) stack of
+    # blocks through the same batched calls, bitwise what the 2W-1 points
+    # of the general path give: the scan's maps (A_0 is never read), the
+    # inverse blocks, and the update of any residual, of the whole window
+    # and of a solved prefix of 37 steps, as a commit makes it
     system, _, xi0, h, controls = _march_cases()[case]
     group, size = system.group, 128
     X = np.repeat(xi0[None], size, axis=0)
@@ -703,29 +768,44 @@ def test_window_start_linearizes_one_point_bitwise(case):
     if controls is not None:
         controls = controls[:size + 1]
         forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
+    maps, scan_maps = [], solvers.scan_maps
+
+    def recorded(A):
+        maps.append(scan_maps(A))
+        return maps[-1]
+
+    monkeypatch.setattr(solvers, "scan_maps", recorded)
     one = lgoc._window_system(system, h, X, head, forcing, True)
     every = lgoc._window_system(system, h, X, head, forcing, False)
     assert one[0].tobytes() == every[0].tobytes()
     assert (one[1] is None and every[1] is None) or one[1].tobytes() == every[1].tobytes()
+    assert one[2].tobytes() == every[2].tobytes()
+    (op, inverse), (op_all, inverse_all) = one[3](), every[3]()
+    assert len(maps) == 2
+    assert [T.shape for T in maps[0]] == [T.shape for T in maps[1]]
+    for T, T_all in zip(*maps):
+        assert T.tobytes() == T_all.tobytes()
+    assert inverse.shape == inverse_all.shape == (size, system.n, system.n)
+    assert np.ascontiguousarray(inverse).tobytes() == np.ascontiguousarray(inverse_all).tobytes()
+    residuals = [one[2], np.random.default_rng(3).normal(size=one[2].shape)]
     for count in (size, 37):
-        (A, b, B), (A_all, b_all, B_all) = one[2](count), every[2](count)
-        assert A.shape == A_all.shape and B.shape == B_all.shape
-        assert np.ascontiguousarray(A[1:]).tobytes() == np.ascontiguousarray(A_all[1:]).tobytes()
-        assert np.ascontiguousarray(b).tobytes() == np.ascontiguousarray(b_all).tobytes()
-        assert np.ascontiguousarray(B).tobytes() == np.ascontiguousarray(B_all).tobytes()
-        assert solvers.affine_scan(A, b).tobytes() == solvers.affine_scan(A_all, b_all).tobytes()
+        for r in residuals:
+            update = op(r[:count])
+            assert update.shape == (count, system.n)
+            assert update.tobytes() == op_all(r[:count]).tobytes()
 
 
 @pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
 def test_steady_spin_commits_from_its_start(retraction, monkeypatch):
     # a spin about a principal axis is a relative equilibrium: every window
-    # converges at its constant-velocity start, and the commit's update comes
-    # from the single-point recurrence, one n x n solve per window
+    # converges at its constant-velocity start, and the commit builds the
+    # one operator of the window there, from the single-point blocks: one
+    # batched inverse of a (1, n, n) stack per window
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2), retraction=retraction)
     xi0 = np.array([0.0, 0.0, 3.0])
-    windows, constant, solved_blocks = [], [], []
-    window_newton, window_system, solve = (solvers.window_newton, lgoc._window_system,
-                                           np.linalg.solve)
+    windows, constant, inverted = [], [], []
+    window_newton, window_system, inv = (solvers.window_newton, lgoc._window_system,
+                                         np.linalg.inv)
 
     def window(x, linearize):
         out = window_newton(x, linearize)
@@ -736,16 +816,16 @@ def test_steady_spin_commits_from_its_start(retraction, monkeypatch):
         constant.append(args[-1])
         return window_system(*args)
 
-    def recorded_solve(a, b):
-        solved_blocks.append(np.shape(a))
-        return solve(a, b)
+    def recorded_inv(a):
+        inverted.append(np.shape(a))
+        return inv(a)
 
     monkeypatch.setattr(solvers, "window_newton", window)
     monkeypatch.setattr(lgoc, "_window_system", recorded)
-    monkeypatch.setattr(np.linalg, "solve", recorded_solve)
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
     gs, xis, mus = lgoc.integrate_reduced(system, np.eye(3), xi0, 0.05, 200)
     assert windows == [(128, 0, 128), (71, 0, 71)]
-    assert constant == [True, True] and solved_blocks == [(3, 3), (3, 3)]
+    assert constant == [True, True] and inverted == [(1, 3, 3), (1, 3, 3)]
     assert np.array_equal(xis, np.broadcast_to(xi0, xis.shape))
     assert np.array_equal(mus, np.broadcast_to(mus[0], mus.shape))
 

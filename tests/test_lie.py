@@ -512,6 +512,34 @@ def test_dtau_inv_at_minus_xi_follows_from_xi(g, batch):
     assert np.max(np.abs(from_z - Tm)) <= 1e-13 * np.max(np.abs(Tm))
 
 
+@pytest.mark.parametrize("g", [lie.real_n(4)] + _CURVED,
+                         ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_deriv_along_is_the_derivative_contracted_with_mu(g):
+    # K[..., i, l] = d (D^T mu)_i / d xi_l is mu_j T[..., l, j, i], T from
+    # dtau_inv_deriv, to 1e-14 of each point's largest entry: rotation
+    # angles below _SMALL_ANGLE, between it and _SERIES_ANGLE and above, on
+    # a single point, a stack and a grid; exact zeros on R^n
+    small, series = lie._SMALL_ANGLE, lie._SERIES_ANGLE
+    angles = np.array([0.0, 1e-9, 1e-4, 0.3, small * (1.0 - 1e-3), small,
+                       small * (1.0 + 1e-3), 1.2, series * (1.0 - 1e-3), series,
+                       series * (1.0 + 1e-3), 2.9])
+    rng = np.random.default_rng(29)
+    xi = _angle_batch(rng, g, angles)
+    mu = rng.normal(size=xi.shape) * 10.0 ** rng.uniform(-2.0, 2.0, size=(len(xi), 1))
+    expected = np.einsum("...j,...lji->...il", mu, g.dtau_inv_deriv(xi)[1])
+    cases = [(xi, mu, expected), (xi.reshape(3, 4, g.dim), mu.reshape(3, 4, g.dim),
+                                   expected.reshape(3, 4, g.dim, g.dim))]
+    cases += [(xi[i], mu[i], expected[i]) for i in range(len(xi))]
+    for x, m, K_ref in cases:
+        K = g.dtau_inv_deriv_along(x, m)
+        assert K.shape == x.shape + (g.dim,)
+        if g.name == "Rn":
+            assert not K.any() and not K_ref.any()
+            continue
+        scale = np.max(np.abs(K_ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(K - K_ref) <= 1e-14 * scale), np.max(np.abs(K - K_ref) / scale)
+
+
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
 def test_dtau_inv_deriv2_matches_central_difference(g):
     edge = lie._SMALL_ANGLE

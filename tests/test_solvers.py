@@ -790,6 +790,26 @@ def test_solve_rejects_an_unknown_method():
 # marching in windows
 # ---------------------------------------------------------------------------
 
+def affine_scan(A, b):
+    """Every state of x_j = A_j x_{j-1} + b_j from x_{-1} = 0: the scan's
+    maps of A_1..A_{W-1}, applied to b."""
+    return solvers.scan_apply(solvers.scan_maps(A[1:]), b)
+
+
+def frozen_affine_scan(A, b):
+    """The prefix scan as it was written before its maps were split from
+    their application: A composed in place, round by round."""
+    A = np.array(A, dtype=float, order="C")
+    x = np.array(b, dtype=float, order="C")
+    W, d = len(x), 1
+    while d < W:
+        x[d:] = x[d:] + (A[d:] @ x[:-d, :, None])[..., 0]
+        if 2 * d < W:
+            A[2 * d:] = A[2 * d:] @ A[d:-d]
+        d *= 2
+    return x
+
+
 @pytest.mark.parametrize("W", [1, 2, 5, 128])
 @pytest.mark.parametrize("m", [3, 6], ids=["n wide", "2n wide"])
 def test_affine_scan_solves_the_recurrence(W, m):
@@ -801,7 +821,7 @@ def test_affine_scan_solves_the_recurrence(W, m):
     b = rng.normal(size=(W, m))
     A[0] = np.nan
     A_in, b_in = A.copy(), b.copy()
-    got = solvers.affine_scan(A, b)
+    got = affine_scan(A, b)
     x, loop = np.zeros(m), []
     for j in range(W):
         x = b[j] if j == 0 else A[j] @ x + b[j]
@@ -826,8 +846,31 @@ def test_affine_scan_rounds_the_same_whatever_the_layout(W, m):
     A = np.broadcast_to(rng.normal(size=(m, m)) / (2.0 * np.sqrt(m)), (W, m, m))
     b = rng.normal(size=(m, W)).T
     assert b.flags.f_contiguous and not b.flags.c_contiguous
-    expected = solvers.affine_scan(np.ascontiguousarray(A), np.ascontiguousarray(b))
-    assert solvers.affine_scan(A, b).tobytes() == expected.tobytes()
+    expected = affine_scan(np.ascontiguousarray(A), np.ascontiguousarray(b))
+    assert affine_scan(A, b).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 5, 37, 128])
+@pytest.mark.parametrize("m", [3, 6], ids=["n wide", "2n wide"])
+def test_split_scan_is_the_in_place_scan_bitwise(W, m):
+    # the maps built once and applied to several b give, for each b, the
+    # bytes of the scan that composes A in place, for a general and a
+    # broadcast A; a map applied again does not change, and a prefix of b
+    # gives the prefix's scan
+    rng = np.random.default_rng(7 * W + m)
+    for A in (rng.normal(size=(W, m, m)) / (2.0 * np.sqrt(m)),
+              np.broadcast_to(rng.normal(size=(m, m)) / (2.0 * np.sqrt(m)), (W, m, m))):
+        maps = solvers.scan_maps(A[1:])
+        assert [len(T) for T in maps] == [W - d for d in (1, 2, 4, 8, 16, 32, 64) if d < W]
+        for b in rng.normal(size=(3, W, m)):
+            expected = frozen_affine_scan(A, b)
+            assert solvers.scan_apply(maps, b).tobytes() == expected.tobytes()
+        assert solvers.scan_apply(maps, b).tobytes() == expected.tobytes()
+        # the first V < W states, from the first V steps' b alone, are the
+        # scan of the first V steps
+        for V in sorted({1, 2, W // 2, W - 1} - {0, W}):
+            expected = frozen_affine_scan(A[:V], b[:V])
+            assert solvers.scan_apply(maps, b[:V]).tobytes() == expected.tobytes()
 
 
 def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
@@ -852,9 +895,9 @@ def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
                     error[:] = 0.0
             else:
                 error[:prefix] = 0.0
-            return error, lambda: (np.zeros((size, 1, 1)), np.zeros((size, 1)))
+            return error, np.zeros((size, 1)), lambda: (lambda residual: np.zeros((size, 1)))
 
-        def commit(x, count):
+        def commit(x, count, operator):
             log.append(("commit", k, count))
 
         return np.zeros((size, 1)), linearize, commit
@@ -904,7 +947,122 @@ def test_window_newton_fails_a_diverging_window_without_a_warning():
     # residual raises a RuntimeWarning (tier-1 turns one into an error)
     def linearize(x):
         error = np.abs(np.exp(x[:, 0]) - 1.0) / 1e-12
-        return error, lambda: (np.zeros((len(x), 1, 1)), 1e300 * np.ones((len(x), 1)) * 1e10)
+        return error, x, lambda: (lambda residual: 1e300 * np.ones((len(x), 1)) * 1e10)
 
-    x, iterations, solved = solvers.window_newton(np.zeros((3, 1)) + 1.0, linearize)
+    x, iterations, solved, _ = solvers.window_newton(np.zeros((3, 1)) + 1.0, linearize)
     assert solved is None and iterations == 1 and not np.all(np.isfinite(x))
+
+
+def _scripted_newton(errors, singular_at=()):
+    """A window whose evaluations have the errors ``errors``, in turn (one
+    step's, or each step's), and whose build at an evaluation in ``singular_at``
+    raises LinAlgError.  Logs ("build", i) of each build at evaluation i and
+    ("update", i) of each update by the operator built at evaluation i."""
+    log, evaluations = [], []
+
+    def linearize(x):
+        i = len(evaluations)
+        evaluations.append(i)
+
+        def build():
+            log.append(("build", i))
+            if i in singular_at:
+                raise np.linalg.LinAlgError("singular block")
+
+            def op(residual):
+                log.append(("update", i))
+                return np.zeros_like(residual)
+
+            return op
+
+        error = np.atleast_1d(np.asarray(errors[i], dtype=float))
+        return error, np.zeros((len(error), 1)), build
+
+    return linearize, log
+
+
+def test_window_newton_builds_until_the_chord_step_is_predicted_to_converge():
+    # a quadratically converging history: a new operator at each update
+    # while e_k^2 > e_{k-1}, in units of the step tolerance; at 1e2, 1e4 <=
+    # 1e8 and the operator of the update before is reused
+    linearize, log = _scripted_newton([1e12, 1e8, 1e2, 1e-3])
+    x, iterations, solved, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved) == (3, 1)
+    assert log == [("build", 0), ("update", 0), ("build", 1), ("update", 1), ("update", 1)]
+    log.clear()
+    operator()(np.zeros((1, 1)))
+    assert log == [("update", 1)]
+
+
+def test_window_newton_rebuilds_a_stalled_chord_step():
+    # the chord update from 1e4 stalls at 9e3: 8.1e7 > 1e4, so the next
+    # update gets a new operator; a window that never contracts builds at
+    # every update, not once for WINDOW_MAX_ITER stale updates
+    linearize, log = _scripted_newton([1e12, 1e4, 9e3, 1e1, 0.5])
+    x, iterations, solved, _ = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved) == (4, 1)
+    assert log == [("build", 0), ("update", 0), ("update", 0),
+                   ("build", 2), ("update", 2), ("update", 2)]
+    linearize, log = _scripted_newton([1e4] * (solvers.WINDOW_MAX_ITER + 1))
+    x, iterations, solved, _ = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved) == (solvers.WINDOW_MAX_ITER, 0)
+    assert log == [entry for i in range(solvers.WINDOW_MAX_ITER)
+                   for entry in (("build", i), ("update", i))]
+
+
+def test_window_newton_hands_the_commit_its_last_operator():
+    # converged after updates: the operator is the last one built, and no
+    # build is made for it; converged at its start: one build, at the start,
+    # however often it is asked for
+    linearize, log = _scripted_newton([1e12, 1e2, 0.5])
+    *_, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    log.clear()
+    assert operator() is operator()
+    operator()(np.zeros((1, 1)))
+    assert log == [("update", 0)]
+    linearize, log = _scripted_newton([0.5])
+    x, iterations, solved, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved, log) == (0, 1, [])
+    assert operator() is operator()
+    operator()(np.zeros((1, 1)))
+    assert log == [("build", 0), ("update", 0)]
+
+
+def test_window_newton_never_tries_a_failed_build_again():
+    # a rebuild that meets a singular block leaves the operator built
+    # before it; a first build that meets one leaves none, and operator()
+    # raises without building, as it does after a start whose build failed
+    linearize, log = _scripted_newton([1e12, 1e8], singular_at=(1,))
+    x, iterations, solved, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved) == (1, 0)
+    assert log == [("build", 0), ("update", 0), ("build", 1)]
+    log.clear()
+    operator()(np.zeros((1, 1)))
+    assert log == [("update", 0)]
+    linearize, log = _scripted_newton([1e12], singular_at=(0,))
+    x, iterations, solved, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert (iterations, solved, log) == (0, 0, [("build", 0)])
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            operator()
+    assert log == [("build", 0)]
+    linearize, log = _scripted_newton([0.5], singular_at=(0,))
+    *_, operator = solvers.window_newton(np.zeros((1, 1)), linearize)
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            operator()
+    assert log == [("build", 0)]
+
+
+def test_window_newton_leaves_a_solved_prefix_its_operator_past_a_singular_tail():
+    # three steps: after one update the first two are solved and the last
+    # diverges, and the rebuild meets a singular block there; the prefix
+    # is kept, and its extra update takes the operator built at the start,
+    # with no build
+    linearize, log = _scripted_newton([[1e12, 1e12, 1e12], [0.5, 0.5, 1e8]],
+                                      singular_at=(1,))
+    x, iterations, solved, operator = solvers.window_newton(np.zeros((3, 1)), linearize)
+    assert (iterations, solved) == (1, 2)
+    log.clear()
+    assert operator()(np.ones((2, 1))).shape == (2, 1)
+    assert log == [("update", 0)]

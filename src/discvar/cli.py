@@ -33,16 +33,14 @@ from .errors import ConfigError, DiscvarError, NoConvergence, SingularJacobian
 log = logging.getLogger("discvar")
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, header, rows):
+    """The header line and one line per row of the float array ``rows``,
+    each value as "%.17g", in the CSV dialect ``csv.writer`` writes: comma
+    separated, no quoting (no field holds a comma or a quote), "\r\n"
+    terminated."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _read_csv(path):
@@ -230,13 +228,13 @@ def _write_solution(problem, sol, outdir, headers, nodes, lead):
     controls.csv with (k, *lead[k], u^-_k, u^+_k, lambda^-_k, lambda^+_k)
     per interval, under ``headers``."""
     trajectory, controls = headers
-    rows = [[k, k * problem.h, *nodes[k]] for k in range(problem.N + 1)]
-    _write_csv(os.path.join(outdir, "trajectory.csv"), trajectory, rows)
-    columns = [lead, sol.controls[:, 0], sol.controls[:, 1]]
+    k = np.arange(problem.N + 1)
+    _write_csv(os.path.join(outdir, "trajectory.csv"), trajectory,
+               np.column_stack([k, k * problem.h, nodes]))
+    columns = [k[:-1], lead, sol.controls[:, 0], sol.controls[:, 1]]
     if sol.lambdas is not None:
         columns += [sol.lambdas[:, 0], sol.lambdas[:, 1]]
-    rows = [[k, *row] for k, row in enumerate(np.concatenate(columns, axis=1))]
-    _write_csv(os.path.join(outdir, "controls.csv"), controls, rows)
+    _write_csv(os.path.join(outdir, "controls.csv"), controls, np.column_stack(columns))
 
 
 def _write_lie_solution(problem, sol, outdir):
@@ -341,6 +339,7 @@ def cmd_simulate(args):
         raise ConfigError(f"simulate.steps must be at least 1, got {steps}")
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
+    k = np.arange(steps + 1)
     t0 = time.perf_counter()
     if kind == "lie":
         system = problem.system
@@ -350,11 +349,11 @@ def cmd_simulate(args):
         n = system.n
         gsize = system.group.matrix_size
         header = ["k", "t"] + [f"g{i}{j}" for i in range(gsize) for j in range(gsize)]
-        rows = [[k, k * problem.h, *gs[k].reshape(-1)] for k in range(steps + 1)]
-        _write_csv(os.path.join(outdir, "trajectory.csv"), header, rows)
+        _write_csv(os.path.join(outdir, "trajectory.csv"), header,
+                   np.column_stack([k, k * problem.h, gs.reshape(steps + 1, -1)]))
         header = ["k"] + [f"xi{i}" for i in range(n)] + [f"mu{i}" for i in range(n)]
-        rows = [[k, *xis[k], *mus[k]] for k in range(steps)]
-        _write_csv(os.path.join(outdir, "controls.csv"), header, rows)
+        _write_csv(os.path.join(outdir, "controls.csv"), header,
+                   np.column_stack([k[:-1], xis, mus]))
     else:
         lagrangian, forces = problem.lagrangian, problem.forces
         x0 = problem.x0
@@ -362,8 +361,8 @@ def cmd_simulate(args):
         x1 = _number(sim_cfg.get("x1", x0 + problem.h * v0), "x1", _floats)
         qs = mech.integrate(lagrangian, forces, x0, x1, steps)
         ps = mech.node_momenta(lagrangian, forces, qs)
-        rows = [[k, k * problem.h, *qs[k], *ps[k]] for k in range(steps + 1)]
-        _write_csv(os.path.join(outdir, "trajectory.csv"), _rn_headers(problem)[0], rows)
+        _write_csv(os.path.join(outdir, "trajectory.csv"), _rn_headers(problem)[0],
+                   np.column_stack([k, k * problem.h, qs, ps]))
     _write_report(outdir, {
         "command": "simulate", "steps": steps,
         "elapsed_s": time.perf_counter() - t0,

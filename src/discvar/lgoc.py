@@ -508,8 +508,11 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     ``reconstruct`` writes it.
     The momentum is carried as the step-by-step march carries it, mu_j =
     coAd(tau(h xi_{j-1}), mu_{j-1}) + f_j + (h/2) (d_{j-1} + d_j), with the
-    drift values of the window's last evaluation, so the free body
-    transports it exactly.
+    drift values of the window's last evaluation.  The free body transports
+    it step by step, exactly; with controls or a drift it is the affine
+    recurrence mu_j = Ad(tau(h xi_{j-1}))^T mu_{j-1} + c_j, whose c_j are
+    formed in one pass, mu_{k-1}'s transport folded into c_0, and solved
+    by one scan over the window's transposed Ad blocks.
 
     A window that does not converge is halved, and one whose residual is
     not finite is solved step by step.  A step alone is ``dep_step``, from
@@ -611,18 +614,25 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             xis[k:k + count] = X
             taus[k:k + count] = group.tau(h * X)
             Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
-            mu = mus[k - 1]
-            for i in range(count):
-                j = k + i
-                mu = mu @ Ad[i]
-                if f is not None:
-                    mu = mu + f[i]
+            if f is None and d is None:
+                # step by step, so that the free body's mu_j is exactly
+                # coAd(tau(h xi_{j-1}), mu_{j-1})
+                for j in range(k, k + count):
+                    np.matmul(mus[j - 1], Ad[j - k], out=mus[j])
+            else:
+                # mu_j = Ad_j^T mu_{j-1} + c_j is an affine recurrence: c_j =
+                # f_j + (h/2) (d_{j-1} + d_j), with mu_{k-1}'s transport in
+                # c_0, and one scan over the transposed Ad_j of the later steps
+                c = np.zeros((count, n)) if f is None else f[:count].copy()
                 if d is not None:
-                    mu = mu + (half_drift if i == 0 else d[i - 1]) + d[i]
-                mus[j] = mu
+                    c += d[:count]
+                    c[0] += half_drift
+                    c[1:] += d[:count - 1]
+                    half_drift = d[count - 1]
+                c[0] += mus[k - 1] @ Ad[0]
+                mus[k:k + count] = solvers.scan_apply(solvers.scan_maps(mt(Ad[1:])), c)
+            for j in range(k, k + count):
                 compose(gs[j], taus[j], out=gs[j + 1])
-            if d is not None:
-                half_drift = d[count - 1]
 
         return start, linearize, commit
 

@@ -296,10 +296,11 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     = d_next + d_mid + d_prev.  The M / h terms cancel from S_k and from
     d_prev - d_next, which hold only the potential's and the drifts' terms,
     so without either the recurrence's blocks are the exact [[I, I], [0,
-    I]] and the scan sums velocity corrections with no cancellation.  The
-    blocks take d_next^-1: the factored -M / h, or with a drift a^- one
-    batched inverse of d_next = -M / h + d a^-/d q_{k+1}.  The drifts'
-    Jacobians are differenced, only when an operator is built, and the
+    I]]: the operator is then two cumulative sums, e = cumsum(b) and dq =
+    cumsum(e) of b_k = d_next^-1 (-r_k), and forms no blocks and no scan.
+    Otherwise the blocks take d_next^-1: the factored -M / h, or with a
+    drift a^- one batched inverse of d_next = -M / h + d a^-/d q_{k+1}.
+    The drifts' Jacobians are differenced, only when an operator is built, and the
     potential's Hessian is the Lagrangian's ``V_xx``.  A DEL whose drifts and potential gradient are
     affine, as the point mass's, is linear: one update solves a window, to
     a few hundredths of the tolerance on the benchmark's point mass.
@@ -338,6 +339,9 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
     potential = lagrangian.potential is not None
     a_plus, a_minus = forces.a_plus is not None, forces.a_minus is not None
+    # without a potential or a drift a window's recurrence has the exact
+    # blocks [[I, I], [0, I]]
+    exact = not (potential or a_plus or a_minus)
     # d/dq_next of D1 Ld(q_k, q_next), without a drift
     J = lagrangian.d12(q0, q1)
     J_inv = np.linalg.inv(J)
@@ -392,12 +396,17 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
             error = np.max(np.abs(r), axis=1) / tol
 
             def build():
+                if exact:
+                    # the scan of [[I, I], [0, I]]: e_k = e_{k-1} + b_k and
+                    # dq_{k+1} = dq_k + e_k, two cumulative sums of b_k =
+                    # d_next^-1 (-r_k); the update of q_{k+1} is dq_{k+1}
+                    return lambda res: np.cumsum(np.cumsum(res @ -J_inv.T, axis=0), axis=0)
                 # d r_k / d(q_{k+1}, q_k, q_{k-1}) = (d_next, d_mid, d_prev)
                 # in the velocity coordinates e_k = dq_{k+1} - dq_k:
                 #   d_next e_k = -r_k - S_k dq_k + (d_next + P_k) e_{k-1},
                 # S_k = d_next + d_mid + d_prev and P_k = d_prev - d_next.  The
                 # -M/h, 2M/h, -M/h of both cancel, so they hold only the
-                # potential's and the drifts' terms, formed when there are any
+                # potential's and the drifts' terms
                 G, S, P = J_inv[None], 0.0, 0.0
                 if potential:
                     S = S - h * lagrangian.V_xx(q_mid)
@@ -409,18 +418,13 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
                     S, P = S + da + db, P - db
                     G = np.linalg.inv(J + db)
                 # the state (dq_{k+1}, e_k) = (dq_k + e_k, e_k), with G =
-                # d_next^-1: A = [[I - G S, I + G P], [-G S, I + G P]], exact
-                # integer blocks without a potential or a drift
-                A = np.zeros((size, 2 * n, 2 * n))
-                A[:, :n, :n] = A[:, :n, n:] = A[:, n:, n:] = np.eye(n)
-                if potential or a_plus or a_minus:
-                    GS = G @ -np.broadcast_to(S, (size, n, n))
-                    GP = G @ np.broadcast_to(P, (size, n, n))
-                    A[:, :n, :n] += GS
-                    A[:, n:, :n] = GS
-                    A[:, :n, n:] += GP
-                    A[:, n:, n:] += GP
-
+                # d_next^-1: A = [[I - G S, I + G P], [-G S, I + G P]]
+                GS = G @ -np.broadcast_to(S, (size, n, n))
+                GP = G @ np.broadcast_to(P, (size, n, n))
+                A = np.empty((size, 2 * n, 2 * n))
+                A[:, :n, :n] = GS + np.eye(n)
+                A[:, n:, :n] = GS
+                A[:, :n, n:] = A[:, n:, n:] = GP + np.eye(n)
                 maps = scan_maps(A[1:])
 
                 def solve(res):

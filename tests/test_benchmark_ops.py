@@ -4,7 +4,8 @@ at seeds 901 and 5301, and drawn-2 still fails; every simulate op passes the
 benchmark's correctness gate, the point mass's windows take one update each,
 the group marches keep their windows and evaluations and build an operator
 only when Newton needs a new one, and they are bitwise those of the general
-window linearization."""
+window linearization; the point mass makes no scan call, and only the
+forced group march scans its momentum carry."""
 
 import os
 import sys
@@ -92,18 +93,20 @@ def test_benchmark_point_mass_windows_take_one_update(workloads, tmp_path, monke
     assert all(updates == 1 and solved == size for size, updates, solved in windows)
 
 
-# op -> (windows, evaluations, most builds) at seed 901: the windows and the
-# residual evaluations of Newton's method on them, and the operators the
-# marches may build, the commits' included; a build for every evaluation
-# would make 79, 39 and 46
-WINDOW_WORK = {
-    "rb-cay-free": (16, 79, 48),
-    "rb-exp-free": (8, 39, 24),
-    "uuv-forced": (8, 46, 36),
+# op -> (windows, evaluations) at seed 901: the windows and the residual
+# evaluations of Newton's method on them
+WINDOWS = {
+    "rb-cay-free": (16, 79),
+    "rb-exp-free": (8, 39),
+    "uuv-forced": (8, 46),
+    "pm-forced": (40, 80),
 }
+# group op -> the operators its march may build, the commits' included; a
+# build for every evaluation would make 79, 39 and 46
+MOST_BUILDS = {"rb-cay-free": 48, "rb-exp-free": 24, "uuv-forced": 36}
 
 
-@pytest.mark.parametrize("name", list(WINDOW_WORK))
+@pytest.mark.parametrize("name", list(MOST_BUILDS))
 def test_benchmark_group_marches_build_operators_only_when_needed(name, workloads, tmp_path,
                                                                    monkeypatch):
     # one dtau_inv_matrix call per evaluation and one dtau_inv_deriv_along
@@ -133,12 +136,55 @@ def test_benchmark_group_marches_build_operators_only_when_needed(name, workload
 
     monkeypatch.setattr(solvers, "window_newton", window)
     ops[name].run()
-    count_windows, evaluations, most = WINDOW_WORK[name]
-    assert (len(windows), sum(windows)) == (count_windows, evaluations)
+    assert (len(windows), sum(windows)) == WINDOWS[name]
     # the march's start forms mu_0 through one more dtau_inv_matrix call
-    assert calls.count("dtau_inv_matrix") == evaluations + 1
-    assert 0 < calls.count("dtau_inv_deriv_along") <= most
+    assert calls.count("dtau_inv_matrix") == WINDOWS[name][1] + 1
+    assert 0 < calls.count("dtau_inv_deriv_along") <= MOST_BUILDS[name]
     assert "dtau_inv_deriv" not in calls
+
+
+@pytest.mark.parametrize("name", list(WINDOWS))
+def test_benchmark_marches_keep_their_windows_and_scans(name, workloads, tmp_path, monkeypatch):
+    # the point mass's window update is two cumulative sums and makes no
+    # scan call; a group march forms one scan's maps per operator it
+    # builds, and a forced one one more per window it commits, for its
+    # momentum carry, which the free bodies make step by step
+    from discvar import lie, mech, solvers
+
+    ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
+    calls, windows = [], []
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+
+        def count(*args):
+            calls.append(attr)
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, count)
+
+    for scan in ("scan_maps", "scan_apply"):
+        counted(solvers, scan)
+        counted(mech, scan)
+    counted(lie.GroupSpec, "dtau_inv_deriv_along")
+    window_newton = solvers.window_newton
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((out[1] + 1, bool(out[2])))
+        return out
+
+    monkeypatch.setattr(solvers, "window_newton", window)
+    ops[name].run()
+    assert (len(windows), sum(evaluations for evaluations, _ in windows)) == WINDOWS[name]
+    builds = calls.count("dtau_inv_deriv_along")
+    commits = sum(committed for _, committed in windows)
+    if name == "pm-forced":
+        assert calls == []
+    elif name == "uuv-forced":
+        assert calls.count("scan_maps") == builds + commits
+    else:
+        assert calls.count("scan_maps") == builds
 
 
 @pytest.mark.parametrize("seed", [901, 5301])

@@ -1,6 +1,7 @@
 """Command line interface: configs, artifacts, exit codes, determinism."""
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -260,6 +261,102 @@ def test_simulate_steps_below_one_is_config_error(tmp_path, capsys, make_cfg, st
     assert cli.main(["simulate", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "simulate.steps must be at least 1" in err
+
+
+# ---------------------------------------------------------------------------
+# artifact bytes
+# ---------------------------------------------------------------------------
+
+def _write_csv_as_it_stood(path, header, rows):
+    """``cli._write_csv`` as it stood: csv.writer, one list of
+    format(v, ".17g") strings per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def test_csv_lines_are_the_bytes_of_csv_writer(tmp_path):
+    # signed zeros, nan, infinities, the extreme floats and integral values
+    # are written as csv.writer wrote their format(v, ".17g")
+    values = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.0, 1.0, -7.0, 2.0 ** 53, 1e22, 0.1, -1.0 / 3.0,
+              2.2250738585072014e-308, 123456789.0, 1e-7]
+    rows = np.array(values).reshape(6, 3)
+    header = ["k", "t", "x0"]
+    cli._write_csv(tmp_path / "new.csv", header, rows)
+    _write_csv_as_it_stood(tmp_path / "old.csv", header, rows.tolist())
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _simulate_cfg(make_cfg):
+    base = make_cfg()
+    base["simulate"] = {"steps": 40}
+    if make_cfg is rigid_body_cfg:
+        base["problem"]["boundary"]["xi0"] = [0.3, 0.8, -0.4]
+    return base
+
+
+@pytest.mark.parametrize("command, make_cfg", [
+    ("solve", point_mass_cfg), ("solve", rigid_body_cfg), ("solve", uuv_cfg),
+    ("simulate", rigid_body_cfg), ("simulate", point_mass_cfg)],
+    ids=["solve point mass", "solve rigid body", "solve vehicle", "simulate group",
+         "simulate R^n"])
+def test_artifacts_are_the_bytes_of_csv_writer(tmp_path, monkeypatch, command, make_cfg):
+    # the artifacts are the bytes csv.writer wrote from the rows as the CLI
+    # formed them, one Python list per row
+    base = make_cfg() if command == "solve" else _simulate_cfg(make_cfg)
+    cfg = write_config(tmp_path / "c.json", base)
+    tables = {}
+    write_solution, build_setup = cli._write_solution, cli.build_setup
+    integrate_reduced, node_momenta = cli.lgoc.integrate_reduced, cli.mech.node_momenta
+    setup = []
+
+    def solution(problem, sol, outdir, headers, nodes, lead):
+        columns = [lead, sol.controls[:, 0], sol.controls[:, 1]]
+        if sol.lambdas is not None:
+            columns += [sol.lambdas[:, 0], sol.lambdas[:, 1]]
+        tables["trajectory.csv"] = (headers[0], [[k, k * problem.h, *nodes[k]]
+                                                 for k in range(problem.N + 1)])
+        tables["controls.csv"] = (headers[1], [[k, *row] for k, row in
+                                               enumerate(np.concatenate(columns, axis=1))])
+        return write_solution(problem, sol, outdir, headers, nodes, lead)
+
+    def setup_of(cfg_):
+        setup.append(build_setup(cfg_))
+        return setup[-1]
+
+    def group_march(*args, **kwargs):
+        gs, xis, mus = integrate_reduced(*args, **kwargs)
+        problem, steps = setup[-1][1], len(xis)
+        n, gsize = problem.system.n, problem.system.group.matrix_size
+        header = ["k", "t"] + [f"g{i}{j}" for i in range(gsize) for j in range(gsize)]
+        tables["trajectory.csv"] = (header, [[k, k * problem.h, *gs[k].reshape(-1)]
+                                             for k in range(steps + 1)])
+        header = ["k"] + [f"xi{i}" for i in range(n)] + [f"mu{i}" for i in range(n)]
+        tables["controls.csv"] = (header, [[k, *xis[k], *mus[k]] for k in range(steps)])
+        return gs, xis, mus
+
+    def momenta(lagrangian, forces, qs, controls=None):
+        ps = node_momenta(lagrangian, forces, qs, controls)
+        problem = setup[-1][1]
+        tables["trajectory.csv"] = (cli._rn_headers(problem)[0],
+                                    [[k, k * problem.h, *qs[k], *ps[k]]
+                                     for k in range(len(qs))])
+        return ps
+
+    monkeypatch.setattr(cli, "_write_solution", solution)
+    monkeypatch.setattr(cli, "build_setup", setup_of)
+    monkeypatch.setattr(cli.lgoc, "integrate_reduced", group_march)
+    monkeypatch.setattr(cli.mech, "node_momenta", momenta)
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 0
+    written = sorted(name for name in os.listdir(out) if name.endswith(".csv"))
+    assert written == sorted(tables)
+    for name, (header, rows) in tables.items():
+        _write_csv_as_it_stood(tmp_path / name, header, rows)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -620,12 +620,40 @@ def test_integrate_matches_its_reference_bitwise(case):
     assert np.max(np.abs(qs - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("case", ["benchmark point mass 901", "far 1000"])
+def test_free_windows_sum_without_a_scan(case, monkeypatch):
+    # without a potential or a drift the window's recurrence has the exact
+    # blocks [[I, I], [0, I]]: its update is two cumulative sums, so no
+    # scan's maps are formed or applied, and the DEL being linear every
+    # window converges in one update
+    L, F, q0, q1, controls = _reference_cases()[case]
+    window_newton = solvers.window_newton
+    windows = []
+
+    def refused(*args):
+        raise AssertionError("a free window formed or applied a scan")
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        windows.append((len(x), out[1], out[2]))
+        return out
+
+    for module in (mech, solvers):
+        for name in ("scan_maps", "scan_apply"):
+            monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    mech.integrate(L, F, q0, q1, len(controls), controls=controls)
+    assert windows
+    assert all(updates == 1 and solved == size for size, updates, solved in windows)
+
+
 @pytest.mark.parametrize("case", ["benchmark point mass 901", "harmonic", "drifts"])
 def test_window_update_is_the_dense_newton_step(case, monkeypatch):
-    # the first window's update, solved by the scan in the velocity
-    # coordinates e_k = dq_{k+1} - dq_k, is the Newton step of the window's
-    # block-tridiagonal system assembled densely from the slot derivatives
-    # and the drifts' Jacobians: free, with a potential, with both drifts
+    # the first window's update, solved in the velocity coordinates e_k =
+    # dq_{k+1} - dq_k (by two cumulative sums when free, by the scan
+    # otherwise), is the Newton step of the window's block-tridiagonal
+    # system assembled densely from the slot derivatives and the drifts'
+    # Jacobians: free, with a potential, with both drifts
     L, F, q0, q1, controls = _reference_cases()[case]
     n, steps = L.dim, len(controls)
     window_newton = solvers.window_newton

@@ -42,7 +42,6 @@ interval cost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -51,10 +50,8 @@ import numpy as np
 from . import solvers
 from .errors import (
     DimensionMismatch,
-    NoConvergence,
     NotInvertible,
     RankDeficient,
-    SingularJacobian,
     StepSolveFailed,
 )
 from .lie import mt, mv
@@ -63,9 +60,7 @@ from .solvers import (
     ResidualSystem,
     central_difference,
     levenberg_marquardt,
-    max_abs,
     newton,
-    plain_system,
 )
 
 # ---------------------------------------------------------------------------
@@ -270,160 +265,51 @@ def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
     return left - (h / 2.0) * f_m, right + (h / 2.0) * f_p
 
 
-# convergence test and iteration budget of dep_step's simplified Newton
-# iteration
-_DEP_TOL = 1e-13
-_DEP_MAX_ITER = 200
 # step j of a window of march steps is solved when max |r_j| is at most
 # _WINDOW_TOL (1 + max |m+(xi_j)|), its momentum's size
 _WINDOW_TOL = 1e-13
 
 
-def dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
-             step_index=0, J_inv_prev=None):
-    """Advance the discrete momentum equation by one interval; returns
-    (xi_k, mu_k, J_k^-1).  It is the one-step floor of
-    ``integrate_reduced``'s windows: the march solves a step alone with it
-    where its windows shrink to one step or meet a residual that is not
-    finite, and every step of a system with a potential.
-
-    Given the previous interval's (xi_{k-1}, mu_{k-1}), tau_prev =
-    tau(h xi_{k-1}) and the forcing around node k, solves the implicit
-    relation dtau_inv(h xi_k)^* I xi_k = target(xi_k) for the new interval
-    velocity, where target is the transported momentum coAd(tau_prev,
-    mu_prev) plus the forcing.  The forcing is the drift, when the system
-    has one, plus ``forcing``, the node's control covector (h/2) B
-    (u^+_{k-1} + u^-_k), when given.  When the system has a potential the
-    configuration g_k at the node must be supplied.  mu_k is the momentum
-    the step solved for, target(xi_k): for the free body exactly
-    coAd(tau_prev, mu_prev), so it is not formed again from xi_k.
-
-    The step solve is a simplified Newton iteration on the residual
-    r(xi) = dtau_inv(h xi)^T I xi - target(xi).  Its Jacobian D^T I +
-    h (dD/dz)[I xi], with D = dtau_inv(z) at z = h xi, less (h^2/2)
-    d drift/dz with a drift (the matrix itself for a linear drift,
-    ``_drift_jacobians``), is inverted once, at the start, and handed back
-    as J_k^-1; D and dD/dz there come from one ``dtau_inv_deriv`` call.  The
-    start is the Newton predictor xi_{k-1} - J_{k-1}^-1 r(xi_{k-1}) when
-    ``J_inv_prev`` holds the previous step's inverse (after a window, the
-    inverse step Jacobian at xi_{k-1}), and xi_{k-1} when it is None or the
-    prediction is not finite; r(xi_{k-1}) needs no kernel
-    call, since mu_{k-1} stands for D(h xi_{k-1})^T I xi_{k-1}.  Every later
-    point makes one ``dtau_inv_matrix`` call, except the last: the
-    iteration stops when an update is below _DEP_TOL relative to xi.  If it
-    does not within _DEP_MAX_ITER updates, Newton with a line search
-    (``newton``) takes over from the start, on the same Jacobian taken at
-    its own iterates; StepSolveFailed names ``step_index`` when that fails
-    too.
-
-    Each point's h xi and I xi are formed once, for its kernel call, its
-    residual and, at the start, the Jacobian; the previous interval's
-    displacement and drift only when the system has a drift.  The stopping
-    tests and the finiteness test of the prediction read max |.| from the
-    step's Python floats, the same floats numpy's reduction gives, so every
-    decision, and every returned bit, is numpy's; a NaN or infinite update
-    still ends the iteration and leaves the step to ``newton``.
-    """
-    group = system.group
-    inertia = system.inertia
-    drift = system.drift_values if system.has_drift else None
-    xi_prev = np.asarray(xi_prev, dtype=float)
-    mu_prev = np.asarray(mu_prev, dtype=float)
-    rhs = group.coAd(tau_prev, mu_prev)
-    if forcing is not None:
-        rhs = rhs + forcing
-    if drift is not None:
-        drift_prev = (h / 2.0) * drift(h * xi_prev)
-        rhs = rhs + drift_prev
-    if system.potential is not None:
-        if g_k is None:
-            raise DimensionMismatch("potential systems need g_k in dep_step")
-        rhs = rhs - h * np.asarray(system.potential.left_grad(g_k), dtype=float)
-
-    # r and its Jacobian at the point xi, from I xi, z = h xi and D = dtau_inv(z)
-    def residual(Ixi, z, D):
-        out = Ixi @ D - rhs
-        return out if drift is None else out - (h / 2.0) * drift(z)
-
-    def jacobian(Ixi, z, D, T):
-        # (I xi)_j dD_ji/dz_l: one matmul over the stack T[l] = dD/dz_l
-        J = mt(D) @ inertia + h * mt(Ixi @ T)
-        return J if drift is None else J - (h * h / 2.0) * _drift_jacobians(system, z)
-
-    start = xi_prev
-    if J_inv_prev is not None:
-        r_prev = mu_prev - rhs
-        if drift is not None:
-            r_prev = r_prev - drift_prev
-        predicted = xi_prev - J_inv_prev @ r_prev
-        if max_abs(predicted) < math.inf:
-            start = predicted
-    z = h * start
-    D, T = group.dtau_inv_deriv(z)
-    Ixi = inertia @ start
-    J = jacobian(Ixi, z, D, T)
-    try:
-        J_inv = np.linalg.inv(J)
-    except np.linalg.LinAlgError:
-        # a NaN update ends the iteration at once and leaves the step to newton
-        J_inv = np.full_like(J, np.nan)
-    xi, converged = start, False
-    for _ in range(_DEP_MAX_ITER):
-        update = J_inv @ residual(Ixi, z, D)
-        xi = xi - update
-        size = max_abs(update)
-        if not math.isfinite(size):
-            break
-        if size < _DEP_TOL * (1.0 + max_abs(xi)):
-            converged = True
-            break
-        z = h * xi
-        D = group.dtau_inv_matrix(z)
-        Ixi = inertia @ xi
-    if not converged:
-        def residual_at(x):
-            z = h * x
-            return residual(inertia @ x, z, group.dtau_inv_matrix(z))
-
-        def jacobian_at(x):
-            z = h * x
-            return jacobian(inertia @ x, z, *group.dtau_inv_deriv(z))
-
-        try:
-            xi = newton(plain_system(system.n, residual_at, jacobian_at), start,
-                        tol=1e-12)[0].x
-        except (NoConvergence, SingularJacobian) as exc:
-            raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
-    mu = rhs if drift is None else rhs + (h / 2.0) * drift(h * xi)
-    return xi, mu, J_inv
-
-
-def _window_system(system, h, X, head, forcing, constant):
+def _window_system(system, h, X, g, head, forcing, constant):
     """The step residuals of a window of march steps at its velocities X
     (W, n), and the factoring of their Newton step (``integrate_reduced``);
     returns (error, d, r, factor).
 
-    ``head`` is the first step's m-(xi_{k-1}) with its half drift, and
-    ``forcing`` the steps' control covectors f_j or None.  r (W, n) holds
-    the residuals r_j, formed from one ``dtau_inv_matrix`` call at +-h xi;
+    ``g`` is the configuration g_0 at the window's first node, ``head`` the
+    first step's m-(xi_{-1}) with its half drift, and ``forcing`` the steps'
+    control covectors f_j or None.  r (W, n) holds the residuals r_j,
+    formed from one ``dtau_inv_matrix`` call at +-h xi; with a potential r_j
+    gains h grad V(g_j), at g_j = g_0 tau(h xi_0) ... tau(h xi_{j-1}) of X,
+    from one batched ``tau``, a per-step product and one ``left_grad`` call.
     ``error`` (W,) is max |r_j| against _WINDOW_TOL (1 + max |m+(xi_j)|),
-    and d the half drifts (h/2) d(h xi_j) or None.  factor() returns
-    (operator, inverse) for the step B_j delta_j = C_j delta_{j-1} - r_j,
-    whose blocks B_j are ``dep_step``'s Jacobian at xi_j: d/dxi of
-    dtau_inv(+-h xi)^T I xi is D^T I +- h K, with K from one
+    and d the half drifts (h/2) d(h xi_j) or None.
+
+    factor() returns the operator of the Newton step B_j delta_j = C_j
+    delta_{j-1} - r_j, whose blocks are the derivatives of the momenta:
+    d/dxi of dtau_inv(+-h xi)^T I xi is D^T I +- h K, with K from one
     ``dtau_inv_deriv_along`` call at the points of the evaluation, less the
     drift's (h^2/2) d drift/dz.  It inverts the blocks B_j in one batched
-    call (``inverse``, (W, n, n)), and keeps A_j = B_j^-1 C_j in the scan's
-    maps (``solvers.scan_maps``); operator(res) maps the residuals of the
-    first V steps to b_j = -B_j^-1 r_j and scans them, so it solves the
-    update of any residual, or of any leading steps'.  It raises
-    LinAlgError on a singular block.
+    call, and keeps A_j = B_j^-1 C_j in the scan's maps
+    (``solvers.scan_maps``) of the recurrence delta_j = A_j delta_{j-1} +
+    b_j; operator(res) maps the residuals of the first V steps to b_j =
+    -B_j^-1 r_j and scans them, so it solves the update of any residual, or
+    of any leading steps'.  It raises LinAlgError on a singular block.
+
+    With a potential, moving the velocities moves g_j to g_j tau(s_j), s_0
+    = 0 and s_j = P_{j-1} delta_{j-1} + E_{j-1} s_{j-1} with E = Ad(tau(h
+    xi)^-1) and P = E h dtau(h xi) = h dtau(-h xi) (``_sensitivities``), and
+    the step becomes B_j delta_j = C_j delta_{j-1} - h H_j s_j - r_j, H the
+    potential's Hessians (``_potential_hessians``).  The state (delta_j,
+    s_j) then follows a recurrence 2n wide, with the maps [[A_j - G_j
+    P_{j-1}, -G_j E_{j-1}], [P_{j-1}, E_{j-1}]], G_j = h B_j^-1 H_j, and b_j
+    in its first n coordinates.
 
     ``constant`` says that every row of X is the same velocity, the window's
-    start: D comes from +-h xi at one point each, and the build forms one
-    (B, C) pair, a (1, n, n) stack, through the same batched calls, which
-    then broadcasts over the window, bitwise the blocks, maps and updates of
-    the 2W-1 points.  The drift values stay W wide.
+    start: D and tau come from +-h xi at one point each, and the build
+    forms one (B, C) pair, a (1, n, n) stack, through the same batched
+    calls, which then broadcasts over the window, bitwise the blocks, maps
+    and updates of the 2W-1 points.  The drift values, the path and the
+    potential's terms stay W wide.
     """
     group, inertia, n = system.group, system.inertia, system.n
     drift = system.drift_values if system.has_drift else None
@@ -444,6 +330,10 @@ def _window_system(system, h, X, head, forcing, constant):
         r[1:] -= d[:-1]
     if forcing is not None:
         r -= forcing
+    if system.potential is not None:
+        taus = group.tau(z[:minus])
+        path = reconstruct(group, g, h, None, np.broadcast_to(taus, (size - 1,) + taus.shape[1:]))
+        r += h * _node_grads(system, path)
     error = np.max(np.abs(r), axis=1) / (
         _WINDOW_TOL * (1.0 + np.max(np.abs(m[:plus]), axis=1)))
 
@@ -456,10 +346,26 @@ def _window_system(system, h, X, head, forcing, constant):
             B = B - Jd
             C = C + (Jd if constant else Jd[:-1])
         inverse = np.linalg.inv(B)
-        A = inverse @ C if constant else inverse[1:] @ C
-        maps = solvers.scan_maps(np.broadcast_to(A, (size - 1, n, n)))
-        return (lambda res: solvers.scan_apply(maps, -mv(inverse[:len(res)], res)),
-                np.broadcast_to(inverse, (size, n, n)))
+        later = inverse if constant else inverse[1:]
+        A = later @ C
+        if system.potential is None:
+            maps = solvers.scan_maps(np.broadcast_to(A, (size - 1, n, n)))
+            return lambda res: solvers.scan_apply(maps, -mv(inverse[:len(res)], res))
+        E = group.Ad_matrix(group.inverse(taus))
+        P = h * group.dtau_matrix(points[plus:])
+        G = (h * later) @ _potential_hessians(system, path[1:])
+        maps = np.empty((size - 1, 2 * n, 2 * n))
+        maps[:, :n, :n] = A - G @ P
+        maps[:, :n, n:] = -(G @ E)
+        maps[:, n:, :n] = P
+        maps[:, n:, n:] = E
+        maps = solvers.scan_maps(maps)
+
+        def solve(res):
+            b = -mv(inverse[:len(res)], res)
+            return solvers.scan_apply(maps, np.concatenate([b, np.zeros_like(b)], axis=1))[:, :n]
+
+        return solve
 
     return error, d, r, factor
 
@@ -479,49 +385,50 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     the velocities xi_k..xi_{k+W-1} of W steps at once, by Newton's method
     (``solvers.window_newton``) from the constant velocity xi_{k-1}, on
 
-        r_j = m+(xi_j) - m-(xi_{j-1}) - (h/2) (d(h xi_j) + d(h xi_{j-1})) - f_j,
+        r_j = m+(xi_j) - m-(xi_{j-1}) - (h/2) (d(h xi_j) + d(h xi_{j-1})) - f_j
+              + h grad V(g_j),
 
-    with m+-(xi) = dtau_inv(+-h xi)^T I xi and d the drift: ``dep_step``'s
-    equations, since coAd(tau(h xi), m+(xi)) = m-(xi).  The first step's
-    m-(xi_{k-1}) is the carried momentum transported, coAd(tau(h xi_{k-1}),
-    mu_{k-1}).  Only the terms the system has are formed.  An evaluation
-    forms every r_j from one ``dtau_inv_matrix`` call on the stacked
-    displacements +-h xi (``_window_system``).  The Jacobian is block lower
-    bidiagonal, so a Newton update is the affine recurrence delta_j = A_j
-    delta_{j-1} + b_j, which a prefix scan solves: the window's operator
-    (``_window_system``'s factor) inverts its blocks in one batched call,
-    takes their derivative part from one ``dtau_inv_deriv_along`` call, and
-    keeps the scan's maps, so it solves the update of any residual.  It is
-    built only when ``window_newton`` needs a new one, and reused while the
-    chord step is predicted to converge.  The window's first evaluation,
-    at its constant start, works from single points: D at +-h xi_{k-1},
-    and for its operator one pair of blocks, a (1, n, n) stack broadcast
-    over the window, bitwise the blocks, maps and updates of the 2W-1
-    points.  A step of the window is solved when max |r_j| is at most
-    _WINDOW_TOL (1 + max |m+(xi_j)|); the solved steps then take one more
-    update, by the window's last operator (built at the start when the
-    window converged there; the one built before a build that met a
-    singular block, none when the first build met one), as ``dep_step``
-    takes its last one, which lands them within rounding of the root.
-    Their tau(h xi_j) come from one batched call, and each g_{j+1} = g_j
-    tau(h xi_j) is written straight into the preallocated path, as
-    ``reconstruct`` writes it.
-    The momentum is carried as the step-by-step march carries it, mu_j =
-    coAd(tau(h xi_{j-1}), mu_{j-1}) + f_j + (h/2) (d_{j-1} + d_j), with the
-    drift values of the window's last evaluation.  The free body transports
-    it step by step, exactly; with controls or a drift it is the affine
+    with m+-(xi) = dtau_inv(+-h xi)^T I xi, d the drift and grad V the
+    potential's left gradient at g_j = g_k tau(h xi_k) ... tau(h xi_{j-1}):
+    the forced discrete momentum equation, since coAd(tau(h xi), m+(xi)) =
+    m-(xi).  The first step's m-(xi_{k-1}) is the carried momentum
+    transported, coAd(tau(h xi_{k-1}), mu_{k-1}).  Only the terms the system
+    has are formed.  An evaluation forms every r_j from one
+    ``dtau_inv_matrix`` call on the stacked displacements +-h xi
+    (``_window_system``).  The Jacobian is block lower triangular, so a
+    Newton update is an affine recurrence, which a prefix scan solves:
+    delta_j = A_j delta_{j-1} + b_j, n wide, and with a potential, whose
+    r_j reads every earlier velocity of the window through g_j, the
+    recurrence of (delta_j, s_j), 2n wide, s_j the move of g_j.  The
+    window's operator (``_window_system``'s factor) inverts its blocks in
+    one batched call, takes their derivative part from one
+    ``dtau_inv_deriv_along`` call, and keeps the scan's maps, so it solves
+    the update of any residual.  It is built only when ``window_newton``
+    needs a new one, and reused while the chord step is predicted to
+    converge.  The window's first evaluation, at its constant start, works
+    from single points: D at +-h xi_{k-1}, and for its operator one pair of
+    blocks, a (1, n, n) stack broadcast over the window, bitwise the
+    blocks, maps and updates of the 2W-1 points.  A step of the window is
+    solved when max |r_j| is at most _WINDOW_TOL (1 + max |m+(xi_j)|); the
+    solved steps then take one more update, by the window's last operator
+    (built at the start when the window converged there; the one built
+    before a build that met a singular block, none when the first build met
+    one), which lands them within rounding of the root.  Their tau(h xi_j)
+    come from one batched call, and each g_{j+1} = g_j tau(h xi_j) is
+    written straight into the preallocated path, as ``reconstruct`` writes
+    it.  The momentum is carried as mu_j = coAd(tau(h xi_{j-1}), mu_{j-1})
+    + f_j + (h/2) (d_{j-1} + d_j) - h grad V(g_j), with the drift values of
+    the window's last evaluation and the potential's gradients on the
+    committed path, from one call.  The free body transports it step by
+    step, exactly; with controls, a drift or a potential it is the affine
     recurrence mu_j = Ad(tau(h xi_{j-1}))^T mu_{j-1} + c_j, whose c_j are
-    formed in one pass, mu_{k-1}'s transport folded into c_0, and solved
-    by one scan over the window's transposed Ad blocks.
+    formed in one pass, mu_{k-1}'s transport folded into c_0, and solved by
+    one scan over the window's transposed Ad blocks.
 
     A window that does not converge is halved, and one whose residual is
-    not finite is solved step by step.  A step alone is ``dep_step``, from
-    the Newton predictor on the inverse step Jacobian of the last step
-    solved (after a window, its last operator's inverse block); its Newton
-    fallback raises StepSolveFailed with the step's index.  A
-    system with a potential runs ``dep_step`` at every step, as the march
-    did before windows, to the bit: its r_j depends on g_j, so on every
-    earlier velocity of the window.
+    not finite is solved step by step.  A step alone is a window of one
+    step; when it is not solved within ``solvers.WINDOW_MAX_ITER`` updates,
+    or its residual is not finite, StepSolveFailed names its index.
     """
     group = system.group
     n = system.n
@@ -552,21 +459,17 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     mus[0] = (inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
     taus[0] = group.tau(h * xi0)
     compose(g0, taus[0], out=gs[1])
-    # carried from the last step solved: dep_step's inverse Jacobian, or
-    # after a window the inverse block of its operator's last step, and
-    # after a window with a drift its (h/2) d(h xi); a step alone resets the
-    # drift
-    J_inv = half_drift = None
+    # with a drift, the (h/2) d(h xi) of the last step solved
+    half_drift = None
 
     def step(k):
-        nonlocal J_inv, half_drift
-        xi, mus[k], J_inv = dep_step(system, h, xis[k - 1], mus[k - 1], taus[k - 1],
-                                     None if forcing is None else forcing[k - 1],
-                                     gs[k], k, J_inv)
-        half_drift = None
-        xis[k] = xi
-        W = taus[k] = group.tau(h * xi)
-        compose(gs[k], W, out=gs[k + 1])
+        x, linearize, commit = window(k, 1)
+        x, _, solved, operator = solvers.window_newton(x, linearize)
+        if not solved:
+            raise StepSolveFailed(k, f"step {k}: " + (
+                "the residual is not finite" if solved is None
+                else f"not solved within {solvers.WINDOW_MAX_ITER} updates"))
+        commit(x, 1, operator)
 
     def window(k, size):
         nonlocal half_drift
@@ -577,72 +480,56 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             head = head + half_drift
         f = None if forcing is None else forcing[k - 1:k - 1 + size]
         start = np.repeat(xis[k - 1][None], size, axis=0)
-        point = inverse = None
+        point = None
 
         def linearize(X):
             nonlocal point
-            error, d, r, factor = _window_system(system, h, X, head, f, X is start)
+            error, d, r, factor = _window_system(system, h, X, gs[k], head, f, X is start)
             point = (d, r)
-
-            def build():
-                # the inverse blocks of the last operator built, which the
-                # commit updates by
-                nonlocal inverse
-                op, inverse = factor()
-                return op
-
-            return error, r, build
+            return error, r, factor
 
         def commit(X, count, operator):
-            nonlocal J_inv, half_drift
+            nonlocal half_drift
             d, r = point
-            # one more update, by the window's last operator, as dep_step
-            # takes its last one: from a solved point it lands within
-            # rounding of the root.  The drift values d stay those of the
-            # point before it: the update moves each xi_j by about the step
-            # tolerance, so d differs from the drift at the committed xi_j
-            # by that times the drift's slope, far below the momentum's
-            # rounding checks, and no drift call is spent on the committed
-            # point
-            J_inv = None
+            # one more update, by the window's last operator: from a solved
+            # point it lands within rounding of the root.  The drift values
+            # d stay those of the point before it: the update moves each
+            # xi_j by about the step tolerance, so d differs from the drift
+            # at the committed xi_j by that times the drift's slope, far
+            # below the momentum's rounding checks, and no drift call is
+            # spent on the committed point
             try:
-                op = operator()
-                X = X[:count] + op(r[:count])
-                J_inv = inverse[count - 1]
+                X = X[:count] + operator()(r[:count])
             except np.linalg.LinAlgError:
                 X = X[:count]
             xis[k:k + count] = X
             taus[k:k + count] = group.tau(h * X)
+            for j in range(k, k + count):
+                compose(gs[j], taus[j], out=gs[j + 1])
             Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
-            if f is None and d is None:
+            if f is None and d is None and system.potential is None:
                 # step by step, so that the free body's mu_j is exactly
                 # coAd(tau(h xi_{j-1}), mu_{j-1})
                 for j in range(k, k + count):
                     np.matmul(mus[j - 1], Ad[j - k], out=mus[j])
-            else:
-                # mu_j = Ad_j^T mu_{j-1} + c_j is an affine recurrence: c_j =
-                # f_j + (h/2) (d_{j-1} + d_j), with mu_{k-1}'s transport in
-                # c_0, and one scan over the transposed Ad_j of the later steps
-                c = np.zeros((count, n)) if f is None else f[:count].copy()
-                if d is not None:
-                    c += d[:count]
-                    c[0] += half_drift
-                    c[1:] += d[:count - 1]
-                    half_drift = d[count - 1]
-                c[0] += mus[k - 1] @ Ad[0]
-                mus[k:k + count] = solvers.scan_apply(solvers.scan_maps(mt(Ad[1:])), c)
-            for j in range(k, k + count):
-                compose(gs[j], taus[j], out=gs[j + 1])
+                return
+            # mu_j = Ad_j^T mu_{j-1} + c_j is an affine recurrence: c_j = f_j +
+            # (h/2) (d_{j-1} + d_j) - h grad V(g_j), with mu_{k-1}'s transport
+            # in c_0, and one scan over the transposed Ad_j of the later steps
+            c = np.zeros((count, n)) if f is None else f[:count].copy()
+            if d is not None:
+                c += d[:count]
+                c[0] += half_drift
+                c[1:] += d[:count - 1]
+                half_drift = d[count - 1]
+            if system.potential is not None:
+                c -= h * _node_grads(system, gs[k:k + count])
+            c[0] += mus[k - 1] @ Ad[0]
+            mus[k:k + count] = solvers.scan_apply(solvers.scan_maps(mt(Ad[1:])), c)
 
         return start, linearize, commit
 
-    if system.potential is None:
-        solvers.march_in_windows(1, steps, step, window)
-    else:
-        # r_j depends on g_j, so on every earlier velocity of a window:
-        # every step alone
-        for k in range(1, steps):
-            step(k)
+    solvers.march_in_windows(1, steps, step, window)
     return gs, xis, mus
 
 
@@ -1360,7 +1247,7 @@ def residual_system(problem):
             f = general_residual(problem, xis, nus_interior, lambdas, interval_pass)
         return Point(z, f, lambda: jacobian(xis, interval_pass), interval_pass)
 
-    return ResidualSystem(dim, at), eliminated
+    return ResidualSystem(at), eliminated
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):

@@ -370,7 +370,7 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
             r = res(q_next)
             err = max_abs(r)
         if not err <= step_tol:
-            system = plain_system(n, res, lambda _: J)
+            system = plain_system(res, lambda _: J)
             try:
                 q_next = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)[0].x
             except (NoConvergence, SingularJacobian) as exc:

@@ -40,18 +40,17 @@ class Point(NamedTuple):
 
 @dataclass
 class ResidualSystem:
-    """A square nonlinear system F(x) = 0 of dimension ``dim``: ``at(x)``
-    evaluates it at x and returns the ``Point``."""
+    """A square nonlinear system F(x) = 0: ``at(x)`` evaluates it at x and
+    returns the ``Point``."""
 
-    dim: int
     at: Callable[[np.ndarray], Point]
 
 
-def plain_system(dim, residual, jacobian):
+def plain_system(residual, jacobian):
     """The ResidualSystem of a residual and a Jacobian callable of x: a point
     keeps only x, and its ``jacobian()`` is jacobian(x)."""
-    return ResidualSystem(dim, lambda x: Point(x, np.asarray(residual(x), dtype=float),
-                                               lambda: jacobian(x)))
+    return ResidualSystem(lambda x: Point(x, np.asarray(residual(x), dtype=float),
+                                          lambda: jacobian(x)))
 
 
 @dataclass
@@ -495,9 +494,11 @@ def window_newton(x, linearize):
 def march_in_windows(first, stop, step, window):
     """Solve the steps first..stop-1 of a march, in order.
 
-    ``step(k)`` solves step k alone, the march's per-step solve.
-    ``window(k, size)`` sets up the steps k..k+size-1 as one system and
-    returns (x, linearize, commit): a start x (size, n), the ``linearize``
+    ``step(k)`` solves step k alone, the march's floor: ``lgoc`` solves a
+    window of one step there, by ``window_newton``, and ``mech`` runs its
+    own per-step iteration.  It raises StepSolveFailed for a step it cannot
+    solve.  ``window(k, size)`` sets up the steps k..k+size-1 as one system
+    and returns (x, linearize, commit): a start x (size, n), the ``linearize``
     of ``window_newton`` and commit(x, count, operator), which takes the
     first ``count`` steps of x as solved; ``operator`` is
     ``window_newton``'s, for a commit that makes one more update.

@@ -372,7 +372,7 @@ def residual_system(problem, aug=None):
             J[P:, :P] = J[:P, P:].T
         return J
 
-    return plain_system(dim, eval_, jacobian)
+    return plain_system(eval_, jacobian)
 
 
 def initial_guess(problem):

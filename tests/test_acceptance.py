@@ -124,7 +124,8 @@ def test_04_residual_dimensions():
                 x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,
             )
             system = tboc.residual_system(prob_rn)
-            ok &= system.dim == 2 * (N - 1) * n
+            z = tboc._pack(prob_rn, *tboc.initial_guess(prob_rn))
+            ok &= z.shape == system.at(z).f.shape == (2 * (N - 1) * n,)
 
             flat = ReducedSystem(group=lie.real_n(n), inertia=np.eye(n),
                                  control_basis=np.eye(n))
@@ -133,7 +134,8 @@ def test_04_residual_dimensions():
                 xiT=np.zeros(n), N=N, h=h, cost=L2Cost(),
             )
             sys_lie, eliminated = lgoc.residual_system(prob_lie)
-            ok &= eliminated and sys_lie.dim == N * n
+            z = lgoc._pack(*lgoc.initial_guess(prob_lie), eliminated)
+            ok &= eliminated and z.shape == sys_lie.at(z).f.shape == (N * n,)
     report("residual dimensions", ok,
            "2(N-1)n flat-space rows and Nn eliminated group rows for "
            "(n, N) in {1,2,3,6} x {4,16,32}")

@@ -85,38 +85,24 @@ def test_nu_momenta_flat_group_matches_legendre_pair():
 
 
 def test_dep_step_relative_equilibrium():
-    # rotation about a principal axis propagates with constant body velocity
+    # rotation about a principal axis propagates with constant body
+    # velocity: a march of two steps keeps it
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
     xi = np.array([0.7, 0.0, 0.0])
     h = 0.05
-    _, W, mu, _, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
-    xi1, mu1, _ = lgoc.dep_step(system, h, xi, mu[0], W[0])
-    assert np.max(np.abs(xi1 - xi)) < 1e-12
+    _, xis, _ = lgoc.integrate_reduced(system, np.eye(3), xi, h, 2)
+    assert np.max(np.abs(xis[1] - xi)) < 1e-12
 
 
 def test_dep_step_exact_momentum_transport():
+    # the free body's second momentum is the first one transported
     system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
     rng = np.random.default_rng(2)
     h = 0.05
     xi = rng.normal(size=3)
-    group = system.group
-    _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
-    xi1, mu1, _ = lgoc.dep_step(system, h, xi, mu[0], W[0])
-    assert np.max(np.abs(mu1 - transported[0])) < 1e-12
-
-
-def test_dep_step_transports_the_given_momentum():
-    # the free body carries mu_prev over as coAd(tau(h xi_prev), mu_prev):
-    # the step reads the momentum it is given, not one rebuilt from xi_prev
-    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
-    rng = np.random.default_rng(3)
-    h = 0.05
-    xi = rng.normal(size=3)
-    _, W, mu, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
-    bump = 1e-3 * rng.normal(size=3)
-    _, mu1, _ = lgoc.dep_step(system, h, xi, mu[0] + bump, W[0])
-    oracle = transported[0] + system.group.coAd(W[0], bump)
-    assert np.max(np.abs(mu1 - oracle)) < 1e-12
+    _, _, _, transported, _, _ = lgoc.interval_momenta(system, h, xi[None, :])
+    _, _, mus = lgoc.integrate_reduced(system, np.eye(3), xi, h, 2)
+    assert np.max(np.abs(mus[1] - transported[0])) < 1e-12
 
 
 def _march_cases():
@@ -146,9 +132,9 @@ def _march_cases():
 
 @pytest.mark.parametrize("case", list(_march_cases()))
 def test_integrate_reduced_solves_the_momentum_equation(case, monkeypatch):
-    # every step's simplified Newton iteration converges without the newton
-    # fallback, and the forced discrete momentum equation holds at every
-    # node: the node momenta of consecutive intervals agree
+    # every window converges with no newton call, and the forced discrete
+    # momentum equation holds at every node: the node momenta of
+    # consecutive intervals agree
     system, g0, xi0, h, controls = _march_cases()[case]
 
     def refused(*args, **kwargs):
@@ -181,11 +167,10 @@ def test_free_body_march_transports_the_momentum_exactly(case):
 @pytest.mark.parametrize("case", ["heavy top cay", "uuv exp"])
 def test_integrate_reduced_is_a_loop_of_dep_step(case):
     # the march hands each step the node's control covector (h/2) B
-    # (u^+_{k-1} + u^-_k), formed for all nodes in one product.  A system
-    # with a potential is a loop of dep_step, handed the tau(h xi_{k-1})
-    # that built g_k and the inverse Jacobian of step k-1, to the bit.  The
-    # vehicle is solved in windows: every step solves dep_step's equation,
-    # so dep_step from the march's own (xi_{k-1}, mu_{k-1}) lands on its
+    # (u^+_{k-1} + u^-_k), formed for all nodes in one product.  It solves
+    # its steps in windows, and every step solves the one-step equation of
+    # ``reference_dep_step``, the potential's gradient at g_k included: the
+    # oracle from the march's own (g_k, xi_{k-1}, mu_{k-1}) lands on its
     # (xi_k, mu_k)
     system, g0, xi0, h, controls = _march_cases()[case]
     steps = 60
@@ -193,34 +178,33 @@ def test_integrate_reduced_is_a_loop_of_dep_step(case):
     gs, xis, mus = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
     group, B = system.group, system.control_basis
     covectors = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ B.T
-    g, xi, J_inv = g0, xi0, None
-    mu = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
     for k in range(1, steps):
         node = (h / 2.0) * (B @ (controls[k - 1, 1] + controls[k, 0]))
         assert np.max(np.abs(covectors[k - 1] - node)) <= 1e-15 * np.max(np.abs(node))
-        if system.potential is None:
-            W = group.tau(h * xis[k - 1])
-            xi, mu, _ = lgoc.dep_step(system, h, xis[k - 1], mus[k - 1], W, covectors[k - 1],
-                                      gs[k], k)
-            assert np.max(np.abs(xis[k] - xi)) <= 1e-12 * np.max(np.abs(xi))
-            assert np.max(np.abs(mus[k] - mu)) <= 1e-12 * np.max(np.abs(mu))
-            continue
-        W = group.tau(h * xi)
-        g = group.multiply(g, W)
-        xi, mu, J_inv = lgoc.dep_step(system, h, xi, mu, W, covectors[k - 1], g, k, J_inv)
-        assert np.array_equal(gs[k], g)
-        assert np.array_equal(xis[k], xi) and np.array_equal(mus[k], mu)
+        W = group.tau(h * xis[k - 1])
+        xi, mu, _ = reference_dep_step(system, h, xis[k - 1], mus[k - 1], W, covectors[k - 1],
+                                       gs[k], k)
+        assert np.max(np.abs(xis[k] - xi)) <= 1e-12 * np.max(np.abs(xi))
+        assert np.max(np.abs(mus[k] - mu)) <= 1e-12 * np.max(np.abs(mu))
+
+
+# the reference step's convergence test and its budget of simplified Newton
+# updates
+REFERENCE_TOL = 1e-13
+REFERENCE_MAX_ITER = 200
 
 
 def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=None,
                        step_index=0, J_inv_prev=None):
-    """``lgoc.dep_step`` as it stood with numpy reductions in its stopping
-    tests (np.abs(.).max(), np.isfinite(.).all()) and h xi, I xi and the
-    drift's presence read again wherever used.  The march must match it
-    bitwise."""
+    """One step of the forced discrete momentum equation, the march's oracle;
+    returns (xi_k, mu_k, J_k^-1).  It solves dtau_inv(h xi_k)^T I xi_k =
+    coAd(tau_prev, mu_prev) + forcing + (h/2) (d(h xi_{k-1}) + d(h xi_k)) -
+    h grad V(g_k) by a simplified Newton iteration on the Jacobian at its
+    start, the Newton predictor on ``J_inv_prev`` when given, with
+    ``lgoc.newton`` as its fallback, and raises StepSolveFailed naming
+    ``step_index`` when that fails too."""
     group = system.group
     inertia = system.inertia
-    n = system.n
     xi_prev = np.asarray(xi_prev, dtype=float)
     mu_prev = np.asarray(mu_prev, dtype=float)
     z_prev = h * xi_prev
@@ -258,20 +242,20 @@ def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=
     except np.linalg.LinAlgError:
         J_inv = np.full_like(J, np.nan)
     xi, converged = start, False
-    for _ in range(lgoc._DEP_MAX_ITER):
+    for _ in range(REFERENCE_MAX_ITER):
         update = J_inv @ residual(xi, D)
         xi = xi - update
         size = np.abs(update).max()
         if not np.isfinite(size):
             break
-        if size < lgoc._DEP_TOL * (1.0 + np.abs(xi).max()):
+        if size < REFERENCE_TOL * (1.0 + np.abs(xi).max()):
             converged = True
             break
         D = group.dtau_inv_matrix(h * xi)
     if not converged:
         try:
             xi = lgoc.newton(solvers.plain_system(
-                n, lambda x: residual(x, group.dtau_inv_matrix(h * x)),
+                lambda x: residual(x, group.dtau_inv_matrix(h * x)),
                 lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)[0].x
         except (NoConvergence, SingularJacobian) as exc:
             raise StepSolveFailed(step_index, f"step {step_index}: {exc}") from exc
@@ -280,8 +264,9 @@ def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=
 
 
 def reference_integrate_reduced(system, g0, xi0, h, steps, controls=None):
-    """``lgoc.integrate_reduced`` as it stood, on ``reference_dep_step``:
-    the path through ``GroupSpec.multiply``, a list and np.stack."""
+    """The march step by step, on ``reference_dep_step`` from the Newton
+    predictor of the step before: the path through ``GroupSpec.multiply``,
+    a list and np.stack."""
     group = system.group
     forcing = [None] * (steps - 1)
     if controls is not None:
@@ -321,22 +306,16 @@ def _reference_cases():
 
 @pytest.mark.parametrize("case", list(_reference_cases()))
 def test_march_matches_its_reference_bitwise(case):
-    # a system with a potential is marched step by step: its stopping tests
-    # read max |.| from Python floats and the path is written in place, the
-    # same decisions and the same bytes as the numpy reductions, the list
-    # and np.stack.  Every other march solves windows of steps at once, and
-    # agrees with the step-by-step march to 1e-10 relative, the fast spins
-    # (h |xi| about 0.6) included
+    # every march solves windows of steps at once, a potential's included,
+    # and agrees with the step-by-step march to 1e-10 relative, the fast
+    # spins (h |xi| about 0.6) included
     system, g0, xi0, h, controls = _reference_cases()[case]
     steps = 500 if case.startswith("benchmark") else 200
     got = lgoc.integrate_reduced(system, g0, xi0, h, steps, controls=controls)
     expected = reference_integrate_reduced(system, g0, xi0, h, steps, controls=controls)
     for a, b in zip(got, expected):
         assert a.shape == b.shape
-        if system.potential is not None:
-            assert a.tobytes() == b.tobytes()
-        else:
-            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("case", ["uuv cay", "uuv exp", "damped cay"])
@@ -373,9 +352,10 @@ def test_march_path_is_reconstruct(case):
 
 def test_nan_update_goes_to_newton(monkeypatch):
     # the drag is undefined past |z_i| = 0.06, and constant torques spin the
-    # body up to it: the step that gets there has a NaN update, which ends
-    # its iteration at once, and newton fails on it, as with numpy's
-    # reductions
+    # body up to it: the step that gets there meets a residual that is not
+    # finite, and fails as the reference step fails, whose NaN update ends
+    # its iteration and whose newton fallback fails on it.  The march's
+    # floor is a window of one step, with no newton call
     fallbacks = []
     newton = lgoc.newton
 
@@ -395,8 +375,8 @@ def test_nan_update_goes_to_newton(monkeypatch):
         with pytest.raises(StepSolveFailed) as info:
             march(system, np.eye(3), np.array([0.1, 0.5, -0.2]), h, steps, controls=controls)
         results.append((info.value.step, str(info.value), len(fallbacks)))
-    assert results[0] == results[1]
-    step, message, entered = results[0]
+    assert results[0] == (8, "step 8: the residual is not finite", 0)
+    step, message, entered = results[1]
     assert step == 8 and message.startswith("step 8: ") and entered == 1
 
 
@@ -422,9 +402,27 @@ def test_march_rejects_an_initial_configuration_of_the_wrong_shape(case, g0):
         lgoc.integrate_reduced(system, g0, xi0, h, 10)
 
 
+def _steps_alone(monkeypatch, alone=None):
+    """Hand the per-step floor of ``solvers.march_in_windows`` the step
+    indices of the marches that follow: each is appended to ``alone``, and
+    without ``alone`` the step fails the test."""
+    march = solvers.march_in_windows
+
+    def marched(first, stop, step, window):
+        def floor(k):
+            if alone is None:
+                raise AssertionError(f"step {k} was solved alone")
+            alone.append(k)
+            return step(k)
+
+        return march(first, stop, floor, window)
+
+    monkeypatch.setattr(solvers, "march_in_windows", marched)
+
+
 def _window_updates(monkeypatch, march):
     """(size, updates, solved, builds) of each window of ``march()``, which
-    must hand no step to dep_step or to newton.  A window evaluates its
+    must solve no step alone and make no newton call.  A window evaluates its
     residual once per update and once at the point it ends on, each time
     through one dtau_inv_matrix call for all its steps, and builds its
     operator through one dtau_inv_deriv_along call right after the
@@ -445,7 +443,7 @@ def _window_updates(monkeypatch, march):
         monkeypatch.setattr(lie.GroupSpec, name, counted)
 
     def refused(*args, **kwargs):
-        raise AssertionError("a step was solved alone")
+        raise AssertionError("a step fell back to newton")
 
     window_newton = solvers.window_newton
 
@@ -463,7 +461,7 @@ def _window_updates(monkeypatch, march):
     for name in (matrix, along, "dtau_inv_deriv"):
         count(name)
     monkeypatch.setattr(lgoc, "newton", refused)
-    monkeypatch.setattr(lgoc, "dep_step", refused)
+    _steps_alone(monkeypatch)
     monkeypatch.setattr(solvers, "window_newton", window)
     march()
     return windows
@@ -500,52 +498,17 @@ def test_forced_vehicle_steps_take_few_updates(case, monkeypatch):
     assert all(solved == size and updates <= 5 for size, updates, solved, _ in windows)
 
 
-def _updates_per_step(monkeypatch, march):
-    """The simplified Newton updates of each dep_step of ``march()``.  A step
-    evaluates dtau_inv at every point it visits except the last, where its
-    update converged: at its start by one dtau_inv_deriv call, after every
-    other update by a dtau_inv_matrix call.  So with no step handed to
-    newton, which is refused here, a step's updates are its kernel calls."""
-    calls, per_step = [], []
-
-    def count(name):
-        original = getattr(lie.GroupSpec, name)
-
-        def counted(self, xi):
-            calls.append(name)
-            return original(self, xi)
-
-        monkeypatch.setattr(lie.GroupSpec, name, counted)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a step fell back to newton")
-
-    original = lgoc.dep_step
-
-    def step(*args):
-        calls.clear()
-        out = original(*args)
-        assert calls[0] == "dtau_inv_deriv" and calls.count("dtau_inv_deriv") == 1
-        per_step.append(len(calls))
-        return out
-
-    count("dtau_inv_matrix")
-    count("dtau_inv_deriv")
-    monkeypatch.setattr(lgoc, "newton", refused)
-    monkeypatch.setattr(lgoc, "dep_step", step)
-    march()
-    return per_step
-
-
 @pytest.mark.parametrize("case", ["heavy top cay", "heavy top exp"])
 def test_potential_steps_take_few_updates(case, monkeypatch):
-    # a system with a potential is marched by dep_step: step 1 starts from
-    # xi_0, every later step from the Newton predictor on the previous
-    # step's inverse Jacobian, which carries the step's new forcing
+    # a system with a potential is marched in windows too, with no step
+    # solved alone: its r_j reads g_j, so every earlier velocity of the
+    # window, and the operator's recurrence carries the move of g_j.  Its
+    # windows converge in at most 6 updates
     system, g0, xi0, h, controls = _march_cases()[case]
-    per_step = _updates_per_step(monkeypatch, lambda: lgoc.integrate_reduced(
+    windows = _window_updates(monkeypatch, lambda: lgoc.integrate_reduced(
         system, g0, xi0, h, 200, controls=controls))
-    assert len(per_step) == 199 and per_step[0] <= 5 and max(per_step[1:]) <= 3
+    assert [size for size, *_ in windows] == [128, 71]
+    assert all(solved == size and updates <= 6 for size, updates, solved, _ in windows)
 
 
 def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
@@ -564,32 +527,15 @@ def test_integrate_reduced_builds_tau_once_per_step(monkeypatch):
     assert calls == [1, 49]
 
 
-def test_newton_fallback_finds_the_same_step(monkeypatch):
-    # with no budget for a window's Newton iteration or for the simplified
-    # Newton iteration every step goes to dep_step and from there to
-    # newton, from the same predicted start, on the closed-form Jacobian
-    # (no residual is differenced), and lands on the same root
+def test_unsolved_step_names_the_step(monkeypatch):
+    # with no budget for a window's Newton iteration no window solves a
+    # step, and the march's floor, a window of one step, fails at step 1
     system, g0, xi0, h, controls = _march_cases()["uuv exp"]
-    expected = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-
-    def refused(*args, **kwargs):
-        raise AssertionError("the fallback differenced the step residual")
-
-    fallbacks = []
-    newton = lgoc.newton
-
-    def counted(*args, **kwargs):
-        fallbacks.append(1)
-        return newton(*args, **kwargs)
-
     monkeypatch.setattr(solvers, "WINDOW_MAX_ITER", 0)
-    monkeypatch.setattr(lgoc, "_DEP_MAX_ITER", 0)
-    monkeypatch.setattr(lgoc, "newton", counted)
-    monkeypatch.setattr(solvers, "fd_jacobian", refused)
-    got = lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
-    assert len(fallbacks) == 39
-    for a, b in zip(got, expected):
-        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+    with pytest.raises(StepSolveFailed) as info:
+        lgoc.integrate_reduced(system, g0, xi0, h, 40, controls=controls[:40])
+    assert info.value.step == 1
+    assert str(info.value) == "step 1: not solved within 0 updates"
 
 
 def test_singular_step_factor_keeps_the_march(monkeypatch):
@@ -628,8 +574,8 @@ def test_singular_step_factor_keeps_the_march(monkeypatch):
 def test_exp_fast_spin_shrinks_its_window(monkeypatch):
     # h |xi| about 0.6 under exp: from a constant velocity the windows of
     # 128 and 64 steps meet singular blocks and solve nothing, and the
-    # march halves its windows until they converge, with no step left to
-    # dep_step or newton and no RuntimeWarning; it still agrees with the
+    # march halves its windows until they converge, with no step solved
+    # alone, no newton call and no RuntimeWarning; it still agrees with the
     # step-by-step march to 1e-10
     system, g0, xi0, h, _ = _march_cases()["fast spin exp"]
     windows = []
@@ -641,10 +587,10 @@ def test_exp_fast_spin_shrinks_its_window(monkeypatch):
         return out
 
     def refused(*args, **kwargs):
-        raise AssertionError("a step was solved alone")
+        raise AssertionError("a step fell back to newton")
 
     monkeypatch.setattr(solvers, "window_newton", window)
-    monkeypatch.setattr(lgoc, "dep_step", refused)
+    _steps_alone(monkeypatch)
     monkeypatch.setattr(lgoc, "newton", refused)
     got = lgoc.integrate_reduced(system, g0, xi0, h, 200)
     assert windows[:2] == [(128, 0), (64, 0)]
@@ -670,7 +616,7 @@ def test_singular_tail_leaves_the_solved_prefix_its_extra_update(monkeypatch):
 
         def logged_factor():
             try:
-                op, inverse = factor()
+                op = factor()
             except np.linalg.LinAlgError:
                 events.append("singular")
                 raise
@@ -680,7 +626,7 @@ def test_singular_tail_leaves_the_solved_prefix_its_extra_update(monkeypatch):
                 events.append(("update", len(residual)))
                 return op(residual)
 
-            return logged, inverse
+            return logged
 
         return (*out, logged_factor)
 
@@ -710,30 +656,27 @@ def test_singular_tail_leaves_the_solved_prefix_its_extra_update(monkeypatch):
 
 def test_drift_march_returns_to_windows_after_single_steps(monkeypatch):
     # a dragged exp spin at h |xi| about 1.1: the first window's residual
-    # overflows, so its 128 steps are solved alone by dep_step, and the
-    # windows after them converge again.  They start from the drift at the
+    # overflows, so its 128 steps are solved alone, each as a window of one
+    # step, and the windows after them converge again.  They start from the drift at the
     # last velocity solved, not at one a window evaluated before the single
     # steps, and agree with the step-by-step march to 1e-10
     body = _march_cases()["fast spin exp"][0]
     system = dataclasses.replace(body, drift=lambda z: -z)
     xi0, h, steps = np.array([4.0, 20.0, -10.0]), 0.05, 300
     windows, alone = [], []
-    window_newton, dep_step = solvers.window_newton, lgoc.dep_step
+    window_newton = solvers.window_newton
 
     def window(x, linearize):
         out = window_newton(x, linearize)
         windows.append((len(x), out[2]))
         return out
 
-    def step(*args):
-        alone.append(args[7])
-        return dep_step(*args)
-
     monkeypatch.setattr(solvers, "window_newton", window)
-    monkeypatch.setattr(lgoc, "dep_step", step)
+    _steps_alone(monkeypatch, alone)
     got = lgoc.integrate_reduced(system, np.eye(3), xi0, h, steps)
     assert windows[0] == (128, None) and alone[:128] == list(range(1, 129))
-    assert any(solved == size > 1 for size, solved in windows[1:])
+    assert windows[1:129] == [(1, 1)] * 128
+    assert any(solved == size > 1 for size, solved in windows[129:])
     monkeypatch.undo()
     expected = reference_integrate_reduced(system, np.eye(3), xi0, h, steps)
     for a, b in zip(got, expected):
@@ -775,10 +718,10 @@ def test_window_start_linearizes_one_point_bitwise(case, monkeypatch):
     # a window starts at the constant velocity xi_{k-1}: its residuals come
     # from +-h xi_{k-1} alone, and its operator from one (1, n, n) stack of
     # blocks through the same batched calls, bitwise what the 2W-1 points
-    # of the general path give: the scan's maps (A_0 is never read), the
-    # inverse blocks, and the update of any residual, of the whole window
-    # and of a solved prefix of 37 steps, as a commit makes it
-    system, _, xi0, h, controls = _march_cases()[case]
+    # of the general path give: the scan's maps (A_0 is never read) and the
+    # update of any residual, of the whole window and of a solved prefix of
+    # 37 steps, as a commit makes it
+    system, g0, xi0, h, controls = _march_cases()[case]
     group, size = system.group, 128
     X = np.repeat(xi0[None], size, axis=0)
     mu = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
@@ -796,24 +739,53 @@ def test_window_start_linearizes_one_point_bitwise(case, monkeypatch):
         return maps[-1]
 
     monkeypatch.setattr(solvers, "scan_maps", recorded)
-    one = lgoc._window_system(system, h, X, head, forcing, True)
-    every = lgoc._window_system(system, h, X, head, forcing, False)
+    one = lgoc._window_system(system, h, X, g0, head, forcing, True)
+    every = lgoc._window_system(system, h, X, g0, head, forcing, False)
     assert one[0].tobytes() == every[0].tobytes()
     assert (one[1] is None and every[1] is None) or one[1].tobytes() == every[1].tobytes()
     assert one[2].tobytes() == every[2].tobytes()
-    (op, inverse), (op_all, inverse_all) = one[3](), every[3]()
+    op, op_all = one[3](), every[3]()
     assert len(maps) == 2
     assert [T.shape for T in maps[0]] == [T.shape for T in maps[1]]
     for T, T_all in zip(*maps):
         assert T.tobytes() == T_all.tobytes()
-    assert inverse.shape == inverse_all.shape == (size, system.n, system.n)
-    assert np.ascontiguousarray(inverse).tobytes() == np.ascontiguousarray(inverse_all).tobytes()
     residuals = [one[2], np.random.default_rng(3).normal(size=one[2].shape)]
     for count in (size, 37):
         for r in residuals:
             update = op(r[:count])
             assert update.shape == (count, system.n)
             assert update.tobytes() == op_all(r[:count]).tobytes()
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["start", "moved"])
+@pytest.mark.parametrize("case", ["heavy top cay", "heavy top exp"])
+def test_potential_window_update_is_the_dense_newton_step(case, moved):
+    # with a potential r_j reads g_j, so every earlier velocity of the
+    # window: the operator's update, from its recurrence of (delta_j, s_j),
+    # is the Newton step of the stacked window residual on its dense
+    # central-difference Jacobian, at the window's constant start and at a
+    # point away from it, and a prefix of the residuals gives the prefix of
+    # the update, bitwise
+    system, _, xi0, h, controls = _march_cases()[case]
+    group, size = system.group, 12
+    g = group.tau(np.array([0.3, -0.2, 0.5]))
+    mu = (system.inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
+    head = group.coAd(group.tau(h * xi0), mu)
+    forcing = ((h / 2.0) * (controls[:size, 1] + controls[1:size + 1, 0])) @ system.control_basis.T
+    X = np.repeat(xi0[None], size, axis=0)
+    if moved:
+        X = X + 0.1 * np.random.default_rng(8).normal(size=X.shape)
+
+    def stacked(x):
+        return lgoc._window_system(system, h, x.reshape(X.shape), g, head, forcing, False)[2]
+
+    _, _, r, factor = lgoc._window_system(system, h, X, g, head, forcing, not moved)
+    assert np.array_equal(r, stacked(X.ravel()))
+    dense = np.linalg.solve(solvers.fd_jacobian(stacked, X.ravel()), -r.ravel())
+    op = factor()
+    update = op(r)
+    assert np.max(np.abs(update.ravel() - dense)) <= 1e-8 * np.max(np.abs(dense))
+    assert op(r[:5]).tobytes() == update[:5].tobytes()
 
 
 @pytest.mark.parametrize("retraction", [lie.CAYLEY, lie.EXPONENTIAL])
@@ -907,8 +879,9 @@ def test_uuv_march_with_a_matrix_drift_equals_the_callable_drift():
 
 def test_step_failure_names_the_step(monkeypatch):
     # on R^1 with unit mass and unit force the velocity grows by h per step,
-    # xi_k = 0.55 + 0.1 k; the drift is undefined from xi = 1 on, so step 5
-    # fails in the simplified Newton iteration and in its newton fallback
+    # xi_k = 0.55 + 0.1 k; the drift is undefined from xi = 1 on, so the
+    # window of one step that solves step 5 meets a residual that is not
+    # finite, and no newton call is made
     h = 0.1
     system = ReducedSystem(group=lie.real_n(1), inertia=np.eye(1), control_basis=np.eye(1),
                            drift=lambda z: np.where(np.abs(z) < h, 0.0, np.nan))
@@ -924,9 +897,9 @@ def test_step_failure_names_the_step(monkeypatch):
         lgoc.integrate_reduced(system, np.zeros(1), np.array([0.55]), h, 12,
                                controls=np.ones((12, 2, 1)))
     assert info.value.step == 5
-    # as in mech: "step k: " and the newton failure
-    assert str(info.value) == "step 5: singular Jacobian at iteration 0"
-    assert len(fallbacks) == 1
+    # as in mech: "step k: " and the reason
+    assert str(info.value) == "step 5: the residual is not finite"
+    assert not fallbacks
 
 
 def test_integrate_reduced_second_order_vs_rk4():
@@ -1005,9 +978,11 @@ def test_residual_dimensions(N):
     full = rigid_body_problem(N=N)
     under = rigid_body_problem(actuated=(0, 1), N=N)
     sys_full, elim = lgoc.residual_system(full)
-    assert elim and sys_full.dim == N * 3
+    z = lgoc._pack(*lgoc.initial_guess(full), elim)
+    assert elim and z.shape == sys_full.at(z).f.shape == (N * 3,)
     sys_under, elim_u = lgoc.residual_system(under)
-    assert not elim_u and sys_under.dim == (2 * N - 1) * 3 + 2 * N * 1
+    z = lgoc._pack(*lgoc.initial_guess(under), elim_u)
+    assert not elim_u and z.shape == sys_under.at(z).f.shape == ((2 * N - 1) * 3 + 2 * N * 1,)
 
 
 def jacobian_regimes():
@@ -1843,7 +1818,8 @@ def test_fully_actuated_solves_eliminate_the_momenta(regime):
     prob = jacobian_regimes()[regime]
     N, n = prob.N, prob.system.n
     system, eliminate = lgoc.residual_system(prob)
-    assert eliminate and system.dim == N * n
+    z = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+    assert eliminate and z.shape == system.at(z).f.shape == (N * n,)
     sol = lgoc.solve(prob, tol=1e-9)
     assert sol.report.converged
     assert np.max(np.abs(lgoc.general_residual(prob, sol.xis, sol.nus[1:-1]))) <= 1e-9
@@ -1854,7 +1830,7 @@ def test_fully_actuated_solves_eliminate_the_momenta(regime):
 
     z0 = lgoc._pack(*lgoc.initial_guess(prob), False)
     point, report = solvers.newton(solvers.plain_system(
-        z0.size, explicit, lambda x: solvers.fd_jacobian(explicit, x)), z0, tol=1e-9)
+        explicit, lambda x: solvers.fd_jacobian(explicit, x)), z0, tol=1e-9)
     assert report.converged
     z = point.x
     cost = lgoc.action_sum(prob, z[: N * n].reshape(N, n),

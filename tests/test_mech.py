@@ -556,7 +556,7 @@ def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
             r = res(q_next)
             err = np.abs(r).max()
         if not err <= step_tol:
-            system = solvers.plain_system(n, res, lambda _: J)
+            system = solvers.plain_system(res, lambda _: J)
             try:
                 q_next = mech.newton(system, guess, tol=step_tol,
                                      max_iter=mech._STEP_MAX_ITER)[0].x

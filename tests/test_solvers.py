@@ -17,13 +17,13 @@ from discvar.solvers import (
 )
 
 
-def fd_system(dim, fun):
+def fd_system(fun):
     """A system whose Jacobian is the central difference of its residual."""
-    return plain_system(dim, fun, lambda x: fd_jacobian(fun, x))
+    return plain_system(fun, lambda x: fd_jacobian(fun, x))
 
 
 def test_fd_jacobian_identity():
-    sys_ = fd_system(3, lambda x: x.copy())
+    sys_ = fd_system(lambda x: x.copy())
     x = np.array([0.3, -1.0, 2.0])
     assert np.max(np.abs(sys_.at(x).jacobian() - np.eye(3))) < 1e-7
 
@@ -31,7 +31,7 @@ def test_fd_jacobian_identity():
 def test_fd_jacobian_linear_map():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(4, 4))
-    sys_ = fd_system(4, lambda x: A @ x)
+    sys_ = fd_system(lambda x: A @ x)
     x = rng.normal(size=4)
     assert np.max(np.abs(sys_.at(x).jacobian() - A)) < 1e-6
 
@@ -128,7 +128,7 @@ def test_nested_central_difference_matches_the_nested_fd_jacobian():
 
 
 def test_newton_linear_one_step():
-    sys_ = fd_system(1, lambda x: x - 1.0)
+    sys_ = fd_system(lambda x: x - 1.0)
     point, report = newton(sys_, np.array([0.0]))
     # the finite-difference Jacobian limits the one-step accuracy
     assert abs(point.x[0] - 1.0) < 1e-9
@@ -137,14 +137,14 @@ def test_newton_linear_one_step():
 
 
 def test_newton_square_root():
-    sys_ = fd_system(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(lambda x: x * x - 4.0)
     point, report = newton(sys_, np.array([3.0]), tol=1e-12)
     assert abs(point.x[0] - 2.0) < 1e-10
     assert report.iterations <= 8
 
 
 def test_newton_quadratic_convergence_rate():
-    sys_ = plain_system(1, lambda x: x * x - 4.0, lambda x: np.array([[2.0 * x[0]]]))
+    sys_ = plain_system(lambda x: x * x - 4.0, lambda x: np.array([[2.0 * x[0]]]))
     errs = []
     x = np.array([3.0])
     for _ in range(4):
@@ -158,7 +158,7 @@ def test_newton_quadratic_convergence_rate():
 
 
 def test_newton_double_root_is_flagged():
-    sys_ = fd_system(1, lambda x: x * x)
+    sys_ = fd_system(lambda x: x * x)
     try:
         _, report = newton(sys_, np.array([1.0]), tol=1e-14, max_iter=25)
         converged_slowly = report.iterations > 10
@@ -170,7 +170,7 @@ def test_newton_double_root_is_flagged():
 
 def test_newton_singular_jacobian():
     sys_ = plain_system(
-        2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+        lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
         lambda x: np.ones((2, 2)),
     )
     with pytest.raises(SingularJacobian):
@@ -179,7 +179,7 @@ def test_newton_singular_jacobian():
 
 def test_singular_jacobian_carries_best_iterate():
     sys_ = plain_system(
-        2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+        lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
         lambda x: np.ones((2, 2)),
     )
     with pytest.raises(SingularJacobian) as info:
@@ -193,14 +193,14 @@ def test_singular_jacobian_carries_best_iterate():
 
 def test_newton_backtracks_on_overshoot():
     # steep arctan makes the raw Newton step overshoot from far away
-    sys_ = fd_system(1, lambda x: np.arctan(5.0 * x))
+    sys_ = fd_system(lambda x: np.arctan(5.0 * x))
     point, report = newton(sys_, np.array([2.0]), tol=1e-12)
     assert abs(point.x[0]) < 1e-12
     assert report.converged
 
 
 def test_no_convergence_carries_best_iterate():
-    sys_ = fd_system(1, lambda x: x * x + 1.0)  # no real root
+    sys_ = fd_system(lambda x: x * x + 1.0)  # no real root
     with pytest.raises(NoConvergence) as info:
         newton(sys_, np.array([2.0]), max_iter=10)
     exc = info.value
@@ -211,19 +211,19 @@ def test_no_convergence_carries_best_iterate():
 
 
 def test_lm_agrees_with_newton():
-    sys_ = fd_system(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(lambda x: x * x - 4.0)
     point, _ = levenberg_marquardt(sys_, np.array([3.0]), tol=1e-12)
     assert abs(point.x[0] - 2.0) < 1e-10
 
 
 def test_lm_converges_to_nearest_root():
-    sys_ = fd_system(1, lambda x: x * x - 4.0)
+    sys_ = fd_system(lambda x: x * x - 4.0)
     point, _ = levenberg_marquardt(sys_, np.array([-3.0]), tol=1e-12)
     assert abs(point.x[0] + 2.0) < 1e-10
 
 
 def test_lm_rank_deficient_residual():
-    sys_ = fd_system(2, lambda x: np.array([x[0] - 1.0, 0.0]))
+    sys_ = fd_system(lambda x: np.array([x[0] - 1.0, 0.0]))
     point, report = levenberg_marquardt(sys_, np.array([5.0, 3.0]), tol=1e-10)
     assert abs(point.x[0] - 1.0) < 1e-10
     assert report.converged
@@ -237,7 +237,7 @@ def test_lm_merit_never_increases():
             [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]
         )
 
-    sys_ = fd_system(2, f)
+    sys_ = fd_system(f)
     x0 = rng.normal(size=2) * 2.0
     _, report = levenberg_marquardt(sys_, x0, tol=1e-10)
     merits = [0.5 * r ** 2 for r in report.residual_history]
@@ -246,7 +246,7 @@ def test_lm_merit_never_increases():
 
 
 def test_report_as_dict():
-    sys_ = fd_system(1, lambda x: x - 1.0)
+    sys_ = fd_system(lambda x: x - 1.0)
     _, report = newton(sys_, np.array([0.5]))
     payload = report.as_dict()
     assert payload["converged"] is True
@@ -368,7 +368,7 @@ def frozen_lm(system, x0, tol=1e-9, max_iter=200, lam0=1e-3, lam_max=1e14):
     raise NoConvergence(best_norm, max_iter, best_x, report)
 
 
-def _recorded(dim, fun, jacobian=None):
+def _recorded(fun, jacobian=None):
     """A system that logs its calls, in order.  ``log.points`` holds every
     point its residual is evaluated at, a central-difference Jacobian's
     included; ``log.calls`` holds the root-finder's own calls, ("eval", x,
@@ -399,8 +399,8 @@ def _recorded(dim, fun, jacobian=None):
         log.calls.append(("jac", np.array(x, dtype=float), np.array(J, dtype=float)))
         return J
 
-    system = plain_system(dim, eval_, jacobian_)
-    return SimpleNamespace(dim=dim, at=system.at, eval=eval_, jac=jacobian_), log
+    system = plain_system(eval_, jacobian_)
+    return SimpleNamespace(at=system.at, eval=eval_, jac=jacobian_), log
 
 
 def _run(solver, make_system, x0, **kw):
@@ -479,26 +479,26 @@ def _assert_on_the_frozen_grid(new, frozen, max_backtrack):
 
 
 def _rosenbrock():
-    return _recorded(2, lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]))
+    return _recorded(lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]))
 
 
 def _no_real_root():
-    return _recorded(1, lambda x: x * x + 1.0)
+    return _recorded(lambda x: x * x + 1.0)
 
 
 def _singular():
-    return _recorded(2, lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
+    return _recorded(lambda x: np.array([x[0] + x[1], x[0] + x[1]]),
                      jacobian=lambda x: np.ones((2, 2)))
 
 
 def _flat():
     # zero Jacobian: LM rejects every damping, Newton finds it singular
-    return _recorded(2, lambda x: np.array([1.0 + x[0] ** 2, 2.0]),
+    return _recorded(lambda x: np.array([1.0 + x[0] ** 2, 2.0]),
                      jacobian=lambda x: np.zeros((2, 2)))
 
 
 def _steep():
-    return _recorded(1, lambda x: np.arctan(5.0 * x))
+    return _recorded(lambda x: np.arctan(5.0 * x))
 
 
 NEWTON_CASES = {
@@ -595,7 +595,7 @@ def test_newton_matches_the_frozen_loop_on_random_cubics(seed):
     # passes, 4 to 6 fail, 7 on pass) and the model names j = 5: the search
     # halves from j = 1 and takes j = 3, as the frozen loop does
     fun, jacobian, x0 = _cubic(seed)
-    make_system = lambda: _recorded(len(x0), fun, jacobian)
+    make_system = lambda: _recorded(fun, jacobian)
     new = _run(newton, make_system, x0, tol=1e-10)
     frozen = _run(frozen_newton, make_system, x0, tol=1e-10)
     _assert_same_outcome(new, frozen)
@@ -613,7 +613,7 @@ def _clipped(big):
     def fun(x):
         return np.where(np.abs(x) < 10.0, x, big)
 
-    return lambda: _recorded(1, fun, jacobian=lambda x: np.array([[0.1]]))
+    return lambda: _recorded(fun, jacobian=lambda x: np.array([[0.1]]))
 
 
 def test_newton_halves_from_the_first_grid_point_after_a_non_finite_full_step():
@@ -679,7 +679,7 @@ def test_linalg_error_in_the_residual_propagates():
 
     for solver in (newton, levenberg_marquardt):
         calls.clear()
-        system = plain_system(1, fun, lambda x: np.eye(1))
+        system = plain_system(fun, lambda x: np.eye(1))
         with pytest.raises(np.linalg.LinAlgError, match="inside the residual"):
             solver(system, np.array([0.0]))
 
@@ -689,7 +689,7 @@ def test_linalg_error_in_the_jacobian_propagates():
         raise np.linalg.LinAlgError("inside the Jacobian")
 
     for solver in (newton, levenberg_marquardt):
-        system = plain_system(1, lambda x: x - 1.0, jacobian)
+        system = plain_system(lambda x: x - 1.0, jacobian)
         with pytest.raises(np.linalg.LinAlgError, match="inside the Jacobian"):
             solver(system, np.array([0.0]))
 

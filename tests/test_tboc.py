@@ -167,8 +167,9 @@ def test_rank_deficient_tall_control_matrix_rejected():
 def test_fully_actuated_residual_count(n, N):
     prob = make_problem(n=n, N=N)
     system = tboc.residual_system(prob)
-    assert system.dim == 2 * (N - 1) * n
     qs, ps, _ = tboc.initial_guess(prob)
+    z = tboc._pack(prob, qs, ps, None)
+    assert z.shape == system.at(z).f.shape == (2 * (N - 1) * n,)
     r = tboc.optimality_residual(prob, qs, ps)
     assert r.shape == (2 * (N - 1) * n,)
 
@@ -178,7 +179,8 @@ def test_underactuated_adds_complement_rows(n, m):
     N = 8
     prob = make_problem(n=n, N=N, m=m)
     system = tboc.residual_system(prob)
-    assert system.dim == 2 * (N - 1) * n + 2 * N * (n - m)
+    z = tboc._pack(prob, *tboc.initial_guess(prob))
+    assert z.shape == system.at(z).f.shape == (2 * (N - 1) * n + 2 * N * (n - m),)
 
 
 def test_underactuated_requires_multipliers():
@@ -364,13 +366,13 @@ def test_exact_jacobian_matches_dense_fd(regime):
     prob = _structured_problem(regime)
     system = tboc.residual_system(prob)
     stationarity = slice(0, 2 * (prob.N - 1) * prob.n)
-    complement = slice(stationarity.stop, system.dim)
+    guess = tboc._pack(prob, *tboc.initial_guess(prob))
+    complement = slice(stationarity.stop, guess.size)
     rng = np.random.default_rng(8)
-    points = [rng.normal(size=system.dim) for _ in range(3)]
+    points = [rng.normal(size=guess.size) for _ in range(3)]
     # random states push every smoothed-L1 control onto its soft bounds;
     # near the initial guess the controls also take its curved part
-    guess = tboc._pack(prob, *tboc.initial_guess(prob))
-    points.append(guess + 0.01 * rng.normal(size=system.dim))
+    points.append(guess + 0.01 * rng.normal(size=guess.size))
     for z in points:
         J = system.at(z).jacobian()
         dense = solvers.fd_jacobian(lambda x: system.at(x).f, z)
@@ -384,9 +386,10 @@ def test_exact_jacobian_is_symmetric(regime):
     # with no user callable J is the Hessian of the augmented action sum
     prob = _structured_problem(regime)
     system = tboc.residual_system(prob)
+    size = tboc._pack(prob, *tboc.initial_guess(prob)).size
     rng = np.random.default_rng(11)
     for _ in range(3):
-        J = system.at(rng.normal(size=system.dim)).jacobian()
+        J = system.at(rng.normal(size=size)).jacobian()
         assert np.max(np.abs(J - J.T)) <= 1e-12 * np.max(np.abs(J))
 
 
@@ -408,8 +411,7 @@ def test_exact_and_dense_jacobian_solves_agree(regime, monkeypatch):
         def residual(z):
             return system.at(z).f
 
-        return solvers.plain_system(system.dim, residual,
-                                    lambda z: solvers.fd_jacobian(residual, z))
+        return solvers.plain_system(residual, lambda z: solvers.fd_jacobian(residual, z))
 
     monkeypatch.setattr(tboc, "residual_system", plain)
     dense = tboc.solve(prob, tol=1e-9)

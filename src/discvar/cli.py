@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import lgoc, lie, mech, systems, tboc
-from .errors import ConfigError, DiscvarError, NoConvergence, SingularJacobian
+from .errors import ConfigError, DiscvarError, NoConvergence, NotInvertible, SingularJacobian
 
 log = logging.getLogger("discvar")
 
@@ -152,11 +152,13 @@ def build_setup(cfg):
 
     if stype == "point_mass":
         n = _number(sys_cfg.get("n", 1), "n", int)
-        lagrangian, forces = systems.make_point_mass(
-            n, mass=_number(sys_cfg.get("mass", 1.0), "mass", _floats), h=h,
-            force_convention=sys_cfg.get("force_convention", "trapezoidal"),
-        )
+        if n < 1:
+            raise ConfigError(f"n must be at least 1, got {n}")
         try:
+            lagrangian, forces = systems.make_point_mass(
+                n, mass=_number(sys_cfg.get("mass", 1.0), "mass", _floats), h=h,
+                force_convention=sys_cfg.get("force_convention", "trapezoidal"),
+            )
             problem = tboc.OcProblemRn(
                 lagrangian=lagrangian, forces=forces,
                 cost=_build_cost(cost_cfg, forces.control_dim),
@@ -166,6 +168,8 @@ def build_setup(cfg):
             )
         except KeyError as exc:
             raise ConfigError(f"boundary section is missing {exc}") from exc
+        except NotInvertible:
+            raise ConfigError(f"mass must be positive definite, got {sys_cfg['mass']!r}") from None
         return "rn", problem
 
     if stype == "rigid_body_so3":

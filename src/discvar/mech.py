@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
+from .errors import (DimensionMismatch, NoConvergence, NotInvertible, SingularJacobian,
+                     StepSolveFailed)
 from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, central_difference,
                       march_in_windows, max_abs, newton, plain_system, scan_apply, scan_maps)
 
@@ -81,7 +82,10 @@ class RnLagrangian:
             raise DimensionMismatch("mass matrix must be symmetric")
         if self.h <= 0:
             raise DimensionMismatch("time step must be positive")
-        # fails loudly right away if M is singular
+        try:
+            np.linalg.cholesky(self.mass)
+        except np.linalg.LinAlgError:
+            raise NotInvertible("mass matrix must be positive definite") from None
         self.mass_inv = np.linalg.inv(self.mass)
 
     @property

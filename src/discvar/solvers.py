@@ -8,8 +8,8 @@ A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
 ``Point`` x with its residual F(x) and ``jacobian()``, which builds F'(x)
 from what that evaluation kept.  A root-finder linearizes the point it
 accepted and returns it, so a formulation whose residual and Jacobian share
-work (``lgoc``'s interval pass) does that work once per point, and reads
-its solution from the returned point.
+work (the interval passes of ``lgoc`` and ``tboc``) does that work once per
+point, and reads its solution from the returned point.
 
 Every system supplies its Jacobian, so the differences only reach what a
 user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the

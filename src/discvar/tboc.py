@@ -18,6 +18,9 @@ orthogonal-complement conditions Phi^{+-} = 0 stating that the momentum
 defect lies in the range of the control matrix, with one multiplier pair
 per interval adjoined to the interval cost.
 
+Each point is evaluated once: one batched pass over its intervals
+(``_interval_pass``) feeds the residual, the Jacobian and the solution.
+
 The residual is the gradient of this augmented action sum, so its Jacobian
 is the sum's Hessian, assembled exactly from per-interval blocks
 (``residual_system``).  Only the user callables' own derivatives are
@@ -27,6 +30,7 @@ drift curvature v . d^2 a.  A linear problem converges in one Newton step.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +39,7 @@ import numpy as np
 from . import solvers
 from .errors import DimensionMismatch, NotInvertible, RankDeficient
 from .lie import mt
-from .solvers import levenberg_marquardt, newton, plain_system
+from .solvers import Point, ResidualSystem, levenberg_marquardt, newton
 from .systems import L2Cost
 
 
@@ -67,6 +71,9 @@ class OcProblemRn:
     ``cost`` is a running cost C with value_batch, grad_batch and hess_batch
     over stacks of control vectors, such as ``systems.L2Cost``; interval k
     costs (h/2) (C(u^-_k) + C(u^+_k)), with h the Lagrangian's time step.
+
+    Building it forms the force maps' (pseudo-)inverses ``w_minus``/``w_plus``
+    and range complements ``c_minus``/``c_plus``; a bad B raises here.
     """
 
     lagrangian: object
@@ -89,6 +96,14 @@ class OcProblemRn:
             raise DimensionMismatch("need at least two intervals")
         if self.forces.dim != n:
             raise DimensionMismatch("force pair dimension does not match")
+        full = self.fully_actuated
+        self.w_minus = _pinv_or_raise(self.forces.b_minus, full)
+        self.w_plus = _pinv_or_raise(self.forces.b_plus, full)
+        if full:
+            self.c_minus = self.c_plus = np.zeros((n, 0))
+        else:
+            self.c_minus = _complement_basis(self.forces.b_minus)
+            self.c_plus = _complement_basis(self.forces.b_plus)
 
     @property
     def n(self):
@@ -131,118 +146,78 @@ def _vm(v, A):
     return np.einsum("...j,...ji->...i", v, A)
 
 
-class AugmentedLagrangianRn:
-    """Interval cost as a function of endpoint states (q, p) on both ends.
+_IntervalPass = namedtuple("_IntervalPass", "um up vm vp phi_m phi_p ym_a ym_b yp_a yp_b")
 
-    Provides the recovered control pair and the cost term's analytic
-    derivatives in all four slots; for underactuated problems also the
-    complement conditions Phi^{+-} and their derivatives.  Every method
-    takes one interval (states of shape (n,), multipliers of shape (n-m,))
-    or a batch of intervals along leading axes, and evaluates the batch in
-    one pass.
+
+def _interval_pass(problem, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
+    """The pass over one interval or a batch, from one call each of d1/d2,
+    the drifts, grad_batch and the drift Jacobians: the controls u^+- =
+    W^+- y^+- of the momentum defects y^+-, the defect covectors v^+- (the
+    interval term's gradients in y^+-, plus lam^+- C^+-T with multipliers),
+    Phi^+- = C^+-T y^+- (None when fully actuated) and minus the defects'
+    position Jacobians (d11 + da^-/dq_a, d12 + da^-/dq_b, d21 + da^+/dq_a,
+    d22 + da^+/dq_b).
     """
+    L, F = problem.lagrangian, problem.forces
+    ym = -L.d1(qk, qk1) - pk - F.drift("-", qk, qk1)
+    yp = pk1 - L.d2(qk, qk1) - F.drift("+", qk, qk1)
+    um, up = ym @ problem.w_minus.T, yp @ problem.w_plus.T
+    vm = (problem.h / 2.0 * problem.cost.grad_batch(um)) @ problem.w_minus
+    vp = (problem.h / 2.0 * problem.cost.grad_batch(up)) @ problem.w_plus
+    if lam_minus is not None:
+        vm = vm + lam_minus @ problem.c_minus.T
+        vp = vp + lam_plus @ problem.c_plus.T
+    full = problem.fully_actuated
+    phi_m, phi_p = (None, None) if full else (ym @ problem.c_minus, yp @ problem.c_plus)
+    dam_a, dam_b = F.drift_jacobians("-", qk, qk1)
+    dap_a, dap_b = F.drift_jacobians("+", qk, qk1)
+    return _IntervalPass(um, up, vm, vp, phi_m, phi_p,
+                         L.d11(qk, qk1) + dam_a, L.d12(qk, qk1) + dam_b,
+                         L.d21(qk, qk1) + dap_a, L.d22(qk, qk1) + dap_b)
 
-    def __init__(self, problem):
-        self.problem = problem
-        self.L = problem.lagrangian
-        self.F = problem.forces
-        self.cost = problem.cost
-        full = problem.fully_actuated
-        self.w_minus = _pinv_or_raise(self.F.b_minus, full)
-        self.w_plus = _pinv_or_raise(self.F.b_plus, full)
-        if not full:
-            self.c_minus = _complement_basis(self.F.b_minus)
-            self.c_plus = _complement_basis(self.F.b_plus)
-        else:
-            self.c_minus = self.c_plus = np.zeros((problem.n, 0))
 
-    # momentum defects: what the force pair must supply on this interval
-    def _defects(self, qk, pk, qk1, pk1):
-        ym = -self.L.d1(qk, qk1) - pk - self.F.drift("-", qk, qk1)
-        yp = pk1 - self.L.d2(qk, qk1) - self.F.drift("+", qk, qk1)
-        return ym, yp
+def _slot_gradients(interval_pass):
+    """Slot gradients (d_qk, d_pk, d_qk1, d_pk1) of the interval term, with
+    lam . Phi when the pass has multipliers.  The term depends on p only
+    through the defects, so the defect covectors v^-, v^+ give the momentum
+    slots directly and, through the defect Jacobians, the position slots."""
+    p = interval_pass
+    d_qk = -_vm(p.vm, p.ym_a) - _vm(p.vp, p.yp_a)
+    d_qk1 = -_vm(p.vm, p.ym_b) - _vm(p.vp, p.yp_b)
+    return d_qk, -p.vm, d_qk1, p.vp
 
-    def controls(self, qk, pk, qk1, pk1):
-        ym, yp = self._defects(qk, pk, qk1, pk1)
-        return ym @ self.w_minus.T, yp @ self.w_plus.T
 
-    def phi(self, qk, pk, qk1, pk1):
-        """Complement conditions (Phi^-, Phi^+), each of length n - m."""
-        ym, yp = self._defects(qk, pk, qk1, pk1)
-        return ym @ self.c_minus, yp @ self.c_plus
-
-    def _position_jacobians(self, qk, qk1):
-        """Minus the defects' Jacobians in the position slots:
-        (d11 + da^-/dq_a, d12 + da^-/dq_b, d21 + da^+/dq_a, d22 + da^+/dq_b)."""
-        dam_a, dam_b = self.F.drift_jacobians("-", qk, qk1)
-        dap_a, dap_b = self.F.drift_jacobians("+", qk, qk1)
-        return (self.L.d11(qk, qk1) + dam_a, self.L.d12(qk, qk1) + dam_b,
-                self.L.d21(qk, qk1) + dap_a, self.L.d22(qk, qk1) + dap_b)
-
-    def _covectors(self, qk, pk, qk1, pk1, lam_minus, lam_plus):
-        """The controls and the defect covectors (v^-, v^+): the gradients of
-        the interval term in the defects (y^-, y^+)."""
-        um, up = self.controls(qk, pk, qk1, pk1)
-        half_h = self.problem.h / 2.0
-        vm = (half_h * self.cost.grad_batch(um)) @ self.w_minus
-        vp = (half_h * self.cost.grad_batch(up)) @ self.w_plus
-        if lam_minus is not None:
-            vm = vm + lam_minus @ self.c_minus.T
-            vp = vp + lam_plus @ self.c_plus.T
-        return um, up, vm, vp
-
-    def grads(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
-        """Slot gradients (d_qk, d_pk, d_qk1, d_pk1) of the interval term.
-
-        When multipliers are given the term includes lam . Phi.  The term
-        depends on p only through the defects, so its defect covectors vm, vp
-        give the momentum slots directly and, through the defect Jacobians,
-        the position slots.
-        """
-        _, _, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
-        ym_a, ym_b, yp_a, yp_b = self._position_jacobians(qk, qk1)
-        d_qk = -_vm(vm, ym_a) - _vm(vp, yp_a)
-        d_qk1 = -_vm(vm, ym_b) - _vm(vp, yp_b)
-        return d_qk, -vm, d_qk1, vp
-
-    def hessians(self, qk, pk, qk1, pk1, lam_minus=None, lam_plus=None):
-        """Second derivatives of the interval term over a batch of intervals.
-
-        Returns (H, E, vm, vp).  H[k] (4n, 4n) is the Hessian in the slots
-        x = (q_k, p_k, q_{k+1}, p_{k+1}): K^T blockdiag(W^-T G^- W^-,
-        W^+T G^+ W^+) K, with K = d(y^-, y^+)/dx the defect Jacobian and G^+-
-        = (h/2) C''(u^+-) the control Hessians, minus the drift curvature
-        d^2(v^- . a^- + v^+ . a^+) in the position slots.  E[k] (4n, 2(n-m))
-        = K^T blockdiag(C^-, C^+) couples x to the multipliers.  The
-        potential's curvature (h/2) D^3V[v] is left to the caller, which sums
-        the covectors vm, vp of the two intervals meeting at a node and
-        differences it once per node.  The cost does not depend on the
-        positions, so it contributes through its control Hessians alone.
-        """
-        n = self.problem.n
-        um, up, vm, vp = self._covectors(qk, pk, qk1, pk1, lam_minus, lam_plus)
-        ym_a, ym_b, yp_a, yp_b = self._position_jacobians(qk, qk1)
-        K = np.zeros(np.shape(qk)[:-1] + (2 * n, 4 * n))
-        q_a, p_a, q_b, p_b = (slice(i * n, (i + 1) * n) for i in range(4))
-        minus, plus = slice(0, n), slice(n, 2 * n)
-        K[..., minus, q_a] = -ym_a
-        K[..., minus, p_a] = -np.eye(n)
-        K[..., minus, q_b] = -ym_b
-        K[..., plus, q_a] = -yp_a
-        K[..., plus, q_b] = -yp_b
-        K[..., plus, p_b] = np.eye(n)
-        Km, Kp = K[..., minus, :], K[..., plus, :]
-        Gm = (self.problem.h / 2.0) * self.cost.hess_batch(um)
-        Gp = (self.problem.h / 2.0) * self.cost.hess_batch(up)
-        H = (mt(Km) @ (self.w_minus.T @ Gm @ self.w_minus) @ Km
-             + mt(Kp) @ (self.w_plus.T @ Gp @ self.w_plus) @ Kp)
-        curvature = (self.F.drift_curvature("-", qk, qk1, vm)
-                     + self.F.drift_curvature("+", qk, qk1, vp))
-        if np.ndim(curvature):
-            q = np.r_[q_a, q_b]
-            H[..., q[:, None], q] -= curvature
-        E = np.concatenate([mt(Km) @ self.c_minus, mt(Kp) @ self.c_plus], axis=-1)
-        return H, E, vm, vp
+def _interval_hessians(problem, qk, qk1, interval_pass):
+    """(H, E) over a batch of intervals.  H[k] (4n, 4n) is the interval term's
+    Hessian in x = (q_k, p_k, q_{k+1}, p_{k+1}): K^T blockdiag(W^-T G^- W^-,
+    W^+T G^+ W^+) K, with K = d(y^-, y^+)/dx the defect Jacobian and G^+- =
+    (h/2) C''(u^+-), minus the drift curvature d^2(v^- . a^- + v^+ . a^+) in
+    the position slots.  E[k] (4n, 2(n-m)) = K^T blockdiag(C^-, C^+) couples
+    x to the multipliers.  The potential's curvature (h/2) D^3V[v] is left
+    to the caller, which differences it once per node.
+    """
+    n, p = problem.n, interval_pass
+    K = np.zeros(np.shape(qk)[:-1] + (2 * n, 4 * n))
+    q_a, p_a, q_b, p_b = (slice(i * n, (i + 1) * n) for i in range(4))
+    minus, plus = slice(0, n), slice(n, 2 * n)
+    K[..., minus, q_a] = -p.ym_a
+    K[..., minus, p_a] = -np.eye(n)
+    K[..., minus, q_b] = -p.ym_b
+    K[..., plus, q_a] = -p.yp_a
+    K[..., plus, q_b] = -p.yp_b
+    K[..., plus, p_b] = np.eye(n)
+    Km, Kp = K[..., minus, :], K[..., plus, :]
+    Gm = (problem.h / 2.0) * problem.cost.hess_batch(p.um)
+    Gp = (problem.h / 2.0) * problem.cost.hess_batch(p.up)
+    H = (mt(Km) @ (problem.w_minus.T @ Gm @ problem.w_minus) @ Km
+         + mt(Kp) @ (problem.w_plus.T @ Gp @ problem.w_plus) @ Kp)
+    curvature = (problem.forces.drift_curvature("-", qk, qk1, p.vm)
+                 + problem.forces.drift_curvature("+", qk, qk1, p.vp))
+    if np.ndim(curvature):
+        q = np.r_[q_a, q_b]
+        H[..., q[:, None], q] -= curvature
+    E = np.concatenate([mt(Km) @ problem.c_minus, mt(Kp) @ problem.c_plus], axis=-1)
+    return H, E
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +232,41 @@ def _states(problem, qs, ps):
     return qs, ps
 
 
-def optimality_residual(problem, qs, ps, lambdas=None, aug=None):
+def _pass_at(problem, qs, ps, lambdas):
+    """The interval pass over every interval of the path (qs, ps)."""
+    lam = (None, None) if lambdas is None else (lambdas[:, 0], lambdas[:, 1])
+    return _interval_pass(problem, qs[:-1], ps[:-1], qs[1:], ps[1:], *lam)
+
+
+def optimality_residual(problem, qs, ps, lambdas=None, interval_pass=None):
     """Stacked interior optimality conditions.
 
     Fully actuated: per interior node k the position and momentum stationarity
     blocks, interleaved -> 2(N-1)n entries.  Underactuated: the same blocks
     with multiplier terms, followed by (Phi^-_k, Phi^+_k) for every interval
     -> 2(N-1)n + 2N(n-m) entries.  ``lambdas`` has shape (N, 2, n-m).
+    ``interval_pass`` is the point's ``_interval_pass`` if the caller formed it.
     """
     qs, ps = _states(problem, qs, ps)
-    if aug is None:
-        aug = AugmentedLagrangianRn(problem)
     N, n, m = problem.N, problem.n, problem.m
-    ends = (qs[:-1], ps[:-1], qs[1:], ps[1:])
     if problem.fully_actuated:
-        d_qk, d_pk, d_qk1, d_pk1 = aug.grads(*ends)
+        lambdas = None
+    elif lambdas is None:
+        raise DimensionMismatch("underactuated problems need multipliers")
     else:
-        if lambdas is None:
-            raise DimensionMismatch("underactuated problems need multipliers")
         lambdas = np.asarray(lambdas, dtype=float)
         if lambdas.shape != (N, 2, n - m):
             raise DimensionMismatch("multipliers must have shape (N, 2, n-m)")
-        d_qk, d_pk, d_qk1, d_pk1 = aug.grads(*ends, lambdas[:, 0], lambdas[:, 1])
+    if interval_pass is None:
+        interval_pass = _pass_at(problem, qs, ps, lambdas)
+    d_qk, d_pk, d_qk1, d_pk1 = _slot_gradients(interval_pass)
     # node k sums the right-end slots of interval k-1 and the left-end slots
     # of interval k: position stationarity, then momentum stationarity
     nodes = np.stack([d_qk1[:-1] + d_qk[1:], d_pk1[:-1] + d_pk[1:]], axis=1)
     if problem.fully_actuated:
         return nodes.reshape(-1)
-    return np.concatenate([nodes.reshape(-1),
-                           np.stack(aug.phi(*ends), axis=1).reshape(-1)])
+    phi = np.stack([interval_pass.phi_m, interval_pass.phi_p], axis=1)
+    return np.concatenate([nodes.reshape(-1), phi.reshape(-1)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,38 +306,35 @@ def _unpack(problem, z):
     return qs, ps, lambdas
 
 
-def residual_system(problem, aug=None):
+def residual_system(problem):
     """The square ResidualSystem solved by ``solve``, with its exact Jacobian.
+
+    ``at(z)`` forms the ``_interval_pass`` at z and returns the
+    ``solvers.Point`` that keeps it; ``optimality_residual`` reads the
+    residual from it, the point's ``jacobian()`` builds from it and
+    ``solve`` reads its solution from it.
 
     The residual is the gradient of the augmented action sum, so its
     Jacobian is that sum's Hessian: block tridiagonal in the interior node
     blocks (q_k, p_k), bordered by the multiplier blocks.  Every interval's
-    blocks come from ``AugmentedLagrangianRn.hessians`` in one batched pass
-    and are summed into the two nodes the interval touches.  Only the user
+    blocks come from ``_interval_hessians`` in one batched pass and are
+    summed into the two nodes the interval touches.  Only the user
     callables' own derivatives are differenced: the potential's third
     derivative (h/2) D^3V(q_k)[w_k], w_k the summed defect covectors at node
     k, and the drift curvature v . d^2 a.  A linear problem therefore
     converges in one Newton step.
     """
-    if aug is None:
-        aug = AugmentedLagrangianRn(problem)
     N, n, s = problem.N, problem.n, problem.n - problem.m
     P = 2 * (N - 1) * n
     dim = P + 2 * N * s
 
-    def eval_(z):
-        qs, ps, lambdas = _unpack(problem, z)
-        return optimality_residual(problem, qs, ps, lambdas, aug=aug)
-
-    def jacobian(z):
-        qs, ps, lambdas = _unpack(problem, z)
-        lam = (None, None) if lambdas is None else (lambdas[:, 0], lambdas[:, 1])
-        H, E, vm, vp = aug.hessians(qs[:-1], ps[:-1], qs[1:], ps[1:], *lam)
+    def jacobian(qs, interval_pass):
+        H, E = _interval_hessians(problem, qs[:-1], qs[1:], interval_pass)
         # interior node j + 1 takes the right-end block of interval j and
         # the left-end block of interval j + 1
         diag = H[:-1, 2 * n :, 2 * n :] + H[1:, : 2 * n, : 2 * n]
         diag[:, :n, :n] += (problem.h / 2.0) * problem.lagrangian.V_xxx(
-            qs[1:N], vm[1:] + vp[:-1])
+            qs[1:N], interval_pass.vm[1:] + interval_pass.vp[:-1])
         J = np.zeros((dim, dim))
         # block views of J (splitting an axis never copies)
         nodes = J[:P, :P].reshape(N - 1, 2 * n, N - 1, 2 * n)
@@ -372,7 +350,13 @@ def residual_system(problem, aug=None):
             J[P:, :P] = J[:P, P:].T
         return J
 
-    return plain_system(eval_, jacobian)
+    def at(z):
+        qs, ps, lambdas = _unpack(problem, z)
+        interval_pass = _pass_at(problem, qs, ps, lambdas)
+        f = optimality_residual(problem, qs, ps, lambdas, interval_pass)
+        return Point(z, f, lambda: jacobian(qs, interval_pass), interval_pass)
+
+    return ResidualSystem(at)
 
 
 def initial_guess(problem):
@@ -403,25 +387,29 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
     stops singular at iteration 0 and LM solves; with a coupling potential
     the Jacobian has full rank.  When every attempt fails, raises the
     NoConvergence or SingularJacobian with the lowest best residual;
-    ConfigError for an unknown method.
+    ConfigError for an unknown method.  The solution is read from the
+    interval pass of the point the solve returns, bitwise what
+    ``assemble_solution`` forms there.
     """
-    aug = AugmentedLagrangianRn(problem)
-    system = residual_system(problem, aug=aug)
+    system = residual_system(problem)
     if guess is None:
         guess = initial_guess(problem)
     z0 = _pack(problem, *guess)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    return assemble_solution(problem, point.x, report, aug=aug)
+    return _solution(problem, point.x, point.kept, report)
 
 
-def assemble_solution(problem, z, report=None, aug=None):
+def assemble_solution(problem, z, report=None):
     """Build an OcSolutionRn from a packed unknown vector (e.g. a solver's
     best iterate), recovering controls and cost."""
-    if aug is None:
-        aug = AugmentedLagrangianRn(problem)
     qs, ps, lambdas = _unpack(problem, z)
-    um, up = aug.controls(qs[:-1], ps[:-1], qs[1:], ps[1:])
+    return _solution(problem, z, _pass_at(problem, qs, ps, lambdas), report)
+
+
+def _solution(problem, z, interval_pass, report):
+    qs, ps, lambdas = _unpack(problem, z)
+    um, up = interval_pass.um, interval_pass.up
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)
                                     + problem.cost.value_batch(up)))

@@ -263,6 +263,27 @@ def test_simulate_steps_below_one_is_config_error(tmp_path, capsys, make_cfg, st
     assert "config error" in err and "simulate.steps must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("system, message", [
+    ({"n": 0}, "n must be at least 1"),
+    ({"n": -1}, "n must be at least 1"),
+    ({"mass": 0}, "mass must be positive definite"),
+    ({"mass": -1}, "mass must be positive definite"),
+    ({"n": 2, "mass": [1.0, 0.0]}, "mass must be positive definite"),
+    ({"n": 2, "mass": [[1.0, 0.0], [0.0, -2.0]]}, "mass must be positive definite"),
+], ids=["n zero", "n negative", "mass zero", "mass negative", "mass singular diagonal",
+        "mass indefinite matrix"])
+def test_bad_point_mass_is_config_error(tmp_path, capsys, command, system, message):
+    # n of 0 or -1 used to end in a traceback, a zero mass in a LinAlgError,
+    # and a negative mass solved
+    base = point_mass_cfg()
+    base["system"].update(system)
+    cfg = write_config(tmp_path / "c.json", base)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # artifact bytes
 # ---------------------------------------------------------------------------

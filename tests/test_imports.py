@@ -1,8 +1,9 @@
 """Every module of the package uses every name it imports, the package
-reads every private module-level name it defines and every public
-module-level function and class outside an explicit allow-list, no module
-reads another module's private names, and every module-level function reads
-every parameter it takes."""
+reads every private module-level name it defines and, outside explicit
+allow-lists, every public module-level function and class and every public
+method and property of its classes, no module reads another module's
+private names, and every module-level function reads every parameter it
+takes."""
 
 import ast
 import os
@@ -14,6 +15,16 @@ import discvar
 PACKAGE = os.path.dirname(os.path.abspath(discvar.__file__))
 MODULES = sorted(f for f in os.listdir(PACKAGE)
                  if f.endswith(".py") and f != "__init__.py")
+
+
+def package_sources():
+    """File name -> source of every module of the package."""
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                sources[name] = fh.read()
+    return sources
 
 
 def unused_imports(source):
@@ -88,11 +99,7 @@ def test_the_check_finds_an_unreferenced_private_name():
 
 
 def test_no_unreferenced_private_names():
-    sources = {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name)) as fh:
-                sources[name] = fh.read()
+    sources = package_sources()
     assert unreferenced_private_names(sources) == []
 
 
@@ -133,12 +140,70 @@ def test_the_check_finds_an_unread_public_name():
 def test_every_public_name_is_read_or_allowed():
     # an unread name outside the list is dead code or a test-only helper; a
     # listed name the package reads, or no longer defines, is a stale entry
-    sources = {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name)) as fh:
-                sources[name] = fh.read()
+    sources = package_sources()
     assert unread_public_names(sources) == sorted(UNREAD_PUBLIC)
+
+
+def public_methods(source):
+    """"Class.name" for each public method or property of a public
+    module-level class."""
+    return {f"{node.name}.{item.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")}
+
+
+def attribute_reads(source):
+    """Names a module reads as attributes: a method or property is reached
+    through one."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def unread_public_methods(sources):
+    """"module.Class.name" for each public method or property that no module
+    reads as an attribute."""
+    refs = set().union(*(attribute_reads(src) for src in sources.values()))
+    return sorted(f"{module[:-3]}.{name}" for module, src in sources.items()
+                  for name in public_methods(src) if name.split(".")[1] not in refs)
+
+
+# public methods and properties the package itself never reads, and why
+# each stays
+UNREAD_PUBLIC_METHODS = {
+    "mech.RnLagrangian.ld": "named by the benchmark's spans; the tests' oracle "
+                            "for the slot derivatives",
+    "systems.L2Cost.value": "named by the benchmark's spans; the one-control form "
+                            "of value_batch",
+    "systems.L2Cost.grad": "named by the benchmark's spans; the one-control form "
+                           "of grad_batch",
+    "systems.SmoothedL1Cost.value": "named by the benchmark's spans; the one-control "
+                                    "form of value_batch",
+    "systems.SmoothedL1Cost.grad": "named by the benchmark's spans; the one-control "
+                                   "form of grad_batch",
+    "systems.HeavyTopPotential.value": "the potential protocol's value, named by the "
+                                       "benchmark's spans",
+}
+
+
+def test_the_check_finds_an_unread_public_method():
+    sources = {
+        "a.py": "class Model:\n    def used(self):\n        return 1\n\n"
+                "    @property\n    def only_tests(self):\n        return 2\n\n"
+                "    def _private(self):\n        return self.used()\n\n"
+                "class _Hidden:\n    def unread(self):\n        pass\n",
+        "b.py": "from . import a\n\nprint(a.Model()._private)\n",
+    }
+    assert unread_public_methods(sources) == ["a.Model.only_tests"]
+
+
+def test_every_public_method_is_read_or_allowed():
+    # as for module-level names: an unread method outside the list is dead
+    # code or a test-only helper, and a listed one the package reads, or no
+    # longer defines, is a stale entry
+    sources = package_sources()
+    assert unread_public_methods(sources) == sorted(UNREAD_PUBLIC_METHODS)
 
 
 def unread_parameters(source):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from discvar import mech, solvers, systems
-from discvar.errors import DimensionMismatch, NoConvergence, SingularJacobian, StepSolveFailed
+from discvar.errors import (DimensionMismatch, NoConvergence, NotInvertible, SingularJacobian,
+                            StepSolveFailed)
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
@@ -222,6 +223,15 @@ def test_node_momenta_use_the_interval_to_the_right():
 def test_mass_matrix_must_be_symmetric():
     with pytest.raises(DimensionMismatch):
         RnLagrangian(np.array([[1.0, 0.5], [0.0, 1.0]]), h=0.1)
+
+
+@pytest.mark.parametrize("mass", [0.0, [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, -2.0]]],
+                         ids=["zero", "rank one", "indefinite"])
+def test_mass_matrix_must_be_positive_definite(mass):
+    # a typed error, as for a group system's inertia: a singular mass used to
+    # raise numpy's bare LinAlgError, and an indefinite one was accepted
+    with pytest.raises(NotInvertible, match="mass matrix must be positive definite"):
+        RnLagrangian(mass, h=0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,38 +28,41 @@ def make_problem(n=1, N=8, T=1.0, mass=None, m=None, boundary=None, cost=None):
     )
 
 
-def interval_value(aug, qk, pk, qk1, pk1):
+def interval_value(prob, qk, pk, qk1, pk1):
     """Oracle: the interval term (h/2) (C(u^-) + C(u^+)) at the recovered
     controls, over a batch of intervals."""
-    um, up = aug.controls(qk, pk, qk1, pk1)
-    cost = aug.problem.cost
-    return (aug.problem.h / 2.0) * (cost.value_batch(um) + cost.value_batch(up))
+    p = tboc._interval_pass(prob, qk, pk, qk1, pk1)
+    return (prob.h / 2.0) * (prob.cost.value_batch(p.um) + prob.cost.value_batch(p.up))
 
 
-def multiplier_value(aug, qk, pk, qk1, pk1, lam_minus, lam_plus):
+def multiplier_value(prob, qk, pk, qk1, pk1, lam_minus, lam_plus):
     """Oracle: the interval term plus lam . Phi when multipliers are given;
-    ``AugmentedLagrangianRn.grads`` is its gradient."""
-    v = interval_value(aug, qk, pk, qk1, pk1)
+    ``_slot_gradients`` of the pass with those multipliers is its gradient."""
+    v = interval_value(prob, qk, pk, qk1, pk1)
     if lam_minus is not None:
-        pm, pp = aug.phi(qk, pk, qk1, pk1)
-        v = v + np.sum(lam_minus * pm, axis=-1) + np.sum(lam_plus * pp, axis=-1)
+        p = tboc._interval_pass(prob, qk, pk, qk1, pk1)
+        v = v + np.sum(lam_minus * p.phi_m, axis=-1) + np.sum(lam_plus * p.phi_p, axis=-1)
     return v
 
 
+def slot_gradients(prob, *ends_and_multipliers):
+    return tboc._slot_gradients(tboc._interval_pass(prob, *ends_and_multipliers))
+
+
 # ---------------------------------------------------------------------------
-# augmented interval cost and control recovery
+# interval pass: control recovery and the interval term's derivatives
 # ---------------------------------------------------------------------------
 
 def test_control_recovery_inverts_forced_legendre():
     rng = np.random.default_rng(0)
     prob = make_problem(n=2, N=4)
-    aug = tboc.AugmentedLagrangianRn(prob)
     L, F = prob.lagrangian, prob.forces
     for _ in range(10):
         qa, qb = rng.normal(size=(2, 2))
         um, up = rng.normal(size=(2, 2))
         pa, pb = mech.legendre_pair(L, F, qa, qb, um, up)
-        rm, rp = aug.controls(qa, pa, qb, pb)
+        p = tboc._interval_pass(prob, qa, pa, qb, pb)
+        rm, rp = p.um, p.up
         assert np.max(np.abs(rm - um)) < 1e-10
         assert np.max(np.abs(rp - up)) < 1e-10
 
@@ -67,14 +70,13 @@ def test_control_recovery_inverts_forced_legendre():
 def test_augmented_value_matches_two_stage_oracle():
     rng = np.random.default_rng(1)
     prob = make_problem(n=2, N=4)
-    aug = tboc.AugmentedLagrangianRn(prob)
     L, F = prob.lagrangian, prob.forces
     for _ in range(10):
         qa, qb = rng.normal(size=(2, 2))
         um, up = rng.normal(size=(2, 2))
         pa, pb = mech.legendre_pair(L, F, qa, qb, um, up)
         effort = (prob.h / 4.0) * (um @ um + up @ up)
-        assert abs(interval_value(aug, qa, pa, qb, pb) - effort) < 1e-12
+        assert abs(interval_value(prob, qa, pa, qb, pb) - effort) < 1e-12
 
 
 def test_grads_match_finite_differences():
@@ -83,25 +85,24 @@ def test_grads_match_finite_differences():
     eps = 1e-6
     slots = [qa, pa, qb, pb]
     for cost in (L2Cost(), SmoothedL1Cost(eps=0.5, u_min=-3.0, u_max=3.0, weight=100.0)):
-        aug = tboc.AugmentedLagrangianRn(make_problem(n=2, N=4, cost=cost))
-        g = aug.grads(qa, pa, qb, pb)
+        prob = make_problem(n=2, N=4, cost=cost)
+        g = slot_gradients(prob, qa, pa, qb, pb)
         for s in range(4):
             for j in range(2):
                 args_p = [x.copy() for x in slots]
                 args_m = [x.copy() for x in slots]
                 args_p[s][j] += eps
                 args_m[s][j] -= eps
-                fd = (interval_value(aug, *args_p) - interval_value(aug, *args_m)) / (2.0 * eps)
+                fd = (interval_value(prob, *args_p) - interval_value(prob, *args_m)) / (2.0 * eps)
                 assert abs(g[s][j] - fd) < 1e-6 * (1.0 + abs(fd))
 
 
 def test_underactuated_grads_include_multiplier_terms():
     rng = np.random.default_rng(3)
     prob = make_problem(n=2, N=4, m=1)
-    aug = tboc.AugmentedLagrangianRn(prob)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
     lam_m, lam_p = rng.normal(size=(2, 1))
-    g = aug.grads(qa, pa, qb, pb, lam_m, lam_p)
+    g = slot_gradients(prob, qa, pa, qb, pb, lam_m, lam_p)
     eps = 1e-6
     slots = [qa, pa, qb, pb]
     for s in range(4):
@@ -111,8 +112,8 @@ def test_underactuated_grads_include_multiplier_terms():
             args_p[s][j] += eps
             args_m[s][j] -= eps
             fd = (
-                multiplier_value(aug, *args_p, lam_m, lam_p)
-                - multiplier_value(aug, *args_m, lam_m, lam_p)
+                multiplier_value(prob, *args_p, lam_m, lam_p)
+                - multiplier_value(prob, *args_m, lam_m, lam_p)
             ) / (2.0 * eps)
             assert abs(g[s][j] - fd) < 1e-6 * (1.0 + abs(fd))
 
@@ -121,28 +122,28 @@ def test_phi_is_hand_projection_n2_m1():
     # B spans e1, so the complement conditions read off the second component
     # of the momentum defects
     prob = make_problem(n=2, N=4, m=1)
-    aug = tboc.AugmentedLagrangianRn(prob)
     rng = np.random.default_rng(4)
     qa, pa, qb, pb = rng.normal(size=(4, 2))
     L, F = prob.lagrangian, prob.forces
     ym = -L.d1(qa, qb) - pa
     yp = pb - L.d2(qa, qb)
-    pm, pp = aug.phi(qa, pa, qb, pb)
+    p = tboc._interval_pass(prob, qa, pa, qb, pb)
+    pm, pp = p.phi_m, p.phi_p
     assert abs(abs(pm[0]) - abs(ym[1])) < 1e-12
     assert abs(abs(pp[0]) - abs(yp[1])) < 1e-12
 
 
 def test_singular_control_matrix_rejected():
+    # the force-map inverses are formed when the problem is built
     h = 0.1
     L = RnLagrangian(np.eye(2), h=h)
     B = np.array([[1.0, 1.0], [1.0, 1.0]])
     F = DiscreteForcePairRn(B, B)
-    prob = tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=L2Cost(),
-        x0=np.zeros(2), p0=np.zeros(2), xT=np.ones(2), pT=np.zeros(2), N=4,
-    )
     with pytest.raises(NotInvertible):
-        tboc.AugmentedLagrangianRn(prob)
+        tboc.OcProblemRn(
+            lagrangian=L, forces=F, cost=L2Cost(),
+            x0=np.zeros(2), p0=np.zeros(2), xT=np.ones(2), pT=np.zeros(2), N=4,
+        )
 
 
 def test_rank_deficient_tall_control_matrix_rejected():
@@ -150,12 +151,11 @@ def test_rank_deficient_tall_control_matrix_rejected():
     L = RnLagrangian(np.eye(3), h=h)
     B = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     F = DiscreteForcePairRn(B, B)
-    prob = tboc.OcProblemRn(
-        lagrangian=L, forces=F, cost=L2Cost(),
-        x0=np.zeros(3), p0=np.zeros(3), xT=np.ones(3), pT=np.zeros(3), N=4,
-    )
     with pytest.raises(RankDeficient):
-        tboc.AugmentedLagrangianRn(prob)
+        tboc.OcProblemRn(
+            lagrangian=L, forces=F, cost=L2Cost(),
+            x0=np.zeros(3), p0=np.zeros(3), xT=np.ones(3), pT=np.zeros(3), N=4,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +268,31 @@ def _close(batched, single):
     "regime", ["fully actuated", "potential", "underactuated", "drift", "smoothed l1"])
 def test_batched_interval_terms_equal_single_intervals(regime):
     prob = _structured_problem(regime)
-    aug = tboc.AugmentedLagrangianRn(prob)
     N, n, s = prob.N, prob.n, prob.n - prob.m
     rng = np.random.default_rng(10)
     qs, ps = rng.normal(size=(2, N + 1, n))
     lambdas = rng.normal(size=(N, 2, s)) if s else np.full((N, 2), None)
     ends = (qs[:-1], ps[:-1], qs[1:], ps[1:])
     lam = (lambdas[:, 0], lambdas[:, 1]) if s else (None, None)
-    batched = {
-        "controls": aug.controls(*ends),
-        "value": interval_value(aug, *ends),
-        "phi": aug.phi(*ends),
-        "grads": aug.grads(*ends, *lam),
-        "multiplier_value": multiplier_value(aug, *ends, *lam),
-    }
-    for k in range(N):
-        one = (qs[k], ps[k], qs[k + 1], ps[k + 1])
-        single = {
-            "controls": aug.controls(*one),
-            "value": interval_value(aug, *one),
-            "phi": aug.phi(*one),
-            "grads": aug.grads(*one, *lambdas[k]),
-            "multiplier_value": multiplier_value(aug, *one, *lambdas[k]),
+
+    def interval_terms(ends, lam):
+        p = tboc._interval_pass(prob, *ends)
+        out = {
+            "controls": (p.um, p.up),
+            "value": interval_value(prob, *ends),
+            "grads": slot_gradients(prob, *ends, *lam),
+            "multiplier_value": multiplier_value(prob, *ends, *lam),
         }
+        if s:
+            out["phi"] = (p.phi_m, p.phi_p)
+        else:
+            # a fully actuated problem has no complement conditions
+            assert p.phi_m is None and p.phi_p is None
+        return out
+
+    batched = interval_terms(ends, lam)
+    for k in range(N):
+        single = interval_terms((qs[k], ps[k], qs[k + 1], ps[k + 1]), lambdas[k])
         for name, terms in single.items():
             if isinstance(terms, tuple):
                 for b, x in zip(batched[name], terms):
@@ -299,21 +301,65 @@ def test_batched_interval_terms_equal_single_intervals(regime):
                 _close(batched[name][k], terms)
 
 
-@pytest.mark.parametrize("regime", ["fully actuated", "potential"])
+def _record_calls(monkeypatch, owner, names, calls):
+    """Wrap ``owner``'s methods ``names`` so that each call appends its name
+    to ``calls``."""
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(owner, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("regime", ["fully actuated", "potential", "underactuated", "drift"])
 def test_residual_evaluates_the_slot_derivatives_once(regime, monkeypatch):
+    # one batched call each of d1 and d2 per residual, the complement
+    # conditions included
     prob = _structured_problem(regime)
-    qs, ps, _ = tboc.initial_guess(prob)
-    expected = tboc.optimality_residual(prob, qs, ps)
+    qs, ps, lambdas = tboc.initial_guess(prob)
+    if lambdas is not None:
+        lambdas = np.random.default_rng(12).normal(size=lambdas.shape)
+    expected = tboc.optimality_residual(prob, qs, ps, lambdas)
     calls = []
-    d1 = RnLagrangian.d1
+    _record_calls(monkeypatch, RnLagrangian, ("d1", "d2"), calls)
+    assert np.array_equal(tboc.optimality_residual(prob, qs, ps, lambdas), expected)
+    assert sorted(calls) == ["d1", "d2"]
 
-    def counted(*args):
-        calls.append(args[1].shape)
-        return d1(*args)
 
-    monkeypatch.setattr(RnLagrangian, "d1", counted)
-    assert np.array_equal(tboc.optimality_residual(prob, qs, ps), expected)
-    assert calls == [(prob.N, prob.n)]
+@pytest.mark.parametrize(
+    "regime", ["fully actuated", "potential", "underactuated", "drift", "smoothed l1"])
+def test_jacobian_builds_from_the_interval_pass(regime, monkeypatch):
+    # a point's jacobian() reads the slot derivatives, the drifts, their
+    # Jacobians and the cost gradient from the pass its evaluation formed,
+    # and builds the same J as before the counting wrappers
+    prob = _structured_problem(regime)
+    system = tboc.residual_system(prob)
+    z = tboc._pack(prob, *tboc.initial_guess(prob))
+    z = z + 0.01 * np.random.default_rng(13).normal(size=z.size)
+    expected = system.at(z).jacobian()
+    point = system.at(z)
+    calls = []
+    _record_calls(monkeypatch, RnLagrangian, ("d1", "d2", "d11", "d12", "d21", "d22"), calls)
+    _record_calls(monkeypatch, DiscreteForcePairRn, ("drift", "drift_jacobians"), calls)
+    _record_calls(monkeypatch, type(prob.cost), ("grad_batch",), calls)
+    assert np.array_equal(point.jacobian(), expected)
+    assert calls == []
+    system.at(z)
+    assert calls
+
+
+def test_solve_evaluates_the_slot_derivatives_once_per_point(monkeypatch):
+    # an underactuated LM solve: one d1 and one d2 call per residual
+    # evaluation, and none per Jacobian build
+    prob = make_problem(n=2, N=10, m=1,
+                        boundary=(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]), np.zeros(2)))
+    calls = []
+    _record_calls(monkeypatch, RnLagrangian, ("d1", "d2"), calls)
+    sol = tboc.solve(prob, tol=1e-9, method="lm")
+    assert sol.report.converged and sol.report.jacobian_evaluations > 0
+    evaluations = sol.report.residual_evaluations
+    assert sorted(calls) == ["d1"] * evaluations + ["d2"] * evaluations
 
 
 def _single_point(n, fun):
@@ -405,15 +451,19 @@ def test_exact_and_dense_jacobian_solves_agree(regime, monkeypatch):
     exact = tboc.solve(prob, tol=1e-9)
     build = tboc.residual_system
 
-    def plain(problem, aug=None):
-        system = build(problem, aug=aug)
+    def dense(problem):
+        # the same points, linearized by central differences of the residual
+        system = build(problem)
 
         def residual(z):
             return system.at(z).f
 
-        return solvers.plain_system(residual, lambda z: solvers.fd_jacobian(residual, z))
+        def at(z):
+            return system.at(z)._replace(jacobian=lambda: solvers.fd_jacobian(residual, z))
 
-    monkeypatch.setattr(tboc, "residual_system", plain)
+        return solvers.ResidualSystem(at)
+
+    monkeypatch.setattr(tboc, "residual_system", dense)
     dense = tboc.solve(prob, tol=1e-9)
     assert exact.report.converged and dense.report.converged
     assert np.max(np.abs(exact.qs - dense.qs)) < 1e-9

@@ -147,6 +147,8 @@ def build_setup(cfg):
         h = _number(prob_cfg["h"], "h")
     except KeyError as exc:
         raise ConfigError(f"problem section is missing {exc}") from exc
+    if not h > 0.0:
+        raise ConfigError(f"h must be positive, got {prob_cfg['h']!r}")
     bnd = prob_cfg.get("boundary", {})
     cost_cfg = prob_cfg.get("cost", {})
 
@@ -154,9 +156,13 @@ def build_setup(cfg):
         n = _number(sys_cfg.get("n", 1), "n", int)
         if n < 1:
             raise ConfigError(f"n must be at least 1, got {n}")
+        mass = _number(sys_cfg.get("mass", 1.0), "mass", _floats)
+        if mass.shape not in ((), (n,), (n, n)):
+            raise ConfigError(f"mass must be a number, a list of {n} or a {n}x{n} matrix, "
+                              f"got {sys_cfg['mass']!r}")
         try:
             lagrangian, forces = systems.make_point_mass(
-                n, mass=_number(sys_cfg.get("mass", 1.0), "mass", _floats), h=h,
+                n, mass=mass, h=h,
                 force_convention=sys_cfg.get("force_convention", "trapezoidal"),
             )
             problem = tboc.OcProblemRn(
@@ -387,11 +393,9 @@ def _verify_lie(problem, args):
     lambdas = None
     if not sys_.fully_actuated:
         lambdas = ctrl[:, 1 + n + 2 * m :].reshape(N, 2, n - m)
-    res = lgoc.general_residual(problem, xis, nus[1:-1], lambdas)
-    path = lgoc.reconstruct(sys_.group, problem.g0, problem.h, xis)
     # dynamics: the written controls give the written node momenta through
     # the forced discrete Legendre transforms
-    left, right = lgoc.nu_momenta(sys_, problem.h, xis, um, up, gs=path)
+    res, path, left, right, phim, phip = lgoc.verify_terms(problem, xis, nus, um, up, lambdas)
     checks = {
         "optimality_residual": float(np.max(np.abs(res))),
         "dynamics_residual": float(max(np.max(np.abs(left - nus[:-1])),
@@ -403,9 +407,7 @@ def _verify_lie(problem, args):
         "trajectory_g": float(np.max(np.abs(gs - path))),
     }
     if not sys_.fully_actuated:
-        _, _, phim, phip = lgoc.momentum_defects(problem, xis, nus, path)
-        checks["constraint_phi"] = float(max(np.max(np.abs(phim)),
-                                             np.max(np.abs(phip))))
+        checks["constraint_phi"] = float(max(np.max(np.abs(phim)), np.max(np.abs(phip))))
     return checks
 
 

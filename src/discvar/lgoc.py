@@ -252,11 +252,12 @@ def _legendre_ends(h, mu, transported, G):
             transported - (h / 2.0) * G[1:].reshape(mu.shape))
 
 
-def nu_momenta(system, h, xi, u_minus, u_plus, gs=None):
+def nu_momenta(system, h, xi, u_minus, u_plus, gs=None, maps=None):
     """Node momenta (nu_k, nu_{k+1}) of one interval xi (n,) or of a batch
     (N, n).  With a potential, ``gs`` must hold the node configurations:
-    (g_k, g_{k+1}), or g_0..g_N for a batch."""
-    z, _, mu, transported, _, _ = interval_momenta(system, h, np.asarray(xi, dtype=float))
+    (g_k, g_{k+1}), or g_0..g_N for a batch; ``maps`` is xi's
+    ``interval_momenta`` if the caller formed it."""
+    z, _, mu, transported, _, _ = maps or interval_momenta(system, h, np.asarray(xi, dtype=float))
     left, right = _legendre_ends(h, mu, transported, _node_grads(system, gs))
     Bt = system.control_basis.T
     d = system.drift_values(z)
@@ -610,28 +611,25 @@ def action_sum(problem, xis, nus, lambdas=None, gs=None):
     return float(np.sum(vals))
 
 
-def _xi_gradients(problem, xis, D, T3, A, mu, c_minus, c_plus, Jd, T):
+def _xi_gradients(problem, xis, D, T3, mu, e, ad_e, c_minus, c_plus, Jd, T):
     """d/dxi_k of the interval-k cost term, holding nu, lambda and gs fixed.
 
     The term depends on xi only through mu, its transport coAd(W, mu) and
     the drift d(z), z = h xi; D = dtau_inv(z) and its derivative T3 come from one
-    ``dtau_inv_deriv`` call, A = Ad(W) from ``_interval_maps``, Jd from
-    ``_drift_jacobians`` and T = dtau_matrix(z).
-    ``c_minus`` and ``c_plus`` are the term's derivatives in mu and in the
-    transport; its derivative in d is -(h/2)(c_minus - c_plus).
+    ``dtau_inv_deriv`` call, Jd from ``_drift_jacobians`` and T =
+    dtau_matrix(z).  ``c_minus`` and ``c_plus`` are the term's derivatives
+    in mu and in the transport, with e = c_minus + Ad(W) c_plus and ad_e =
+    ad(Ad(W) c_plus); its derivative in d is -(h/2)(c_minus - c_plus).
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
     contracted with I xi, where D = dtau_inv(z), and the transport moves by
     coAd(W, dmu) + coAd(W, ad(eta)^* mu) with eta = h dtau(z) dxi (tau is
     right-trivialized).
     """
     sys_ = problem.system
-    group = sys_.group
     h = problem.h
-    e_plus = mv(A, c_plus)
-    e = c_minus + e_plus
     out = mv(D, e) @ sys_.inertia
     out += h * np.einsum("klji,kj,ki->kl", T3, xis @ sys_.inertia, e)
-    out -= h * mv(mt(T), mv(mt(group.ad_matrix(e_plus)), mu))
+    out -= h * mv(mt(T), mv(mt(ad_e), mu))
     if Jd is not None:
         out -= (h * h / 2.0) * np.einsum("...ij,...i->...j", Jd, c_minus - c_plus)
     return out
@@ -790,6 +788,8 @@ class _IntervalPass(NamedTuple):
     phi_p: np.ndarray
     c_minus: np.ndarray
     c_plus: np.ndarray
+    e: np.ndarray           # c_minus + Ad(W) c_plus
+    ad_e: np.ndarray        # ad(Ad(W) c_plus)
     Jd: Optional[np.ndarray]  # _drift_jacobians
     gxi: np.ndarray         # _xi_gradients
 
@@ -800,7 +800,7 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     drift values (one evaluation, read by the node momenta and the
     covectors; none without a drift), the node momenta (``_nus``), the path
     and its reconstruction gap, the potential's node gradients, the interval
-    covectors, the drift Jacobians, dtau(z) and the xi-gradients.  No array
+    covectors, e, ad(e_plus), the drift Jacobians, dtau(z) and the xi-gradients.  No array
     in it aliases xis, nus_interior or lambdas, so a point's pass outlives
     later writes to the caller's buffers."""
     sys_ = problem.system
@@ -813,11 +813,13 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     gs = reconstruct(group, problem.g0, h, xis, maps[1])
     um, up, phi_m, phi_p, c_minus, c_plus = _interval_covectors(
         problem, xis, nus, lambdas, maps, _node_grads(sys_, gs), d)
+    e_plus = mv(maps[5], c_plus)
+    e, ad_e = c_minus + e_plus, group.ad_matrix(e_plus)
     Jd = _drift_jacobians(sys_, z)
     T = group.dtau_matrix(z)
-    gxi = _xi_gradients(problem, xis, D, T3, maps[5], maps[2], c_minus, c_plus, Jd, T)
+    gxi = _xi_gradients(problem, xis, D, T3, maps[2], e, ad_e, c_minus, c_plus, Jd, T)
     return _IntervalPass(maps, T3, T, nus, gs, _reconstruction_gap(problem, gs[-1]),
-                         um, up, phi_m, phi_p, c_minus, c_plus, Jd, gxi)
+                         um, up, phi_m, phi_p, c_minus, c_plus, e, ad_e, Jd, gxi)
 
 
 def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=None):
@@ -852,6 +854,16 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
                                     axis=1).reshape(-1))
     parts.append(interval_pass.gap)
     return np.concatenate(parts)
+
+
+def verify_terms(problem, xis, nus, u_minus, u_plus, lambdas=None):
+    """(``general_residual``, the path gs, ``nu_momenta`` of the controls u-+,
+    phi^-, phi^+) at a written solution (float arrays), from one interval pass
+    at (xis, nus[1:-1], lambdas): phi+- read the pinned boundary momenta."""
+    p = _interval_pass(problem, xis, nus[1:-1], lambdas)
+    left, right = nu_momenta(problem.system, problem.h, xis, u_minus, u_plus, p.gs, p.maps)
+    return (general_residual(problem, xis, nus[1:-1], lambdas, p), p.gs, left, right,
+            p.phi_m, p.phi_p)
 
 
 def _velocity_rows(problem, interval_pass):
@@ -974,7 +986,7 @@ def _slots(n, s):
             slice(2 * n + 2 * s, 3 * n + 2 * s))
 
 
-def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd, plan):
+def _interval_hessians(problem, xis, interval_pass, plan):
     """Hessians of the interval cost terms in (nu_k, xi_k, lambda_k, nu_{k+1}),
     all intervals at once; returns (H, dmu/dxi, d transport/dxi).
 
@@ -985,46 +997,44 @@ def _interval_hessians(problem, xis, maps, T3, T, um, up, c_minus, c_plus, Jd, p
     curvature of y in xi_k along the cost derivatives:
     K = d^2/dxi^2 [c_minus . mu + c_plus . transport - (h/2)(c_minus - c_plus) . d].
     K takes the closed forms of ``_xi_gradients`` one derivative further,
-    through ``dtau_inv_deriv2`` and d dtau = -dtau (d dtau_inv) dtau; only
-    a callable drift's curvature is differenced, and a linear drift has
-    none.  ``T3`` is the derivative of D = dtau_inv(z) and ``T``
-    dtau_matrix(z).  ``plan`` (``_plan``) holds the ad structure constants
-    and F with its constant -I and +I blocks, which a copy fills.
+    through ``dtau_inv_deriv2_along`` (d^2 dtau_inv contracted with I xi and
+    e) and d dtau = -dtau (d dtau_inv) dtau; only a callable drift's
+    curvature is differenced, and a linear drift has none.  ``plan``
+    (``_plan``) holds the ad structure constants and F with its constant -I
+    and +I blocks, which a copy fills.
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
     sigma = list(sys_.unactuated)
-    z, _, mu, _, D, A = maps
+    p = interval_pass
+    (z, _, mu, _, D, A), T3, T, e, ad_e = p.maps, p.T3, p.T, p.e, p.ad_e
     I, P = sys_.inertia, sys_.control_pinv
-    p = xis @ I.T
-    Mxi = mt(D) @ I + h * np.einsum("klji,kj->kil", T3, p)
+    Ixi = xis @ I.T
+    Mxi = mt(D) @ I + h * np.einsum("klji,kj->kil", T3, Ixi)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
     Bmu = np.einsum("lai,ka->kil", plan.ad_basis, mu)
     Txi = mt(A) @ (Mxi + h * Bmu @ T)
-    e_plus = mv(A, c_plus)
-    e = c_minus + e_plus
-    ad_e = group.ad_matrix(e_plus)
     # the transport's A moves by ad(eta) A, so e_plus by -ad(e_plus) eta;
     # dtau moves by -dtau (d dtau_inv) dtau
     IU = I.T @ np.einsum("klab,kb->kal", T3, e)
     MadT = mt(Mxi) @ ad_e @ T
     u = mv(mt(T), mv(mt(ad_e), mu))
-    K = (h * h * np.einsum("klmji,kj,ki->klm", group.dtau_inv_deriv2(z), p, e)
+    K = (h * h * group.dtau_inv_deriv2_along(z, Ixi, e)
          + h * (IU + mt(IU)) - h * (MadT + mt(MadT))
          + h * h * mt(T) @ (np.einsum("kmai,ka->kim", T3, u) + Bmu @ ad_e @ T))
-    if Jd is not None and not sys_.drift_is_linear:
-        K -= (h**3 / 2.0) * _drift_curvature(sys_, z, c_minus - c_plus)
+    if p.Jd is not None and not sys_.drift_is_linear:
+        K -= (h**3 / 2.0) * _drift_curvature(sys_, z, p.c_minus - p.c_plus)
 
     s = len(sigma)
     _, xi, lam, _ = _slots(n, s)
     F = plan.F.copy()
     F[:, :n, xi] = Mxi
     F[:, n:, xi] = -Txi
-    if Jd is not None:
-        F[:, :, xi] -= (h * h / 2.0) * np.concatenate([Jd, Jd], axis=-2)
+    if p.Jd is not None:
+        F[:, :, xi] -= (h * h / 2.0) * np.concatenate([p.Jd, p.Jd], axis=-2)
     Fm, Fp = F[:, :n], F[:, n:]
-    Qm = mt(P) @ problem.cost.hess_batch(um) @ P
-    Qp = mt(P) @ problem.cost.hess_batch(up) @ P
+    Qm = mt(P) @ problem.cost.hess_batch(p.um) @ P
+    Qp = mt(P) @ problem.cost.hess_batch(p.up) @ P
     H = (2.0 / h) * (mt(Fm) @ Qm @ Fm + mt(Fp) @ Qp @ Fp)
     H[:, xi, xi] += K
     if s:
@@ -1065,8 +1075,7 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     p = interval_pass
     _, _, _, _, D, A = p.maps
     T3, gs, gxi, c_minus, c_plus = p.T3, p.gs, p.gxi, p.c_minus, p.c_plus
-    H, Mxi, Txi = _interval_hessians(problem, xis, p.maps, T3, p.T, p.um, p.up,
-                                     c_minus, c_plus, p.Jd, plan)
+    H, Mxi, Txi = _interval_hessians(problem, xis, p, plan)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     width = 3 * n + 2 * s

@@ -15,12 +15,13 @@ Two retractions are provided:
   closed forms for its trivialized tangent maps dexp and dexp^-1 (see the
   exp tangent-map section below).
 
-For both, ``GroupSpec.dtau_inv_deriv`` and ``GroupSpec.dtau_inv_deriv2`` give
-the first and second derivatives of dtau^-1 in closed form, the first
-together with dtau^-1 itself from one call; the derivative of dtau follows
-from them as -dtau (d dtau^-1) dtau.  ``GroupSpec.dtau_inv_deriv_along``
-gives the first derivative of dtau^-1(xi)^T mu alone, the one contraction
-of it a momentum needs, without forming the derivative tensor.
+For both, ``GroupSpec.dtau_inv_deriv`` gives the first derivative of dtau^-1
+in closed form, together with dtau^-1 itself from one call; the derivative
+of dtau follows as -dtau (d dtau^-1) dtau.  ``GroupSpec.dtau_inv_deriv_along``
+gives the first derivative of dtau^-1(xi)^T mu alone, the one contraction of
+it a momentum needs, and ``GroupSpec.dtau_inv_deriv2_along`` the second
+derivative of p^T dtau^-1(xi) e, the one contraction of it a Jacobian
+needs, both in closed form without forming a derivative tensor.
 
 se(3) coordinates are ordered (angular, linear): xi = (omega, v).
 """
@@ -188,103 +189,111 @@ def _so3_dcay_inv(w):
 #   dexp(w)    = J    = I + b W + c W^2,  b = (1 - cos th)/th^2,  c = (th - sin th)/th^3
 #   dexp^-1(w) = J^-1 = I - W/2 + k W^2,  k = (1 - (th/2) cot(th/2))/th^2
 # c, k and the derivatives b' and c' (in th) lose digits as th shrinks, so
-# below _SMALL_ANGLE each is its Taylor polynomial in th^2 through th^12 to
-# th^14, whose first omitted term is below 2e-17 of it there.  The closed forms
-# of k'/th, (k'/th)'/th and ((k'/th)'/th)'/th cancel much more (they keep only
-# 12, 10 and 8 digits at th = 0.5, and about 12 from th = 2 on for the last
-# two), so below _SERIES_ANGLE each is its Taylor polynomial of 20 terms,
-# through th^38, which holds to 3e-16 of it there.
+# below _SMALL_ANGLE each is its Taylor polynomial in th^2, whose first
+# omitted term is below 2e-17 of it there.  The closed forms of k'/th,
+# (k'/th)'/th and ((k'/th)'/th)'/th cancel much more (they keep only 12, 10
+# and 8 digits at th = 0.5, and about 12 from th = 2 on for the last two),
+# so below _SERIES_ANGLE each is its Taylor polynomial of 20 terms, through
+# th^38, which holds to 3e-16 of it there.
 
 _SMALL_ANGLE = 0.5
 _SERIES_ANGLE = 2.0
 _B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
 _C = tuple((-1) ** n / factorial(2 * n + 3) for n in range(8))
+# k's coefficients K_n = |B_{2n+2}| / (2n+2)! through n = 22, each Bernoulli
+# number |B_{2n+2}| given as p / q
 _K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
-      1/74724249600, 3617/10670622842880000)
-# b'/th and c'/th, as f'(th)/th = 2 df/d(th^2)
-_DB, _DC = ([2 * n * f[n] for n in range(1, 8)] for f in (_B, _C))
-# k'/th = 2 dk/d(th^2), (k'/th)'/th = 4 d^2k/d(th^2)^2 and ((k'/th)'/th)'/th
-# = 8 d^3k/d(th^2)^3, from k's
-# coefficients K_n = |B_{2n+2}| / (2n+2)! through n = 22, each Bernoulli number
-# |B_{2n+2}| given as p / q
-_K_MORE = _K + tuple(p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
-    (43867, 798), (174611, 330), (854513, 138), (236364091, 2730), (8553103, 6),
-    (23749461029, 870), (8615841276005, 14322), (7709321041217, 510),
-    (2577687858367, 6), (26315271553053477373, 1919190), (2929993913841559, 6),
-    (261082718496449122051, 13530), (1520097643918070802691, 1806),
-    (27833269579301024235023, 690), (596451111593912163277961, 282)), start=8))
-_DK = [2 * n * f for n, f in enumerate(_K_MORE[:21])][1:]
-_DDK = [4 * n * (n - 1) * f for n, f in enumerate(_K_MORE[:22])][2:]
-_DDDK = [8 * n * (n - 1) * (n - 2) * f for n, f in enumerate(_K_MORE)][3:]
+      1/74724249600, 3617/10670622842880000) + tuple(
+    p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
+        (43867, 798), (174611, 330), (854513, 138), (236364091, 2730), (8553103, 6),
+        (23749461029, 870), (8615841276005, 14322), (7709321041217, 510),
+        (2577687858367, 6), (26315271553053477373, 1919190), (2929993913841559, 6),
+        (261082718496449122051, 13530), (1520097643918070802691, 1806),
+        (27833269579301024235023, 690), (596451111593912163277961, 282)), start=8))
+
+# the rows are the series of k, of (k'/th, (k'/th)'/th, ((k'/th)'/th)'/th)
+# and of (c, b'/th, c'/th), zero padded: as f'/th = 2 df/d(th^2), the j-th
+# derivative moves f's n-th coefficient to n - j, times 2^j n! / (n - j)!
+_K_SERIES = np.array([_K[:8]])
+_DK_SERIES = np.array([[2**j * factorial(n) / factorial(n - j) * _K[n]
+                        for n in range(j, j + 20)] for j in (1, 2, 3)])
+_DEXP_SERIES = np.array([_C] + [[2 * n * f[n] for n in range(1, 8)] + [0.0] for f in (_B, _C)])
+_EXPONENTS = np.arange(20.0)
 
 
-def _angle(w):
-    """th^2, the mask th < _SMALL_ANGLE, and th, replaced by 1 under the mask."""
-    th2 = _dot(w, w)
-    small = th2 < _SMALL_ANGLE**2
-    return th2, small, np.sqrt(np.where(small, 1.0, th2))
+def _branches(out, x, edge, coeffs, closed):
+    """Fill ``out`` (count, len(x)) at the 1-D th^2 = x: below th = edge, one
+    product of the powers x^0..x^(terms-1) with the series ``coeffs`` (count,
+    terms), above ``closed(th, far)`` at th = sqrt(x[far]).  Each element is
+    evaluated in its branch alone and its terms summed by their own dot
+    product, so its value does not depend on the rest of x."""
+    series = x < edge * edge
+    pick = slice(None) if series.all() else series
+    out[:, pick] = np.einsum("ki,ji->jk", x[pick, None] ** _EXPONENTS[: coeffs.shape[1]], coeffs)
+    if pick is series:
+        far = ~series
+        out[:, far] = closed(np.sqrt(x[far]), far)
 
 
-def _taylor(th2, coeffs):
-    out = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * th2 + c
-    return out
-
-
-def _dexp_bc(th2, small, th):
+def _dexp_coeffs(th2, count):
+    """(b, c, b'/th, c'/th) of dexp at th^2 = th2, the first ``count`` (2 or
+    4), each of th2's shape (a scalar for a scalar)."""
+    th2 = np.asarray(th2, dtype=float)
+    x = th2.reshape(-1)
+    out = np.empty((count, x.size))
     # b = (sin(th/2) / (th/2))^2 / 2 keeps its digits at every th
-    b = 0.5 * np.sinc(np.sqrt(th2) / (2.0 * np.pi)) ** 2
-    return b, np.where(small, _taylor(th2, _C), (th - np.sin(th)) / th**3)
+    out[0] = b = 0.5 * np.sinc(np.sqrt(x) / (2.0 * np.pi)) ** 2
+
+    def closed(th, far):
+        c, bf = (th - np.sin(th)) / th**3, b[far]
+        return (c, (np.sin(th) / th - 2.0 * bf) / th**2, (bf - 3.0 * c) / th**2)[: count - 1]
+
+    _branches(out[1:], x, _SMALL_ANGLE, _DEXP_SERIES[: count - 1], closed)
+    return tuple(out.reshape((count,) + th2.shape))
 
 
-def _dexp_inv_k(th2, small, th):
-    x = 0.5 * th
-    return np.where(small, _taylor(th2, _K), (1.0 - x * np.cos(x) / np.sin(x)) / th**2)
+def _dexp_inv_coeffs(th2, count):
+    """(k, k'/th, (k'/th)'/th, ((k'/th)'/th)'/th) of dexp^-1 at th^2 = th2,
+    the first ``count``, each of th2's shape (a scalar for a scalar): k is
+    its series below _SMALL_ANGLE, the others below _SERIES_ANGLE, and k's
+    bits do not depend on ``count``."""
+    th2 = np.asarray(th2, dtype=float)
+    x = th2.reshape(-1)
+    out = np.empty((count, x.size))
 
+    def derivatives_closed(th, far):
+        sn, cs = np.sin(0.5 * th), np.cos(0.5 * th)
+        # k'/th = (r - k) / th^2 with r = 1/(4 sin^2(th/2)) - 1/th^2, then
+        # (k'/th)'/th = (r'/th - 3 k'/th) / th^2 and ((k'/th)'/th)'/th =
+        # (q'/th - 5 (k'/th)'/th) / th^2 with q = r'/th
+        dk = (0.25 / sn**2 - 1.0 / th**2 - out[0, far]) / th**2
+        ddk = (2.0 / th**4 - cs / (4.0 * th * sn**3) - 3.0 * dk) / th**2
+        dq = (-8.0 / th**6 + cs / (4.0 * th**3 * sn**3)
+              + (1.0 / sn**2 + 3.0 * cs**2 / sn**4) / (8.0 * th**2))
+        return (dk, ddk, (dq - 5.0 * ddk) / th**2)[: count - 1]
 
-def _dexp_inv_dk(th2, th, k):
-    # k'/th = (1/(4 sin^2(th/2)) - 1/th^2 - k) / th^2
-    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DK),
-                    (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
-
-
-def _dexp_inv_ddk(th2, th, dk):
-    # (k'/th)'/th = (r'/th - 3 dk) / th^2, r = 1/(4 sin^2(th/2)) - 1/th^2
-    half = 0.5 * th
-    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DDK),
-                    (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
-                     - 3.0 * dk) / th**2)
-
-
-def _dexp_inv_dddk(th2, th, ddk):
-    # ((k'/th)'/th)'/th = (q'/th - 5 ddk) / th^2, q = r'/th of _dexp_inv_ddk
-    sn, cs = np.sin(0.5 * th), np.cos(0.5 * th)
-    dq = (-8.0 / th**6 + cs / (4.0 * th**3 * sn**3)
-          + (1.0 / sn**2 + 3.0 * cs**2 / sn**4) / (8.0 * th**2))
-    return np.where(th2 < _SERIES_ANGLE**2, _taylor(th2, _DDDK), (dq - 5.0 * ddk) / th**2)
+    _branches(out[:1], x, _SMALL_ANGLE, _K_SERIES,
+              lambda th, _: (1.0 - 0.5 * th * np.cos(0.5 * th) / np.sin(0.5 * th)) / th**2)
+    if count > 1:
+        _branches(out[1:], x, _SERIES_ANGLE, _DK_SERIES[: count - 1], derivatives_closed)
+    return tuple(out.reshape((count,) + th2.shape))
 
 
 def _so3_dexp(w):
     w = np.asarray(w, dtype=float)
-    b, c = _dexp_bc(*_angle(w))
+    b, c = _dexp_coeffs(_dot(w, w), 2)
     W = hat3(w)
     return _I3 + b[..., None, None] * W + c[..., None, None] * (W @ W)
 
 
-def _so3_dexp_inv(w):
-    return _so3_dexp_inv_parts(w)[0]
-
-
-def _so3_dexp_inv_parts(w):
-    """(J^-1, th^2, th, k, W, W^2): dexp^-1(w) and the factors its derivative
-    reuses."""
+def _so3_dexp_inv_parts(w, count):
+    """(J^-1, coefficients, W, W^2): dexp^-1(w), the first ``count`` of
+    ``_dexp_inv_coeffs`` and the factors its derivative reuses."""
     w = np.asarray(w, dtype=float)
-    th2, small, th = _angle(w)
-    k = _dexp_inv_k(th2, small, th)
+    coeffs = _dexp_inv_coeffs(_dot(w, w), count)
     W = hat3(w)
     W2 = W @ W
-    return _I3 - 0.5 * W + k[..., None, None] * W2, th2, th, k, W, W2
+    return _I3 - 0.5 * W + coeffs[0][..., None, None] * W2, coeffs, W, W2
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +319,7 @@ def _se3_exp(xi):
 def _se3_log(g):
     g = np.asarray(g, dtype=float)
     w = _so3_log(g[..., :3, :3])
-    return np.concatenate([w, mv(_so3_dexp_inv(w), g[..., :3, 3])], axis=-1)
+    return np.concatenate([w, mv(_so3_dexp_inv_parts(w, 1)[0], g[..., :3, 3])], axis=-1)
 
 
 def _se3_cay(xi):
@@ -395,25 +404,17 @@ def _tangent_lower(W, W2, V, s, alpha, beta, dalpha, dbeta):
 
 def _se3_dexp(xi):
     xi = np.asarray(xi, dtype=float)
-    th2, small, th = _angle(xi[..., :3])
-    b, c = _dexp_bc(th2, small, th)
-    db = np.where(small, _taylor(th2, _DB), (np.sin(th) / th - 2.0 * b) / th**2)
-    dc = np.where(small, _taylor(th2, _DC), (b - 3.0 * c) / th**2)
-    return _se3_tangent(xi, b, c, db, dc)
+    w = xi[..., :3]
+    return _se3_tangent(xi, *_dexp_coeffs(_dot(w, w), 4))
 
 
-def _se3_dexp_inv(xi):
-    return _se3_dexp_inv_parts(xi)[0]
-
-
-def _se3_dexp_inv_parts(xi):
-    """(D, th^2, th, k, k'/th): dexp^-1(xi) and the coefficients its
-    derivative reuses."""
+def _se3_dexp_inv_parts(xi, count):
+    """(D, coefficients): dexp^-1(xi) and the first ``count`` (2 or more) of
+    ``_dexp_inv_coeffs``, which its derivative reuses."""
     xi = np.asarray(xi, dtype=float)
-    th2, small, th = _angle(xi[..., :3])
-    k = _dexp_inv_k(th2, small, th)
-    dk = _dexp_inv_dk(th2, th, k)
-    return _se3_tangent(xi, -0.5, k, 0.0, dk), th2, th, k, dk
+    w = xi[..., :3]
+    coeffs = _dexp_inv_coeffs(_dot(w, w), count)
+    return _se3_tangent(xi, -0.5, coeffs[0], 0.0, coeffs[1]), coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +459,8 @@ def _dexp_inv_upper_deriv(w, W, W2, k, dk):
 
 
 def _so3_dexp_inv_deriv(w):
-    D, th2, th, k, W, W2 = _so3_dexp_inv_parts(w)
-    return D, _dexp_inv_upper_deriv(w, W, W2, k, _dexp_inv_dk(th2, th, k))
+    D, (k, dk), W, W2 = _so3_dexp_inv_parts(w, 2)
+    return D, _dexp_inv_upper_deriv(w, W, W2, k, dk)
 
 
 def _se3_dexp_inv_deriv(xi):
@@ -467,12 +468,11 @@ def _se3_dexp_inv_deriv(xi):
     # + s dk W^2, s = w.v.  Along v_l only L moves, by F's derivative along w_l;
     # along w_l, L moves by M_l = k (E_l V + V E_l) + s ddk w_l W^2
     # + dk (w_l (W V + V W) + v_l W^2 + s (E_l W + W E_l)), ddk = (k'/th)'/th
-    D, th2, th, k, dk = _se3_dexp_inv_parts(xi)
+    D, (k, dk, ddk) = _se3_dexp_inv_parts(xi, 3)
     w, v = xi[..., :3], xi[..., 3:]
     W = hat3(w)
     W2 = W @ W
     F_l = _dexp_inv_upper_deriv(w, W, W2, k, dk)
-    ddk = _dexp_inv_ddk(th2, th, dk)
     s = _dot(w, v)[..., None, None, None]
     k, dk, ddk = (c[..., None, None, None] for c in (k, dk, ddk))
     wl, vl = w[..., :, None, None], v[..., :, None, None]
@@ -531,9 +531,7 @@ def _dexp_inv_upper_along(w, mu, k, dk):
 
 
 def _so3_dexp_inv_along(w, mu):
-    th2, small, th = _angle(w)
-    k = _dexp_inv_k(th2, small, th)
-    return _dexp_inv_upper_along(w, mu, k, _dexp_inv_dk(th2, th, k))[0]
+    return _dexp_inv_upper_along(w, mu, *_dexp_inv_coeffs(_dot(w, w), 2))[0]
 
 
 def _se3_dexp_inv_along(xi, mu):
@@ -543,10 +541,7 @@ def _se3_dexp_inv_along(xi, mu):
     # w.mu_v, s = w.v, c = mu_v.v and ddk = (k'/th)'/th
     w, v = xi[..., :3], xi[..., 3:]
     mu_w, mu_v = mu[..., :3], mu[..., 3:]
-    th2, small, th = _angle(w)
-    k = _dexp_inv_k(th2, small, th)
-    dk = _dexp_inv_dk(th2, th, k)
-    ddk = _dexp_inv_ddk(th2, th, dk)
+    k, dk, ddk = _dexp_inv_coeffs(_dot(w, w), 3)
     upper = _dexp_inv_upper_along(w, mu_w, k, dk)[0]
     U, W2mu = _dexp_inv_upper_along(w, mu_v, k, dk)
     a, s, c = _dot(w, mu_v), _dot(w, v), _dot(mu_v, v)
@@ -564,83 +559,73 @@ def _se3_dexp_inv_along(xi, mu):
 
 
 # ---------------------------------------------------------------------------
-# second derivatives of dtau^-1
+# second derivatives of p^T dtau^-1(xi) e
 # ---------------------------------------------------------------------------
-# Each kernel returns T stacked along both derivative indices first,
-# T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m, as GroupSpec hands it out.
-# The SE(3) lower block L is linear in v, and for exp it is the derivative of
-# the upper block F along v, so d^2 L / dw_l dv_m = d^2 F / dw_l dw_m.
-
-_DELTA = _I3[:, :, None, None]
-# d^2 (w w^T / 4) / dw_l dw_m = (e_l e_m^T + e_m e_l^T) / 4
-_OUTER2 = 0.25 * (np.einsum("li,mj->lmij", _I3, _I3)
-                  + np.einsum("mi,lj->lmij", _I3, _I3))
-_EL, _EM = _E[:, None], _E[None, :]
-
+# Each kernel returns H[..., l, m] = d^2 (p^T dtau^-1(xi) e) / d xi_l d xi_m,
+# the second derivative of dtau^-1 contracted with the covectors p and e, in
+# closed form.  With F = I - W/2 + k W^2, the upper block of dexp^-1,
+# a^T F b = a.b - w.(b x a)/2 + k q with q = a^T W^2 b = (a.w)(w.b) - th^2
+# (a.b); the gradient of k is dk w, that of dk is ddk w and that of ddk is
+# dddk w (dk = k'/th, ddk = (k'/th)'/th, dddk = ((k'/th)'/th)'/th).
 
 def _sym(X):
     return X + mt(X)
 
 
-def _so3_dcay_inv_deriv2(w):
-    return np.broadcast_to(_OUTER2, w.shape[:-1] + _OUTER2.shape)
+def _se3_dcay_inv_hess(xi, p, e):
+    # D = [[A + w w^T/4, 0], [-A V/2, A]] with A = I - W/2 linear in w: besides
+    # (p_w.w)(w.e_w)/4, p_v^T W V e_w / 4 = ((p_v.v)(w.e_w) - (p_v.e_w)(w.v))/4
+    # couples w and v; on SO(3) p^T D e curves only through (p.w)(w.e)/4
+    p_w, p_v, e_w = p[..., :3], p[..., 3:], e[..., :3]
+    out = np.zeros(xi.shape + (6,))
+    out[..., :3, :3] = 0.25 * _sym(_outer(p_w, e_w))
+    out[..., :3, 3:] = 0.25 * (_outer(e_w, p_v) - _scaled_eye(_dot(p_v, e_w)))
+    out[..., 3:, :3] = mt(out[..., :3, 3:])
+    return out
 
 
-# the SE(3) Cayley second derivative, the same at every xi (read-only): the
-# lower block -A V / 2 = -V / 2 + W V / 4 moves by E_l E_m / 4 along (w_l, v_m)
-# and (v_m, w_l); A is linear
-_SE3_DCAY_INV_DERIV2 = np.zeros((6, 6, 6, 6))
-_SE3_DCAY_INV_DERIV2[:3, :3, :3, :3] = _OUTER2
-_SE3_DCAY_INV_DERIV2[:3, 3:, 3:, :3] = 0.25 * (_EL @ _EM)
-_SE3_DCAY_INV_DERIV2[3:, :3, 3:, :3] = 0.25 * (_EM @ _EL)
-_SE3_DCAY_INV_DERIV2.flags.writeable = False
+def _dexp_inv_upper_hess(w, th2, k, dk, ddk, a, b):
+    """(H, q, grad q, a.b) in w: H the Hessian of a^T F b, sym(k a b^T + dk w
+    grad q^T + ddk q w w^T / 2) + (dk q - 2 k a.b) I with sym(X) = X + X^T
+    and q = a^T W^2 b; th2 = |w|^2, the coefficients, q and a.b end in an
+    axis of one."""
+    aw, wb, ab = _dot(a, w)[..., None], _dot(w, b)[..., None], _dot(a, b)[..., None]
+    q, g = aw * wb - th2 * ab, wb * a + aw * b - 2.0 * ab * w
+    H = _sym(_outer(k * a, b) + _outer(w, dk * g + 0.5 * ddk * q * w))
+    return H + _scaled_eye((dk * q - 2.0 * k * ab)[..., 0]), q, g, ab
 
 
-def _se3_dcay_inv_deriv2(xi):
-    return np.broadcast_to(_SE3_DCAY_INV_DERIV2, xi.shape[:-1] + _SE3_DCAY_INV_DERIV2.shape)
+def _so3_dexp_inv_hess(w, p, e):
+    th2 = _dot(w, w)
+    coeffs = (c[..., None] for c in _dexp_inv_coeffs(th2, 3))
+    return _dexp_inv_upper_hess(w, th2[..., None], *coeffs, p, e)[0]
 
 
-def _dexp_inv_second(w):
-    """(F2, parts): F2 = d^2 F / dw_l dw_m for F = I - W/2 + k W^2, the
-    derivative along w_m of F_l in ``_so3_dexp_inv_deriv``, axes (..., l, m,
-    3, 3), and the factors ``_se3_dexp_inv_deriv2`` reuses."""
-    th2, small, th = _angle(w)
-    k = _dexp_inv_k(th2, small, th)
-    dk = _dexp_inv_dk(th2, th, k)
-    ddk = _dexp_inv_ddk(th2, th, dk)
-    dddk = _dexp_inv_dddk(th2, th, ddk)
-    k, dk, ddk, dddk = (c[..., None, None, None, None] for c in (k, dk, ddk, dddk))
-    W = hat3(w)[..., None, None, :, :]
-    W2 = W @ W
-    wl, wm = w[..., :, None, None, None], w[..., None, :, None, None]
-    ElW, EmW = _sym(_EL @ W), _sym(_EM @ W)
-    F2 = (k * _sym(_EL @ _EM) + dk * (wm * ElW + wl * EmW + _DELTA * W2)
-          + ddk * wl * wm * W2)
-    return F2, (dk, ddk, dddk, W, W2, wl, wm, ElW, EmW)
-
-
-def _so3_dexp_inv_deriv2(w):
-    return _dexp_inv_second(w)[0]
-
-
-def _se3_dexp_inv_deriv2(xi):
-    # D = [[F, 0], [L, F]], L = -V/2 + k (W V + V W) + s dk W^2: along (w_l, w_m)
-    # L moves by N_lm, the derivative along w_m of M_l in _se3_dexp_inv_deriv,
-    # with dddk = ((k'/th)'/th)'/th
+def _se3_dexp_inv_hess(xi, p, e):
+    # D = [[F, 0], [L, F]] with L = v_l dF/dw_l: p^T D e = f(p_w, e_w) +
+    # f(p_v, e_v) + v . grad f(p_v, e_w), f(a, b) = a^T F b, the pairs stacked.
+    # The ww block holds the first two's Hessians and the third's derivative
+    # along v, the wv and vw blocks its Hessian.  With (q, g) of (p_v, e_w),
+    # s = w.v, v . grad f = const + dk q s + k r, r = v.g linear in w with
+    # gradient rho, and q's Hessian is sym(p_v e_w^T) - 2 (p_v.e_w) I
     w, v = xi[..., :3], xi[..., 3:]
-    F2, (dk, ddk, dddk, W, W2, wl, wm, ElW, EmW) = _dexp_inv_second(w)
-    V = hat3(v)[..., None, None, :, :]
-    s = _dot(w, v)[..., None, None, None, None]
-    vl, vm = v[..., :, None, None, None], v[..., None, :, None, None]
-    N2 = (dk * (wm * _sym(_EL @ V) + wl * _sym(_EM @ V) + vl * EmW + vm * ElW
-                + s * _sym(_EL @ _EM))
-          + (ddk * wl * wm + dk * _DELTA) * _sym(W @ V)
-          + (ddk * (vm * wl + wm * vl + s * _DELTA) + dddk * s * wl * wm) * W2
-          + ddk * s * (wl * EmW + wm * ElW))
-    out = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
-    out[..., :3, :3, :, :] = _se3_blocks(F2, N2)
-    out[..., :3, 3:, 3:, :3] = F2
-    out[..., 3:, :3, 3:, :3] = F2
+    p_w, p_v, e_w = p[..., :3], p[..., 3:], e[..., :3]
+    th2 = _dot(w, w)
+    k, dk, ddk, dddk = (c[..., None] for c in _dexp_inv_coeffs(th2, 4))
+    S, q, g, ab = _dexp_inv_upper_hess(
+        w[..., None, :], th2[..., None, None], k[..., None], dk[..., None], ddk[..., None],
+        np.stack([p_w, p_v, p_v], axis=-2), np.stack([e_w, e[..., 3:], e_w], axis=-2))
+    q, g, ab = q[..., 2, :], g[..., 2, :], ab[..., 2, :]
+    s, r = _dot(w, v)[..., None], _dot(v, g)[..., None]
+    rho = _dot(p_v, v)[..., None] * e_w + _dot(e_w, v)[..., None] * p_v - 2.0 * ab * v
+    # the Hessians of k r and of dk u, u = q s with gradient s g + q v
+    u = q * s
+    third = _sym(_outer(w, dk * rho + ddk * (s * g + q * v + 0.5 * r * w) + 0.5 * dddk * u * w)
+                 + dk[..., None] * (_outer(g, v) + s[..., None] * _outer(p_v, e_w)))
+    out = np.zeros(xi.shape + (6,))
+    out[..., :3, :3] = (S[..., 0, :, :] + S[..., 1, :, :] + third
+                        + _scaled_eye((dk * (r - 2.0 * s * ab) + ddk * u)[..., 0]))
+    out[..., :3, 3:] = out[..., 3:, :3] = S[..., 2, :, :]
     return out
 
 
@@ -781,7 +766,9 @@ class GroupSpec:
             return _eye_like(xi.shape[:-1], self.dim)
         if self.retraction == CAYLEY:
             return _so3_dcay_inv(xi) if self.name == "SO3" else _se3_dcay_inv(xi)
-        return _so3_dexp_inv(xi) if self.name == "SO3" else _se3_dexp_inv(xi)
+        if self.name == "SO3":
+            return _so3_dexp_inv_parts(xi, 1)[0]
+        return _se3_dexp_inv_parts(xi, 2)[0]
 
     def dtau_inv_deriv(self, xi):
         """(D, T): D = dtau_inv_matrix(xi), bitwise, and T with T[..., l, i, j]
@@ -813,18 +800,18 @@ class GroupSpec:
             kernel = _so3_dexp_inv_along if self.name == "SO3" else _se3_dexp_inv_along
         return kernel(xi, mu)
 
-    def dtau_inv_deriv2(self, xi):
-        """T with T[..., l, m, i, j] = d^2 dtau_inv_matrix(xi)[..., i, j]
-        / d xi_l d xi_m, symmetric in (l, m): the derivative indices first,
-        as in the T of ``dtau_inv_deriv``."""
-        xi = np.asarray(xi, dtype=float)
+    def dtau_inv_deriv2_along(self, xi, p, e):
+        """H with H[..., l, m] = d^2 (p^T dtau_inv_matrix(xi) e) / d xi_l d xi_m:
+        the second derivative of dtau^-1 contracted with the covectors p and
+        e, symmetric in (l, m), in closed form, without forming the 4-index
+        tensor.  xi, p and e broadcast against each other; zero on R^n."""
+        xi, p, e = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (xi, p, e)))
         if self.name == "Rn":
-            return np.zeros(xi.shape[:-1] + (self.dim,) * 4)
+            return np.zeros(xi.shape + (self.dim,))
         if self.retraction == CAYLEY:
-            kernel = _so3_dcay_inv_deriv2 if self.name == "SO3" else _se3_dcay_inv_deriv2
-        else:
-            kernel = _so3_dexp_inv_deriv2 if self.name == "SO3" else _se3_dexp_inv_deriv2
-        return kernel(xi)
+            return _se3_dcay_inv_hess(xi, p, e) if self.name == "SE3" else 0.25 * _sym(_outer(p, e))
+        kernel = _so3_dexp_inv_hess if self.name == "SO3" else _se3_dexp_inv_hess
+        return kernel(xi, p, e)
 
 
 def real_n(n, retraction=CAYLEY):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import discvar
-from discvar import cli, solvers
+from discvar import cli, lgoc, solvers
 
 
 def write_config(path, cfg):
@@ -103,6 +103,23 @@ def test_uuv_solve_and_verify(tmp_path):
     assert cli.main(["verify", cfg, out]) == 0
     checks = read_report(out)["checks"]
     assert checks["constraint_phi"] <= 1e-6
+
+
+@pytest.mark.parametrize("make_cfg", [rigid_body_cfg, uuv_cfg], ids=["rigid body", "vehicle"])
+def test_verify_forms_the_interval_maps_once(tmp_path, monkeypatch, make_cfg):
+    # the residual, the path, the node momenta of the written controls and
+    # phi+- all come from one interval pass: one evaluation of the interval
+    # maps and one reconstruction of the path
+    cfg = write_config(tmp_path / "c.json", make_cfg())
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    calls = []
+    for name in ("_interval_maps", "reconstruct", "interval_momenta"):
+        original = getattr(lgoc, name)
+        monkeypatch.setattr(lgoc, name, lambda *a, _f=original, _n=name, **k:
+                            calls.append(_n) or _f(*a, **k))
+    assert cli.main(["verify", cfg, out]) == 0
+    assert sorted(calls) == ["_interval_maps", "reconstruct"]
 
 
 def test_verify_detects_tampering(tmp_path):
@@ -278,6 +295,30 @@ def test_bad_point_mass_is_config_error(tmp_path, capsys, command, system, messa
     # and a negative mass solved
     base = point_mass_cfg()
     base["system"].update(system)
+    cfg = write_config(tmp_path / "c.json", base)
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("make_cfg, section, change, message", [
+    (point_mass_cfg, "system", {"n": 1, "mass": [1.0, 2.0]},
+     "mass must be a number, a list of 1 or a 1x1 matrix, got [1.0, 2.0]"),
+    (_point_mass_n2, "system", {"mass": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+     "mass must be a number, a list of 2 or a 2x2 matrix"),
+    (point_mass_cfg, "problem", {"h": -0.125}, "h must be positive, got -0.125"),
+    (point_mass_cfg, "problem", {"h": 0}, "h must be positive, got 0"),
+    (rigid_body_cfg, "problem", {"h": -0.1}, "h must be positive, got -0.1"),
+    (uuv_cfg, "problem", {"h": 0.0}, "h must be positive, got 0.0"),
+], ids=["point mass of two masses", "point mass 2x3 mass", "point mass negative h",
+        "point mass zero h", "rigid body negative h", "vehicle zero h"])
+def test_bad_mass_or_step_is_config_error(tmp_path, capsys, command, make_cfg, section,
+                                          change, message):
+    # these used to fail later, in the problem's own checks, with exit 2 and
+    # a message that named x0 or the time step, not the key
+    base = make_cfg()
+    base[section].update(change)
     cfg = write_config(tmp_path / "c.json", base)
     assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

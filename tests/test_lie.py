@@ -1,5 +1,7 @@
 """Retraction kernel tests: charts, trivialized tangents, duals, adjoints."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -403,8 +405,6 @@ def _dexp_inv_matrix(ad, order=12):
 
 
 def _factorial(n):
-    from math import factorial
-
     return float(factorial(n))
 
 
@@ -540,33 +540,233 @@ def test_dtau_inv_deriv_along_is_the_derivative_contracted_with_mu(g):
         assert np.all(np.abs(K - K_ref) <= 1e-14 * scale), np.max(np.abs(K - K_ref) / scale)
 
 
+# ---------------------------------------------------------------------------
+# frozen oracles: the exp coefficients and the second derivative of dtau^-1
+# as they stood before the contraction, a Horner loop and a np.where per
+# coefficient, and the full 4-index tensor
+# ---------------------------------------------------------------------------
+
+_OLD_B = tuple((-1) ** n / factorial(2 * n + 2) for n in range(8))
+_OLD_C = tuple((-1) ** n / factorial(2 * n + 3) for n in range(8))
+_OLD_K = (1/12, 1/720, 1/30240, 1/1209600, 1/47900160, 691/1307674368000,
+          1/74724249600, 3617/10670622842880000)
+_OLD_DB, _OLD_DC = ([2 * n * f[n] for n in range(1, 8)] for f in (_OLD_B, _OLD_C))
+_OLD_K_MORE = _OLD_K + tuple(p / (q * factorial(2 * n + 2)) for n, (p, q) in enumerate((
+    (43867, 798), (174611, 330), (854513, 138), (236364091, 2730), (8553103, 6),
+    (23749461029, 870), (8615841276005, 14322), (7709321041217, 510),
+    (2577687858367, 6), (26315271553053477373, 1919190), (2929993913841559, 6),
+    (261082718496449122051, 13530), (1520097643918070802691, 1806),
+    (27833269579301024235023, 690), (596451111593912163277961, 282)), start=8))
+_OLD_DK = [2 * n * f for n, f in enumerate(_OLD_K_MORE[:21])][1:]
+_OLD_DDK = [4 * n * (n - 1) * f for n, f in enumerate(_OLD_K_MORE[:22])][2:]
+_OLD_DDDK = [8 * n * (n - 1) * (n - 2) * f for n, f in enumerate(_OLD_K_MORE)][3:]
+
+
+def _old_taylor(th2, coeffs):
+    out = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out = out * th2 + c
+    return out
+
+
+def _old_coeffs(th2):
+    """(b, c, b'/th, c'/th) and (k, k'/th, (k'/th)'/th, ((k'/th)'/th)'/th)
+    at th^2 = th2, as the kernels formed them."""
+    small = th2 < lie._SMALL_ANGLE**2
+    series = th2 < lie._SERIES_ANGLE**2
+    th = np.sqrt(np.where(small, 1.0, th2))
+    b = 0.5 * np.sinc(np.sqrt(th2) / (2.0 * np.pi)) ** 2
+    c = np.where(small, _old_taylor(th2, _OLD_C), (th - np.sin(th)) / th**3)
+    db = np.where(small, _old_taylor(th2, _OLD_DB), (np.sin(th) / th - 2.0 * b) / th**2)
+    dc = np.where(small, _old_taylor(th2, _OLD_DC), (b - 3.0 * c) / th**2)
+    x = 0.5 * th
+    k = np.where(small, _old_taylor(th2, _OLD_K), (1.0 - x * np.cos(x) / np.sin(x)) / th**2)
+    dk = np.where(series, _old_taylor(th2, _OLD_DK),
+                  (0.25 / np.sin(0.5 * th) ** 2 - 1.0 / th**2 - k) / th**2)
+    half = 0.5 * th
+    ddk = np.where(series, _old_taylor(th2, _OLD_DDK),
+                   (2.0 / th**4 - np.cos(half) / (4.0 * th * np.sin(half) ** 3)
+                    - 3.0 * dk) / th**2)
+    sn, cs = np.sin(0.5 * th), np.cos(0.5 * th)
+    dq = (-8.0 / th**6 + cs / (4.0 * th**3 * sn**3)
+          + (1.0 / sn**2 + 3.0 * cs**2 / sn**4) / (8.0 * th**2))
+    dddk = np.where(series, _old_taylor(th2, _OLD_DDDK), (dq - 5.0 * ddk) / th**2)
+    return (b, c, db, dc), (k, dk, ddk, dddk)
+
+
+_E = lie.hat3(np.eye(3))
+_EL, _EM = _E[:, None], _E[None, :]
+_DELTA = np.eye(3)[:, :, None, None]
+_OUTER2 = 0.25 * (np.einsum("li,mj->lmij", np.eye(3), np.eye(3))
+                  + np.einsum("mi,lj->lmij", np.eye(3), np.eye(3)))
+
+
+def _sym(X):
+    return X + mat_t(X)
+
+
+def _se3_blocks(upper, lower):
+    out = np.zeros(lower.shape[:-2] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = upper
+    out[..., 3:, :3] = lower
+    return out
+
+
+def _old_dtau_inv_deriv2(g, xi):
+    """T[..., l, m, i, j] = d^2 dtau_inv_matrix(xi)[..., i, j] / d xi_l d xi_m."""
+    xi = np.asarray(xi, dtype=float)
+    if g.retraction == lie.CAYLEY:
+        if g.name == "SO3":
+            return np.broadcast_to(_OUTER2, xi.shape[:-1] + _OUTER2.shape)
+        # the lower block -A V / 2 moves by E_l E_m / 4 along (w_l, v_m) and (v_m, w_l)
+        T = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
+        T[..., :3, :3, :3, :3] = _OUTER2
+        T[..., :3, 3:, 3:, :3] = 0.25 * (_EL @ _EM)
+        T[..., 3:, :3, 3:, :3] = 0.25 * (_EM @ _EL)
+        return T
+    w = xi[..., :3]
+    _, (k, dk, ddk, dddk) = _old_coeffs(np.sum(w * w, axis=-1))
+    k, dk, ddk, dddk = (c[..., None, None, None, None] for c in (k, dk, ddk, dddk))
+    W = lie.hat3(w)[..., None, None, :, :]
+    W2 = W @ W
+    wl, wm = w[..., :, None, None, None], w[..., None, :, None, None]
+    ElW, EmW = _sym(_EL @ W), _sym(_EM @ W)
+    F2 = (k * _sym(_EL @ _EM) + dk * (wm * ElW + wl * EmW + _DELTA * W2)
+          + ddk * wl * wm * W2)
+    if g.name == "SO3":
+        return F2
+    v = xi[..., 3:]
+    V = lie.hat3(v)[..., None, None, :, :]
+    s = np.sum(w * v, axis=-1)[..., None, None, None, None]
+    vl, vm = v[..., :, None, None, None], v[..., None, :, None, None]
+    N2 = (dk * (wm * _sym(_EL @ V) + wl * _sym(_EM @ V) + vl * EmW + vm * ElW
+                + s * _sym(_EL @ _EM))
+          + (ddk * wl * wm + dk * _DELTA) * _sym(W @ V)
+          + (ddk * (vm * wl + wm * vl + s * _DELTA) + dddk * s * wl * wm) * W2
+          + ddk * s * (wl * EmW + wm * ElW))
+    out = np.zeros(xi.shape[:-1] + (6, 6, 6, 6))
+    out[..., :3, :3, :, :] = _se3_blocks(F2, N2)
+    out[..., :3, 3:, 3:, :3] = F2
+    out[..., 3:, :3, 3:, :3] = F2
+    return out
+
+
+# angles below _SMALL_ANGLE, at and between the thresholds and above
+_EDGE_ANGLES = np.array([0.0, 1e-9, 1e-4, 0.1, 0.3, lie._SMALL_ANGLE * (1.0 - 1e-3),
+                         lie._SMALL_ANGLE, lie._SMALL_ANGLE * (1.0 + 1e-3), 1.0, 1.2,
+                         lie._SERIES_ANGLE * (1.0 - 1e-3), lie._SERIES_ANGLE,
+                         lie._SERIES_ANGLE * (1.0 + 1e-3), 2.9])
+
+
+def _covectors(rng, xi):
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=xi.shape[:-1] + (1,))
+    return rng.normal(size=xi.shape) * scale, rng.normal(size=xi.shape)
+
+
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
-def test_dtau_inv_deriv2_matches_central_difference(g):
+def test_dtau_inv_deriv2_along_matches_central_difference(g):
     edge = lie._SMALL_ANGLE
     angles = np.array([0.0, 1e-9, 1e-4, 0.1, edge * (1.0 - 1e-3), edge,
                        edge * (1.0 + 1e-3), 1.0, 2.0])
-    xi = _angle_batch(np.random.default_rng(24), g, angles)
+    rng = np.random.default_rng(24)
+    xi = _angle_batch(rng, g, angles)
+    p, e = rng.normal(size=xi.shape), rng.normal(size=xi.shape)
     step = 1e-6
-    # both derivative indices first: T[..., l, m, i, j] = d^2 D_ij / d xi_l d xi_m
-    fd = np.stack([(g.dtau_inv_deriv(xi + step * e)[1] - g.dtau_inv_deriv(xi - step * e)[1])
-                   / (2.0 * step) for e in np.eye(g.dim)], axis=-3)
-    T = g.dtau_inv_deriv2(xi)
-    assert T.shape == (len(angles),) + (g.dim,) * 4
-    assert np.max(np.abs(T - fd)) < 1e-8, np.max(np.abs(T - fd))
-    assert np.max(np.abs(T - np.swapaxes(T, -3, -4))) <= 1e-15
+
+    def gradient(x):
+        # d (p^T D e) / d xi_m = p^T T_m e, T from dtau_inv_deriv
+        return np.einsum("...i,...mij,...j->...m", p, g.dtau_inv_deriv(x)[1], e)
+
+    fd = np.stack([(gradient(xi + step * u) - gradient(xi - step * u)) / (2.0 * step)
+                   for u in np.eye(g.dim)], axis=-2)
+    H = g.dtau_inv_deriv2_along(xi, p, e)
+    assert H.shape == (len(angles),) + (g.dim,) * 2
+    assert np.max(np.abs(H - fd)) < 1e-8, np.max(np.abs(H - fd))
+    assert np.max(np.abs(H - mat_t(H))) <= 1e-15
 
 
 @pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
-def test_dtau_inv_deriv2_batches_equal_single_points(g):
+def test_dtau_inv_deriv2_along_is_the_second_derivative_contracted(g):
+    # p^T (d^2 D) e from the frozen 4-index tensor, to 1e-14 of each point's
+    # largest entry, on a stack, a grid and single points
+    rng = np.random.default_rng(30)
+    xi = _angle_batch(rng, g, _EDGE_ANGLES)
+    p, e = _covectors(rng, xi)
+    expected = np.einsum("...lmij,...i,...j->...lm", _old_dtau_inv_deriv2(g, xi), p, e)
+    cases = [(xi, p, e, expected),
+             (xi.reshape(2, 7, g.dim), p.reshape(2, 7, g.dim), e.reshape(2, 7, g.dim),
+              expected.reshape(2, 7, g.dim, g.dim))]
+    cases += [(xi[i], p[i], e[i], expected[i]) for i in range(len(xi))]
+    for x, a, b, H_ref in cases:
+        H = g.dtau_inv_deriv2_along(x, a, b)
+        assert H.shape == x.shape + (g.dim,)
+        scale = np.max(np.abs(H_ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(H - H_ref) <= 1e-14 * scale), np.max(np.abs(H - H_ref) / scale)
+
+
+@pytest.mark.parametrize("g", _CURVED, ids=lambda g: f"{g.name}-{g.retraction}")
+def test_dtau_inv_deriv2_along_batches_equal_single_points(g):
     rng = np.random.default_rng(25)
     for size in (1, 32, 1024):
         # angles on both sides of the small-angle threshold
         xi = _angle_batch(rng, g, rng.uniform(0.0, 2.0 * lie._SMALL_ANGLE, size=size))
-        batch = g.dtau_inv_deriv2(xi)
-        single = np.stack([g.dtau_inv_deriv2(x) for x in xi[:32]])
-        assert batch.shape == (size,) + (g.dim,) * 4
+        p, e = _covectors(rng, xi)
+        batch = g.dtau_inv_deriv2_along(xi, p, e)
+        single = np.stack([g.dtau_inv_deriv2_along(x, a, b)
+                           for x, a, b in zip(xi[:32], p[:32], e[:32])])
+        assert batch.shape == (size,) + (g.dim,) * 2
         # equal up to the rounding of batched and single matrix products
         assert np.max(np.abs(batch[:32] - single)) <= 1e-13 * np.max(np.abs(single))
+
+
+def test_dtau_inv_deriv2_along_broadcasts_the_covectors():
+    rng = np.random.default_rng(32)
+    for g in _CURVED:
+        xi = _angle_batch(rng, g, np.linspace(0.1, 2.5, 6))
+        p, e = _covectors(rng, xi[:1])
+        H = g.dtau_inv_deriv2_along(xi, p[0], e)
+        assert H.shape == (6, g.dim, g.dim)
+        assert np.array_equal(H, g.dtau_inv_deriv2_along(xi, np.repeat(p, 6, axis=0),
+                                                         np.repeat(e, 6, axis=0)))
+
+
+def _angles_across_the_thresholds():
+    small, series = lie._SMALL_ANGLE, lie._SERIES_ANGLE
+    return np.concatenate([np.linspace(0.0, 3.0, 301), _EDGE_ANGLES, [
+        1e-12, 1e-6, np.nextafter(small, 0.0), np.nextafter(small, 1.0),
+        np.nextafter(series, 0.0), np.nextafter(series, 3.0)]])
+
+
+def test_exp_coefficients_match_the_frozen_forms():
+    # every coefficient within 1e-14 of its frozen Horner / np.where form,
+    # relative, on both sides of _SMALL_ANGLE and _SERIES_ANGLE
+    th2 = _angles_across_the_thresholds() ** 2
+    old_dexp, old_dexp_inv = _old_coeffs(th2)
+    for new, old in ((lie._dexp_coeffs(th2, 4), old_dexp),
+                     (lie._dexp_inv_coeffs(th2, 4), old_dexp_inv)):
+        for i, (a, b) in enumerate(zip(new, old)):
+            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b)), (i, np.max(np.abs(a / b - 1.0)))
+
+
+def test_exp_coefficients_of_an_element_do_not_depend_on_its_batch():
+    # a single element's coefficients are its row of any batch, bitwise: the
+    # window starts evaluate one velocity, the general windows many, and
+    # they must agree to the bit
+    rng = np.random.default_rng(33)
+    angles = _angles_across_the_thresholds()
+    for size in (1, 2, 7, 32, 255, 1024):
+        th2 = rng.choice(angles, size=size) ** 2
+        for coeffs in (lie._dexp_coeffs, lie._dexp_inv_coeffs):
+            for count in ((2, 4) if coeffs is lie._dexp_coeffs else (1, 2, 3, 4)):
+                batch = coeffs(th2, count)
+                grid = coeffs(th2.reshape(size, 1), count)
+                for i in range(min(size, 40)):
+                    single = coeffs(th2[i], count)
+                    assert all(np.ndim(c) == 0 for c in single)
+                    for c, b, r in zip(single, batch, grid):
+                        assert c.tobytes() == b[i].tobytes() == r[i, 0].tobytes()
+                # k, and b and c, are the same bits whatever the count
+                assert batch[0].tobytes() == coeffs(th2, 4)[0].tobytes()
 
 
 def _k_series_derivatives(count=48):
@@ -599,12 +799,9 @@ def test_dexp_inv_k_derivatives_keep_their_digits_above_the_small_angle():
                              np.linspace(0.75, 3.0, 19), [2.0 - 1e-9, 2.0]])
     series = _k_series_derivatives()
     for th in angles:
-        th2, small, th_safe = lie._angle(np.array([th, 0.0, 0.0]))
-        k = lie._dexp_inv_k(th2, small, th_safe)
-        ddk = lie._dexp_inv_ddk(th2, th_safe, lie._dexp_inv_dk(th2, th_safe, k))
-        dddk = lie._dexp_inv_dddk(th2, th_safe, ddk)
+        _, _, ddk, dddk = lie._dexp_inv_coeffs(th * th, 4)
         for order, value in ((2, ddk), (3, dddk)):
-            exact = series(th2, order)
+            exact = series(th * th, order)
             assert abs(value - exact) <= 1e-12 * exact, (th, order, value / exact - 1.0)
 
 
@@ -618,15 +815,15 @@ def test_dexp_inv_dk_keeps_its_digits():
         np.nextafter(series_edge, 3.0)]])
     series = _k_series_derivatives()
     for th in angles:
-        th2, small, th_safe = lie._angle(np.array([th, 0.0, 0.0]))
-        dk = lie._dexp_inv_dk(th2, th_safe, lie._dexp_inv_k(th2, small, th_safe))
-        exact = series(th2, 1)
+        dk = lie._dexp_inv_coeffs(th * th, 2)[1]
+        exact = series(th * th, 1)
         assert abs(dk - exact) <= 1e-13 * exact, (th, dk / exact - 1.0)
 
 
-def test_dtau_inv_deriv2_vanishes_on_the_abelian_group():
+def test_dtau_inv_deriv2_along_vanishes_on_the_abelian_group():
     g = lie.real_n(4)
-    assert np.array_equal(g.dtau_inv_deriv2(np.ones((5, 4))), np.zeros((5,) + (4,) * 4))
+    H = g.dtau_inv_deriv2_along(np.ones((5, 4)), np.ones((5, 4)), np.ones((5, 4)))
+    assert np.array_equal(H, np.zeros((5, 4, 4)))
 
 
 # ---------------------------------------------------------------------------

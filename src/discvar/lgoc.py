@@ -32,7 +32,10 @@ derivatives (``_interval_hessians``).  What flows through the
 reconstruction, the potential's dependence on the node configurations and
 the reconstruction rows, is chained through the configuration
 sensitivities of one ``reconstruct``.  Only the derivatives a user's
-callable does not supply are differenced; no residual is.
+callable does not supply are differenced; no residual is.  The interval
+pass that the residual and the Jacobian share (``_interval_pass``) also
+takes a leading axis of points, on which Newton's line search evaluates
+its trial steps together (``residual_system``).
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects, less the drift, have no
@@ -245,11 +248,13 @@ def _node_grads(system, gs):
 
 def _legendre_ends(h, mu, transported, G):
     """l_k = mu_k + (h/2) grad V(g_k) and r_k = coAd(tau(h xi_k), mu_k)
-    - (h/2) grad V(g_{k+1}), from the node gradients G of ``_node_grads``."""
+    - (h/2) grad V(g_{k+1}), from the node gradients G of ``_node_grads``;
+    leading point axes ride along."""
     if G is None:
         return mu, transported
-    return (mu + (h / 2.0) * G[:-1].reshape(mu.shape),
-            transported - (h / 2.0) * G[1:].reshape(mu.shape))
+    G = G.reshape(mu.shape[:-2] + (-1, mu.shape[-1]))
+    return (mu + (h / 2.0) * G[..., :-1, :].reshape(mu.shape),
+            transported - (h / 2.0) * G[..., 1:, :].reshape(mu.shape))
 
 
 def nu_momenta(system, h, xi, u_minus, u_plus, gs=None, maps=None):
@@ -542,18 +547,22 @@ def _composition(group):
 
 
 def reconstruct(group, g0, h, xis, W=None):
-    """Configurations g_0..g_N from interval velocities; ``W`` is their
-    tau(h xi_k) when the caller has formed it (``interval_momenta``).  Each
-    product g_k W_k is written straight into the preallocated path, as
-    ``GroupSpec.multiply`` would form it."""
+    """Configurations g_0..g_N from interval velocities xis (..., N, n), any
+    leading axes being points that share g0; ``W`` is their tau(h xi_k) when
+    the caller has formed it (``interval_momenta``).  Each product g_k W_k
+    is written straight into the preallocated path, as
+    ``GroupSpec.multiply`` would form it, for every point at once."""
     if W is None:
         W = group.tau(h * np.asarray(xis, dtype=float))
     g0 = np.asarray(g0, dtype=float)
-    gs = np.empty((len(W) + 1,) + g0.shape)
-    gs[0] = g0
+    axis = W.ndim - g0.ndim - 1
+    gs = np.empty(W.shape[:axis] + (W.shape[axis] + 1,) + g0.shape)
+    # views with the node axis first: writing them writes gs
+    nodes, steps = gs.swapaxes(0, axis), W.swapaxes(0, axis)
+    nodes[0] = g0
     compose = _composition(group)
-    for k in range(len(W)):
-        compose(gs[k], W[k], out=gs[k + 1])
+    for k in range(len(steps)):
+        compose(nodes[k], steps[k], out=nodes[k + 1])
     return gs
 
 
@@ -562,7 +571,8 @@ def reconstruct(group, g0, h, xis, W=None):
 # ---------------------------------------------------------------------------
 
 def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None, drift=None):
-    """(u^-, u^+, phi^-, phi^+) for every interval from the node momenta.
+    """(u^-, u^+, phi^-, phi^+) for every interval from the node momenta,
+    at one point or, along leading axes, at a stack of points.
 
     The defects delta^- = l_k - nu_k and delta^+ = nu_{k+1} - r_k (l, r of
     ``_legendre_ends``) give the controls u = B^+((2/h) delta - d) and the
@@ -584,17 +594,17 @@ def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None, drift=No
     if grads is None:
         grads = _node_grads(sys_, gs)
     left, right = _legendre_ends(h, mu, transported, grads)
-    delta_m = left - nus[:-1]
-    delta_p = nus[1:] - right
+    delta_m = left - nus[..., :-1, :]
+    delta_p = nus[..., 1:, :] - right
     Pt = sys_.control_pinv.T
     sigma = list(sys_.unactuated)
     if d is None:
         um, up = ((2.0 / h) * delta_m) @ Pt, ((2.0 / h) * delta_p) @ Pt
-        return um, up, delta_m[:, sigma], delta_p[:, sigma]
+        return um, up, delta_m[..., sigma], delta_p[..., sigma]
     um = ((2.0 / h) * delta_m - d) @ Pt
     up = ((2.0 / h) * delta_p - d) @ Pt
-    phi_m = (delta_m - (h / 2.0) * d)[:, sigma]
-    phi_p = (delta_p - (h / 2.0) * d)[:, sigma]
+    phi_m = (delta_m - (h / 2.0) * d)[..., sigma]
+    phi_p = (delta_p - (h / 2.0) * d)[..., sigma]
     return um, up, phi_m, phi_p
 
 
@@ -623,12 +633,12 @@ def _xi_gradients(problem, xis, D, T3, mu, e, ad_e, c_minus, c_plus, Jd, T):
     The chain rule runs through closed forms: dmu/dxi = D^T I + h (dD/dz)
     contracted with I xi, where D = dtau_inv(z), and the transport moves by
     coAd(W, dmu) + coAd(W, ad(eta)^* mu) with eta = h dtau(z) dxi (tau is
-    right-trivialized).
+    right-trivialized).  Leading point axes ride along.
     """
     sys_ = problem.system
     h = problem.h
     out = mv(D, e) @ sys_.inertia
-    out += h * np.einsum("klji,kj,ki->kl", T3, xis @ sys_.inertia, e)
+    out += h * np.einsum("...lji,...j,...i->...l", T3, xis @ sys_.inertia, e)
     out -= h * mv(mt(T), mv(mt(ad_e), mu))
     if Jd is not None:
         out -= (h * h / 2.0) * np.einsum("...ij,...i->...j", Jd, c_minus - c_plus)
@@ -662,15 +672,19 @@ def _potential_hessians(system, gs):
     """Left-trivialized directional derivatives of the potential gradient at
     the configurations gs.
 
-    Returns H with H[k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s = 0: the
+    Returns H with H[..., k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s =
+    0, gs (..., N, ...) holding nodes along any leading axes: the
     potential's ``left_hess`` when it has one, else one central difference,
     a single ``left_grad`` call on the 2n shifts.
     """
     if hasattr(system.potential, "left_hess"):
         return np.asarray(system.potential.left_hess(gs), dtype=float)
     group = system.group
+    # the shifts' axis leads, before every axis of gs but the element's own
+    nodes = tuple(range(1, gs.ndim - (1 if group.matrix_size is None else 2) + 1))
     return central_difference(
-        lambda s: system.potential.left_grad(group.multiply(gs, group.tau(s)[:, None])),
+        lambda s: system.potential.left_grad(
+            group.multiply(gs, np.expand_dims(group.tau(s), nodes))),
         np.full(system.n, solvers.DIFFERENCE_STEP))
 
 
@@ -719,10 +733,10 @@ def _sensitivities(group, h, xis, gs, T=None):
 
 
 def _full_nus(problem, nus_interior):
-    nus = np.empty((problem.N + 1, problem.system.n))
-    nus[0] = problem.nu0
-    nus[-1] = problem.nuN
-    nus[1:-1] = nus_interior
+    nus = np.empty(nus_interior.shape[:-2] + (problem.N + 1, problem.system.n))
+    nus[..., 0, :] = problem.nu0
+    nus[..., -1, :] = problem.nuN
+    nus[..., 1:-1, :] = nus_interior
     return nus
 
 
@@ -759,8 +773,8 @@ def _interval_covectors(problem, xis, nus, lambdas, maps, grads, drift):
     c_plus = -(problem.cost.grad_batch(up) @ sys_.control_pinv)
     if lambdas is not None and lambdas.size:
         sigma = list(sys_.unactuated)
-        c_minus[:, sigma] += lambdas[:, 0]
-        c_plus[:, sigma] -= lambdas[:, 1]
+        c_minus[..., sigma] += lambdas[..., 0, :]
+        c_plus[..., sigma] -= lambdas[..., 1, :]
     return um, up, phi_m, phi_p, c_minus, c_plus
 
 
@@ -773,8 +787,9 @@ def _nus(problem, xis, nus_interior, maps, drift=None):
 
 
 class _IntervalPass(NamedTuple):
-    """The terms ``general_residual`` and ``_jacobian_blocks`` share at one
-    point (``_interval_pass``)."""
+    """The terms ``general_residual`` and ``_jacobian_blocks`` share at a
+    point, or at a stack of points along a leading axis
+    (``_interval_pass``)."""
 
     maps: tuple             # (z, W, mu, transported, D, A) of _interval_maps
     T3: np.ndarray          # dD/dz, from the dtau_inv_deriv call that gave D
@@ -793,6 +808,13 @@ class _IntervalPass(NamedTuple):
     Jd: Optional[np.ndarray]  # _drift_jacobians
     gxi: np.ndarray         # _xi_gradients
 
+    def point(self, k, linear_drift):
+        """Point k's pass, out of a stack's: every array is sliced at k but a
+        linear drift's Jd, the drift's matrix, which no point axis leads."""
+        maps = tuple(a[k] for a in self.maps)
+        Jd = self.Jd if self.Jd is None or linear_drift else self.Jd[k]
+        return _IntervalPass(maps, *(a[k] for a in self[1:-2]), Jd, self.gxi[k])
+
 
 def _interval_pass(problem, xis, nus_interior, lambdas):
     """The interval pass at (xis, nus_interior, lambdas): z = h xi, D and
@@ -800,9 +822,16 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     drift values (one evaluation, read by the node momenta and the
     covectors; none without a drift), the node momenta (``_nus``), the path
     and its reconstruction gap, the potential's node gradients, the interval
-    covectors, e, ad(e_plus), the drift Jacobians, dtau(z) and the xi-gradients.  No array
-    in it aliases xis, nus_interior or lambdas, so a point's pass outlives
-    later writes to the caller's buffers."""
+    covectors, e, ad(e_plus), the drift Jacobians, dtau(z) and the
+    xi-gradients.  No array in it aliases xis, nus_interior or lambdas, so
+    a point's pass outlives later writes to the caller's buffers.
+
+    xis (..., N, n), nus_interior (..., N-1, n) or None and lambdas (..., N,
+    2, s) or None may carry a leading axis of points, a stack evaluated in
+    the same calls: every kernel and product runs along it, and each
+    point's slice of the pass (``_IntervalPass.point``) is bitwise the pass
+    of that point alone.  A chart check (``OutOfChart``) raises for the
+    whole stack."""
     sys_ = problem.system
     group, h = sys_.group, problem.h
     z = h * xis
@@ -818,8 +847,15 @@ def _interval_pass(problem, xis, nus_interior, lambdas):
     Jd = _drift_jacobians(sys_, z)
     T = group.dtau_matrix(z)
     gxi = _xi_gradients(problem, xis, D, T3, maps[2], e, ad_e, c_minus, c_plus, Jd, T)
-    return _IntervalPass(maps, T3, T, nus, gs, _reconstruction_gap(problem, gs[-1]),
+    gap = _reconstruction_gap(problem, _nodes(gs, xis.ndim - 2, -1))
+    return _IntervalPass(maps, T3, T, nus, gs, gap,
                          um, up, phi_m, phi_p, c_minus, c_plus, e, ad_e, Jd, gxi)
+
+
+def _nodes(gs, lead, k):
+    """The nodes ``k`` (an index or a slice) of a path gs whose node axis
+    follows ``lead`` point axes."""
+    return gs[(slice(None),) * lead + (k,)]
 
 
 def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=None):
@@ -835,7 +871,8 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
     ``eliminated_nus``, taken from the same interval maps as the rest.
     ``interval_pass`` is the ``_interval_pass`` at this point when the
     caller has formed it (``residual_system``); it is formed here otherwise.
-    The velocity rows are ``_velocity_rows``.
+    The velocity rows are ``_velocity_rows``.  A leading axis of points
+    (``_interval_pass``) gives one residual row per point.
     """
     N = problem.N
     xis = np.asarray(xis, dtype=float)
@@ -845,15 +882,15 @@ def general_residual(problem, xis, nus_interior, lambdas=None, interval_pass=Non
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
     c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
     # nu_k enters interval k opposite mu_k, and interval k-1 opposite its transport
-    nu_blocks = -(c_minus[1:N] + c_plus[: N - 1])
-
-    parts = [_velocity_rows(problem, interval_pass).reshape(-1), nu_blocks.reshape(-1)]
+    nu_blocks = -(c_minus[..., 1:N, :] + c_plus[..., : N - 1, :])
+    flat = xis.shape[:-2] + (-1,)
+    parts = [_velocity_rows(problem, interval_pass).reshape(flat), nu_blocks.reshape(flat)]
     if lambdas is not None and lambdas.size:
         # interval k's phi^- then its phi^+
         parts.append(np.concatenate([interval_pass.phi_m, interval_pass.phi_p],
-                                    axis=1).reshape(-1))
+                                    axis=-1).reshape(flat))
     parts.append(interval_pass.gap)
-    return np.concatenate(parts)
+    return np.concatenate(parts, axis=-1)
 
 
 def verify_terms(problem, xis, nus, u_minus, u_plus, lambdas=None):
@@ -867,9 +904,10 @@ def verify_terms(problem, xis, nus, u_minus, u_plus, lambdas=None):
 
 
 def _velocity_rows(problem, interval_pass):
-    """Velocity-slot stationarity at the interior nodes, (N-1, n), from the
-    interval pass: the first block of ``general_residual``, and with the
-    reconstruction gap all of an eliminated residual.
+    """Velocity-slot stationarity at the interior nodes, (..., N-1, n), from
+    the interval pass, leading point axes included: the first block of
+    ``general_residual``, and with the reconstruction gap all of an
+    eliminated residual.
 
     The rows pull each interval's xi-gradient back to its two nodes through
     dtau_inv(-+z)^T, z = h xi_k.  Since dtau_inv(-z) = dtau_inv(z) Ad(tau(z))
@@ -881,14 +919,16 @@ def _velocity_rows(problem, interval_pass):
     _, _, _, _, D, A = interval_pass.maps
     pulled_here = mv(mt(D), interval_pass.gxi)   # contribution of interval k at node k
     pulled_prev = mv(mt(A), pulled_here)         # of interval k-1 at node k
-    xi_blocks = (pulled_prev[:-1] - pulled_here[1:]) / h
+    xi_blocks = (pulled_prev[..., :-1, :] - pulled_here[..., 1:, :]) / h
     if sys_.potential is not None:
         # left-trivialized dependence of the interval costs on interior nodes:
         # G_k enters interval k beside mu_k and interval k-1 opposite its
         # transport, each with weight h/2
-        w = (h / 2.0) * (interval_pass.c_minus[1:N] - interval_pass.c_plus[: N - 1])
-        xi_blocks = xi_blocks + np.einsum("kij,ki->kj",
-                                          _potential_hessians(sys_, interval_pass.gs[1:-1]), w)
+        c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
+        w = (h / 2.0) * (c_minus[..., 1:N, :] - c_plus[..., : N - 1, :])
+        inner = _nodes(interval_pass.gs, D.ndim - 3, slice(1, -1))
+        xi_blocks = xi_blocks + np.einsum("...kij,...ki->...kj",
+                                          _potential_hessians(sys_, inner), w)
     return xi_blocks
 
 
@@ -914,7 +954,7 @@ def eliminated_nus(problem, xis, maps=None, drift=None):
         nu_k = (mu_k + coAd(tau(h xi_{k-1}), mu_{k-1}))/2 - (h/4)(d_k - d_{k-1}).
 
     ``maps`` defaults to ``interval_momenta``, and ``drift`` to the drift
-    values at its z.
+    values at its z.  Leading point axes of xis ride along.
     """
     if not _momenta_eliminable(problem):
         raise DimensionMismatch("momentum elimination needs a fully actuated system")
@@ -922,10 +962,10 @@ def eliminated_nus(problem, xis, maps=None, drift=None):
     if maps is None:
         maps = interval_momenta(sys_, problem.h, np.asarray(xis, dtype=float))
     z, _, mu, transported, _, _ = maps
-    nus = 0.5 * (mu[1:] + transported[:-1])
+    nus = 0.5 * (mu[..., 1:, :] + transported[..., :-1, :])
     if sys_.has_drift:
         d = sys_.drift_values(z) if drift is None else drift
-        nus -= (problem.h / 4.0) * (d[1:] - d[:-1])
+        nus -= (problem.h / 4.0) * (d[..., 1:, :] - d[..., :-1, :])
     return _full_nus(problem, nus)
 
 
@@ -968,15 +1008,18 @@ def _pack(xis, nus_interior, lambdas, eliminate):
 
 
 def _unpack(problem, z, eliminate):
+    """(xis, nus_interior, lambdas) of z (..., dim), views with z's leading
+    axes."""
     sys_ = problem.system
     N, n, m = problem.N, sys_.n, sys_.m
-    xis = z[: N * n].reshape(N, n)
+    lead = z.shape[:-1]
+    xis = z[..., : N * n].reshape(lead + (N, n))
     if eliminate:
         return xis, None, None
-    nus_interior = z[N * n : N * n + (N - 1) * n].reshape(N - 1, n)
+    nus_interior = z[..., N * n : N * n + (N - 1) * n].reshape(lead + (N - 1, n))
     lambdas = None
     if not sys_.fully_actuated:
-        lambdas = z[N * n + (N - 1) * n :].reshape(N, 2, n - m)
+        lambdas = z[..., N * n + (N - 1) * n :].reshape(lead + (N, 2, n - m))
     return xis, nus_interior, lambdas
 
 
@@ -1129,14 +1172,18 @@ def residual_system(problem):
     the reconstruction constraint, at the node momenta of
     ``eliminated_nus``.
 
-    ``at(z)`` forms the ``_interval_pass`` at z (the interval maps, the path
-    and its reconstruction gap, the covectors, the xi-gradients and the
-    tangent maps they read) and returns the ``solvers.Point`` that keeps
-    it.  The residual is read from the pass by ``general_residual``, or with
+    ``stack(Z)`` forms one ``_interval_pass`` for the points Z (K, dim),
+    along a leading point axis (the interval maps, the path and its
+    reconstruction gap, the covectors, the xi-gradients and the tangent
+    maps they read), and returns a ``solvers.Point`` for each row.  The
+    residuals are read from the pass by ``general_residual``, or with
     eliminated momenta by ``_velocity_rows``, which forms only the rows the
-    residual keeps; the point's ``jacobian()`` builds from the same pass, so
-    a root-finder that linearizes the point it accepted forms one pass per
-    evaluation and none per build.
+    residual keeps; a point's ``jacobian()`` slices its own pass out
+    (``_IntervalPass.point``) and builds from it, and so does its
+    ``kept()``, so a root-finder that linearizes the point it accepted
+    forms one pass per stack and none per build.  ``at(z)`` forms the same
+    pass with no point axis, and its point keeps it whole.  Each stacked
+    point's residual, pass and Jacobian are bitwise those ``at`` gives.
 
     The residual is the gradient of the action sum under group-consistent
     variations, so its Jacobian is assembled from the interval terms'
@@ -1244,19 +1291,35 @@ def residual_system(problem):
         J[width:, N * n :] = 0.0
         return J
 
-    def at(z):
+    linear_drift = problem.system.drift_is_linear
+
+    def evaluate(z):
         xis, nus_interior, lambdas = _unpack(problem, z, eliminated)
         interval_pass = _interval_pass(problem, xis, nus_interior, lambdas)
         if eliminated:
             # node-momentum stationarity vanishes identically under the
             # elimination, and a fully actuated problem has no complement rows
-            f = np.concatenate([_velocity_rows(problem, interval_pass).reshape(-1),
-                                interval_pass.gap])
-        else:
-            f = general_residual(problem, xis, nus_interior, lambdas, interval_pass)
-        return Point(z, f, lambda: jacobian(xis, interval_pass), interval_pass)
+            rows = _velocity_rows(problem, interval_pass).reshape(z.shape[:-1] + (-1,))
+            return xis, interval_pass, np.concatenate([rows, interval_pass.gap], axis=-1)
+        return xis, interval_pass, general_residual(problem, xis, nus_interior, lambdas,
+                                                    interval_pass)
 
-    return ResidualSystem(at), eliminated
+    def at(z):
+        xis, interval_pass, f = evaluate(z)
+        return Point(z, f, lambda: jacobian(xis, interval_pass), lambda: interval_pass)
+
+    def stack(Z):
+        xis, interval_pass, F = evaluate(Z)
+
+        def point(k):
+            def kept():
+                return interval_pass.point(k, linear_drift)
+
+            return Point(Z[k], F[k], lambda: jacobian(xis[k], kept()), kept)
+
+        return [point(k) for k in range(len(Z))]
+
+    return ResidualSystem(at, stack), eliminated
 
 
 def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
@@ -1279,7 +1342,7 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    p = point.kept
+    p = point.kept()
     return _solution(problem, point.x, eliminated, p.nus, p.gs, p.um, p.up, report)
 
 

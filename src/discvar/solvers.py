@@ -9,7 +9,12 @@ A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
 from what that evaluation kept.  A root-finder linearizes the point it
 accepted and returns it, so a formulation whose residual and Jacobian share
 work (the interval passes of ``lgoc`` and ``tboc``) does that work once per
-point, and reads its solution from the returned point.
+point, and reads its solution from the returned point.  A formulation that
+evaluates a stack of points in one pass (``lgoc``) also gives
+``ResidualSystem.stack``; Newton's line search hands it the trial steps it
+may read in one stack, and reads their pass/fail flags in the order of its
+one-at-a-time search, so it accepts the same step.  Any other system's
+stack is evaluated row by row, each row when it is first read.
 
 Every system supplies its Jacobian, so the differences only reach what a
 user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,22 +33,26 @@ from .errors import ConfigError, NoConvergence, SingularJacobian
 
 class Point(NamedTuple):
     """A point x of a system and its residual F(x).  ``jacobian()`` builds
-    F'(x) from what the evaluation kept; ``kept`` is that, for a caller that
-    reads more of the point than F (None where the evaluation keeps only
-    x)."""
+    F'(x) from what the evaluation kept; ``kept()`` returns that, for a
+    caller that reads more of the point than F (``kept`` is None where the
+    evaluation keeps only x)."""
 
     x: np.ndarray
     f: np.ndarray
     jacobian: Callable[[], np.ndarray]
-    kept: object = None
+    kept: Optional[Callable[[], object]] = None
 
 
 @dataclass
 class ResidualSystem:
-    """A square nonlinear system F(x) = 0: ``at(x)`` evaluates it at x and
-    returns the ``Point``."""
+    """A square nonlinear system F(x) = 0: ``at(x)`` evaluates it at x (dim,)
+    and returns the ``Point``.  ``stack(X)``, where the formulation has one,
+    evaluates the rows of X (K, dim) in one pass and returns their K points,
+    each bitwise the point ``at`` gives; it raises where any row would.
+    Without it a root-finder evaluates a stack's rows through ``at``."""
 
     at: Callable[[np.ndarray], Point]
+    stack: Optional[Callable[[np.ndarray], Sequence[Point]]] = None
 
 
 def plain_system(residual, jacobian):
@@ -55,8 +64,11 @@ def plain_system(residual, jacobian):
 
 @dataclass
 class SolveReport:
-    """One root-finder attempt: its outcome, its residual history, and how
-    many points it evaluated and linearized."""
+    """One root-finder attempt: its outcome, its residual history, how many
+    points it evaluated (``residual_evaluations``) in how many passes of
+    the system (``residual_passes``: one per stack evaluated together, one
+    per point evaluated alone; a stack that raised counts as a pass with no
+    point), and how many points it linearized."""
 
     converged: bool = False
     iterations: int = 0
@@ -64,6 +76,7 @@ class SolveReport:
     method: str = ""
     residual_history: list = field(default_factory=list)
     residual_evaluations: int = 0
+    residual_passes: int = 0
     jacobian_evaluations: int = 0
 
     def as_dict(self):
@@ -74,6 +87,7 @@ class SolveReport:
             "method": self.method,
             "residual_history": [float(r) for r in self.residual_history],
             "residual_evaluations": int(self.residual_evaluations),
+            "residual_passes": int(self.residual_passes),
             "jacobian_evaluations": int(self.jacobian_evaluations),
         }
 
@@ -125,8 +139,43 @@ class _Singular(Exception):
 
 
 def _evaluate(system, x, report):
+    report.residual_passes += 1
     report.residual_evaluations += 1
     return system.at(x)
+
+
+class _Rows:
+    """The points of a stack X (K, dim) read by index, each evaluated alone
+    (``_evaluate``) when it is first read."""
+
+    def __init__(self, system, X, report):
+        self._system, self._X, self._report = system, X, report
+        self._points = {}
+
+    def __getitem__(self, k):
+        if k not in self._points:
+            self._points[k] = _evaluate(self._system, self._X[k], self._report)
+        return self._points[k]
+
+
+def _evaluate_stack(system, X, report):
+    """The points of the stack X (K, dim), for the caller to read by index:
+    from one pass of ``system.stack`` where it has one (a system may be any
+    object with an ``at``) and K > 1, else ``_Rows``.  A stack raises where
+    any of its points does, so when the pass raises its rows are evaluated
+    alone, as they are read: only a point the caller reads can then raise,
+    as it would have alone."""
+    stack = getattr(system, "stack", None)
+    if stack is None or len(X) == 1:
+        return _Rows(system, X, report)
+    report.residual_passes += 1
+    try:
+        points = stack(X)
+    except Exception:
+        # whatever a row raised is raised again if the caller reads that row
+        return _Rows(system, X, report)
+    report.residual_evaluations += len(X)
+    return points
 
 
 def _jacobian(point, report):
@@ -236,6 +285,19 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     model is right; elsewhere a passing model point may lead to another
     passing step.
 
+    The full step is evaluated alone.  When it fails, the trial steps are
+    evaluated in stacks (``_evaluate_stack``), and the search above reads
+    their pass/fail flags in its own order, so it accepts the same grid
+    point, bitwise, as the search that evaluates one step at a time.  The
+    first stack holds the model's grid point j and the three longer ones
+    j-1, j-2 and j-3 (those >= 1), which the search reads next when the
+    model is right.  When the search reads a point outside it, one more
+    stack holds every grid point it may still read: from that point to
+    2^-max_backtrack when it halves, the open bracket when it looks for
+    longer steps.  A system with a ``stack`` evaluates each in one pass;
+    any other evaluates only the points the search reads, those of the
+    one-at-a-time search.
+
     Each step linearizes the point it accepted last, whichever trial that
     was.  Returns (point, SolveReport), the ``Point`` it stopped at.  Raises
     SingularJacobian on a numerically singular Jacobian and NoConvergence
@@ -255,22 +317,38 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
             raise _Singular
         fnorm2 = _sumsq(f)
 
-        def trial(j):
-            new = _evaluate(system, x + alphas[j] * dx, report)
-            return new, np.all(np.isfinite(new.f)) and _sumsq(new.f) < fnorm2
+        def lowers(new):
+            return np.all(np.isfinite(new.f)) and _sumsq(new.f) < fnorm2
 
-        new, passed = trial(0)
-        if passed:
+        new = _evaluate(system, x + dx, report)
+        if lowers(new):
             return new
         if max_backtrack == 0:
             return None
         j = _first_model_decrease(f, new.f, alphas)
-        new, passed = trial(j)
+        # grid index -> (the stack that holds its trial point, its row there)
+        stacked = {}
+
+        def evaluate(grid):
+            grid = [i for i in grid if i not in stacked]
+            points = _evaluate_stack(system, x + alphas[grid, None] * dx, report)
+            stacked.update((i, (points, row)) for row, i in enumerate(grid))
+
+        def trial(k, ahead):
+            # ``ahead``: the grid points the search may still read, k among them
+            if k not in stacked:
+                evaluate(ahead)
+            points, row = stacked[k]
+            new = points[row]
+            return new, lowers(new)
+
+        evaluate(range(j, max(j - 4, 0), -1))
+        new, passed = trial(j, ())
         if not passed:
             # plain halving, past the model's point
             for i in range(1, max_backtrack + 1):
                 if i != j:
-                    new, passed = trial(i)
+                    new, passed = trial(i, range(i, max_backtrack + 1))
                     if passed:
                         return new
             return None
@@ -284,7 +362,7 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
                 k = (lo + hi) // 2
             else:
                 k = max(hi - max(1, j - hi - 1), 1)
-            tried, passed = trial(k)
+            tried, passed = trial(k, range(hi - 1, lo, -1))
             if passed:
                 hi, new = k, tried
             else:

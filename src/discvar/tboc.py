@@ -354,7 +354,7 @@ def residual_system(problem):
         qs, ps, lambdas = _unpack(problem, z)
         interval_pass = _pass_at(problem, qs, ps, lambdas)
         f = optimality_residual(problem, qs, ps, lambdas, interval_pass)
-        return Point(z, f, lambda: jacobian(qs, interval_pass), interval_pass)
+        return Point(z, f, lambda: jacobian(qs, interval_pass), lambda: interval_pass)
 
     return ResidualSystem(at)
 
@@ -397,7 +397,7 @@ def solve(problem, tol=1e-9, max_iter=100, method="auto", guess=None):
     z0 = _pack(problem, *guess)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    return _solution(problem, point.x, point.kept, report)
+    return _solution(problem, point.x, point.kept(), report)
 
 
 def assemble_solution(problem, z, report=None):

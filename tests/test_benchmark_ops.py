@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from discvar.errors import NoConvergence
+from discvar.errors import NoConvergence, SingularJacobian
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -62,6 +62,60 @@ def test_benchmark_solve_ops_keep_their_outcome(workload, seed, workloads, tmp_p
         assert (sol.report.method, sol.report.iterations) == (method, iterations), name
         assert sol.report.converged
         assert sol.cost == pytest.approx(cost, rel=1e-9), name
+
+
+def _newton_attempts(workloads, tmp_path, seed, newton, monkeypatch):
+    """The ocp-under ops run with ``newton`` as lgoc's: per op, its outcome
+    and every Newton attempt's report."""
+    from discvar import lgoc
+
+    attempts = []
+
+    def logged(*args, **kwargs):
+        try:
+            point, report = newton(*args, **kwargs)
+        except (NoConvergence, SingularJacobian) as exc:
+            attempts.append(exc.report)
+            raise
+        attempts.append(report)
+        return point, report
+
+    monkeypatch.setattr(lgoc, "newton", logged)
+    out = {}
+    for op in workloads.build("ocp-under", seed, "full", str(tmp_path)).ops:
+        attempts.clear()
+        try:
+            sol = op.run()
+            outcome = ("ok", sol.xis.tobytes(), sol.cost)
+        except NoConvergence as exc:
+            outcome = ("NoConvergence", exc.best_x.tobytes(), exc.best_residual)
+        out[op.name] = (outcome, list(attempts))
+    return out
+
+
+@pytest.mark.parametrize("seed", [901, 5301])
+def test_ocp_under_newton_accepts_the_steps_of_the_sequential_search(seed, workloads, tmp_path,
+                                                                     monkeypatch):
+    # Newton's stacked trial steps against the search that evaluated them
+    # one at a time: every attempt accepts the same iterates, bitwise, so
+    # the residual histories, methods, iteration counts and outcomes agree;
+    # the stacks evaluate more points in fewer passes
+    from test_solvers import sequential_newton
+
+    from discvar import solvers
+
+    new = _newton_attempts(workloads, tmp_path, seed, solvers.newton, monkeypatch)
+    sequential = _newton_attempts(workloads, tmp_path, seed, sequential_newton, monkeypatch)
+    assert list(new) == ["test-target", "drawn-1", "drawn-2"]
+    for name, (outcome, attempts) in new.items():
+        expected, expected_attempts = sequential[name]
+        assert outcome == expected, name
+        assert len(attempts) == len(expected_attempts) == 1
+        a, b = attempts[0], expected_attempts[0]
+        assert (a.method, a.iterations, a.converged) == (b.method, b.iterations, b.converged)
+        assert a.residual_history == b.residual_history, name
+        assert a.residual_passes < b.residual_evaluations == b.residual_passes
+        assert a.residual_evaluations > b.residual_evaluations
 
 
 @pytest.mark.parametrize("name", ["rb-cay-free", "rb-exp-free", "uuv-forced", "pm-forced"])

@@ -587,6 +587,39 @@ def test_solve_logs_its_residual_and_jacobian_evaluations(tmp_path, caplog):
             f"{report['jacobian_evaluations']} Jacobian evaluations)") in caplog.text
 
 
+def test_solve_reports_its_residual_passes_and_points(tmp_path, caplog, monkeypatch):
+    # the underactuated test target (the exp image of the Cayley rotation
+    # tau((0.5, 0.2, 0))): Newton's line search stacks its trial steps, so
+    # report.json counts the points evaluated and the passes that evaluated
+    # them, each the number of calls made, and the log line keeps its text
+    base = rigid_body_cfg()
+    base["system"]["actuated"] = [0, 1]
+    base["problem"]["h"] = 0.2
+    base["problem"]["boundary"]["gT"] = {"rotation_axis": [5.0, 2.0, 0.0],
+                                         "rotation_angle": 0.5260406919220523}
+    base["solver"] = {"tol": 1e-7, "max_iter": 12}
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    passes, points = [], []
+    interval_pass = lgoc._interval_pass
+
+    def counted(problem, xis, *args):
+        passes.append(1)
+        points.append(len(xis) if xis.ndim == 3 else 1)
+        return interval_pass(problem, xis, *args)
+
+    monkeypatch.setattr(lgoc, "_interval_pass", counted)
+    caplog.set_level(logging.INFO, logger="discvar")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    report = read_report(out)
+    assert (report["method"], report["iterations"]) == ("newton", 10)
+    assert report["residual_passes"] == len(passes) == 19
+    assert report["residual_evaluations"] == sum(points) == 73
+    assert (f"solved in 10 iterations ({report['residual_evaluations']} residual and "
+            f"{report['jacobian_evaluations']} Jacobian evaluations)") in caplog.text
+    assert cli.main(["verify", cfg, out]) == 0
+
+
 def test_point_mass_honours_solver_method(tmp_path):
     base = point_mass_cfg(N=8)
     base["solver"]["method"] = "lm"

@@ -12,6 +12,7 @@ from discvar.errors import (
     DimensionMismatch,
     NoConvergence,
     NotInvertible,
+    OutOfChart,
     RankDeficient,
     SingularJacobian,
     StepSolveFailed,
@@ -1059,19 +1060,19 @@ def test_coloured_jacobian_matches_dense_fd(regime):
     system, eliminate = lgoc.residual_system(prob)
     visited = []
 
-    def recorded(z):
-        point = system.at(z)
-
+    def recorded(point):
         def jacobian():
-            visited.append(z.copy())
+            visited.append(point.x.copy())
             return point.jacobian()
 
         return point._replace(jacobian=jacobian)
 
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     with pytest.raises((NoConvergence, SingularJacobian)):
-        solvers.newton(dataclasses.replace(system, at=recorded), z0,
-                       tol=1e-14, max_iter=2)
+        solvers.newton(dataclasses.replace(
+            system, at=lambda z: recorded(system.at(z)),
+            stack=lambda Z: [recorded(point) for point in system.stack(Z)]),
+            z0, tol=1e-14, max_iter=2)
     assert len(visited) == 2 and np.array_equal(visited[0], z0)
     assert not np.array_equal(visited[1], z0)
     for z in visited:
@@ -1129,6 +1130,61 @@ def _differencing_regimes():
     regimes["gradient-only heavy top"] = rigid_body_problem(
         N=6, potential=GradientOnly(systems.HeavyTopPotential(0.8)))
     return regimes
+
+
+class Ripples:
+    """A potential on R^n with value and left_grad only: sum cos(q)."""
+
+    def value(self, q):
+        return np.sum(np.cos(q), axis=-1)
+
+    def left_grad(self, q):
+        return -np.sin(q)
+
+
+def _stack_regimes():
+    """``_differencing_regimes`` plus an underactuated problem on R^2 behind a
+    gradient-only potential: SO(3) and SE(3), Cayley and exp, a potential
+    with and without left_hess, a linear and a callable drift, explicit and
+    eliminated momenta, and R^n, whose elements are vectors."""
+    regimes = _differencing_regimes()
+    system = ReducedSystem(group=lie.real_n(2), inertia=np.diag([1.0, 2.0]),
+                           control_basis=np.array([[1.0], [0.0]]), unactuated=(1,),
+                           potential=Ripples())
+    regimes["real_n underactuated"] = OcProblemLie(
+        system=system, g0=np.zeros(2), xi0=np.zeros(2), gT=np.array([0.5, 0.3]),
+        xiT=np.zeros(2), N=6, h=0.1, cost=L2Cost())
+    return regimes
+
+
+def _pass_arrays(interval_pass):
+    """Every array of an interval pass, the interval maps' included, in
+    order (None where the pass has none)."""
+    return list(interval_pass.maps) + list(interval_pass[1:])
+
+
+@pytest.mark.parametrize("K", [1, 4, 27])
+@pytest.mark.parametrize("regime", list(_stack_regimes()))
+def test_stacked_points_are_bitwise_the_points_alone(regime, K):
+    # one pass over a stack of K points: each point's residual, its slice of
+    # the pass and the Jacobian built from that slice are the bits of the
+    # point evaluated alone
+    prob = _stack_regimes()[regime]
+    system, eliminate = lgoc.residual_system(prob)
+    rng = np.random.default_rng(K)
+    Z = np.stack([_random_point(prob, eliminate, rng) for _ in range(K)])
+    stacked = system.stack(Z)
+    assert len(stacked) == K
+    for z, point in zip(Z, stacked):
+        alone = system.at(z)
+        assert np.array_equal(point.x, z)
+        assert point.f.shape == alone.f.shape and point.f.tobytes() == alone.f.tobytes()
+        for a, b in zip(_pass_arrays(point.kept()), _pass_arrays(alone.kept()), strict=True):
+            if b is None:
+                assert a is None
+                continue
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert point.jacobian().tobytes() == alone.jacobian().tobytes()
 
 
 @pytest.mark.parametrize("regime", list(_differencing_regimes()))
@@ -1305,7 +1361,8 @@ def test_jacobian_at_an_evaluated_point_is_the_cold_jacobian(regime):
 def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch):
     # every Jacobian build is of a point the root-finder has evaluated, so
     # it reuses that point's pass: dtau_inv_deriv runs at h xi once per
-    # residual evaluation, and never at -h xi
+    # residual pass, at the point or at the stack of trial points the pass
+    # evaluates, and never at -h xi
     prob = under_target_problem()
     system, eliminate = lgoc.residual_system(prob)
     N, n, h = prob.N, prob.system.n, prob.h
@@ -1316,21 +1373,29 @@ def test_solves_form_dtau_inv_at_h_xi_once_per_residual(root_finder, monkeypatch
         calls.append(np.array(xi).tobytes())
         return deriv(self, xi)
 
-    def recorded(z):
-        evaluated.add((h * z[: N * n].reshape(N, n)).tobytes())
-        return system.at(z)
+    def recorded(evaluate):
+        def at(z):
+            evaluated.add((h * z[..., : N * n].reshape(z.shape[:-1] + (N, n))).tobytes())
+            return evaluate(z)
+
+        return at
 
     monkeypatch.setattr(lie.GroupSpec, "dtau_inv_deriv", counted)
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
     try:
         _, report = getattr(lgoc, root_finder)(
-            dataclasses.replace(system, at=recorded), z0, tol=1e-7, max_iter=12)
+            dataclasses.replace(system, at=recorded(system.at), stack=recorded(system.stack)),
+            z0, tol=1e-7, max_iter=12)
     except NoConvergence as exc:
         report = exc.report
     assert report.jacobian_evaluations >= 10
     at_h_xi = [arg for arg in calls if arg in evaluated]
-    assert len(at_h_xi) == report.residual_evaluations
-    assert len(calls) == report.residual_evaluations
+    assert len(at_h_xi) == len(calls) == report.residual_passes
+    # Newton's line search stacks its trial steps, LM tries one at a time
+    if root_finder == "newton":
+        assert report.residual_passes < report.residual_evaluations
+    else:
+        assert report.residual_passes == report.residual_evaluations
 
 
 @pytest.mark.parametrize("regime", ["underactuated", "uuv exp"])
@@ -1965,9 +2030,12 @@ def test_underactuated_auto_solve_is_one_newton_attempt(root_finder_log):
 def test_underactuated_newton_takes_the_halving_steps_in_fewer_evaluations(monkeypatch):
     # the underactuated benchmark's test target: the line search accepts the
     # steps plain step halving accepts, so the residual history is the
-    # frozen loop's, in 38 residual evaluations (halving makes 64); 10 of
-    # them are one step's, where the model names j = 10 and the first pass
-    # is j = 11, so the search halves from j = 1
+    # frozen loop's, in 19 residual passes that evaluate 73 points (halving
+    # makes 64 evaluations, and the search one trial at a time made 38): the
+    # first evaluation and the 10 full steps alone, and 8 stacks of trial
+    # steps.  One step's model names j = 10 and its first pass is j = 11: a
+    # stack of j = 10..7 fails, the search halves from j = 1, and one stack
+    # of the 26 grid points left holds the rest
     from test_solvers import frozen_newton
 
     def frozen(system, z0, **kwargs):
@@ -1989,7 +2057,8 @@ def test_underactuated_newton_takes_the_halving_steps_in_fewer_evaluations(monke
     prob = under_target_problem()
     sol = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
     assert sol.report.method == "newton" and sol.report.converged
-    assert sol.report.residual_evaluations == len(calls) <= 38
+    assert sol.report.residual_passes == len(calls) == 19
+    assert sol.report.residual_evaluations == 73
     assert sol.report.jacobian_evaluations == sol.report.iterations
     monkeypatch.setattr(lgoc, "newton", frozen)
     frozen = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
@@ -2163,9 +2232,9 @@ def test_solve_reads_the_solution_of_its_last_pass(regime, monkeypatch):
 
 @pytest.mark.parametrize("regime", list(jacobian_regimes()))
 def test_solve_forms_one_interval_pass_per_residual(regime, root_finder_log, monkeypatch):
-    # every evaluation forms its point's pass, every build and the solution
-    # read a point's pass: one _interval_pass per residual evaluation of
-    # every attempt, and no assemble_solution call
+    # every evaluation forms its point's pass, or its stack's, every build
+    # and the solution read a point's pass: one _interval_pass per residual
+    # pass of every attempt, and no assemble_solution call
     prob = jacobian_regimes()[regime]
     log = root_finder_log(lgoc)
     formed = []
@@ -2183,7 +2252,44 @@ def test_solve_forms_one_interval_pass_per_residual(regime, root_finder_log, mon
     tol = 0.5 if regime.startswith("underactuated") else 1e-9
     sol = lgoc.solve(prob, tol=tol, max_iter=30)
     assert sol.report.converged and sol.report.jacobian_evaluations >= 1
-    assert len(formed) == sum(report.residual_evaluations for _, report in log)
+    assert len(formed) == sum(report.residual_passes for _, report in log)
+
+
+def test_a_stack_out_of_chart_at_a_point_the_search_never_reads_changes_nothing(monkeypatch):
+    # the reconstruction gap's chart check raises for a whole stack: make
+    # it raise for every stack that holds a point the one-at-a-time search
+    # never reads.  The search then reads those stacks' points alone, in its
+    # own order, and the solve is the one-at-a-time search's, bitwise
+    from test_solvers import sequential_newton
+
+    prob = under_target_problem()
+    gap = lgoc._reconstruction_gap
+    read, raised = set(), []
+
+    def recording(problem, g_N):
+        read.add(g_N.tobytes())
+        return gap(problem, g_N)
+
+    def chart_check(problem, g_N):
+        # a stack's ends are (K, 3, 3), a point's (3, 3)
+        if g_N.ndim == 3 and any(g.tobytes() not in read for g in g_N):
+            raised.append(len(g_N))
+            raise OutOfChart("a trial step the search never reads")
+        return gap(problem, g_N)
+
+    monkeypatch.setattr(lgoc, "_reconstruction_gap", recording)
+    monkeypatch.setattr(lgoc, "newton", sequential_newton)
+    sequential = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
+    monkeypatch.setattr(lgoc, "_reconstruction_gap", chart_check)
+    monkeypatch.setattr(lgoc, "newton", solvers.newton)
+    sol = lgoc.solve(prob, tol=1e-7, max_iter=12, method="newton")
+    assert raised
+    assert sol.report.residual_history == sequential.report.residual_history
+    assert np.array_equal(sol.xis, sequential.xis) and sol.cost == sequential.cost
+    # a stack that raised evaluated no point, and a stack that did not
+    # raise holds only points the search reads, in one pass for them all
+    assert sol.report.residual_evaluations == sequential.report.residual_evaluations
+    assert sol.report.residual_passes < sequential.report.residual_evaluations + len(raised)
 
 
 def test_newton_linearizes_the_point_it_accepted_after_a_failed_trial(monkeypatch):
@@ -2201,8 +2307,7 @@ def test_newton_linearizes_the_point_it_accepted_after_a_failed_trial(monkeypatc
         formed.append(1)
         return interval_pass(*args)
 
-    def recorded(z):
-        point = system.at(z)
+    def recorded(point):
         points.append(point)
         newest = len(points)
 
@@ -2216,10 +2321,13 @@ def test_newton_linearizes_the_point_it_accepted_after_a_failed_trial(monkeypatc
 
     monkeypatch.setattr(lgoc, "_interval_pass", counted)
     z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
-    _, report = lgoc.newton(dataclasses.replace(system, at=recorded), z0, tol=1e-7,
-                            max_iter=12)
+    _, report = lgoc.newton(dataclasses.replace(
+        system, at=lambda z: recorded(system.at(z)),
+        stack=lambda Z: [recorded(point) for point in system.stack(Z)]),
+        z0, tol=1e-7, max_iter=12)
     assert report.converged and len(builds) == report.jacobian_evaluations
-    assert len(formed) == len(points) == report.residual_evaluations
+    assert len(formed) == report.residual_passes
+    assert len(points) == report.residual_evaluations
     assert all(passes == 0 for _, _, passes, _ in builds)
     late = [(point, J) for point, newest, _, J in builds if not newest]
     assert late

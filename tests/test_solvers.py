@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from discvar import solvers
-from discvar.errors import ConfigError, NoConvergence, SingularJacobian
+from discvar.errors import ConfigError, NoConvergence, OutOfChart, SingularJacobian
 from discvar.solvers import (
     SolveReport,
     fd_jacobian,
@@ -416,7 +416,7 @@ def _run(solver, make_system, x0, **kw):
     return outcome, report, log
 
 
-COUNTERS = ("residual_evaluations", "jacobian_evaluations")
+COUNTERS = ("residual_evaluations", "residual_passes", "jacobian_evaluations")
 
 
 def _assert_same_outcome(a, b):
@@ -562,11 +562,13 @@ def test_report_counts_the_calls_of_the_system(solver, case):
     make_system, x0, kw = (NEWTON_CASES if solver is newton else LM_CASES)[case]
     _, report, log = _run(solver, make_system, x0, **kw)
     kinds = [kind for kind, _, _ in log.calls]
-    assert report.residual_evaluations == kinds.count("eval")
+    # a system without a stack evaluates each point in a pass of its own
+    assert report.residual_evaluations == report.residual_passes == kinds.count("eval")
     assert report.jacobian_evaluations == kinds.count("jac")
     payload = report.as_dict()
     assert {key: payload[key] for key in COUNTERS} == {
         "residual_evaluations": kinds.count("eval"),
+        "residual_passes": kinds.count("eval"),
         "jacobian_evaluations": kinds.count("jac")}
 
 
@@ -664,6 +666,156 @@ def test_levenberg_marquardt_warns_of_no_overflow():
     _assert_same(new, frozen)
     assert new[0][0] == "ok"
     assert new[2].calls[2][2][0] == 1e200
+
+
+# ---------------------------------------------------------------------------
+# stacked trial steps, against a frozen copy of the search that evaluated
+# its trial steps one at a time
+# ---------------------------------------------------------------------------
+
+def sequential_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
+    """``newton`` as it was before it stacked its trial steps: the same grid,
+    model and search, each trial step evaluated alone when the search reads
+    it."""
+    alphas = 0.5 ** np.arange(max_backtrack + 1)
+
+    def step(point, report):
+        J = solvers._jacobian(point, report)
+        x, f = point.x, point.f
+        try:
+            dx = np.linalg.solve(J, -f)
+        except np.linalg.LinAlgError:
+            raise solvers._Singular from None
+        if not np.all(np.isfinite(dx)):
+            raise solvers._Singular
+        fnorm2 = solvers._sumsq(f)
+
+        def trial(j):
+            new = solvers._evaluate(system, x + alphas[j] * dx, report)
+            return new, np.all(np.isfinite(new.f)) and solvers._sumsq(new.f) < fnorm2
+
+        new, passed = trial(0)
+        if passed:
+            return new
+        if max_backtrack == 0:
+            return None
+        j = solvers._first_model_decrease(f, new.f, alphas)
+        new, passed = trial(j)
+        if not passed:
+            for i in range(1, max_backtrack + 1):
+                if i != j:
+                    new, passed = trial(i)
+                    if passed:
+                        return new
+            return None
+        lo, hi, bracketed = 0, j, False
+        while hi - lo > 1:
+            if bracketed:
+                k = (lo + hi) // 2
+            else:
+                k = max(hi - max(1, j - hi - 1), 1)
+            tried, passed = trial(k)
+            if passed:
+                hi, new = k, tried
+            else:
+                lo, bracketed = k, True
+        return new
+
+    return solvers._iterate(system, x0, "newton", step, tol, max_iter)
+
+
+def _stacked(make_system):
+    """``make_system`` with a stack that evaluates every row, as a
+    formulation's one pass does: the points the search never reads are
+    evaluated and logged too."""
+    def make():
+        system, log = make_system()
+        return SimpleNamespace(at=system.at, eval=system.eval, jac=system.jac,
+                               stack=lambda X: [system.at(x) for x in X]), log
+
+    return make
+
+
+def _cubic_system(seed):
+    fun, jacobian, x0 = _cubic(seed)
+    return (lambda: _recorded(fun, jacobian)), x0
+
+
+REPLAY_CASES = {
+    **{f"cubic {seed}": (lambda seed=seed: _cubic_system(seed), {"tol": 1e-10})
+       for seed in range(40)},
+    "non-finite full step": (lambda: (_clipped(np.nan), np.array([2.0])), {}),
+    **{f"far model {exponent}": (lambda e=exponent: (_clipped(-10.0 ** e), np.array([2.0])), {})
+       for exponent in np.arange(0.5, 20.0)},
+    "overflow": (lambda: (_clipped(1e200), np.array([2.0])), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAY_CASES))
+def test_stacked_newton_accepts_the_steps_of_the_sequential_search(case):
+    # the search reads the flags of its stacked trial steps in the order it
+    # read them one at a time, so it accepts the same steps: the same
+    # iterates, residual history and outcome, bitwise
+    make, kw = REPLAY_CASES[case]
+    make_system, x0 = make()
+    new = _run(newton, _stacked(make_system), x0, **kw)
+    sequential = _run(sequential_newton, make_system, x0, **kw)
+    _assert_same_outcome(new, sequential)
+    # every point the sequential search read was evaluated, and each is on
+    # the grid of the frozen halving loop
+    read = sequential[2].points
+    assert all(any(np.array_equal(p, q) for q in new[2].points) for p in read)
+    with np.errstate(over="ignore"):
+        frozen = _run(frozen_newton, make_system, x0, **kw)
+    _assert_on_the_frozen_grid(new[2], frozen[2], 30)
+    # each stack is one pass: never more passes than the points read alone
+    assert new[1].residual_passes <= sequential[1].residual_evaluations
+    assert new[1].residual_evaluations == len(new[2].points)
+
+
+def _out_of_chart_beyond(unread):
+    """F(x) = x on |x| < 2.5 and 5 up to |x| = 5, with the Jacobian 0.1 at
+    |x| >= 1 and 1 nearer: from x = 2 the full step lands at -18, where F =
+    10, and the model names the step 1/8, to -0.5, which passes; the search
+    then reads 1/4 (to -3), which fails, and never 1/2 (to -8).  Between |x|
+    = 5 and 15 F is ``unread``: "raise" raises OutOfChart, as a chart check
+    does, else F is that value."""
+    def fun(x):
+        if np.all(np.abs(x) < 2.5):
+            return x.copy()
+        if np.all(np.abs(x) < 5.0):
+            return np.full_like(x, 5.0)
+        if np.all(np.abs(x) < 15.0):
+            if unread == "raise":
+                raise OutOfChart("beyond the chart")
+            return np.full_like(x, unread)
+        return np.full_like(x, 10.0)
+
+    return lambda: _recorded(fun, jacobian=lambda x: np.where(np.abs(x) < 1.0, 1.0, 0.1)[None])
+
+
+@pytest.mark.parametrize("unread", ["raise", np.nan, np.inf])
+def test_a_point_the_search_never_reads_changes_nothing(unread):
+    # the stack of steps 1/8, 1/4 and 1/2 holds one the search never reads.
+    # Where it raises the stack raises, and the search reads its rows alone,
+    # in its own order; where it is not finite only its flag fails
+    x0 = np.array([2.0])
+    make_system = _out_of_chart_beyond(unread)
+    new = _run(newton, _stacked(make_system), x0)
+    sequential = _run(sequential_newton, make_system, x0)
+    _assert_same_outcome(new, sequential)
+    assert new[0][0] == "ok" and sequential[1].residual_evaluations == 5
+    assert np.array_equal(np.concatenate(_first_iteration_points(sequential[2])),
+                          [-18.0, -0.5, -3.0])
+    report, first = new[1], np.concatenate(_first_iteration_points(new[2]))
+    if unread == "raise":
+        # the stack's pass raised at -8 and gave no point; the search then
+        # evaluated the two it read alone
+        assert (report.residual_passes, report.residual_evaluations) == (6, 5)
+        assert np.array_equal(first, [-18.0, -0.5, -3.0, -0.5, -3.0])
+    else:
+        assert (report.residual_passes, report.residual_evaluations) == (4, 6)
+        assert np.array_equal(first, [-18.0, -0.5, -3.0, -8.0])
 
 
 def test_linalg_error_in_the_residual_propagates():

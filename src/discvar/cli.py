@@ -435,6 +435,20 @@ def _verify_rn(problem, args):
     }
 
 
+def _solve_report(directory):
+    """The solve's report in ``directory``'s report.json, which verify keeps
+    under its ``solve`` key: an earlier verify's report passes on the one it
+    kept.  None where there is no readable report."""
+    try:
+        with open(os.path.join(directory, "report.json")) as fh:
+            found = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(found, dict):
+        return None
+    return found.get("solve") if found.get("command") == "verify" else found
+
+
 def cmd_verify(args):
     cfg = load_config(args.config)
     kind, problem = build_setup(cfg)
@@ -445,6 +459,9 @@ def cmd_verify(args):
         print(f"{name}: {value:.3e} {'ok' if value <= tol else 'FAIL'}")
     payload = {"command": "verify", "passed": bool(ok), "tolerance": tol,
                "checks": checks}
+    solve_report = _solve_report(args.directory)
+    if solve_report is not None:
+        payload["solve"] = solve_report
     _write_report(args.directory, payload)
     return 0 if ok else 2
 

@@ -51,12 +51,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import solvers
-from .errors import (
-    DimensionMismatch,
-    NotInvertible,
-    RankDeficient,
-    StepSolveFailed,
-)
+from .errors import DimensionMismatch, NotInvertible, RankDeficient
 from .lie import mt, mv
 from .solvers import (
     Point,
@@ -432,9 +427,10 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     one scan over the window's transposed Ad blocks.
 
     A window that does not converge is halved, and one whose residual is
-    not finite is solved step by step.  A step alone is a window of one
-    step; when it is not solved within ``solvers.WINDOW_MAX_ITER`` updates,
-    or its residual is not finite, StepSolveFailed names its index.
+    not finite is solved step by step, each step a window of one step.  The
+    march passes no rescue: a step alone that is not solved within
+    ``solvers.WINDOW_MAX_ITER`` updates, or whose residual is not finite,
+    makes ``march_in_windows`` raise StepSolveFailed with its index.
     """
     group = system.group
     n = system.n
@@ -467,15 +463,6 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     compose(g0, taus[0], out=gs[1])
     # with a drift, the (h/2) d(h xi) of the last step solved
     half_drift = None
-
-    def step(k):
-        x, linearize, commit = window(k, 1)
-        x, _, solved, operator = solvers.window_newton(x, linearize)
-        if not solved:
-            raise StepSolveFailed(k, f"step {k}: " + (
-                "the residual is not finite" if solved is None
-                else f"not solved within {solvers.WINDOW_MAX_ITER} updates"))
-        commit(x, 1, operator)
 
     def window(k, size):
         nonlocal half_drift
@@ -535,7 +522,7 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
 
         return start, linearize, commit
 
-    solvers.march_in_windows(1, steps, step, window)
+    solvers.march_in_windows(1, steps, window)
     return gs, xis, mus
 
 
@@ -1342,32 +1329,27 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)
-    p = point.kept()
-    return _solution(problem, point.x, eliminated, p.nus, p.gs, p.um, p.up, report)
+    return _solution(problem, point.x, eliminated, point.kept(), report)
 
 
 def assemble_solution(problem, z, report=None):
     """Build a LieOcSolution from a packed unknown vector of
     ``residual_system`` (e.g. a solver's best iterate), recovering path,
-    controls and cost."""
-    sys_ = problem.system
-    eliminated = _momenta_eliminable(problem)
-    xis, nus_interior, _ = _unpack(problem, z, eliminated)
-    maps = interval_momenta(sys_, problem.h, xis)
-    nus = _nus(problem, xis, nus_interior, maps)
-    gs = reconstruct(sys_.group, problem.g0, problem.h, xis, maps[1])
-    um, up, _, _ = momentum_defects(problem, xis, nus, gs, maps=maps)
-    return _solution(problem, z, eliminated, nus, gs, um, up, report)
+    controls and cost from the system's evaluation at z, as ``solve`` reads
+    them from the point it returns."""
+    system, eliminated = residual_system(problem)
+    return _solution(problem, z, eliminated, system.at(z).kept(), report)
 
 
-def _solution(problem, z, eliminated, nus, gs, um, up, report):
-    """The LieOcSolution at the packed z, from its node momenta, path and
-    controls."""
+def _solution(problem, z, eliminated, interval_pass, report):
+    """The LieOcSolution at the packed z, from the node momenta, path and
+    controls of its interval pass."""
     xis, _, lambdas = _unpack(problem, z, eliminated)
+    um, up = interval_pass.um, interval_pass.up
     controls = np.stack([um, up], axis=1)
     cost = float(
         np.sum((problem.h / 2.0) * (problem.cost.value_batch(um)
                                     + problem.cost.value_batch(up)))
     )
-    return LieOcSolution(gs=gs, xis=xis, nus=nus, lambdas=lambdas,
+    return LieOcSolution(gs=interval_pass.gs, xis=xis, nus=interval_pass.nus, lambdas=lambdas,
                          controls=controls, cost=cost, report=report)

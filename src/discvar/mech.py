@@ -18,7 +18,6 @@ and the two discrete Legendre transforms with forces give the momenta
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -260,7 +259,7 @@ def legendre_pair(lagrangian, forces, q_a, q_b, u_minus, u_plus):
 # |M q| / h: a few rounding units
 _STEP_TOL = 1e-12
 _STEP_ROUNDING = 16.0 * np.finfo(float).eps
-# budget of a step's simplified Newton iteration, and of its fallback
+# the iteration budget of a lone step's rescue
 _STEP_MAX_ITER = 50
 
 
@@ -310,13 +309,12 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     a few hundredths of the tolerance on the benchmark's point mass.
 
     A window that does not converge is halved, and one whose residual is
-    not finite is solved step by step.  A step alone is solved as the march
-    solved every step before windows: by a simplified Newton iteration from
-    the extrapolation 2 q_k - q_{k-1} on the constant Jacobian D1 D2 Ld =
-    -M / h, factored once.  A step that does not converge within
-    _STEP_MAX_ITER updates, or meets a NaN or infinite residual, falls back
-    to Newton with a line search (``newton``), and raises StepSolveFailed
-    with the step index when that fails too.
+    not finite is solved step by step.  A step alone is a window of one
+    step.  When it is not solved, its rescue is Newton with a line search
+    (``newton``) on that window's residual, from the same extrapolation,
+    with the constant Jacobian D1 D2 Ld = -M / h; a step that does not
+    converge within _STEP_MAX_ITER iterations there raises StepSolveFailed
+    with its index.
     """
     n = lagrangian.dim
     if steps < 1:
@@ -350,36 +348,13 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     J = lagrangian.d12(q0, q1)
     J_inv = np.linalg.inv(J)
 
-    def step(k):
-        q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(_STEP_TOL, rounding_per_q * max_abs(q_k))
-        # D2 Ld(q_{k-1}, q_k) + f^+_{k-1} + f^-_k, less D1 Ld's q_{k+1} part,
-        # is velocity + forcing
-        forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
-                   + forces.drift("+", q_prev, q_k))
-        fixed = (q_k - q_prev) @ Mt_h + forcing
-
-        def res(q_next):
-            return fixed - (q_next - q_k) @ Mt_h + forces.drift("-", q_k, q_next)
-
-        # at the extrapolation the velocity terms cancel; drift terms, if
-        # any, are mild enough that the iteration on -M/h still contracts
-        guess = 2.0 * q_k - q_prev
-        q_next, r = guess, forcing + forces.drift("-", q_k, guess)
-        err = max_abs(r)
-        for _ in range(_STEP_MAX_ITER):
-            if err <= step_tol or not math.isfinite(err):
-                break
-            q_next = q_next - J_inv @ r
-            r = res(q_next)
-            err = max_abs(r)
-        if not err <= step_tol:
-            system = plain_system(res, lambda _: J)
-            try:
-                q_next = newton(system, guess, tol=step_tol, max_iter=_STEP_MAX_ITER)[0].x
-            except (NoConvergence, SingularJacobian) as exc:
-                raise StepSolveFailed(k, f"step {k}: {exc}") from exc
-        qs[k + 1] = q_next
+    def rescue(k, x, linearize):
+        step_tol = max(_STEP_TOL, rounding_per_q * max_abs(qs[k]))
+        system = plain_system(lambda q: linearize(q[None])[1][0], lambda _: J)
+        try:
+            return newton(system, x[0], tol=step_tol, max_iter=_STEP_MAX_ITER)[0].x[None]
+        except (NoConvergence, SingularJacobian) as exc:
+            raise StepSolveFailed(k, f"step {k}: {exc}") from exc
 
     def window(k, size):
         # nodes k..k+size-1 and their neighbours q_{k-1}..q_{k+size}
@@ -447,7 +422,7 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
         start = qs[k] + np.arange(1, size + 1)[:, None] * (qs[k] - qs[k - 1])
         return start, linearize, commit
 
-    march_in_windows(1, steps, step, window)
+    march_in_windows(1, steps, window, rescue)
     return qs
 
 

@@ -2,7 +2,8 @@
 in turn, plus ``central_difference``, the one central-difference quotient,
 and the window driver of the marches, ``march_in_windows`` with
 ``window_newton``, whose updates a window's operator solves by a prefix scan
-(``scan_maps``, ``scan_apply``).
+(``scan_maps``, ``scan_apply``).  The driver solves every step of a march
+in a window, a lone step in a window of one step.
 
 A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
 ``Point`` x with its residual F(x) and ``jacobian()``, which builds F'(x)
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoConvergence, SingularJacobian
+from .errors import ConfigError, NoConvergence, SingularJacobian, StepSolveFailed
 
 
 class Point(NamedTuple):
@@ -372,16 +373,22 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     return _iterate(system, x0, "newton", step, tol, max_iter)
 
 
-def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
-                        lam_max=1e14):
+# Levenberg-Marquardt's first damping, and the damping past which a step
+# gives up
+_LM_LAM0 = 1e-3
+_LM_LAM_MAX = 1e14
+
+
+def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200):
     """Levenberg-Marquardt for square systems.
 
-    Damping starts at ``lam0``, is multiplied by 10 on a rejected step and
-    divided by 10 on an accepted one.  The half squared residual never
+    Damping starts at _LM_LAM0, is multiplied by 10 on a rejected step and
+    divided by 10 on an accepted one, and a step that takes it past
+    _LM_LAM_MAX fails.  The half squared residual never
     increases across accepted steps.  Each step linearizes the point it
     accepted last; returns (point, SolveReport) as ``newton`` does.
     """
-    lam = lam0
+    lam = _LM_LAM0
 
     def step(point, report):
         nonlocal lam
@@ -391,7 +398,7 @@ def levenberg_marquardt(system, x0, tol=1e-9, max_iter=200, lam0=1e-3,
         g = J.T @ f
         scale = np.maximum(np.diag(JtJ), 1e-12)
         cost = 0.5 * _sumsq(f)
-        while lam <= lam_max:
+        while lam <= _LM_LAM_MAX:
             try:
                 dx = np.linalg.solve(JtJ + lam * np.diag(scale), -g)
             except np.linalg.LinAlgError:
@@ -569,14 +576,11 @@ def window_newton(x, linearize):
     return x, iteration, int(np.argmin(solved)), operator
 
 
-def march_in_windows(first, stop, step, window):
+def march_in_windows(first, stop, window, rescue=None):
     """Solve the steps first..stop-1 of a march, in order.
 
-    ``step(k)`` solves step k alone, the march's floor: ``lgoc`` solves a
-    window of one step there, by ``window_newton``, and ``mech`` runs its
-    own per-step iteration.  It raises StepSolveFailed for a step it cannot
-    solve.  ``window(k, size)`` sets up the steps k..k+size-1 as one system
-    and returns (x, linearize, commit): a start x (size, n), the ``linearize``
+    ``window(k, size)`` sets up the steps k..k+size-1 as one system and
+    returns (x, linearize, commit): a start x (size, n), the ``linearize``
     of ``window_newton`` and commit(x, count, operator), which takes the
     first ``count`` steps of x as solved; ``operator`` is
     ``window_newton``'s, for a commit that makes one more update.
@@ -586,10 +590,15 @@ def march_in_windows(first, stop, step, window):
     twice as wide, up to the cap.  One that does not converge within its
     budget keeps its solved prefix, and the next window, half as wide,
     starts where the prefix ends.  One whose residual is not finite keeps
-    nothing: ``step`` solves its steps one at a time, so a step whose
+    nothing: its steps are solved alone, one at a time, so a step whose
     equation cannot be evaluated fails as it fails in a march of single
-    steps, and the next window is half as wide.  A width of 1 runs
-    ``step``, and the next window is 2 wide.
+    steps, and the next window is half as wide.  A width of 1 solves its
+    step alone, and the next window is 2 wide.
+
+    A step alone is the march's floor: a window of one step, solved by
+    ``window_newton``.  When it is not solved, ``rescue(k, x, linearize)``
+    returns step k's solution (1, n) from the window's start x, or raises;
+    without a rescue, StepSolveFailed names the step.
     """
     k, width = first, WINDOW_CAP
     while k < stop:
@@ -608,6 +617,14 @@ def march_in_windows(first, stop, step, window):
                 continue
             width = size // 2
         for j in range(k, k + size):
-            step(j)
+            start, linearize, commit = window(j, 1)
+            x, _, solved, operator = window_newton(start, linearize)
+            if not solved:
+                if rescue is None:
+                    raise StepSolveFailed(j, f"step {j}: " + (
+                        "the residual is not finite" if solved is None
+                        else f"not solved within {WINDOW_MAX_ITER} updates"))
+                x = rescue(j, start, linearize)
+            commit(x, 1, operator)
         k += size
         width = max(width, 2)

@@ -86,6 +86,23 @@ def test_point_mass_solve_and_verify(tmp_path):
     assert read_report(out)["passed"] is True
 
 
+@pytest.mark.parametrize("make_cfg", [point_mass_cfg, rigid_body_cfg])
+def test_verify_keeps_the_solve_report(tmp_path, make_cfg):
+    # verify writes its own keys at the top level of report.json and keeps
+    # the solve's report under "solve"; a second verify passes it on
+    cfg = write_config(tmp_path / "c.json", make_cfg())
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    solved = read_report(out)
+    assert solved["command"] == "solve"
+    for _ in range(2):
+        assert cli.main(["verify", cfg, out]) == 0
+        report = read_report(out)
+        assert sorted(report) == ["checks", "command", "passed", "solve", "tolerance"]
+        assert report["command"] == "verify" and report["passed"] is True
+        assert report["solve"] == solved
+
+
 def test_rigid_body_solve_and_verify(tmp_path):
     cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
     out = str(tmp_path / "out")

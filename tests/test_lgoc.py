@@ -404,19 +404,20 @@ def test_march_rejects_an_initial_configuration_of_the_wrong_shape(case, g0):
 
 
 def _steps_alone(monkeypatch, alone=None):
-    """Hand the per-step floor of ``solvers.march_in_windows`` the step
-    indices of the marches that follow: each is appended to ``alone``, and
-    without ``alone`` the step fails the test."""
+    """Record the steps that ``solvers.march_in_windows`` solves alone in the
+    marches that follow, each a window(k, 1) call: each k is appended to
+    ``alone``, and without ``alone`` the step fails the test."""
     march = solvers.march_in_windows
 
-    def marched(first, stop, step, window):
-        def floor(k):
-            if alone is None:
-                raise AssertionError(f"step {k} was solved alone")
-            alone.append(k)
-            return step(k)
+    def marched(first, stop, window, rescue=None):
+        def recorded(k, size):
+            if size == 1:
+                if alone is None:
+                    raise AssertionError(f"step {k} was solved alone")
+                alone.append(k)
+            return window(k, size)
 
-        return march(first, stop, floor, window)
+        return march(first, stop, recorded, rescue)
 
     monkeypatch.setattr(solvers, "march_in_windows", marched)
 

@@ -630,6 +630,39 @@ def test_integrate_matches_its_reference_bitwise(case):
     assert np.max(np.abs(qs - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_lone_steps_are_windows_of_one_step(case, monkeypatch):
+    # with windows at most one step wide the march alternates lone steps
+    # and windows of two: every lone step is a window of one step, solved by
+    # window_newton with no newton call, and the march still agrees with
+    # the step-by-step march to 1e-10 relative
+    L, F, q0, q1, controls = _reference_cases()[case]
+    steps = len(controls)
+    window_newton = solvers.window_newton
+    sizes = []
+
+    def window(x, linearize):
+        out = window_newton(x, linearize)
+        assert out[2] == len(x)
+        sizes.append(len(x))
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a lone step went to newton")
+
+    monkeypatch.setattr(solvers, "WINDOW_CAP", 1)
+    monkeypatch.setattr(solvers, "window_newton", window)
+    monkeypatch.setattr(mech, "newton", refused)
+    qs = mech.integrate(L, F, q0, q1, steps, controls=controls)
+    expected_sizes, k = [], 1
+    while k < steps:
+        expected_sizes.append(min(1 + len(expected_sizes) % 2, steps - k))
+        k += expected_sizes[-1]
+    assert sizes == expected_sizes
+    expected = reference_integrate(L, F, q0, q1, steps, controls=controls)
+    assert np.max(np.abs(qs - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("case", ["benchmark point mass 901", "far 1000"])
 def test_free_windows_sum_without_a_scan(case, monkeypatch):
     # without a potential or a drift the window's recurrence has the exact

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from discvar import solvers
-from discvar.errors import ConfigError, NoConvergence, OutOfChart, SingularJacobian
+from discvar.errors import (ConfigError, NoConvergence, OutOfChart, SingularJacobian,
+                            StepSolveFailed)
 from discvar.solvers import (
     SolveReport,
     fd_jacobian,
@@ -1029,13 +1030,16 @@ def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
     """A march whose windows of up to ``solves_at`` steps converge after
     ``updates`` updates, and wider ones keep a solved prefix of ``prefix``
     steps; with ``nan_from``, a window that reaches that step has a NaN
-    residual.  Logs (k, size) of each window, ("step", k) of each step and
-    ("commit", k, count) of each commit."""
-    log = []
+    residual.  Logs (k, size) of each window, ("rescue", k) of each rescue
+    and ("commit", k, count) of each commit.  The rescue takes the window's
+    start and returns it plus k, and ``committed`` holds what each commit of
+    one step takes."""
+    log, committed = [], []
 
     def window(k, size):
         log.append((k, size))
         calls = []
+        start = np.zeros((size, 1))
 
         def linearize(x):
             calls.append(1)
@@ -1051,18 +1055,27 @@ def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
 
         def commit(x, count, operator):
             log.append(("commit", k, count))
+            if count == 1:
+                committed.append(float(x[0, 0]))
 
-        return np.zeros((size, 1)), linearize, commit
+        windows[k, size] = start, linearize
+        return start, linearize, commit
 
-    def step(k):
-        log.append(("step", k))
+    windows = {}
 
-    return window, step, log
+    def rescue(k, x, linearize):
+        # the unsolved one-step window's own start and linearize
+        start, own = windows[k, 1]
+        assert x is start and linearize is own
+        log.append(("rescue", k))
+        return x + k
+
+    return window, rescue, log, committed
 
 
 def test_march_in_windows_halves_a_failed_window_and_doubles_a_quick_one():
-    window, step, log = _scripted_windows(solves_at=8)
-    solvers.march_in_windows(1, 41, step, window)
+    window, rescue, log, _ = _scripted_windows(solves_at=8)
+    solvers.march_in_windows(1, 41, window, rescue)
     assert log == [
         (1, 40), ("commit", 1, 5),    # 128 wide, cut to the 40 steps left
         (6, 20), ("commit", 6, 5),    # halved, from the end of the prefix
@@ -1075,22 +1088,55 @@ def test_march_in_windows_halves_a_failed_window_and_doubles_a_quick_one():
     ]
 
 
-def test_march_in_windows_runs_steps_where_a_window_is_one_step():
-    # a window of one step is the march's own step; after it the next
-    # window is two wide
-    window, step, log = _scripted_windows(solves_at=1, prefix=0)
-    solvers.march_in_windows(1, 6, step, window)
-    assert log == [(1, 5), (1, 2), ("step", 1), (2, 2), ("step", 2), (3, 2),
-                   ("step", 3), (4, 2), ("step", 4), ("step", 5)]
+def test_march_in_windows_solves_a_lone_step_as_a_window_of_one_step():
+    # a width of 1 is the march's floor: a window of one step, solved by
+    # window_newton and committed by the driver, with no rescue; after it
+    # the next window is two wide
+    window, rescue, log, committed = _scripted_windows(solves_at=1, prefix=0)
+    solvers.march_in_windows(1, 6, window, rescue)
+    assert log == [(1, 5), (1, 2), (1, 1), ("commit", 1, 1),
+                   (2, 2), (2, 1), ("commit", 2, 1),
+                   (3, 2), (3, 1), ("commit", 3, 1),
+                   (4, 2), (4, 1), ("commit", 4, 1),
+                   (5, 1), ("commit", 5, 1)]
+    assert committed == [0.0] * 5
 
 
 def test_march_in_windows_steps_through_a_window_with_a_nan_residual():
-    # nothing of the window is kept: its steps are solved one at a time,
-    # so a step whose residual cannot be evaluated fails there, as in a
-    # march of single steps; the next window is half as wide
-    window, step, log = _scripted_windows(solves_at=128, nan_from=5)
-    solvers.march_in_windows(1, 12, step, window)
-    assert log == [(1, 11)] + [("step", k) for k in range(1, 12)]
+    # nothing of the window is kept: its steps are solved alone, each a
+    # window of one step, so a step whose residual cannot be evaluated
+    # fails there, as in a march of single steps.  The rescue is called for
+    # those steps alone, and the driver commits what it returns
+    window, rescue, log, committed = _scripted_windows(solves_at=128, nan_from=5)
+    solvers.march_in_windows(1, 12, window, rescue)
+    alone = [[(k, 1)] + ([("rescue", k)] if k >= 5 else []) + [("commit", k, 1)]
+             for k in range(1, 12)]
+    assert log == [(1, 11)] + sum(alone, [])
+    assert committed == [0.0] * 4 + [float(k) for k in range(5, 12)]
+
+
+def test_march_in_windows_rescues_only_an_unsolved_window_of_one_step():
+    # no window solves a step, so the march halves down to one step at a
+    # time, and each of those windows goes to the rescue
+    window, rescue, log, committed = _scripted_windows(solves_at=0, prefix=0)
+    solvers.march_in_windows(1, 4, window, rescue)
+    assert log == [(1, 3), (1, 1), ("rescue", 1), ("commit", 1, 1),
+                   (2, 2), (2, 1), ("rescue", 2), ("commit", 2, 1),
+                   (3, 1), ("rescue", 3), ("commit", 3, 1)]
+    assert committed == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("scripted, step, message", [
+    (dict(solves_at=0, prefix=0), 1, "step 1: not solved within 8 updates"),
+    (dict(solves_at=128, nan_from=5), 5, "step 5: the residual is not finite"),
+])
+def test_march_in_windows_without_a_rescue_names_the_unsolved_step(scripted, step, message):
+    # the steps before it are committed, and the march stops there
+    window, _, log, _ = _scripted_windows(**scripted)
+    with pytest.raises(StepSolveFailed) as info:
+        solvers.march_in_windows(1, 12, window)
+    assert info.value.step == step and str(info.value) == message
+    assert [entry[1] for entry in log if entry[0] == "commit"] == list(range(1, step))
 
 
 def test_window_newton_fails_a_diverging_window_without_a_warning():

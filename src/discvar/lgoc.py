@@ -415,13 +415,17 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     (built at the start when the window converged there; the one built
     before a build that met a singular block, none when the first build met
     one), which lands them within rounding of the root.  Their tau(h xi_j)
-    come from one batched call, and each g_{j+1} = g_j tau(h xi_j) is
-    written straight into the preallocated path, as ``reconstruct`` writes
-    it.  The momentum is carried as mu_j = coAd(tau(h xi_{j-1}), mu_{j-1})
+    come from one batched call, and each g_{j+1} = g_j tau(h xi_j), the
+    first step's included, is written straight into the preallocated path
+    by ``_sequential_products``, the primitive ``reconstruct`` runs: one
+    np.dot per step on row views, the bytes of np.matmul (``_composition``).
+    The momentum is carried as mu_j = coAd(tau(h xi_{j-1}), mu_{j-1})
     + f_j + (h/2) (d_{j-1} + d_j) - h grad V(g_j), with the drift values of
     the window's last evaluation and the potential's gradients on the
     committed path, from one call.  The free body transports it step by
-    step, exactly; with controls, a drift or a potential it is the affine
+    step, exactly, mu_j = mu_{j-1} Ad(tau(h xi_{j-1})) by the same
+    primitive, np.dot of a row vector (gemv, as np.matmul calls it); with
+    controls, a drift or a potential it is the affine
     recurrence mu_j = Ad(tau(h xi_{j-1}))^T mu_{j-1} + c_j, whose c_j are
     formed in one pass, mu_{k-1}'s transport folded into c_0, and solved by
     one scan over the window's transposed Ad blocks.
@@ -460,7 +464,7 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     xis[0] = xi0
     mus[0] = (inertia @ xi0) @ group.dtau_inv_matrix(h * xi0)
     taus[0] = group.tau(h * xi0)
-    compose(g0, taus[0], out=gs[1])
+    _sequential_products(list(gs[:2]), taus[:1], compose)
     # with a drift, the (h/2) d(h xi) of the last step solved
     half_drift = None
 
@@ -497,14 +501,12 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
                 X = X[:count]
             xis[k:k + count] = X
             taus[k:k + count] = group.tau(h * X)
-            for j in range(k, k + count):
-                compose(gs[j], taus[j], out=gs[j + 1])
+            _sequential_products(list(gs[k:k + count + 1]), taus[k:k + count], compose)
             Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
             if f is None and d is None and system.potential is None:
                 # step by step, so that the free body's mu_j is exactly
                 # coAd(tau(h xi_{j-1}), mu_{j-1})
-                for j in range(k, k + count):
-                    np.matmul(mus[j - 1], Ad[j - k], out=mus[j])
+                _sequential_products(list(mus[k - 1:k + count]), Ad, np.dot)
                 return
             # mu_j = Ad_j^T mu_{j-1} + c_j is an affine recurrence: c_j = f_j +
             # (h/2) (d_{j-1} + d_j) - h grad V(g_j), with mu_{k-1}'s transport
@@ -526,19 +528,39 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     return gs, xis, mus
 
 
-def _composition(group):
-    """The group product as a ufunc that writes into ``out``: R^n composes
-    by addition, the matrix groups by the product ``GroupSpec.multiply``
-    forms."""
-    return np.add if group.name == "Rn" else np.matmul
+def _composition(group, stacked=False):
+    """The group product, written into its third argument: R^n composes by
+    addition, the matrix groups by the product ``GroupSpec.multiply`` forms.
+    One point's 2-D rows take np.dot, which calls the BLAS routine np.matmul
+    calls (gemm), with the same arguments, so it writes the same bytes
+    without matmul's ufunc dispatch; its output must be C-contiguous, as
+    the rows of a fresh array are.  A ``stacked`` product, whose operands
+    carry leading point axes, takes np.matmul: np.dot on operands of more
+    than two axes is a tensordot, not a batched product, and raises a shape
+    error, which a stacked interval pass would meet only as a silent
+    fallback to its rows (``solvers._evaluate_stack``)."""
+    if group.name == "Rn":
+        return np.add
+    return np.matmul if stacked else np.dot
+
+
+def _sequential_products(rows, steps, product):
+    """x_{j+1} = x_j M_j for j = 0, 1, ... in turn: ``rows`` are the row
+    views x_0..x_N of a preallocated array, x_0 set, and ``steps`` holds
+    M_0..M_{N-1}; ``product(x_j, M_j, x_{j+1})`` writes each row.  The
+    march's path and momentum carry and ``reconstruct`` share it."""
+    for a, b, c in zip(rows, steps, rows[1:]):
+        product(a, b, c)
 
 
 def reconstruct(group, g0, h, xis, W=None):
     """Configurations g_0..g_N from interval velocities xis (..., N, n), any
     leading axes being points that share g0; ``W`` is their tau(h xi_k) when
     the caller has formed it (``interval_momenta``).  Each product g_k W_k
-    is written straight into the preallocated path, as
-    ``GroupSpec.multiply`` would form it, for every point at once."""
+    is written straight into the preallocated path by
+    ``_sequential_products``, as ``GroupSpec.multiply`` would form it: for
+    one point by np.dot on its 2-D rows, for a stack of points by one
+    np.matmul per node over every point at once (``_composition``)."""
     if W is None:
         W = group.tau(h * np.asarray(xis, dtype=float))
     g0 = np.asarray(g0, dtype=float)
@@ -547,9 +569,7 @@ def reconstruct(group, g0, h, xis, W=None):
     # views with the node axis first: writing them writes gs
     nodes, steps = gs.swapaxes(0, axis), W.swapaxes(0, axis)
     nodes[0] = g0
-    compose = _composition(group)
-    for k in range(len(steps)):
-        compose(nodes[k], steps[k], out=nodes[k + 1])
+    _sequential_products(list(nodes), steps, _composition(group, axis > 0))
     return gs
 
 

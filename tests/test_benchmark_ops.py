@@ -1,6 +1,7 @@
 """The benchmark's ops at full size, as perfbench/workloads.py builds them:
 the lgoc and tboc solves end with the same method, iteration count and cost
-at seeds 901 and 5301, and drawn-2 still fails; every simulate op passes the
+at seeds 901 and 5301, and drawn-2 still fails; the ocp-under ops keep their
+residual passes, so no stacked pass falls back to rows; every simulate op passes the
 benchmark's correctness gate, the point mass's windows take one update each,
 the group marches keep their windows and evaluations and build an operator
 only when Newton needs a new one, and they are bitwise those of the general
@@ -116,6 +117,53 @@ def test_ocp_under_newton_accepts_the_steps_of_the_sequential_search(seed, workl
         assert a.residual_history == b.residual_history, name
         assert a.residual_passes < b.residual_evaluations == b.residual_passes
         assert a.residual_evaluations > b.residual_evaluations
+
+
+# ocp-under op -> (method, residual passes, residual evaluations) of each
+# attempt, in order: auto runs Newton, then LM from the guess when Newton
+# fails.  Both seeds give these counts.  A stacked pass that raises falls
+# back to evaluating its rows one at a time, each a pass of its own, with
+# the same residuals, so only these counts show it.  drawn-2's 46 passes are
+# its two attempts' 25 and 21
+PASSES = {
+    "test-target": [("newton", 19, 73)],
+    "drawn-1": [("newton", 20, 38)],
+    "drawn-2": [("newton", 25, 61), ("levenberg_marquardt", 21, 21)],
+}
+
+
+@pytest.mark.parametrize("seed", [901, 5301])
+def test_ocp_under_ops_keep_their_residual_passes(seed, workloads, tmp_path, monkeypatch):
+    from discvar import lgoc
+
+    attempts = []
+
+    def record(report):
+        attempts.append((report.method, report.residual_passes, report.residual_evaluations))
+
+    def logged(attempt):
+        def run(*args, **kwargs):
+            try:
+                point, report = attempt(*args, **kwargs)
+            except (NoConvergence, SingularJacobian) as exc:
+                record(exc.report)
+                raise
+            record(report)
+            return point, report
+
+        return run
+
+    for name in ("newton", "levenberg_marquardt"):
+        monkeypatch.setattr(lgoc, name, logged(getattr(lgoc, name)))
+    passes = {}
+    for op in workloads.build("ocp-under", seed, "full", str(tmp_path)).ops:
+        attempts.clear()
+        try:
+            op.run()
+        except NoConvergence:
+            pass
+        passes[op.name] = list(attempts)
+    assert passes == PASSES
 
 
 @pytest.mark.parametrize("name", ["rb-cay-free", "rb-exp-free", "uuv-forced", "pm-forced"])

@@ -351,6 +351,110 @@ def test_march_path_is_reconstruct(case):
     assert gs.shape == path.shape and gs.tobytes() == path.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# the sequential products against np.matmul's
+# ---------------------------------------------------------------------------
+
+def matmul_products(rows, steps, product):
+    """``lgoc._sequential_products`` as the march and ``reconstruct`` wrote
+    their rows before it: one np.matmul(..., out=) per step, np.add on R^n.
+    Its bytes are the oracle of the np.dot rows."""
+    compose = np.add if product is np.add else np.matmul
+    for j in range(len(steps)):
+        compose(rows[j], steps[j], out=rows[j + 1])
+
+
+def _product_cases():
+    """group -> (group, g0, the tau(h xi_k) of 128 random steps): SO(3)
+    under both retractions, SE(3) (4x4) and R^3."""
+    rng = np.random.default_rng(36)
+    groups = {"SO3 cay": lie.so3(lie.CAYLEY), "SO3 exp": lie.so3(lie.EXPONENTIAL),
+              "SE3 exp": lie.se3(lie.EXPONENTIAL), "R3": lie.real_n(3)}
+    return {name: (group, group.tau(rng.normal(size=group.dim)),
+                   group.tau(0.3 * rng.normal(size=(128, group.dim))))
+            for name, group in groups.items()}
+
+
+@pytest.mark.parametrize("case", list(_product_cases()))
+def test_reconstruct_writes_the_bytes_of_matmul(case):
+    # np.dot on one point's 2-D rows calls the BLAS routine np.matmul calls,
+    # with the same arguments: the path is np.matmul's, bitwise
+    group, g0, W = _product_cases()[case]
+    expected = np.empty((len(W) + 1,) + g0.shape)
+    expected[0] = g0
+    matmul_products(expected, W, lgoc._composition(group))
+    assert lgoc.reconstruct(group, g0, 0.1, None, W).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["SO3 cay", "SO3 exp", "SE3 exp"])
+def test_momentum_carry_writes_the_bytes_of_matmul(case):
+    # the free body's carry mu_j = mu_{j-1} Ad_j, a row vector through gemv
+    group, _, W = _product_cases()[case]
+    Ad = group.Ad_matrix(W)
+    mus, expected = np.empty((2, len(W) + 1, group.dim))
+    mus[0] = expected[0] = np.random.default_rng(7).normal(size=group.dim)
+    lgoc._sequential_products(list(mus), Ad, np.dot)
+    matmul_products(expected, Ad, np.dot)
+    assert mus.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["free body cay", "free body exp", "heavy top exp", "uuv cay",
+                                  "uuv exp"])
+def test_march_writes_the_bytes_of_matmul(case, monkeypatch):
+    # the march with np.matmul's rows in place of the sequential products:
+    # its first step, its committed paths, the free body's carry and the
+    # heavy top's window paths give the same gs, xis and mus, bitwise
+    system, g0, xi0, h, controls = _march_cases()[case]
+    got = lgoc.integrate_reduced(system, g0, xi0, h, 200, controls=controls)
+    monkeypatch.setattr(lgoc, "_sequential_products", matmul_products)
+    expected = lgoc.integrate_reduced(system, g0, xi0, h, 200, controls=controls)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 4, 27])
+@pytest.mark.parametrize("case", ["SO3 cay", "SE3 exp", "R3"])
+def test_stacked_reconstruct_gives_each_points_path(case, K):
+    # a stack keeps one batched np.matmul per node over its points; each
+    # point's path is its own reconstruct's, bitwise
+    group, g0, _ = _product_cases()[case]
+    xis = np.random.default_rng(K).normal(size=(K, 16, group.dim))
+    paths = lgoc.reconstruct(group, g0, 0.1, xis)
+    assert paths.shape == (K, 17) + g0.shape
+    for point, path in zip(xis, paths):
+        assert path.tobytes() == lgoc.reconstruct(group, g0, 0.1, point).tobytes()
+
+
+def test_sequential_products_hand_np_dot_two_axes_at_most(monkeypatch):
+    # np.dot on more than two axes is a tensordot, not a batched product: it
+    # raises a shape error, and a stacked pass that raises is evaluated row
+    # by row without a word (solvers._evaluate_stack).  The marches, a
+    # single and a stacked reconstruct and a stacked interval pass hand
+    # np.dot only vectors and matrices
+    calls = []
+    dot = np.dot
+
+    def spy(*args):
+        calls.append(max(np.ndim(a) for a in args))
+        return dot(*args)
+
+    monkeypatch.setattr(np, "dot", spy)
+    cases = _march_cases()
+    for case in ("free body exp", "heavy top cay", "uuv exp"):
+        system, g0, xi0, h, controls = cases[case]
+        lgoc.integrate_reduced(system, g0, xi0, h, 200, controls=controls)
+    group, g0, _ = _product_cases()["SO3 exp"]
+    xis = np.random.default_rng(3).normal(size=(4, 8, 3))
+    lgoc.reconstruct(group, g0, 0.1, xis[0])
+    lgoc.reconstruct(group, g0, 0.1, xis)
+    for prob in _stack_regimes().values():
+        system, eliminate = lgoc.residual_system(prob)
+        z0 = lgoc._pack(*lgoc.initial_guess(prob), eliminate)
+        system.stack(z0 + 1e-3 * np.arange(3)[:, None])
+    assert calls.count(2) > 0
+    assert max(calls) <= 2
+
+
 def test_nan_update_goes_to_newton(monkeypatch):
     # the drag is undefined past |z_i| = 0.06, and constant torques spin the
     # body up to it: the step that gets there meets a residual that is not

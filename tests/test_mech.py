@@ -495,8 +495,8 @@ def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
 
 def test_step_failure_names_the_step(monkeypatch):
     # the drift is undefined once the velocity passes 1: the step that gets
-    # there fails in the simplified Newton iteration and in its newton
-    # fallback, and StepSolveFailed names it
+    # there fails as a window of one step and in its newton rescue, and
+    # StepSolveFailed names it
     h = 0.1
     fallbacks = []
     newton = mech.newton

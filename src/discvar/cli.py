@@ -17,6 +17,7 @@ or empty means WARNING, and an unknown level is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -28,7 +29,8 @@ import time
 import numpy as np
 
 from . import lgoc, lie, mech, systems, tboc
-from .errors import ConfigError, DiscvarError, NoConvergence, NotInvertible, SingularJacobian
+from .errors import (ConfigError, DimensionMismatch, DiscvarError, NoConvergence, NotInvertible,
+                     RankDeficient, SingularJacobian)
 
 log = logging.getLogger("discvar")
 
@@ -134,6 +136,26 @@ def _build_cost(cfg, m):
     raise ConfigError(f"unknown cost kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _keyed(*keys):
+    """A system constructor run inside the block that refuses its arguments
+    (DimensionMismatch, NotInvertible, RankDeficient) raises a ConfigError
+    naming the config ``keys`` they came from."""
+    try:
+        yield
+    except (DimensionMismatch, NotInvertible, RankDeficient) as exc:
+        raise ConfigError(f"{', '.join(keys)}: {exc}") from None
+
+
+def _actuated_axes(value):
+    """The rigid body's ``actuated`` axes: distinct integers in 0..2."""
+    axes = [_number(a, "actuated", int) for a in value] if isinstance(value, list) else None
+    if axes is None or any(not 0 <= a <= 2 for a in axes) or len(set(axes)) < len(axes):
+        raise ConfigError(f"actuated must list distinct axes among 0, 1 and 2, "
+                          f"got {value!r}")
+    return tuple(axes)
+
+
 def build_setup(cfg):
     """Returns ("lie", problem) or ("rn", problem) from a config dict."""
     sys_cfg = cfg["system"]
@@ -149,6 +171,8 @@ def build_setup(cfg):
         raise ConfigError(f"problem section is missing {exc}") from exc
     if not h > 0.0:
         raise ConfigError(f"h must be positive, got {prob_cfg['h']!r}")
+    if N < 2:
+        raise ConfigError(f"N must be at least 2, got {N}")
     bnd = prob_cfg.get("boundary", {})
     cost_cfg = prob_cfg.get("cost", {})
 
@@ -160,11 +184,16 @@ def build_setup(cfg):
         if mass.shape not in ((), (n,), (n, n)):
             raise ConfigError(f"mass must be a number, a list of {n} or a {n}x{n} matrix, "
                               f"got {sys_cfg['mass']!r}")
+        with _keyed("mass", "force_convention"):
+            try:
+                lagrangian, forces = systems.make_point_mass(
+                    n, mass=mass, h=h,
+                    force_convention=sys_cfg.get("force_convention", "trapezoidal"),
+                )
+            except NotInvertible:
+                raise ConfigError(f"mass must be positive definite, "
+                                  f"got {sys_cfg['mass']!r}") from None
         try:
-            lagrangian, forces = systems.make_point_mass(
-                n, mass=mass, h=h,
-                force_convention=sys_cfg.get("force_convention", "trapezoidal"),
-            )
             problem = tboc.OcProblemRn(
                 lagrangian=lagrangian, forces=forces,
                 cost=_build_cost(cost_cfg, forces.control_dim),
@@ -174,21 +203,21 @@ def build_setup(cfg):
             )
         except KeyError as exc:
             raise ConfigError(f"boundary section is missing {exc}") from exc
-        except NotInvertible:
-            raise ConfigError(f"mass must be positive definite, got {sys_cfg['mass']!r}") from None
         return "rn", problem
 
     if stype == "rigid_body_so3":
-        system = systems.make_rigid_body_so3(
-            _number(sys_cfg.get("inertia", [1.0, 1.0, 1.0]), "inertia", _floats),
-            actuated=tuple(sys_cfg.get("actuated", [0, 1, 2])),
-            retraction=retraction,
-        )
+        actuated = _actuated_axes(sys_cfg.get("actuated", [0, 1, 2]))
+        with _keyed("inertia"):
+            system = systems.make_rigid_body_so3(
+                _number(sys_cfg.get("inertia", [1.0, 1.0, 1.0]), "inertia", _floats),
+                actuated=actuated, retraction=retraction,
+            )
     elif stype == "uuv_se3":
         defaults = {"mass": 3.0, "radius": 0.1, "length": 0.6, "c": 0.3, "d": 0.3}
         params = systems.UuvParams(**{key: _number(sys_cfg.get(key, value), key)
                                       for key, value in defaults.items()})
-        system = systems.make_uuv_system(params, retraction=retraction)
+        with _keyed(*defaults):
+            system = systems.make_uuv_system(params, retraction=retraction)
     else:
         raise ConfigError(f"unknown system type {stype!r}")
 

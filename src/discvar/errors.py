@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``require_methods``, the
+check that a user's model supplies the methods its protocol names."""
 
 
 class DiscvarError(Exception):
@@ -22,7 +23,8 @@ class DimensionMismatch(DiscvarError):
 
 
 class ConfigError(DiscvarError):
-    """A run configuration file is malformed or self-contradictory."""
+    """A run configuration file, or a model handed to a system, is malformed
+    or self-contradictory."""
 
 
 class StepSolveFailed(DiscvarError):
@@ -63,3 +65,15 @@ class NoConvergence(DiscvarError):
             f"no convergence after {iterations} iterations "
             f"(best residual {best_residual:.3e})"
         )
+
+
+# the methods of a potential, on a group (left-trivialized) and on R^n alike
+POTENTIAL_METHODS = ("value", "left_grad", "left_hess", "left_curvature")
+
+
+def require_methods(model, names, what):
+    """Raise ConfigError unless ``model`` has a callable attribute for each
+    of ``names``: a potential or drift must supply its own derivatives."""
+    missing = [name for name in names if not callable(getattr(model, name, None))]
+    if missing:
+        raise ConfigError(f"{what} must supply {', '.join(missing)}")

@@ -20,22 +20,20 @@ the tau-product of the interval displacements matches g0^-1 gT, yields a
 square root-finding problem.  nu_0 and nu_N are pinned to the boundary
 velocities.
 
-The residual is exact up to the user's callables: the derivatives of the
-interval maps in xi_k come in closed form from the retraction's tangent maps
-and their derivative (``_xi_gradients``), and only a callable drift and
-the gradient of a potential without ``left_hess`` are differenced.  The
-residual is the gradient of the summed cost, so its Jacobian
-(``residual_system``) is assembled exactly from the interval terms'
-Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}), one
-batched pass for all intervals, through the tangent maps' first and second
-derivatives (``_interval_hessians``).  What flows through the
-reconstruction, the potential's dependence on the node configurations and
-the reconstruction rows, is chained through the configuration
-sensitivities of one ``reconstruct``.  Only the derivatives a user's
-callable does not supply are differenced; no residual is.  The interval
-pass that the residual and the Jacobian share (``_interval_pass``) also
-takes a leading axis of points, on which Newton's line search evaluates
-its trial steps together (``residual_system``).
+The residual is exact: the derivatives of the interval maps in xi_k come in
+closed form from the retraction's tangent maps and their derivative
+(``_xi_gradients``), and the drift and the potential supply their own
+(``ReducedSystem``).  The residual is the gradient of the summed cost, so
+its Jacobian (``residual_system``) is assembled exactly from the interval
+terms' Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}), one batched pass for
+all intervals, through the tangent maps' first and second derivatives
+(``_interval_hessians``).  What flows through the reconstruction, the
+potential's dependence on the node configurations and the reconstruction
+rows, is chained through the configuration sensitivities of one
+``reconstruct``.  Nothing is differenced.  The interval pass that the
+residual and the Jacobian share (``_interval_pass``) also takes a leading
+axis of points, on which Newton's line search evaluates its trial steps
+together (``residual_system``).
 
 Underactuated systems (unactuated coordinate set sigma nonempty) add the
 per-interval conditions that the momentum defects, less the drift, have no
@@ -51,15 +49,10 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import solvers
-from .errors import DimensionMismatch, NotInvertible, RankDeficient
+from .errors import (POTENTIAL_METHODS, DimensionMismatch, NotInvertible, RankDeficient,
+                     require_methods)
 from .lie import mt, mv
-from .solvers import (
-    Point,
-    ResidualSystem,
-    central_difference,
-    levenberg_marquardt,
-    newton,
-)
+from .solvers import Point, ResidualSystem, levenberg_marquardt, newton
 
 # ---------------------------------------------------------------------------
 # system and problem containers
@@ -76,16 +69,19 @@ class ReducedSystem:
     drift          optional force on the interval displacement z = h xi:
                    either an (n, n) matrix H, the linear drift z -> z H^T
                    (H z per interval), whose Jacobian is H and whose
-                   curvature is zero, or a callable z -> covector
-                   coordinates, batched over leading dimensions, whose
-                   derivatives are differenced; defaults to zero
-    potential      optional object with value(g) and left_grad(g) -> (n,)
-                   (the left-trivialized gradient), both batched; it may
-                   also supply its left Hessian left_hess(g) -> (n, n) and
-                   the Hessian's derivative along a covector w,
-                   left_curvature(g, w) -> (n, n) (``_potential_hessians``,
-                   ``_potential_curvature``), which are differenced
-                   otherwise
+                   curvature is zero, or a model with drift(z) -> covector
+                   coordinates, its Jacobian drift.jacobian(z) -> (n, n)
+                   and drift.curvature(z, w) -> (n, n), the Hessian in z of
+                   w . drift(z), all batched over leading axes; defaults to
+                   zero
+    potential      optional model with value(g), the left-trivialized
+                   gradient left_grad(g) -> (n,), its left Hessian
+                   left_hess(g) -> (n, n) and the Hessian's derivative
+                   along a covector w, left_curvature(g, w) -> (n, n), all
+                   batched (``systems.HeavyTopPotential``)
+
+    A drift model or a potential without one of its methods raises
+    ConfigError.
     """
 
     group: object
@@ -119,17 +115,19 @@ class ReducedSystem:
             raise DimensionMismatch(
                 "unactuated indices must be the n - m coordinates without control"
             )
-        if self.unactuated and np.max(
-            np.abs(self.control_basis[list(self.unactuated), :])
-        ) > 0.0:
+        if np.any(self.control_basis[list(self.unactuated), :] != 0.0):
             raise DimensionMismatch("control basis has entries on unactuated rows")
         if np.linalg.matrix_rank(self.control_basis) < m:
             raise RankDeficient("control basis rank is below the control dimension")
         self.control_pinv = np.linalg.pinv(self.control_basis)
-        if self.drift is not None and not callable(self.drift):
+        if callable(self.drift):
+            require_methods(self.drift, ("jacobian", "curvature"), "a drift")
+        elif self.drift is not None:
             self.drift = np.asarray(self.drift, dtype=float)
             if self.drift.shape != (n, n):
                 raise DimensionMismatch("a linear drift must be an (n, n) matrix")
+        if self.potential is not None:
+            require_methods(self.potential, POTENTIAL_METHODS, "a potential")
 
     @property
     def n(self):
@@ -653,66 +651,21 @@ def _xi_gradients(problem, xis, D, T3, mu, e, ad_e, c_minus, c_plus, Jd, T):
 
 
 def _drift_jacobians(system, z):
-    """d drift / dz at the interval displacements z (..., n), as (..., n, n),
-    or for a linear drift its matrix H, (n, n), the same at every z; None
-    without a drift.  A callable drift acts pointwise in z, so one call on
-    the 2n shifts of every interval gives all its Jacobians."""
+    """d drift / dz at the interval displacements z (..., n), the drift's
+    ``jacobian``, (..., n, n), or for a linear drift its matrix H, (n, n),
+    the same at every z; None without a drift."""
     if not system.has_drift:
         return None
     if system.drift_is_linear:
         return system.drift
-    return central_difference(lambda s: system.drift_values(z + s),
-                              np.full(z.shape, solvers.DIFFERENCE_STEP))
-
-
-def _drift_curvature(system, z, w):
-    """The Hessians in z of w_k . drift(z_k), (N, n, n), for a callable
-    drift, by one nested central difference for all intervals.  A linear
-    drift has none: its callers skip this term."""
-    step = np.full(z.shape, solvers.CURVATURE_STEP)
-    return central_difference(lambda s: central_difference(
-        lambda t: np.einsum("ki,...ki->...k", w, system.drift_values(z + s + t)),
-        np.broadcast_to(step, s.shape)), step)
+    return np.asarray(system.drift.jacobian(z), dtype=float)
 
 
 def _potential_hessians(system, gs):
-    """Left-trivialized directional derivatives of the potential gradient at
-    the configurations gs.
-
-    Returns H with H[..., k, :, j] = d/ds left_grad(g_k tau(s e_j)) at s =
-    0, gs (..., N, ...) holding nodes along any leading axes: the
-    potential's ``left_hess`` when it has one, else one central difference,
-    a single ``left_grad`` call on the 2n shifts.
-    """
-    if hasattr(system.potential, "left_hess"):
-        return np.asarray(system.potential.left_hess(gs), dtype=float)
-    group = system.group
-    # the shifts' axis leads, before every axis of gs but the element's own
-    nodes = tuple(range(1, gs.ndim - (1 if group.matrix_size is None else 2) + 1))
-    return central_difference(
-        lambda s: system.potential.left_grad(
-            group.multiply(gs, np.expand_dims(group.tau(s), nodes))),
-        np.full(system.n, solvers.DIFFERENCE_STEP))
-
-
-def _potential_curvature(system, gs, w):
-    """T with T[k, :, l] = d/ds_l of H(g_k tau(s))^T w_k at s = 0, H the
-    potential Hessians of ``_potential_hessians``: the potential's third
-    derivative along w_k.  That is its ``left_curvature`` when it has one,
-    else the nested central difference of w_k . grad V(g_k tau(s) tau(t)),
-    one batched call for all nodes."""
-    if hasattr(system.potential, "left_curvature"):
-        return np.asarray(system.potential.left_curvature(gs, w), dtype=float)
-    group = system.group
-    step = np.full(system.n, solvers.CURVATURE_STEP)
-
-    def pairing(s, t):
-        moved = group.multiply(group.multiply(gs, group.tau(s)[:, None]),
-                               group.tau(t)[:, :, None])
-        return np.einsum("...ki,ki->...k", system.potential.left_grad(moved), w)
-
-    return central_difference(lambda s: central_difference(
-        lambda t: pairing(s, t), np.broadcast_to(step, s.shape)), step)
+    """The potential's left Hessians H[..., k, :, j] = d/ds left_grad(g_k
+    tau(s e_j)) at s = 0, at the configurations gs (..., N, ...) with nodes
+    along any leading axes: its ``left_hess``."""
+    return np.asarray(system.potential.left_hess(gs), dtype=float)
 
 
 def _reconstruction_gap(problem, g_N):
@@ -1048,8 +1001,8 @@ def _interval_hessians(problem, xis, interval_pass, plan):
     K = d^2/dxi^2 [c_minus . mu + c_plus . transport - (h/2)(c_minus - c_plus) . d].
     K takes the closed forms of ``_xi_gradients`` one derivative further,
     through ``dtau_inv_deriv2_along`` (d^2 dtau_inv contracted with I xi and
-    e) and d dtau = -dtau (d dtau_inv) dtau; only a callable drift's
-    curvature is differenced, and a linear drift has none.  ``plan``
+    e) and d dtau = -dtau (d dtau_inv) dtau; a drift model gives its own
+    curvature, and a linear drift has none.  ``plan``
     (``_plan``) holds the ad structure constants and F with its constant -I
     and +I blocks, which a copy fills.
     """
@@ -1073,7 +1026,8 @@ def _interval_hessians(problem, xis, interval_pass, plan):
          + h * (IU + mt(IU)) - h * (MadT + mt(MadT))
          + h * h * mt(T) @ (np.einsum("kmai,ka->kim", T3, u) + Bmu @ ad_e @ T))
     if p.Jd is not None and not sys_.drift_is_linear:
-        K -= (h**3 / 2.0) * _drift_curvature(sys_, z, p.c_minus - p.c_plus)
+        K -= (h**3 / 2.0) * np.asarray(sys_.drift.curvature(z, p.c_minus - p.c_plus),
+                                       dtype=float)
 
     s = len(sigma)
     _, xi, lam, _ = _slots(n, s)
@@ -1112,7 +1066,8 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     along e_l by ad(T e_l) A, T = dtau(z), so the derivative of
     dtau_inv(-z) along e_l is -(T3_l + D ad(T e_l)) A, T3_l that of D.
     ``curvature`` (None without a potential) holds, per interior node, the
-    derivative of the Hessian term in s_j (``_potential_curvature``).
+    derivative of the Hessian term in s_j (the potential's
+    ``left_curvature``).
     With eliminated momenta (``_momenta_eliminable``: a fully actuated
     problem, so no complement rows) O[k] holds only the velocity rows at
     nodes k and k+1: the residual has no momentum rows then, and none is
@@ -1147,8 +1102,8 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     if potential:
         Hs = np.zeros((N + 1, n, n))
         Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
-        curvature = _potential_curvature(sys_, gs[1:N],
-                                         (h / 2.0) * (c_minus[1:] - c_plus[:-1]))
+        curvature = np.asarray(sys_.potential.left_curvature(
+            gs[1:N], (h / 2.0) * (c_minus[1:] - c_plus[:-1])), dtype=float)
         Ha, Hb = Hs[:-1], Hs[1:]
         Oy[:, :n] = -(mt(Ha) @ H[:, nu_a] + DH)
     else:
@@ -1217,11 +1172,9 @@ def residual_system(problem):
     - (h/4)(d_k - d_{k-1}), d_k = drift(h xi_k): onto the xi_k rows with
     dmu/dxi / 2 - (h^2/4) Jd_k, onto the xi_{k-1} rows with
     d transport/dxi / 2 + (h^2/4) Jd_{k-1}, Jd the drift Jacobians.
-    Only derivatives the user's callables do not supply are differenced: a
-    callable drift's Jacobian and curvature (a linear drift has them in
-    closed form), and the Hessian of a potential without ``left_hess`` and
-    its third derivative along one direction without ``left_curvature``.
-    No residual is evaluated.
+    The drift's Jacobian and curvature are the model's own (a linear drift's
+    are its matrix and zero), and so are the potential's Hessian and third
+    derivative: nothing is differenced, and no residual is evaluated.
 
     What no build's point changes, the ad structure constants ad(e_l) and
     the defect Jacobian F with its constant -I and +I blocks, is formed

@@ -14,6 +14,10 @@ and the two discrete Legendre transforms with forces give the momenta
 
     p_k     = -D1 Ld(q_k, q_{k+1}) - f^-_k
     p_{k+1} =  D2 Ld(q_k, q_{k+1}) + f^+_k
+
+The potential and the drifts are models that supply their own derivatives
+(``RnLagrangian``, ``DiscreteForcePairRn``), batched over leading axes, so
+nothing here is differenced.
 """
 
 from __future__ import annotations
@@ -23,32 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NoConvergence, NotInvertible, SingularJacobian,
-                     StepSolveFailed)
-from .solvers import (CURVATURE_STEP, DIFFERENCE_STEP, central_difference,
-                      march_in_windows, max_abs, newton, plain_system, scan_apply, scan_maps)
-
-
-def _per_point(fun, *points):
-    """A user callable with a per-point contract, at every point of a batch.
-
-    The points share their leading axes and hold vectors along the last one;
-    a single point (no leading axis) is passed straight through.
-    """
-    lead = np.shape(points[0])[:-1]
-    if not lead:
-        return np.asarray(fun(*points), dtype=float)
-    rows = zip(*(np.reshape(p, (-1, np.shape(p)[-1])) for p in points))
-    out = np.array([fun(*row) for row in rows], dtype=float)
-    return out.reshape(lead + out.shape[1:])
-
-
-def _hessian(fun, x, step):
-    """Symmetrized nested central difference of ``fun``, scalar per point, at
-    the points x (..., n): one call of 4 n^2 evaluations."""
-    H = central_difference(lambda s: central_difference(
-        lambda t: fun(x + s + t), np.broadcast_to(step, s.shape)), step)
-    return 0.5 * (H + np.swapaxes(H, -1, -2))
+from .errors import (POTENTIAL_METHODS, DimensionMismatch, NoConvergence, NotInvertible,
+                     SingularJacobian, StepSolveFailed, require_methods)
+from .solvers import march_in_windows, max_abs, newton, plain_system, scan_apply, scan_maps
 
 
 @dataclass
@@ -56,19 +37,17 @@ class RnLagrangian:
     """Mechanical Lagrangian (1/2) v^T M v - V(q) plus a time step h.
 
     The slot derivatives d1..d22 take one interval (q_a, q_b of shape (n,))
-    or a batch of intervals along leading axes.  The user's ``potential``,
-    ``potential_grad`` and ``potential_hess`` take a single point; on a
-    batch they are mapped over its rows.  ``potential_grad``/
-    ``potential_hess`` may be omitted; central differences are used as a
-    fallback: of the gradient for the Hessian, and of the value twice, at
-    CURVATURE_STEP, when there is no gradient.
+    or a batch of intervals along leading axes.  ``potential`` is None or a
+    model of V with the methods a group's potential has, each batched over
+    leading axes: value(q), left_grad(q) (n,), left_hess(q) (n, n) and
+    left_curvature(q, w) (n, n), the third derivative along w.  On R^n the
+    left translation is q + s, so these are the gradient, the Hessian and
+    D^3 V(q)[w]; a potential without one of them raises ConfigError.
     """
 
     mass: np.ndarray
     h: float
-    potential: Optional[Callable] = None
-    potential_grad: Optional[Callable] = None
-    potential_hess: Optional[Callable] = None
+    potential: Optional[object] = None
 
     def __post_init__(self):
         self.mass = np.atleast_2d(np.asarray(self.mass, dtype=float))
@@ -86,47 +65,34 @@ class RnLagrangian:
         except np.linalg.LinAlgError:
             raise NotInvertible("mass matrix must be positive definite") from None
         self.mass_inv = np.linalg.inv(self.mass)
+        if self.potential is not None:
+            require_methods(self.potential, POTENTIAL_METHODS, "a potential")
 
     @property
     def dim(self):
         return self.mass.shape[0]
 
     def V(self, q):
-        return 0.0 if self.potential is None else float(self.potential(q))
+        return 0.0 if self.potential is None else float(self.potential.value(q))
 
     # a scalar 0.0 leaves d1, d2, d11, d22 bitwise as zero arrays would
     def V_x(self, q):
         if self.potential is None:
             return 0.0
-        if self.potential_grad is not None:
-            return _per_point(self.potential_grad, q)
-        return central_difference(lambda s: _per_point(self.V, q + s),
-                                  DIFFERENCE_STEP * (1.0 + np.abs(q)))
+        return np.asarray(self.potential.left_grad(q), dtype=float)
 
     def V_xx(self, q):
         if self.potential is None:
             return 0.0
-        if self.potential_hess is not None:
-            return _per_point(lambda x: np.atleast_2d(self.potential_hess(x)), q)
-        if self.potential_grad is None:
-            return _hessian(lambda x: _per_point(self.V, x), q,
-                            CURVATURE_STEP * (1.0 + np.abs(q)))
-        H = central_difference(lambda s: self.V_x(q + s),
-                               DIFFERENCE_STEP * (1.0 + np.abs(q)))
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
+        return np.asarray(self.potential.left_hess(q), dtype=float)
 
     def V_xxx(self, q, w):
         """D^3 V(q)[w] = d/dt V_xx(q + t w) at t = 0, for one point or a
-        batch: the potential's third derivative along w, by a central
-        difference of V_xx.  A scalar zero without a potential."""
+        batch: the potential's ``left_curvature``.  A scalar zero without a
+        potential."""
         if self.potential is None:
             return 0.0
-        q, w = np.asarray(q, dtype=float), np.asarray(w, dtype=float)
-        size = np.max(np.abs(w), axis=-1, keepdims=True)
-        # the shift t w has max norm CURVATURE_STEP (1 + |q|)
-        t = (CURVATURE_STEP * (1.0 + np.max(np.abs(q), axis=-1, keepdims=True))
-             / np.where(size > 0.0, size, 1.0))
-        return central_difference(lambda s: self.V_xx(q + s * w), t)[..., 0]
+        return np.asarray(self.potential.left_curvature(q, w), dtype=float)
 
     # -- trapezoidal discrete Lagrangian and its slot derivatives ---------
 
@@ -159,6 +125,10 @@ class RnLagrangian:
         return self.mass / self.h - (self.h / 2.0) * self.V_xx(qb)
 
 
+# the methods of a drift a^-+ on R^n
+_DRIFT_METHODS = ("__call__", "jacobians", "curvature")
+
+
 @dataclass
 class DiscreteForcePairRn:
     """Per-interval discrete force pair, affine in the control:
@@ -166,9 +136,13 @@ class DiscreteForcePairRn:
         f^-(q_a, q_b, u) = a^-(q_a, q_b) + B^- u
         f^+(q_a, q_b, u) = a^+(q_a, q_b) + B^+ u
 
-    ``b_minus``/``b_plus`` are constant (n, m) matrices.  The optional drift
-    callables take one interval and return a covector in R^n; absent, the
-    drift is a scalar zero.  The methods take one interval or a batch.
+    ``b_minus``/``b_plus`` are constant (n, m) matrices.  Each drift a^-+ is
+    None (a scalar zero) or a model with three methods, batched over the
+    leading axes of (q_a, q_b): ``a(qa, qb)``, the covector in R^n;
+    ``a.jacobians(qa, qb)``, the pair (da/dq_a, da/dq_b) of (n, n)
+    matrices; and ``a.curvature(qa, qb, v)``, the (2n, 2n) Hessian of v . a
+    in (q_a, q_b).  A drift without one of them raises ConfigError.  The
+    methods below take one interval or a batch.
     """
 
     b_minus: np.ndarray
@@ -181,6 +155,9 @@ class DiscreteForcePairRn:
         self.b_plus = np.atleast_2d(np.asarray(self.b_plus, dtype=float))
         if self.b_minus.shape != self.b_plus.shape:
             raise DimensionMismatch("B^- and B^+ must have matching shapes")
+        for name, a in (("a_minus", self.a_minus), ("a_plus", self.a_plus)):
+            if a is not None:
+                require_methods(a, _DRIFT_METHODS, f"the drift {name}")
 
     @property
     def dim(self):
@@ -193,32 +170,23 @@ class DiscreteForcePairRn:
     def drift(self, which, qa, qb):
         """a^- (``which`` "-") or a^+ at (q_a, q_b)."""
         a = self.a_minus if which == "-" else self.a_plus
-        return 0.0 if a is None else _per_point(a, qa, qb)
+        return 0.0 if a is None else np.asarray(a(qa, qb), dtype=float)
 
     def drift_jacobians(self, which, qa, qb):
-        """d a / d(q_a, q_b) by central differences; scalar zeros without a
-        drift."""
+        """d a / d(q_a, q_b), the drift's ``jacobians``; scalar zeros without
+        a drift."""
         a = self.a_minus if which == "-" else self.a_plus
         if a is None:
             return 0.0, 0.0
-        x = np.concatenate([qa, qb], axis=-1)
-        J = central_difference(lambda s: _per_point(a, *np.split(x + s, 2, axis=-1)),
-                               DIFFERENCE_STEP * (1.0 + np.abs(x)))
-        return tuple(np.split(J, 2, axis=-1))
+        return tuple(np.asarray(J, dtype=float) for J in a.jacobians(qa, qb))
 
     def drift_curvature(self, which, qa, qb, v):
         """Hessian of v . a(q_a, q_b) in (q_a, q_b), shape (2n, 2n) per
-        interval, by nested central differences of the drift; a scalar zero
-        without a drift."""
+        interval, the drift's ``curvature``; a scalar zero without a drift."""
         a = self.a_minus if which == "-" else self.a_plus
         if a is None:
             return 0.0
-        x = np.concatenate([qa, qb], axis=-1)
-
-        def pairing(y):
-            return np.sum(v * _per_point(a, *np.split(y, 2, axis=-1)), axis=-1)
-
-        return _hessian(pairing, x, CURVATURE_STEP * (1.0 + np.abs(x)))
+        return np.asarray(a.curvature(qa, qb, v), dtype=float)
 
     def f_minus(self, qa, qb, u):
         return self.drift("-", qa, qb) + np.asarray(u, dtype=float) @ self.b_minus.T
@@ -273,8 +241,9 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     not of length n, raises DimensionMismatch.
 
     The DEL at node k is solved to an absolute 1e-12, but never below a few
-    rounding units of the momentum terms M q / h: the difference quotients
-    lose eps |q| / h each, so far from the origin 1e-12 could not be met.
+    rounding units of the momentum terms M q / h: the velocities (q_{k+1} -
+    q_k) / h lose eps |q| / h each, so far from the origin 1e-12 could not
+    be met.
     The residual is assembled from the trapezoidal Lagrangian's closed form,
     not through the slot derivatives,
 
@@ -303,10 +272,11 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     cumsum(e) of b_k = d_next^-1 (-r_k), and forms no blocks and no scan.
     Otherwise the blocks take d_next^-1: the factored -M / h, or with a
     drift a^- one batched inverse of d_next = -M / h + d a^-/d q_{k+1}.
-    The drifts' Jacobians are differenced, only when an operator is built, and the
-    potential's Hessian is the Lagrangian's ``V_xx``.  A DEL whose drifts and potential gradient are
-    affine, as the point mass's, is linear: one update solves a window, to
-    a few hundredths of the tolerance on the benchmark's point mass.
+    The drifts' Jacobians are their ``jacobians``, read only when an
+    operator is built, and the potential's Hessian is the Lagrangian's
+    ``V_xx``.  A DEL whose drifts and potential gradient are affine, as the
+    point mass's, is linear: one update solves a window, to a few
+    hundredths of the tolerance on the benchmark's point mass.
 
     A window that does not converge is halved, and one whose residual is
     not finite is solved step by step.  A step alone is a window of one

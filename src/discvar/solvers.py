@@ -1,6 +1,5 @@
 """Root-finding: Newton, Levenberg-Marquardt, and ``solve``, which tries them
-in turn, plus ``central_difference``, the one central-difference quotient,
-and the window driver of the marches, ``march_in_windows`` with
+in turn, plus the window driver of the marches, ``march_in_windows`` with
 ``window_newton``, whose updates a window's operator solves by a prefix scan
 (``scan_maps``, ``scan_apply``).  The driver solves every step of a march
 in a window, a lone step in a window of one step.
@@ -17,9 +16,10 @@ may read in one stack, and reads their pass/fail flags in the order of its
 one-at-a-time search, so it accepts the same step.  Any other system's
 stack is evaluated row by row, each row when it is first read.
 
-Every system supplies its Jacobian, so the differences only reach what a
-user gives as a callable (a drift, a potential); ``fd_jacobian`` adapts the
-quotient to a callable of one point and serves the tests as their oracle."""
+Every system supplies its exact Jacobian, and every model (a drift, a
+potential) its own derivatives, so nothing in the package is differenced.
+``fd_jacobian``, the one difference quotient left, is no part of a solve:
+it is the tests' Jacobian oracle, and the benchmark's traced runs name it."""
 
 from __future__ import annotations
 
@@ -93,34 +93,7 @@ class SolveReport:
         }
 
 
-# relative steps of a central difference, and of the nested ones that give a
-# user callable's curvature: those difference a derivative that is itself a
-# central difference, so rounding grows like eps / step^2 against a
-# truncation error like step^2
-DIFFERENCE_STEP = 1e-6
-CURVATURE_STEP = 1e-4
-
-
-def central_difference(fun, step):
-    """Central differences of ``fun`` in n coordinates, from one call.
-
-    ``step`` (..., n) holds each coordinate's step at each point of a batch.
-    ``fun`` receives the 2n shifts S, shape (2n,) + step.shape, with
-    S[j] = step_j e_j and S[n + j] = -S[j], and returns its values stacked
-    the same way, batch axes first.  Returns (f(S[j]) - f(S[n + j])) /
-    (2 step_j) with j last: shape batch + value shape + (n,).  Nested, with
-    the inner step ``np.broadcast_to(step, S.shape)``, it gives second
-    derivatives from one call of 4 n^2 evaluations.
-    """
-    step = np.asarray(step, dtype=float)
-    n = step.shape[-1]
-    plus = np.moveaxis(step[..., None, :] * np.eye(n), -2, 0)
-    f = np.asarray(fun(np.concatenate([plus, -plus])), dtype=float)
-    h = np.expand_dims(np.moveaxis(step, -1, 0), tuple(range(step.ndim, f.ndim)))
-    return np.moveaxis((f[:n] - f[n:]) / (2.0 * h), 0, -1)
-
-
-def fd_jacobian(fun, x, step=DIFFERENCE_STEP):
+def fd_jacobian(fun, x, step=1e-6):
     """Central-difference Jacobian at ``x`` of ``fun``, a callable of one point.
 
     Column j perturbs x_j by +-h_j, h_j = step * (1 + |x_j|).  The output of
@@ -128,11 +101,15 @@ def fd_jacobian(fun, x, step=DIFFERENCE_STEP):
     is never evaluated at ``x`` itself.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.zeros((0, 0))
-    return central_difference(
-        lambda shifts: [np.asarray(fun(x + s), dtype=float).reshape(-1) for s in shifts],
-        step * (1.0 + np.abs(x)))
+    h = step * (1.0 + np.abs(x))
+    columns = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h[j]
+        plus = np.asarray(fun(x + e), dtype=float).reshape(-1)
+        minus = np.asarray(fun(x - e), dtype=float).reshape(-1)
+        columns.append((plus - minus) / (2.0 * h[j]))
+    return np.stack(columns, axis=-1) if columns else np.zeros((0, 0))
 
 
 class _Singular(Exception):
@@ -433,7 +410,8 @@ def solve(system, z0, attempts, method="auto", tol=1e-9, max_iter=100):
     first that converges.  When every attempt fails, the failure
     (NoConvergence or SingularJacobian) with the lowest best residual is
     raised, the later one on a tie, so its best iterate and report are the
-    best the solve found.  ``attempts`` maps
+    best the solve found; its message then names every attempt, with its
+    iterations and best residual.  ``attempts`` maps
     "newton" and "levenberg_marquardt" to the root-finders to call: the
     formulations pass the ones their own module names when ``solve`` runs.
     An unknown method raises ConfigError.
@@ -441,13 +419,17 @@ def solve(system, z0, attempts, method="auto", tol=1e-9, max_iter=100):
     if method not in METHODS:
         raise ConfigError(f"unknown solver method {method!r}; expected "
                           + ", ".join(METHODS))
-    failure = None
+    failure, tried = None, []
     for name in METHODS[method]:
         try:
             return attempts[name](system, z0, tol=tol, max_iter=max_iter)
         except (NoConvergence, SingularJacobian) as exc:
             if failure is None or exc.best_residual <= failure.best_residual:
                 failure = exc
+            iterations = exc.iterations if isinstance(exc, NoConvergence) else exc.iteration
+            tried.append(f"{name} {iterations} iterations, best residual "
+                         f"{exc.best_residual:.3e}")
+    failure.args = (f"{failure}; attempts: {'; '.join(tried)}",)
     raise failure
 
 

@@ -202,7 +202,9 @@ _E3.flags.writeable = False
 class HeavyTopPotential:
     """V(R) = m g l <R e3, e3> for a body-fixed center of mass along e3.
 
-    Its left derivatives are in closed form.  They depend on the retraction
+    A potential model: value, left_grad, left_hess and left_curvature, each
+    batched over leading axes, as ``lgoc.ReducedSystem`` reads them.  Its
+    left derivatives are in closed form.  They depend on the retraction
     only through its first-order term, which all retractions share: moving
     R to R tau(s eta) moves gamma = R^T e3 by s gamma x eta.
     """
@@ -241,10 +243,11 @@ class HeavyTopPotential:
 # point mass / mechanical system on R^n
 # ---------------------------------------------------------------------------
 
-def make_point_mass(n, mass=1.0, h=0.1, potential=None, potential_grad=None,
-                    potential_hess=None, force_convention="trapezoidal"):
+def make_point_mass(n, mass=1.0, h=0.1, potential=None, force_convention="trapezoidal"):
     """(RnLagrangian, DiscreteForcePairRn) for a mechanical system on R^n.
 
+    ``potential`` is None or a model of V on R^n with batched value,
+    left_grad, left_hess and left_curvature (``mech.RnLagrangian``).
     force_convention "trapezoidal" uses f^{+-} = (h/2) u so that recovered
     controls approximate the continuous force; "identity" uses f^{+-} = u.
     """
@@ -253,10 +256,7 @@ def make_point_mass(n, mass=1.0, h=0.1, potential=None, potential_grad=None,
         mass = mass * np.eye(n)
     elif mass.ndim == 1:
         mass = np.diag(mass)
-    lagrangian = mech.RnLagrangian(
-        mass=mass, h=h, potential=potential,
-        potential_grad=potential_grad, potential_hess=potential_hess,
-    )
+    lagrangian = mech.RnLagrangian(mass=mass, h=h, potential=potential)
     if force_convention == "trapezoidal":
         forces = mech.DiscreteForcePairRn.trapezoidal(n, h)
     elif force_convention == "identity":

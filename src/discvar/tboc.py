@@ -23,9 +23,9 @@ Each point is evaluated once: one batched pass over its intervals
 
 The residual is the gradient of this augmented action sum, so its Jacobian
 is the sum's Hessian, assembled exactly from per-interval blocks
-(``residual_system``).  Only the user callables' own derivatives are
-differenced: the potential's third derivative (h/2) D^3V(q_k)[w_k] and the
-drift curvature v . d^2 a.  A linear problem converges in one Newton step.
+(``residual_system``), with the potential's third derivative (h/2)
+D^3V(q_k)[w_k] and the drift curvature v . d^2 a from the models
+themselves.  A linear problem converges in one Newton step.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _interval_hessians(problem, qk, qk1, interval_pass):
     (h/2) C''(u^+-), minus the drift curvature d^2(v^- . a^- + v^+ . a^+) in
     the position slots.  E[k] (4n, 2(n-m)) = K^T blockdiag(C^-, C^+) couples
     x to the multipliers.  The potential's curvature (h/2) D^3V[v] is left
-    to the caller, which differences it once per node.
+    to the caller, which adds it once per node.
     """
     n, p = problem.n, interval_pass
     K = np.zeros(np.shape(qk)[:-1] + (2 * n, 4 * n))
@@ -318,11 +318,10 @@ def residual_system(problem):
     Jacobian is that sum's Hessian: block tridiagonal in the interior node
     blocks (q_k, p_k), bordered by the multiplier blocks.  Every interval's
     blocks come from ``_interval_hessians`` in one batched pass and are
-    summed into the two nodes the interval touches.  Only the user
-    callables' own derivatives are differenced: the potential's third
-    derivative (h/2) D^3V(q_k)[w_k], w_k the summed defect covectors at node
-    k, and the drift curvature v . d^2 a.  A linear problem therefore
-    converges in one Newton step.
+    summed into the two nodes the interval touches, with the models' own
+    third derivatives: the potential's (h/2) D^3V(q_k)[w_k], w_k the summed
+    defect covectors at node k, and the drift curvature v . d^2 a.  A linear
+    problem therefore converges in one Newton step.
     """
     N, n, s = problem.N, problem.n, problem.n - problem.m
     P = 2 * (N - 1) * n

@@ -328,12 +328,32 @@ def test_bad_point_mass_is_config_error(tmp_path, capsys, command, system, messa
     (point_mass_cfg, "problem", {"h": 0}, "h must be positive, got 0"),
     (rigid_body_cfg, "problem", {"h": -0.1}, "h must be positive, got -0.1"),
     (uuv_cfg, "problem", {"h": 0.0}, "h must be positive, got 0.0"),
+    (point_mass_cfg, "system", {"force_convention": "bogus"},
+     "force_convention: unknown force convention 'bogus'"),
+    (rigid_body_cfg, "system", {"inertia": [1, 2]}, "inertia: inertia must be (n, n)"),
+    (rigid_body_cfg, "system", {"inertia": [1, -2, 3]},
+     "inertia: inertia must be positive definite"),
+    (rigid_body_cfg, "system", {"actuated": [0, 5]},
+     "actuated must list distinct axes among 0, 1 and 2, got [0, 5]"),
+    (rigid_body_cfg, "system", {"actuated": ["a"]}, "actuated must be numeric, got 'a'"),
+    (rigid_body_cfg, "system", {"actuated": [0, 0]},
+     "actuated must list distinct axes among 0, 1 and 2, got [0, 0]"),
+    (rigid_body_cfg, "system", {"actuated": [-1, 0]},
+     "actuated must list distinct axes among 0, 1 and 2, got [-1, 0]"),
+    (uuv_cfg, "system", {"mass": -3}, "mass, radius, length, c, d: inertia must be "
+                                      "positive definite"),
+    (uuv_cfg, "problem", {"N": 1}, "N must be at least 2, got 1"),
 ], ids=["point mass of two masses", "point mass 2x3 mass", "point mass negative h",
-        "point mass zero h", "rigid body negative h", "vehicle zero h"])
+        "point mass zero h", "rigid body negative h", "vehicle zero h",
+        "point mass bogus force convention", "rigid body two inertias",
+        "rigid body indefinite inertia", "rigid body axis 5", "rigid body axis a",
+        "rigid body repeated axis", "rigid body axis -1", "vehicle negative mass",
+        "vehicle one interval"])
 def test_bad_mass_or_step_is_config_error(tmp_path, capsys, command, make_cfg, section,
                                           change, message):
     # these used to fail later, in the problem's own checks, with exit 2 and
-    # a message that named x0 or the time step, not the key
+    # a message that named x0 or the time step, not the key, or (a bad
+    # actuated axis) with a traceback
     base = make_cfg()
     base[section].update(change)
     cfg = write_config(tmp_path / "c.json", base)

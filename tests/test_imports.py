@@ -122,7 +122,9 @@ def unread_public_names(sources):
 UNREAD_PUBLIC = {
     "lgoc.action_sum": "oracle of the acceptance and gradient tests",
     "lie.real_n": "oracle of the acceptance and flat-group tests",
-    "solvers.fd_jacobian": "named by the benchmark's spans; the tests' Jacobian oracle",
+    "solvers.fd_jacobian": "the one difference quotient left: every model supplies its "
+                           "own derivatives, so it is only the tests' Jacobian oracle, "
+                           "and the benchmark's spans name it",
     "tboc.QuadraticControlCost": "built by the benchmark's ocp-flat workload",
     "systems.HeavyTopPotential": "a model users build",
 }
@@ -174,16 +176,10 @@ def unread_public_methods(sources):
 UNREAD_PUBLIC_METHODS = {
     "mech.RnLagrangian.ld": "named by the benchmark's spans; the tests' oracle "
                             "for the slot derivatives",
-    "systems.L2Cost.value": "named by the benchmark's spans; the one-control form "
-                            "of value_batch",
     "systems.L2Cost.grad": "named by the benchmark's spans; the one-control form "
                            "of grad_batch",
-    "systems.SmoothedL1Cost.value": "named by the benchmark's spans; the one-control "
-                                    "form of value_batch",
     "systems.SmoothedL1Cost.grad": "named by the benchmark's spans; the one-control "
                                    "form of grad_batch",
-    "systems.HeavyTopPotential.value": "the potential protocol's value, named by the "
-                                       "benchmark's spans",
 }
 
 

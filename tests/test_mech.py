@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from models import (CoupledCosines, Cosines, Quadratic, Quartic, SquaredNormSquared, damping,
+                    sine_of_difference, sine_times, times_square, zero_below)
+
 from discvar import mech, solvers, systems
-from discvar.errors import (DimensionMismatch, NoConvergence, NotInvertible, SingularJacobian,
-                            StepSolveFailed)
+from discvar.errors import (ConfigError, DimensionMismatch, NoConvergence, NotInvertible,
+                            SingularJacobian, StepSolveFailed)
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
 
 
@@ -16,21 +19,18 @@ def free_particle(n=1, mass=1.0, h=0.1):
 
 
 def harmonic(h=0.1, k=1.0):
-    return RnLagrangian(
-        np.eye(1), h=h,
-        potential=lambda q: 0.5 * k * float(q @ q),
-        potential_grad=lambda q: k * q,
-        potential_hess=lambda q: k * np.eye(1),
-    )
+    return RnLagrangian(np.eye(1), h=h, potential=Quadratic(k))
 
 
 def pendulum(h=0.01):
-    return RnLagrangian(
-        np.eye(1), h=h,
-        potential=lambda q: -float(np.cos(q[0])),
-        potential_grad=lambda q: np.sin(q),
-        potential_hess=lambda q: np.diag(np.cos(q)),
-    )
+    return RnLagrangian(np.eye(1), h=h, potential=Cosines(-1.0))
+
+
+def pendulum_drifts(h):
+    """The pendulum's force pair with both drifts, a^- = -0.3 (q_b - q_a) / h
+    and a^+ = -0.2 sin(q_b - q_a)."""
+    return DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
+                               a_minus=damping(0.3 / h), a_plus=sine_of_difference(-0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +56,7 @@ def test_ld_matches_hand_formula_random():
     rng = np.random.default_rng(0)
     M = np.array([[2.0, 0.3], [0.3, 1.0]])
     h = 0.05
-    L = RnLagrangian(
-        M, h=h,
-        potential=lambda q: float(q @ q) ** 2,
-        potential_grad=lambda q: 4.0 * float(q @ q) * q,
-    )
+    L = RnLagrangian(M, h=h, potential=SquaredNormSquared())
     for _ in range(10):
         qa, qb = rng.normal(size=2), rng.normal(size=2)
         d = qb - qa
@@ -70,66 +66,57 @@ def test_ld_matches_hand_formula_random():
         assert abs(L.ld(qa, qb) - oracle) < 1e-12
 
 
-def test_potential_differences_match_the_column_loops():
-    # the loops mech used before it called solvers.fd_jacobian, kept verbatim
-    # for the gradient and for the Hessian of a given gradient
-    def grad_loop(fun, x, step=1e-6):
-        g = np.empty(x.size)
-        for j in range(x.size):
-            h = step * (1.0 + abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            g[j] = (fun(xp) - fun(xm)) / (2.0 * h)
-        return g
-
-    def hess_loop(V_x, q):
-        H = np.empty((q.size, q.size))
-        for j in range(q.size):
-            s = 1e-6 * (1.0 + abs(q[j]))
-            qp, qm = q.copy(), q.copy()
-            qp[j] += s
-            qm[j] -= s
-            H[:, j] = (V_x(qp) - V_x(qm)) / (2.0 * s)
-        return 0.5 * (H + H.T)
-
-    def value_hess_loop(V, q):
-        # without a gradient: the value differenced twice at step 1e-4
-        s = 1e-4 * (1.0 + np.abs(q))
-        shifts = [s[j] * e for j, e in enumerate(np.eye(q.size))]
-
-        def grad(x):
-            return np.array([(V(x + d) - V(x - d)) / (2.0 * s[j])
-                             for j, d in enumerate(shifts)])
-
-        H = np.empty((q.size, q.size))
-        for j, d in enumerate(shifts):
-            H[:, j] = (grad(q + d) - grad(q - d)) / (2.0 * s[j])
-        return 0.5 * (H + H.T)
-
-    def exact_hess(q):
-        H = -np.diag(np.cos(q))
-        H[0, 1] += 2.0 * q[1]
-        H[1, 0] += 2.0 * q[1]
-        H[1, 1] += 2.0 * q[0]
-        return H
-
+@pytest.mark.parametrize("potential", [Quadratic(2.0), Cosines(-1.0), Quartic(),
+                                       SquaredNormSquared(), CoupledCosines()],
+                         ids=["quadratic", "cosines", "quartic", "squared norm squared",
+                              "coupled cosines"])
+def test_potential_derivatives_match_differences(potential):
+    # V_x, V_xx and V_xxx read the model's closed forms: each is the
+    # central difference of the one before it
+    L = RnLagrangian(np.diag([1.0, 2.0]), h=0.1, potential=potential)
     rng = np.random.default_rng(7)
-    only_value = RnLagrangian(
-        np.diag([1.0, 2.0, 0.5]), h=0.1,
-        potential=lambda q: float(np.sum(np.cos(q)) + q[0] * q[1] ** 2),
-    )
-    with_grad = RnLagrangian(
-        np.eye(2), h=0.1, potential=lambda q: float(np.sum(q ** 4)),
-        potential_grad=lambda q: 4.0 * q ** 3,
-    )
     for _ in range(5):
-        q = 3.0 * rng.normal(size=3)
-        assert np.array_equal(only_value.V_x(q), grad_loop(only_value.V, q))
-        assert np.array_equal(only_value.V_xx(q), value_hess_loop(only_value.V, q))
-        assert np.max(np.abs(only_value.V_xx(q) - exact_hess(q))) < 1e-6
-        q = 3.0 * rng.normal(size=2)
-        assert np.array_equal(with_grad.V_xx(q), hess_loop(with_grad.V_x, q))
+        q, w = rng.normal(size=(2, 2))
+        assert np.max(np.abs(L.V_x(q) - solvers.fd_jacobian(L.V, q)[0])) < 1e-8
+        assert np.max(np.abs(L.V_xx(q) - solvers.fd_jacobian(L.V_x, q))) < 1e-7
+        dV_xx = solvers.fd_jacobian(lambda t: L.V_xx(q + t * w), np.zeros(1))
+        assert np.max(np.abs(L.V_xxx(q, w) - dV_xx.reshape(2, 2))) < 1e-7
+
+
+@pytest.mark.parametrize("drift", [sine_times(0.1), times_square(0.05), damping(3.0),
+                                   sine_of_difference(-0.2)],
+                         ids=["sine times", "times square", "damping", "sine of difference"])
+def test_drift_derivatives_match_differences(drift):
+    # jacobians against the difference of the drift in (q_a, q_b), and
+    # curvature against that of the pulled-back covector (da/dq)^T v
+    F = DiscreteForcePairRn(np.eye(3), np.eye(3), a_minus=drift)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x, v = rng.normal(size=6), rng.normal(size=3)
+        J = solvers.fd_jacobian(lambda y: F.drift("-", y[:3], y[3:]), x)
+        assert np.max(np.abs(np.concatenate(F.drift_jacobians("-", x[:3], x[3:]), axis=1)
+                             - J)) < 1e-8
+        H = solvers.fd_jacobian(lambda y: v @ np.concatenate(
+            F.drift_jacobians("-", y[:3], y[3:]), axis=1), x)
+        assert np.max(np.abs(F.drift_curvature("-", x[:3], x[3:], v) - H)) < 1e-7
+
+
+@pytest.mark.parametrize("missing", ["value", "left_grad", "left_hess", "left_curvature"])
+def test_a_potential_without_its_derivatives_is_refused(missing):
+    class Partial(Quartic):
+        pass
+
+    setattr(Partial, missing, None)
+    with pytest.raises(ConfigError, match=f"a potential must supply {missing}"):
+        RnLagrangian(np.eye(2), h=0.1, potential=Partial())
+    with pytest.raises(ConfigError):
+        systems.make_point_mass(2, potential=Partial())
+
+
+@pytest.mark.parametrize("which", ["a_minus", "a_plus"])
+def test_a_drift_without_its_derivatives_is_refused(which):
+    with pytest.raises(ConfigError, match=f"the drift {which} must supply jacobians, curvature"):
+        DiscreteForcePairRn(np.eye(1), np.eye(1), **{which: lambda qa, qb: qb - qa})
 
 
 def test_slot_derivatives_without_potential_match_zero_arrays():
@@ -170,24 +157,13 @@ def test_slot_derivatives_match_finite_differences():
 
 
 def test_batched_intervals_equal_single_intervals():
-    # leading axes are batches of intervals; user callables still see points
+    # leading axes are batches of intervals, which the models take as they are
     rng = np.random.default_rng(9)
     n = 3
-
-    def single(fun):
-        def checked(*points):
-            assert all(np.shape(p) == (n,) for p in points)
-            return fun(*points)
-
-        return checked
-
     M = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.7]])
-    L = RnLagrangian(M, h=0.1, potential=single(lambda q: float(np.sum(q ** 4))),
-                     potential_grad=single(lambda q: 4.0 * q ** 3),
-                     potential_hess=single(lambda q: np.diag(12.0 * q ** 2)))
+    L = RnLagrangian(M, h=0.1, potential=Quartic())
     B = rng.normal(size=(n, 2))
-    F = DiscreteForcePairRn(B, 0.5 * B, a_minus=single(lambda qa, qb: np.sin(qa) * qb),
-                            a_plus=single(lambda qa, qb: qa * qb ** 2))
+    F = DiscreteForcePairRn(B, 0.5 * B, a_minus=sine_times(1.0), a_plus=times_square(1.0))
     qa, qb = rng.normal(size=(2, 4, 5, n))
     um, up = rng.normal(size=(2, 4, 5, 2))
     batched = {
@@ -402,11 +378,7 @@ def test_forced_integration_matches_residual_with_controls():
     h = 0.1
     cases = [(free_particle(h=h), DiscreteForcePairRn.trapezoidal(1, h), 0.0, 0.05)]
     h = 0.01
-    cases.append((pendulum(h=h),
-                  DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
-                                      a_minus=lambda qa, qb: -0.3 * (qb - qa) / h,
-                                      a_plus=lambda qa, qb: -0.2 * np.sin(qb - qa)),
-                  0.3, 0.31))
+    cases.append((pendulum(h=h), pendulum_drifts(h), 0.3, 0.31))
     for L, F, q0, q1 in cases:
         controls = rng.normal(size=(10, 2, 1))
         qs = mech.integrate(L, F, np.array([q0]), np.array([q1]), 10, controls=controls)
@@ -442,16 +414,14 @@ def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
     # no drift a^-: with a quadratic potential or none the DEL is linear in
     # the window's positions (the potential's constant curvature enters the
     # recurrence), so one update from the extrapolation solves the window of
-    # 39 steps.  Each residual evaluation forms the potential gradient once
-    # for all the window's nodes, and the update once more, for the Hessian
-    # it differences; the trapezoidal force pair has no drift, which is
+    # 39 steps.  Each of the two residual evaluations forms the potential
+    # gradient once for all the window's nodes, and the update reads the
+    # model's Hessian; the trapezoidal force pair has no drift, which is
     # never called.  No slot derivative is called, and no newton.  Free,
     # then harmonic
     h, steps = 0.01, 40
     mass = np.array([[2.0, 0.3], [0.3, 1.0]])
-    lagrangians = [RnLagrangian(mass, h=h),
-                   RnLagrangian(mass, h=h, potential=lambda q: 0.5 * float(q @ q),
-                                potential_grad=lambda q: q.copy())]
+    lagrangians = [RnLagrangian(mass, h=h), RnLagrangian(mass, h=h, potential=Quadratic())]
     F = DiscreteForcePairRn.trapezoidal(2, h)
     controls = np.random.default_rng(8).normal(size=(steps, 2, 2))
     drift, V_x = DiscreteForcePairRn.drift, RnLagrangian.V_x
@@ -485,7 +455,7 @@ def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
         qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
                             controls=controls)
         assert windows == [(1, steps - 1)]
-        assert calls == {"-": 0, "+": 0, "V_x": 3 if L.potential is not None else 0}
+        assert calls == {"-": 0, "+": 0, "V_x": 2 if L.potential is not None else 0}
         monkeypatch.undo()
         for k in range(1, steps):
             r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
@@ -506,12 +476,9 @@ def test_step_failure_names_the_step(monkeypatch):
         return newton(*args, **kwargs)
 
     monkeypatch.setattr(mech, "newton", counted)
-
-    def drift(qa, qb):
-        return np.where(np.abs(qb - qa) / h < 1.0, 0.0, np.nan)
-
     L = free_particle(h=h)
-    F = DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1), a_minus=drift)
+    F = DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
+                            a_minus=zero_below(1.0, h))
     # unit force: the velocity grows by h per step, from 0.55 on [q0, q1]
     controls = np.ones((12, 2, 1))
     with pytest.raises(StepSolveFailed) as info:
@@ -604,11 +571,8 @@ def _reference_cases():
     cases["harmonic"] = (harmonic(h=h), DiscreteForcePairRn.trapezoidal(1, h),
                          np.array([0.4]), np.array([0.42]), rng.normal(size=(300, 2, 1)))
     h = 0.01
-    cases["drifts"] = (pendulum(h=h),
-                       DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
-                                           a_minus=lambda qa, qb: -0.3 * (qb - qa) / h,
-                                           a_plus=lambda qa, qb: -0.2 * np.sin(qb - qa)),
-                       np.array([0.3]), np.array([0.31]), rng.normal(size=(300, 2, 1)))
+    cases["drifts"] = (pendulum(h=h), pendulum_drifts(h), np.array([0.3]), np.array([0.31]),
+                       rng.normal(size=(300, 2, 1)))
     for scale in (1e3, 1e6):
         q0 = scale * rng.uniform(0.5, 1.0, size=3)
         cases[f"far {scale:g}"] = (free_particle(n=3, h=h), DiscreteForcePairRn.trapezoidal(3, h),
@@ -746,11 +710,9 @@ def test_nan_residual_entry_goes_to_newton(monkeypatch):
         fallbacks.append(1)
         return newton(*args, **kwargs)
 
-    def drift(qa, qb):
-        return np.where(np.abs(qb - qa) / h < 1.0, 0.0, np.nan)
-
     L = free_particle(n=3, h=h)
-    F = DiscreteForcePairRn(h / 2.0 * np.eye(3), h / 2.0 * np.eye(3), a_minus=drift)
+    F = DiscreteForcePairRn(h / 2.0 * np.eye(3), h / 2.0 * np.eye(3),
+                            a_minus=zero_below(1.0, h))
     # a unit force on the second axis alone
     controls = np.zeros((12, 2, 3))
     controls[:, :, 1] = 1.0

@@ -75,59 +75,6 @@ def test_fd_jacobian_without_structure_is_the_column_loop():
     assert np.array_equal(fd_jacobian(f, x), J_ref)
 
 
-def test_central_difference_with_per_point_steps_is_the_column_loop():
-    # a batch of points, each with its own steps; f uses only + and *, so
-    # it rounds the same on a batch as on one point
-    def f(x):
-        return np.stack([x[..., 0] * x[..., 1] + x[..., 2],
-                         x[..., 2] * x[..., 2] * x[..., 2] - x[..., 0]], axis=-1)
-
-    rng = np.random.default_rng(4)
-    x = 3.0 * rng.normal(size=(5, 3))
-    step = 1e-6 * (1.0 + np.abs(x))
-    calls = []
-
-    def batched(shifts):
-        calls.append(shifts.shape)
-        return f(x + shifts)
-
-    J_ref = np.empty((5, 2, 3))
-    for k in range(5):
-        for j in range(3):
-            xp, xm = x[k].copy(), x[k].copy()
-            xp[j] += step[k, j]
-            xm[j] -= step[k, j]
-            J_ref[k, :, j] = (f(xp) - f(xm)) / (2.0 * step[k, j])
-    assert np.array_equal(solvers.central_difference(batched, step), J_ref)
-    assert calls == [(6, 5, 3)]
-
-
-def test_nested_central_difference_matches_the_nested_fd_jacobian():
-    # a vector-valued f(s, t) that is not a function of s + t
-    def f(s, t):
-        return np.stack([np.sin(s[..., 0] * t[..., 1]) + s[..., 1] ** 2 * t[..., 0],
-                         np.exp(s[..., 0] + 2.0 * t[..., 0]) * t[..., 1]], axis=-1)
-
-    calls = []
-
-    def batched(s, t):
-        calls.append(t.shape)
-        return f(s, t)
-
-    n = 2
-    step = np.full(n, 1e-4)
-    mixed = solvers.central_difference(lambda s: solvers.central_difference(
-        lambda t: batched(s, t), np.broadcast_to(step, s.shape)), step)
-    nested = fd_jacobian(lambda s: fd_jacobian(lambda t: f(s, t), np.zeros(n), step=1e-4),
-                         np.zeros(n), step=1e-4)
-    # nested[(i, j), l] = d^2 f_i / dt_j ds_l, and so is mixed[i, j, l]
-    assert calls == [(2 * n, 2 * n, n)]
-    assert mixed.shape == (2, n, n)
-    assert np.max(np.abs(mixed - nested.reshape(2, n, n))) < 1e-7
-    exact = np.array([[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
-    assert np.max(np.abs(mixed - exact)) < 1e-7
-
-
 def test_newton_linear_one_step():
     sys_ = fd_system(lambda x: x - 1.0)
     point, report = newton(sys_, np.array([0.0]))
@@ -922,6 +869,21 @@ def test_solve_raises_the_failure_with_the_lowest_best_residual(lm, newton_, rai
         solvers.solve(None, np.zeros(1), attempts, "lm_then_newton")
     assert [name for name, _ in log] == ["levenberg_marquardt", "newton"]
     assert info.value is failures["levenberg_marquardt" if raised == "lm" else "newton"]
+
+
+def test_solve_failure_names_every_attempt():
+    # F(x) = x^2 + 1 has no root and its least |F| is 1, at x = 0.  Newton's
+    # first step lands there from x = 1, and its Jacobian is singular at
+    # once; LM creeps toward it and runs out of its 3 iterations above 1.
+    # Newton's failure is raised, and its message names both attempts
+    system = solvers.plain_system(lambda x: x * x + 1.0, lambda x: np.diag(2.0 * x))
+    attempts = {"newton": solvers.newton, "levenberg_marquardt": solvers.levenberg_marquardt}
+    with pytest.raises(SingularJacobian) as info:
+        solvers.solve(system, np.array([1.0]), attempts, "auto", max_iter=3)
+    assert info.value.report.method == "newton" and info.value.best_residual == 1.0
+    assert str(info.value) == (
+        "singular Jacobian at iteration 1; attempts: newton 1 iterations, best residual "
+        "1.000e+00; levenberg_marquardt 3 iterations, best residual 1.000e+00")
 
 
 def test_solve_lets_other_errors_through():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from models import Quadratic
 
 from discvar import lie, mech, systems
 from discvar.errors import DimensionMismatch
@@ -179,6 +180,9 @@ def test_rigid_body_factory_structure():
                           np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     full = make_rigid_body_so3(np.eye(3))
     assert full.unactuated == (2,)  # default actuated axes are (0, 1)
+    # no actuated axis: a body without controls, which simulate can march
+    free = make_rigid_body_so3(np.eye(3), actuated=())
+    assert free.unactuated == (0, 1, 2) and free.control_basis.shape == (3, 0)
 
 
 def test_heavy_top_left_grad_matches_finite_differences():
@@ -222,11 +226,7 @@ def test_point_mass_conventions():
 
 
 def test_point_mass_with_potential():
-    L, _ = make_point_mass(
-        1, h=0.05,
-        potential=lambda q: 0.5 * float(q @ q),
-        potential_grad=lambda q: q,
-    )
+    L, _ = make_point_mass(1, h=0.05, potential=Quadratic())
     q = np.array([0.7])
     assert abs(L.V(q) - 0.245) < 1e-15
     assert np.max(np.abs(L.V_x(q) - q)) < 1e-15

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from models import CoupledCosines, Cosines, sine_times, times_square
 
 from discvar import mech, solvers, tboc
 from discvar.errors import (
@@ -229,24 +230,17 @@ def _structured_problem(regime):
     n, N = {"potential": (1, 12), "potential derivatives": (2, 8)}.get(regime, (3, 8))
     h = 1.0 / N
     if regime == "potential":
-        # no potential_grad/potential_hess: V_x and V_xx are finite differences
-        L = RnLagrangian(np.eye(n), h=h, potential=lambda q: float(np.sum(np.cos(q))))
+        L = RnLagrangian(np.eye(n), h=h, potential=Cosines())
     elif regime == "potential derivatives":
-        # a coupling potential, V = sum cos q + q_0^2 q_1, with its derivatives
-        L = RnLagrangian(
-            np.array([[2.0, 0.5], [0.5, 1.0]]), h=h,
-            potential=lambda q: float(np.sum(np.cos(q)) + q[0] ** 2 * q[1]),
-            potential_grad=lambda q: -np.sin(q) + np.array([2.0 * q[0] * q[1], q[0] ** 2]),
-            potential_hess=lambda q: (np.diag(-np.cos(q))
-                                      + 2.0 * np.array([[q[1], q[0]], [q[0], 0.0]])))
+        # a coupling potential, V = sum cos q + q_0^2 q_1
+        L = RnLagrangian(np.array([[2.0, 0.5], [0.5, 1.0]]), h=h, potential=CoupledCosines())
     else:
         L = RnLagrangian(np.diag(np.arange(1.0, n + 1)), h=h)
     m = {"underactuated": 2, "smoothed l1": 2, "drift": 1}.get(regime, n)
     B = (h / 2.0) * np.eye(n)[:, :m]
     drifts = {}
     if regime == "drift":
-        drifts = dict(a_minus=lambda qa, qb: 0.1 * np.sin(qa) * qb,
-                      a_plus=lambda qa, qb: 0.05 * qa * qb ** 2)
+        drifts = dict(a_minus=sine_times(0.1), a_plus=times_square(0.05))
     F = DiscreteForcePairRn(B, B, **drifts)
     cost = L2Cost()
     if regime == "smoothed l1":
@@ -362,30 +356,12 @@ def test_solve_evaluates_the_slot_derivatives_once_per_point(monkeypatch):
     assert sorted(calls) == ["d1"] * evaluations + ["d2"] * evaluations
 
 
-def _single_point(n, fun):
-    """``fun`` that raises unless every argument is one point of R^n."""
-    def checked(*points):
-        if any(np.shape(p) != (n,) for p in points):
-            raise ValueError("user callables take a single point")
-        return fun(*points)
-
-    return checked
-
-
-@pytest.mark.parametrize("derivatives", [True, False])
-def test_user_callables_receive_single_points(derivatives):
+def test_solve_with_a_potential_and_drifts_satisfies_the_forced_del():
     n, N = 2, 8
     h = 1.0 / N
-    potential = {"potential": _single_point(n, lambda q: 0.5 * float(np.sum(np.sin(q) ** 2)))}
-    if derivatives:
-        potential["potential_grad"] = _single_point(n, lambda q: np.sin(q) * np.cos(q))
-        potential["potential_hess"] = _single_point(n, lambda q: np.diag(np.cos(2.0 * q)))
-    L = RnLagrangian(np.diag([1.0, 2.0]), h=h, **potential)
-    F = DiscreteForcePairRn(
-        (h / 2.0) * np.eye(n), (h / 2.0) * np.eye(n),
-        a_minus=_single_point(n, lambda qa, qb: 0.1 * np.sin(qa) * qb),
-        a_plus=_single_point(n, lambda qa, qb: 0.05 * qa * qb ** 2),
-    )
+    L = RnLagrangian(np.diag([1.0, 2.0]), h=h, potential=Cosines(0.5))
+    F = DiscreteForcePairRn((h / 2.0) * np.eye(n), (h / 2.0) * np.eye(n),
+                            a_minus=sine_times(0.1), a_plus=times_square(0.05))
     prob = tboc.OcProblemRn(
         lagrangian=L, forces=F, cost=L2Cost(),
         x0=np.zeros(n), p0=np.zeros(n), xT=np.ones(n), pT=np.zeros(n), N=N,

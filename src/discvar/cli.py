@@ -93,13 +93,18 @@ def _number(value, key, kind=float):
 
 def _group_element(group, value, key):
     """Parse the group element ``key``: raw nested list, or
-    axis/angle/translation dict."""
+    axis/angle/translation dict.  One that is not an element of ``group``
+    (a rotation block that is not orthonormal, a wrong shape) raises a
+    ConfigError naming ``key``."""
     if isinstance(value, list):
-        return group.check(_number(value, key, _floats))
+        with _keyed(key):
+            return group.check(_number(value, key, _floats))
     if not isinstance(value, dict):
         raise ConfigError("group elements must be lists or objects")
     if "rotation" in value:
         R = _number(value["rotation"], "rotation", _floats)
+        if R.shape != (3, 3):
+            raise ConfigError(f"{key}: rotation must be a 3x3 matrix")
     else:
         angle = _number(value.get("rotation_angle", 0.0), "rotation_angle")
         axis = _number(value.get("rotation_axis", [0.0, 0.0, 1.0]), "rotation_axis",
@@ -108,12 +113,16 @@ def _group_element(group, value, key):
         if nrm == 0.0:
             raise ConfigError("rotation axis must be nonzero")
         R = lie.so3(lie.EXPONENTIAL).tau(axis / nrm * angle)
-    if group.name == "SO3":
-        return group.check(R, tol=1e-8)
-    g = group.identity()
-    g[:3, :3] = R
-    g[:3, 3] = _number(value.get("translation", [0.0, 0.0, 0.0]), "translation", _floats)
-    return group.check(g, tol=1e-8)
+    g = R
+    if group.name == "SE3":
+        translation = _number(value.get("translation", [0.0, 0.0, 0.0]), "translation",
+                              _floats)
+        if translation.shape != (3,):
+            raise ConfigError(f"{key}: translation must have length 3")
+        g = group.identity()
+        g[:3, :3], g[:3, 3] = R, translation
+    with _keyed(key):
+        return group.check(g, tol=1e-8)
 
 
 def _build_cost(cfg, m):
@@ -138,9 +147,9 @@ def _build_cost(cfg, m):
 
 @contextlib.contextmanager
 def _keyed(*keys):
-    """A system constructor run inside the block that refuses its arguments
-    (DimensionMismatch, NotInvertible, RankDeficient) raises a ConfigError
-    naming the config ``keys`` they came from."""
+    """A constructor or check run inside the block that refuses its
+    arguments (DimensionMismatch, NotInvertible, RankDeficient) raises a
+    ConfigError naming the config ``keys`` they came from."""
     try:
         yield
     except (DimensionMismatch, NotInvertible, RankDeficient) as exc:
@@ -194,13 +203,15 @@ def build_setup(cfg):
                 raise ConfigError(f"mass must be positive definite, "
                                   f"got {sys_cfg['mass']!r}") from None
         try:
-            problem = tboc.OcProblemRn(
-                lagrangian=lagrangian, forces=forces,
-                cost=_build_cost(cost_cfg, forces.control_dim),
-                **{key: _number(bnd[key], key, _floats)
-                   for key in ("x0", "p0", "xT", "pT")},
-                N=N,
-            )
+            # the problem's length check names the key: "x0 must have length 1"
+            with _keyed("boundary"):
+                problem = tboc.OcProblemRn(
+                    lagrangian=lagrangian, forces=forces,
+                    cost=_build_cost(cost_cfg, forces.control_dim),
+                    **{key: _number(bnd[key], key, _floats)
+                       for key in ("x0", "p0", "xT", "pT")},
+                    N=N,
+                )
         except KeyError as exc:
             raise ConfigError(f"boundary section is missing {exc}") from exc
         return "rn", problem
@@ -223,14 +234,16 @@ def build_setup(cfg):
 
     group = system.group
     try:
-        problem = lgoc.OcProblemLie(
-            system=system,
-            g0=_group_element(group, bnd.get("g0", group.identity().tolist()), "g0"),
-            xi0=_number(bnd.get("xi0", np.zeros(group.dim)), "xi0", _floats),
-            gT=_group_element(group, bnd["gT"], "gT"),
-            xiT=_number(bnd.get("xiT", np.zeros(group.dim)), "xiT", _floats),
-            N=N, h=h, cost=_build_cost(cost_cfg, system.m),
-        )
+        # g0 and gT raise their own ConfigError; the problem checks xi0 and xiT
+        with _keyed("xi0", "xiT"):
+            problem = lgoc.OcProblemLie(
+                system=system,
+                g0=_group_element(group, bnd.get("g0", group.identity().tolist()), "g0"),
+                xi0=_number(bnd.get("xi0", np.zeros(group.dim)), "xi0", _floats),
+                gT=_group_element(group, bnd["gT"], "gT"),
+                xiT=_number(bnd.get("xiT", np.zeros(group.dim)), "xiT", _floats),
+                N=N, h=h, cost=_build_cost(cost_cfg, system.m),
+            )
     except KeyError as exc:
         raise ConfigError(f"boundary section is missing {exc}") from exc
     return "lie", problem
@@ -363,8 +376,9 @@ def cmd_solve(args):
         log.error("solve failed: %s", failed)
         return 2
     log.info("solved in %d iterations (%d residual and %d Jacobian "
-             "evaluations), residual %.3e, cost %.6f", sol.report.iterations,
-             sol.report.residual_evaluations, sol.report.jacobian_evaluations,
+             "evaluations, %d Jacobian reuses), residual %.3e, cost %.6f",
+             sol.report.iterations, sol.report.residual_evaluations,
+             sol.report.jacobian_evaluations, sol.report.jacobian_reuses,
              sol.report.residual_norm, sol.cost)
     return 0 if converged else 2
 

@@ -16,6 +16,11 @@ may read in one stack, and reads their pass/fail flags in the order of its
 one-at-a-time search, so it accepts the same step.  Any other system's
 stack is evaluated row by row, each row when it is first read.
 
+Newton and the window driver read one rebuild rule, the chord rule
+(``_chord_keeps``): a step is taken on the last Jacobian or operator built,
+and builds none, where the last step's contraction predicts that it
+converges.  Levenberg-Marquardt builds its Jacobian at every step.
+
 Every system supplies its exact Jacobian, and every model (a drift, a
 potential) its own derivatives, so nothing in the package is differenced.
 ``fd_jacobian``, the one difference quotient left, is no part of a solve:
@@ -69,7 +74,12 @@ class SolveReport:
     points it evaluated (``residual_evaluations``) in how many passes of
     the system (``residual_passes``: one per stack evaluated together, one
     per point evaluated alone; a stack that raised counts as a pass with no
-    point), and how many points it linearized."""
+    point), how many points it linearized (``jacobian_evaluations``) and
+    how many steps it took on a Jacobian kept from an earlier point
+    (``jacobian_reuses``, Newton's chord steps; LM takes none).  Each
+    accepted step is taken on a Jacobian built at its point or on a kept
+    one, so jacobian_evaluations + jacobian_reuses == iterations, but where
+    Newton's last build met a singular Jacobian and took no step."""
 
     converged: bool = False
     iterations: int = 0
@@ -79,6 +89,7 @@ class SolveReport:
     residual_evaluations: int = 0
     residual_passes: int = 0
     jacobian_evaluations: int = 0
+    jacobian_reuses: int = 0
 
     def as_dict(self):
         return {
@@ -90,6 +101,7 @@ class SolveReport:
             "residual_evaluations": int(self.residual_evaluations),
             "residual_passes": int(self.residual_passes),
             "jacobian_evaluations": int(self.jacobian_evaluations),
+            "jacobian_reuses": int(self.jacobian_reuses),
         }
 
 
@@ -179,13 +191,57 @@ def _sumsq(f):
         return np.dot(f, f)
 
 
+def _chord_keeps(error, last, tol):
+    """The chord rule both Newton loops read (``newton`` through ``_chord``,
+    and ``window_newton``): the last operator built is kept for the next
+    step, and none is built, when e_k^2 <= tol * e_{k-1}, with e_k the error
+    at the accepted point and e_{k-1} the error at the one before it.  The
+    last step's contraction e_k / e_{k-1}, once more, predicts the error
+    e_k^2 / e_{k-1} after the next step, so the rule keeps the operator
+    where that step is predicted to converge.  ``last`` is None before the
+    first step, where nothing is kept."""
+    return last is not None and error * error <= tol * last
+
+
+def _chord(system, tol, step):
+    """Newton's step under the chord rule (``_chord_keeps``, with e = max|F|
+    at the accepted points and ``tol`` the stopping tolerance).
+
+    ``step(point, J, report)`` is the step taken from the Jacobian J built
+    at ``point``.  Where the rule holds, the returned step first tries the
+    full step dx = -J^-1 F(x) on the last Jacobian built, and builds none:
+    if that point lowers ||F||^2 it is the accepted step, counted in
+    ``report.jacobian_reuses``.  Where the rule does not hold, or the chord
+    point does not lower ||F||^2, it builds J at ``point`` and returns
+    ``step(point, J, report)``, the step it takes without the rule."""
+    kept = None
+
+    def chord_step(point, report):
+        nonlocal kept
+        history = report.residual_history
+        if kept is not None and _chord_keeps(history[-1], history[-2], tol):
+            dx = np.linalg.solve(kept, -point.f)
+            if np.all(np.isfinite(dx)):
+                new = _evaluate(system, point.x + dx, report)
+                if np.all(np.isfinite(new.f)) and _sumsq(new.f) < _sumsq(point.f):
+                    report.jacobian_reuses += 1
+                    return new
+        kept = _jacobian(point, report)
+        return step(point, kept, report)
+
+    return chord_step
+
+
 def _iterate(system, x0, method, step, tol, max_iter):
     """The loop Newton and LM share.
 
-    ``step(point, report)`` linearizes the accepted ``point`` and returns
-    the next accepted point, None when no trial point lowers the residual,
-    or raises ``_Singular``; it makes its calls through ``_evaluate`` and
-    ``_jacobian``, which count them in ``report``.  The loop owns the first
+    ``step(point, report)`` takes a step from the accepted ``point`` and
+    returns the next accepted point, None when no trial point lowers the
+    residual, or raises ``_Singular``; it linearizes ``point``, or, where
+    Newton's chord rule keeps the last Jacobian (``_chord``), reads the
+    residual history in ``report`` and steps on that one.  It makes its
+    calls through ``_evaluate`` and ``_jacobian``, which count them in
+    ``report``.  The loop owns the first
     evaluation, the residual history, the best iterate, the stopping test
     ``max|F| <= tol`` and the budget of ``max_iter`` accepted steps; it
     returns (point, report) at the point that passes the test, and every
@@ -277,15 +333,24 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     one-at-a-time search.
 
     Each step linearizes the point it accepted last, whichever trial that
-    was.  Returns (point, SolveReport), the ``Point`` it stopped at.  Raises
+    was, but for a chord step (``_chord``): where e_k^2 <= tol * e_{k-1},
+    with e = max|F| at the accepted points, the last step's contraction
+    predicts that one more step converges, and the step first tries the
+    full step on the last Jacobian built, which it accepts if it lowers
+    ||F||^2.  Where that trial fails, the step builds the Jacobian at x and
+    searches as above, as it would have without the trial.  A chord step
+    trades a build for one more linear solve (numpy keeps no LU factors);
+    a failed trial costs one residual evaluation.  A converged solve's last
+    step is often one.
+
+    Returns (point, SolveReport), the ``Point`` it stopped at.  Raises
     SingularJacobian on a numerically singular Jacobian and NoConvergence
     when the iteration budget runs out, or when no grid point lowers the
     residual; both carry the best iterate seen and the report so far.
     """
     alphas = 0.5 ** np.arange(max_backtrack + 1)
 
-    def step(point, report):
-        J = _jacobian(point, report)
+    def step(point, J, report):
         x, f = point.x, point.f
         try:
             dx = np.linalg.solve(J, -f)
@@ -347,7 +412,7 @@ def newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
                 lo, bracketed = k, True
         return new
 
-    return _iterate(system, x0, "newton", step, tol, max_iter)
+    return _iterate(system, x0, "newton", _chord(system, tol, step), tol, max_iter)
 
 
 # Levenberg-Marquardt's first damping, and the damping past which a step
@@ -499,12 +564,13 @@ def window_newton(x, linearize):
     update reads no later step); it raises LinAlgError on a singular block.
 
     An update is x <- x + op(residual), by the last operator built: a new
-    one is built at the first update, and at each later one while the
-    chord error that the last contraction predicts, e_k^2 / e_{k-1} with e
-    the window's largest error, is above 1, the tolerance; once it is at
-    most 1 the factored operator is reused (the chord method), and an
-    update that then contracts too little to keep the prediction below 1
-    has the next one rebuilt.
+    one is built at the first update, and at each later one unless the
+    chord rule ``newton`` reads too (``_chord_keeps``, with e the window's
+    largest error and tolerance 1) keeps it: while e_k^2 / e_{k-1}, the
+    error the last contraction predicts, is above 1 an operator is built,
+    and once it is at most 1 the factored operator is reused (the chord
+    method); an update that then contracts too little to keep the
+    prediction at most 1 has the next one rebuilt.
 
     Returns (x, iterations, solved, operator): the last point evaluated, the
     updates made to reach it, how many leading steps are solved there, and
@@ -548,7 +614,8 @@ def window_newton(x, linearize):
             if iteration == WINDOW_MAX_ITER:
                 break
             largest = float(np.max(error))
-            if op is None or largest * largest > last:
+            # the tolerance is 1 in the units of ``error``
+            if not _chord_keeps(largest, last, 1.0):
                 try:
                     renew()
                 except np.linalg.LinAlgError:

@@ -343,17 +343,32 @@ def test_bad_point_mass_is_config_error(tmp_path, capsys, command, system, messa
     (uuv_cfg, "system", {"mass": -3}, "mass, radius, length, c, d: inertia must be "
                                       "positive definite"),
     (uuv_cfg, "problem", {"N": 1}, "N must be at least 2, got 1"),
+    (point_mass_cfg, "problem",
+     {"boundary": {"x0": [0.0, 1.0], "p0": [0.0], "xT": [1.0], "pT": [0.0]}},
+     "boundary: x0 must have length 1"),
+    (rigid_body_cfg, "problem",
+     {"boundary": {"gT": {"rotation": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]}}},
+     "gT: rotation block is not orthonormal"),
+    (rigid_body_cfg, "problem",
+     {"boundary": {"xi0": [0.1, 0.2], "gT": {"rotation_angle": 0.7}}},
+     "xi0, xiT: boundary velocities must have length n"),
+    (uuv_cfg, "problem", {"boundary": {"gT": {"rotation": [[1.0, 0.0], [0.0, 1.0]]}}},
+     "gT: rotation must be a 3x3 matrix"),
+    (uuv_cfg, "problem", {"boundary": {"gT": {"translation": [1.0, 0.0]}}},
+     "gT: translation must have length 3"),
 ], ids=["point mass of two masses", "point mass 2x3 mass", "point mass negative h",
         "point mass zero h", "rigid body negative h", "vehicle zero h",
         "point mass bogus force convention", "rigid body two inertias",
         "rigid body indefinite inertia", "rigid body axis 5", "rigid body axis a",
         "rigid body repeated axis", "rigid body axis -1", "vehicle negative mass",
-        "vehicle one interval"])
+        "vehicle one interval", "point mass x0 of length 2", "rigid body gT not orthonormal",
+        "rigid body xi0 of length 2", "vehicle 2x2 rotation", "vehicle translation of length 2"])
 def test_bad_mass_or_step_is_config_error(tmp_path, capsys, command, make_cfg, section,
                                           change, message):
     # these used to fail later, in the problem's own checks, with exit 2 and
     # a message that named x0 or the time step, not the key, or (a bad
-    # actuated axis) with a traceback
+    # actuated axis, a vehicle's 2x2 rotation or short translation) with a
+    # traceback
     base = make_cfg()
     base[section].update(change)
     cfg = write_config(tmp_path / "c.json", base)
@@ -602,26 +617,44 @@ def test_nonconvergence_still_writes_artifacts(tmp_path):
     assert cli.main(["solve", cfg, "--out", out]) == 2
     report = read_report(out)
     assert report["converged"] is False
-    # the failed attempt's calls: a Jacobian per iteration, and at least one
-    # residual per iteration past the first evaluation
-    assert report["jacobian_evaluations"] == report["iterations"] == 3
+    # the failed attempt's calls: a Jacobian per iteration, built or kept
+    # (no step there is a chord step), and at least one residual per
+    # iteration past the first evaluation
+    assert report["jacobian_evaluations"] + report["jacobian_reuses"] == report["iterations"] == 3
+    assert report["jacobian_reuses"] == 0
     assert report["residual_evaluations"] >= report["iterations"] + 1
     assert os.path.exists(os.path.join(out, "trajectory.csv"))
     assert os.path.exists(os.path.join(out, "controls.csv"))
 
 
-def test_solve_logs_its_residual_and_jacobian_evaluations(tmp_path, caplog):
-    cfg = write_config(tmp_path / "c.json", rigid_body_cfg())
+def _assert_logged_solve(tmp_path, caplog, base, reuses):
+    """Solve ``base`` and check its report's counts, ``reuses`` steps taken
+    on a kept Jacobian among them, and the log line that names them."""
+    cfg = write_config(tmp_path / "c.json", base)
     out = str(tmp_path / "out")
     caplog.set_level(logging.INFO, logger="discvar")
     assert cli.main(["solve", cfg, "--out", out]) == 0
     report = read_report(out)
     assert report["method"] == "newton"
-    assert report["jacobian_evaluations"] == report["iterations"] > 0
+    assert report["jacobian_evaluations"] + report["jacobian_reuses"] == report["iterations"] > 0
+    assert report["jacobian_reuses"] == reuses
     assert report["residual_evaluations"] >= report["iterations"] + 1
     assert (f"solved in {report['iterations']} iterations "
             f"({report['residual_evaluations']} residual and "
-            f"{report['jacobian_evaluations']} Jacobian evaluations)") in caplog.text
+            f"{report['jacobian_evaluations']} Jacobian evaluations, "
+            f"{reuses} Jacobian reuses)") in caplog.text
+
+
+def test_solve_logs_its_residual_and_jacobian_evaluations(tmp_path, caplog):
+    _assert_logged_solve(tmp_path, caplog, rigid_body_cfg(), reuses=0)
+
+
+def test_solve_logs_its_jacobian_reuses(tmp_path, caplog):
+    # from xi0 = (0.3, 0.8, -0.4) the residual falls from 0.45 to 7.9e-6, so
+    # the chord rule keeps the last Jacobian for the step to 2.1e-10
+    base = rigid_body_cfg()
+    base["problem"]["boundary"]["xi0"] = [0.3, 0.8, -0.4]
+    _assert_logged_solve(tmp_path, caplog, base, reuses=1)
 
 
 def test_solve_reports_its_residual_passes_and_points(tmp_path, caplog, monkeypatch):
@@ -652,8 +685,10 @@ def test_solve_reports_its_residual_passes_and_points(tmp_path, caplog, monkeypa
     assert (report["method"], report["iterations"]) == ("newton", 10)
     assert report["residual_passes"] == len(passes) == 19
     assert report["residual_evaluations"] == sum(points) == 73
+    assert (report["jacobian_evaluations"], report["jacobian_reuses"]) == (9, 1)
     assert (f"solved in 10 iterations ({report['residual_evaluations']} residual and "
-            f"{report['jacobian_evaluations']} Jacobian evaluations)") in caplog.text
+            f"{report['jacobian_evaluations']} Jacobian evaluations, 1 Jacobian reuses)"
+            ) in caplog.text
     assert cli.main(["verify", cfg, out]) == 0
 
 
@@ -742,13 +777,15 @@ def test_rotation_matrix_boundary_accepted(tmp_path):
     assert np.max(np.abs(a - b)) < 1e-7
 
 
-def test_invalid_rotation_matrix_rejected(tmp_path):
+def test_invalid_rotation_matrix_rejected(tmp_path, capsys):
     base = rigid_body_cfg()
     base["problem"]["boundary"]["gT"] = {"rotation": [[1.0, 0.0, 0.0],
                                                       [0.0, 2.0, 0.0],
                                                       [0.0, 0.0, 1.0]]}
     cfg = write_config(tmp_path / "c.json", base)
-    assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 2
+    # a malformed boundary is a config error, not a solve failure (exit 2)
+    assert cli.main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config error: gT: rotation block is not orthonormal" in capsys.readouterr().err
 
 
 def test_verify_checks_the_written_controls(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Root-finder tests: finite-difference Jacobians, Newton, Levenberg-Marquardt,
 and the window driver of the marches."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,7 +208,8 @@ def test_report_as_dict():
 # the shared iteration loop, against frozen copies of the two loops it
 # replaced (the copies call ``system.eval(x)`` and ``system.jac(x)``, the
 # calls of a system before its points: the old ``f0`` argument only sized
-# the finite-difference output)
+# the finite-difference output).  The Newton copy takes the chord steps of
+# the package's rule, ``solvers._chord_keeps``, and counts them
 # ---------------------------------------------------------------------------
 
 def frozen_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
@@ -217,34 +219,48 @@ def frozen_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     norm = np.max(np.abs(f))
     report.residual_history.append(norm)
     best_x, best_norm = x.copy(), norm
+    J, last = None, None
     for it in range(max_iter):
         if norm <= tol:
             report.converged = True
             report.iterations = it
             report.residual_norm = norm
             return x, report
-        J = system.jac(x)
-        try:
-            dx = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            dx = None
-        if dx is None or not np.all(np.isfinite(dx)):
-            report.iterations = it
-            report.residual_norm = best_norm
-            raise SingularJacobian(it, best_x=best_x, report=report)
         fnorm2 = np.dot(f, f)
-        alpha = 1.0
-        for _ in range(max_backtrack + 1):
-            x_new = x + alpha * dx
-            f_new = np.asarray(system.eval(x_new), dtype=float)
-            if np.all(np.isfinite(f_new)) and np.dot(f_new, f_new) < fnorm2:
-                break
-            alpha *= 0.5
+        chord = None
+        if J is not None and solvers._chord_keeps(norm, last, tol):
+            # the full step on the last Jacobian built, kept where it lowers
+            # the residual
+            dx = np.linalg.solve(J, -f)
+            if np.all(np.isfinite(dx)):
+                f_new = np.asarray(system.eval(x + dx), dtype=float)
+                if np.all(np.isfinite(f_new)) and np.dot(f_new, f_new) < fnorm2:
+                    chord = x + dx, f_new
+        if chord is not None:
+            report.jacobian_reuses += 1
+            x_new, f_new = chord
         else:
-            report.iterations = it + 1
-            report.residual_norm = best_norm
-            raise NoConvergence(best_norm, it + 1, best_x, report)
-        x, f = x_new, f_new
+            J = system.jac(x)
+            try:
+                dx = np.linalg.solve(J, -f)
+            except np.linalg.LinAlgError:
+                dx = None
+            if dx is None or not np.all(np.isfinite(dx)):
+                report.iterations = it
+                report.residual_norm = best_norm
+                raise SingularJacobian(it, best_x=best_x, report=report)
+            alpha = 1.0
+            for _ in range(max_backtrack + 1):
+                x_new = x + alpha * dx
+                f_new = np.asarray(system.eval(x_new), dtype=float)
+                if np.all(np.isfinite(f_new)) and np.dot(f_new, f_new) < fnorm2:
+                    break
+                alpha *= 0.5
+            else:
+                report.iterations = it + 1
+                report.residual_norm = best_norm
+                raise NoConvergence(best_norm, it + 1, best_x, report)
+        x, f, last = x_new, f_new, norm
         norm = np.max(np.abs(f))
         report.residual_history.append(norm)
         if norm < best_norm:
@@ -394,36 +410,54 @@ def _assert_same(a, b):
 
 def _assert_on_the_frozen_grid(new, frozen, max_backtrack):
     """``new`` takes its Jacobians where the frozen Newton loop does, and
-    every point it evaluates is x_0 or x_i + 2^-j dx_i, 0 <= j <=
+    every point it evaluates is x_0, a point x_i + 2^-j dx_i, 0 <= j <=
     ``max_backtrack``, on the frozen loop's iterates x_i and Newton
-    directions dx_i."""
-    def iterations(log):
-        # (x_i, J(x_i), the last evaluation before the Jacobian at x_i, the
-        # evaluations after it)
-        out, last = [], None
-        for kind, x, value in log.calls:
-            if kind == "jac":
-                out.append((x, value, last, []))
-            else:
-                last = (x, value)
-                if out:
-                    out[-1][3].append(x)
-        return out
-
+    directions dx_i, or a chord point x - J^-1 F(x), on a point x evaluated
+    before it and the Jacobian J built last."""
+    jacobians = [[(x, J) for kind, x, J in log.calls if kind == "jac"] for log in (new, frozen)]
+    assert len(jacobians[0]) == len(jacobians[1])
+    for (x, J), (x_f, J_f) in zip(*jacobians):
+        assert np.array_equal(x, x_f) and np.array_equal(J, J_f)
     assert new.calls[0][0] == frozen.calls[0][0] == "eval"
     assert np.array_equal(new.calls[0][1], frozen.calls[0][1])
-    new_its, frozen_its = iterations(new), iterations(frozen)
-    assert len(new_its) == len(frozen_its)
     grid = 0.5 ** np.arange(max_backtrack + 1)
-    for (x, J, _, points), (x_f, J_f, (last, f_f), _) in zip(new_its, frozen_its):
-        # the frozen loop evaluates last the step it accepts
-        assert np.array_equal(last, x_f)
-        assert np.array_equal(x, x_f) and np.array_equal(J, J_f)
-        if not points:  # a singular Jacobian ends the loop at x_f
+    evaluated, J = [], None
+    for kind, x, value in new.calls:
+        if kind == "jac":
+            # the Jacobian is built at a point evaluated before
+            J, x_i = value, x
+            f_i = next(f for p, f in reversed(evaluated) if np.array_equal(p, x))
+            try:
+                dx = np.linalg.solve(J, -f_i)
+            except np.linalg.LinAlgError:  # a singular Jacobian ends the loop
+                dx = None
             continue
-        dx = np.linalg.solve(J_f, -f_f)
-        for p in points:
-            assert any(np.array_equal(p, x_f + alpha * dx) for alpha in grid)
+        if evaluated:
+            assert J is not None
+            on_grid = dx is not None and any(np.array_equal(x, x_i + alpha * dx)
+                                             for alpha in grid)
+            assert on_grid or any(np.array_equal(x, p + np.linalg.solve(J, -f))
+                                  for p, f in evaluated)
+        evaluated.append((x, value))
+
+
+def _cubic(seed):
+    """F(x) = A x + (C x)^3 - b, cubed entrywise, with a root at a normal
+    draw r, started at r plus a draw ten times larger: n = 3 for seeds
+    below 20, else 6."""
+    rng = np.random.default_rng(seed)
+    n = 3 if seed < 20 else 6
+    A, C = rng.normal(size=(2, n, n))
+    root = rng.normal(size=n)
+    b = A @ root + (C @ root) ** 3
+
+    def fun(x):
+        return A @ x + (C @ x) ** 3 - b
+
+    def jacobian(x):
+        return A + 3.0 * (C @ x)[:, None] ** 2 * C
+
+    return fun, jacobian, root + 10.0 * rng.normal(size=n)
 
 
 def _rosenbrock():
@@ -457,6 +491,10 @@ NEWTON_CASES = {
     "out of budget": (_no_real_root, np.array([2.0]), {"max_iter": 10}),
     "zero budget": (_rosenbrock, np.array([-1.2, 1.0]), {"max_iter": 0}),
     "converged at start": (_rosenbrock, np.array([1.0, 1.0]), {"max_iter": 0}),
+    # a chord trial that fails, and a build at its start (see
+    # test_a_chord_step_that_does_not_lower_the_residual_is_rebuilt_where_it_starts)
+    "rebuilds after a chord trial": (lambda: _recorded(*_cubic(26)[:2]), _cubic(26)[2],
+                                     {"tol": 0.1}),
 }
 
 LM_CASES = {
@@ -491,7 +529,8 @@ def test_newton_matches_the_frozen_loop(case):
     expected = {"converges": "ok", "converges after backtracking": "ok",
                 "stalls in backtracking": "NoConvergence",
                 "singular": "SingularJacobian", "out of budget": "NoConvergence",
-                "zero budget": "NoConvergence", "converged at start": "ok"}
+                "zero budget": "NoConvergence", "converged at start": "ok",
+                "rebuilds after a chord trial": "ok"}
     assert new[0][0] == expected[case]
 
 
@@ -513,30 +552,19 @@ def test_report_counts_the_calls_of_the_system(solver, case):
     # a system without a stack evaluates each point in a pass of its own
     assert report.residual_evaluations == report.residual_passes == kinds.count("eval")
     assert report.jacobian_evaluations == kinds.count("jac")
+    # each step is taken on a Jacobian built at its point or on a kept one
+    # (Newton's chord steps; LM keeps none), but for Newton's build that
+    # meets a singular Jacobian and takes no step
+    stopped = solver is newton and case == "singular"
+    assert report.jacobian_evaluations + report.jacobian_reuses == report.iterations + stopped
+    if solver is levenberg_marquardt:
+        assert report.jacobian_reuses == 0
     payload = report.as_dict()
+    assert payload["jacobian_reuses"] == report.jacobian_reuses
     assert {key: payload[key] for key in COUNTERS} == {
         "residual_evaluations": kinds.count("eval"),
         "residual_passes": kinds.count("eval"),
         "jacobian_evaluations": kinds.count("jac")}
-
-
-def _cubic(seed):
-    """F(x) = A x + (C x)^3 - b, cubed entrywise, with a root at a normal
-    draw r, started at r plus a draw ten times larger: n = 3 for seeds
-    below 20, else 6."""
-    rng = np.random.default_rng(seed)
-    n = 3 if seed < 20 else 6
-    A, C = rng.normal(size=(2, n, n))
-    root = rng.normal(size=n)
-    b = A @ root + (C @ root) ** 3
-
-    def fun(x):
-        return A @ x + (C @ x) ** 3 - b
-
-    def jacobian(x):
-        return A + 3.0 * (C @ x)[:, None] ** 2 * C
-
-    return fun, jacobian, root + 10.0 * rng.normal(size=n)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -624,11 +652,10 @@ def test_levenberg_marquardt_warns_of_no_overflow():
 def sequential_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
     """``newton`` as it was before it stacked its trial steps: the same grid,
     model and search, each trial step evaluated alone when the search reads
-    it."""
+    it, and the same chord steps."""
     alphas = 0.5 ** np.arange(max_backtrack + 1)
 
-    def step(point, report):
-        J = solvers._jacobian(point, report)
+    def step(point, J, report):
         x, f = point.x, point.f
         try:
             dx = np.linalg.solve(J, -f)
@@ -669,7 +696,9 @@ def sequential_newton(system, x0, tol=1e-9, max_iter=50, max_backtrack=30):
                 lo, bracketed = k, True
         return new
 
-    return solvers._iterate(system, x0, "newton", step, tol, max_iter)
+    # the chord steps of ``newton``, each the point it evaluates alone
+    return solvers._iterate(system, x0, "newton", solvers._chord(system, tol, step), tol,
+                            max_iter)
 
 
 def _stacked(make_system):
@@ -696,6 +725,7 @@ REPLAY_CASES = {
     **{f"far model {exponent}": (lambda e=exponent: (_clipped(-10.0 ** e), np.array([2.0])), {})
        for exponent in np.arange(0.5, 20.0)},
     "overflow": (lambda: (_clipped(1e200), np.array([2.0])), {}),
+    "cubic 15, a failed chord trial": (lambda: _cubic_system(15), {"tol": 0.1}),
 }
 
 
@@ -764,6 +794,125 @@ def test_a_point_the_search_never_reads_changes_nothing(unread):
     else:
         assert (report.residual_passes, report.residual_evaluations) == (4, 6)
         assert np.array_equal(first, [-18.0, -0.5, -3.0, -8.0])
+
+
+# ---------------------------------------------------------------------------
+# the chord rule: Newton keeps its last Jacobian where e_k^2 <= tol e_{k-1}
+# ---------------------------------------------------------------------------
+
+def _logged_chord_steps(monkeypatch):
+    """``solvers._chord`` with each step logged: (point, builds before it,
+    builds it made, the point it accepted)."""
+    steps, chord = [], solvers._chord
+
+    def logged(system, tol, step):
+        chord_step = chord(system, tol, step)
+
+        def run(point, report):
+            before = report.jacobian_evaluations
+            new = chord_step(point, report)
+            steps.append((point, before, report.jacobian_evaluations - before, new))
+            return new
+
+        return run
+
+    monkeypatch.setattr(solvers, "_chord", logged)
+    return steps
+
+
+def test_newton_keeps_its_last_jacobian_exactly_where_the_chord_rule_holds(monkeypatch):
+    # the cubic of seed 5 converges quadratically to 1.1e-7 from 1.4e-4:
+    # (1.1e-7)^2 <= 1e-10 * 1.4e-4, so its last two steps are chord steps,
+    # each the full step on the Jacobian built last, and each lowers ||F||
+    fun, jacobian, x0 = _cubic(5)
+    built = []
+
+    def spied(x):
+        built.append((x, jacobian(x)))
+        return built[-1][1]
+
+    steps = _logged_chord_steps(monkeypatch)
+    _, report = newton(plain_system(fun, spied), x0, tol=1e-10)
+    history = report.residual_history
+    kept = [k > 0 and history[k] ** 2 <= 1e-10 * history[k - 1] for k in range(len(steps))]
+    assert kept[-2:] == [True, True] and not any(kept[:-2])
+    assert [builds == 0 for _, _, builds, _ in steps] == kept
+    assert report.jacobian_reuses == 2 and len(built) == report.jacobian_evaluations
+    assert report.jacobian_evaluations + report.jacobian_reuses == report.iterations
+    for (point, before, builds, new), keep in zip(steps, kept):
+        if keep:
+            _, J = built[before - 1]
+            assert np.array_equal(new.x, point.x + np.linalg.solve(J, -point.f))
+        else:
+            assert builds == 1 and np.array_equal(built[before][0], point.x)
+
+
+def test_a_chord_step_that_does_not_lower_the_residual_is_rebuilt_where_it_starts(monkeypatch):
+    # the cubic of seed 15 at tol 0.1 reaches 0.71 from 5.3: 0.71^2 <= 0.1 *
+    # 5.3, but the chord point from there does not lower ||F||^2, so the
+    # step builds at the same point and takes the step a fresh build takes
+    fun, jacobian, x0 = _cubic(15)
+    make_system = lambda: _recorded(fun, jacobian)
+    steps = _logged_chord_steps(monkeypatch)
+    (outcome, _), report, log = _run(newton, make_system, x0, tol=0.1)
+    assert outcome == "ok" and report.jacobian_reuses == 0
+    history = report.residual_history
+    k = next(k for k in range(1, len(steps)) if history[k] ** 2 <= 0.1 * history[k - 1])
+    point, before, builds, _ = steps[k]
+    assert builds == 1
+    # the chord point, evaluated right before the build at the same point
+    jacs = [i for i, (kind, _, _) in enumerate(log.calls) if kind == "jac"]
+    previous, at = log.calls[jacs[before - 1]], jacs[before]
+    chord_x, chord_f = log.calls[at - 1][1:]
+    assert np.array_equal(chord_x, point.x + np.linalg.solve(previous[2], -point.f))
+    assert np.sum(chord_f ** 2) >= np.sum(point.f ** 2)
+    assert np.array_equal(log.calls[at][1], point.x)
+
+    def trials(calls):
+        # the points evaluated after a build, up to the next one
+        return list(itertools.takewhile(lambda call: call[0] == "eval", calls[1:]))
+
+    # a solve started at that point builds there first, and evaluates the
+    # same trial points to accept the same one
+    _, fresh, fresh_log = _run(newton, make_system, point.x, tol=0.1)
+    assert [kind for kind, _, _ in fresh_log.calls[:2]] == ["eval", "jac"]
+    assert np.array_equal(fresh_log.calls[1][2], log.calls[at][2])
+    ours, theirs = trials(log.calls[at:]), trials(fresh_log.calls[1:])
+    assert len(ours) == len(theirs) > 0
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(ours, theirs))
+    assert fresh.residual_history[1] == history[k + 1]
+
+
+def test_newton_and_window_newton_read_the_one_chord_rule(monkeypatch):
+    # every keep-or-build decision of both loops is a call of
+    # solvers._chord_keeps: Newton's from its second step on, with max|F|
+    # and its tol, the window's with its largest error and tolerance 1 (and
+    # no last error at the first update); a rule that never keeps makes both
+    # build at every step
+    calls, rule = [], solvers._chord_keeps
+
+    def spied(error, last, tol):
+        calls.append((error, last, tol))
+        return rule(error, last, tol)
+
+    monkeypatch.setattr(solvers, "_chord_keeps", spied)
+    fun, jacobian, x0 = _cubic(5)
+    _, report = newton(plain_system(fun, jacobian), x0, tol=1e-10)
+    history = report.residual_history
+    assert calls == [(history[k], history[k - 1], 1e-10) for k in range(1, report.iterations)]
+    calls.clear()
+    linearize, log = _scripted_newton([1e12, 1e8, 1e2, 1e-3])
+    solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert calls == [(1e12, None, 1.0), (1e8, 1e12, 1.0), (1e2, 1e8, 1.0)]
+    assert log.count(("update", 1)) == 2
+
+    monkeypatch.setattr(solvers, "_chord_keeps", lambda error, last, tol: False)
+    _, report = newton(plain_system(fun, jacobian), x0, tol=1e-10)
+    assert report.jacobian_reuses == 0 and report.jacobian_evaluations == report.iterations
+    linearize, log = _scripted_newton([1e12, 1e8, 1e2, 1e-3])
+    solvers.window_newton(np.zeros((1, 1)), linearize)
+    assert log == [("build", 0), ("update", 0), ("build", 1), ("update", 1),
+                   ("build", 2), ("update", 2)]
 
 
 def test_linalg_error_in_the_residual_propagates():

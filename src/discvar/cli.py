@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import logging
@@ -224,10 +225,13 @@ def build_setup(cfg):
                 actuated=actuated, retraction=retraction,
             )
     elif stype == "uuv_se3":
-        defaults = {"mass": 3.0, "radius": 0.1, "length": 0.6, "c": 0.3, "d": 0.3}
-        params = systems.UuvParams(**{key: _number(sys_cfg.get(key, value), key)
-                                      for key, value in defaults.items()})
-        with _keyed(*defaults):
+        # the vehicle's scalar parameters; those the config leaves out keep
+        # UuvParams' defaults
+        keys = [f.name for f in dataclasses.fields(systems.UuvParams)
+                if f.default is not dataclasses.MISSING]
+        params = systems.UuvParams(**{key: _number(sys_cfg[key], key)
+                                      for key in keys if key in sys_cfg})
+        with _keyed(*keys):
             system = systems.make_uuv_system(params, retraction=retraction)
     else:
         raise ConfigError(f"unknown system type {stype!r}")

@@ -104,6 +104,7 @@ class ReducedSystem:
             np.linalg.cholesky(self.inertia)
         except np.linalg.LinAlgError:
             raise NotInvertible("inertia must be positive definite") from None
+        self.inertia_inv = np.linalg.inv(self.inertia)
         self.control_basis = np.atleast_2d(np.asarray(self.control_basis, dtype=float))
         if self.control_basis.shape[0] != n:
             raise DimensionMismatch("control basis must have n rows")
@@ -269,6 +270,14 @@ def nu_momenta(system, h, xi, u_minus, u_plus, gs=None, maps=None):
 _WINDOW_TOL = 1e-13
 
 
+def _step_errors(r, m):
+    """max |r_j| / (_WINDOW_TOL (1 + max |m_j|)) of every step j.  The row
+    maxima read column-major copies: numpy reduces a row of a few entries
+    per inner loop, and a column-major array in one pass."""
+    return np.abs(r, order="F").max(axis=1) / (
+        _WINDOW_TOL * (1.0 + np.abs(m, order="F").max(axis=1)))
+
+
 def _window_system(system, h, X, g, head, forcing, constant):
     """The step residuals of a window of march steps at its velocities X
     (W, n), and the factoring of their Newton step (``integrate_reduced``);
@@ -298,7 +307,7 @@ def _window_system(system, h, X, g, head, forcing, constant):
     = 0 and s_j = P_{j-1} delta_{j-1} + E_{j-1} s_{j-1} with E = Ad(tau(h
     xi)^-1) and P = E h dtau(h xi) = h dtau(-h xi) (``_sensitivities``), and
     the step becomes B_j delta_j = C_j delta_{j-1} - h H_j s_j - r_j, H the
-    potential's Hessians (``_potential_hessians``).  The state (delta_j,
+    potential's left Hessians (its ``left_hess``).  The state (delta_j,
     s_j) then follows a recurrence 2n wide, with the maps [[A_j - G_j
     P_{j-1}, -G_j E_{j-1}], [P_{j-1}, E_{j-1}]], G_j = h B_j^-1 H_j, and b_j
     in its first n coordinates.
@@ -309,9 +318,20 @@ def _window_system(system, h, X, g, head, forcing, constant):
     calls, which then broadcasts over the window, bitwise the blocks, maps
     and updates of the 2W-1 points.  The drift values, the path and the
     potential's terms stay W wide.
+
+    On R^n without a potential or a drift, m+-(xi) = I xi needs no
+    ``dtau_inv_matrix`` call, and B_j = C_j = I makes A_j = I exactly: the
+    operator is the cumulative sum of b_j = -I^-1 r_j, with no scan.
     """
     group, inertia, n = system.group, system.inertia, system.n
     drift = system.drift_values if system.has_drift else None
+    if group.name == "Rn" and drift is None and system.potential is None:
+        m = X @ inertia.T
+        r = m - np.concatenate([head[None], m[:-1]])
+        if forcing is not None:
+            r -= forcing
+        step = -system.inertia_inv.T
+        return _step_errors(r, m), None, r, lambda: lambda res: (res @ step).cumsum(axis=0)
     size = len(X)
     z = h * X
     Ixi = X @ inertia.T
@@ -333,8 +353,7 @@ def _window_system(system, h, X, g, head, forcing, constant):
         taus = group.tau(z[:minus])
         path = reconstruct(group, g, h, None, np.broadcast_to(taus, (size - 1,) + taus.shape[1:]))
         r += h * _node_grads(system, path)
-    error = np.max(np.abs(r), axis=1) / (
-        _WINDOW_TOL * (1.0 + np.max(np.abs(m[:plus]), axis=1)))
+    error = _step_errors(r, m[:plus])
 
     def factor():
         signed = np.repeat([h, -h], [plus, minus])[:, None, None]
@@ -352,7 +371,7 @@ def _window_system(system, h, X, g, head, forcing, constant):
             return lambda res: solvers.scan_apply(maps, -mv(inverse[:len(res)], res))
         E = group.Ad_matrix(group.inverse(taus))
         P = h * group.dtau_matrix(points[plus:])
-        G = (h * later) @ _potential_hessians(system, path[1:])
+        G = (h * later) @ np.asarray(system.potential.left_hess(path[1:]), dtype=float)
         maps = np.empty((size - 1, 2 * n, 2 * n))
         maps[:, :n, :n] = A - G @ P
         maps[:, :n, n:] = -(G @ E)
@@ -428,6 +447,16 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
     formed in one pass, mu_{k-1}'s transport folded into c_0, and solved by
     one scan over the window's transposed Ad blocks.
 
+    R^n (``lie.real_n``, the march ``mech.integrate`` runs) is abelian: tau
+    is the identity chart, Ad and coAd are the identity, and g_{j+1} = g_j +
+    h xi_j.  There the first step's m-(xi_{k-1}) is mu_{k-1} itself, and
+    the commit forms the path and the momentum carry mu_j = mu_{j-1} + c_j
+    by cumulative sums, bitwise the sequential adds.  Without a potential
+    or a drift the momenta are m+-(xi) = I xi, formed with no
+    ``dtau_inv_matrix`` call, and the Newton step's recurrence has A_j = I
+    exactly, so the operator is the cumulative sum of -I^-1 r_j, with no
+    scan.
+
     A window that does not converge is halved, and one whose residual is
     not finite is solved step by step, each step a window of one step.  The
     march passes no rescue: a step alone that is not solved within
@@ -453,6 +482,7 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             raise DimensionMismatch("controls must have shape (steps, 2, m)")
         forcing = ((h / 2.0) * (controls[:-1, 1] + controls[1:, 0])) @ system.control_basis.T
     drift = system.drift_values if system.has_drift else None
+    abelian = group.name == "Rn"
     gs = np.empty((steps + 1,) + shape)
     gs[0] = g0
     compose = _composition(group)
@@ -470,7 +500,8 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
         nonlocal half_drift
         if drift is not None and half_drift is None:
             half_drift = (h / 2.0) * drift(h * xis[k - 1])
-        head = group.coAd(taus[k - 1], mus[k - 1])
+        # coAd is the identity on R^n
+        head = mus[k - 1] if abelian else group.coAd(taus[k - 1], mus[k - 1])
         if drift is not None:
             head = head + half_drift
         f = None if forcing is None else forcing[k - 1:k - 1 + size]
@@ -498,14 +529,21 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
             except np.linalg.LinAlgError:
                 X = X[:count]
             xis[k:k + count] = X
-            taus[k:k + count] = group.tau(h * X)
-            _sequential_products(list(gs[k:k + count + 1]), taus[k:k + count], compose)
-            Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
-            if f is None and d is None and system.potential is None:
-                # step by step, so that the free body's mu_j is exactly
-                # coAd(tau(h xi_{j-1}), mu_{j-1})
-                _sequential_products(list(mus[k - 1:k + count]), Ad, np.dot)
-                return
+            if abelian:
+                # g_{j+1} = g_j + h xi_j by one cumulative sum, bitwise the
+                # sequential adds
+                path = gs[k:k + count + 1]
+                np.multiply(h, X, out=path[1:])
+                path.cumsum(axis=0, out=path)
+            else:
+                taus[k:k + count] = group.tau(h * X)
+                _sequential_products(list(gs[k:k + count + 1]), taus[k:k + count], compose)
+                Ad = group.Ad_matrix(taus[k - 1:k + count - 1])
+                if f is None and d is None and system.potential is None:
+                    # step by step, so that the free body's mu_j is exactly
+                    # coAd(tau(h xi_{j-1}), mu_{j-1})
+                    _sequential_products(list(mus[k - 1:k + count]), Ad, np.dot)
+                    return
             # mu_j = Ad_j^T mu_{j-1} + c_j is an affine recurrence: c_j = f_j +
             # (h/2) (d_{j-1} + d_j) - h grad V(g_j), with mu_{k-1}'s transport
             # in c_0, and one scan over the transposed Ad_j of the later steps
@@ -517,6 +555,11 @@ def integrate_reduced(system, g0, xi0, h, steps, controls=None):
                 half_drift = d[count - 1]
             if system.potential is not None:
                 c -= h * _node_grads(system, gs[k:k + count])
+            if abelian:
+                # Ad_j = I: mu_j = mu_{j-1} + c_j
+                c[0] += mus[k - 1]
+                c.cumsum(axis=0, out=mus[k:k + count])
+                return
             c[0] += mus[k - 1] @ Ad[0]
             mus[k:k + count] = solvers.scan_apply(solvers.scan_maps(mt(Ad[1:])), c)
 
@@ -661,13 +704,6 @@ def _drift_jacobians(system, z):
     return np.asarray(system.drift.jacobian(z), dtype=float)
 
 
-def _potential_hessians(system, gs):
-    """The potential's left Hessians H[..., k, :, j] = d/ds left_grad(g_k
-    tau(s e_j)) at s = 0, at the configurations gs (..., N, ...) with nodes
-    along any leading axes: its ``left_hess``."""
-    return np.asarray(system.potential.left_hess(gs), dtype=float)
-
-
 def _reconstruction_gap(problem, g_N):
     """The reconstruction rows tau^-1(g_N^-1 gT), g_N the end of the path
     ``reconstruct`` builds from the velocities: zero when it reaches gT."""
@@ -675,18 +711,16 @@ def _reconstruction_gap(problem, g_N):
     return group.tau_inv(group.multiply(group.inverse(g_N), problem.gT))
 
 
-def _sensitivities(group, h, xis, gs, T=None):
+def _sensitivities(group, h, xis, gs, T):
     """Factors of the configurations' sensitivities to the velocities.
 
     Moving xi_k by dxi moves g_j, j > k, to g_j tau(S[j, k] dxi) to first
     order, with the left-trivialized S[j, k] = Ad(g_j^-1 g_k) h dtau(h xi_k)
     (tau is right-trivialized).  Returns (Ainv, P) with Ainv[j] = Ad(g_j^-1)
-    for j = 0..N and P[k] = Ad(g_k) h dtau(h xi_k), so S[j, k] = Ainv[j] P[k].
-    T = dtau(h xi_k) is computed unless given.
+    for j = 0..N and P[k] = Ad(g_k) h dtau(h xi_k), so S[j, k] = Ainv[j] P[k],
+    from T = dtau(h xi_k).
     """
     N = len(xis)
-    if T is None:
-        T = group.dtau_matrix(h * np.asarray(xis, dtype=float))
     A = group.Ad_matrix(np.concatenate([gs[:N], group.inverse(gs)]))
     P = A[:N] @ (h * T)
     return A[N:], P
@@ -887,8 +921,8 @@ def _velocity_rows(problem, interval_pass):
         c_minus, c_plus = interval_pass.c_minus, interval_pass.c_plus
         w = (h / 2.0) * (c_minus[..., 1:N, :] - c_plus[..., : N - 1, :])
         inner = _nodes(interval_pass.gs, D.ndim - 3, slice(1, -1))
-        xi_blocks = xi_blocks + np.einsum("...kij,...ki->...kj",
-                                          _potential_hessians(sys_, inner), w)
+        hessians = np.asarray(sys_.potential.left_hess(inner), dtype=float)
+        xi_blocks = xi_blocks + np.einsum("...kij,...ki->...kj", hessians, w)
     return xi_blocks
 
 
@@ -1101,7 +1135,7 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     Bq = np.einsum("lai,ka->kil", plan.ad_basis, mv(mt(D), gxi))
     if potential:
         Hs = np.zeros((N + 1, n, n))
-        Hs[1:] = (h / 2.0) * _potential_hessians(sys_, gs[1:])
+        Hs[1:] = (h / 2.0) * np.asarray(sys_.potential.left_hess(gs[1:]), dtype=float)
         curvature = np.asarray(sys_.potential.left_curvature(
             gs[1:N], (h / 2.0) * (c_minus[1:] - c_plus[:-1])), dtype=float)
         Ha, Hb = Hs[:-1], Hs[1:]

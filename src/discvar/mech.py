@@ -17,7 +17,12 @@ and the two discrete Legendre transforms with forces give the momenta
 
 The potential and the drifts are models that supply their own derivatives
 (``RnLagrangian``, ``DiscreteForcePairRn``), batched over leading axes, so
-nothing here is differenced.
+nothing here is differenced.  ``tboc`` builds its optimality conditions from
+these slot derivatives.
+
+``integrate`` marches the forced equation forward.  R^n is the abelian case
+of the group march, so it runs ``lgoc.integrate_reduced`` on
+``lie.real_n(n)``, whose march has neither drifts nor B^- != B^+.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (POTENTIAL_METHODS, DimensionMismatch, NoConvergence, NotInvertible,
-                     SingularJacobian, StepSolveFailed, require_methods)
-from .solvers import march_in_windows, max_abs, newton, plain_system, scan_apply, scan_maps
+from . import lgoc, lie, solvers
+from .errors import (POTENTIAL_METHODS, ConfigError, DimensionMismatch, NotInvertible,
+                     require_methods)
 
 
 @dataclass
@@ -223,12 +228,9 @@ def legendre_pair(lagrangian, forces, q_a, q_b, u_minus, u_plus):
     return p_a, p_b
 
 
-# bound on the max-abs DEL residual of each step, and its floor per unit of
-# |M q| / h: a few rounding units
-_STEP_TOL = 1e-12
-_STEP_ROUNDING = 16.0 * np.finfo(float).eps
-# the iteration budget of a lone step's rescue
-_STEP_MAX_ITER = 50
+# the benchmark's traced runs wrap ``mech.newton`` by name; no path here
+# calls it, and it goes once they stop naming it
+newton = solvers.newton
 
 
 def integrate(lagrangian, forces, q0, q1, steps, controls=None):
@@ -240,160 +242,42 @@ def integrate(lagrangian, forces, q0, q1, steps, controls=None):
     counts the intervals including that one; ``steps`` < 1, or a q0 or q1
     not of length n, raises DimensionMismatch.
 
-    The DEL at node k is solved to an absolute 1e-12, but never below a few
-    rounding units of the momentum terms M q / h: the velocities (q_{k+1} -
-    q_k) / h lose eps |q| / h each, so far from the origin 1e-12 could not
-    be met.
-    The residual is assembled from the trapezoidal Lagrangian's closed form,
-    not through the slot derivatives,
+    R^n is the abelian case of the group march, so this is
+    ``lgoc.integrate_reduced`` on ``lie.real_n(n)``: with the velocities
+    xi_k = (q_{k+1} - q_k) / h, the DEL at node k is
 
-        r_k = (q_k - q_{k-1}) M^T / h - (q_{k+1} - q_k) M^T / h + f^+_{k-1} + f^-_k
-              - h grad V(q_k) + a^+(q_{k-1}, q_k) + a^-(q_k, q_{k+1}),
+        M xi_k - M xi_{k-1} - B (u^+_{k-1} + u^-_k) + h grad V(q_k) = 0,
 
-    with the control forces B^-+ u of the whole march from one product each,
-    and only the terms the system has.
+    the group march's momentum equation with inertia M, control basis
+    (2/h) B and the Lagrangian's potential, from g_0 = q0 and xi_0 = (q1 -
+    q0) / h.  Its windows, their step tolerance and their floor are the
+    group march's, and the positions are its path, q_{k+1} = q_k + h xi_k.
+    A step that its window does not solve raises StepSolveFailed with its
+    index.  B is a control basis as ``lgoc.ReducedSystem`` takes one: of
+    rank m, its zero rows the unactuated coordinates, n - m of them.
 
-    The march solves its steps in windows (``solvers.march_in_windows``):
-    the positions q_{k+1}..q_{k+W} of W steps at once, by Newton's method
-    (``solvers.window_newton``) from the extrapolation of the last velocity.
-    r_k depends on q_{k+1}, q_k and q_{k-1}, so a Newton update is an
-    affine recurrence, 2n wide, that a prefix scan solves: the window's
-    operator keeps the scan's maps (``solvers.scan_maps``) and is built
-    only when ``window_newton`` needs a new one.  It runs in velocity
-    coordinates, on the state (dq_{k+1}, e_k) with e_k = dq_{k+1} - dq_k:
-
-        d_next e_k = -r_k - S_k dq_k + d_prev e_{k-1},
-
-    with (d_next, d_mid, d_prev) = d r_k / d(q_{k+1}, q_k, q_{k-1}) and S_k
-    = d_next + d_mid + d_prev.  The M / h terms cancel from S_k and from
-    d_prev - d_next, which hold only the potential's and the drifts' terms,
-    so without either the recurrence's blocks are the exact [[I, I], [0,
-    I]]: the operator is then two cumulative sums, e = cumsum(b) and dq =
-    cumsum(e) of b_k = d_next^-1 (-r_k), and forms no blocks and no scan.
-    Otherwise the blocks take d_next^-1: the factored -M / h, or with a
-    drift a^- one batched inverse of d_next = -M / h + d a^-/d q_{k+1}.
-    The drifts' Jacobians are their ``jacobians``, read only when an
-    operator is built, and the potential's Hessian is the Lagrangian's
-    ``V_xx``.  A DEL whose drifts and potential gradient are affine, as the
-    point mass's, is linear: one update solves a window, to a few
-    hundredths of the tolerance on the benchmark's point mass.
-
-    A window that does not converge is halved, and one whose residual is
-    not finite is solved step by step.  A step alone is a window of one
-    step.  When it is not solved, its rescue is Newton with a line search
-    (``newton``) on that window's residual, from the same extrapolation,
-    with the constant Jacobian D1 D2 Ld = -M / h; a step that does not
-    converge within _STEP_MAX_ITER iterations there raises StepSolveFailed
-    with its index.
+    That march has no drift a^-+(q_a, q_b) and one control basis for both
+    ends, so forces with a drift, or with B^- != B^+, raise ConfigError;
+    ``tboc`` keeps both.
     """
     n = lagrangian.dim
-    if steps < 1:
-        raise DimensionMismatch(f"steps must be at least 1, got {steps}")
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
     if q0.shape != (n,) or q1.shape != (n,):
         raise DimensionMismatch(f"q0 and q1 must have length {n}, got shapes "
                                 f"{q0.shape} and {q1.shape}")
-    if controls is None:
-        controls = np.zeros((steps, 2, forces.control_dim))
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape != (steps, 2, forces.control_dim):
-        raise DimensionMismatch("controls must have shape (steps, 2, m)")
-    qs = np.empty((steps + 1, n))
-    qs[0], qs[1] = q0, q1
+    if forces.a_minus is not None or forces.a_plus is not None:
+        raise ConfigError("mech.integrate marches without drifts: the group march on "
+                          "R^n has no force a^-+(q_a, q_b)")
+    if not np.array_equal(forces.b_minus, forces.b_plus):
+        raise ConfigError("mech.integrate needs B^- == B^+: the group march on R^n "
+                          "has one control basis")
     h = lagrangian.h
-    # a velocity term v M^T / h in one product
-    Mt_h = lagrangian.mass.T / h
-    # 16 eps |M q_k|_inf / h <= rounding_per_q * |q_k|_inf
-    rounding_per_q = float(
-        _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1)))
-    # f^+_{k-1} + f^-_k of every node
-    control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
-    potential = lagrangian.potential is not None
-    a_plus, a_minus = forces.a_plus is not None, forces.a_minus is not None
-    # without a potential or a drift a window's recurrence has the exact
-    # blocks [[I, I], [0, I]]
-    exact = not (potential or a_plus or a_minus)
-    # d/dq_next of D1 Ld(q_k, q_next), without a drift
-    J = lagrangian.d12(q0, q1)
-    J_inv = np.linalg.inv(J)
-
-    def rescue(k, x, linearize):
-        step_tol = max(_STEP_TOL, rounding_per_q * max_abs(qs[k]))
-        system = plain_system(lambda q: linearize(q[None])[1][0], lambda _: J)
-        try:
-            return newton(system, x[0], tol=step_tol, max_iter=_STEP_MAX_ITER)[0].x[None]
-        except (NoConvergence, SingularJacobian) as exc:
-            raise StepSolveFailed(k, f"step {k}: {exc}") from exc
-
-    def window(k, size):
-        # nodes k..k+size-1 and their neighbours q_{k-1}..q_{k+size}
-        u = control_forces[k - 1:k - 1 + size]
-
-        def linearize(X):
-            q = np.concatenate([qs[k - 1:k + 1], X])
-            q_prev, q_mid, q_next = q[:-2], q[1:-1], q[2:]
-            v = (q[1:] - q[:-1]) @ Mt_h
-            r = v[:-1] - v[1:] + u
-            if potential:
-                r -= h * lagrangian.V_x(q_mid)
-            if a_plus:
-                r += forces.drift("+", q_prev, q_mid)
-            if a_minus:
-                r += forces.drift("-", q_mid, q_next)
-            tol = np.maximum(_STEP_TOL, rounding_per_q * np.max(np.abs(q_mid), axis=1))
-            error = np.max(np.abs(r), axis=1) / tol
-
-            def build():
-                if exact:
-                    # the scan of [[I, I], [0, I]]: e_k = e_{k-1} + b_k and
-                    # dq_{k+1} = dq_k + e_k, two cumulative sums of b_k =
-                    # d_next^-1 (-r_k); the update of q_{k+1} is dq_{k+1}
-                    return lambda res: np.cumsum(np.cumsum(res @ -J_inv.T, axis=0), axis=0)
-                # d r_k / d(q_{k+1}, q_k, q_{k-1}) = (d_next, d_mid, d_prev)
-                # in the velocity coordinates e_k = dq_{k+1} - dq_k:
-                #   d_next e_k = -r_k - S_k dq_k + (d_next + P_k) e_{k-1},
-                # S_k = d_next + d_mid + d_prev and P_k = d_prev - d_next.  The
-                # -M/h, 2M/h, -M/h of both cancel, so they hold only the
-                # potential's and the drifts' terms
-                G, S, P = J_inv[None], 0.0, 0.0
-                if potential:
-                    S = S - h * lagrangian.V_xx(q_mid)
-                if a_plus:
-                    da, db = forces.drift_jacobians("+", q_prev, q_mid)
-                    S, P = S + da + db, P + da
-                if a_minus:
-                    da, db = forces.drift_jacobians("-", q_mid, q_next)
-                    S, P = S + da + db, P - db
-                    G = np.linalg.inv(J + db)
-                # the state (dq_{k+1}, e_k) = (dq_k + e_k, e_k), with G =
-                # d_next^-1: A = [[I - G S, I + G P], [-G S, I + G P]]
-                GS = G @ -np.broadcast_to(S, (size, n, n))
-                GP = G @ np.broadcast_to(P, (size, n, n))
-                A = np.empty((size, 2 * n, 2 * n))
-                A[:, :n, :n] = GS + np.eye(n)
-                A[:, n:, :n] = GS
-                A[:, :n, n:] = A[:, n:, n:] = GP + np.eye(n)
-                maps = scan_maps(A[1:])
-
-                def solve(res):
-                    # b_k = (G_k (-r_k), G_k (-r_k)); the update of q_{k+1}
-                    # is dq_{k+1}
-                    out = (G[:len(res)] @ -res[..., None])[..., 0]
-                    return scan_apply(maps, np.concatenate([out, out], axis=1))[:, :n]
-
-                return solve
-
-            return error, r, build
-
-        def commit(X, count, operator):
-            qs[k + 1:k + 1 + count] = X[:count]
-
-        start = qs[k] + np.arange(1, size + 1)[:, None] * (qs[k] - qs[k - 1])
-        return start, linearize, commit
-
-    march_in_windows(1, steps, window, rescue)
-    return qs
+    B = forces.b_plus
+    system = lgoc.ReducedSystem(lie.real_n(n), lagrangian.mass, (2.0 / h) * B,
+                                unactuated=np.flatnonzero(~B.any(axis=1)),
+                                potential=lagrangian.potential)
+    return lgoc.integrate_reduced(system, q0, (q1 - q0) / h, h, steps, controls)[0]
 
 
 def node_momenta(lagrangian, forces, qs, controls=None):

@@ -2,7 +2,9 @@
 in turn, plus the window driver of the marches, ``march_in_windows`` with
 ``window_newton``, whose updates a window's operator solves by a prefix scan
 (``scan_maps``, ``scan_apply``).  The driver solves every step of a march
-in a window, a lone step in a window of one step.
+in a window, a lone step in a window of one step, and a lone step that its
+window does not solve raises StepSolveFailed.  Its one march is ``lgoc``'s,
+which ``mech`` runs on R^n.
 
 A system is evaluated at a point: ``ResidualSystem.at(x)`` returns the
 ``Point`` x with its residual F(x) and ``jacobian()``, which builds F'(x)
@@ -59,13 +61,6 @@ class ResidualSystem:
 
     at: Callable[[np.ndarray], Point]
     stack: Optional[Callable[[np.ndarray], Sequence[Point]]] = None
-
-
-def plain_system(residual, jacobian):
-    """The ResidualSystem of a residual and a Jacobian callable of x: a point
-    keeps only x, and its ``jacobian()`` is jacobian(x)."""
-    return ResidualSystem(lambda x: Point(x, np.asarray(residual(x), dtype=float),
-                                          lambda: jacobian(x)))
 
 
 @dataclass
@@ -171,17 +166,6 @@ def _evaluate_stack(system, X, report):
 def _jacobian(point, report):
     report.jacobian_evaluations += 1
     return np.asarray(point.jacobian(), dtype=float)
-
-
-def max_abs(v):
-    """np.abs(v).max() of a short vector, the same float, read from its
-    Python floats: max and abs are exact.  Python's max can pass over a NaN,
-    so a vector whose sum is NaN is left to numpy."""
-    values = v.tolist()
-    total = sum(values)
-    if total != total:
-        return float(np.abs(v).max())
-    return max(map(abs, values))
 
 
 def _sumsq(f):
@@ -625,7 +609,7 @@ def window_newton(x, linearize):
     return x, iteration, int(np.argmin(solved)), operator
 
 
-def march_in_windows(first, stop, window, rescue=None):
+def march_in_windows(first, stop, window):
     """Solve the steps first..stop-1 of a march, in order.
 
     ``window(k, size)`` sets up the steps k..k+size-1 as one system and
@@ -645,9 +629,8 @@ def march_in_windows(first, stop, window, rescue=None):
     step alone, and the next window is 2 wide.
 
     A step alone is the march's floor: a window of one step, solved by
-    ``window_newton``.  When it is not solved, ``rescue(k, x, linearize)``
-    returns step k's solution (1, n) from the window's start x, or raises;
-    without a rescue, StepSolveFailed names the step.
+    ``window_newton``.  When it is not solved, StepSolveFailed names the
+    step.
     """
     k, width = first, WINDOW_CAP
     while k < stop:
@@ -669,11 +652,9 @@ def march_in_windows(first, stop, window, rescue=None):
             start, linearize, commit = window(j, 1)
             x, _, solved, operator = window_newton(start, linearize)
             if not solved:
-                if rescue is None:
-                    raise StepSolveFailed(j, f"step {j}: " + (
-                        "the residual is not finite" if solved is None
-                        else f"not solved within {WINDOW_MAX_ITER} updates"))
-                x = rescue(j, start, linearize)
+                raise StepSolveFailed(j, f"step {j}: " + (
+                    "the residual is not finite" if solved is None
+                    else f"not solved within {WINDOW_MAX_ITER} updates"))
             commit(x, 1, operator)
         k += size
         width = max(width, 2)

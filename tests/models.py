@@ -10,9 +10,21 @@ reads, for the tests.
   the Hessian of w . d(z).
 
 Every method is batched over leading axes, vectors along the last one.
+
+``plain_system`` wraps a residual and a Jacobian callable as the
+``solvers.ResidualSystem`` the root-finders take.
 """
 
 import numpy as np
+
+from discvar.solvers import Point, ResidualSystem
+
+
+def plain_system(residual, jacobian):
+    """The ResidualSystem of a residual and a Jacobian callable of x: a point
+    keeps only x, and its ``jacobian()`` is jacobian(x)."""
+    return ResidualSystem(lambda x: Point(x, np.asarray(residual(x), dtype=float),
+                                          lambda: jacobian(x)))
 
 
 def diag(v):
@@ -128,6 +140,26 @@ class CoupledCosines:
         return T
 
 
+class UndefinedAbove:
+    """V = 0 while q_i < limit; along each axis i where q_i >= limit, V and
+    its derivatives are undefined (NaN)."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def left_grad(self, q):
+        return np.where(np.asarray(q, dtype=float) < self.limit, 0.0, np.nan)
+
+    def value(self, q):
+        return np.sum(self.left_grad(q), axis=-1)
+
+    def left_hess(self, q):
+        return diag(self.left_grad(q))
+
+    def left_curvature(self, q, w):
+        return diag(self.left_grad(q))
+
+
 # ---------------------------------------------------------------------------
 # drifts on R^n
 # ---------------------------------------------------------------------------
@@ -186,15 +218,6 @@ def sine_of_difference(c):
     return PairDrift(lambda x, y: c * np.sin(y - x), lambda x, y: -c * np.cos(y - x),
                      lambda x, y: c * np.cos(y - x), lambda x, y: -c * np.sin(y - x),
                      lambda x, y: c * np.sin(y - x), lambda x, y: -c * np.sin(y - x))
-
-
-def zero_below(speed, h):
-    """a = 0 while |q_b - q_a| / h < speed, undefined (NaN) from there on,
-    with its derivatives."""
-    def f(x, y):
-        return np.where(np.abs(y - x) / h < speed, 0.0, np.nan)
-
-    return PairDrift(f, f, f, f, f, f)
 
 
 # ---------------------------------------------------------------------------

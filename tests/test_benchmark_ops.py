@@ -247,11 +247,11 @@ def test_benchmark_group_marches_build_operators_only_when_needed(name, workload
 
 @pytest.mark.parametrize("name", list(WINDOWS))
 def test_benchmark_marches_keep_their_windows_and_scans(name, workloads, tmp_path, monkeypatch):
-    # the point mass's window update is two cumulative sums and makes no
-    # scan call; a group march forms one scan's maps per operator it
-    # builds, and a forced one one more per window it commits, for its
+    # the point mass's window update and its commit are cumulative sums and
+    # make no scan call; a group march forms one scan's maps per operator
+    # it builds, and a forced one one more per window it commits, for its
     # momentum carry, which the free bodies make step by step
-    from discvar import lie, mech, solvers
+    from discvar import lie, solvers
 
     ops = {op.name: op for op in workloads.build("simulate", 901, "full", str(tmp_path)).ops}
     calls, windows = [], []
@@ -267,7 +267,6 @@ def test_benchmark_marches_keep_their_windows_and_scans(name, workloads, tmp_pat
 
     for scan in ("scan_maps", "scan_apply"):
         counted(solvers, scan)
-        counted(mech, scan)
     counted(lie.GroupSpec, "dtau_inv_deriv_along")
     window_newton = solvers.window_newton
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import discvar
-from discvar import cli, lgoc, solvers
+from discvar import cli, lgoc, solvers, systems
 
 
 def write_config(path, cfg):
@@ -443,6 +443,9 @@ def test_artifacts_are_the_bytes_of_csv_writer(tmp_path, monkeypatch, command, m
 
     def group_march(*args, **kwargs):
         gs, xis, mus = integrate_reduced(*args, **kwargs)
+        if setup[-1][0] != "lie":
+            # mech.integrate's march on R^n; node_momenta records its table
+            return gs, xis, mus
         problem, steps = setup[-1][1], len(xis)
         n, gsize = problem.system.n, problem.system.group.matrix_size
         header = ["k", "t"] + [f"g{i}{j}" for i in range(gsize) for j in range(gsize)]
@@ -756,6 +759,38 @@ def test_empty_log_level_means_warning(tmp_path):
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr and "BOGUS" in proc.stderr
+
+
+def test_vehicle_without_parameters_is_the_default_vehicle():
+    # a config with no vehicle keys builds make_uuv_system()'s vehicle, and
+    # one key moves only what it names
+    default = systems.make_uuv_system()
+    kind, problem = cli.build_setup(uuv_cfg())
+    assert kind == "lie"
+    assert np.array_equal(problem.system.inertia, default.inertia)
+    assert np.array_equal(problem.system.control_basis, default.control_basis)
+    assert np.array_equal(problem.system.drift, default.drift)
+    base = uuv_cfg()
+    base["system"]["d"] = 0.5
+    _, problem = cli.build_setup(base)
+    moved = systems.make_uuv_system(systems.UuvParams(d=0.5))
+    assert np.array_equal(problem.system.inertia, default.inertia)
+    assert np.array_equal(problem.system.control_basis, moved.control_basis)
+
+
+def test_module_run_prints_no_warning():
+    # the package does not import its command line, so running it as a
+    # module finds no discvar.cli in sys.modules: no RuntimeWarning, which
+    # -W error turns into a failure
+    src = os.path.dirname(os.path.dirname(os.path.abspath(discvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "discvar.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: discvar")
+    assert proc.stderr == ""
 
 
 def test_rotation_matrix_boundary_accepted(tmp_path):

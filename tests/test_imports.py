@@ -121,7 +121,6 @@ def unread_public_names(sources):
 # public names the package itself never reads, and why each stays
 UNREAD_PUBLIC = {
     "lgoc.action_sum": "oracle of the acceptance and gradient tests",
-    "lie.real_n": "oracle of the acceptance and flat-group tests",
     "solvers.fd_jacobian": "the one difference quotient left: every model supplies its "
                            "own derivatives, so it is only the tests' Jacobian oracle, "
                            "and the benchmark's spans name it",

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from models import (Cosines, CutOffDrift, Damping, LinearDrift, QuadraticDrag, damping,
-                    sine_of_difference)
+                    plain_system, sine_of_difference)
 
 from discvar import lgoc, lie, mech, solvers, systems, tboc
 from discvar.errors import (
@@ -243,7 +243,7 @@ def reference_dep_step(system, h, xi_prev, mu_prev, tau_prev, forcing=None, g_k=
         D = group.dtau_inv_matrix(h * xi)
     if not converged:
         try:
-            xi = lgoc.newton(solvers.plain_system(
+            xi = lgoc.newton(plain_system(
                 lambda x: residual(x, group.dtau_inv_matrix(h * x)),
                 lambda x: jacobian(x, *group.dtau_inv_deriv(h * x))), start, tol=1e-12)[0].x
         except (NoConvergence, SingularJacobian) as exc:
@@ -500,7 +500,7 @@ def _steps_alone(monkeypatch, alone=None):
     ``alone``, and without ``alone`` the step fails the test."""
     march = solvers.march_in_windows
 
-    def marched(first, stop, window, rescue=None):
+    def marched(first, stop, window):
         def recorded(k, size):
             if size == 1:
                 if alone is None:
@@ -508,7 +508,7 @@ def _steps_alone(monkeypatch, alone=None):
                 alone.append(k)
             return window(k, size)
 
-        return march(first, stop, recorded, rescue)
+        return march(first, stop, recorded)
 
     monkeypatch.setattr(solvers, "march_in_windows", marched)
 
@@ -1181,13 +1181,14 @@ def test_jacobian_build_computes_the_frozen_potential_terms_once(monkeypatch):
     expected = system.at(z).jacobian()
     point = system.at(z)
     calls = []
-    hessians = lgoc._potential_hessians
+    potential = prob.system.potential
+    hessians = potential.left_hess
 
-    def counted(system_, gs, *args, **kwargs):
+    def counted(gs):
         calls.append(len(gs))
-        return hessians(system_, gs, *args, **kwargs)
+        return hessians(gs)
 
-    monkeypatch.setattr(lgoc, "_potential_hessians", counted)
+    monkeypatch.setattr(potential, "left_hess", counted)
     assert np.array_equal(point.jacobian(), expected)
     assert calls == [prob.N]
 
@@ -1289,8 +1290,8 @@ def test_jacobian_build_makes_no_residual_call(regime, monkeypatch):
 
 def test_closed_form_systems_make_no_difference(monkeypatch):
     # every model supplies its derivatives: a Jacobian build of every
-    # regime, a tboc Jacobian build and a mech march, each with a potential
-    # and drifts, and a UUV march, difference nothing
+    # regime, a tboc Jacobian build with a potential and drifts, a mech march
+    # with the potential, and a UUV march, difference nothing
     def refused(*args, **kwargs):
         raise AssertionError("fd_jacobian was called")
 
@@ -1310,7 +1311,8 @@ def test_closed_form_systems_make_no_difference(monkeypatch):
     flat_system = tboc.residual_system(flat)
     z = tboc._pack(flat, *tboc.initial_guess(flat))
     flat_system.at(z + 0.01 * np.random.default_rng(16).normal(size=z.size)).jacobian()
-    mech.integrate(lagrangian, forces, np.zeros(n), np.array([0.01, -0.02]), 50,
+    mech.integrate(lagrangian, mech.DiscreteForcePairRn.trapezoidal(n, h), np.zeros(n),
+                   np.array([0.01, -0.02]), 50,
                    controls=0.1 * np.random.default_rng(17).normal(size=(50, 2, n)))
 
 
@@ -1350,7 +1352,7 @@ def test_sensitivities_match_differences_of_reconstruct(regime):
     group, N, n, h = prob.system.group, prob.N, prob.system.n, prob.h
     xis = 0.5 * np.random.default_rng(14).normal(size=(N, n)) / h
     gs = lgoc.reconstruct(group, prob.g0, h, xis)
-    Ainv, P = lgoc._sensitivities(group, h, xis, gs)
+    Ainv, P = lgoc._sensitivities(group, h, xis, gs, group.dtau_matrix(h * xis))
     x = xis.ravel()
     for j in range(N + 1):
         g_inv = group.inverse(gs[j])
@@ -1943,7 +1945,7 @@ def test_fully_actuated_solves_eliminate_the_momenta(regime):
                                      z[N * n :].reshape(N - 1, n))
 
     z0 = lgoc._pack(*lgoc.initial_guess(prob), False)
-    point, report = solvers.newton(solvers.plain_system(
+    point, report = solvers.newton(plain_system(
         explicit, lambda x: solvers.fd_jacobian(explicit, x)), z0, tol=1e-9)
     assert report.converged
     z = point.x

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from models import (CoupledCosines, Cosines, Quadratic, Quartic, SquaredNormSquared, damping,
-                    sine_of_difference, sine_times, times_square, zero_below)
+from models import (CoupledCosines, Cosines, Quadratic, Quartic, SquaredNormSquared,
+                    UndefinedAbove, damping, plain_system, sine_of_difference, sine_times,
+                    times_square)
 
-from discvar import mech, solvers, systems
+from discvar import lgoc, lie, mech, solvers, systems
 from discvar.errors import (ConfigError, DimensionMismatch, NoConvergence, NotInvertible,
                             SingularJacobian, StepSolveFailed)
 from discvar.mech import DiscreteForcePairRn, RnLagrangian
@@ -24,13 +25,6 @@ def harmonic(h=0.1, k=1.0):
 
 def pendulum(h=0.01):
     return RnLagrangian(np.eye(1), h=h, potential=Cosines(-1.0))
-
-
-def pendulum_drifts(h):
-    """The pendulum's force pair with both drifts, a^- = -0.3 (q_b - q_a) / h
-    and a^+ = -0.2 sin(q_b - q_a)."""
-    return DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
-                               a_minus=damping(0.3 / h), a_plus=sine_of_difference(-0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +365,14 @@ def test_controls_shape_validation():
 
 
 def test_forced_integration_matches_residual_with_controls():
-    # the march assembles its step residual in closed form; the slot
-    # derivatives' four-term residual checks it, also on a pendulum with
-    # both drifts a^- and a^+
+    # the march solves the group march's momentum equation in the
+    # velocities; the slot derivatives' four-term residual checks its
+    # positions, free and on a pendulum
     rng = np.random.default_rng(6)
     h = 0.1
     cases = [(free_particle(h=h), DiscreteForcePairRn.trapezoidal(1, h), 0.0, 0.05)]
     h = 0.01
-    cases.append((pendulum(h=h), pendulum_drifts(h), 0.3, 0.31))
+    cases.append((pendulum(h=h), DiscreteForcePairRn.trapezoidal(1, h), 0.3, 0.31))
     for L, F, q0, q1 in cases:
         controls = rng.normal(size=(10, 2, 1))
         qs = mech.integrate(L, F, np.array([q0]), np.array([q1]), 10, controls=controls)
@@ -410,33 +404,105 @@ def test_forced_integration_far_from_origin(scale):
         assert np.max(np.abs(r)) < 16.0 * np.finfo(float).eps * momentum_scale
 
 
+def _group_march_cases():
+    """(lagrangian, forces, q0, q1, controls) of a free mass, a forced mass
+    with a full mass matrix and a forced mass with a potential."""
+    rng = np.random.default_rng(21)
+    h = 0.05
+    mass = np.array([[2.0, 0.5], [0.5, 1.0]])
+    q0 = rng.normal(size=2)
+    q1 = q0 + h * rng.normal(size=2)
+    return {
+        "free": (RnLagrangian(mass, h=h), DiscreteForcePairRn.identity(2), q0, q1, None),
+        "forced": (RnLagrangian(mass, h=h), DiscreteForcePairRn.trapezoidal(2, h), q0, q1,
+                   rng.normal(size=(200, 2, 2))),
+        "potential": (RnLagrangian(mass, h=h, potential=Cosines(-1.0)),
+                      DiscreteForcePairRn.identity(2), q0, q1,
+                      rng.normal(size=(200, 2, 2))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_group_march_cases()))
+def test_integrate_is_the_group_march_on_real_n(case):
+    # R^n is the abelian case of the group march: the positions are, bitwise,
+    # the path of lgoc's march on real_n with inertia M, control basis
+    # (2/h) B and the Lagrangian's potential, from g_0 = q0 and xi_0 = (q1 -
+    # q0) / h.  The march's cumulative sums are bitwise the sequential adds:
+    # the path is reconstruct's, and a free mass carries its momentum
+    # exactly
+    L, F, q0, q1, controls = _group_march_cases()[case]
+    h, steps = L.h, 200
+    qs = mech.integrate(L, F, q0, q1, steps, controls=controls)
+    group = lie.real_n(2)
+    system = lgoc.ReducedSystem(group, L.mass, (2.0 / h) * F.b_plus, potential=L.potential)
+    gs, xis, mus = lgoc.integrate_reduced(system, q0, (q1 - q0) / h, h, steps,
+                                          controls=controls)
+    assert qs.tobytes() == gs.tobytes()
+    assert gs.tobytes() == lgoc.reconstruct(group, q0, h, xis).tobytes()
+    if controls is None:
+        assert np.array_equal(mus, np.broadcast_to(mus[0], mus.shape))
+
+
+def test_integrate_takes_an_underactuated_control_basis():
+    # B's zero rows are the unactuated coordinates of the group march
+    h = 0.05
+    L = RnLagrangian(np.array([[2.0, 0.5], [0.5, 1.0]]), h=h, potential=Cosines(-1.0))
+    B = np.array([[0.0], [h / 2.0]])
+    F = DiscreteForcePairRn(B, B)
+    controls = np.random.default_rng(22).normal(size=(100, 2, 1))
+    qs = mech.integrate(L, F, np.array([0.3, -0.2]), np.array([0.31, -0.2]), 100,
+                        controls=controls)
+    for k in range(1, 100):
+        r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
+                                     controls[k - 1, 1], controls[k, 0])
+        assert np.max(np.abs(r)) < 1e-12
+
+
+@pytest.mark.parametrize("forces, reason", [
+    (DiscreteForcePairRn(np.eye(1), np.eye(1), a_minus=damping(3.0)), "without drifts"),
+    (DiscreteForcePairRn(np.eye(1), np.eye(1), a_plus=sine_of_difference(-0.2)),
+     "without drifts"),
+    (DiscreteForcePairRn(np.eye(1), 0.5 * np.eye(1)), r"B\^- == B\^\+"),
+], ids=["a minus", "a plus", "two control bases"])
+def test_integrate_refuses_what_the_group_march_lacks(forces, reason):
+    # the group march has no drift a^-+(q_a, q_b) and one control basis
+    with pytest.raises(ConfigError, match=reason):
+        mech.integrate(free_particle(), forces, np.zeros(1), np.array([0.01]), 10)
+
+
 def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
-    # no drift a^-: with a quadratic potential or none the DEL is linear in
-    # the window's positions (the potential's constant curvature enters the
-    # recurrence), so one update from the extrapolation solves the window of
-    # 39 steps.  Each of the two residual evaluations forms the potential
-    # gradient once for all the window's nodes, and the update reads the
-    # model's Hessian; the trapezoidal force pair has no drift, which is
-    # never called.  No slot derivative is called, and no newton.  Free,
-    # then harmonic
+    # with a quadratic potential or none the momentum equation is linear in
+    # the window's velocities (the potential's constant curvature enters the
+    # recurrence), so one update from the constant velocity solves the window
+    # of 39 steps.  Each of the two residual evaluations forms the potential
+    # gradient once for all the window's nodes, the commit's momentum carry
+    # once more on the committed path, and the one update reads the model's
+    # Hessians once; the trapezoidal force pair has no drift, which is never
+    # called.  No slot derivative is called, and no newton.  Free, then
+    # harmonic
     h, steps = 0.01, 40
     mass = np.array([[2.0, 0.3], [0.3, 1.0]])
     lagrangians = [RnLagrangian(mass, h=h), RnLagrangian(mass, h=h, potential=Quadratic())]
     F = DiscreteForcePairRn.trapezoidal(2, h)
     controls = np.random.default_rng(8).normal(size=(steps, 2, 2))
-    drift, V_x = DiscreteForcePairRn.drift, RnLagrangian.V_x
+    drift = DiscreteForcePairRn.drift
     window_newton = solvers.window_newton
     for L in lagrangians:
-        calls = {"-": 0, "+": 0, "V_x": 0}
+        calls = {"drift": 0, "left_grad": 0, "left_hess": 0}
         windows = []
 
         def counted_drift(self, which, qa, qb):
-            calls[which] += 1
+            calls["drift"] += 1
             return drift(self, which, qa, qb)
 
-        def counted_gradient(self, q):
-            calls["V_x"] += 1
-            return V_x(self, q)
+        def counted(name):
+            method = getattr(L.potential, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+
+            monkeypatch.setattr(L.potential, name, call)
 
         def refused(*args, **kwargs):
             raise AssertionError("the march called a slot derivative or newton")
@@ -447,15 +513,19 @@ def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
             return out
 
         monkeypatch.setattr(DiscreteForcePairRn, "drift", counted_drift)
-        monkeypatch.setattr(RnLagrangian, "V_x", counted_gradient)
-        for name in ("d1", "d2", "d11", "d22"):
+        if L.potential is not None:
+            counted("left_grad")
+            counted("left_hess")
+        for name in ("d1", "d2", "d11", "d22", "V_x", "V_xx"):
             monkeypatch.setattr(RnLagrangian, name, refused)
         monkeypatch.setattr(mech, "newton", refused)
+        monkeypatch.setattr(solvers, "newton", refused)
         monkeypatch.setattr(solvers, "window_newton", window)
         qs = mech.integrate(L, F, np.zeros(2), np.array([0.01, -0.02]), steps,
                             controls=controls)
         assert windows == [(1, steps - 1)]
-        assert calls == {"-": 0, "+": 0, "V_x": 2 if L.potential is not None else 0}
+        expected = (3, 1) if L.potential is not None else (0, 0)
+        assert calls == {"drift": 0, "left_grad": expected[0], "left_hess": expected[1]}
         monkeypatch.undo()
         for k in range(1, steps):
             r = mech.forced_del_residual(L, F, qs[k - 1], qs[k], qs[k + 1],
@@ -463,41 +533,69 @@ def test_affine_step_takes_one_update_and_no_newton(monkeypatch):
             assert np.max(np.abs(r)) <= 1e-12
 
 
+def _unit_push(n, axis, h=0.1):
+    """A free mass pushed by a unit force on one axis, from the velocity
+    0.55 there, towards a potential undefined from q = 0.9 on: the velocity
+    on [q_k, q_{k+1}] is 0.55 + 0.1 k, so q_9 = 0.855 and q_10 = 1.0 is the
+    first position past the limit."""
+    L = RnLagrangian(np.eye(n), h=h, potential=UndefinedAbove(0.9))
+    F = DiscreteForcePairRn.trapezoidal(n, h)
+    controls = np.zeros((12, 2, n))
+    controls[:, :, axis] = 1.0
+    q1 = np.zeros(n)
+    q1[axis] = 0.055
+    return L, F, np.zeros(n), q1, controls
+
+
 def test_step_failure_names_the_step(monkeypatch):
-    # the drift is undefined once the velocity passes 1: the step that gets
-    # there fails as a window of one step and in its newton rescue, and
-    # StepSolveFailed names it
-    h = 0.1
-    fallbacks = []
-    newton = mech.newton
+    # step k's residual reads the potential's gradient at q_k, so step 10's
+    # is not finite whatever its velocity: the window that reaches it is
+    # solved step by step, and step 10, a window of one step, raises
+    # StepSolveFailed with its index.  Nothing rescues it: no newton call
+    def refused(*args, **kwargs):
+        raise AssertionError("a failed step went to newton")
 
-    def counted(*args, **kwargs):
-        fallbacks.append(1)
-        return newton(*args, **kwargs)
-
-    monkeypatch.setattr(mech, "newton", counted)
-    L = free_particle(h=h)
-    F = DiscreteForcePairRn(h / 2.0 * np.eye(1), h / 2.0 * np.eye(1),
-                            a_minus=zero_below(1.0, h))
-    # unit force: the velocity grows by h per step, from 0.55 on [q0, q1]
-    controls = np.ones((12, 2, 1))
+    monkeypatch.setattr(mech, "newton", refused)
+    monkeypatch.setattr(solvers, "newton", refused)
+    L, F, q0, q1, controls = _unit_push(1, 0)
     with pytest.raises(StepSolveFailed) as info:
-        mech.integrate(L, F, np.zeros(1), np.array([0.055]), 12, controls=controls)
-    # v_k = 0.55 + 0.1 k on [q_k, q_{k+1}]: step k solves for q_{k+1}, and
-    # v_5 = 1.05 is the first velocity past 1
-    assert info.value.step == 5
-    assert str(info.value).startswith("step 5: no convergence")
-    assert len(fallbacks) == 1
+        mech.integrate(L, F, q0, q1, 12, controls=controls)
+    assert info.value.step == 10
+    assert str(info.value) == "step 10: the residual is not finite"
+
+
+def test_nan_residual_entry_fails_its_step():
+    # the potential is undefined on the second axis alone once it passes the
+    # limit, so step 10's residual is NaN in that entry alone.  Python's max
+    # of |r| would pass over it after the first entry and take the step as
+    # solved; the step fails, at the step where the step-by-step march fails
+    L, F, q0, q1, controls = _unit_push(3, 1)
+    steps = []
+    for march in (mech.integrate, reference_integrate):
+        with pytest.raises(StepSolveFailed) as info:
+            march(L, F, q0, q1, 12, controls=controls)
+        steps.append(info.value.step)
+    assert steps == [10, 10]
+    assert str(info.value).startswith("step 10: ")
 
 
 # ---------------------------------------------------------------------------
 # the march against its frozen reference
 # ---------------------------------------------------------------------------
 
+# the reference's bound on the max-abs DEL residual of each step, its floor
+# per unit of |M q| / h, and the iteration budget of its Newton rescue
+_STEP_TOL = 1e-12
+_STEP_ROUNDING = 16.0 * np.finfo(float).eps
+_STEP_MAX_ITER = 50
+
+
 def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
-    """``mech.integrate`` as it stood with numpy reductions in its stopping
-    tests (np.abs(.).max()) and the velocity term formed again every step.
-    The march must return its positions bitwise."""
+    """The march as it stood before it ran the group march: the positions
+    step by step, each DEL solved by a simplified Newton iteration to an
+    absolute 1e-12, floored by the rounding of M q / h, and rescued by
+    Newton with a line search.  The march must agree with it to 1e-10
+    relative."""
     n = lagrangian.dim
     q0 = np.asarray(q0, dtype=float)
     q1 = np.asarray(q1, dtype=float)
@@ -508,13 +606,13 @@ def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
     qs[0], qs[1] = q0, q1
     h = lagrangian.h
     Mt_h = lagrangian.mass.T / h
-    rounding_per_q = mech._STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1))
+    rounding_per_q = _STEP_ROUNDING / h * np.max(np.sum(np.abs(lagrangian.mass), axis=1))
     control_forces = controls[:-1, 1] @ forces.b_plus.T + controls[1:, 0] @ forces.b_minus.T
     J = lagrangian.d12(q0, q1)
     J_inv = np.linalg.inv(J)
     for k in range(1, steps):
         q_prev, q_k = qs[k - 1], qs[k]
-        step_tol = max(mech._STEP_TOL, rounding_per_q * np.abs(q_k).max())
+        step_tol = max(_STEP_TOL, rounding_per_q * np.abs(q_k).max())
         velocity = (q_k - q_prev) @ Mt_h
         forcing = (control_forces[k - 1] - h * lagrangian.V_x(q_k)
                    + forces.drift("+", q_prev, q_k))
@@ -526,17 +624,17 @@ def reference_integrate(lagrangian, forces, q0, q1, steps, controls=None):
         guess = 2.0 * q_k - q_prev
         q_next, r = guess, forcing + forces.drift("-", q_k, guess)
         err = np.abs(r).max()
-        for _ in range(mech._STEP_MAX_ITER):
+        for _ in range(_STEP_MAX_ITER):
             if err <= step_tol or not math.isfinite(err):
                 break
             q_next = q_next - J_inv @ r
             r = res(q_next)
             err = np.abs(r).max()
         if not err <= step_tol:
-            system = solvers.plain_system(res, lambda _: J)
+            system = plain_system(res, lambda _: J)
             try:
-                q_next = mech.newton(system, guess, tol=step_tol,
-                                     max_iter=mech._STEP_MAX_ITER)[0].x
+                q_next = solvers.newton(system, guess, tol=step_tol,
+                                        max_iter=_STEP_MAX_ITER)[0].x
             except (NoConvergence, SingularJacobian) as exc:
                 raise StepSolveFailed(k, f"step {k}: {exc}") from exc
         qs[k + 1] = q_next
@@ -571,8 +669,9 @@ def _reference_cases():
     cases["harmonic"] = (harmonic(h=h), DiscreteForcePairRn.trapezoidal(1, h),
                          np.array([0.4]), np.array([0.42]), rng.normal(size=(300, 2, 1)))
     h = 0.01
-    cases["drifts"] = (pendulum(h=h), pendulum_drifts(h), np.array([0.3]), np.array([0.31]),
-                       rng.normal(size=(300, 2, 1)))
+    # the draws of the pendulum with drifts that the march no longer takes,
+    # so that the far cases keep their data
+    rng.normal(size=(300, 2, 1))
     for scale in (1e3, 1e6):
         q0 = scale * rng.uniform(0.5, 1.0, size=3)
         cases[f"far {scale:g}"] = (free_particle(n=3, h=h), DiscreteForcePairRn.trapezoidal(3, h),
@@ -583,9 +682,10 @@ def _reference_cases():
 
 @pytest.mark.parametrize("case", list(_reference_cases()))
 def test_integrate_matches_its_reference_bitwise(case):
-    # the march solves windows of steps at once, each step's DEL to the
-    # step tolerance, and agrees with the step-by-step march to 1e-10
-    # relative: far from the origin, with drifts and a potential
+    # the march solves windows of steps at once, each step's momentum
+    # equation to the group march's step tolerance, and agrees with the
+    # step-by-step march to 1e-10 relative: far from the origin and with a
+    # potential
     L, F, q0, q1, controls = _reference_cases()[case]
     steps = len(controls)
     qs = mech.integrate(L, F, q0, q1, steps, controls=controls)
@@ -617,25 +717,29 @@ def test_lone_steps_are_windows_of_one_step(case, monkeypatch):
     monkeypatch.setattr(solvers, "WINDOW_CAP", 1)
     monkeypatch.setattr(solvers, "window_newton", window)
     monkeypatch.setattr(mech, "newton", refused)
+    monkeypatch.setattr(solvers, "newton", refused)
     qs = mech.integrate(L, F, q0, q1, steps, controls=controls)
     expected_sizes, k = [], 1
     while k < steps:
         expected_sizes.append(min(1 + len(expected_sizes) % 2, steps - k))
         k += expected_sizes[-1]
     assert sizes == expected_sizes
+    monkeypatch.undo()
     expected = reference_integrate(L, F, q0, q1, steps, controls=controls)
     assert np.max(np.abs(qs - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("case", ["benchmark point mass 901", "far 1000"])
 def test_free_windows_sum_without_a_scan(case, monkeypatch):
-    # without a potential or a drift the window's recurrence has the exact
-    # blocks [[I, I], [0, I]]: its update is two cumulative sums, so no
-    # scan's maps are formed or applied, and the DEL being linear every
-    # window converges in one update
+    # without a potential or a drift the momenta are I xi and the window's
+    # recurrence has A_j = I exactly: its update is a cumulative sum, so no
+    # scan's maps are formed or applied, and no dtau_inv_matrix call is made
+    # but the one that forms the march's first momentum.  The momentum
+    # equation being linear, every window converges in one update
     L, F, q0, q1, controls = _reference_cases()[case]
     window_newton = solvers.window_newton
-    windows = []
+    windows, kernels = [], []
+    dtau_inv_matrix = lie.GroupSpec.dtau_inv_matrix
 
     def refused(*args):
         raise AssertionError("a free window formed or applied a scan")
@@ -645,88 +749,54 @@ def test_free_windows_sum_without_a_scan(case, monkeypatch):
         windows.append((len(x), out[1], out[2]))
         return out
 
-    for module in (mech, solvers):
-        for name in ("scan_maps", "scan_apply"):
-            monkeypatch.setattr(module, name, refused)
+    def counted(self, xi):
+        kernels.append(np.shape(xi))
+        return dtau_inv_matrix(self, xi)
+
+    for name in ("scan_maps", "scan_apply"):
+        monkeypatch.setattr(solvers, name, refused)
     monkeypatch.setattr(solvers, "window_newton", window)
+    monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix", counted)
     mech.integrate(L, F, q0, q1, len(controls), controls=controls)
     assert windows
     assert all(updates == 1 and solved == size for size, updates, solved in windows)
+    assert kernels == [(L.dim,)]
 
 
-@pytest.mark.parametrize("case", ["benchmark point mass 901", "harmonic", "drifts"])
+@pytest.mark.parametrize("case", ["benchmark point mass 901", "harmonic"])
 def test_window_update_is_the_dense_newton_step(case, monkeypatch):
-    # the first window's update, solved in the velocity coordinates e_k =
-    # dq_{k+1} - dq_k (by two cumulative sums when free, by the scan
-    # otherwise), is the Newton step of the window's block-tridiagonal
-    # system assembled densely from the slot derivatives and the drifts'
-    # Jacobians: free, with a potential, with both drifts
+    # the first window's update, by a cumulative sum when free and by the
+    # scan with a potential, is the Newton step of the window's momentum
+    # equations in its velocities, assembled densely:
+    #   r_j = M xi_j - M xi_{j-1} - f_j + h grad V(g_j),
+    # g_j = g_1 + h (xi_1 + ... + xi_{j-1}), whose Jacobian is M on the
+    # diagonal, -M + h^2 V''(g_j) below it and h^2 V''(g_j) further down
     L, F, q0, q1, controls = _reference_cases()[case]
-    n, steps = L.dim, len(controls)
+    n, h, steps = L.dim, L.h, len(controls)
     window_newton = solvers.window_newton
     updates = []
 
     def window(x, linearize):
         if not updates:
             _, residual, build = linearize(x)
-            updates.append((x, build()(residual)))
+            updates.append((x, residual, build()(residual)))
         return window_newton(x, linearize)
 
     monkeypatch.setattr(solvers, "window_newton", window)
     mech.integrate(L, F, q0, q1, steps, controls=controls)
-    X, update = updates[0]
+    X, r, update = updates[0]
     size = len(X)
-    q = np.concatenate([[q0, q1], X])
-    q_prev, q_mid, q_next = q[:-2], q[1:-1], q[2:]
-    r = mech.forced_del_residual(L, F, q_prev, q_mid, q_next,
-                                 controls[:size, 1], controls[1:size + 1, 0])
-    da_plus, db_plus = F.drift_jacobians("+", q_prev, q_mid)
-    da_minus, db_minus = F.drift_jacobians("-", q_mid, q_next)
-    d_next = np.broadcast_to(L.d12(q_mid, q_next) + db_minus, (size, n, n))
-    d_mid = np.broadcast_to(L.d22(q_prev, q_mid) + L.d11(q_mid, q_next) + db_plus + da_minus,
-                            (size, n, n))
-    d_prev = np.broadcast_to(L.d21(q_prev, q_mid) + da_plus, (size, n, n))
-    # row block j is node k + j; its unknowns are q_{k+j+1}, q_{k+j}, q_{k+j-1}
+    g1 = q0 + h * ((q1 - q0) / h)
+    path = g1 + h * np.concatenate([np.zeros((1, n)), np.cumsum(X[:-1], axis=0)])
+    H = L.V_xx(path) if L.potential is not None else np.zeros((size, n, n))
     J = np.zeros((size * n, size * n))
     for j in range(size):
-        for offset, block in ((0, d_next), (1, d_mid), (2, d_prev)):
-            if j >= offset:
-                J[j * n:(j + 1) * n, (j - offset) * n:(j - offset + 1) * n] = block[j]
+        J[j * n:(j + 1) * n, j * n:(j + 1) * n] = L.mass
+        for i in range(j):
+            block = h * h * H[j] - (L.mass if i == j - 1 else 0.0)
+            J[j * n:(j + 1) * n, i * n:(i + 1) * n] = block
     dense = np.linalg.solve(J, -r.reshape(-1)).reshape(size, n)
     assert np.max(np.abs(update - dense)) <= 1e-12 * np.max(np.abs(dense))
-
-
-def test_nan_residual_entry_goes_to_newton(monkeypatch):
-    # the drift a^- is undefined on the second axis once its velocity passes
-    # 1, so the step that gets there has a residual that is NaN there alone.
-    # Python's max of |r| would pass over it after the first entry and take
-    # the step as converged; the step goes to newton and fails, as with
-    # numpy's reduction
-    h = 0.1
-    fallbacks = []
-    newton = mech.newton
-
-    def counted(*args, **kwargs):
-        fallbacks.append(1)
-        return newton(*args, **kwargs)
-
-    L = free_particle(n=3, h=h)
-    F = DiscreteForcePairRn(h / 2.0 * np.eye(3), h / 2.0 * np.eye(3),
-                            a_minus=zero_below(1.0, h))
-    # a unit force on the second axis alone
-    controls = np.zeros((12, 2, 3))
-    controls[:, :, 1] = 1.0
-    q1 = np.array([0.01, 0.055, -0.02])
-    monkeypatch.setattr(mech, "newton", counted)
-    results = []
-    for march in (mech.integrate, reference_integrate):
-        fallbacks.clear()
-        with pytest.raises(StepSolveFailed) as info:
-            march(L, F, np.zeros(3), q1, 12, controls=controls)
-        results.append((info.value.step, str(info.value), len(fallbacks)))
-    assert results[0] == results[1]
-    step, message, entered = results[0]
-    assert step == 5 and message.startswith("step 5: no convergence") and entered == 1
 
 
 @pytest.mark.parametrize("steps", [0, -3])

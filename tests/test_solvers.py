@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from models import plain_system
 
 from discvar import solvers
 from discvar.errors import (ConfigError, NoConvergence, OutOfChart, SingularJacobian,
@@ -15,7 +16,6 @@ from discvar.solvers import (
     fd_jacobian,
     levenberg_marquardt,
     newton,
-    plain_system,
 )
 
 
@@ -1025,7 +1025,7 @@ def test_solve_failure_names_every_attempt():
     # first step lands there from x = 1, and its Jacobian is singular at
     # once; LM creeps toward it and runs out of its 3 iterations above 1.
     # Newton's failure is raised, and its message names both attempts
-    system = solvers.plain_system(lambda x: x * x + 1.0, lambda x: np.diag(2.0 * x))
+    system = plain_system(lambda x: x * x + 1.0, lambda x: np.diag(2.0 * x))
     attempts = {"newton": solvers.newton, "levenberg_marquardt": solvers.levenberg_marquardt}
     with pytest.raises(SingularJacobian) as info:
         solvers.solve(system, np.array([1.0]), attempts, "auto", max_iter=3)
@@ -1141,10 +1141,8 @@ def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
     """A march whose windows of up to ``solves_at`` steps converge after
     ``updates`` updates, and wider ones keep a solved prefix of ``prefix``
     steps; with ``nan_from``, a window that reaches that step has a NaN
-    residual.  Logs (k, size) of each window, ("rescue", k) of each rescue
-    and ("commit", k, count) of each commit.  The rescue takes the window's
-    start and returns it plus k, and ``committed`` holds what each commit of
-    one step takes."""
+    residual.  Logs (k, size) of each window and ("commit", k, count) of
+    each commit; ``committed`` holds what each commit of one step takes."""
     log, committed = [], []
 
     def window(k, size):
@@ -1169,24 +1167,14 @@ def _scripted_windows(solves_at, prefix=5, updates=2, nan_from=None):
             if count == 1:
                 committed.append(float(x[0, 0]))
 
-        windows[k, size] = start, linearize
         return start, linearize, commit
 
-    windows = {}
-
-    def rescue(k, x, linearize):
-        # the unsolved one-step window's own start and linearize
-        start, own = windows[k, 1]
-        assert x is start and linearize is own
-        log.append(("rescue", k))
-        return x + k
-
-    return window, rescue, log, committed
+    return window, log, committed
 
 
 def test_march_in_windows_halves_a_failed_window_and_doubles_a_quick_one():
-    window, rescue, log, _ = _scripted_windows(solves_at=8)
-    solvers.march_in_windows(1, 41, window, rescue)
+    window, log, _ = _scripted_windows(solves_at=8)
+    solvers.march_in_windows(1, 41, window)
     assert log == [
         (1, 40), ("commit", 1, 5),    # 128 wide, cut to the 40 steps left
         (6, 20), ("commit", 6, 5),    # halved, from the end of the prefix
@@ -1201,10 +1189,10 @@ def test_march_in_windows_halves_a_failed_window_and_doubles_a_quick_one():
 
 def test_march_in_windows_solves_a_lone_step_as_a_window_of_one_step():
     # a width of 1 is the march's floor: a window of one step, solved by
-    # window_newton and committed by the driver, with no rescue; after it
-    # the next window is two wide
-    window, rescue, log, committed = _scripted_windows(solves_at=1, prefix=0)
-    solvers.march_in_windows(1, 6, window, rescue)
+    # window_newton and committed by the driver; after it the next window
+    # is two wide
+    window, log, committed = _scripted_windows(solves_at=1, prefix=0)
+    solvers.march_in_windows(1, 6, window)
     assert log == [(1, 5), (1, 2), (1, 1), ("commit", 1, 1),
                    (2, 2), (2, 1), ("commit", 2, 1),
                    (3, 2), (3, 1), ("commit", 3, 1),
@@ -1215,26 +1203,16 @@ def test_march_in_windows_solves_a_lone_step_as_a_window_of_one_step():
 
 def test_march_in_windows_steps_through_a_window_with_a_nan_residual():
     # nothing of the window is kept: its steps are solved alone, each a
-    # window of one step, so a step whose residual cannot be evaluated
-    # fails there, as in a march of single steps.  The rescue is called for
-    # those steps alone, and the driver commits what it returns
-    window, rescue, log, committed = _scripted_windows(solves_at=128, nan_from=5)
-    solvers.march_in_windows(1, 12, window, rescue)
-    alone = [[(k, 1)] + ([("rescue", k)] if k >= 5 else []) + [("commit", k, 1)]
-             for k in range(1, 12)]
-    assert log == [(1, 11)] + sum(alone, [])
-    assert committed == [0.0] * 4 + [float(k) for k in range(5, 12)]
-
-
-def test_march_in_windows_rescues_only_an_unsolved_window_of_one_step():
-    # no window solves a step, so the march halves down to one step at a
-    # time, and each of those windows goes to the rescue
-    window, rescue, log, committed = _scripted_windows(solves_at=0, prefix=0)
-    solvers.march_in_windows(1, 4, window, rescue)
-    assert log == [(1, 3), (1, 1), ("rescue", 1), ("commit", 1, 1),
-                   (2, 2), (2, 1), ("rescue", 2), ("commit", 2, 1),
-                   (3, 1), ("rescue", 3), ("commit", 3, 1)]
-    assert committed == [1.0, 2.0, 3.0]
+    # window of one step, so the step whose residual cannot be evaluated
+    # fails there, as in a march of single steps, after the driver commits
+    # the steps before it
+    window, log, committed = _scripted_windows(solves_at=128, nan_from=5)
+    with pytest.raises(StepSolveFailed) as info:
+        solvers.march_in_windows(1, 12, window)
+    assert info.value.step == 5
+    alone = [[(k, 1), ("commit", k, 1)] for k in range(1, 5)]
+    assert log == [(1, 11)] + sum(alone, []) + [(5, 1)]
+    assert committed == [0.0] * 4
 
 
 @pytest.mark.parametrize("scripted, step, message", [
@@ -1243,7 +1221,7 @@ def test_march_in_windows_rescues_only_an_unsolved_window_of_one_step():
 ])
 def test_march_in_windows_without_a_rescue_names_the_unsolved_step(scripted, step, message):
     # the steps before it are committed, and the march stops there
-    window, _, log, _ = _scripted_windows(**scripted)
+    window, log, _ = _scripted_windows(**scripted)
     with pytest.raises(StepSolveFailed) as info:
         solvers.march_in_windows(1, 12, window)
     assert info.value.step == step and str(info.value) == message

@@ -166,6 +166,19 @@ def _actuated_axes(value):
     return tuple(axes)
 
 
+def _potential(value):
+    """The rigid body's optional ``potential``: None, or the heavy top
+    {"kind": "heavy_top", "mgl": x}, x finite."""
+    if value is None:
+        return None
+    if not isinstance(value, dict) or value.get("kind") != "heavy_top":
+        raise ConfigError(f"potential kind must be heavy_top, got {value!r}")
+    mgl = _number(value.get("mgl"), "mgl")
+    if not np.isfinite(mgl):
+        raise ConfigError(f"mgl must be finite, got {value['mgl']!r}")
+    return systems.HeavyTopPotential(mgl)
+
+
 def build_setup(cfg):
     """Returns ("lie", problem) or ("rn", problem) from a config dict."""
     sys_cfg = cfg["system"]
@@ -219,10 +232,11 @@ def build_setup(cfg):
 
     if stype == "rigid_body_so3":
         actuated = _actuated_axes(sys_cfg.get("actuated", [0, 1, 2]))
+        potential = _potential(sys_cfg.get("potential"))
         with _keyed("inertia"):
             system = systems.make_rigid_body_so3(
                 _number(sys_cfg.get("inertia", [1.0, 1.0, 1.0]), "inertia", _floats),
-                actuated=actuated, retraction=retraction,
+                actuated=actuated, retraction=retraction, potential=potential,
             )
     elif stype == "uuv_se3":
         # the vehicle's scalar parameters; those the config leaves out keep

@@ -43,6 +43,7 @@ interval cost.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -81,7 +82,10 @@ class ReducedSystem:
                    batched (``systems.HeavyTopPotential``)
 
     A drift model or a potential without one of its methods raises
-    ConfigError.
+    ConfigError.  ``sigma`` holds the unactuated coordinates as a read-only
+    np.intp array, the index the complement conditions take; the
+    pseudo-inverse ``control_pinv`` is formed when first read, which a march
+    (``integrate_reduced``) never does.
     """
 
     group: object
@@ -116,11 +120,12 @@ class ReducedSystem:
             raise DimensionMismatch(
                 "unactuated indices must be the n - m coordinates without control"
             )
-        if np.any(self.control_basis[list(self.unactuated), :] != 0.0):
+        self.sigma = np.array(self.unactuated, dtype=np.intp)
+        self.sigma.flags.writeable = False
+        if np.any(self.control_basis[self.sigma, :] != 0.0):
             raise DimensionMismatch("control basis has entries on unactuated rows")
         if np.linalg.matrix_rank(self.control_basis) < m:
             raise RankDeficient("control basis rank is below the control dimension")
-        self.control_pinv = np.linalg.pinv(self.control_basis)
         if callable(self.drift):
             require_methods(self.drift, ("jacobian", "curvature"), "a drift")
         elif self.drift is not None:
@@ -129,6 +134,10 @@ class ReducedSystem:
                 raise DimensionMismatch("a linear drift must be an (n, n) matrix")
         if self.potential is not None:
             require_methods(self.potential, POTENTIAL_METHODS, "a potential")
+
+    @functools.cached_property
+    def control_pinv(self):
+        return np.linalg.pinv(self.control_basis)
 
     @property
     def n(self):
@@ -645,7 +654,7 @@ def momentum_defects(problem, xis, nus, gs=None, maps=None, grads=None, drift=No
     delta_m = left - nus[..., :-1, :]
     delta_p = nus[..., 1:, :] - right
     Pt = sys_.control_pinv.T
-    sigma = list(sys_.unactuated)
+    sigma = sys_.sigma
     if d is None:
         um, up = ((2.0 / h) * delta_m) @ Pt, ((2.0 / h) * delta_p) @ Pt
         return um, up, delta_m[..., sigma], delta_p[..., sigma]
@@ -734,23 +743,81 @@ def _full_nus(problem, nus_interior):
     return nus
 
 
-class _Plan(NamedTuple):
-    """What every Jacobian build of a problem reads that does not depend on
-    the point, formed once per ``residual_system`` call (``_plan``)."""
+class _Layout(NamedTuple):
+    """What every Jacobian build reads that depends on the problem's layout
+    alone, not on the point or on the system's values (``_layout``): the
+    index map of ``residual_system``'s scatter and the constants the
+    interval blocks read."""
 
+    dest: np.ndarray        # each block entry's bin in the transposed Jacobian
+    discard: int            # the last bin, which entries to drop go to
+    vel: np.ndarray         # the velocity columns of each interior node
+    vel_shift: np.ndarray   # and its shift's rows, (N-1, n, 1)
+    dim: int                # the unknowns
+    width: int              # the transpose's columns, dim - n
+    shifts: int             # its first shift row
+    height: int             # its rows
     ad_basis: np.ndarray    # ad(e_l), l = 0..n-1, (n, n, n)
     F: np.ndarray           # dy/d(slots) of ``_interval_hessians``, its -I, +I filled
 
 
-def _plan(problem):
-    sys_ = problem.system
-    n = sys_.n
-    s = n - sys_.m
+@functools.lru_cache(maxsize=16)
+def _layout(group, N, s, eliminated, potential):
+    """The ``_Layout`` of N intervals on ``group`` (n = group.dim) with s
+    unactuated coordinates, eliminated or explicit momenta and with or
+    without a potential, formed once per layout: every solve of a sweep, a
+    restart or a repeated problem reads the same one.  Its arrays are
+    read-only, so the builds can share them."""
+    n = group.dim
+    dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
+    # the transpose's columns: velocity rows at nodes 1..N-1, then, with
+    # explicit momenta, momentum rows there and complement rows
+    width = dim - n
+    # its rows: xi_0..xi_{N-1}, nu_1..nu_{N-1}, lambda_0..lambda_{N-1}, then
+    # the shifts s_1..s_N
+    shifts = (2 * N - 1) * n + 2 * N * s
+    height = shifts + N * n if potential else shifts
+    # the index map: block row r of interval k lands in the transpose's
+    # column rows[k, r], block column c in its row cols[k, c].  The entries
+    # to drop go to the scatter's last bin, ``discard``: every index past it
+    # clips to it
+    discard = height * width
+    j = np.arange(N + 1)[:, None]
+    node = (j - 1) * n + np.arange(n)
+    # node j's entries in a group held at nodes 1..N-1
+    inner = np.where((j >= 1) & (j < N), node, discard)
+    complement = 2 * s * j[:-1] + np.arange(2 * s)
+    if eliminated:
+        # the blocks hold the velocity rows alone (``_jacobian_blocks``)
+        rows = np.concatenate([inner[:-1], inner[1:]], axis=1)
+    else:
+        rows = np.concatenate([inner[:-1], inner[:-1] + (N - 1) * n,
+                               2 * (N - 1) * n + complement,
+                               inner[1:], inner[1:] + (N - 1) * n], axis=1)
+    rows[rows >= width] = discard
+    cols = [inner[:-1] + N * n, node[1:], (2 * N - 1) * n + complement, inner[1:] + N * n]
+    if potential:
+        s_rows = np.where(j >= 1, shifts + node, discard)
+        cols += [s_rows[:-1], s_rows[1:]]
+    cols = np.concatenate(cols, axis=1)
+    dest = np.minimum(cols[:, None, :] * width + rows[:, :, None], discard).ravel()
+    vel = node[1:N]
+    vel_shift = (shifts + vel)[:, :, None]
     nu_a, _, _, nu_b = _slots(n, s)
-    F = np.zeros((problem.N, 2 * n, 3 * n + 2 * s))
+    F = np.zeros((N, 2 * n, 3 * n + 2 * s))
     F[:, :n, nu_a] = -np.eye(n)
     F[:, n:, nu_b] = np.eye(n)
-    return _Plan(sys_.group.ad_matrix(np.eye(n)), F)
+    ad_basis = group.ad_matrix(np.eye(n))
+    for a in (dest, vel, vel_shift, ad_basis, F):
+        a.flags.writeable = False
+    return _Layout(dest, discard, vel, vel_shift, dim, width, shifts, height, ad_basis, F)
+
+
+def _layout_of(problem):
+    """The problem's ``_layout``."""
+    sys_ = problem.system
+    return _layout(sys_.group, problem.N, sys_.n - sys_.m, _momenta_eliminable(problem),
+                   sys_.potential is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +833,7 @@ def _interval_covectors(problem, xis, nus, lambdas, maps, grads, drift):
     c_minus = problem.cost.grad_batch(um) @ sys_.control_pinv
     c_plus = -(problem.cost.grad_batch(up) @ sys_.control_pinv)
     if lambdas is not None and lambdas.size:
-        sigma = list(sys_.unactuated)
+        sigma = sys_.sigma
         c_minus[..., sigma] += lambdas[..., 0, :]
         c_plus[..., sigma] -= lambdas[..., 1, :]
     return um, up, phi_m, phi_p, c_minus, c_plus
@@ -978,12 +1045,18 @@ class LieOcSolution:
     report: object
 
 
+def _constant_velocities(problem):
+    """The velocities of the constant-velocity path from g0 to gT, (N, n):
+    tau^-1(g0^-1 gT) / (N h) on every interval."""
+    xi_bar = problem.system.group.tau_inv(problem.displacement) / (problem.N * problem.h)
+    return np.tile(xi_bar, (problem.N, 1))
+
+
 def initial_guess(problem):
     """Constant-velocity interpolation of the boundary displacement."""
     sys_ = problem.system
     N, n = problem.N, sys_.n
-    xi_bar = sys_.group.tau_inv(problem.displacement) / (N * problem.h)
-    xis = np.tile(xi_bar, (N, 1))
+    xis = _constant_velocities(problem)
     _, _, mu, transported, _, _ = interval_momenta(sys_, problem.h, xis)
     nus_interior = 0.5 * (mu[1:] + transported[:-1])
     lambdas = None
@@ -1023,7 +1096,7 @@ def _slots(n, s):
             slice(2 * n + 2 * s, 3 * n + 2 * s))
 
 
-def _interval_hessians(problem, xis, interval_pass, plan):
+def _interval_hessians(problem, xis, interval_pass, layout):
     """Hessians of the interval cost terms in (nu_k, xi_k, lambda_k, nu_{k+1}),
     all intervals at once; returns (H, dmu/dxi, d transport/dxi).
 
@@ -1036,20 +1109,20 @@ def _interval_hessians(problem, xis, interval_pass, plan):
     K takes the closed forms of ``_xi_gradients`` one derivative further,
     through ``dtau_inv_deriv2_along`` (d^2 dtau_inv contracted with I xi and
     e) and d dtau = -dtau (d dtau_inv) dtau; a drift model gives its own
-    curvature, and a linear drift has none.  ``plan``
-    (``_plan``) holds the ad structure constants and F with its constant -I
+    curvature, and a linear drift has none.  ``layout``
+    (``_layout``) holds the ad structure constants and F with its constant -I
     and +I blocks, which a copy fills.
     """
     sys_ = problem.system
     group, h, n = sys_.group, problem.h, sys_.n
-    sigma = list(sys_.unactuated)
+    sigma = sys_.sigma
     p = interval_pass
     (z, _, mu, _, D, A), T3, T, e, ad_e = p.maps, p.T3, p.T, p.e, p.ad_e
     I, P = sys_.inertia, sys_.control_pinv
     Ixi = xis @ I.T
     Mxi = mt(D) @ I + h * np.einsum("klji,kj->kil", T3, Ixi)
     # ad(eta)^* mu = Bmu eta, so the transport moves by A^T (dmu + Bmu eta)
-    Bmu = np.einsum("lai,ka->kil", plan.ad_basis, mu)
+    Bmu = np.einsum("lai,ka->kil", layout.ad_basis, mu)
     Txi = mt(A) @ (Mxi + h * Bmu @ T)
     # the transport's A moves by ad(eta) A, so e_plus by -ad(e_plus) eta;
     # dtau moves by -dtau (d dtau_inv) dtau
@@ -1065,7 +1138,7 @@ def _interval_hessians(problem, xis, interval_pass, plan):
 
     s = len(sigma)
     _, xi, lam, _ = _slots(n, s)
-    F = plan.F.copy()
+    F = layout.F.copy()
     F[:, :n, xi] = Mxi
     F[:, n:, xi] = -Txi
     if p.Jd is not None:
@@ -1082,7 +1155,7 @@ def _interval_hessians(problem, xis, interval_pass, plan):
     return H, Mxi, Txi
 
 
-def _jacobian_blocks(problem, xis, interval_pass, plan):
+def _jacobian_blocks(problem, xis, interval_pass, layout):
     """Every interval's block of the residual Jacobian, from one batched pass.
 
     ``interval_pass`` is the ``_interval_pass`` at the point, which the
@@ -1105,7 +1178,7 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     With eliminated momenta (``_momenta_eliminable``: a fully actuated
     problem, so no complement rows) O[k] holds only the velocity rows at
     nodes k and k+1: the residual has no momentum rows then, and none is
-    formed.  ``plan`` is the problem's ``_plan``.
+    formed.  ``layout`` is the problem's ``_layout``.
     """
     eliminated = _momenta_eliminable(problem)
     sys_ = problem.system
@@ -1114,7 +1187,7 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     p = interval_pass
     _, _, _, _, D, A = p.maps
     T3, gs, gxi, c_minus, c_plus = p.T3, p.gs, p.gxi, p.c_minus, p.c_plus
-    H, Mxi, Txi = _interval_hessians(problem, xis, p, plan)
+    H, Mxi, Txi = _interval_hessians(problem, xis, p, layout)
 
     nu_a, xi, lam, nu_b = _slots(n, s)
     width = 3 * n + 2 * s
@@ -1132,7 +1205,7 @@ def _jacobian_blocks(problem, xis, interval_pass, plan):
     # ad(T e_l)^T D^T gxi), and ad(x)^T q = Bq x
     DH = mt(D) @ H[:, xi] / h
     dgxi = np.einsum("klai,ka->kil", T3, gxi)
-    Bq = np.einsum("lai,ka->kil", plan.ad_basis, mv(mt(D), gxi))
+    Bq = np.einsum("lai,ka->kil", layout.ad_basis, mv(mt(D), gxi))
     if potential:
         Hs = np.zeros((N + 1, n, n))
         Hs[1:] = (h / 2.0) * np.asarray(sys_.potential.left_hess(gs[1:]), dtype=float)
@@ -1185,9 +1258,9 @@ def residual_system(problem):
     variations, so its Jacobian is assembled from the interval terms'
     Hessians in (nu_k, xi_k, lambda_k, nu_{k+1}) (``_jacobian_blocks``),
     evaluated in one batched pass, with no loop over intervals.  An index
-    map, built once, sends every entry of an interval block to its place in
-    the transposed Jacobian, and a build is one scatter-add (``np.bincount``)
-    of the blocks through it.  The transpose has one row per unknown (xi_k,
+    map sends every entry of an interval block to its place in the
+    transposed Jacobian, and a build is one scatter-add (``np.bincount``) of
+    the blocks through it.  The transpose has one row per unknown (xi_k,
     then nu_k and lambda_k when the momenta are explicit), then auxiliary
     rows for the eliminated nu_1..nu_{N-1} and, with a potential, for the
     shifts s_1..s_N of the node configurations; its columns are the
@@ -1210,55 +1283,23 @@ def residual_system(problem):
     are its matrix and zero), and so are the potential's Hessian and third
     derivative: nothing is differenced, and no residual is evaluated.
 
-    What no build's point changes, the ad structure constants ad(e_l) and
-    the defect Jacobian F with its constant -I and +I blocks, is formed
-    once per call into a ``_plan`` that every build reads; a system changed
-    between calls is read afresh by the next one.
+    What depends on the problem's layout alone (its group, N, unactuated
+    count, eliminated or explicit momenta and whether it has a potential),
+    the index map, the ad structure constants ad(e_l) and the defect
+    Jacobian F with its constant -I and +I blocks, is formed once per
+    layout (``_layout``) and read by every build of every problem that
+    shares it.  Everything else, the inertia, the models, h and the
+    boundary, is read from the problem at each evaluation and build, so a
+    system changed between calls is read afresh by the next one.
     """
     eliminated = _momenta_eliminable(problem)
     group, h = problem.system.group, problem.h
     N, n = problem.N, problem.system.n
-    s = n - problem.system.m
-    plan = _plan(problem)
-    dim = N * n if eliminated else (2 * N - 1) * n + 2 * N * s
-    # the transpose's columns: velocity rows at nodes 1..N-1, then, with
-    # explicit momenta, momentum rows there and complement rows
-    width = dim - n
-    # its rows: xi_0..xi_{N-1}, nu_1..nu_{N-1}, lambda_0..lambda_{N-1}, then
-    # the shifts s_1..s_N
-    shifts = (2 * N - 1) * n + 2 * N * s
-    potential = problem.system.potential is not None
-    height = shifts + N * n if potential else shifts
-    # the index map: block row r of interval k lands in the transpose's
-    # column rows[k, r], block column c in its row cols[k, c].  The entries
-    # to drop go to the scatter's last bin, ``discard``: every index past it
-    # clips to it
-    discard = height * width
-    j = np.arange(N + 1)[:, None]
-    node = (j - 1) * n + np.arange(n)
-    # node j's entries in a group held at nodes 1..N-1
-    inner = np.where((j >= 1) & (j < N), node, discard)
-    complement = 2 * s * j[:-1] + np.arange(2 * s)
-    if eliminated:
-        # the blocks hold the velocity rows alone (``_jacobian_blocks``)
-        rows = np.concatenate([inner[:-1], inner[1:]], axis=1)
-    else:
-        rows = np.concatenate([inner[:-1], inner[:-1] + (N - 1) * n,
-                               2 * (N - 1) * n + complement,
-                               inner[1:], inner[1:] + (N - 1) * n], axis=1)
-    rows[rows >= width] = discard
-    cols = [inner[:-1] + N * n, node[1:], (2 * N - 1) * n + complement, inner[1:] + N * n]
-    if potential:
-        s_rows = np.where(j >= 1, shifts + node, discard)
-        cols += [s_rows[:-1], s_rows[1:]]
-    cols = np.concatenate(cols, axis=1)
-    dest = np.minimum(cols[:, None, :] * width + rows[:, :, None], discard).ravel()
-    # the velocity columns of each interior node, and its shift's rows
-    vel = node[1:N]
-    vel_shift = (shifts + vel)[:, :, None]
+    layout = _layout_of(problem)
+    dest, discard, vel, vel_shift, dim, width, shifts, height = layout[:8]
 
     def jacobian(xis, interval_pass):
-        O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass, plan)
+        O, curvature, Mxi, Txi = _jacobian_blocks(problem, xis, interval_pass, layout)
         # the transpose: the chains below then run along whole rows
         Jt = np.bincount(dest, O.ravel(), discard + 1)[:-1].reshape(height, width)
         xi_rows = Jt[: N * n].reshape(N, n, width)
@@ -1320,7 +1361,12 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     """Solve the two-point problem and recover the control trajectory.
 
     ``guess`` is (xis, nus_interior, lambdas); with eliminated momenta
-    (``residual_system``) only xis is read.
+    (``residual_system``) only xis is read, and the default start is the
+    constant velocities of ``initial_guess`` alone, with no interval
+    momenta formed for it.  Once per solve: the residual system, the start
+    z0 and each point's interval pass; once per layout: the Jacobian's index
+    map and constants (``_layout``), which later solves of the same layout
+    reuse.
     ``method`` is one of ``solvers.METHODS``; ``solvers.solve`` runs its
     attempts, each from the initial guess z0 with its own budget of
     ``max_iter`` iterations.  Auto means damped Newton, then, if it fails,
@@ -1332,7 +1378,8 @@ def solve(problem, tol=1e-6, max_iter=100, method="auto", guess=None):
     """
     system, eliminated = residual_system(problem)
     if guess is None:
-        guess = initial_guess(problem)
+        guess = ((_constant_velocities(problem), None, None) if eliminated
+                 else initial_guess(problem))
     z0 = _pack(*guess, eliminated)
     attempts = {"newton": newton, "levenberg_marquardt": levenberg_marquardt}
     point, report = solvers.solve(system, z0, attempts, method, tol, max_iter)

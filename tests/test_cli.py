@@ -46,6 +46,15 @@ def rigid_body_cfg(N=8):
     }
 
 
+def heavy_top_cfg(N=8):
+    """The rigid body under gravity, about a tilted axis, so the potential acts."""
+    cfg = rigid_body_cfg(N)
+    cfg["system"]["potential"] = {"kind": "heavy_top", "mgl": 0.5}
+    cfg["problem"]["boundary"]["gT"] = {"rotation_axis": [1.0, 0.0, 1.0],
+                                       "rotation_angle": 0.7}
+    return cfg
+
+
 def uuv_cfg(N=16):
     return {
         "system": {"type": "uuv_se3"},
@@ -111,6 +120,22 @@ def test_rigid_body_solve_and_verify(tmp_path):
     checks = read_report(out)["checks"]
     assert checks["optimality_residual"] <= 1e-6
     assert checks["reconstruction_gT"] <= 1e-8
+
+
+def test_heavy_top_solve_and_verify(tmp_path):
+    # the config's potential is the heavy top of its mgl, and the CLI solves
+    # the library's problem
+    base = heavy_top_cfg()
+    _, problem = cli.build_setup(base)
+    potential = problem.system.potential
+    assert isinstance(potential, systems.HeavyTopPotential) and potential.mgl == 0.5
+    cfg = write_config(tmp_path / "c.json", base)
+    out = str(tmp_path / "out")
+    assert cli.main(["solve", cfg, "--out", out]) == 0
+    assert cli.main(["verify", cfg, out]) == 0
+    report = read_report(out)
+    assert report["checks"]["optimality_residual"] <= 1e-6
+    assert report["solve"]["cost"] == lgoc.solve(problem, tol=1e-9).cost
 
 
 def test_uuv_solve_and_verify(tmp_path):
@@ -356,13 +381,23 @@ def test_bad_point_mass_is_config_error(tmp_path, capsys, command, system, messa
      "gT: rotation must be a 3x3 matrix"),
     (uuv_cfg, "problem", {"boundary": {"gT": {"translation": [1.0, 0.0]}}},
      "gT: translation must have length 3"),
+    (heavy_top_cfg, "system", {"potential": {"kind": "spring", "mgl": 1.0}},
+     "potential kind must be heavy_top"),
+    (heavy_top_cfg, "system", {"potential": {"kind": "heavy_top", "mgl": float("nan")}},
+     "mgl must be finite, got nan"),
+    (heavy_top_cfg, "system", {"potential": {"kind": "heavy_top", "mgl": float("inf")}},
+     "mgl must be finite, got inf"),
+    (heavy_top_cfg, "system", {"potential": {"kind": "heavy_top"}},
+     "mgl must be numeric, got None"),
 ], ids=["point mass of two masses", "point mass 2x3 mass", "point mass negative h",
         "point mass zero h", "rigid body negative h", "vehicle zero h",
         "point mass bogus force convention", "rigid body two inertias",
         "rigid body indefinite inertia", "rigid body axis 5", "rigid body axis a",
         "rigid body repeated axis", "rigid body axis -1", "vehicle negative mass",
         "vehicle one interval", "point mass x0 of length 2", "rigid body gT not orthonormal",
-        "rigid body xi0 of length 2", "vehicle 2x2 rotation", "vehicle translation of length 2"])
+        "rigid body xi0 of length 2", "vehicle 2x2 rotation", "vehicle translation of length 2",
+        "heavy top unknown kind", "heavy top NaN mgl", "heavy top infinite mgl",
+        "heavy top without mgl"])
 def test_bad_mass_or_step_is_config_error(tmp_path, capsys, command, make_cfg, section,
                                           change, message):
     # these used to fail later, in the problem's own checks, with exit 2 and

@@ -125,7 +125,6 @@ UNREAD_PUBLIC = {
                            "own derivatives, so it is only the tests' Jacobian oracle, "
                            "and the benchmark's spans name it",
     "tboc.QuadraticControlCost": "built by the benchmark's ocp-flat workload",
-    "systems.HeavyTopPotential": "a model users build",
 }
 
 

@@ -1526,7 +1526,7 @@ def _padded_jacobian(prob, z):
     xis, nus_interior, lambdas = lgoc._unpack(prob, z, eliminated)
     interval_pass = lgoc._interval_pass(prob, xis, nus_interior, lambdas)
     blocks, curvature, Mxi, Txi = lgoc._jacobian_blocks(prob, xis, interval_pass,
-                                                        lgoc._plan(prob))
+                                                        lgoc._layout_of(prob))
     # the blocks' rows into the padded rows (velocity k, momentum k,
     # complement k, velocity k+1, momentum k+1); eliminated blocks have the
     # velocity rows alone, and the momentum rows they lack are not kept.
@@ -2381,3 +2381,128 @@ def test_driftless_solve_makes_no_drift_evaluation(build, monkeypatch):
     assert _solution_arrays(sol) == _solution_arrays(expected)
     z = lgoc._pack(sol.xis, sol.nus[1:-1], sol.lambdas, prob.system.fully_actuated)
     assert _solution_arrays(lgoc.assemble_solution(prob, z)) == _solution_arrays(sol)
+
+
+# ---------------------------------------------------------------------------
+# the layout cache
+# ---------------------------------------------------------------------------
+
+def _layout_twin(actuated, potential, inertia, h, seed, mgl):
+    """A rigid body problem of N = 6 whose layout depends only on
+    ``actuated`` and ``potential``; the inertia, h, g0, gT and the heavy
+    top's mgl are the twin's own."""
+    system = make_rigid_body_so3(inertia, actuated=actuated,
+                                 potential=systems.HeavyTopPotential(mgl) if potential else None)
+    rng = np.random.default_rng(seed)
+    g0 = system.group.tau(0.3 * rng.normal(size=3))
+    return OcProblemLie(system=system, g0=g0, xi0=0.2 * rng.normal(size=3),
+                        gT=g0 @ system.group.tau(0.4 * rng.normal(size=3)),
+                        xiT=0.2 * rng.normal(size=3), N=6, h=h, cost=L2Cost())
+
+
+def _residual_and_jacobian(prob, seed):
+    system, eliminate = lgoc.residual_system(prob)
+    point = system.at(_random_point(prob, eliminate, np.random.default_rng(seed)))
+    return point.f, point.jacobian()
+
+
+@pytest.mark.parametrize("actuated", [(0, 1, 2), (0, 1)], ids=["eliminated", "explicit"])
+@pytest.mark.parametrize("potential", [False, True], ids=["free", "heavy top"])
+def test_problems_sharing_a_layout_build_the_jacobians_of_cold_builds(actuated, potential):
+    # two problems of one layout differ in everything else: each builds,
+    # through the entry the other left in the cache, the residual and the
+    # Jacobian a build from an empty cache gives, bitwise
+    twins = [_layout_twin(actuated, potential, (1.0, 2.0, 3.0), 0.1, 1, 0.8),
+             _layout_twin(actuated, potential, (2.5, 1.5, 0.7), 0.17, 2, 1.9)]
+    cold = []
+    for prob in twins:
+        lgoc._layout.cache_clear()
+        cold.append(_residual_and_jacobian(prob, 3))
+    lgoc._layout.cache_clear()
+    for prob, (f, J) in zip(twins, cold):
+        warm_f, warm_J = _residual_and_jacobian(prob, 3)
+        assert np.array_equal(warm_f, f) and np.array_equal(warm_J, J)
+    info = lgoc._layout.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert lgoc._layout_of(twins[0]) is lgoc._layout_of(twins[1])
+
+
+@pytest.mark.parametrize("regime", list(jacobian_regimes()))
+def test_layout_arrays_are_read_only(regime):
+    layout = lgoc._layout_of(jacobian_regimes()[regime])
+    arrays = [a for a in layout if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_layouts_of_other_kinds_never_share_an_entry():
+    # eliminated and explicit momenta, with and without a potential: the
+    # same group and N, four entries, whatever the order they are formed in
+    kinds = [(actuated, potential) for actuated in [(0, 1, 2), (0, 1)]
+             for potential in [False, True]]
+    lgoc._layout.cache_clear()
+    layouts = [lgoc._layout_of(_layout_twin(a, p, (1.0, 2.0, 3.0), 0.1, 0, 1.0))
+               for a, p in kinds]
+    assert lgoc._layout.cache_info().currsize == 4
+    assert len({(layout.dim, layout.height) for layout in layouts}) == 4
+    for (a, p), layout in zip(kinds[::-1], layouts[::-1]):
+        assert lgoc._layout_of(_layout_twin(a, p, (3.0, 1.0, 2.0), 0.2, 1, 0.5)) is layout
+    assert lgoc._layout.cache_info().currsize == 4
+
+
+@pytest.mark.parametrize("regime", [name for name, prob in jacobian_regimes().items()
+                                    if lgoc._momenta_eliminable(prob)])
+def test_an_eliminated_solve_starts_from_the_constant_velocities_alone(regime, monkeypatch):
+    # the start of an eliminated solve reads only xis: no interval momenta
+    # and no dtau_inv_matrix call come before the first pass, and the
+    # solution is bitwise that from initial_guess's full start
+    prob = jacobian_regimes()[regime]
+    expected = lgoc.solve(prob, tol=1e-9, guess=lgoc.initial_guess(prob))
+    events = []
+
+    def spy(name, f):
+        def called(*args, **kwargs):
+            events.append(name)
+            return f(*args, **kwargs)
+        return called
+
+    monkeypatch.setattr(lgoc, "_interval_pass", spy("pass", lgoc._interval_pass))
+    monkeypatch.setattr(lgoc, "interval_momenta", spy("momenta", lgoc.interval_momenta))
+    monkeypatch.setattr(lie.GroupSpec, "dtau_inv_matrix",
+                        spy("dtau_inv_matrix", lie.GroupSpec.dtau_inv_matrix))
+    sol = lgoc.solve(prob, tol=1e-9)
+    assert events[0] == "pass"
+    assert sol.report.residual_history == expected.report.residual_history
+    assert np.array_equal(sol.xis, expected.xis)
+    assert _solution_arrays(sol) == _solution_arrays(expected)
+
+
+def test_unactuated_coordinates_are_a_read_only_index():
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(1,))
+    assert system.sigma.dtype == np.intp and list(system.sigma) == [0, 2]
+    assert not system.sigma.flags.writeable
+    full = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1, 2))
+    assert full.sigma.dtype == np.intp and full.sigma.shape == (0,)
+
+
+def test_a_march_forms_no_control_pseudo_inverse(monkeypatch):
+    # control_pinv is formed when first read: building a system and
+    # marching it, on a group or on R^n, forms none
+    pinv = np.linalg.pinv
+
+    def refused(*args, **kwargs):
+        raise AssertionError("pinv formed for a march")
+
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    system = make_rigid_body_so3((1.0, 2.0, 3.0), actuated=(0, 1))
+    controls = np.full((5, 2, 2), 0.1)
+    lgoc.integrate_reduced(system, np.eye(3), np.array([0.2, 0.1, -0.3]), 0.1, 5, controls)
+    lagrangian, forces = systems.make_point_mass(2, h=0.1)
+    mech.integrate(lagrangian, forces, np.zeros(2), np.full(2, 0.01), 5,
+                   controls=np.full((5, 2, 2), 0.1))
+    monkeypatch.setattr(np.linalg, "pinv", pinv)
+    assert np.array_equal(system.control_pinv, pinv(system.control_basis))
+    assert system.control_pinv is system.control_pinv
